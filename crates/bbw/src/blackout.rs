@@ -200,13 +200,14 @@ pub fn run_blackout_campaign(config: &BlackoutCampaignConfig) -> BlackoutCampaig
         "min_reset must be in 1..={pool_size}"
     );
     let c = config.clone();
+    let root = RngStream::new(config.seed);
     let campaign = nlft_engine::indexed_campaign(
         "bbw-blackout",
         "blackout-trial",
         config.trials,
         BlackoutCampaignResult::default,
         move |trial, _ctx, result: &mut BlackoutCampaignResult| {
-            result.merge(run_blackout_shard(&c, trial, trial + 1));
+            run_blackout_trial(&c, &root, trial, result);
         },
         |into, from| into.merge(from),
     );
@@ -219,84 +220,80 @@ pub fn run_blackout_campaign(config: &BlackoutCampaignConfig) -> BlackoutCampaig
     result
 }
 
-fn run_blackout_shard(
+fn run_blackout_trial(
     config: &BlackoutCampaignConfig,
-    start: u64,
-    end: u64,
-) -> BlackoutCampaignResult {
-    let root = RngStream::new(config.seed);
-    let mut result = BlackoutCampaignResult::default();
+    root: &RngStream,
+    trial: u64,
+    result: &mut BlackoutCampaignResult,
+) {
     let blackout_at = config.warmup_cycles;
     let total_cycles = config.warmup_cycles + config.recovery_cycles;
-    for trial in start..end {
-        let mut rng = root.fork_indexed("blackout-trial", trial);
-        let mut pool: Vec<NodeId> = if config.include_cus {
-            ALL_NODES.to_vec()
-        } else {
-            WHEELS.to_vec()
-        };
-        let spread = (pool.len() - config.min_reset) as u64;
-        let k = config.min_reset + rng.uniform_range(0, spread + 1) as usize;
-        // Partial Fisher–Yates: the first k entries become the victims.
-        for i in 0..k {
-            let j = i + rng.uniform_range(0, (pool.len() - i) as u64) as usize;
-            pool.swap(i, j);
-        }
-        pool.truncate(k);
+    let mut rng = root.fork_indexed("blackout-trial", trial);
+    let mut pool: Vec<NodeId> = if config.include_cus {
+        ALL_NODES.to_vec()
+    } else {
+        WHEELS.to_vec()
+    };
+    let spread = (pool.len() - config.min_reset) as u64;
+    let k = config.min_reset + rng.uniform_range(0, spread + 1) as usize;
+    // Partial Fisher–Yates: the first k entries become the victims.
+    for i in 0..k {
+        let j = i + rng.uniform_range(0, (pool.len() - i) as u64) as usize;
+        pool.swap(i, j);
+    }
+    pool.truncate(k);
 
-        let mut cluster = BbwCluster::new();
-        cluster.enable_startup();
-        let plan = NetFaultPlan::quiet().with_blackout(BlackoutSpec {
-            at_cycle: blackout_at,
-            nodes: pool,
-            down_cycles: config.down_cycles,
-            stagger: config.stagger,
-        });
-        cluster.attach_net_faults(plan, rng.fork("net-injector"));
-        let report = cluster.run(total_cycles, |_| 1200);
-        let metrics = cluster
-            .startup_metrics()
-            .expect("startup enabled for blackout trials")
-            .clone();
+    let mut cluster = BbwCluster::new();
+    cluster.enable_startup();
+    let plan = NetFaultPlan::quiet().with_blackout(BlackoutSpec {
+        at_cycle: blackout_at,
+        nodes: pool,
+        down_cycles: config.down_cycles,
+        stagger: config.stagger,
+    });
+    cluster.attach_net_faults(plan, rng.fork("net-injector"));
+    let report = cluster.run(total_cycles, |_| 1200);
+    let metrics = cluster
+        .startup_metrics()
+        .expect("startup enabled for blackout trials")
+        .clone();
 
-        result.trials += 1;
-        result.cold_starts_sent += u64::from(metrics.cold_starts_sent);
-        result.big_bangs += u64::from(metrics.big_bangs);
-        result.clique_reverts += u64::from(metrics.clique_reverts);
-        result.guardian_blocks += report.guardian_blocks;
-        result.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
-        if let Some(cycle) = metrics.first_cold_start_cycle {
-            result.cold_start_trials += 1;
-            result.time_to_cold_start.push(cycle - blackout_at);
-        }
-        result
-            .integration_latencies
-            .extend(metrics.integration_latencies.iter().map(|&(_, l)| l));
-
-        let mut dipped = false;
-        let mut recovered_at = None;
-        let mut unavailable = 0u32;
-        for rec in &report.records {
-            if rec.cycle < blackout_at {
-                continue;
-            }
-            let forces = rec.wheel_force.iter().filter(|f| f.is_some()).count();
-            if forces < 3 {
-                unavailable += 1;
-            }
-            if rec.members < ALL_NODES.len() {
-                dipped = true;
-            } else if dipped && recovered_at.is_none() {
-                recovered_at = Some(rec.cycle);
-            }
-        }
-        if let Some(cycle) = recovered_at {
-            result.full_recoveries += 1;
-            result.time_to_full_membership.push(cycle - blackout_at);
-        }
-        result.unavailability_cycles.push(unavailable);
+    result.trials += 1;
+    result.cold_starts_sent += u64::from(metrics.cold_starts_sent);
+    result.big_bangs += u64::from(metrics.big_bangs);
+    result.clique_reverts += u64::from(metrics.clique_reverts);
+    result.guardian_blocks += report.guardian_blocks;
+    result.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
+    if let Some(cycle) = metrics.first_cold_start_cycle {
+        result.cold_start_trials += 1;
+        result.time_to_cold_start.push(cycle - blackout_at);
     }
     result
+        .integration_latencies
+        .extend(metrics.integration_latencies.iter().map(|&(_, l)| l));
+
+    let mut dipped = false;
+    let mut recovered_at = None;
+    let mut unavailable = 0u32;
+    for rec in &report.records {
+        if rec.cycle < blackout_at {
+            continue;
+        }
+        let forces = rec.wheel_force.iter().filter(|f| f.is_some()).count();
+        if forces < 3 {
+            unavailable += 1;
+        }
+        if rec.members < ALL_NODES.len() {
+            dipped = true;
+        } else if dipped && recovered_at.is_none() {
+            recovered_at = Some(rec.cycle);
+        }
+    }
+    if let Some(cycle) = recovered_at {
+        result.full_recoveries += 1;
+        result.time_to_full_membership.push(cycle - blackout_at);
+    }
+    result.unavailability_cycles.push(unavailable);
 }
 
 #[cfg(test)]

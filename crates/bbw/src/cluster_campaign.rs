@@ -256,13 +256,14 @@ pub fn run_net_storm_campaign(config: &NetStormCampaignConfig) -> NetStormCampai
         "intensity must be in [0, 1]"
     );
     let c = config.clone();
+    let root = RngStream::new(config.seed);
     let campaign = nlft_engine::indexed_campaign(
         "bbw-net-storm",
         "net-storm-trial",
         config.trials,
         NetStormCampaignResult::default,
         move |trial, _ctx, result: &mut NetStormCampaignResult| {
-            result.merge(run_storm_shard(&c, trial, trial + 1));
+            run_storm_trial(&c, &root, trial, result);
         },
         |into, from| into.merge(from),
     );
@@ -272,55 +273,51 @@ pub fn run_net_storm_campaign(config: &NetStormCampaignConfig) -> NetStormCampai
     result
 }
 
-fn run_storm_shard(
+fn run_storm_trial(
     config: &NetStormCampaignConfig,
-    start: u64,
-    end: u64,
-) -> NetStormCampaignResult {
-    let root = RngStream::new(config.seed);
-    let mut result = NetStormCampaignResult::default();
-    for trial in start..end {
-        let mut rng = root.fork_indexed("net-storm-trial", trial);
-        let mut cluster = BbwCluster::new();
-        let plan = NetFaultPlan::quiet()
-            .with_nodes(&ALL_NODES, NetFaultRates::storm(config.intensity))
-            .with_dynamic(0.10 * config.intensity, 0.10 * config.intensity);
-        cluster.attach_net_faults(plan, rng.fork("net-injector"));
-        if config.with_node_faults {
-            let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
-            let cycle = rng.uniform_range(1, u64::from(config.cycles) - 1) as u32;
-            cluster.inject(ClusterInjection {
-                cycle,
-                node,
-                copy: rng.uniform_range(0, 2) as u32,
-                at_cycle: rng.uniform_range(1, 40),
-                fault: FaultSpace::cpu_only().sample(&mut rng),
-            });
-        }
-        let report = cluster.run(config.cycles, |_| 1200);
-        result.outcomes.trials += 1;
-        if report.split_membership {
-            result.outcomes.split_membership += 1;
-        } else if report.service_lost {
-            result.outcomes.service_lost += 1;
-        } else if report.degraded_cycles > 0 {
-            result.outcomes.degraded_episode += 1;
-        } else if report.omissions > 0 {
-            result.outcomes.omission_only += 1;
-        } else {
-            result.outcomes.unaffected += 1;
-        }
-        result.injected.merge(&cluster.net_injection_counts());
-        result.crc_rejects += report.crc_rejects;
-        result.corruptions_applied += report.corruptions_applied;
-        result.guardian_blocks += report.guardian_blocks;
-        result.masquerade_rejects += report.masquerade_rejects;
-        result.masquerades_applied += report.masquerades_applied;
-        result
-            .reintegration_latencies
-            .extend(report.reintegration_latencies);
+    root: &RngStream,
+    trial: u64,
+    result: &mut NetStormCampaignResult,
+) {
+    let mut rng = root.fork_indexed("net-storm-trial", trial);
+    let mut cluster = BbwCluster::new();
+    let plan = NetFaultPlan::quiet()
+        .with_nodes(&ALL_NODES, NetFaultRates::storm(config.intensity))
+        .with_dynamic(0.10 * config.intensity, 0.10 * config.intensity);
+    cluster.attach_net_faults(plan, rng.fork("net-injector"));
+    if config.with_node_faults {
+        let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
+        let cycle = rng.uniform_range(1, u64::from(config.cycles) - 1) as u32;
+        cluster.inject(ClusterInjection {
+            cycle,
+            node,
+            copy: rng.uniform_range(0, 2) as u32,
+            at_cycle: rng.uniform_range(1, 40),
+            fault: FaultSpace::cpu_only().sample(&mut rng),
+        });
     }
+    let report = cluster.run(config.cycles, |_| 1200);
+    result.outcomes.trials += 1;
+    if report.split_membership {
+        result.outcomes.split_membership += 1;
+    } else if report.service_lost {
+        result.outcomes.service_lost += 1;
+    } else if report.degraded_cycles > 0 {
+        result.outcomes.degraded_episode += 1;
+    } else if report.omissions > 0 {
+        result.outcomes.omission_only += 1;
+    } else {
+        result.outcomes.unaffected += 1;
+    }
+    result.injected.merge(&cluster.net_injection_counts());
+    result.crc_rejects += report.crc_rejects;
+    result.corruptions_applied += report.corruptions_applied;
+    result.guardian_blocks += report.guardian_blocks;
+    result.masquerade_rejects += report.masquerade_rejects;
+    result.masquerades_applied += report.masquerades_applied;
     result
+        .reintegration_latencies
+        .extend(report.reintegration_latencies);
 }
 
 #[cfg(test)]

@@ -211,8 +211,9 @@ pub fn run_monte_carlo(config: &MonteCarloConfig) -> MonteCarloResult {
 /// Each replication forks its own stream from `(seed, index)`, and the
 /// engine folds block partials in block order regardless of worker
 /// count, so neither the thread count nor a checkpoint/resume split can
-/// change any drawn value or any merged bit. At one worker (or below)
-/// this runs on the in-thread sequential reference executor.
+/// change any drawn value or any merged bit. `engine` picks the path:
+/// in-thread at one worker with no trial budget and no chaos injection,
+/// the work-stealing executor otherwise.
 ///
 /// # Panics
 ///

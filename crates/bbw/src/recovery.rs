@@ -177,13 +177,14 @@ pub fn run_recovery_cluster_campaign(
         "the escalation ladder needs >= 30 cycles"
     );
     let c = config.clone();
+    let root = RngStream::new(config.seed);
     let campaign = nlft_engine::indexed_campaign(
         "bbw-recovery-cluster",
         "recovery-cluster-trial",
         config.trials,
         RecoveryClusterOutcomes::default,
         move |trial, _ctx, result: &mut RecoveryClusterOutcomes| {
-            result.merge(&run_recovery_shard(&c, trial, trial + 1));
+            run_recovery_trial(&c, &root, trial, result);
         },
         |into, from| into.merge(&from),
     );
@@ -191,98 +192,94 @@ pub fn run_recovery_cluster_campaign(
     nlft_engine::run_trials(campaign, &engine).acc
 }
 
-fn run_recovery_shard(
+fn run_recovery_trial(
     config: &RecoveryClusterCampaignConfig,
-    start: u64,
-    end: u64,
-) -> RecoveryClusterOutcomes {
-    let root = RngStream::new(config.seed);
-    let mut result = RecoveryClusterOutcomes::default();
-    for trial in start..end {
-        let mut rng = root.fork_indexed("recovery-cluster-trial", trial);
-        let mut cluster = BbwCluster::new();
-        cluster.supervise_all(AlphaCountConfig::default(), EscalationPolicy::default());
-        let kind = rng.uniform_range(0, 3);
-        let victim = match kind {
-            0 => {
-                // One-shot transient on a random node.
-                let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
-                cluster.inject(ClusterInjection {
-                    cycle: rng.uniform_range(1, 10) as u32,
-                    node,
-                    copy: rng.uniform_range(0, 2) as u32,
-                    at_cycle: rng.uniform_range(1, 40),
-                    fault: pc_fault(),
-                });
-                node
-            }
-            1 => {
-                // Intermittent fault on a random wheel.
-                let node = WHEELS[rng.uniform_range(0, 4) as usize];
-                cluster.attach_intermittent(
-                    node,
-                    IntermittentFault {
-                        fault: pc_fault(),
-                        recurrence: 0.9,
-                        burst_jobs: 12,
-                    },
-                    rng.fork("victim-intermittent"),
-                );
-                node
-            }
-            _ => {
-                // Permanent stuck-at on a random node.
-                let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
-                cluster.attach_stuck_at(
-                    node,
-                    StuckAtFault {
-                        target: FaultTarget::Pc,
-                        bit: 1 << 20,
-                        stuck_high: true,
-                    },
-                );
-                node
-            }
-        };
-        let report = cluster.run(config.cycles, |_| 1200);
-        let health = cluster.node_health(victim).expect("victim is supervised");
-        result.trials += 1;
-        if report.service_lost {
-            result.service_lost += 1;
-            continue;
+    root: &RngStream,
+    trial: u64,
+    result: &mut RecoveryClusterOutcomes,
+) {
+    let mut rng = root.fork_indexed("recovery-cluster-trial", trial);
+    let mut cluster = BbwCluster::new();
+    cluster.supervise_all(AlphaCountConfig::default(), EscalationPolicy::default());
+    let kind = rng.uniform_range(0, 3);
+    let victim = match kind {
+        0 => {
+            // One-shot transient on a random node.
+            let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
+            cluster.inject(ClusterInjection {
+                cycle: rng.uniform_range(1, 10) as u32,
+                node,
+                copy: rng.uniform_range(0, 2) as u32,
+                at_cycle: rng.uniform_range(1, 40),
+                fault: pc_fault(),
+            });
+            node
         }
-        let victim_retired = report.retired_nodes.contains(&victim);
-        match kind {
-            0 => {
-                if report.escalations.is_empty() && report.restarts == 0 {
-                    result.masked_transient += 1;
-                } else if victim_retired {
-                    result.false_retirement += 1;
-                } else if health == NodeHealth::Healthy {
-                    result.recovered += 1;
-                } else {
-                    result.unresolved += 1;
-                }
+        1 => {
+            // Intermittent fault on a random wheel.
+            let node = WHEELS[rng.uniform_range(0, 4) as usize];
+            cluster.attach_intermittent(
+                node,
+                IntermittentFault {
+                    fault: pc_fault(),
+                    recurrence: 0.9,
+                    burst_jobs: 12,
+                },
+                rng.fork("victim-intermittent"),
+            );
+            node
+        }
+        _ => {
+            // Permanent stuck-at on a random node.
+            let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
+            cluster.attach_stuck_at(
+                node,
+                StuckAtFault {
+                    target: FaultTarget::Pc,
+                    bit: 1 << 20,
+                    stuck_high: true,
+                },
+            );
+            node
+        }
+    };
+    let report = cluster.run(config.cycles, |_| 1200);
+    let health = cluster.node_health(victim).expect("victim is supervised");
+    result.trials += 1;
+    if report.service_lost {
+        result.service_lost += 1;
+        return;
+    }
+    let victim_retired = report.retired_nodes.contains(&victim);
+    match kind {
+        0 => {
+            if report.escalations.is_empty() && report.restarts == 0 {
+                result.masked_transient += 1;
+            } else if victim_retired {
+                result.false_retirement += 1;
+            } else if health == NodeHealth::Healthy {
+                result.recovered += 1;
+            } else {
+                result.unresolved += 1;
             }
-            1 => {
-                if victim_retired {
-                    result.false_retirement += 1;
-                } else if health == NodeHealth::Healthy {
-                    result.recovered += 1;
-                } else {
-                    result.unresolved += 1;
-                }
+        }
+        1 => {
+            if victim_retired {
+                result.false_retirement += 1;
+            } else if health == NodeHealth::Healthy {
+                result.recovered += 1;
+            } else {
+                result.unresolved += 1;
             }
-            _ => {
-                if victim_retired {
-                    result.retired += 1;
-                } else {
-                    result.missed_permanent += 1;
-                }
+        }
+        _ => {
+            if victim_retired {
+                result.retired += 1;
+            } else {
+                result.missed_permanent += 1;
             }
         }
     }
-    result
 }
 
 #[cfg(test)]

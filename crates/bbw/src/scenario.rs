@@ -696,12 +696,8 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutco
 /// [`CompileError`].
 #[derive(Default)]
 pub struct ScenarioEngineOptions<'a> {
-    /// Run the work-stealing executor even at one worker (the default
-    /// dispatches to the in-thread sequential reference below two
-    /// workers). The outcome is bit-identical either way — this exists
-    /// so differential gates can pit the two paths against each other.
-    pub force_engine: bool,
-    /// Per-trial wall-clock budget enforced by the engine watchdog.
+    /// Per-trial wall-clock budget enforced by the engine watchdog
+    /// (which runs the work-stealing executor even at one thread).
     pub trial_budget: Option<Duration>,
     /// Resume from a checkpoint string previously handed to
     /// `on_checkpoint`.
@@ -715,8 +711,7 @@ pub struct ScenarioEngineOptions<'a> {
 
 impl ScenarioEngineOptions<'_> {
     fn is_default(&self) -> bool {
-        !self.force_engine
-            && self.trial_budget.is_none()
+        self.trial_budget.is_none()
             && self.resume.is_none()
             && self.checkpoint_every == 0
             && self.on_checkpoint.is_none()
@@ -726,7 +721,6 @@ impl ScenarioEngineOptions<'_> {
 impl std::fmt::Debug for ScenarioEngineOptions<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScenarioEngineOptions")
-            .field("force_engine", &self.force_engine)
             .field("trial_budget", &self.trial_budget)
             .field("resume", &self.resume.is_some())
             .field("checkpoint_every", &self.checkpoint_every)
@@ -751,7 +745,7 @@ pub fn run_scenario_with(
             if !opts.is_default() {
                 return Err(CompileError {
                     scenario: spec.name.clone(),
-                    message: "engine options (--engine / --trial-budget-ms / --resume) \
+                    message: "engine options (trial budget / checkpoint / resume) \
                               require a cluster-family scenario"
                         .to_string(),
                 });
@@ -761,124 +755,144 @@ pub fn run_scenario_with(
     }
 }
 
-/// Per-trial tallies of the free-form cluster engine.
-#[derive(Debug, Clone, Copy, Default)]
+/// Verdicts of the free-form cluster family in canonical order — the
+/// order of [`ScenarioOutcome::verdicts`] and of checkpoint tokens.
+/// Each trial gets the first that applies.
+const CLUSTER_VERDICTS: [&str; 6] = [
+    "undetected",
+    "split_membership",
+    "service_lost",
+    "degraded_episode",
+    "omission_only",
+    "unaffected",
+];
+
+/// Metrics of the free-form cluster family in canonical order — the
+/// order of [`ScenarioOutcome::metrics`] and of checkpoint tokens.
+const CLUSTER_METRICS: [&str; 20] = [
+    "omissions",
+    "degraded_cycles",
+    "injected",
+    "crc_rejects",
+    "guardian_blocks",
+    "masquerade_rejects",
+    "corruptions_applied",
+    "masquerades_applied",
+    "restarts",
+    "retired_nodes",
+    "escalations",
+    "contract_misses",
+    "contract_violations",
+    "held_setpoint_cycles",
+    "sensor_demotions",
+    "actuator_trips",
+    "undetected_value_failures",
+    "core_deaths",
+    "reintegrations",
+    "reintegration_cycles",
+];
+
+/// Per-trial tallies of the free-form cluster engine, indexed like
+/// [`CLUSTER_VERDICTS`] and [`CLUSTER_METRICS`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ClusterTallies {
     trials: u64,
-    undetected: u64,
-    split_membership: u64,
-    service_lost: u64,
-    degraded_episode: u64,
-    omission_only: u64,
-    unaffected: u64,
-    omissions: u64,
-    degraded_cycles: u64,
-    injected: u64,
-    crc_rejects: u64,
-    guardian_blocks: u64,
-    masquerade_rejects: u64,
-    corruptions_applied: u64,
-    masquerades_applied: u64,
-    restarts: u64,
-    retired_nodes: u64,
-    escalations: u64,
-    contract_misses: u64,
-    contract_violations: u64,
-    held_setpoint_cycles: u64,
-    sensor_demotions: u64,
-    actuator_trips: u64,
-    undetected_value_failures: u64,
-    core_deaths: u64,
-    reintegrations: u64,
-    reintegration_cycles: u64,
+    verdicts: [u64; CLUSTER_VERDICTS.len()],
+    metrics: [u64; CLUSTER_METRICS.len()],
 }
 
 impl ClusterTallies {
     fn absorb(&mut self, report: &ClusterReport, injected: u64) {
-        self.trials += 1;
         let undetected_value = u64::from(report.value.undetected_value_failures());
-        if undetected_value > 0 {
-            self.undetected += 1;
-        } else if report.split_membership {
-            self.split_membership += 1;
-        } else if report.service_lost {
-            self.service_lost += 1;
-        } else if report.degraded_cycles > 0 {
-            self.degraded_episode += 1;
-        } else if report.omissions > 0 {
-            self.omission_only += 1;
-        } else {
-            self.unaffected += 1;
+        // The verdict ladder, rung for rung in CLUSTER_VERDICTS order.
+        let verdict = [
+            undetected_value > 0,
+            report.split_membership,
+            report.service_lost,
+            report.degraded_cycles > 0,
+            report.omissions > 0,
+            true,
+        ]
+        .iter()
+        .position(|&applies| applies)
+        .expect("the last rung always applies");
+        // In CLUSTER_METRICS order.
+        let metrics = [
+            u64::from(report.omissions),
+            u64::from(report.degraded_cycles),
+            injected,
+            report.crc_rejects,
+            report.guardian_blocks,
+            report.masquerade_rejects,
+            report.corruptions_applied,
+            report.masquerades_applied,
+            u64::from(report.restarts),
+            report.retired_nodes.len() as u64,
+            report.escalations.len() as u64,
+            report
+                .wheel_contract_misses
+                .iter()
+                .map(|&m| u64::from(m))
+                .sum(),
+            report
+                .wheel_contract_violations
+                .iter()
+                .map(|&v| u64::from(v))
+                .sum(),
+            u64::from(report.value.held_setpoint_cycles),
+            u64::from(report.value.sensor_demotions),
+            report.value.actuator_trips.len() as u64,
+            undetected_value,
+            report.core_deaths.len() as u64,
+            report.reintegration_latencies.len() as u64,
+            report
+                .reintegration_latencies
+                .iter()
+                .map(|&l| u64::from(l))
+                .sum(),
+        ];
+        self.trials += 1;
+        self.verdicts[verdict] += 1;
+        for (total, x) in self.metrics.iter_mut().zip(metrics) {
+            *total += x;
         }
-        self.omissions += u64::from(report.omissions);
-        self.degraded_cycles += u64::from(report.degraded_cycles);
-        self.injected += injected;
-        self.crc_rejects += report.crc_rejects;
-        self.guardian_blocks += report.guardian_blocks;
-        self.masquerade_rejects += report.masquerade_rejects;
-        self.corruptions_applied += report.corruptions_applied;
-        self.masquerades_applied += report.masquerades_applied;
-        self.restarts += u64::from(report.restarts);
-        self.retired_nodes += report.retired_nodes.len() as u64;
-        self.escalations += report.escalations.len() as u64;
-        self.contract_misses += report
-            .wheel_contract_misses
-            .iter()
-            .map(|&m| u64::from(m))
-            .sum::<u64>();
-        self.contract_violations += report
-            .wheel_contract_violations
-            .iter()
-            .map(|&v| u64::from(v))
-            .sum::<u64>();
-        self.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
-        self.sensor_demotions += u64::from(report.value.sensor_demotions);
-        self.actuator_trips += report.value.actuator_trips.len() as u64;
-        self.undetected_value_failures += undetected_value;
-        self.core_deaths += report.core_deaths.len() as u64;
-        self.reintegrations += report.reintegration_latencies.len() as u64;
-        self.reintegration_cycles += report
-            .reintegration_latencies
-            .iter()
-            .map(|&l| u64::from(l))
-            .sum::<u64>();
     }
 
     fn merge(&mut self, other: &ClusterTallies) {
         self.trials += other.trials;
-        self.undetected += other.undetected;
-        self.split_membership += other.split_membership;
-        self.service_lost += other.service_lost;
-        self.degraded_episode += other.degraded_episode;
-        self.omission_only += other.omission_only;
-        self.unaffected += other.unaffected;
-        self.omissions += other.omissions;
-        self.degraded_cycles += other.degraded_cycles;
-        self.injected += other.injected;
-        self.crc_rejects += other.crc_rejects;
-        self.guardian_blocks += other.guardian_blocks;
-        self.masquerade_rejects += other.masquerade_rejects;
-        self.corruptions_applied += other.corruptions_applied;
-        self.masquerades_applied += other.masquerades_applied;
-        self.restarts += other.restarts;
-        self.retired_nodes += other.retired_nodes;
-        self.escalations += other.escalations;
-        self.contract_misses += other.contract_misses;
-        self.contract_violations += other.contract_violations;
-        self.held_setpoint_cycles += other.held_setpoint_cycles;
-        self.sensor_demotions += other.sensor_demotions;
-        self.actuator_trips += other.actuator_trips;
-        self.undetected_value_failures += other.undetected_value_failures;
-        self.core_deaths += other.core_deaths;
-        self.reintegrations += other.reintegrations;
-        self.reintegration_cycles += other.reintegration_cycles;
+        for (total, x) in self.verdicts.iter_mut().zip(other.verdicts) {
+            *total += x;
+        }
+        for (total, x) in self.metrics.iter_mut().zip(other.metrics) {
+            *total += x;
+        }
+    }
+
+    /// The canonical outcome of a scenario with these tallies.
+    fn outcome(&self, name: &str) -> ScenarioOutcome {
+        fn named(names: &[&str], values: &[u64]) -> Vec<(String, u64)> {
+            names
+                .iter()
+                .zip(values)
+                .map(|(name, &v)| (name.to_string(), v))
+                .collect()
+        }
+        ScenarioOutcome::new(
+            name,
+            self.trials,
+            named(&CLUSTER_VERDICTS, &self.verdicts),
+            named(&CLUSTER_METRICS, &self.metrics),
+        )
     }
 }
 
 /// Runs one trial of a cluster scenario: builds the cluster from the
 /// declaration, attaches every fault line, runs the pedal profile.
-fn run_cluster_trial(config: &ClusterScenarioConfig, trial: u64) -> (ClusterReport, u64) {
-    let root = RngStream::new(config.seed);
+fn run_cluster_trial(
+    config: &ClusterScenarioConfig,
+    root: &RngStream,
+    trial: u64,
+) -> (ClusterReport, u64) {
     let rng = root.fork_indexed("scenario-trial", trial);
     let mut cluster = BbwCluster::with_rng(rng.fork("pedal-sensors"));
     let spec = &config.spec;
@@ -1003,7 +1017,7 @@ fn run_cluster_trial(config: &ClusterScenarioConfig, trial: u64) -> (ClusterRepo
 /// Runs a cluster scenario on the campaign engine. Every trial forks
 /// its own labelled stream off the scenario seed and block partials are
 /// folded in block order, so the outcome — digest included — is
-/// identical for any thread count, with or without `force_engine`.
+/// identical for any thread count and across a checkpoint/resume split.
 fn run_cluster_scenario(
     name: &str,
     config: &ClusterScenarioConfig,
@@ -1011,13 +1025,14 @@ fn run_cluster_scenario(
     opts: &ScenarioEngineOptions<'_>,
 ) -> Result<ScenarioOutcome, CompileError> {
     let c = config.clone();
+    let root = RngStream::new(config.seed);
     let campaign = nlft_engine::indexed_campaign(
         "bbw-cluster-scenario",
         "scenario-trial",
         config.trials,
         ClusterTallies::default,
         move |trial, _ctx, tallies: &mut ClusterTallies| {
-            let (report, injected) = run_cluster_trial(&c, trial);
+            let (report, injected) = run_cluster_trial(&c, &root, trial);
             tallies.absorb(&report, injected);
         },
         |into: &mut ClusterTallies, from| into.merge(&from),
@@ -1051,135 +1066,30 @@ fn run_cluster_scenario(
         resume,
         on_checkpoint: encode_cb.as_deref(),
     };
-    let run = if opts.force_engine {
-        nlft_engine::run_campaign_with(campaign, &engine, options)
-    } else {
-        nlft_engine::run_trials_with(campaign, &engine, options)
-    };
-    let tallies = run.acc;
-    let t = &tallies;
-    Ok(ScenarioOutcome::new(
-        name,
-        t.trials,
-        vec![
-            ("undetected".into(), t.undetected),
-            ("split_membership".into(), t.split_membership),
-            ("service_lost".into(), t.service_lost),
-            ("degraded_episode".into(), t.degraded_episode),
-            ("omission_only".into(), t.omission_only),
-            ("unaffected".into(), t.unaffected),
-        ],
-        vec![
-            ("omissions".into(), t.omissions),
-            ("degraded_cycles".into(), t.degraded_cycles),
-            ("injected".into(), t.injected),
-            ("crc_rejects".into(), t.crc_rejects),
-            ("guardian_blocks".into(), t.guardian_blocks),
-            ("masquerade_rejects".into(), t.masquerade_rejects),
-            ("corruptions_applied".into(), t.corruptions_applied),
-            ("masquerades_applied".into(), t.masquerades_applied),
-            ("restarts".into(), t.restarts),
-            ("retired_nodes".into(), t.retired_nodes),
-            ("escalations".into(), t.escalations),
-            ("contract_misses".into(), t.contract_misses),
-            ("contract_violations".into(), t.contract_violations),
-            ("held_setpoint_cycles".into(), t.held_setpoint_cycles),
-            ("sensor_demotions".into(), t.sensor_demotions),
-            ("actuator_trips".into(), t.actuator_trips),
-            (
-                "undetected_value_failures".into(),
-                t.undetected_value_failures,
-            ),
-            ("core_deaths".into(), t.core_deaths),
-            ("reintegrations".into(), t.reintegrations),
-            ("reintegration_cycles".into(), t.reintegration_cycles),
-        ],
-    ))
-}
-
-impl ClusterTallies {
-    fn to_array(self) -> [u64; 26] {
-        [
-            self.trials,
-            self.undetected,
-            self.split_membership,
-            self.service_lost,
-            self.degraded_episode,
-            self.omission_only,
-            self.unaffected,
-            self.omissions,
-            self.degraded_cycles,
-            self.injected,
-            self.crc_rejects,
-            self.guardian_blocks,
-            self.masquerade_rejects,
-            self.corruptions_applied,
-            self.masquerades_applied,
-            self.restarts,
-            self.retired_nodes,
-            self.escalations,
-            self.contract_misses,
-            self.contract_violations,
-            self.held_setpoint_cycles,
-            self.sensor_demotions,
-            self.actuator_trips,
-            self.undetected_value_failures,
-            self.core_deaths,
-            self.reintegrations,
-        ]
-    }
-
-    fn from_array(a: [u64; 26], reintegration_cycles: u64) -> Self {
-        ClusterTallies {
-            trials: a[0],
-            undetected: a[1],
-            split_membership: a[2],
-            service_lost: a[3],
-            degraded_episode: a[4],
-            omission_only: a[5],
-            unaffected: a[6],
-            omissions: a[7],
-            degraded_cycles: a[8],
-            injected: a[9],
-            crc_rejects: a[10],
-            guardian_blocks: a[11],
-            masquerade_rejects: a[12],
-            corruptions_applied: a[13],
-            masquerades_applied: a[14],
-            restarts: a[15],
-            retired_nodes: a[16],
-            escalations: a[17],
-            contract_misses: a[18],
-            contract_violations: a[19],
-            held_setpoint_cycles: a[20],
-            sensor_demotions: a[21],
-            actuator_trips: a[22],
-            undetected_value_failures: a[23],
-            core_deaths: a[24],
-            reintegrations: a[25],
-            reintegration_cycles,
-        }
-    }
+    let run = nlft_engine::run_trials_with(campaign, &engine, options);
+    Ok(run.acc.outcome(name))
 }
 
 impl Checkpoint for ClusterTallies {
     fn encode(&self) -> String {
         let mut out = String::from("cluster-tallies");
-        for x in self.to_array() {
+        checkpoint::push_u64(&mut out, self.trials);
+        for &x in self.verdicts.iter().chain(&self.metrics) {
             checkpoint::push_u64(&mut out, x);
         }
-        checkpoint::push_u64(&mut out, self.reintegration_cycles);
         out
     }
 
     fn decode(reader: &mut TokenReader<'_>) -> Result<Self, String> {
         reader.expect_tag("cluster-tallies")?;
-        let mut a = [0u64; 26];
-        for slot in &mut a {
+        let mut tallies = ClusterTallies {
+            trials: reader.next_u64()?,
+            ..ClusterTallies::default()
+        };
+        for slot in tallies.verdicts.iter_mut().chain(&mut tallies.metrics) {
             *slot = reader.next_u64()?;
         }
-        let reintegration_cycles = reader.next_u64()?;
-        Ok(ClusterTallies::from_array(a, reintegration_cycles))
+        Ok(tallies)
     }
 }
 
@@ -1283,5 +1193,27 @@ mod tests {
         assert_eq!(outcome.trials, 2);
         let total: u64 = outcome.verdicts.iter().map(|&(_, v)| v).sum();
         assert_eq!(total, 2, "each trial gets exactly one verdict");
+    }
+
+    #[test]
+    fn cluster_tallies_checkpoint_format_is_stable() {
+        // The token order checkpoint files have always used: trials,
+        // the six verdicts, the twenty metrics — 27 u64s in all.
+        let text = "resume 12 cluster-tallies 12 1 2 3 4 1 1 \
+                    7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26";
+        let text = text.split_whitespace().collect::<Vec<_>>().join(" ");
+        let point: ResumePoint<ClusterTallies> =
+            checkpoint::decode(&text).expect("checkpoint decodes");
+        assert_eq!(point.trials_done, 12);
+        assert_eq!(checkpoint::encode(&point), text, "re-encoding moved bytes");
+        let outcome = point.acc.outcome("stable");
+        assert_eq!(outcome.trials, 12);
+        assert_eq!(outcome.counter("undetected"), Some(1));
+        assert_eq!(outcome.counter("unaffected"), Some(1));
+        assert_eq!(outcome.counter("omissions"), Some(7));
+        assert_eq!(outcome.counter("reintegration_cycles"), Some(26));
+        let (truncated, _) = text.rsplit_once(' ').expect("several tokens");
+        assert!(checkpoint::decode::<ResumePoint<ClusterTallies>>(truncated).is_err());
+        assert!(checkpoint::decode::<ResumePoint<ClusterTallies>>(&format!("{text} 27")).is_err());
     }
 }

@@ -265,13 +265,14 @@ pub fn run_value_domain_campaign(config: &ValueDomainCampaignConfig) -> ValueDom
     );
     let clean = clean_reference(config.cycles);
     let c = config.clone();
+    let root = RngStream::new(config.seed);
     let campaign = nlft_engine::indexed_campaign(
         "bbw-value-domain",
         "value-trial",
         config.trials,
         ValueDomainCampaignResult::default,
         move |trial, _ctx, result: &mut ValueDomainCampaignResult| {
-            result.merge(run_value_shard(&c, &clean, trial, trial + 1));
+            run_value_trial(&c, &clean, &root, trial, result);
         },
         |into, from| into.merge(from),
     );
@@ -279,55 +280,51 @@ pub fn run_value_domain_campaign(config: &ValueDomainCampaignConfig) -> ValueDom
     nlft_engine::run_trials(campaign, &engine).acc
 }
 
-fn run_value_shard(
+fn run_value_trial(
     config: &ValueDomainCampaignConfig,
     clean: &[Option<(u32, u32)>],
-    start: u64,
-    end: u64,
-) -> ValueDomainCampaignResult {
-    let root = RngStream::new(config.seed);
-    let mut result = ValueDomainCampaignResult::default();
-    for trial in start..end {
-        let mut rng = root.fork_indexed("value-trial", trial);
-        let mut cluster = BbwCluster::with_rng(rng.fork("pedal-sensors"));
-        match config.mode {
-            ValueCampaignMode::SingleFault => match rng.uniform_range(0, 3) {
-                0 => {
-                    let (ch, fault, onset) = draw_sensor_fault(&mut rng, config.cycles);
-                    cluster.attach_sensor_fault(ch, fault, onset);
-                }
-                1 => {
-                    let (wheel, fault, onset) = draw_actuator_fault(&mut rng, config.cycles);
-                    cluster.attach_actuator_fault(wheel, fault, onset);
-                }
-                _ => draw_command_fault(&mut rng, &mut cluster, config.cycles),
-            },
-            ValueCampaignMode::CombinedStorm => {
+    root: &RngStream,
+    trial: u64,
+    result: &mut ValueDomainCampaignResult,
+) {
+    let mut rng = root.fork_indexed("value-trial", trial);
+    let mut cluster = BbwCluster::with_rng(rng.fork("pedal-sensors"));
+    match config.mode {
+        ValueCampaignMode::SingleFault => match rng.uniform_range(0, 3) {
+            0 => {
                 let (ch, fault, onset) = draw_sensor_fault(&mut rng, config.cycles);
                 cluster.attach_sensor_fault(ch, fault, onset);
+            }
+            1 => {
                 let (wheel, fault, onset) = draw_actuator_fault(&mut rng, config.cycles);
                 cluster.attach_actuator_fault(wheel, fault, onset);
-                draw_command_fault(&mut rng, &mut cluster, config.cycles);
-                if config.net_intensity > 0.0 {
-                    let plan = NetFaultPlan::quiet()
-                        .with_nodes(&ALL_NODES, NetFaultRates::storm(config.net_intensity));
-                    cluster.attach_net_faults(plan, rng.fork("net-injector"));
-                }
-                let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
-                let cycle = rng.uniform_range(1, u64::from(config.cycles) - 1) as u32;
-                cluster.inject(ClusterInjection {
-                    cycle,
-                    node,
-                    copy: rng.uniform_range(0, 2) as u32,
-                    at_cycle: rng.uniform_range(1, 40),
-                    fault: FaultSpace::cpu_only().sample(&mut rng),
-                });
             }
+            _ => draw_command_fault(&mut rng, &mut cluster, config.cycles),
+        },
+        ValueCampaignMode::CombinedStorm => {
+            let (ch, fault, onset) = draw_sensor_fault(&mut rng, config.cycles);
+            cluster.attach_sensor_fault(ch, fault, onset);
+            let (wheel, fault, onset) = draw_actuator_fault(&mut rng, config.cycles);
+            cluster.attach_actuator_fault(wheel, fault, onset);
+            draw_command_fault(&mut rng, &mut cluster, config.cycles);
+            if config.net_intensity > 0.0 {
+                let plan = NetFaultPlan::quiet()
+                    .with_nodes(&ALL_NODES, NetFaultRates::storm(config.net_intensity));
+                cluster.attach_net_faults(plan, rng.fork("net-injector"));
+            }
+            let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
+            let cycle = rng.uniform_range(1, u64::from(config.cycles) - 1) as u32;
+            cluster.inject(ClusterInjection {
+                cycle,
+                node,
+                copy: rng.uniform_range(0, 2) as u32,
+                at_cycle: rng.uniform_range(1, 40),
+                fault: FaultSpace::cpu_only().sample(&mut rng),
+            });
         }
-        let report = cluster.run(config.cycles, campaign_pedal);
-        score_trial(&mut result, clean, &report);
     }
-    result
+    let report = cluster.run(config.cycles, campaign_pedal);
+    score_trial(result, clean, &report);
 }
 
 fn score_trial(

@@ -25,7 +25,7 @@
 //!
 //! Like every campaign in this workspace the result is deterministic in
 //! the seed and invariant in the thread count: per-trial forked
-//! streams, shard merges by sums and strictly-greater maxima, golden
+//! streams, block merges by sums and strictly-greater maxima, golden
 //! pins at 1/2/5 threads.
 
 use nlft_kernel::analysis::{analyse_weakly_hard, MissModel, TemCosts};
@@ -180,7 +180,7 @@ impl MissPatternCampaignResult {
         self.total_misses += other.total_misses;
         self.worst_window_misses = self.worst_window_misses.max(other.worst_window_misses);
         self.total_excess_distance += other.total_excess_distance;
-        // Strictly-greater replacement + shards merged in trial order ⇒
+        // Strictly-greater replacement + blocks merged in trial order ⇒
         // the earliest trial wins ties, so the winner is independent of
         // the thread count.
         if let Some(w) = other.worst {
@@ -255,13 +255,17 @@ pub fn run_miss_pattern_campaign(config: &MissPatternCampaignConfig) -> MissPatt
     let (lo, hi) = config.fault_interval_us;
     assert!(lo > 0 && lo < hi, "fault-interval range must be non-empty");
     let c = config.clone();
+    let root = RngStream::new(config.seed);
+    let set = brake_task_set();
+    let costs = TemCosts::nominal();
+    let braking = BrakingModel::nominal();
     let campaign = nlft_engine::indexed_campaign(
         "bbw-miss-pattern",
         "miss-pattern-trial",
         config.trials,
         MissPatternCampaignResult::default,
         move |trial, _ctx, result: &mut MissPatternCampaignResult| {
-            result.merge(run_shard(&c, trial, trial + 1));
+            run_miss_pattern_trial(&c, &set, &costs, &braking, &root, trial, result);
         },
         |into, from| into.merge(from),
     );
@@ -269,90 +273,84 @@ pub fn run_miss_pattern_campaign(config: &MissPatternCampaignConfig) -> MissPatt
     nlft_engine::run_trials(campaign, &engine).acc
 }
 
-fn run_shard(
+fn run_miss_pattern_trial(
     config: &MissPatternCampaignConfig,
-    start: u64,
-    end: u64,
-) -> MissPatternCampaignResult {
-    let root = RngStream::new(config.seed);
-    let set = brake_task_set();
-    let costs = TemCosts::nominal();
-    let braking = BrakingModel::nominal();
+    set: &TaskSet,
+    costs: &TemCosts,
+    braking: &BrakingModel,
+    root: &RngStream,
+    trial: u64,
+    result: &mut MissPatternCampaignResult,
+) {
     let (lo, hi) = config.fault_interval_us;
-    let mut result = MissPatternCampaignResult::default();
+    let mut rng = root.fork_indexed("miss-pattern-trial", trial);
+    let tf_us = rng.uniform_range(lo, hi);
+    let strategy = STRATEGIES[rng.uniform_range(0, STRATEGIES.len() as u64) as usize];
 
-    for trial in start..end {
-        let mut rng = root.fork_indexed("miss-pattern-trial", trial);
-        let tf_us = rng.uniform_range(lo, hi);
-        let strategy = STRATEGIES[rng.uniform_range(0, STRATEGIES.len() as u64) as usize];
+    // The offline certificate for this trial's fault interval.
+    let bound = &analyse_weakly_hard(set, &[(TaskId(1), config.contract)], us(tf_us), costs)[0];
+    let model = MissModel {
+        period: us(PERIOD_US),
+        deadline: us(DEADLINE_US),
+        fault_interval: us(tf_us),
+        tolerated: bound
+            .tolerated_faults
+            .expect("brake controller schedulable"),
+    };
 
-        // The offline certificate for this trial's fault interval.
-        let bound =
-            &analyse_weakly_hard(&set, &[(TaskId(1), config.contract)], us(tf_us), &costs)[0];
-        let model = MissModel {
-            period: us(PERIOD_US),
-            deadline: us(DEADLINE_US),
-            fault_interval: us(tf_us),
-            tolerated: bound
-                .tolerated_faults
-                .expect("brake controller schedulable"),
-        };
+    let faults = place_faults(&mut rng, strategy, tf_us, &model, config.horizon_jobs);
+    let pattern = model.misses(&faults, config.horizon_jobs);
 
-        let faults = place_faults(&mut rng, strategy, tf_us, &model, config.horizon_jobs);
-        let pattern = model.misses(&faults, config.horizon_jobs);
-
-        // Online enforcement view of the same stream.
-        let mut monitor = config.contract.monitor();
-        let mut violated = false;
-        let mut observed_worst = 0u32;
-        let mut pattern_bits = 0u64;
-        let mut misses = 0u32;
-        for (j, &miss) in pattern.iter().enumerate() {
-            let v = monitor.record(miss);
-            violated |= v.violated;
-            observed_worst = observed_worst.max(v.misses_in_window);
-            if miss {
-                pattern_bits |= 1 << j;
-                misses += 1;
-            }
-        }
-
-        result.trials += 1;
-        result.total_misses += u64::from(misses);
-        result.worst_window_misses = result.worst_window_misses.max(observed_worst);
-        if bound.satisfied {
-            result.certified_trials += 1;
-            if violated {
-                result.certified_violations += 1;
-            }
-        } else if violated {
-            result.violating_trials += 1;
-        }
-        if observed_worst > bound.worst_misses {
-            result.bound_breaches += 1;
-        } else if observed_worst == bound.worst_misses && bound.worst_misses > 0 {
-            result.bound_reached_trials += 1;
-        }
-
-        // The functional metric: what this pattern costs in distance.
-        let score = braking.score(&pattern, config.policy);
-        result.total_excess_distance += score.excess_distance;
-        let candidate = WorstPattern {
-            trial,
-            fault_interval_us: tf_us,
-            strategy,
-            pattern_bits,
-            misses,
-            score,
-        };
-        if result
-            .worst
-            .is_none_or(|cur| candidate.score.excess_distance > cur.score.excess_distance)
-        {
-            result.worst = Some(candidate);
+    // Online enforcement view of the same stream.
+    let mut monitor = config.contract.monitor();
+    let mut violated = false;
+    let mut observed_worst = 0u32;
+    let mut pattern_bits = 0u64;
+    let mut misses = 0u32;
+    for (j, &miss) in pattern.iter().enumerate() {
+        let v = monitor.record(miss);
+        violated |= v.violated;
+        observed_worst = observed_worst.max(v.misses_in_window);
+        if miss {
+            pattern_bits |= 1 << j;
+            misses += 1;
         }
     }
-    result
+
+    result.trials += 1;
+    result.total_misses += u64::from(misses);
+    result.worst_window_misses = result.worst_window_misses.max(observed_worst);
+    if bound.satisfied {
+        result.certified_trials += 1;
+        if violated {
+            result.certified_violations += 1;
+        }
+    } else if violated {
+        result.violating_trials += 1;
+    }
+    if observed_worst > bound.worst_misses {
+        result.bound_breaches += 1;
+    } else if observed_worst == bound.worst_misses && bound.worst_misses > 0 {
+        result.bound_reached_trials += 1;
+    }
+
+    // The functional metric: what this pattern costs in distance.
+    let score = braking.score(&pattern, config.policy);
+    result.total_excess_distance += score.excess_distance;
+    let candidate = WorstPattern {
+        trial,
+        fault_interval_us: tf_us,
+        strategy,
+        pattern_bits,
+        misses,
+        score,
+    };
+    if result
+        .worst
+        .is_none_or(|cur| candidate.score.excess_distance > cur.score.excess_distance)
+    {
+        result.worst = Some(candidate);
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The campaign engine benchmarked in isolation: per-trial scheduling
-//! overhead on empty trials (sequential reference vs the work-stealing
+//! overhead on empty trials (the in-thread path vs the work-stealing
 //! executor, thread spawn included), steal behaviour under skewed
 //! per-trial costs, and the streaming block-merge fold that keeps
 //! memory O(workers); full mode re-runs the skewed campaign and writes
@@ -8,9 +8,7 @@
 
 use std::hint::black_box;
 
-use nlft_engine::{
-    indexed_campaign, run_campaign, run_sequential, ClosureCampaign, EngineConfig, EngineReport,
-};
+use nlft_engine::{indexed_campaign, run_trials, ClosureCampaign, EngineConfig, EngineReport};
 use nlft_sim::stats::Histogram;
 use nlft_testkit::bench::{artifact_path, Bench};
 use nlft_testkit::json::Json;
@@ -112,19 +110,19 @@ fn telemetry(report: &EngineReport) -> Json {
 fn main() {
     let mut b = Bench::new("engine");
 
-    // The sequential twin and the threaded executor run the identical
+    // The in-thread path and the threaded executor run the identical
     // block partition and fold, so their accumulators must agree
     // bit-for-bit — asserted here on every iteration for free.
-    let seq_acc = run_sequential(&empty_campaign(), &EngineConfig::default()).acc;
+    let seq_acc = run_trials(empty_campaign(), &EngineConfig::default()).acc;
 
     b.bench_throughput("empty_trials_sequential", EMPTY_TRIALS, || {
-        let run = run_sequential(black_box(&empty_campaign()), &EngineConfig::default());
+        let run = run_trials(black_box(empty_campaign()), &EngineConfig::default());
         assert_eq!(run.acc, seq_acc);
         black_box(run.acc)
     });
     b.bench_throughput("empty_trials_4_workers", EMPTY_TRIALS, || {
-        let run = run_campaign(black_box(empty_campaign()), &EngineConfig::with_workers(4));
-        assert_eq!(run.acc, seq_acc, "executor must match sequential twin");
+        let run = run_trials(black_box(empty_campaign()), &EngineConfig::with_workers(4));
+        assert_eq!(run.acc, seq_acc, "executor must match the in-thread path");
         black_box(run.acc)
     });
     let skew_cfg = EngineConfig {
@@ -133,7 +131,7 @@ fn main() {
         ..EngineConfig::default()
     };
     b.bench_throughput("skewed_trials_4_workers", SKEWED_TRIALS, || {
-        let run = run_campaign(black_box(skewed_campaign()), &skew_cfg);
+        let run = run_trials(black_box(skewed_campaign()), &skew_cfg);
         black_box((run.acc, run.report.steals))
     });
     b.bench_with_setup("streaming_merge_256_blocks", block_partials, |partials| {
@@ -145,7 +143,7 @@ fn main() {
     });
 
     if b.is_full() {
-        let run = run_campaign(skewed_campaign(), &skew_cfg);
+        let run = run_trials(skewed_campaign(), &skew_cfg);
         let path = artifact_path("ENGINE.json");
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release --bin scenario_run -- list [filter]
 //! cargo run --release --bin scenario_run -- run [filter] [--threads N]
-//!     [--engine] [--trial-budget-ms N]
+//!     [--trial-budget-ms N]
 //!     [--checkpoint FILE [--checkpoint-every N]] [--resume FILE]
 //! cargo run --release --bin scenario_run -- verify [filter]
 //! cargo run --release --bin scenario_run -- pin [filter]
@@ -15,17 +15,20 @@
 //! * `run` — run matching scenarios, print their verdict/metric
 //!   counters and digests, and check each acceptance clause; exits
 //!   non-zero if any clause fails. Engine flags (cluster family only):
-//!   `--engine` forces the work-stealing executor even at one worker
-//!   (the digest must not change — CI uses this as a differential gate
-//!   against the sequential reference), `--trial-budget-ms` arms the
-//!   per-trial watchdog, `--checkpoint FILE` streams resumable
-//!   checkpoints to a file every `--checkpoint-every` trials, and
-//!   `--resume FILE` continues a previously checkpointed run.
+//!   `--trial-budget-ms` arms the per-trial watchdog, which runs the
+//!   work-stealing executor even at `--threads 1` (the digest does not
+//!   change), `--checkpoint FILE` streams resumable checkpoints to a
+//!   file every `--checkpoint-every` trials, and `--resume FILE`
+//!   continues a previously checkpointed run.
 //! * `verify` — the CI gate: every matching scenario runs at 1, 2 and
 //!   5 threads; the three outcomes must be bit-identical and match the
 //!   scenario's `pin`. Fails hard on drift or a missing pin.
 //! * `pin` — print the `pin 0x…` line for each scenario (for authoring
 //!   new zoo entries).
+//!
+//! An unknown flag, a second filter, or a missing or malformed flag
+//! value is an error: the runner names the offending argument and
+//! exits with status 2.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -94,9 +97,8 @@ fn cmd_list(zoo: &[(PathBuf, ScenarioSpec)]) {
 }
 
 /// Engine flags collected from the command line (cluster family only).
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 struct EngineFlags {
-    engine: bool,
     trial_budget_ms: Option<u64>,
     checkpoint: Option<PathBuf>,
     checkpoint_every: u64,
@@ -105,10 +107,7 @@ struct EngineFlags {
 
 impl EngineFlags {
     fn active(&self) -> bool {
-        self.engine
-            || self.trial_budget_ms.is_some()
-            || self.checkpoint.is_some()
-            || self.resume.is_some()
+        self.trial_budget_ms.is_some() || self.checkpoint.is_some() || self.resume.is_some()
     }
 }
 
@@ -142,7 +141,6 @@ fn cmd_run(zoo: &[(PathBuf, ScenarioSpec)], threads: usize, flags: &EngineFlags)
             }
         };
         let opts = ScenarioEngineOptions {
-            force_engine: flags.engine,
             trial_budget: flags.trial_budget_ms.map(Duration::from_millis),
             resume,
             checkpoint_every: if flags.checkpoint.is_some() {
@@ -249,39 +247,73 @@ fn cmd_pin(zoo: &[(PathBuf, ScenarioSpec)]) -> bool {
     true
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(String::as_str).unwrap_or("list");
-    let mut filter = None;
-    let mut threads = 1usize;
-    let mut flags = EngineFlags::default();
-    let mut it = args.iter().skip(1);
+/// A parsed command line.
+#[derive(Debug)]
+struct Args {
+    command: String,
+    filter: Option<String>,
+    threads: usize,
+    flags: EngineFlags,
+}
+
+/// Parses a flag value as a number, naming the flag on failure.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("`{flag}` expects a non-negative integer, got `{value}`"))
+}
+
+/// Parses the arguments after the program name. Unknown flags, a
+/// second filter, and missing or malformed flag values are rejected
+/// with a message naming the offending argument.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut it = args.iter();
+    let mut parsed = Args {
+        command: it.next().cloned().unwrap_or_else(|| "list".to_string()),
+        filter: None,
+        threads: 1,
+        flags: EngineFlags::default(),
+    };
     while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("`{arg}` needs a value"));
         match arg.as_str() {
             "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t| t > 0)
-                    .unwrap_or(1);
+                parsed.threads = number(arg, value()?)?;
+                if parsed.threads == 0 {
+                    return Err("`--threads` must be at least 1".to_string());
+                }
             }
-            "--engine" => flags.engine = true,
-            "--trial-budget-ms" => {
-                flags.trial_budget_ms = it.next().and_then(|v| v.parse().ok());
+            "--trial-budget-ms" => parsed.flags.trial_budget_ms = Some(number(arg, value()?)?),
+            "--checkpoint" => parsed.flags.checkpoint = Some(PathBuf::from(value()?)),
+            "--checkpoint-every" => parsed.flags.checkpoint_every = number(arg, value()?)?,
+            "--resume" => parsed.flags.resume = Some(PathBuf::from(value()?)),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            _ if parsed.filter.is_some() => {
+                return Err(format!(
+                    "unexpected argument `{arg}`: only one scenario filter is allowed"
+                ))
             }
-            "--checkpoint" => {
-                flags.checkpoint = it.next().map(PathBuf::from);
-            }
-            "--checkpoint-every" => {
-                flags.checkpoint_every = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-            }
-            "--resume" => {
-                flags.resume = it.next().map(PathBuf::from);
-            }
-            _ => filter = Some(arg.as_str()),
+            _ => parsed.filter = Some(arg.clone()),
         }
     }
-    let zoo = match load_zoo(filter) {
+    Ok(parsed)
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        command,
+        filter,
+        threads,
+        flags,
+    } = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let zoo = match load_zoo(filter.as_deref()) {
         Ok(zoo) => zoo,
         Err(e) => {
             eprintln!("error: {e}");
@@ -292,7 +324,7 @@ fn main() -> ExitCode {
         eprintln!("no scenarios match");
         return ExitCode::FAILURE;
     }
-    let ok = match command {
+    let ok = match command.as_str() {
         "list" => {
             cmd_list(&zoo);
             true
@@ -309,5 +341,78 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn parses_a_full_run_line() {
+        let args = parse(
+            "run babbling --threads 4 --trial-budget-ms 250 \
+             --checkpoint ck --checkpoint-every 3 --resume ck",
+        )
+        .expect("valid line");
+        assert_eq!(args.command, "run");
+        assert_eq!(args.filter.as_deref(), Some("babbling"));
+        assert_eq!(args.threads, 4);
+        assert_eq!(
+            args.flags,
+            EngineFlags {
+                trial_budget_ms: Some(250),
+                checkpoint: Some(PathBuf::from("ck")),
+                checkpoint_every: 3,
+                resume: Some(PathBuf::from("ck")),
+            }
+        );
+        let bare = parse("").expect("empty line lists");
+        assert_eq!((bare.command.as_str(), bare.threads), ("list", 1));
+    }
+
+    #[test]
+    fn rejects_unknown_flags_by_name() {
+        let e = parse("run babbling-wheel --sequential").unwrap_err();
+        assert!(e.contains("unknown flag `--sequential`"), "{e}");
+        let e = parse("run -t 2").unwrap_err();
+        assert!(e.contains("`-t`"), "{e}");
+    }
+
+    #[test]
+    fn rejects_a_second_filter() {
+        let e = parse("run babbling wheel").unwrap_err();
+        assert!(e.contains("`wheel`"), "{e}");
+    }
+
+    #[test]
+    fn rejects_missing_flag_values() {
+        for flag in [
+            "--threads",
+            "--trial-budget-ms",
+            "--checkpoint",
+            "--checkpoint-every",
+            "--resume",
+        ] {
+            let e = parse(&format!("run {flag}")).unwrap_err();
+            assert!(e.contains(&format!("`{flag}` needs a value")), "{e}");
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_numbers() {
+        for flag in ["--threads", "--trial-budget-ms", "--checkpoint-every"] {
+            for bad in ["x", "-1", "1.5"] {
+                let e = parse(&format!("run {flag} {bad}")).unwrap_err();
+                assert!(e.contains(&format!("`{flag}` expects")), "{e}");
+            }
+        }
+        let e = parse("run --threads 0").unwrap_err();
+        assert!(e.contains("`--threads` must be at least 1"), "{e}");
     }
 }

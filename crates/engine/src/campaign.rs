@@ -12,40 +12,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// Scheduling priority of a trial.
-///
-/// The executor drains tiers strictly in order — all runnable
-/// [`Tier::Smoke`] work is claimed before any [`Tier::Standard`] work,
-/// which is claimed before any [`Tier::LongHorizon`] work — so a batch
-/// of long-horizon reliability trials queued behind a smoke sweep can
-/// never starve it. Tier assignment has no effect on the campaign
-/// result, only on completion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Tier {
-    /// Short sanity trials that should finish first.
-    Smoke,
-    /// The default tier for ordinary campaign trials.
-    #[default]
-    Standard,
-    /// Long-horizon trials (e.g. year-long reliability replications)
-    /// that must not starve the other tiers.
-    LongHorizon,
-}
-
-impl Tier {
-    /// Number of scheduling tiers.
-    pub const COUNT: usize = 3;
-
-    /// Queue index of this tier (0 drains first).
-    pub fn index(self) -> usize {
-        match self {
-            Tier::Smoke => 0,
-            Tier::Standard => 1,
-            Tier::LongHorizon => 2,
-        }
-    }
-}
-
 /// Per-trial execution context handed to [`TrialCampaign::run_trial`].
 ///
 /// Long-running trials should poll [`TrialCtx::cancelled`] at natural
@@ -125,12 +91,6 @@ pub trait TrialCampaign {
     /// re-run in isolation.
     fn rng_label(&self) -> String;
 
-    /// Scheduling tier of one trial. Defaults to [`Tier::Standard`].
-    fn tier(&self, trial: u64) -> Tier {
-        let _ = trial;
-        Tier::Standard
-    }
-
     /// A fresh, empty accumulator.
     fn empty(&self) -> Self::Acc;
 
@@ -157,7 +117,9 @@ pub struct ChaosKill {
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Number of worker threads (clamped to at least 1).
+    /// Number of worker threads (clamped to at least 1). At most one
+    /// worker, with no `trial_budget` and no `chaos_kill`, runs the
+    /// campaign in-thread instead.
     pub workers: usize,
     /// Trials per scheduling block; `None` picks
     /// [`auto_block_size`](crate::auto_block_size). The block partition
@@ -167,7 +129,9 @@ pub struct EngineConfig {
     /// Per-trial wall-clock budget. A trial still running past it is
     /// asked to cancel; when it finishes (or is abandoned with its
     /// worker) it is recorded as timed out and excluded from the
-    /// accumulator stream. `None` disables the watchdog.
+    /// accumulator stream. `None` disables the watchdog; `Some` runs
+    /// the work-stealing executor even at one worker, since only it
+    /// has a watchdog.
     pub trial_budget: Option<Duration>,
     /// Extra grace past the budget before a non-cooperating trial's
     /// worker is declared lost and its queue redistributed.
@@ -175,7 +139,8 @@ pub struct EngineConfig {
     /// Fire the checkpoint callback every this many folded trials
     /// (0 disables checkpointing).
     pub checkpoint_every: u64,
-    /// Optional deterministic worker-death injection.
+    /// Optional deterministic worker-death injection (runs the
+    /// work-stealing executor even at one worker).
     pub chaos_kill: Option<ChaosKill>,
 }
 
@@ -250,7 +215,7 @@ pub struct EngineReport {
     pub blocks: u64,
     /// Blocks claimed from another worker's deque.
     pub steals: u64,
-    /// Worker threads the run started with.
+    /// Worker threads the run started with (0 on the in-thread path).
     pub workers: usize,
     /// Workers declared lost (watchdog or chaos injection).
     pub lost_workers: usize,

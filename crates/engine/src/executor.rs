@@ -1,17 +1,22 @@
-//! The work-stealing executor and its sequential reference twin.
+//! The campaign executor: one entry point over two paths.
+//!
+//! [`run_trials_with`] runs a campaign in-thread when it asks for at
+//! most one worker and arms neither a trial budget nor chaos
+//! injection; otherwise it runs on the work-stealing executor, the only
+//! path with a watchdog. Both paths share one set-up — resumed prefix,
+//! block partition, checkpoint cadence — and one in-order fold, so
+//! their accumulators are bit-identical.
 //!
 //! # Scheduling
 //!
 //! Trials are partitioned into fixed-size *blocks*; the partition is a
 //! pure function of the trial count (never of the worker count).
-//! Blocks are dealt round-robin across per-worker deques, one deque
-//! per [`Tier`]. A worker claims from the front of its own deque
-//! (locality: it keeps walking its dealt arithmetic progression of
-//! block indices), falls back to the rescue queue left behind by lost
-//! workers, and finally steals from the *back* of the most-loaded
-//! victim's deque — the block its owner would reach last. Tiers drain
-//! strictly in order so smoke trials are never starved by long-horizon
-//! work.
+//! Blocks are dealt round-robin across per-worker deques. A worker
+//! claims from the front of its own deque (locality: it keeps walking
+//! its dealt arithmetic progression of block indices), falls back to
+//! the rescue queue left behind by lost workers, and finally steals
+//! from the *back* of the most-loaded victim's deque — the block its
+//! owner would reach last.
 //!
 //! # Determinism
 //!
@@ -21,19 +26,20 @@
 //! order on the coordinating thread. The fold tree is therefore fixed
 //! by `(trials, block_size)` alone and every accumulator bit — floats
 //! included — is identical at any worker count, under any steal
-//! schedule, and across worker loss and re-execution.
+//! schedule, across worker loss and re-execution, and across a
+//! checkpoint/resume split.
 //!
 //! # Robustness
 //!
 //! Every trial runs under `catch_unwind`; a panic becomes a
 //! [`Reproducer`] record, not a dead campaign. A watchdog asks
 //! over-budget trials to cancel cooperatively, and past a grace period
-//! declares the stuck worker lost: its deques are tipped into the
-//! rescue queue, the stuck trial is quarantined (it would stick
-//! again), and its in-flight block is re-executed by the survivors —
-//! trials are pure functions of their index, so re-execution is safe.
-//! If every worker dies the watchdog spawns a replacement, so the
-//! campaign always drains.
+//! declares the stuck worker lost: its deque is tipped into the rescue
+//! queue, the stuck trial is quarantined (it would stick again), and
+//! its in-flight block is re-executed by the survivors — trials are
+//! pure functions of their index, so re-execution is safe. If every
+//! worker dies the watchdog spawns a replacement, so the campaign
+//! always drains.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,8 +48,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::campaign::{
-    CampaignOptions, CampaignRun, EngineConfig, EngineReport, Reproducer, ResumePoint, Tier,
-    TrialCampaign, TrialCtx,
+    CampaignOptions, CampaignRun, EngineConfig, EngineReport, Reproducer, TrialCampaign, TrialCtx,
 };
 
 /// Default block size for a campaign of `trials` trials: aim for ~256
@@ -61,19 +66,16 @@ struct Block {
     index: u64,
     start: u64,
     end: u64,
-    tier: usize,
 }
 
 /// Everything the scheduler mutates, under one mutex.
 struct SchedState<A> {
-    /// Per-worker, per-tier deques of unclaimed blocks.
-    queues: Vec<[VecDeque<Block>; Tier::COUNT]>,
+    /// Per-worker deques of unclaimed blocks.
+    queues: Vec<VecDeque<Block>>,
     /// Blocks reclaimed from lost workers, claimable by anyone.
-    rescue: [VecDeque<Block>; Tier::COUNT],
+    rescue: VecDeque<Block>,
     /// Blocks not yet delivered to `pending` (queued or in flight).
     outstanding: u64,
-    /// Blocks sitting in `queues` + `rescue`.
-    queued: u64,
     /// Completed block partials awaiting the in-order fold.
     pending: BTreeMap<u64, A>,
     /// Next block index the folder will consume.
@@ -95,6 +97,11 @@ struct SchedState<A> {
 }
 
 /// Watchdog-visible execution state of one worker thread.
+///
+/// Each worker stores to its slot on every trial, so slots are aligned
+/// to their own pair of cache lines: two slots sharing a line would
+/// make every store invalidate the other worker's copy.
+#[repr(align(128))]
 struct WorkerSlot {
     /// Cancellation request for the trial in flight.
     cancel: AtomicBool,
@@ -155,22 +162,85 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Partitions `[base, total)` into blocks of `block_size` trials.
-fn partition<C: TrialCampaign>(campaign: &C, base: u64, total: u64, block_size: u64) -> Vec<Block> {
+fn partition(base: u64, total: u64, block_size: u64) -> Vec<Block> {
     let mut blocks = Vec::new();
     let mut start = base;
     let mut index = 0;
     while start < total {
         let end = (start + block_size).min(total);
-        blocks.push(Block {
-            index,
-            start,
-            end,
-            tier: campaign.tier(start).index(),
-        });
+        blocks.push(Block { index, start, end });
         index += 1;
         start = end;
     }
     blocks
+}
+
+/// The in-order fold both paths share: the campaign accumulator (the
+/// resumed prefix, or empty) and the checkpoint cadence.
+struct Fold<'cb, A> {
+    acc: A,
+    every: u64,
+    next_checkpoint: u64,
+    #[allow(clippy::type_complexity)]
+    on_checkpoint: Option<&'cb dyn Fn(u64, &A)>,
+}
+
+impl<A> Fold<'_, A> {
+    /// Merges the partial of the next block, which ends at trial
+    /// `end`, and fires the checkpoint callback when the cadence is due.
+    fn block<C: TrialCampaign<Acc = A>>(&mut self, campaign: &C, partial: A, end: u64) {
+        campaign.merge(&mut self.acc, partial);
+        if end >= self.next_checkpoint {
+            if let Some(cb) = self.on_checkpoint {
+                cb(end, &self.acc);
+            }
+            self.next_checkpoint = end.saturating_add(self.every);
+        }
+    }
+}
+
+/// The set-up both paths share: the block partition of the trials
+/// still to run and the fold that starts from the resumed prefix.
+fn plan<'cb, C: TrialCampaign>(
+    campaign: &C,
+    cfg: &EngineConfig,
+    opts: CampaignOptions<'cb, C::Acc>,
+) -> (Vec<Block>, Fold<'cb, C::Acc>) {
+    let total = campaign.trials();
+    let base = opts.resume.as_ref().map_or(0, |r| r.trials_done.min(total));
+    let acc = match opts.resume {
+        Some(r) => r.acc,
+        None => campaign.empty(),
+    };
+    // Sized from the whole campaign, not the resumed suffix: a
+    // checkpoint lands on a block boundary of the uninterrupted run, so
+    // the suffix splits into exactly that run's remaining blocks and
+    // the fold tree — every float bit — is unchanged by the resume.
+    let block_size = cfg
+        .block_size
+        .unwrap_or_else(|| auto_block_size(total))
+        .max(1);
+    let fold = Fold {
+        acc,
+        every: cfg.checkpoint_every,
+        next_checkpoint: if cfg.checkpoint_every > 0 {
+            base.saturating_add(cfg.checkpoint_every)
+        } else {
+            u64::MAX
+        },
+        on_checkpoint: opts.on_checkpoint,
+    };
+    (partition(base, total, block_size), fold)
+}
+
+/// The quarantine record for `trial` of `campaign`.
+fn reproducer<C: TrialCampaign>(campaign: &C, trial: u64, detail: String) -> Reproducer {
+    Reproducer {
+        campaign: campaign.label(),
+        rng_label: campaign.rng_label(),
+        trial,
+        detail,
+    }
 }
 
 /// Runs one trial in a fresh accumulator under `catch_unwind`.
@@ -207,73 +277,47 @@ fn exec_trial<C: TrialCampaign>(
 }
 
 /// Claims the next block for worker `me`, or `None` if none is
-/// runnable right now. Tiers drain strictly in order; within a tier:
-/// own deque front, then rescue, then steal from the back of the
-/// most-loaded victim.
+/// runnable right now: own deque front, then rescue, then steal from
+/// the back of the most-loaded victim.
 fn claim<A>(st: &mut SchedState<A>, me: usize) -> Option<Block> {
-    for tier in 0..Tier::COUNT {
-        if let Some(b) = st.queues[me][tier].pop_front() {
-            st.queued -= 1;
-            return Some(b);
-        }
-        if let Some(b) = st.rescue[tier].pop_front() {
-            st.queued -= 1;
-            return Some(b);
-        }
-        let victim = (0..st.queues.len())
-            .filter(|&v| v != me && !st.queues[v][tier].is_empty())
-            .max_by_key(|&v| st.queues[v][tier].len());
-        if let Some(v) = victim {
-            let b = st.queues[v][tier]
-                .pop_back()
-                .expect("victim deque non-empty");
-            st.queued -= 1;
-            st.steals += 1;
-            return Some(b);
-        }
+    if let Some(b) = st.queues[me].pop_front() {
+        return Some(b);
     }
-    None
+    if let Some(b) = st.rescue.pop_front() {
+        return Some(b);
+    }
+    let victim = (0..st.queues.len())
+        .filter(|&v| v != me && !st.queues[v].is_empty())
+        .max_by_key(|&v| st.queues[v].len())?;
+    st.steals += 1;
+    st.queues[victim].pop_back()
 }
 
 /// Claims the specific block `index` if it is still queued anywhere
 /// (used under fold-buffer backpressure, where only the folder's next
 /// block may enter execution).
 fn claim_index<A>(st: &mut SchedState<A>, index: u64) -> Option<Block> {
-    for w in 0..st.queues.len() {
-        for tier in 0..Tier::COUNT {
-            if let Some(pos) = st.queues[w][tier].iter().position(|b| b.index == index) {
-                let b = st.queues[w][tier].remove(pos).expect("position valid");
-                st.queued -= 1;
-                return Some(b);
-            }
-        }
-    }
-    for tier in 0..Tier::COUNT {
-        if let Some(pos) = st.rescue[tier].iter().position(|b| b.index == index) {
-            let b = st.rescue[tier].remove(pos).expect("position valid");
-            st.queued -= 1;
-            return Some(b);
-        }
-    }
-    None
+    let SchedState { queues, rescue, .. } = st;
+    queues
+        .iter_mut()
+        .chain(std::iter::once(rescue))
+        .find_map(|q| {
+            let pos = q.iter().position(|b| b.index == index)?;
+            q.remove(pos)
+        })
 }
 
-/// Marks worker `w` lost: tips its deques (and, if given, its in-flight
-/// block) into the rescue queue and wakes everyone.
+/// Marks worker `w` lost: tips its deque (and, if given, its in-flight
+/// block) into the rescue queue.
 fn mark_lost<A>(st: &mut SchedState<A>, w: usize, in_flight: Option<Block>) {
     st.lost[w] = true;
     st.live -= 1;
     st.lost_workers += 1;
-    let tiers = std::mem::take(&mut st.queues[w]);
-    for (tier, q) in tiers.into_iter().enumerate() {
-        for b in q {
-            st.rescue[tier].push_back(b);
-        }
-    }
+    let queue = std::mem::take(&mut st.queues[w]);
+    st.rescue.extend(queue);
     if let Some(b) = in_flight {
         // Front of the rescue queue: the folder is likely waiting on it.
-        st.rescue[b.tier].push_front(b);
-        st.queued += 1;
+        st.rescue.push_front(b);
     }
 }
 
@@ -347,18 +391,12 @@ fn worker_loop<C: TrialCampaign + Send + Sync + 'static>(
                     shared.campaign.merge(&mut acc, tacc);
                     completed += 1;
                 }
-                TrialExec::Panicked(detail) => panicked.push(Reproducer {
-                    campaign: shared.campaign.label(),
-                    rng_label: shared.campaign.rng_label(),
-                    trial,
-                    detail,
-                }),
-                TrialExec::TimedOut(detail) => timed_out.push(Reproducer {
-                    campaign: shared.campaign.label(),
-                    rng_label: shared.campaign.rng_label(),
-                    trial,
-                    detail,
-                }),
+                TrialExec::Panicked(detail) => {
+                    panicked.push(reproducer(&shared.campaign, trial, detail))
+                }
+                TrialExec::TimedOut(detail) => {
+                    timed_out.push(reproducer(&shared.campaign, trial, detail))
+                }
             }
             slot.trials_run.fetch_add(1, Ordering::Relaxed);
             if let Some(kill) = shared.cfg.chaos_kill {
@@ -437,15 +475,12 @@ fn watchdog_loop<C: TrialCampaign + Send + Sync + 'static>(shared: Arc<Shared<C>
                     }
                     let trial = slot.trial.load(Ordering::Relaxed);
                     st.quarantined.insert(trial);
-                    st.timed_out.push(Reproducer {
-                        campaign: shared.campaign.label(),
-                        rng_label: shared.campaign.rng_label(),
-                        trial,
-                        detail: format!(
-                            "stuck past budget + grace ({}ms); worker {w} declared lost",
-                            grace.as_millis()
-                        ),
-                    });
+                    let detail = format!(
+                        "stuck past budget + grace ({}ms); worker {w} declared lost",
+                        grace.as_millis()
+                    );
+                    st.timed_out
+                        .push(reproducer(&shared.campaign, trial, detail));
                     st.skipped += 1;
                     mark_lost(&mut st, w, current.take());
                     shared.work_cv.notify_all();
@@ -481,19 +516,8 @@ fn watchdog_loop<C: TrialCampaign + Send + Sync + 'static>(shared: Arc<Shared<C>
     }
 }
 
-/// Runs a campaign on the work-stealing executor. See
-/// [`run_campaign_with`] for resume and checkpoint hooks.
-pub fn run_campaign<C>(campaign: C, cfg: &EngineConfig) -> CampaignRun<C::Acc>
-where
-    C: TrialCampaign + Send + Sync + 'static,
-{
-    run_campaign_with(campaign, cfg, CampaignOptions::default())
-}
-
-/// Runs a campaign on the path its worker count selects: the in-thread
-/// sequential reference below two workers (the legacy path), the
-/// work-stealing executor otherwise. The two produce bit-identical
-/// accumulators, so the choice is purely about threads spawned.
+/// Runs a campaign. See [`run_trials_with`] for resume and checkpoint
+/// hooks.
 pub fn run_trials<C>(campaign: C, cfg: &EngineConfig) -> CampaignRun<C::Acc>
 where
     C: TrialCampaign + Send + Sync + 'static,
@@ -501,7 +525,14 @@ where
     run_trials_with(campaign, cfg, CampaignOptions::default())
 }
 
-/// [`run_trials`] with resume / checkpoint options.
+/// Runs a campaign with resume / checkpoint options.
+///
+/// The path is chosen from the configuration: in-thread when
+/// `cfg.workers <= 1` and neither [`EngineConfig::trial_budget`] nor
+/// [`EngineConfig::chaos_kill`] is set — zero threads, no stealing —
+/// and on the work-stealing executor otherwise, because only the
+/// executor has the watchdog that enforces budgets and survives worker
+/// loss. Both paths produce bit-identical accumulators.
 pub fn run_trials_with<C>(
     campaign: C,
     cfg: &EngineConfig,
@@ -510,55 +541,82 @@ pub fn run_trials_with<C>(
 where
     C: TrialCampaign + Send + Sync + 'static,
 {
-    if cfg.workers <= 1 {
-        run_sequential_with(&campaign, cfg, opts)
+    let (blocks, fold) = plan(&campaign, cfg, opts);
+    if cfg.workers <= 1 && cfg.trial_budget.is_none() && cfg.chaos_kill.is_none() {
+        run_in_thread(&campaign, blocks, fold)
     } else {
-        run_campaign_with(campaign, cfg, opts)
+        run_executor(campaign, cfg, blocks, fold)
     }
 }
 
-/// Runs a campaign on the work-stealing executor with resume /
-/// checkpoint options.
+/// The in-thread path: the shared partition and fold, trial after
+/// trial on the calling thread. Panics are still isolated per trial.
+fn run_in_thread<C: TrialCampaign>(
+    campaign: &C,
+    blocks: Vec<Block>,
+    mut fold: Fold<'_, C::Acc>,
+) -> CampaignRun<C::Acc> {
+    // No budget on this path, so nothing ever requests cancellation.
+    let never_cancelled = AtomicBool::new(false);
+    let mut report = EngineReport {
+        trials: campaign.trials(),
+        blocks: blocks.len() as u64,
+        workers: 0,
+        ..EngineReport::default()
+    };
+    for b in &blocks {
+        let mut partial = campaign.empty();
+        for trial in b.start..b.end {
+            match exec_trial(campaign, trial, &never_cancelled, None) {
+                TrialExec::Done(tacc) => {
+                    campaign.merge(&mut partial, tacc);
+                    report.completed += 1;
+                }
+                TrialExec::Panicked(detail) => {
+                    report.panicked.push(reproducer(campaign, trial, detail))
+                }
+                TrialExec::TimedOut(detail) => {
+                    report.timed_out.push(reproducer(campaign, trial, detail))
+                }
+            }
+        }
+        fold.block(campaign, partial, b.end);
+    }
+    CampaignRun {
+        acc: fold.acc,
+        report,
+    }
+}
+
+/// The work-stealing executor path.
 ///
 /// Workers are real (unscoped) threads: a worker declared lost may
 /// still be stuck inside a trial and is simply abandoned — it discards
 /// its own results when it eventually returns. All surviving workers
 /// are joined before this function returns.
-pub fn run_campaign_with<C>(
+fn run_executor<C>(
     campaign: C,
     cfg: &EngineConfig,
-    opts: CampaignOptions<'_, C::Acc>,
+    blocks: Vec<Block>,
+    mut fold: Fold<'_, C::Acc>,
 ) -> CampaignRun<C::Acc>
 where
     C: TrialCampaign + Send + Sync + 'static,
 {
     let total = campaign.trials();
-    let base = opts.resume.as_ref().map_or(0, |r| r.trials_done.min(total));
-    let mut acc = match opts.resume {
-        Some(r) => r.acc,
-        None => campaign.empty(),
-    };
     let workers = cfg.workers.max(1);
-    let block_size = cfg
-        .block_size
-        .unwrap_or_else(|| auto_block_size(total - base))
-        .max(1);
-    let blocks = partition(&campaign, base, total, block_size);
     let n_blocks = blocks.len() as u64;
-
-    let mut queues: Vec<[VecDeque<Block>; Tier::COUNT]> =
-        (0..workers).map(|_| Default::default()).collect();
+    let mut queues: Vec<VecDeque<Block>> = vec![VecDeque::new(); workers];
     for b in &blocks {
-        queues[(b.index % workers as u64) as usize][b.tier].push_back(*b);
+        queues[(b.index % workers as u64) as usize].push_back(*b);
     }
     let shared = Arc::new(Shared {
         campaign,
         cfg: cfg.clone(),
         state: Mutex::new(SchedState {
             queues,
-            rescue: Default::default(),
+            rescue: VecDeque::new(),
             outstanding: n_blocks,
-            queued: n_blocks,
             pending: BTreeMap::new(),
             cursor: 0,
             lost: vec![false; workers],
@@ -600,11 +658,6 @@ where
     // In-order fold on this thread: blocks leave `pending` strictly by
     // index, so the fold tree never depends on the schedule.
     let mut folded_blocks = 0u64;
-    let mut next_checkpoint = if cfg.checkpoint_every > 0 {
-        base + cfg.checkpoint_every
-    } else {
-        u64::MAX
-    };
     while folded_blocks < n_blocks {
         let batch: Vec<(u64, C::Acc)> = {
             let mut st = shared.state.lock().expect("engine state poisoned");
@@ -627,15 +680,8 @@ where
             }
         };
         for (idx, partial) in batch {
-            shared.campaign.merge(&mut acc, partial);
+            fold.block(&shared.campaign, partial, blocks[idx as usize].end);
             folded_blocks += 1;
-            let prefix = blocks[idx as usize].end;
-            if prefix >= next_checkpoint {
-                if let Some(cb) = opts.on_checkpoint {
-                    cb(prefix, &acc);
-                }
-                next_checkpoint = prefix + cfg.checkpoint_every;
-            }
         }
     }
     shared.done.store(true, Ordering::Relaxed);
@@ -664,7 +710,7 @@ where
     panicked.sort_by_key(|r| r.trial);
     timed_out.sort_by_key(|r| r.trial);
     CampaignRun {
-        acc,
+        acc: fold.acc,
         report: EngineReport {
             trials: total,
             completed: st.completed,
@@ -679,91 +725,4 @@ where
             max_pending_blocks: st.max_pending,
         },
     }
-}
-
-/// Sequential reference executor: identical block partition and fold
-/// order to [`run_campaign`] — and therefore a bit-identical
-/// accumulator — but zero threads, no stealing and no watchdog
-/// (budgets are still enforced cooperatively and post hoc). This is
-/// the "legacy path" campaigns use below two threads, and the
-/// differential twin `verify.sh` pits the executor against.
-pub fn run_sequential<C>(campaign: &C, cfg: &EngineConfig) -> CampaignRun<C::Acc>
-where
-    C: TrialCampaign,
-{
-    run_sequential_with(campaign, cfg, CampaignOptions::default())
-}
-
-/// [`run_sequential`] with resume / checkpoint options.
-pub fn run_sequential_with<C>(
-    campaign: &C,
-    cfg: &EngineConfig,
-    opts: CampaignOptions<'_, C::Acc>,
-) -> CampaignRun<C::Acc>
-where
-    C: TrialCampaign,
-{
-    let total = campaign.trials();
-    let base = opts.resume.as_ref().map_or(0, |r| r.trials_done.min(total));
-    let mut acc = match opts.resume {
-        Some(r) => r.acc,
-        None => campaign.empty(),
-    };
-    let block_size = cfg
-        .block_size
-        .unwrap_or_else(|| auto_block_size(total - base))
-        .max(1);
-    let blocks = partition(campaign, base, total, block_size);
-    let cancel = AtomicBool::new(false);
-    let mut report = EngineReport {
-        trials: total,
-        blocks: blocks.len() as u64,
-        workers: 0,
-        ..EngineReport::default()
-    };
-    let mut next_checkpoint = if cfg.checkpoint_every > 0 {
-        base + cfg.checkpoint_every
-    } else {
-        u64::MAX
-    };
-    for b in &blocks {
-        let mut partial = campaign.empty();
-        for trial in b.start..b.end {
-            cancel.store(false, Ordering::Relaxed);
-            match exec_trial(campaign, trial, &cancel, cfg.trial_budget) {
-                TrialExec::Done(tacc) => {
-                    campaign.merge(&mut partial, tacc);
-                    report.completed += 1;
-                }
-                TrialExec::Panicked(detail) => report.panicked.push(Reproducer {
-                    campaign: campaign.label(),
-                    rng_label: campaign.rng_label(),
-                    trial,
-                    detail,
-                }),
-                TrialExec::TimedOut(detail) => report.timed_out.push(Reproducer {
-                    campaign: campaign.label(),
-                    rng_label: campaign.rng_label(),
-                    trial,
-                    detail,
-                }),
-            }
-        }
-        campaign.merge(&mut acc, partial);
-        if b.end >= next_checkpoint {
-            if let Some(cb) = opts.on_checkpoint {
-                cb(b.end, &acc);
-            }
-            next_checkpoint = b.end + cfg.checkpoint_every;
-        }
-    }
-    CampaignRun { acc, report }
-}
-
-/// Returns a [`ResumePoint`] that [`run_campaign_with`] /
-/// [`run_sequential_with`] will accept to continue `campaign` after
-/// `trials_done` folded trials. Provided for symmetry; the struct can
-/// also be built directly.
-pub fn resume_point<A>(trials_done: u64, acc: A) -> ResumePoint<A> {
-    ResumePoint { trials_done, acc }
 }

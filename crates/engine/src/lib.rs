@@ -6,11 +6,13 @@
 //! discipline — detect, isolate, degrade gracefully, keep going — to
 //! the harness itself:
 //!
+//! * **One entry point.** [`run_trials`] / [`run_trials_with`] run a
+//!   campaign in-thread at one worker with no trial budget and no chaos
+//!   injection, and on the work-stealing executor otherwise — the
+//!   configuration alone picks the path, and both give the same bits.
 //! * **Work stealing.** Trials are grouped into fixed-size blocks dealt
-//!   across per-worker deques with three priority tiers; idle workers
-//!   steal from the back of the most-loaded victim, so skewed trial
-//!   costs cannot leave cores idle and long-horizon trials cannot
-//!   starve smoke trials.
+//!   across per-worker deques; idle workers steal from the back of the
+//!   most-loaded victim, so skewed trial costs cannot leave cores idle.
 //! * **Panic isolation.** Each trial runs under
 //!   `std::panic::catch_unwind`; a panicking trial becomes a
 //!   [`Reproducer`] record in the [`EngineReport`], not a dead
@@ -31,9 +33,9 @@
 //!
 //! The determinism argument in one line: trial randomness is addressed
 //! by `(seed, label, trial-index)` and the fold tree is fixed by
-//! `(trials, block_size)`, so the schedule — stealing, tier order,
-//! worker loss, re-execution — has no channel through which to reach
-//! the result.
+//! `(trials, block_size)`, so the schedule — stealing, worker loss,
+//! re-execution, a checkpoint/resume split — has no channel through
+//! which to reach the result.
 
 #![warn(missing_docs)]
 
@@ -45,10 +47,7 @@ mod executor;
 pub use adapter::{indexed_campaign, ClosureCampaign};
 pub use campaign::{
     CampaignOptions, CampaignRun, ChaosKill, EngineConfig, EngineReport, Reproducer, ResumePoint,
-    Tier, TrialCampaign, TrialCtx,
+    TrialCampaign, TrialCtx,
 };
 pub use checkpoint::Checkpoint;
-pub use executor::{
-    auto_block_size, resume_point, run_campaign, run_campaign_with, run_sequential,
-    run_sequential_with, run_trials, run_trials_with,
-};
+pub use executor::{auto_block_size, run_trials, run_trials_with};

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use nlft_engine::{Tier, TrialCampaign, TrialCtx};
+use nlft_engine::{TrialCampaign, TrialCtx};
 use nlft_sim::rng::RngStream;
 use nlft_sim::stats::{Histogram, OnlineStats, Proportion, SurvivalCurve};
 
@@ -97,15 +97,6 @@ impl TrialCampaign for ToyCampaign {
 
     fn rng_label(&self) -> String {
         "toy-trial".to_string()
-    }
-
-    fn tier(&self, trial: u64) -> Tier {
-        // A mixed-tier campaign: the last quarter are smoke trials.
-        if trial * 4 >= self.trials * 3 {
-            Tier::Smoke
-        } else {
-            Tier::Standard
-        }
     }
 
     fn empty(&self) -> ToyAcc {

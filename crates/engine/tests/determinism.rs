@@ -1,24 +1,33 @@
 //! Schedule-independence of the executor: bitwise-identical
-//! accumulators at any worker count, tier ordering, checkpoint/resume,
-//! and the streaming-memory bound.
+//! accumulators at any worker count and on either path,
+//! checkpoint/resume, and the streaming-memory bound.
 
 mod common;
 
 use std::sync::Mutex;
+use std::time::Duration;
 
 use common::ToyCampaign;
 use nlft_engine::{
-    auto_block_size, run_campaign, run_campaign_with, run_sequential, run_sequential_with,
-    CampaignOptions, EngineConfig, ResumePoint, Tier, TrialCampaign, TrialCtx,
+    auto_block_size, run_trials, run_trials_with, CampaignOptions, EngineConfig, ResumePoint,
+    TrialCampaign,
 };
 
 #[test]
 fn executor_matches_sequential_reference_bitwise_at_any_worker_count() {
     let campaign = ToyCampaign::new(0x0E06_1E5C, 997);
-    let reference = run_sequential(&campaign, &EngineConfig::default());
+    let reference = run_trials(campaign.clone(), &EngineConfig::default());
+    assert_eq!(reference.report.workers, 0, "one worker runs in-thread");
     assert_eq!(reference.report.completed, 997);
     for workers in [1usize, 2, 3, 5, 8] {
-        let run = run_campaign(campaign.clone(), &EngineConfig::with_workers(workers));
+        // A budget no trial comes near puts even one worker on the
+        // executor, so every count here runs the threaded path.
+        let cfg = EngineConfig {
+            trial_budget: Some(Duration::from_secs(3600)),
+            ..EngineConfig::with_workers(workers)
+        };
+        let run = run_trials(campaign.clone(), &cfg);
+        assert_eq!(run.report.workers, workers);
         // PartialEq on the accumulator compares every float bit.
         assert_eq!(
             run.acc, reference.acc,
@@ -44,11 +53,11 @@ fn block_size_choice_is_a_function_of_trials_not_workers() {
                 block_size: Some(17),
                 ..EngineConfig::default()
             };
-            run_campaign(campaign.clone(), &cfg).acc
+            run_trials(campaign.clone(), &cfg).acc
         })
         .collect();
     assert_eq!(bs17[0], bs17[1]);
-    let auto = run_sequential(&campaign, &EngineConfig::default()).acc;
+    let auto = run_trials(campaign, &EngineConfig::default()).acc;
     assert_eq!(auto.checksum, bs17[0].checksum);
     assert_eq!(auto.hits, bs17[0].hits);
     assert_eq!(auto.latencies, bs17[0].latencies);
@@ -56,119 +65,76 @@ fn block_size_choice_is_a_function_of_trials_not_workers() {
 }
 
 #[test]
-fn smoke_tier_runs_before_standard_on_one_worker() {
-    // An order-logging campaign: the last quarter of trials are smoke
-    // tier (see ToyCampaign::tier) and must all execute first.
-    #[derive(Clone)]
-    struct Logger {
-        trials: u64,
-        smoke_cut: u64,
-        order: std::sync::Arc<Mutex<Vec<u64>>>,
-    }
-    impl TrialCampaign for Logger {
-        type Acc = ();
-        fn trials(&self) -> u64 {
-            self.trials
-        }
-        fn label(&self) -> String {
-            "tier-logger".to_string()
-        }
-        fn rng_label(&self) -> String {
-            "tier-trial".to_string()
-        }
-        fn tier(&self, trial: u64) -> Tier {
-            if trial >= self.smoke_cut {
-                Tier::Smoke
-            } else {
-                Tier::Standard
-            }
-        }
-        fn empty(&self) {}
-        fn run_trial(&self, trial: u64, _ctx: &TrialCtx<'_>, _acc: &mut ()) {
-            self.order.lock().unwrap().push(trial);
-        }
-        fn merge(&self, _into: &mut (), _from: ()) {}
-    }
-    let logger = Logger {
-        trials: 120,
-        smoke_cut: 90,
-        order: std::sync::Arc::new(Mutex::new(Vec::new())),
-    };
-    let cfg = EngineConfig {
-        workers: 1,
-        block_size: Some(10),
-        ..EngineConfig::default()
-    };
-    run_campaign(logger.clone(), &cfg);
-    let order = logger.order.lock().unwrap();
-    assert_eq!(order.len(), 120);
-    let first_standard = order.iter().position(|&t| t < 90).unwrap();
-    assert!(
-        order[..first_standard].iter().all(|&t| t >= 90),
-        "smoke trials must all run before the first standard trial on one worker"
-    );
-}
-
-#[test]
 fn checkpoint_resume_reproduces_the_uninterrupted_run_bitwise() {
-    let campaign = ToyCampaign::new(0xC0FFEE, 640);
-    let cfg = EngineConfig {
-        workers: 3,
-        block_size: Some(32),
-        checkpoint_every: 100,
-        ..EngineConfig::default()
-    };
-    let checkpoints: Mutex<Vec<ResumePoint<common::ToyAcc>>> = Mutex::new(Vec::new());
-    let full = run_campaign_with(
-        campaign.clone(),
-        &cfg,
-        CampaignOptions {
-            resume: None,
-            on_checkpoint: Some(&|done, acc: &common::ToyAcc| {
-                checkpoints.lock().unwrap().push(ResumePoint {
-                    trials_done: done,
-                    acc: acc.clone(),
-                });
-            }),
-        },
-    );
-    let checkpoints = checkpoints.into_inner().unwrap();
-    assert!(
-        checkpoints.len() >= 5,
-        "expected several checkpoints, got {}",
-        checkpoints.len()
-    );
-    // Checkpoints land on block boundaries and carry the exact prefix.
-    for cp in &checkpoints {
-        assert_eq!(cp.trials_done % 32, 0);
-        assert_eq!(cp.acc.hits.trials(), cp.trials_done);
-    }
-    // Resume from a mid-run checkpoint on a *different* worker count:
-    // the finished accumulator must be bit-identical to the
-    // uninterrupted run (same block partition: resume lands on a block
-    // boundary and uses the same block size).
-    let mid = checkpoints[2].clone();
-    for (resumer, label) in [(5usize, "executor"), (0, "sequential")] {
-        let cfg_resume = EngineConfig {
-            workers: resumer.max(1),
-            block_size: Some(32),
+    // (trials, block size, checkpoint cadence, resume point). With
+    // `block_size: None` the resumed suffix must keep the block size of
+    // the whole campaign (auto_block_size(2560) = 10), not re-size from
+    // the 1560 remaining trials — that would change the fold tree.
+    for (trials, block_size, every, resume_at) in
+        [(640, Some(32), 100, 384), (2_560, None, 250, 1_000)]
+    {
+        let campaign = ToyCampaign::new(0xC0FFEE, trials);
+        let block = block_size.unwrap_or_else(|| auto_block_size(trials));
+        let cfg = EngineConfig {
+            workers: 3,
+            block_size,
+            checkpoint_every: every,
             ..EngineConfig::default()
         };
-        let opts = CampaignOptions {
-            resume: Some(mid.clone()),
-            on_checkpoint: None,
-        };
-        let resumed = if resumer == 0 {
-            run_sequential_with(&campaign, &cfg_resume, opts)
-        } else {
-            run_campaign_with(campaign.clone(), &cfg_resume, opts)
-        };
-        assert_eq!(resumed.acc, full.acc, "resume drifted on {label} path");
-        assert_eq!(
-            resumed.report.completed,
-            640 - mid.trials_done,
-            "resume re-ran the folded prefix on {label} path"
+        let checkpoints: Mutex<Vec<ResumePoint<common::ToyAcc>>> = Mutex::new(Vec::new());
+        let full = run_trials_with(
+            campaign.clone(),
+            &cfg,
+            CampaignOptions {
+                resume: None,
+                on_checkpoint: Some(&|done, acc: &common::ToyAcc| {
+                    checkpoints.lock().unwrap().push(ResumePoint {
+                        trials_done: done,
+                        acc: acc.clone(),
+                    });
+                }),
+            },
         );
+        let checkpoints = checkpoints.into_inner().unwrap();
+        assert!(
+            checkpoints.len() >= 5,
+            "expected several checkpoints, got {}",
+            checkpoints.len()
+        );
+        // Checkpoints land on block boundaries and carry the exact prefix.
+        for cp in &checkpoints {
+            assert_eq!(cp.trials_done % block, 0);
+            assert_eq!(cp.acc.hits.trials(), cp.trials_done);
+        }
+        // Resume from a mid-run checkpoint on a *different* worker
+        // count and on both paths: the finished accumulator must be
+        // bit-identical to the uninterrupted run.
+        let mid = checkpoints
+            .iter()
+            .find(|cp| cp.trials_done == resume_at)
+            .expect("a checkpoint at the resume point")
+            .clone();
+        for (workers, label) in [(5usize, "executor"), (1, "in-thread")] {
+            let cfg_resume = EngineConfig {
+                workers,
+                block_size,
+                ..EngineConfig::default()
+            };
+            let opts = CampaignOptions {
+                resume: Some(mid.clone()),
+                on_checkpoint: None,
+            };
+            let resumed = run_trials_with(campaign.clone(), &cfg_resume, opts);
+            assert_eq!(
+                resumed.acc, full.acc,
+                "resume drifted on {label} path ({block_size:?})"
+            );
+            assert_eq!(
+                resumed.report.completed,
+                trials - mid.trials_done,
+                "resume re-ran the folded prefix on {label} path"
+            );
+        }
     }
 }
 
@@ -180,7 +146,7 @@ fn streaming_fold_buffer_stays_bounded_by_workers() {
         block_size: Some(4),
         ..EngineConfig::default()
     };
-    let run = run_campaign(campaign, &cfg);
+    let run = run_trials(campaign, &cfg);
     assert_eq!(run.report.blocks, 1000);
     let cap = 4 * 4 + 4 + 4; // pending cap + one in flight per worker
     assert!(
@@ -201,7 +167,7 @@ fn auto_block_size_is_clamped_and_trials_only() {
 #[test]
 fn empty_campaign_completes() {
     let campaign = ToyCampaign::new(3, 0);
-    let run = run_campaign(campaign.clone(), &EngineConfig::with_workers(3));
+    let run = run_trials(campaign.clone(), &EngineConfig::with_workers(3));
     assert_eq!(run.report.completed, 0);
     assert_eq!(run.acc, campaign.empty());
 }

@@ -11,21 +11,17 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{Fault, ToyCampaign};
-use nlft_engine::{run_campaign, run_sequential, ChaosKill, EngineConfig};
+use nlft_engine::{run_trials, ChaosKill, EngineConfig};
 
 const TRIALS: u64 = 300;
 const SEED: u64 = 0xFA_17;
 
 /// The bitwise expectation for "every trial except `fault` survived":
-/// the same campaign with the faulty trial as a no-op, run on the
-/// sequential reference (merging an empty trial accumulator is an
-/// exact identity for every `sim::stats` type).
+/// the same campaign with the faulty trial as a no-op, run in-thread
+/// (merging an empty trial accumulator is an exact identity for every
+/// `sim::stats` type).
 fn surviving_acc(campaign: &ToyCampaign) -> common::ToyAcc {
-    run_sequential(
-        &campaign.clone().excluding_fault(),
-        &EngineConfig::default(),
-    )
-    .acc
+    run_trials(campaign.clone().excluding_fault(), &EngineConfig::default()).acc
 }
 
 /// Runs `f` with panic output silenced (the injected trial panic would
@@ -46,7 +42,7 @@ fn panicking_trial_is_recorded_not_fatal() {
     let expected = surviving_acc(&campaign);
     for workers in [1usize, 3] {
         let run = with_quiet_panics(|| {
-            run_campaign(campaign.clone(), &EngineConfig::with_workers(workers))
+            run_trials(campaign.clone(), &EngineConfig::with_workers(workers))
         });
         assert_eq!(run.report.completed, TRIALS - 1);
         assert_eq!(run.report.panicked.len(), 1);
@@ -70,7 +66,8 @@ fn panicking_trial_is_recorded_not_fatal() {
 fn panicking_trial_is_isolated_on_the_sequential_path_too() {
     let campaign = ToyCampaign::new(SEED, TRIALS).with_fault(Fault::Panic(7));
     let expected = surviving_acc(&campaign);
-    let run = with_quiet_panics(|| run_sequential(&campaign, &EngineConfig::default()));
+    let run = with_quiet_panics(|| run_trials(campaign, &EngineConfig::default()));
+    assert_eq!(run.report.workers, 0, "one worker runs in-thread");
     assert_eq!(run.report.panicked.len(), 1);
     assert_eq!(run.report.panicked[0].trial, 7);
     assert_eq!(run.acc, expected);
@@ -81,67 +78,80 @@ fn deadline_blown_trial_is_cancelled_and_quarantined() {
     let faulty = 42u64;
     let campaign = ToyCampaign::new(SEED, TRIALS).with_fault(Fault::SpinUntilCancelled(faulty));
     let expected = surviving_acc(&campaign);
-    let cfg = EngineConfig {
-        workers: 2,
-        trial_budget: Some(Duration::from_millis(40)),
-        ..EngineConfig::default()
-    };
-    let run = run_campaign(campaign, &cfg);
-    assert_eq!(run.report.completed, TRIALS - 1);
-    assert_eq!(run.report.timed_out.len(), 1);
-    let rep = &run.report.timed_out[0];
-    assert_eq!(rep.trial, faulty);
-    assert_eq!(
-        (rep.campaign.as_str(), rep.rng_label.as_str()),
-        ("toy-campaign", "toy-trial")
-    );
-    assert!(rep.detail.contains("budget"), "{}", rep.detail);
-    assert_eq!(
-        run.report.lost_workers, 0,
-        "cooperative cancel must not cost a worker"
-    );
-    assert_eq!(run.acc, expected);
+    // A budget arms the watchdog at any worker count, one included.
+    for workers in [1usize, 2] {
+        let cfg = EngineConfig {
+            workers,
+            trial_budget: Some(Duration::from_millis(40)),
+            ..EngineConfig::default()
+        };
+        let run = run_trials(campaign.clone(), &cfg);
+        assert_eq!(run.report.completed, TRIALS - 1);
+        assert_eq!(run.report.timed_out.len(), 1);
+        let rep = &run.report.timed_out[0];
+        assert_eq!(rep.trial, faulty);
+        assert_eq!(
+            (rep.campaign.as_str(), rep.rng_label.as_str()),
+            ("toy-campaign", "toy-trial")
+        );
+        assert!(rep.detail.contains("budget"), "{}", rep.detail);
+        assert_eq!(
+            run.report.lost_workers, 0,
+            "cooperative cancel must not cost a worker"
+        );
+        assert_eq!(run.acc, expected, "drifted at {workers} workers");
+    }
 }
 
 #[test]
 fn stuck_trial_costs_its_worker_but_not_the_campaign() {
     let faulty = 99u64;
-    let latch = Arc::new(AtomicBool::new(false));
-    let campaign =
-        ToyCampaign::new(SEED, TRIALS).with_fault(Fault::StickOnLatch(faulty, Arc::clone(&latch)));
-    let expected = surviving_acc(&campaign);
-    let cfg = EngineConfig {
-        workers: 2,
-        trial_budget: Some(Duration::from_millis(20)),
-        lost_worker_grace: Duration::from_millis(40),
-        ..EngineConfig::default()
-    };
-    let run = run_campaign(campaign, &cfg);
-    // Let the abandoned worker thread exit before the test ends.
-    latch.store(true, Ordering::Relaxed);
-    assert_eq!(
-        run.report.lost_workers, 1,
-        "stuck worker must be declared lost"
-    );
-    assert_eq!(run.report.completed, TRIALS - 1);
-    assert_eq!(run.report.timed_out.len(), 1);
-    let rep = &run.report.timed_out[0];
-    assert_eq!(rep.trial, faulty);
-    assert!(rep.detail.contains("lost"), "{}", rep.detail);
-    assert!(
-        run.report.skipped >= 1,
-        "quarantined trial must be skipped on re-execution"
-    );
-    assert_eq!(
-        run.acc, expected,
-        "survivors must re-execute the rescued block bit-identically"
-    );
+    // At one worker the lone worker is the one declared lost, so the
+    // campaign drains only because the watchdog spawns a replacement.
+    for workers in [1usize, 2] {
+        let latch = Arc::new(AtomicBool::new(false));
+        let campaign = ToyCampaign::new(SEED, TRIALS)
+            .with_fault(Fault::StickOnLatch(faulty, Arc::clone(&latch)));
+        let expected = surviving_acc(&campaign);
+        let cfg = EngineConfig {
+            workers,
+            trial_budget: Some(Duration::from_millis(20)),
+            lost_worker_grace: Duration::from_millis(40),
+            ..EngineConfig::default()
+        };
+        let run = run_trials(campaign, &cfg);
+        // Let the abandoned worker thread exit before the test ends.
+        latch.store(true, Ordering::Relaxed);
+        assert_eq!(
+            run.report.lost_workers, 1,
+            "stuck worker must be declared lost at {workers} workers"
+        );
+        if workers == 1 {
+            assert!(
+                run.report.respawned_workers >= 1,
+                "losing the only worker must spawn a replacement"
+            );
+        }
+        assert_eq!(run.report.completed, TRIALS - 1);
+        assert_eq!(run.report.timed_out.len(), 1);
+        let rep = &run.report.timed_out[0];
+        assert_eq!(rep.trial, faulty);
+        assert!(rep.detail.contains("lost"), "{}", rep.detail);
+        assert!(
+            run.report.skipped >= 1,
+            "quarantined trial must be skipped on re-execution"
+        );
+        assert_eq!(
+            run.acc, expected,
+            "survivors must re-execute the rescued block bit-identically at {workers} workers"
+        );
+    }
 }
 
 #[test]
 fn chaos_killed_worker_degrades_gracefully() {
     let campaign = ToyCampaign::new(SEED, TRIALS);
-    let clean = run_sequential(&campaign, &EngineConfig::default());
+    let clean = run_trials(campaign.clone(), &EngineConfig::default());
     let cfg = EngineConfig {
         workers: 3,
         chaos_kill: Some(ChaosKill {
@@ -150,7 +160,7 @@ fn chaos_killed_worker_degrades_gracefully() {
         }),
         ..EngineConfig::default()
     };
-    let run = run_campaign(campaign, &cfg);
+    let run = run_trials(campaign, &cfg);
     assert_eq!(run.report.lost_workers, 1);
     assert_eq!(
         run.acc, clean.acc,
@@ -161,7 +171,7 @@ fn chaos_killed_worker_degrades_gracefully() {
 #[test]
 fn last_worker_death_respawns_a_replacement() {
     let campaign = ToyCampaign::new(SEED, TRIALS);
-    let clean = run_sequential(&campaign, &EngineConfig::default());
+    let clean = run_trials(campaign.clone(), &EngineConfig::default());
     let cfg = EngineConfig {
         workers: 1,
         chaos_kill: Some(ChaosKill {
@@ -170,7 +180,7 @@ fn last_worker_death_respawns_a_replacement() {
         }),
         ..EngineConfig::default()
     };
-    let run = run_campaign(campaign, &cfg);
+    let run = run_trials(campaign, &cfg);
     assert_eq!(run.report.lost_workers, 1);
     assert!(
         run.report.respawned_workers >= 1,

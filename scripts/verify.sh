@@ -36,19 +36,18 @@ done
 echo "== scenario zoo: golden pins at 1/2/5 threads =="
 cargo run --release --offline -p nlft-bench --bin scenario_run -- verify
 
-# Engine differential gate: one zoo scenario re-run through the
-# work-stealing executor (forced even at one worker) must reproduce the
-# same golden pin as the sequential reference above — `run` re-checks
-# the pin via the acceptance clause. Also exercises watchdog arming and
-# a checkpoint/resume round trip through the CLI flags.
-echo "== scenario zoo: engine path vs legacy pin =="
+# Engine gate: one zoo scenario re-run on the work-stealing executor
+# with the watchdog armed must reproduce its golden pin — `run`
+# re-checks the pin via the acceptance clause — and so must a
+# checkpoint/resume round trip through the CLI flags.
+echo "== scenario zoo: watchdog-armed executor and checkpoint/resume =="
 ckpt="$(mktemp)"
 trap 'rm -f "$ckpt"' EXIT
 cargo run --release --offline -p nlft-bench --bin scenario_run -- \
-    run babbling-wheel --engine --threads 4 --trial-budget-ms 10000 \
+    run babbling-wheel --threads 4 --trial-budget-ms 10000 \
     --checkpoint "$ckpt" --checkpoint-every 4
 cargo run --release --offline -p nlft-bench --bin scenario_run -- \
-    run babbling-wheel --engine --resume "$ckpt"
+    run babbling-wheel --resume "$ckpt"
 
 # Bench trajectory: re-measure the groups in the committed baseline and
 # compare. Timing deltas are advisory only (hardware varies between
