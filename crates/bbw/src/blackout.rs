@@ -17,6 +17,7 @@
 //!   minority-clique reverts, and — critically — that reverted nodes
 //!   never babble (zero guardian blocks).
 
+use nlft_engine::Tally;
 use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan};
 use nlft_sim::rng::RngStream;
@@ -81,32 +82,86 @@ impl BlackoutCampaignConfig {
             ..BlackoutCampaignConfig::new(trials, seed)
         }
     }
+
+    /// The victim pool: all six nodes, or only the wheels.
+    fn pool(&self) -> &'static [NodeId] {
+        if self.include_cus {
+            &ALL_NODES
+        } else {
+            &WHEELS
+        }
+    }
+
+    /// Checks that the campaign can run: trials, `warmup_cycles >= 2`,
+    /// a nonzero recovery window and blackout, and `min_reset` within
+    /// `1..=pool size`.
+    pub fn check(&self) -> Result<(), String> {
+        if self.trials == 0 {
+            return Err("need trials".into());
+        }
+        if self.warmup_cycles < 2 {
+            return Err("blackout warmup must be at least 2 cycles (clique avoidance arms)".into());
+        }
+        if self.recovery_cycles == 0 {
+            return Err("blackout needs a recovery window".into());
+        }
+        if self.down_cycles == 0 {
+            return Err("blackout must last at least 1 cycle".into());
+        }
+        let pool = self.pool().len();
+        if !(1..=pool).contains(&self.min_reset) {
+            return Err(format!("blackout min_reset must be in 1..={pool}"));
+        }
+        Ok(())
+    }
 }
 
-/// Everything a blackout campaign measures. All latency vectors are
-/// sorted; counters are summed across trials.
+nlft_engine::tally! {
+    /// Counters of a blackout campaign, summed across trials.
+    pub struct BlackoutCounts: "blackout-counts" {
+        verdicts {
+            /// Trials in which the membership view returned to all six
+            /// nodes.
+            full_recoveries,
+            /// Trials whose membership view never became whole again.
+            incomplete,
+        }
+        metrics {
+            /// Trials that needed a cold-start contention (a winning
+            /// cold-start frame was observed) rather than plain listening
+            /// reintegration.
+            cold_start_trials,
+            /// Cold-start frames put on the bus.
+            cold_starts_sent,
+            /// Big-bang collision rounds (≥ 2 simultaneous cold-start
+            /// frames).
+            big_bangs,
+            /// Active nodes that reverted on seeing only a minority
+            /// clique.
+            clique_reverts,
+            /// Guardian blocks. The startup protocol keeps
+            /// listening/reverted nodes silent *by construction*, so this
+            /// must stay zero: clique avoidance never degenerates into
+            /// babbling.
+            guardian_blocks,
+            /// Cycles wheels braked on held last-safe set-points — the
+            /// value-domain bridge over the command blackout.
+            held_setpoint_cycles,
+            /// Blackout-to-full-membership cycles, summed over recovered
+            /// trials.
+            membership_cycles,
+            /// Braking-unavailability cycles, summed over trials.
+            unavailability_cycles,
+        }
+    }
+}
+
+/// Everything a blackout campaign measures: the counters plus the
+/// latency distributions, each sorted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlackoutCampaignResult {
-    /// Trials run.
-    pub trials: u64,
-    /// Trials in which the membership view returned to all six nodes.
-    pub full_recoveries: u64,
-    /// Trials that needed a cold-start contention (a winning cold-start
-    /// frame was observed) rather than plain listening reintegration.
-    pub cold_start_trials: u64,
-    /// Cold-start frames put on the bus across all trials.
-    pub cold_starts_sent: u64,
-    /// Big-bang collision rounds (≥ 2 simultaneous cold-start frames).
-    pub big_bangs: u64,
-    /// Active nodes that reverted on seeing only a minority clique.
-    pub clique_reverts: u64,
-    /// Guardian blocks across all trials. The startup protocol keeps
-    /// listening/reverted nodes silent *by construction*, so this must
-    /// stay zero: clique avoidance never degenerates into babbling.
-    pub guardian_blocks: u64,
-    /// Cycles wheels braked on held last-safe set-points across all
-    /// trials — the value-domain bridge over the command blackout.
-    pub held_setpoint_cycles: u64,
+    /// Verdict and metric counters.
+    pub counts: BlackoutCounts,
     /// Per cold-start trial: cycles from the blackout to the first
     /// winning cold-start frame.
     pub time_to_cold_start: Vec<u32>,
@@ -123,10 +178,10 @@ pub struct BlackoutCampaignResult {
 impl BlackoutCampaignResult {
     /// Fraction of trials whose membership view fully recovered.
     pub fn recovery_fraction(&self) -> f64 {
-        if self.trials == 0 {
+        if self.counts.trials == 0 {
             0.0
         } else {
-            self.full_recoveries as f64 / self.trials as f64
+            self.counts.full_recoveries as f64 / self.counts.trials as f64
         }
     }
 
@@ -154,14 +209,7 @@ impl BlackoutCampaignResult {
     }
 
     fn merge(&mut self, other: BlackoutCampaignResult) {
-        self.trials += other.trials;
-        self.full_recoveries += other.full_recoveries;
-        self.cold_start_trials += other.cold_start_trials;
-        self.cold_starts_sent += other.cold_starts_sent;
-        self.big_bangs += other.big_bangs;
-        self.clique_reverts += other.clique_reverts;
-        self.guardian_blocks += other.guardian_blocks;
-        self.held_setpoint_cycles += other.held_setpoint_cycles;
+        self.counts.merge(&other.counts);
         self.time_to_cold_start.extend(other.time_to_cold_start);
         self.time_to_full_membership
             .extend(other.time_to_full_membership);
@@ -179,26 +227,9 @@ impl BlackoutCampaignResult {
 ///
 /// # Panics
 ///
-/// Panics if `trials` is zero, `warmup_cycles < 2`, `recovery_cycles`
-/// is zero, `down_cycles` is zero, or `min_reset` is outside
-/// `1..=pool size`.
+/// Panics if [`BlackoutCampaignConfig::check`] rejects the config.
 pub fn run_blackout_campaign(config: &BlackoutCampaignConfig) -> BlackoutCampaignResult {
-    assert!(config.trials > 0, "need trials");
-    assert!(
-        config.warmup_cycles >= 2,
-        "clique avoidance needs two warm-up cycles to arm"
-    );
-    assert!(config.recovery_cycles > 0, "need a recovery window");
-    assert!(config.down_cycles > 0, "a blackout lasts at least 1 cycle");
-    let pool_size = if config.include_cus {
-        ALL_NODES.len()
-    } else {
-        WHEELS.len()
-    };
-    assert!(
-        (1..=pool_size).contains(&config.min_reset),
-        "min_reset must be in 1..={pool_size}"
-    );
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
     let campaign = nlft_engine::indexed_campaign(
@@ -229,11 +260,7 @@ fn run_blackout_trial(
     let blackout_at = config.warmup_cycles;
     let total_cycles = config.warmup_cycles + config.recovery_cycles;
     let mut rng = root.fork_indexed("blackout-trial", trial);
-    let mut pool: Vec<NodeId> = if config.include_cus {
-        ALL_NODES.to_vec()
-    } else {
-        WHEELS.to_vec()
-    };
+    let mut pool = config.pool().to_vec();
     let spread = (pool.len() - config.min_reset) as u64;
     let k = config.min_reset + rng.uniform_range(0, spread + 1) as usize;
     // Partial Fisher–Yates: the first k entries become the victims.
@@ -258,14 +285,15 @@ fn run_blackout_trial(
         .expect("startup enabled for blackout trials")
         .clone();
 
-    result.trials += 1;
-    result.cold_starts_sent += u64::from(metrics.cold_starts_sent);
-    result.big_bangs += u64::from(metrics.big_bangs);
-    result.clique_reverts += u64::from(metrics.clique_reverts);
-    result.guardian_blocks += report.guardian_blocks;
-    result.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
+    let c = &mut result.counts;
+    c.trials += 1;
+    c.cold_starts_sent += u64::from(metrics.cold_starts_sent);
+    c.big_bangs += u64::from(metrics.big_bangs);
+    c.clique_reverts += u64::from(metrics.clique_reverts);
+    c.guardian_blocks += report.guardian_blocks;
+    c.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
     if let Some(cycle) = metrics.first_cold_start_cycle {
-        result.cold_start_trials += 1;
+        c.cold_start_trials += 1;
         result.time_to_cold_start.push(cycle - blackout_at);
     }
     result
@@ -289,10 +317,15 @@ fn run_blackout_trial(
             recovered_at = Some(rec.cycle);
         }
     }
+    let c = &mut result.counts;
     if let Some(cycle) = recovered_at {
-        result.full_recoveries += 1;
+        c.full_recoveries += 1;
+        c.membership_cycles += u64::from(cycle - blackout_at);
         result.time_to_full_membership.push(cycle - blackout_at);
+    } else {
+        c.incomplete += 1;
     }
+    c.unavailability_cycles += u64::from(unavailable);
     result.unavailability_cycles.push(unavailable);
 }
 
@@ -378,11 +411,12 @@ mod tests {
         // wheels back at 14, readmission complete at 15.
         let cfg = BlackoutCampaignConfig::full_blackout(3, 0xB1AC);
         let r = run_blackout_campaign(&cfg);
-        assert_eq!(r.trials, 3);
-        assert_eq!(r.cold_start_trials, 3, "{r:?}");
-        assert_eq!(r.full_recoveries, 3, "{r:?}");
-        assert_eq!(r.big_bangs, 0, "unique timeouts cannot collide: {r:?}");
-        assert_eq!(r.guardian_blocks, 0, "startup nodes must not babble");
+        let c = &r.counts;
+        assert_eq!(c.trials, 3);
+        assert_eq!(c.cold_start_trials, 3, "{r:?}");
+        assert_eq!(c.full_recoveries, 3, "{r:?}");
+        assert_eq!(c.big_bangs, 0, "unique timeouts cannot collide: {r:?}");
+        assert_eq!(c.guardian_blocks, 0, "startup nodes must not babble");
         assert!(
             r.time_to_cold_start.iter().all(|&t| t == 6),
             "cold start must land at down + fastest timeout: {r:?}"
@@ -533,14 +567,15 @@ mod tests {
         // Golden pin: any change to the RNG fork labels, the blackout
         // draw order, the startup protocol's transitions or the
         // cluster's cycle structure shows up here.
+        let c = &one.counts;
         assert_eq!(
             (
-                one.trials,
-                one.full_recoveries,
-                one.cold_start_trials,
-                one.big_bangs,
-                one.clique_reverts,
-                one.guardian_blocks
+                c.trials,
+                c.full_recoveries,
+                c.cold_start_trials,
+                c.big_bangs,
+                c.clique_reverts,
+                c.guardian_blocks
             ),
             (10, 10, 9, 8, 12, 0),
             "golden blackout outcome moved: {one:?}"

@@ -7,6 +7,7 @@
 //! episode, or lost braking. With TEM doing its job, the overwhelming
 //! majority of faults must be invisible at this level.
 
+use nlft_engine::Tally;
 use nlft_machine::fault::FaultSpace;
 use nlft_net::frame::NodeId;
 use nlft_net::inject::{InjectionCounts, NetFaultPlan, NetFaultRates};
@@ -39,19 +40,24 @@ impl ClusterCampaignConfig {
     }
 }
 
-/// System-boundary outcome classification.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterCampaignResult {
-    /// Trials run.
-    pub trials: u64,
-    /// No externally visible effect at all.
-    pub unaffected: u64,
-    /// At least one omitted slot, but full membership throughout.
-    pub omission_only: u64,
-    /// A degraded-mode episode (membership dropped, force redistributed).
-    pub degraded_episode: u64,
-    /// Braking service lost.
-    pub service_lost: u64,
+nlft_engine::tally! {
+    /// System-boundary outcome classification. Each trial gets exactly
+    /// one verdict: `service_lost` beats `degraded_episode` beats
+    /// `omission_only` beats `unaffected`.
+    pub struct ClusterCampaignResult: "cluster-campaign" {
+        verdicts {
+            /// Braking service lost.
+            service_lost,
+            /// A degraded-mode episode (membership dropped, force
+            /// redistributed).
+            degraded_episode,
+            /// At least one omitted slot, but full membership throughout.
+            omission_only,
+            /// No externally visible effect at all.
+            unaffected,
+        }
+        metrics {}
+    }
 }
 
 impl ClusterCampaignResult {
@@ -71,42 +77,47 @@ const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHE
 ///
 /// # Panics
 ///
-/// Panics if `trials` or `cycles` is zero.
+/// Panics if `trials` is zero or `cycles < 2`.
 pub fn run_cluster_campaign(config: &ClusterCampaignConfig) -> ClusterCampaignResult {
     assert!(config.trials > 0, "need trials");
     assert!(config.cycles > 1, "need at least two cycles");
+    let c = config.clone();
     let root = RngStream::new(config.seed);
-    let mut result = ClusterCampaignResult {
-        trials: config.trials,
-        ..ClusterCampaignResult::default()
-    };
-    for trial in 0..config.trials {
-        let mut rng = root.fork_indexed("cluster-trial", trial);
-        let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
-        // Cycle ≥ 1 so wheel victims are actually executing (set-points
-        // arrive after the first cycle).
-        let cycle = rng.uniform_range(1, u64::from(config.cycles) - 1) as u32;
-        let injection = ClusterInjection {
-            cycle,
-            node,
-            copy: rng.uniform_range(0, 2) as u32,
-            at_cycle: rng.uniform_range(1, 40),
-            fault: config.space.sample(&mut rng),
-        };
-        let mut cluster = BbwCluster::new();
-        cluster.inject(injection);
-        let report = cluster.run(config.cycles, |_| 1200);
-        if report.service_lost {
-            result.service_lost += 1;
-        } else if report.degraded_cycles > 0 {
-            result.degraded_episode += 1;
-        } else if report.omissions > 0 {
-            result.omission_only += 1;
-        } else {
-            result.unaffected += 1;
-        }
-    }
-    result
+    let campaign = nlft_engine::indexed_campaign(
+        "bbw-cluster",
+        "cluster-trial",
+        config.trials,
+        ClusterCampaignResult::default,
+        move |trial, _ctx, result: &mut ClusterCampaignResult| {
+            let mut rng = root.fork_indexed("cluster-trial", trial);
+            let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
+            // Cycle ≥ 1 so wheel victims are actually executing (set-points
+            // arrive after the first cycle).
+            let cycle = rng.uniform_range(1, u64::from(c.cycles) - 1) as u32;
+            let injection = ClusterInjection {
+                cycle,
+                node,
+                copy: rng.uniform_range(0, 2) as u32,
+                at_cycle: rng.uniform_range(1, 40),
+                fault: c.space.sample(&mut rng),
+            };
+            let mut cluster = BbwCluster::new();
+            cluster.inject(injection);
+            let report = cluster.run(c.cycles, |_| 1200);
+            result.trials += 1;
+            if report.service_lost {
+                result.service_lost += 1;
+            } else if report.degraded_cycles > 0 {
+                result.degraded_episode += 1;
+            } else if report.omissions > 0 {
+                result.omission_only += 1;
+            } else {
+                result.unaffected += 1;
+            }
+        },
+        |into, from| into.merge(&from),
+    );
+    nlft_engine::run_trials(campaign, &nlft_engine::EngineConfig::default()).acc
 }
 
 /// Configuration of a combined node + network storm campaign.
@@ -140,46 +151,75 @@ impl NetStormCampaignConfig {
             with_node_faults: true,
         }
     }
+
+    /// Checks that the campaign can run: trials, at least two cycles,
+    /// and an intensity in `[0, 1]`.
+    pub fn check(&self) -> Result<(), String> {
+        if self.trials == 0 {
+            return Err("need trials".into());
+        }
+        if self.cycles < 2 {
+            return Err("net_storm needs at least 2 cycles".into());
+        }
+        if !(0.0..=1.0).contains(&self.intensity) {
+            return Err("intensity must be in [0, 1]".into());
+        }
+        Ok(())
+    }
 }
 
-/// Trial verdicts of a storm campaign, most severe first. Each trial gets
-/// exactly one verdict: `split_membership` beats `service_lost` beats
-/// `degraded_episode` beats `omission_only` beats `unaffected`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStormOutcomes {
-    /// Trials run.
-    pub trials: u64,
-    /// Membership majority lost at some point (≤ 3 of 6 in the view).
-    pub split_membership: u64,
-    /// Braking service lost (no CU member or < 3 wheels serving).
-    pub service_lost: u64,
-    /// Degraded-mode episode: membership shrank, force was redistributed.
-    pub degraded_episode: u64,
-    /// Slots were lost but membership never shrank.
-    pub omission_only: u64,
-    /// The storm left no externally visible trace.
-    pub unaffected: u64,
+nlft_engine::tally! {
+    /// Counters of a storm campaign. Each trial gets exactly one
+    /// verdict, most severe first: `split_membership` beats
+    /// `service_lost` beats `degraded_episode` beats `omission_only`
+    /// beats `unaffected`. The metrics are the *measured* bus-level
+    /// coverage parameters that the analytic models take as inputs
+    /// (instead of assuming them).
+    pub struct NetStormCounts: "net-storm-counts" {
+        verdicts {
+            /// Membership majority lost at some point (≤ 3 of 6 in the
+            /// view).
+            split_membership,
+            /// Braking service lost (no CU member or < 3 wheels serving).
+            service_lost,
+            /// Degraded-mode episode: membership shrank, force was
+            /// redistributed.
+            degraded_episode,
+            /// Slots were lost but membership never shrank.
+            omission_only,
+            /// The storm left no externally visible trace.
+            unaffected,
+        }
+        metrics {
+            /// Injection decisions, all kinds.
+            injected,
+            /// Frames the CRC rejected.
+            crc_rejects,
+            /// Corruptions that actually landed on a transmitted frame.
+            corruptions_applied,
+            /// Babbling transmissions the guardian blocked.
+            guardian_blocks,
+            /// Forged frames the receiver identity check rejected.
+            masquerade_rejects,
+            /// Masquerades that actually landed on a transmitted frame.
+            masquerades_applied,
+            /// Exclusion→readmission episodes observed.
+            reintegrations,
+            /// Their latencies summed, in cycles.
+            reintegration_cycles,
+        }
+    }
 }
 
-/// Everything a storm campaign measures: verdict fractions plus the
-/// *measured* bus-level coverage parameters that the analytic models take
-/// as inputs (instead of assuming them).
+/// Everything a storm campaign measures: the counters plus the
+/// injection decisions by kind and the reintegration-latency
+/// distribution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetStormCampaignResult {
-    /// Verdict tallies.
-    pub outcomes: NetStormOutcomes,
-    /// Injection decisions across all trials.
+    /// Verdict and metric counters.
+    pub counts: NetStormCounts,
+    /// Injection decisions across all trials, by kind.
     pub injected: InjectionCounts,
-    /// Frames the CRC rejected, across all trials.
-    pub crc_rejects: u64,
-    /// Corruptions that actually landed on a transmitted frame.
-    pub corruptions_applied: u64,
-    /// Babbling transmissions the guardian blocked.
-    pub guardian_blocks: u64,
-    /// Forged frames the receiver identity check rejected.
-    pub masquerade_rejects: u64,
-    /// Masquerades that actually landed on a transmitted frame.
-    pub masquerades_applied: u64,
     /// Every observed exclusion→readmission latency (cycles), sorted.
     pub reintegration_latencies: Vec<u32>,
 }
@@ -189,17 +229,20 @@ impl NetStormCampaignResult {
     /// CRC. The paper takes detection coverage as a model *input*; here it
     /// is an experiment *output* (and should be 1.0 for 1–2-bit faults).
     pub fn crc_reject_rate(&self) -> f64 {
-        ratio(self.crc_rejects, self.corruptions_applied)
+        ratio(self.counts.crc_rejects, self.counts.corruptions_applied)
     }
 
     /// Measured probability that a babbling attempt is blocked.
     pub fn guardian_block_rate(&self) -> f64 {
-        ratio(self.guardian_blocks, self.injected.babbles)
+        ratio(self.counts.guardian_blocks, self.injected.babbles)
     }
 
     /// Measured probability that a masqueraded frame is rejected.
     pub fn masquerade_reject_rate(&self) -> f64 {
-        ratio(self.masquerade_rejects, self.masquerades_applied)
+        ratio(
+            self.counts.masquerade_rejects,
+            self.counts.masquerades_applied,
+        )
     }
 
     /// Percentile of the reintegration-latency distribution (0–100).
@@ -213,18 +256,8 @@ impl NetStormCampaignResult {
     }
 
     fn merge(&mut self, other: NetStormCampaignResult) {
-        self.outcomes.trials += other.outcomes.trials;
-        self.outcomes.split_membership += other.outcomes.split_membership;
-        self.outcomes.service_lost += other.outcomes.service_lost;
-        self.outcomes.degraded_episode += other.outcomes.degraded_episode;
-        self.outcomes.omission_only += other.outcomes.omission_only;
-        self.outcomes.unaffected += other.outcomes.unaffected;
+        self.counts.merge(&other.counts);
         self.injected.merge(&other.injected);
-        self.crc_rejects += other.crc_rejects;
-        self.corruptions_applied += other.corruptions_applied;
-        self.guardian_blocks += other.guardian_blocks;
-        self.masquerade_rejects += other.masquerade_rejects;
-        self.masquerades_applied += other.masquerades_applied;
         self.reintegration_latencies
             .extend(other.reintegration_latencies);
     }
@@ -246,15 +279,9 @@ fn ratio(num: u64, den: u64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `trials` is zero, `cycles < 2`, or `intensity` is outside
-/// `[0, 1]`.
+/// Panics if [`NetStormCampaignConfig::check`] rejects the config.
 pub fn run_net_storm_campaign(config: &NetStormCampaignConfig) -> NetStormCampaignResult {
-    assert!(config.trials > 0, "need trials");
-    assert!(config.cycles > 1, "need at least two cycles");
-    assert!(
-        (0.0..=1.0).contains(&config.intensity),
-        "intensity must be in [0, 1]"
-    );
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
     let campaign = nlft_engine::indexed_campaign(
@@ -297,24 +324,33 @@ fn run_storm_trial(
         });
     }
     let report = cluster.run(config.cycles, |_| 1200);
-    result.outcomes.trials += 1;
+    let injected = cluster.net_injection_counts();
+    let c = &mut result.counts;
+    c.trials += 1;
     if report.split_membership {
-        result.outcomes.split_membership += 1;
+        c.split_membership += 1;
     } else if report.service_lost {
-        result.outcomes.service_lost += 1;
+        c.service_lost += 1;
     } else if report.degraded_cycles > 0 {
-        result.outcomes.degraded_episode += 1;
+        c.degraded_episode += 1;
     } else if report.omissions > 0 {
-        result.outcomes.omission_only += 1;
+        c.omission_only += 1;
     } else {
-        result.outcomes.unaffected += 1;
+        c.unaffected += 1;
     }
-    result.injected.merge(&cluster.net_injection_counts());
-    result.crc_rejects += report.crc_rejects;
-    result.corruptions_applied += report.corruptions_applied;
-    result.guardian_blocks += report.guardian_blocks;
-    result.masquerade_rejects += report.masquerade_rejects;
-    result.masquerades_applied += report.masquerades_applied;
+    c.injected += injected.total();
+    c.crc_rejects += report.crc_rejects;
+    c.corruptions_applied += report.corruptions_applied;
+    c.guardian_blocks += report.guardian_blocks;
+    c.masquerade_rejects += report.masquerade_rejects;
+    c.masquerades_applied += report.masquerades_applied;
+    c.reintegrations += report.reintegration_latencies.len() as u64;
+    c.reintegration_cycles += report
+        .reintegration_latencies
+        .iter()
+        .map(|&l| u64::from(l))
+        .sum::<u64>();
+    result.injected.merge(&injected);
     result
         .reintegration_latencies
         .extend(report.reintegration_latencies);
@@ -371,7 +407,7 @@ mod tests {
         // (Re-pinned in 0.2.0: CU set-points are now 6-word sealed fresh
         // commands and wheels hold-last-safe through short CU outages,
         // which moves corruption byte draws and outcome verdicts.)
-        let o = &one.outcomes;
+        let o = &one.counts;
         assert_eq!(
             (
                 o.trials,
@@ -390,7 +426,7 @@ mod tests {
             "golden injection count moved: {:?}",
             one.injected
         );
-        assert_eq!((one.crc_rejects, one.guardian_blocks), (92, 37));
+        assert_eq!((o.crc_rejects, o.guardian_blocks), (92, 37));
     }
 
     #[test]
@@ -399,9 +435,9 @@ mod tests {
         cfg.cycles = 30;
         cfg.with_node_faults = false;
         let r = run_net_storm_campaign(&cfg);
-        assert!(r.corruptions_applied > 50, "storm too weak: {r:?}");
+        assert!(r.counts.corruptions_applied > 50, "storm too weak: {r:?}");
         assert!(r.injected.babbles > 20, "storm too weak: {r:?}");
-        assert!(r.masquerades_applied > 10, "storm too weak: {r:?}");
+        assert!(r.counts.masquerades_applied > 10, "storm too weak: {r:?}");
         // 1–2-bit wire corruptions are within CRC-32's guaranteed detection
         // class, and the guardian blocks every foreign-slot attempt.
         assert_eq!(r.crc_reject_rate(), 1.0, "{r:?}");

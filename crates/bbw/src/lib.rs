@@ -73,12 +73,14 @@ pub use actuator::{ActuatorFault, ActuatorMonitor, ActuatorMonitorConfig, WheelA
 pub use analytic::{
     BbwSystem, Functionality, Policy, ValueDomainParams, ValueDomainSystem, HOURS_PER_YEAR,
 };
-pub use blackout::{run_blackout_campaign, BlackoutCampaignConfig, BlackoutCampaignResult};
+pub use blackout::{
+    run_blackout_campaign, BlackoutCampaignConfig, BlackoutCampaignResult, BlackoutCounts,
+};
 pub use braking::{BrakingModel, BrakingScore, MissPolicy};
 pub use cluster::{BbwCluster, ClusterInjection, ClusterReport, ValueDomainReport};
 pub use cluster_campaign::{
     run_cluster_campaign, run_net_storm_campaign, ClusterCampaignConfig, ClusterCampaignResult,
-    NetStormCampaignConfig, NetStormCampaignResult, NetStormOutcomes,
+    NetStormCampaignConfig, NetStormCampaignResult, NetStormCounts,
 };
 pub use montecarlo::{run_monte_carlo, MonteCarloConfig, MonteCarloResult};
 pub use params::BbwParams;
@@ -93,9 +95,9 @@ pub use scenario::{
 pub use sensor::{PedalSensorArray, PedalVoterConfig, SensorFault, PEDAL_MAX};
 pub use value_campaign::{
     run_value_domain_campaign, ValueCampaignMode, ValueDomainCampaignConfig,
-    ValueDomainCampaignResult, ValueDomainOutcomes,
+    ValueDomainCampaignResult,
 };
 pub use weakly_hard_campaign::{
     run_miss_pattern_campaign, MissPatternCampaignConfig, MissPatternCampaignResult,
-    PlacementStrategy, WorstPattern,
+    MissPatternCounts, PlacementStrategy, WorstPattern,
 };

@@ -19,6 +19,7 @@
 //! bit-identical for any thread count.
 
 use nlft_core::diagnosis::AlphaCountConfig;
+use nlft_engine::Tally;
 use nlft_kernel::escalation::{EscalationPolicy, NodeHealth};
 use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault, TransientFault};
 use nlft_net::frame::NodeId;
@@ -122,41 +123,44 @@ impl RecoveryClusterCampaignConfig {
             threads: 1,
         }
     }
+
+    /// Checks that the campaign can run: trials, and at least 30 cycles
+    /// so the full escalation ladder fits.
+    pub fn check(&self) -> Result<(), String> {
+        if self.trials == 0 {
+            return Err("need trials".into());
+        }
+        if self.cycles < 30 {
+            return Err("recovery needs at least 30 cycles (the full ladder)".into());
+        }
+        Ok(())
+    }
 }
 
-/// Per-trial verdicts of the recovery campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryClusterOutcomes {
-    /// Trials run.
-    pub trials: u64,
-    /// Transient trials handled with zero escalation.
-    pub masked_transient: u64,
-    /// Intermittent trials whose victim restarted (or calmed down) and
-    /// ended the run healthy.
-    pub recovered: u64,
-    /// Permanent trials whose victim was retired.
-    pub retired: u64,
-    /// Non-permanent trials ending in a retirement (misclassification).
-    pub false_retirement: u64,
-    /// Permanent trials whose victim was still in service at the end —
-    /// stuck-ats that TEM's identical copies cannot distinguish.
-    pub missed_permanent: u64,
-    /// Braking service lost at any point.
-    pub service_lost: u64,
-    /// Everything else (trial ended mid-ladder).
-    pub unresolved: u64,
-}
-
-impl RecoveryClusterOutcomes {
-    fn merge(&mut self, other: &RecoveryClusterOutcomes) {
-        self.trials += other.trials;
-        self.masked_transient += other.masked_transient;
-        self.recovered += other.recovered;
-        self.retired += other.retired;
-        self.false_retirement += other.false_retirement;
-        self.missed_permanent += other.missed_permanent;
-        self.service_lost += other.service_lost;
-        self.unresolved += other.unresolved;
+nlft_engine::tally! {
+    /// Per-trial verdicts of the recovery campaign.
+    pub struct RecoveryClusterOutcomes: "recovery-cluster-outcomes" {
+        verdicts {
+            /// Transient trials handled with zero escalation.
+            masked_transient,
+            /// Intermittent trials whose victim restarted (or calmed
+            /// down) and ended the run healthy.
+            recovered,
+            /// Permanent trials whose victim was retired.
+            retired,
+            /// Non-permanent trials ending in a retirement
+            /// (misclassification).
+            false_retirement,
+            /// Permanent trials whose victim was still in service at the
+            /// end — stuck-ats that TEM's identical copies cannot
+            /// distinguish.
+            missed_permanent,
+            /// Braking service lost at any point.
+            service_lost,
+            /// Everything else (trial ended mid-ladder).
+            unresolved,
+        }
+        metrics {}
     }
 }
 
@@ -167,15 +171,12 @@ impl RecoveryClusterOutcomes {
 ///
 /// # Panics
 ///
-/// Panics if `trials` is zero or `cycles < 30` (the ladder needs room).
+/// Panics if [`RecoveryClusterCampaignConfig::check`] rejects the
+/// config.
 pub fn run_recovery_cluster_campaign(
     config: &RecoveryClusterCampaignConfig,
 ) -> RecoveryClusterOutcomes {
-    assert!(config.trials > 0, "need trials");
-    assert!(
-        config.cycles >= 30,
-        "the escalation ladder needs >= 30 cycles"
-    );
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
     let campaign = nlft_engine::indexed_campaign(

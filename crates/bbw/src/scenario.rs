@@ -20,8 +20,8 @@ use nlft_core::campaign::{run_campaign, CampaignConfig};
 use nlft_core::diagnosis::AlphaCountConfig;
 use nlft_core::multicore_campaign::{run_multicore_campaign, MulticoreCampaignConfig};
 use nlft_core::policy::NodePolicy;
-use nlft_engine::checkpoint::{self, Checkpoint, TokenReader};
-use nlft_engine::{CampaignOptions, EngineConfig, ResumePoint};
+use nlft_engine::checkpoint;
+use nlft_engine::{CampaignOptions, EngineConfig, ResumePoint, Tally};
 use nlft_kernel::contract::MkContract;
 use nlft_kernel::escalation::EscalationPolicy;
 use nlft_kernel::resources::ProtocolKind;
@@ -113,17 +113,16 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    fn new(
-        name: &str,
-        trials: u64,
-        verdicts: Vec<(String, u64)>,
-        metrics: Vec<(String, u64)>,
-    ) -> Self {
+    /// The outcome of a scenario whose family folded `counts`: every
+    /// counter under its declared name, in declaration order.
+    fn new(name: &str, counts: &impl Tally) -> Self {
+        let named =
+            |pairs: Vec<(&str, u64)>| pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
         let mut outcome = ScenarioOutcome {
             name: name.to_string(),
-            trials,
-            verdicts,
-            metrics,
+            trials: counts.trials(),
+            verdicts: named(counts.verdicts()),
+            metrics: named(counts.metrics()),
             digest: 0,
         };
         outcome.digest = crc32(outcome.canonical().as_bytes());
@@ -220,26 +219,21 @@ fn pc_fault() -> TransientFault {
 }
 
 /// Compiles a parsed scenario onto its concrete runner configuration,
-/// revalidating every rate through the injectors' typed constructors.
-/// `threads` is the worker count for families that shard (the outcome
-/// itself is thread-count invariant).
+/// revalidating every rate through the injectors' typed constructors and
+/// the configuration through its family's `check`, so whatever compiles
+/// runs without panicking. `threads` is the worker count for families
+/// that shard (the outcome itself is thread-count invariant).
 pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, CompileError> {
     let fail = |message: String| CompileError {
         scenario: spec.name.clone(),
         message,
     };
-    if spec.trials == 0 {
-        return Err(fail("trials must be positive".into()));
-    }
-    Ok(match &spec.params {
+    let compiled = match &spec.params {
         FamilyParams::NetStorm {
             cycles,
             intensity,
             node_faults,
         } => {
-            if *cycles < 2 {
-                return Err(fail("net_storm needs at least 2 cycles".into()));
-            }
             let mut config = NetStormCampaignConfig::new(spec.trials, spec.seed);
             config.cycles = *cycles;
             config.intensity = *intensity;
@@ -270,12 +264,6 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             min_reset,
             include_cus,
         } => {
-            if *down == 0 {
-                return Err(fail("blackout must last at least 1 cycle".into()));
-            }
-            if *min_reset == 0 {
-                return Err(fail("blackout must reset at least 1 node".into()));
-            }
             let mut config = BlackoutCampaignConfig::new(spec.trials, spec.seed);
             config.warmup_cycles = *warmup;
             config.recovery_cycles = *recovery;
@@ -287,11 +275,6 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             CompiledScenario::Blackout(config)
         }
         FamilyParams::Recovery { cycles } => {
-            if *cycles < 30 {
-                return Err(fail(
-                    "recovery needs at least 30 cycles (the full ladder)".into(),
-                ));
-            }
             let mut config = RecoveryClusterCampaignConfig::new(spec.trials, spec.seed);
             config.cycles = *cycles;
             config.threads = threads;
@@ -305,19 +288,10 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             interval_hi,
             zero_force,
         } => {
-            if *horizon_jobs == 0 || *horizon_jobs > 64 {
-                return Err(fail("weakly_hard horizon must be 1–64 jobs".into()));
-            }
-            if interval_lo >= interval_hi {
-                return Err(fail(
-                    "weakly_hard interval must be a non-empty range".into(),
-                ));
-            }
-            let contract =
-                MkContract::try_new(*max_misses, *window).map_err(|e| fail(e.to_string()))?;
             let mut config = MissPatternCampaignConfig::nominal(spec.trials, spec.seed);
             config.horizon_jobs = *horizon_jobs;
-            config.contract = contract;
+            config.contract =
+                MkContract::try_new(*max_misses, *window).map_err(|e| fail(e.to_string()))?;
             config.fault_interval_us = (*interval_lo, *interval_hi);
             config.policy = if *zero_force {
                 MissPolicy::ZeroForce
@@ -332,9 +306,6 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             horizon,
             escalated_p,
         } => {
-            if *cores < 2 {
-                return Err(fail("multicore needs at least 2 cores".into()));
-            }
             let mut config = MulticoreCampaignConfig::new(spec.trials, spec.seed);
             config.cores = *cores;
             config.horizon = *horizon;
@@ -352,76 +323,98 @@ pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, 
             config.threads = threads;
             CompiledScenario::Node(config)
         }
-        FamilyParams::Cluster(cluster) => {
-            compile_cluster(spec, cluster).map_err(fail)?;
-            CompiledScenario::Cluster(ClusterScenarioConfig {
-                trials: spec.trials,
-                seed: spec.seed,
-                spec: cluster.clone(),
-            })
-        }
-    })
+        FamilyParams::Cluster(cluster) => CompiledScenario::Cluster(ClusterScenarioConfig {
+            trials: spec.trials,
+            seed: spec.seed,
+            spec: cluster.clone(),
+        }),
+    };
+    compiled.check().map_err(fail)?;
+    Ok(compiled)
 }
 
-/// Validates a cluster declaration by dry-building its plan through the
-/// injectors' typed constructors.
-fn compile_cluster(spec: &ScenarioSpec, cluster: &ClusterSpec) -> Result<(), String> {
-    if cluster.cycles < 2 {
-        return Err("cluster needs at least 2 cycles".into());
-    }
-    build_net_plan(cluster).map_err(|e| e.to_string())?;
-    for fault in &cluster.faults {
-        match fault {
-            FaultLine::Transient { cycle, copy, .. } => {
-                if *cycle == 0 || *cycle >= cluster.cycles {
-                    return Err(format!(
-                        "transient cycle {cycle} outside 1..{}",
-                        cluster.cycles
-                    ));
-                }
-                if *copy > 1 {
-                    return Err(format!("transient copy {copy} must be 0 or 1"));
-                }
-            }
-            FaultLine::Intermittent {
-                recurrence, burst, ..
-            } => {
-                IntermittentFault {
-                    fault: pc_fault(),
-                    recurrence: *recurrence,
-                    burst_jobs: *burst,
-                }
-                .check()
-                .map_err(|e| e.to_string())?;
-            }
-            FaultLine::CoreDeath { node, .. } => {
-                let declared = cluster
-                    .nodes
-                    .iter()
-                    .any(|&(n, k)| n == *node && k != NodeKind::SingleCore);
-                if !declared {
-                    return Err(format!(
-                        "core_death on {} requires a dual-core node kind in `topology`",
-                        node.keyword()
-                    ));
-                }
-            }
-            FaultLine::Sensor { channel, .. } if *channel > 2 => {
-                return Err(format!("sensor channel {channel} outside 0–2"));
-            }
-            FaultLine::Actuator { wheel, .. } if *wheel > 3 => {
-                return Err(format!("actuator wheel {wheel} outside 0–3"));
-            }
-            _ => {}
+impl CompiledScenario {
+    /// The family configuration's own validity check — the one its
+    /// runner panics on.
+    fn check(&self) -> Result<(), String> {
+        match self {
+            CompiledScenario::NetStorm(config) => config.check(),
+            CompiledScenario::ValueDomain(config) => config.check(),
+            CompiledScenario::Blackout(config) => config.check(),
+            CompiledScenario::Recovery(config) => config.check(),
+            CompiledScenario::WeaklyHard(config) => config.check(),
+            CompiledScenario::Multicore(config) => config.check(),
+            CompiledScenario::Node(config) => config.check(),
+            CompiledScenario::Cluster(config) => config.check(),
         }
     }
-    if let Some(contracts) = cluster.contracts {
-        for (m, k) in contracts {
-            MkContract::try_new(m, k).map_err(|e| e.to_string())?;
+}
+
+impl ClusterScenarioConfig {
+    /// Checks that the scenario can run: trials, at least 2 cycles, and
+    /// every fault line valid — the net-fault plan dry-built through the
+    /// injectors' typed constructors.
+    pub fn check(&self) -> Result<(), String> {
+        let cluster = &self.spec;
+        if self.trials == 0 {
+            return Err("need trials".into());
         }
+        if cluster.cycles < 2 {
+            return Err("cluster needs at least 2 cycles".into());
+        }
+        build_net_plan(cluster).map_err(|e| e.to_string())?;
+        for fault in &cluster.faults {
+            match fault {
+                FaultLine::Transient { cycle, copy, .. } => {
+                    if *cycle == 0 || *cycle >= cluster.cycles {
+                        return Err(format!(
+                            "transient cycle {cycle} outside 1..{}",
+                            cluster.cycles
+                        ));
+                    }
+                    if *copy > 1 {
+                        return Err(format!("transient copy {copy} must be 0 or 1"));
+                    }
+                }
+                FaultLine::Intermittent {
+                    recurrence, burst, ..
+                } => {
+                    IntermittentFault {
+                        fault: pc_fault(),
+                        recurrence: *recurrence,
+                        burst_jobs: *burst,
+                    }
+                    .check()
+                    .map_err(|e| e.to_string())?;
+                }
+                FaultLine::CoreDeath { node, .. } => {
+                    let declared = cluster
+                        .nodes
+                        .iter()
+                        .any(|&(n, k)| n == *node && k != NodeKind::SingleCore);
+                    if !declared {
+                        return Err(format!(
+                            "core_death on {} requires a dual-core node kind in `topology`",
+                            node.keyword()
+                        ));
+                    }
+                }
+                FaultLine::Sensor { channel, .. } if *channel > 2 => {
+                    return Err(format!("sensor channel {channel} outside 0–2"));
+                }
+                FaultLine::Actuator { wheel, .. } if *wheel > 3 => {
+                    return Err(format!("actuator wheel {wheel} outside 0–3"));
+                }
+                _ => {}
+            }
+        }
+        if let Some(contracts) = cluster.contracts {
+            for (m, k) in contracts {
+                MkContract::try_new(m, k).map_err(|e| e.to_string())?;
+            }
+        }
+        Ok(())
     }
-    let _ = spec;
-    Ok(())
 }
 
 /// Builds the net-fault plan declared by a cluster's `storm` / `rates` /
@@ -489,194 +482,36 @@ fn build_net_plan(
     Ok(if any { Some(plan) } else { None })
 }
 
-/// Runs a compiled scenario and reduces its family-specific result to
-/// the canonical [`ScenarioOutcome`].
+/// Runs a compiled scenario and reduces its family's counters to the
+/// canonical [`ScenarioOutcome`].
+///
+/// # Panics
+///
+/// Panics if the configuration fails its family's `check` — impossible
+/// for one [`compile`] returned.
 pub fn run_compiled(name: &str, compiled: &CompiledScenario) -> ScenarioOutcome {
     match compiled {
-        CompiledScenario::NetStorm(config) => {
-            let r = run_net_storm_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.outcomes.trials,
-                vec![
-                    ("split_membership".into(), r.outcomes.split_membership),
-                    ("service_lost".into(), r.outcomes.service_lost),
-                    ("degraded_episode".into(), r.outcomes.degraded_episode),
-                    ("omission_only".into(), r.outcomes.omission_only),
-                    ("unaffected".into(), r.outcomes.unaffected),
-                ],
-                vec![
-                    ("injected".into(), r.injected.total()),
-                    ("crc_rejects".into(), r.crc_rejects),
-                    ("corruptions_applied".into(), r.corruptions_applied),
-                    ("guardian_blocks".into(), r.guardian_blocks),
-                    ("masquerade_rejects".into(), r.masquerade_rejects),
-                    ("masquerades_applied".into(), r.masquerades_applied),
-                    (
-                        "reintegrations".into(),
-                        r.reintegration_latencies.len() as u64,
-                    ),
-                    (
-                        "reintegration_cycles".into(),
-                        r.reintegration_latencies
-                            .iter()
-                            .map(|&l| u64::from(l))
-                            .sum(),
-                    ),
-                ],
-            )
+        CompiledScenario::NetStorm(c) => {
+            ScenarioOutcome::new(name, &run_net_storm_campaign(c).counts)
         }
-        CompiledScenario::ValueDomain(config) => {
-            let r = run_value_domain_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.outcomes.trials,
-                vec![
-                    ("undetected".into(), r.outcomes.undetected),
-                    ("service_lost".into(), r.outcomes.service_lost),
-                    ("detected".into(), r.outcomes.detected),
-                    ("masked".into(), r.outcomes.masked),
-                ],
-                vec![
-                    (
-                        "worst_total_force_deficit".into(),
-                        u64::from(r.worst_total_force_deficit),
-                    ),
-                    (
-                        "worst_left_right_imbalance".into(),
-                        u64::from(r.worst_left_right_imbalance),
-                    ),
-                    ("stale_rejects".into(), r.stale_rejects),
-                    ("seal_rejects".into(), r.seal_rejects),
-                    ("held_setpoint_cycles".into(), r.held_setpoint_cycles),
-                    ("sensor_demotions".into(), r.sensor_demotions),
-                    ("actuator_trips".into(), r.actuator_trips),
-                    (
-                        "undetected_value_failures".into(),
-                        r.undetected_value_failures,
-                    ),
-                ],
-            )
+        CompiledScenario::ValueDomain(c) => {
+            ScenarioOutcome::new(name, &run_value_domain_campaign(c))
         }
-        CompiledScenario::Blackout(config) => {
-            let r = run_blackout_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.trials,
-                vec![
-                    ("full_recoveries".into(), r.full_recoveries),
-                    ("incomplete".into(), r.trials - r.full_recoveries),
-                ],
-                vec![
-                    ("cold_start_trials".into(), r.cold_start_trials),
-                    ("cold_starts_sent".into(), r.cold_starts_sent),
-                    ("big_bangs".into(), r.big_bangs),
-                    ("clique_reverts".into(), r.clique_reverts),
-                    ("guardian_blocks".into(), r.guardian_blocks),
-                    ("held_setpoint_cycles".into(), r.held_setpoint_cycles),
-                    (
-                        "membership_cycles".into(),
-                        r.time_to_full_membership
-                            .iter()
-                            .map(|&l| u64::from(l))
-                            .sum(),
-                    ),
-                    (
-                        "unavailability_cycles".into(),
-                        r.unavailability_cycles.iter().map(|&l| u64::from(l)).sum(),
-                    ),
-                ],
-            )
+        CompiledScenario::Blackout(c) => {
+            ScenarioOutcome::new(name, &run_blackout_campaign(c).counts)
         }
-        CompiledScenario::Recovery(config) => {
-            let r = run_recovery_cluster_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.trials,
-                vec![
-                    ("masked_transient".into(), r.masked_transient),
-                    ("recovered".into(), r.recovered),
-                    ("retired".into(), r.retired),
-                    ("false_retirement".into(), r.false_retirement),
-                    ("missed_permanent".into(), r.missed_permanent),
-                    ("service_lost".into(), r.service_lost),
-                    ("unresolved".into(), r.unresolved),
-                ],
-                Vec::new(),
-            )
+        CompiledScenario::Recovery(c) => {
+            ScenarioOutcome::new(name, &run_recovery_cluster_campaign(c))
         }
-        CompiledScenario::WeaklyHard(config) => {
-            let r = run_miss_pattern_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.trials,
-                vec![
-                    ("certified".into(), r.certified_trials),
-                    ("uncertified".into(), r.trials - r.certified_trials),
-                    ("violating".into(), r.violating_trials),
-                    ("bound_reached".into(), r.bound_reached_trials),
-                ],
-                vec![
-                    ("certified_violations".into(), r.certified_violations),
-                    ("bound_breaches".into(), r.bound_breaches),
-                    ("total_misses".into(), r.total_misses),
-                    (
-                        "worst_window_misses".into(),
-                        u64::from(r.worst_window_misses),
-                    ),
-                    ("total_excess_distance".into(), r.total_excess_distance),
-                ],
-            )
+        CompiledScenario::WeaklyHard(c) => {
+            ScenarioOutcome::new(name, &run_miss_pattern_campaign(c).counts)
         }
-        CompiledScenario::Multicore(config) => {
-            let r = run_multicore_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.trials,
-                vec![
-                    ("crash".into(), r.crash_trials),
-                    ("escalated".into(), r.escalated_trials),
-                ],
-                vec![
-                    ("lock_failed_crash".into(), r.lock_failed_crash_trials),
-                    ("lock_clean_crash".into(), r.lock_clean_crash_trials),
-                    ("lock_clean_escalated".into(), r.lock_clean_escalated_trials),
-                    ("lock_deadlocks".into(), r.lock_deadlocks),
-                    ("lock_misses".into(), r.lock_misses),
-                    ("leftrs_misses".into(), r.leftrs_misses),
-                    ("leftrs_deadlocks".into(), r.leftrs_deadlocks),
-                    ("leftrs_clean".into(), r.leftrs_clean_trials),
-                    ("leftrs_max_retries".into(), u64::from(r.leftrs_max_retries)),
-                    ("retry_bound_breaches".into(), r.retry_bound_breaches),
-                    ("escalation_events".into(), r.escalation_events),
-                    ("uncertified_tasks".into(), r.uncertified_tasks),
-                ],
-            )
+        CompiledScenario::Multicore(c) => {
+            ScenarioOutcome::new(name, &run_multicore_campaign(c).counts)
         }
-        CompiledScenario::Node(config) => {
-            let r = run_campaign(config);
-            ScenarioOutcome::new(
-                name,
-                r.trials,
-                vec![
-                    ("masked".into(), r.modes.masked),
-                    ("omission".into(), r.modes.omission),
-                    ("fail_silent".into(), r.modes.fail_silent),
-                    ("undetected".into(), r.modes.undetected),
-                ],
-                vec![
-                    ("param_detected".into(), r.counts.detected),
-                    ("param_undetected".into(), r.counts.undetected),
-                    ("param_masked".into(), r.counts.masked),
-                    ("param_omissions".into(), r.counts.omissions),
-                    ("param_fail_silent".into(), r.counts.fail_silent),
-                    ("param_benign".into(), r.counts.benign),
-                    ("ecc_escaped".into(), r.ecc_escaped),
-                ],
-            )
-        }
-        CompiledScenario::Cluster(config) => {
-            run_cluster_scenario(name, config, 1, &ScenarioEngineOptions::default())
+        CompiledScenario::Node(c) => ScenarioOutcome::new(name, &run_campaign(c).counts),
+        CompiledScenario::Cluster(c) => {
+            run_cluster_scenario(name, c, 1, &ScenarioEngineOptions::default())
                 .expect("default engine options cannot fail")
         }
     }
@@ -755,134 +590,107 @@ pub fn run_scenario_with(
     }
 }
 
-/// Verdicts of the free-form cluster family in canonical order — the
-/// order of [`ScenarioOutcome::verdicts`] and of checkpoint tokens.
-/// Each trial gets the first that applies.
-const CLUSTER_VERDICTS: [&str; 6] = [
-    "undetected",
-    "split_membership",
-    "service_lost",
-    "degraded_episode",
-    "omission_only",
-    "unaffected",
-];
-
-/// Metrics of the free-form cluster family in canonical order — the
-/// order of [`ScenarioOutcome::metrics`] and of checkpoint tokens.
-const CLUSTER_METRICS: [&str; 20] = [
-    "omissions",
-    "degraded_cycles",
-    "injected",
-    "crc_rejects",
-    "guardian_blocks",
-    "masquerade_rejects",
-    "corruptions_applied",
-    "masquerades_applied",
-    "restarts",
-    "retired_nodes",
-    "escalations",
-    "contract_misses",
-    "contract_violations",
-    "held_setpoint_cycles",
-    "sensor_demotions",
-    "actuator_trips",
-    "undetected_value_failures",
-    "core_deaths",
-    "reintegrations",
-    "reintegration_cycles",
-];
-
-/// Per-trial tallies of the free-form cluster engine, indexed like
-/// [`CLUSTER_VERDICTS`] and [`CLUSTER_METRICS`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct ClusterTallies {
-    trials: u64,
-    verdicts: [u64; CLUSTER_VERDICTS.len()],
-    metrics: [u64; CLUSTER_METRICS.len()],
+nlft_engine::tally! {
+    /// Per-trial tallies of the free-form cluster engine. Each trial
+    /// gets the first verdict that applies.
+    struct ClusterTallies: "cluster-tallies" {
+        verdicts {
+            /// At least one silent value failure.
+            undetected,
+            /// Membership majority lost at some point.
+            split_membership,
+            /// Braking service lost.
+            service_lost,
+            /// Membership shrank and force was redistributed.
+            degraded_episode,
+            /// Slots were lost but membership never shrank.
+            omission_only,
+            /// No externally visible trace.
+            unaffected,
+        }
+        metrics {
+            /// Omitted slots.
+            omissions,
+            /// Cycles in degraded mode.
+            degraded_cycles,
+            /// Network injection decisions, all kinds.
+            injected,
+            /// Frames the CRC rejected.
+            crc_rejects,
+            /// Babbling transmissions the guardian blocked.
+            guardian_blocks,
+            /// Forged frames the identity check rejected.
+            masquerade_rejects,
+            /// Corruptions that landed on a transmitted frame.
+            corruptions_applied,
+            /// Masquerades that landed on a transmitted frame.
+            masquerades_applied,
+            /// Supervisor restarts.
+            restarts,
+            /// Nodes retired.
+            retired_nodes,
+            /// Escalation-ladder events.
+            escalations,
+            /// Wheel (m,k) contract misses.
+            contract_misses,
+            /// Wheel (m,k) contract violations.
+            contract_violations,
+            /// Cycles wheels braked on a held last-safe set-point.
+            held_setpoint_cycles,
+            /// Pedal channels demoted.
+            sensor_demotions,
+            /// Actuator monitors tripped.
+            actuator_trips,
+            /// Silent value failures.
+            undetected_value_failures,
+            /// Core deaths.
+            core_deaths,
+            /// Exclusion→readmission episodes.
+            reintegrations,
+            /// Their latencies summed, in cycles.
+            reintegration_cycles,
+        }
+    }
 }
 
 impl ClusterTallies {
     fn absorb(&mut self, report: &ClusterReport, injected: u64) {
         let undetected_value = u64::from(report.value.undetected_value_failures());
-        // The verdict ladder, rung for rung in CLUSTER_VERDICTS order.
-        let verdict = [
-            undetected_value > 0,
-            report.split_membership,
-            report.service_lost,
-            report.degraded_cycles > 0,
-            report.omissions > 0,
-            true,
-        ]
-        .iter()
-        .position(|&applies| applies)
-        .expect("the last rung always applies");
-        // In CLUSTER_METRICS order.
-        let metrics = [
-            u64::from(report.omissions),
-            u64::from(report.degraded_cycles),
-            injected,
-            report.crc_rejects,
-            report.guardian_blocks,
-            report.masquerade_rejects,
-            report.corruptions_applied,
-            report.masquerades_applied,
-            u64::from(report.restarts),
-            report.retired_nodes.len() as u64,
-            report.escalations.len() as u64,
-            report
-                .wheel_contract_misses
-                .iter()
-                .map(|&m| u64::from(m))
-                .sum(),
-            report
-                .wheel_contract_violations
-                .iter()
-                .map(|&v| u64::from(v))
-                .sum(),
-            u64::from(report.value.held_setpoint_cycles),
-            u64::from(report.value.sensor_demotions),
-            report.value.actuator_trips.len() as u64,
-            undetected_value,
-            report.core_deaths.len() as u64,
-            report.reintegration_latencies.len() as u64,
-            report
-                .reintegration_latencies
-                .iter()
-                .map(|&l| u64::from(l))
-                .sum(),
-        ];
         self.trials += 1;
-        self.verdicts[verdict] += 1;
-        for (total, x) in self.metrics.iter_mut().zip(metrics) {
-            *total += x;
+        if undetected_value > 0 {
+            self.undetected += 1;
+        } else if report.split_membership {
+            self.split_membership += 1;
+        } else if report.service_lost {
+            self.service_lost += 1;
+        } else if report.degraded_cycles > 0 {
+            self.degraded_episode += 1;
+        } else if report.omissions > 0 {
+            self.omission_only += 1;
+        } else {
+            self.unaffected += 1;
         }
-    }
-
-    fn merge(&mut self, other: &ClusterTallies) {
-        self.trials += other.trials;
-        for (total, x) in self.verdicts.iter_mut().zip(other.verdicts) {
-            *total += x;
-        }
-        for (total, x) in self.metrics.iter_mut().zip(other.metrics) {
-            *total += x;
-        }
-    }
-
-    /// The canonical outcome of a scenario with these tallies.
-    fn outcome(&self, name: &str) -> ScenarioOutcome {
-        fn named(names: &[&str], values: &[u64]) -> Vec<(String, u64)> {
-            names
-                .iter()
-                .zip(values)
-                .map(|(name, &v)| (name.to_string(), v))
-                .collect()
-        }
-        ScenarioOutcome::new(
-            name,
-            self.trials,
-            named(&CLUSTER_VERDICTS, &self.verdicts),
-            named(&CLUSTER_METRICS, &self.metrics),
-        )
+        let sum = |xs: &[u32]| xs.iter().map(|&x| u64::from(x)).sum::<u64>();
+        self.omissions += u64::from(report.omissions);
+        self.degraded_cycles += u64::from(report.degraded_cycles);
+        self.injected += injected;
+        self.crc_rejects += report.crc_rejects;
+        self.guardian_blocks += report.guardian_blocks;
+        self.masquerade_rejects += report.masquerade_rejects;
+        self.corruptions_applied += report.corruptions_applied;
+        self.masquerades_applied += report.masquerades_applied;
+        self.restarts += u64::from(report.restarts);
+        self.retired_nodes += report.retired_nodes.len() as u64;
+        self.escalations += report.escalations.len() as u64;
+        self.contract_misses += sum(&report.wheel_contract_misses);
+        self.contract_violations += sum(&report.wheel_contract_violations);
+        self.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
+        self.sensor_demotions += u64::from(report.value.sensor_demotions);
+        self.actuator_trips += report.value.actuator_trips.len() as u64;
+        self.undetected_value_failures += undetected_value;
+        self.core_deaths += report.core_deaths.len() as u64;
+        self.reintegrations += report.reintegration_latencies.len() as u64;
+        self.reintegration_cycles += sum(&report.reintegration_latencies);
     }
 }
 
@@ -1018,12 +826,17 @@ fn run_cluster_trial(
 /// its own labelled stream off the scenario seed and block partials are
 /// folded in block order, so the outcome — digest included — is
 /// identical for any thread count and across a checkpoint/resume split.
+///
+/// # Panics
+///
+/// Panics if [`ClusterScenarioConfig::check`] rejects the config.
 fn run_cluster_scenario(
     name: &str,
     config: &ClusterScenarioConfig,
     threads: usize,
     opts: &ScenarioEngineOptions<'_>,
 ) -> Result<ScenarioOutcome, CompileError> {
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
     let campaign = nlft_engine::indexed_campaign(
@@ -1067,30 +880,7 @@ fn run_cluster_scenario(
         on_checkpoint: encode_cb.as_deref(),
     };
     let run = nlft_engine::run_trials_with(campaign, &engine, options);
-    Ok(run.acc.outcome(name))
-}
-
-impl Checkpoint for ClusterTallies {
-    fn encode(&self) -> String {
-        let mut out = String::from("cluster-tallies");
-        checkpoint::push_u64(&mut out, self.trials);
-        for &x in self.verdicts.iter().chain(&self.metrics) {
-            checkpoint::push_u64(&mut out, x);
-        }
-        out
-    }
-
-    fn decode(reader: &mut TokenReader<'_>) -> Result<Self, String> {
-        reader.expect_tag("cluster-tallies")?;
-        let mut tallies = ClusterTallies {
-            trials: reader.next_u64()?,
-            ..ClusterTallies::default()
-        };
-        for slot in tallies.verdicts.iter_mut().chain(&mut tallies.metrics) {
-            *slot = reader.next_u64()?;
-        }
-        Ok(tallies)
-    }
+    Ok(ScenarioOutcome::new(name, &run.acc))
 }
 
 #[cfg(test)]
@@ -1116,11 +906,11 @@ mod tests {
         let direct = run_net_storm_campaign(&config);
         assert_eq!(
             outcome.counter("service_lost"),
-            Some(direct.outcomes.service_lost)
+            Some(direct.counts.service_lost)
         );
         assert_eq!(
             outcome.counter("degraded_episode"),
-            Some(direct.outcomes.degraded_episode)
+            Some(direct.counts.degraded_episode)
         );
         assert_eq!(outcome.counter("injected"), Some(direct.injected.total()));
     }
@@ -1169,6 +959,28 @@ mod tests {
     }
 
     #[test]
+    fn compile_rejects_every_config_its_runner_would_panic_on() {
+        // Each of these parses, and each once compiled only to trip a
+        // runner assertion.
+        let cases = [
+            ("weakly_hard", "horizon_jobs 4\ncontract 2 8"),
+            ("weakly_hard", "interval 0 10"),
+            ("value_domain", "cycles 3"),
+            ("multicore", "horizon 2"),
+            ("blackout", "warmup 1"),
+            ("blackout", "recovery 0"),
+            ("blackout", "min_reset 9"),
+        ];
+        for (family, params) in cases {
+            let s = spec(&format!(
+                "scenario bad\nfamily {family}\ntrials 2\nseed 1\nparams\n{params}\nend\nend\n"
+            ));
+            let e = compile(&s, 1).expect_err(params);
+            assert_eq!(e.scenario, "bad");
+        }
+    }
+
+    #[test]
     fn cluster_scenario_exercises_every_fault_line() {
         let s = spec(
             "scenario all-lines\nfamily cluster\ntrials 2\nseed 0xabc\n\
@@ -1206,7 +1018,7 @@ mod tests {
             checkpoint::decode(&text).expect("checkpoint decodes");
         assert_eq!(point.trials_done, 12);
         assert_eq!(checkpoint::encode(&point), text, "re-encoding moved bytes");
-        let outcome = point.acc.outcome("stable");
+        let outcome = ScenarioOutcome::new("stable", &point.acc);
         assert_eq!(outcome.trials, 12);
         assert_eq!(outcome.counter("undetected"), Some(1));
         assert_eq!(outcome.counter("unaffected"), Some(1));

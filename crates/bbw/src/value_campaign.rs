@@ -25,6 +25,7 @@
 //! stream from `(seed, trial index)`, shard results merge by sums and
 //! maxima, and the golden test pins the exact outcome at 1/2/5 threads.
 
+use nlft_engine::Tally;
 use nlft_machine::fault::FaultSpace;
 use nlft_net::inject::{NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
@@ -86,51 +87,65 @@ impl ValueDomainCampaignConfig {
             net_intensity: 0.2,
         }
     }
+
+    /// Checks that the campaign can run: trials, at least 8 cycles (the
+    /// fault onsets are drawn from `2..cycles / 2`), and a network
+    /// intensity in `[0, 1]`.
+    pub fn check(&self) -> Result<(), String> {
+        if self.trials == 0 {
+            return Err("need trials".into());
+        }
+        if self.cycles < 8 {
+            return Err("value_domain needs at least 8 cycles for its onset windows".into());
+        }
+        if !(0.0..=1.0).contains(&self.net_intensity) {
+            return Err("net_intensity must be in [0, 1]".into());
+        }
+        Ok(())
+    }
 }
 
-/// Per-trial verdicts, most severe first. Each trial gets exactly one:
-/// `undetected` beats `service_lost` beats `detected` beats `masked`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ValueDomainOutcomes {
-    /// Trials run.
-    pub trials: u64,
-    /// At least one silent value failure — a fault neither masked nor
-    /// detected. The headline coverage number: must be zero for
-    /// single-fault campaigns.
-    pub undetected: u64,
-    /// Braking service lost (everything was detected, but too much of
-    /// the cluster went down).
-    pub service_lost: u64,
-    /// Some detection layer fired (flag, demotion, reject, trip, or a
-    /// membership exclusion) and service survived.
-    pub detected: u64,
-    /// The fault left no externally visible trace at all.
-    pub masked: u64,
-}
-
-/// Everything a value-domain campaign measures.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ValueDomainCampaignResult {
-    /// Verdict tallies.
-    pub outcomes: ValueDomainOutcomes,
-    /// Largest per-cycle total-force shortfall vs the clean twin, over
-    /// all trials (force counts).
-    pub worst_total_force_deficit: u32,
-    /// Largest per-cycle left/right wheel-pair asymmetry, over all
-    /// trials (force counts).
-    pub worst_left_right_imbalance: u32,
-    /// Commands rejected as stale / duplicated / too old.
-    pub stale_rejects: u64,
-    /// Commands rejected by the application-level seal.
-    pub seal_rejects: u64,
-    /// Cycles wheels braked on a held last-safe set-point.
-    pub held_setpoint_cycles: u64,
-    /// Pedal channels demoted by the weakly-hard window.
-    pub sensor_demotions: u64,
-    /// Actuator monitors tripped (actuator failed to safe release).
-    pub actuator_trips: u64,
-    /// Silent value failures summed over all trials.
-    pub undetected_value_failures: u64,
+nlft_engine::tally! {
+    /// Everything a value-domain campaign measures. Each trial gets
+    /// exactly one verdict, most severe first: `undetected` beats
+    /// `service_lost` beats `detected` beats `masked`.
+    pub struct ValueDomainCampaignResult: "value-domain-counts" {
+        verdicts {
+            /// At least one silent value failure — a fault neither
+            /// masked nor detected. The headline coverage number: must be
+            /// zero for single-fault campaigns.
+            undetected,
+            /// Braking service lost (everything was detected, but too
+            /// much of the cluster went down).
+            service_lost,
+            /// Some detection layer fired (flag, demotion, reject, trip,
+            /// or a membership exclusion) and service survived.
+            detected,
+            /// The fault left no externally visible trace at all.
+            masked,
+        }
+        metrics {
+            /// Largest per-cycle total-force shortfall vs the clean twin,
+            /// over all trials (force counts).
+            worst_total_force_deficit: max,
+            /// Largest per-cycle left/right wheel-pair asymmetry, over
+            /// all trials (force counts).
+            worst_left_right_imbalance: max,
+            /// Commands rejected as stale / duplicated / too old.
+            stale_rejects,
+            /// Commands rejected by the application-level seal.
+            seal_rejects,
+            /// Cycles wheels braked on a held last-safe set-point.
+            held_setpoint_cycles,
+            /// Pedal channels demoted by the weakly-hard window.
+            sensor_demotions,
+            /// Actuator monitors tripped (actuator failed to safe
+            /// release).
+            actuator_trips,
+            /// Silent value failures summed over all trials.
+            undetected_value_failures,
+        }
+    }
 }
 
 impl ValueDomainCampaignResult {
@@ -138,30 +153,10 @@ impl ValueDomainCampaignResult {
     /// whose faults were masked or detected rather than silent. This is
     /// the `c_v` parameter the extended fault tree takes as input.
     pub fn detection_coverage(&self) -> f64 {
-        if self.outcomes.trials == 0 {
+        if self.trials == 0 {
             return 0.0;
         }
-        1.0 - self.outcomes.undetected as f64 / self.outcomes.trials as f64
-    }
-
-    fn merge(&mut self, other: ValueDomainCampaignResult) {
-        self.outcomes.trials += other.outcomes.trials;
-        self.outcomes.undetected += other.outcomes.undetected;
-        self.outcomes.service_lost += other.outcomes.service_lost;
-        self.outcomes.detected += other.outcomes.detected;
-        self.outcomes.masked += other.outcomes.masked;
-        self.worst_total_force_deficit = self
-            .worst_total_force_deficit
-            .max(other.worst_total_force_deficit);
-        self.worst_left_right_imbalance = self
-            .worst_left_right_imbalance
-            .max(other.worst_left_right_imbalance);
-        self.stale_rejects += other.stale_rejects;
-        self.seal_rejects += other.seal_rejects;
-        self.held_setpoint_cycles += other.held_setpoint_cycles;
-        self.sensor_demotions += other.sensor_demotions;
-        self.actuator_trips += other.actuator_trips;
-        self.undetected_value_failures += other.undetected_value_failures;
+        1.0 - self.undetected as f64 / self.trials as f64
     }
 }
 
@@ -254,15 +249,9 @@ const ALL_NODES: [nlft_net::frame::NodeId; 6] =
 ///
 /// # Panics
 ///
-/// Panics if `trials` is zero, `cycles < 8`, or `net_intensity` is
-/// outside `[0, 1]`.
+/// Panics if [`ValueDomainCampaignConfig::check`] rejects the config.
 pub fn run_value_domain_campaign(config: &ValueDomainCampaignConfig) -> ValueDomainCampaignResult {
-    assert!(config.trials > 0, "need trials");
-    assert!(config.cycles >= 8, "need enough cycles for onset windows");
-    assert!(
-        (0.0..=1.0).contains(&config.net_intensity),
-        "net_intensity must be in [0, 1]"
-    );
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     let clean = clean_reference(config.cycles);
     let c = config.clone();
     let root = RngStream::new(config.seed);
@@ -274,7 +263,7 @@ pub fn run_value_domain_campaign(config: &ValueDomainCampaignConfig) -> ValueDom
         move |trial, _ctx, result: &mut ValueDomainCampaignResult| {
             run_value_trial(&c, &clean, &root, trial, result);
         },
-        |into, from| into.merge(from),
+        |into, from| into.merge(&from),
     );
     let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
     nlft_engine::run_trials(campaign, &engine).acc
@@ -332,7 +321,7 @@ fn score_trial(
     clean: &[Option<(u32, u32)>],
     report: &ClusterReport,
 ) {
-    result.outcomes.trials += 1;
+    result.trials += 1;
     let v = &report.value;
     let undetected = u64::from(v.undetected_value_failures());
     result.undetected_value_failures += undetected;
@@ -350,8 +339,9 @@ fn score_trial(
         let (total, imbalance) = force_metrics(record).unwrap_or((0, 0));
         result.worst_total_force_deficit = result
             .worst_total_force_deficit
-            .max(clean_total.saturating_sub(total));
-        result.worst_left_right_imbalance = result.worst_left_right_imbalance.max(imbalance);
+            .max(u64::from(clean_total.saturating_sub(total)));
+        result.worst_left_right_imbalance =
+            result.worst_left_right_imbalance.max(u64::from(imbalance));
     }
 
     let detection_fired = v.sensor_implausible_flags > 0
@@ -363,13 +353,13 @@ fn score_trial(
         || report.omissions > 0
         || report.crc_rejects > 0;
     if undetected > 0 {
-        result.outcomes.undetected += 1;
+        result.undetected += 1;
     } else if report.service_lost {
-        result.outcomes.service_lost += 1;
+        result.service_lost += 1;
     } else if detection_fired {
-        result.outcomes.detected += 1;
+        result.detected += 1;
     } else {
-        result.outcomes.masked += 1;
+        result.masked += 1;
     }
 }
 
@@ -381,14 +371,14 @@ mod tests {
     fn single_fault_campaign_has_zero_silent_failures() {
         let cfg = ValueDomainCampaignConfig::single_fault(40, 0x7A1E);
         let r = run_value_domain_campaign(&cfg);
-        assert_eq!(r.outcomes.trials, 40);
+        assert_eq!(r.trials, 40);
         assert_eq!(
-            r.outcomes.undetected, 0,
+            r.undetected, 0,
             "every single value fault must be masked or detected: {r:?}"
         );
         assert_eq!(r.undetected_value_failures, 0);
         assert!(
-            r.outcomes.service_lost == 0,
+            r.service_lost == 0,
             "one value fault must never take the brakes out: {r:?}"
         );
     }
@@ -407,11 +397,16 @@ mod tests {
         assert_eq!(one, five, "5 threads diverged from 1");
         // Golden pin: any change to fork labels, draw order, the sealed
         // command format or the cluster's cycle structure shows up here.
-        let o = &one.outcomes;
         assert_eq!(
-            (o.trials, o.undetected, o.service_lost, o.detected, o.masked),
+            (
+                one.trials,
+                one.undetected,
+                one.service_lost,
+                one.detected,
+                one.masked
+            ),
             (12, 0, 5, 7, 0),
-            "golden outcome distribution moved: {o:?}"
+            "golden outcome distribution moved: {one:?}"
         );
         assert_eq!(
             (
@@ -455,8 +450,8 @@ mod tests {
                 .max()
                 .unwrap()
         };
-        assert!(r.worst_total_force_deficit <= clean_max_total);
-        assert!(r.worst_left_right_imbalance <= 2 * clean_max_total);
-        assert!(r.outcomes.trials == 10);
+        assert!(r.worst_total_force_deficit <= u64::from(clean_max_total));
+        assert!(r.worst_left_right_imbalance <= 2 * u64::from(clean_max_total));
+        assert!(r.trials == 10);
     }
 }

@@ -28,6 +28,7 @@
 //! streams, block merges by sums and strictly-greater maxima, golden
 //! pins at 1/2/5 threads.
 
+use nlft_engine::Tally;
 use nlft_kernel::analysis::{analyse_weakly_hard, MissModel, TemCosts};
 use nlft_kernel::contract::MkContract;
 use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpecBuilder};
@@ -119,6 +120,27 @@ impl MissPatternCampaignConfig {
             policy: MissPolicy::HoldLast,
         }
     }
+
+    /// Checks that the campaign can run: trials, a horizon within
+    /// `[window, 64]` jobs, and a non-empty fault-interval range above
+    /// zero.
+    pub fn check(&self) -> Result<(), String> {
+        if self.trials == 0 {
+            return Err("need trials".into());
+        }
+        let window = self.contract.window;
+        if !(window..=64).contains(&self.horizon_jobs) {
+            return Err(format!(
+                "weakly_hard horizon of {} jobs must lie in [window {window}, 64]",
+                self.horizon_jobs
+            ));
+        }
+        let (lo, hi) = self.fault_interval_us;
+        if lo == 0 || lo >= hi {
+            return Err("weakly_hard interval must be a non-empty range above 0".into());
+        }
+        Ok(())
+    }
 }
 
 /// The single worst pattern found, by excess stopping distance.
@@ -138,48 +160,58 @@ pub struct WorstPattern {
     pub score: BrakingScore,
 }
 
+nlft_engine::tally! {
+    /// Counters of a miss-pattern campaign. Every trial is `certified`
+    /// or `uncertified`; `violating` and `bound_reached` count further
+    /// trial properties on top.
+    pub struct MissPatternCounts: "miss-pattern-counts" {
+        verdicts {
+            /// Trials whose fault interval the analyzer certified for the
+            /// contract.
+            certified,
+            /// Trials whose fault interval the analyzer did not certify.
+            uncertified,
+            /// Trials whose online monitor violated the contract (all of
+            /// them uncertified, or `certified_violations` would be
+            /// nonzero).
+            violating,
+            /// Trials whose observed worst window reached the bound
+            /// exactly (the adversarial strategy makes this nonzero:
+            /// tightness).
+            bound_reached,
+        }
+        metrics {
+            /// Certified trials whose online monitor still violated —
+            /// **must be zero**: a nonzero value is an analyzer
+            /// unsoundness.
+            certified_violations,
+            /// Trials whose observed worst window exceeded the analyzer's
+            /// bound for their fault interval — **must be zero** for
+            /// certified *and* uncertified trials alike.
+            bound_breaches,
+            /// Deadline misses summed over all trials.
+            total_misses,
+            /// Worst misses-in-window observed by any online monitor.
+            worst_window_misses: max,
+            /// Excess stopping distance summed over all trials (for
+            /// means).
+            total_excess_distance,
+        }
+    }
+}
+
 /// Everything the campaign measures.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MissPatternCampaignResult {
-    /// Trials run.
-    pub trials: u64,
-    /// Trials whose fault interval the analyzer certified for the
-    /// contract.
-    pub certified_trials: u64,
-    /// Certified trials whose online monitor still violated — **must
-    /// be zero**: a nonzero value is an analyzer unsoundness.
-    pub certified_violations: u64,
-    /// Trials whose observed worst window exceeded the analyzer's
-    /// bound for their fault interval — **must be zero** for certified
-    /// *and* uncertified trials alike.
-    pub bound_breaches: u64,
-    /// Trials whose observed worst window reached the bound exactly
-    /// (the adversarial strategy makes this nonzero: tightness).
-    pub bound_reached_trials: u64,
-    /// Trials whose online monitor violated the contract (all of them
-    /// uncertified, or `certified_violations` would be nonzero).
-    pub violating_trials: u64,
-    /// Deadline misses summed over all trials.
-    pub total_misses: u64,
-    /// Worst misses-in-window observed by any online monitor.
-    pub worst_window_misses: u32,
-    /// Excess stopping distance summed over all trials (for means).
-    pub total_excess_distance: u64,
+    /// Verdict and metric counters.
+    pub counts: MissPatternCounts,
     /// The worst pattern found, with its braking score.
     pub worst: Option<WorstPattern>,
 }
 
 impl MissPatternCampaignResult {
     fn merge(&mut self, other: MissPatternCampaignResult) {
-        self.trials += other.trials;
-        self.certified_trials += other.certified_trials;
-        self.certified_violations += other.certified_violations;
-        self.bound_breaches += other.bound_breaches;
-        self.bound_reached_trials += other.bound_reached_trials;
-        self.violating_trials += other.violating_trials;
-        self.total_misses += other.total_misses;
-        self.worst_window_misses = self.worst_window_misses.max(other.worst_window_misses);
-        self.total_excess_distance += other.total_excess_distance;
+        self.counts.merge(&other.counts);
         // Strictly-greater replacement + blocks merged in trial order ⇒
         // the earliest trial wins ties, so the winner is independent of
         // the thread count.
@@ -244,16 +276,9 @@ fn place_faults(
 ///
 /// # Panics
 ///
-/// Panics if `trials` is zero, the horizon does not fit `[window, 64]`
-/// jobs, or the fault-interval range is empty.
+/// Panics if [`MissPatternCampaignConfig::check`] rejects the config.
 pub fn run_miss_pattern_campaign(config: &MissPatternCampaignConfig) -> MissPatternCampaignResult {
-    assert!(config.trials > 0, "need trials");
-    assert!(
-        config.horizon_jobs <= 64 && config.horizon_jobs >= config.contract.window,
-        "horizon must fit [window, 64] jobs"
-    );
-    let (lo, hi) = config.fault_interval_us;
-    assert!(lo > 0 && lo < hi, "fault-interval range must be non-empty");
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
     let set = brake_task_set();
@@ -317,26 +342,30 @@ fn run_miss_pattern_trial(
         }
     }
 
-    result.trials += 1;
-    result.total_misses += u64::from(misses);
-    result.worst_window_misses = result.worst_window_misses.max(observed_worst);
+    let c = &mut result.counts;
+    c.trials += 1;
+    c.total_misses += u64::from(misses);
+    c.worst_window_misses = c.worst_window_misses.max(u64::from(observed_worst));
     if bound.satisfied {
-        result.certified_trials += 1;
+        c.certified += 1;
         if violated {
-            result.certified_violations += 1;
+            c.certified_violations += 1;
         }
-    } else if violated {
-        result.violating_trials += 1;
+    } else {
+        c.uncertified += 1;
+        if violated {
+            c.violating += 1;
+        }
     }
     if observed_worst > bound.worst_misses {
-        result.bound_breaches += 1;
+        c.bound_breaches += 1;
     } else if observed_worst == bound.worst_misses && bound.worst_misses > 0 {
-        result.bound_reached_trials += 1;
+        c.bound_reached += 1;
     }
 
     // The functional metric: what this pattern costs in distance.
     let score = braking.score(&pattern, config.policy);
-    result.total_excess_distance += score.excess_distance;
+    c.total_excess_distance += score.excess_distance;
     let candidate = WorstPattern {
         trial,
         fault_interval_us: tf_us,
@@ -361,15 +390,16 @@ mod tests {
     fn analyzer_is_never_beaten_and_bound_is_reached() {
         let cfg = MissPatternCampaignConfig::nominal(60, 0x3A5E);
         let r = run_miss_pattern_campaign(&cfg);
-        assert_eq!(r.trials, 60);
+        let c = &r.counts;
+        assert_eq!(c.trials, 60);
         // The tentpole cross-check: simulation never violates a
         // certified contract, never beats the bound, and the
         // adversarial strategy reaches it.
-        assert_eq!(r.certified_violations, 0, "analyzer unsound: {r:?}");
-        assert_eq!(r.bound_breaches, 0, "bound beaten: {r:?}");
-        assert!(r.bound_reached_trials > 0, "bound never reached: {r:?}");
-        assert!(r.certified_trials > 0, "sweep must cover calm intervals");
-        assert!(r.violating_trials > 0, "sweep must cover storms");
+        assert_eq!(c.certified_violations, 0, "analyzer unsound: {r:?}");
+        assert_eq!(c.bound_breaches, 0, "bound beaten: {r:?}");
+        assert!(c.bound_reached > 0, "bound never reached: {r:?}");
+        assert!(c.certified > 0, "sweep must cover calm intervals");
+        assert!(c.violating > 0, "sweep must cover storms");
         // The functional metric is live: the worst pattern costs
         // distance and is reported with its score.
         let worst = r.worst.expect("some pattern found");
@@ -390,23 +420,24 @@ mod tests {
         assert_eq!(one, five, "5 threads diverged from 1");
         // Golden pin: any change to fork labels, draw order, the miss
         // model, the analyzer or the braking scorer shows up here.
+        let c = &one.counts;
         assert_eq!(
             (
-                one.trials,
-                one.certified_trials,
-                one.certified_violations,
-                one.bound_breaches,
-                one.bound_reached_trials,
-                one.violating_trials,
+                c.trials,
+                c.certified,
+                c.certified_violations,
+                c.bound_breaches,
+                c.bound_reached,
+                c.violating,
             ),
             (24, 13, 0, 0, 1, 2),
             "golden verdict counters moved: {one:?}"
         );
         assert_eq!(
             (
-                one.total_misses,
-                one.worst_window_misses,
-                one.total_excess_distance
+                c.total_misses,
+                c.worst_window_misses,
+                c.total_excess_distance
             ),
             (83, 8, 58_322_608),
             "golden aggregate metrics moved: {one:?}"
@@ -438,7 +469,7 @@ mod tests {
         let zero = run_miss_pattern_campaign(&cfg);
         // Same seeds ⇒ same patterns; only the wheel's miss behaviour
         // differs, so the functional cost ordering is deterministic.
-        assert_eq!(hold.total_misses, zero.total_misses);
-        assert!(zero.total_excess_distance > hold.total_excess_distance);
+        assert_eq!(hold.counts.total_misses, zero.counts.total_misses);
+        assert!(zero.counts.total_excess_distance > hold.counts.total_excess_distance);
     }
 }

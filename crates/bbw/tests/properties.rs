@@ -392,13 +392,8 @@ fn single_fault_campaigns_have_no_silent_failures_for_any_seed() {
             let mut cfg = ValueDomainCampaignConfig::single_fault(6, seed);
             cfg.cycles = 20;
             let result = run_value_domain_campaign(&cfg);
-            prop_assert_eq!(
-                result.outcomes.undetected,
-                0,
-                "silent trial under seed {}",
-                seed
-            );
-            prop_assert_eq!(result.outcomes.service_lost, 0);
+            prop_assert_eq!(result.undetected, 0, "silent trial under seed {}", seed);
+            prop_assert_eq!(result.service_lost, 0);
             prop_assert_eq!(result.undetected_value_failures, 0);
             Ok(())
         },

@@ -69,29 +69,32 @@ fn net_storm_nominal_equals_hand_wired_campaign() {
 
     assert_eq!(
         outcome.counter("split_membership"),
-        Some(direct.outcomes.split_membership)
+        Some(direct.counts.split_membership)
     );
     assert_eq!(
         outcome.counter("service_lost"),
-        Some(direct.outcomes.service_lost)
+        Some(direct.counts.service_lost)
     );
     assert_eq!(
         outcome.counter("degraded_episode"),
-        Some(direct.outcomes.degraded_episode)
+        Some(direct.counts.degraded_episode)
     );
     assert_eq!(
         outcome.counter("omission_only"),
-        Some(direct.outcomes.omission_only)
+        Some(direct.counts.omission_only)
     );
     assert_eq!(
         outcome.counter("unaffected"),
-        Some(direct.outcomes.unaffected)
+        Some(direct.counts.unaffected)
     );
     assert_eq!(outcome.counter("injected"), Some(direct.injected.total()));
-    assert_eq!(outcome.counter("crc_rejects"), Some(direct.crc_rejects));
+    assert_eq!(
+        outcome.counter("crc_rejects"),
+        Some(direct.counts.crc_rejects)
+    );
     assert_eq!(
         outcome.counter("guardian_blocks"),
-        Some(direct.guardian_blocks)
+        Some(direct.counts.guardian_blocks)
     );
 }
 
@@ -105,19 +108,22 @@ fn core_death_mid_section_equals_hand_wired_campaign() {
     let config = MulticoreCampaignConfig::new(spec.trials, spec.seed);
     let direct = run_multicore_campaign(&config);
 
-    assert_eq!(outcome.counter("crash"), Some(direct.crash_trials));
-    assert_eq!(outcome.counter("escalated"), Some(direct.escalated_trials));
+    assert_eq!(outcome.counter("crash"), Some(direct.counts.crash));
+    assert_eq!(outcome.counter("escalated"), Some(direct.counts.escalated));
     assert_eq!(
         outcome.counter("lock_failed_crash"),
-        Some(direct.lock_failed_crash_trials)
+        Some(direct.counts.lock_failed_crash)
     );
     assert_eq!(
         outcome.counter("leftrs_clean"),
-        Some(direct.leftrs_clean_trials)
+        Some(direct.counts.leftrs_clean)
     );
-    assert_eq!(outcome.counter("lock_misses"), Some(direct.lock_misses));
+    assert_eq!(
+        outcome.counter("lock_misses"),
+        Some(direct.counts.lock_misses)
+    );
     assert_eq!(
         outcome.counter("escalation_events"),
-        Some(direct.escalation_events)
+        Some(direct.counts.escalation_events)
     );
 }

@@ -30,10 +30,10 @@ fn analytic_retirement_slots(p_err: f64) -> f64 {
 
 fn report(result: &RecoveryCampaignResult) -> Json {
     let c = &result.counts;
-    let frac = |n: u64| Json::Num(n as f64 / result.trials as f64);
+    let frac = |n: u64| Json::Num(n as f64 / c.trials as f64);
     let (fr_lo, fr_hi) = result.false_retirement.wilson_interval(Confidence::C95);
     Json::obj([
-        ("trials", Json::UInt(result.trials)),
+        ("trials", Json::UInt(c.trials)),
         ("masked_transient", frac(c.masked_transient)),
         ("recovered", frac(c.recovered)),
         ("retired", frac(c.retired)),
@@ -54,11 +54,8 @@ fn report(result: &RecoveryCampaignResult) -> Json {
             "retirement_latency_jobs",
             Json::Num(result.retirement_latency_jobs.mean()),
         ),
-        ("restarts_total", Json::UInt(result.restarts_total)),
-        (
-            "undetected_wrong_jobs",
-            Json::UInt(result.undetected_wrong_jobs),
-        ),
+        ("restarts_total", Json::UInt(c.restarts_total)),
+        ("undetected_wrong_jobs", Json::UInt(c.undetected_wrong_jobs)),
         (
             "analytic_retirement_slots_p1",
             Json::Num(analytic_retirement_slots(1.0)),

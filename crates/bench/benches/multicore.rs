@@ -48,20 +48,15 @@ fn certify_sweep() -> usize {
 }
 
 fn report(result: &MulticoreCampaignResult) -> Json {
+    let c = &result.counts;
     Json::obj(vec![
-        ("trials", Json::UInt(result.trials)),
-        ("crash_trials", Json::UInt(result.crash_trials)),
-        ("escalated_trials", Json::UInt(result.escalated_trials)),
-        (
-            "lock_failed_crash_trials",
-            Json::UInt(result.lock_failed_crash_trials),
-        ),
-        ("lock_deadlocks", Json::UInt(result.lock_deadlocks)),
-        ("lock_misses", Json::UInt(result.lock_misses)),
-        (
-            "leftrs_clean_trials",
-            Json::UInt(result.leftrs_clean_trials),
-        ),
+        ("trials", Json::UInt(c.trials)),
+        ("crash_trials", Json::UInt(c.crash)),
+        ("escalated_trials", Json::UInt(c.escalated)),
+        ("lock_failed_crash_trials", Json::UInt(c.lock_failed_crash)),
+        ("lock_deadlocks", Json::UInt(c.lock_deadlocks)),
+        ("lock_misses", Json::UInt(c.lock_misses)),
+        ("leftrs_clean_trials", Json::UInt(c.leftrs_clean)),
         (
             "leftrs_max_retry_cost_us",
             Json::UInt(result.leftrs_max_retry_cost_us),
@@ -70,12 +65,9 @@ fn report(result: &MulticoreCampaignResult) -> Json {
             "certified_retry_term_us",
             Json::UInt(result.certified_retry_term_us),
         ),
-        (
-            "retry_bound_breaches",
-            Json::UInt(result.retry_bound_breaches),
-        ),
+        ("retry_bound_breaches", Json::UInt(c.retry_bound_breaches)),
         ("certified_tasks", Json::UInt(result.certified_tasks)),
-        ("uncertified_tasks", Json::UInt(result.uncertified_tasks)),
+        ("uncertified_tasks", Json::UInt(c.uncertified_tasks)),
         ("claims_hold", Json::Bool(result.claims_hold())),
     ])
 }

@@ -16,7 +16,7 @@ fn campaign(trials: u64, threads: usize) -> NetStormCampaignResult {
 }
 
 fn report(result: &NetStormCampaignResult) -> Json {
-    let o = &result.outcomes;
+    let o = &result.counts;
     let frac = |n: u64| Json::Num(n as f64 / o.trials as f64);
     let latency = |pct: u32| {
         result

@@ -21,20 +21,18 @@ fn report(result: &BlackoutCampaignResult) -> Json {
             .membership_percentile(pct)
             .map_or(Json::Null, |v| Json::UInt(u64::from(v)))
     };
+    let c = &result.counts;
     Json::obj([
-        ("trials", Json::UInt(result.trials)),
+        ("trials", Json::UInt(c.trials)),
         ("recovery_fraction", Json::Num(result.recovery_fraction())),
         (
             "cold_start_fraction",
-            Json::Num(result.cold_start_trials as f64 / result.trials as f64),
+            Json::Num(c.cold_start_trials as f64 / c.trials as f64),
         ),
-        ("big_bangs", Json::UInt(result.big_bangs)),
-        ("clique_reverts", Json::UInt(result.clique_reverts)),
-        ("guardian_blocks", Json::UInt(result.guardian_blocks)),
-        (
-            "held_setpoint_cycles",
-            Json::UInt(result.held_setpoint_cycles),
-        ),
+        ("big_bangs", Json::UInt(c.big_bangs)),
+        ("clique_reverts", Json::UInt(c.clique_reverts)),
+        ("guardian_blocks", Json::UInt(c.guardian_blocks)),
+        ("held_setpoint_cycles", Json::UInt(c.held_setpoint_cycles)),
         ("membership_p50_cycles", membership(50)),
         ("membership_p95_cycles", membership(95)),
         (

@@ -23,22 +23,21 @@ fn combined_storm(trials: u64, threads: usize) -> ValueDomainCampaignResult {
 }
 
 fn report(result: &ValueDomainCampaignResult) -> Json {
-    let o = &result.outcomes;
-    let frac = |n: u64| Json::Num(n as f64 / o.trials as f64);
+    let frac = |n: u64| Json::Num(n as f64 / result.trials as f64);
     Json::obj([
-        ("trials", Json::UInt(o.trials)),
-        ("masked", frac(o.masked)),
-        ("detected", frac(o.detected)),
-        ("service_lost", frac(o.service_lost)),
-        ("undetected", frac(o.undetected)),
+        ("trials", Json::UInt(result.trials)),
+        ("masked", frac(result.masked)),
+        ("detected", frac(result.detected)),
+        ("service_lost", frac(result.service_lost)),
+        ("undetected", frac(result.undetected)),
         ("detection_coverage", Json::Num(result.detection_coverage())),
         (
             "worst_total_force_deficit",
-            Json::UInt(u64::from(result.worst_total_force_deficit)),
+            Json::UInt(result.worst_total_force_deficit),
         ),
         (
             "worst_left_right_imbalance",
-            Json::UInt(u64::from(result.worst_left_right_imbalance)),
+            Json::UInt(result.worst_left_right_imbalance),
         ),
         ("seal_rejects", Json::UInt(result.seal_rejects)),
         ("stale_rejects", Json::UInt(result.stale_rejects)),

@@ -121,7 +121,7 @@ fn main() {
     );
     for policy in [NodePolicy::LightweightNlft, NodePolicy::FailSilent] {
         let result = table1::generate(trials, 0x7AB1E, policy);
-        println!("policy: {policy}  ({} injections)", result.trials);
+        println!("policy: {policy}  ({} injections)", result.counts.trials);
         print!("{}", result.matrix.render_table());
         println!("{result}");
         println!();

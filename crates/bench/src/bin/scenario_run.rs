@@ -26,6 +26,12 @@
 //! * `pin` — print the `pin 0x…` line for each scenario (for authoring
 //!   new zoo entries).
 //!
+//! The counters `run` prints are the family's `tally!` declaration, in
+//! its order and under its field names — the same names `accept`
+//! clauses use. A scenario whose parameters fail its family's `check`
+//! (say a blackout `warmup 1`) is reported as a compile error and never
+//! reaches a runner.
+//!
 //! An unknown flag, a second filter, or a missing or malformed flag
 //! value is an error: the runner names the offending argument and
 //! exits with status 2.

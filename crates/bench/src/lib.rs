@@ -402,8 +402,8 @@ pub mod ablation {
                     ecc,
                     policy: policy.to_string(),
                     coverage: r.counts.coverage().estimate(),
-                    benign: r.counts.benign,
-                    undetected: r.counts.undetected,
+                    benign: r.counts.param_benign,
+                    undetected: r.counts.param_undetected,
                 });
             }
         }
@@ -588,6 +588,6 @@ mod tests {
     #[test]
     fn table1_campaign_smoke() {
         let r = super::table1::generate(60, 99, nlft_core::policy::NodePolicy::LightweightNlft);
-        assert_eq!(r.trials, 60);
+        assert_eq!(r.counts.trials, 60);
     }
 }

@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use nlft_engine::Tally;
 use nlft_kernel::escalation::{EscalationEvent, EscalationPolicy, NodeHealth};
 use nlft_kernel::tem::{InjectionPlan, JobFault, JobOutcome, TemConfig, TemExecutor};
 use nlft_machine::edm::{DetectionMatrix, Edm};
@@ -109,110 +110,120 @@ impl CampaignConfig {
             threads: 1,
         }
     }
+
+    /// Checks that the campaign can run: trials, workloads, a kernel
+    /// fraction in `[0, 1)` and a tight-deadline fraction in `[0, 1]`.
+    pub fn check(&self) -> Result<(), String> {
+        if self.trials == 0 {
+            return Err("campaign needs trials".into());
+        }
+        if self.workloads.is_empty() {
+            return Err("campaign needs workloads".into());
+        }
+        if !(0.0..1.0).contains(&self.kernel_fraction) {
+            return Err("kernel fraction must be in [0,1)".into());
+        }
+        if !(0.0..=1.0).contains(&self.tight_deadline_fraction) {
+            return Err("tight-deadline fraction must be in [0,1]".into());
+        }
+        Ok(())
+    }
 }
 
-/// Point estimates (with counts) of the paper's parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParamCounts {
-    /// Errors detected (masked + omission + fail-silent + FS detections).
-    pub detected: u64,
-    /// Errors that escaped detection.
-    pub undetected: u64,
-    /// Detected errors masked by TEM.
-    pub masked: u64,
-    /// Detected errors that became omissions.
-    pub omissions: u64,
-    /// Detected errors that silenced the node (kernel + FS policy).
-    pub fail_silent: u64,
-    /// Faults with no observable effect.
-    pub benign: u64,
+nlft_engine::tally! {
+    /// Counters of a fault-injection campaign: the node-boundary failure
+    /// mode of each trial, plus the counts behind the paper's parameter
+    /// estimates.
+    pub struct CampaignCounts: "campaign-counts" {
+        verdicts {
+            /// No externally visible effect.
+            masked,
+            /// Omission failures.
+            omission,
+            /// Fail-silent failures.
+            fail_silent,
+            /// Undetected wrong outputs.
+            undetected,
+        }
+        metrics {
+            /// Errors detected (masked + omission + fail-silent + FS
+            /// detections).
+            param_detected,
+            /// Errors that escaped detection.
+            param_undetected,
+            /// Detected errors masked by TEM.
+            param_masked,
+            /// Detected errors that became omissions.
+            param_omissions,
+            /// Detected errors that silenced the node (kernel + FS
+            /// policy).
+            param_fail_silent,
+            /// Faults with no observable effect.
+            param_benign,
+            /// Corrupted memory reads served with ECC disabled — the
+            /// silent-corruption exposure of cheap-node (no-ECC)
+            /// configurations. Always zero when ECC is on: a corrupted
+            /// read is then either corrected or trapped, never served.
+            ecc_escaped,
+        }
+    }
 }
 
-impl ParamCounts {
+impl CampaignCounts {
     /// Error-detection coverage `C_D` as a proportion.
     pub fn coverage(&self) -> Proportion {
-        Proportion::from_counts(self.detected, self.detected + self.undetected)
+        Proportion::from_counts(
+            self.param_detected,
+            self.param_detected + self.param_undetected,
+        )
     }
 
     /// `P_T`: detected errors masked.
     pub fn p_t(&self) -> Proportion {
-        Proportion::from_counts(self.masked, self.detected)
+        Proportion::from_counts(self.param_masked, self.param_detected)
     }
 
     /// `P_OM`: detected errors that became omissions.
     pub fn p_om(&self) -> Proportion {
-        Proportion::from_counts(self.omissions, self.detected)
+        Proportion::from_counts(self.param_omissions, self.param_detected)
     }
 
     /// `P_FS`: detected errors that silenced the node.
     pub fn p_fs(&self) -> Proportion {
-        Proportion::from_counts(self.fail_silent, self.detected)
+        Proportion::from_counts(self.param_fail_silent, self.param_detected)
     }
 }
 
 /// Full campaign result.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignResult {
-    /// Trials run.
-    pub trials: u64,
+    /// Failure-mode and parameter counters.
+    pub counts: CampaignCounts,
     /// Per-(fault class × EDM) detection matrix — the Table 1 artifact.
     pub matrix: DetectionMatrix,
-    /// Aggregated parameter counts.
-    pub counts: ParamCounts,
-    /// Node-boundary failure modes, tallied.
-    pub modes: ModeCounts,
-    /// Corrupted memory reads served with ECC disabled, summed over all
-    /// trials — the silent-corruption exposure of cheap-node (no-ECC)
-    /// configurations. Always zero when ECC is on: a corrupted read is
-    /// then either corrected or trapped, never served.
-    pub ecc_escaped: u64,
-}
-
-/// Tally of node-boundary failure modes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ModeCounts {
-    /// No externally visible effect.
-    pub masked: u64,
-    /// Omission failures.
-    pub omission: u64,
-    /// Fail-silent failures.
-    pub fail_silent: u64,
-    /// Undetected wrong outputs.
-    pub undetected: u64,
 }
 
 impl CampaignResult {
     fn merge(&mut self, other: &CampaignResult) {
-        self.trials += other.trials;
+        self.counts.merge(&other.counts);
         self.matrix.merge(&other.matrix);
-        self.counts.detected += other.counts.detected;
-        self.counts.undetected += other.counts.undetected;
-        self.counts.masked += other.counts.masked;
-        self.counts.omissions += other.counts.omissions;
-        self.counts.fail_silent += other.counts.fail_silent;
-        self.counts.benign += other.counts.benign;
-        self.modes.masked += other.modes.masked;
-        self.modes.omission += other.modes.omission;
-        self.modes.fail_silent += other.modes.fail_silent;
-        self.modes.undetected += other.modes.undetected;
-        self.ecc_escaped += other.ecc_escaped;
     }
 }
 
 impl fmt::Display for CampaignResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let c = &self.counts;
-        writeln!(f, "campaign: {} trials", self.trials)?;
+        writeln!(f, "campaign: {} trials", c.trials)?;
         writeln!(
             f,
             "  benign {} / detected {} / undetected {}",
-            c.benign, c.detected, c.undetected
+            c.param_benign, c.param_detected, c.param_undetected
         )?;
-        if self.ecc_escaped > 0 {
+        if c.ecc_escaped > 0 {
             writeln!(
                 f,
                 "  silent ECC escapes {} (corrupted reads served, no ECC)",
-                self.ecc_escaped
+                c.ecc_escaped
             )?;
         }
         let pct = |p: Proportion| format!("{:.4}", p.estimate());
@@ -227,19 +238,9 @@ impl fmt::Display for CampaignResult {
 ///
 /// # Panics
 ///
-/// Panics if the configuration has no trials, no workloads, or an invalid
-/// kernel fraction.
+/// Panics if [`CampaignConfig::check`] rejects the config.
 pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
-    assert!(config.trials > 0, "campaign needs trials");
-    assert!(!config.workloads.is_empty(), "campaign needs workloads");
-    assert!(
-        (0.0..1.0).contains(&config.kernel_fraction),
-        "kernel fraction must be in [0,1)"
-    );
-    assert!(
-        (0.0..=1.0).contains(&config.tight_deadline_fraction),
-        "tight-deadline fraction must be in [0,1]"
-    );
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     // Every trial forks its own stream from (seed, trial index) and the
     // engine folds block partials in block order regardless of worker
     // count, so parallelism only decides which worker runs a trial.
@@ -390,53 +391,54 @@ fn record(
     _workload: &Workload,
     _config: &CampaignConfig,
 ) {
-    result.trials += 1;
-    result.ecc_escaped += outcome.ecc_escaped;
+    let counts = &mut result.counts;
+    counts.trials += 1;
+    counts.ecc_escaped += outcome.ecc_escaped;
     let class = outcome.fault.map(|f| f.target.class());
     match outcome.verdict {
         Verdict::Benign => {
-            result.counts.benign += 1;
+            counts.param_benign += 1;
             if let Some(c) = class {
                 result.matrix.record_benign(c);
             }
         }
         Verdict::Masked { detected_by } => {
-            result.counts.detected += 1;
-            result.counts.masked += 1;
+            counts.param_detected += 1;
+            counts.param_masked += 1;
             if let Some(c) = class {
                 result.matrix.record_detection(c, detected_by);
             }
         }
         Verdict::Omission { detected_by } => {
-            result.counts.detected += 1;
-            result.counts.omissions += 1;
+            counts.param_detected += 1;
+            counts.param_omissions += 1;
             if let Some(c) = class {
                 result.matrix.record_detection(c, detected_by);
             }
         }
         Verdict::Detected { detected_by } => {
-            result.counts.detected += 1;
-            result.counts.fail_silent += 1;
+            counts.param_detected += 1;
+            counts.param_fail_silent += 1;
             if let Some(c) = class {
                 result.matrix.record_detection(c, detected_by);
             }
         }
         Verdict::KernelError => {
-            result.counts.detected += 1;
-            result.counts.fail_silent += 1;
+            counts.param_detected += 1;
+            counts.param_fail_silent += 1;
         }
         Verdict::UndetectedWrongOutput => {
-            result.counts.undetected += 1;
+            counts.param_undetected += 1;
             if let Some(c) = class {
                 result.matrix.record_undetected(c);
             }
         }
     }
     match NodeFailureMode::classify(policy, outcome.verdict) {
-        NodeFailureMode::Masked => result.modes.masked += 1,
-        NodeFailureMode::Omission => result.modes.omission += 1,
-        NodeFailureMode::FailSilent => result.modes.fail_silent += 1,
-        NodeFailureMode::Undetected => result.modes.undetected += 1,
+        NodeFailureMode::Masked => counts.masked += 1,
+        NodeFailureMode::Omission => counts.omission += 1,
+        NodeFailureMode::FailSilent => counts.fail_silent += 1,
+        NodeFailureMode::Undetected => counts.undetected += 1,
     }
 }
 
@@ -512,32 +514,37 @@ impl RecoveryCampaignConfig {
     }
 }
 
-/// Verdict tallies of a recovery campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryCounts {
-    /// One-shot transients handled without escalation.
-    pub masked_transient: u64,
-    /// Nodes that escalated and returned to service.
-    pub recovered: u64,
-    /// Permanent faults correctly retired.
-    pub retired: u64,
-    /// Non-permanent faults wrongly retired.
-    pub false_retirement: u64,
-    /// Permanent faults still in service at trial end.
-    pub missed_permanent: u64,
-    /// Trials ending mid-ladder.
-    pub unresolved: u64,
+nlft_engine::tally! {
+    /// Counters of a recovery campaign: one verdict per trial plus the
+    /// restart and wrong-output totals.
+    pub struct RecoveryCounts: "recovery-counts" {
+        verdicts {
+            /// One-shot transients handled without escalation.
+            masked_transient,
+            /// Nodes that escalated and returned to service.
+            recovered,
+            /// Permanent faults correctly retired.
+            retired,
+            /// Non-permanent faults wrongly retired.
+            false_retirement,
+            /// Permanent faults still in service at trial end.
+            missed_permanent,
+            /// Trials ending mid-ladder.
+            unresolved,
+        }
+        metrics {
+            /// Restarts scheduled across all trials.
+            restarts_total,
+            /// Jobs that delivered a wrong result with no detection.
+            undetected_wrong_jobs,
+        }
+    }
 }
 
 impl RecoveryCounts {
-    /// Total trials tallied.
+    /// Total trials tallied by verdict.
     pub fn total(&self) -> u64 {
-        self.masked_transient
-            + self.recovered
-            + self.retired
-            + self.false_retirement
-            + self.missed_permanent
-            + self.unresolved
+        self.verdicts().iter().map(|&(_, n)| n).sum()
     }
 
     fn record(&mut self, v: RecoveryVerdict) {
@@ -557,9 +564,7 @@ impl RecoveryCounts {
 /// restart counts.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryCampaignResult {
-    /// Trials run.
-    pub trials: u64,
-    /// Verdict tallies.
+    /// Verdict and metric counters.
     pub counts: RecoveryCounts,
     /// False retirements over non-permanent trials (the misclassification
     /// rate; its Wilson upper bound must stay below
@@ -571,42 +576,29 @@ pub struct RecoveryCampaignResult {
     /// Jobs from fault onset to retirement, over correctly retired
     /// permanent trials (compared against the analytic escalation chain).
     pub retirement_latency_jobs: OnlineStats,
-    /// Restarts scheduled across all trials.
-    pub restarts_total: u64,
     /// Per-active-job error rate measured during intermittent bursts —
     /// the `p_err` a matching analytic [`crate::diagnosis::escalation_chain`]
     /// should be built with.
     pub intermittent_error_rate: Proportion,
-    /// Jobs that delivered a wrong result with no detection.
-    pub undetected_wrong_jobs: u64,
 }
 
 impl RecoveryCampaignResult {
     fn merge(&mut self, other: &RecoveryCampaignResult) {
-        self.trials += other.trials;
-        let o = other.counts;
-        self.counts.masked_transient += o.masked_transient;
-        self.counts.recovered += o.recovered;
-        self.counts.retired += o.retired;
-        self.counts.false_retirement += o.false_retirement;
-        self.counts.missed_permanent += o.missed_permanent;
-        self.counts.unresolved += o.unresolved;
+        self.counts.merge(&other.counts);
         self.false_retirement.merge(&other.false_retirement);
         self.detection_latency_jobs
             .merge(&other.detection_latency_jobs);
         self.retirement_latency_jobs
             .merge(&other.retirement_latency_jobs);
-        self.restarts_total += other.restarts_total;
         self.intermittent_error_rate
             .merge(&other.intermittent_error_rate);
-        self.undetected_wrong_jobs += other.undetected_wrong_jobs;
     }
 }
 
 impl fmt::Display for RecoveryCampaignResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let c = &self.counts;
-        writeln!(f, "recovery campaign: {} trials", self.trials)?;
+        writeln!(f, "recovery campaign: {} trials", c.trials)?;
         writeln!(
             f,
             "  masked {} / recovered {} / retired {} / false-retired {} / missed {} / unresolved {}",
@@ -633,7 +625,7 @@ impl fmt::Display for RecoveryCampaignResult {
             self.detection_latency_jobs.mean(),
             self.detection_latency_jobs.count()
         )?;
-        write!(f, "  restarts = {}", self.restarts_total)
+        write!(f, "  restarts = {}", c.restarts_total)
     }
 }
 
@@ -717,7 +709,7 @@ fn run_recovery_trial(
             JobOutcome::DeliveredMasked { .. } | JobOutcome::Omission { .. }
         );
         if report.outcome.delivered() && report.outputs.as_ref() != Some(&golden) {
-            result.undetected_wrong_jobs += 1;
+            result.counts.undetected_wrong_jobs += 1;
         }
         if let FaultModel::Intermittent(f) = &model {
             if job >= onset && job - onset < f.burst_jobs {
@@ -769,9 +761,9 @@ fn run_recovery_trial(
         }
     };
 
-    result.trials += 1;
+    result.counts.trials += 1;
     result.counts.record(verdict);
-    result.restarts_total += restarts;
+    result.counts.restarts_total += restarts;
     if model.persistence() != FaultPersistence::Permanent {
         result
             .false_retirement
@@ -855,7 +847,6 @@ mod tests {
         let a = run_campaign(&cfg);
         let b = run_campaign(&cfg);
         assert_eq!(a.counts, b.counts);
-        assert_eq!(a.modes, b.modes);
     }
 
     #[test]
@@ -865,7 +856,6 @@ mod tests {
         cfg.threads = 4;
         let par = run_campaign(&cfg);
         assert_eq!(seq.counts, par.counts);
-        assert_eq!(seq.modes, par.modes);
         assert_eq!(seq.matrix, par.matrix);
     }
 
@@ -873,7 +863,7 @@ mod tests {
     fn nlft_masks_most_detected_errors() {
         let cfg = quick_config(NodePolicy::LightweightNlft, 400);
         let r = run_campaign(&cfg);
-        assert!(r.counts.detected > 0, "some faults must activate");
+        assert!(r.counts.param_detected > 0, "some faults must activate");
         let p_t = r.counts.p_t().estimate();
         assert!(
             p_t > 0.6,
@@ -889,10 +879,10 @@ mod tests {
     fn fs_policy_never_masks() {
         let cfg = quick_config(NodePolicy::FailSilent, 300);
         let r = run_campaign(&cfg);
-        assert_eq!(r.counts.masked, 0);
-        assert_eq!(r.counts.omissions, 0);
-        assert_eq!(r.modes.omission, 0);
-        assert!(r.modes.fail_silent > 0);
+        assert_eq!(r.counts.param_masked, 0);
+        assert_eq!(r.counts.param_omissions, 0);
+        assert_eq!(r.counts.omission, 0);
+        assert!(r.counts.fail_silent > 0);
     }
 
     #[test]
@@ -901,7 +891,7 @@ mod tests {
         let cfg = quick_config(NodePolicy::FailSilent, 600);
         let r = run_campaign(&cfg);
         assert!(
-            r.counts.undetected > 0,
+            r.counts.param_undetected > 0,
             "a plain run must let some wrong outputs through"
         );
         let c_d = r.counts.coverage().estimate();
@@ -956,7 +946,7 @@ mod tests {
         cfg.tight_deadline_fraction = 1.0; // every job slack-free
         let r = run_campaign(&cfg);
         assert!(
-            r.counts.omissions > 0,
+            r.counts.param_omissions > 0,
             "without slack, some detected errors must become omissions"
         );
         // Early EDM kills still get masked — the killed copy's unused time
@@ -973,7 +963,7 @@ mod tests {
         pressed.tight_deadline_fraction = 0.3;
         let r0 = run_campaign(&relaxed);
         let r1 = run_campaign(&pressed);
-        assert_eq!(r0.counts.omissions, 0);
+        assert_eq!(r0.counts.param_omissions, 0);
         assert!(r1.counts.p_om().estimate() > r0.counts.p_om().estimate());
     }
 
@@ -990,8 +980,8 @@ mod tests {
         let without = mk(false);
         // Memory faults under ECC are corrected (benign) or detected; with
         // ECC off, more of them land as activated errors or escapes.
-        let benign_with = with_ecc.counts.benign;
-        let benign_without = without.counts.benign;
+        let benign_with = with_ecc.counts.param_benign;
+        let benign_without = without.counts.param_benign;
         assert!(
             benign_without <= benign_with,
             "ECC-off cannot make more faults benign: {benign_without} vs {benign_with}"
@@ -1022,7 +1012,6 @@ mod tests {
         let a = run_recovery_campaign(&cfg);
         let b = run_recovery_campaign(&cfg);
         assert_eq!(a.counts, b.counts);
-        assert_eq!(a.restarts_total, b.restarts_total);
     }
 
     #[test]
@@ -1035,8 +1024,6 @@ mod tests {
         let five = run_recovery_campaign(&cfg);
         assert_eq!(seq.counts, two.counts);
         assert_eq!(seq.counts, five.counts);
-        assert_eq!(seq.restarts_total, two.restarts_total);
-        assert_eq!(seq.restarts_total, five.restarts_total);
         assert_eq!(
             seq.detection_latency_jobs.count(),
             five.detection_latency_jobs.count()
@@ -1049,8 +1036,8 @@ mod tests {
         assert!(r.counts.masked_transient > 0, "transients must be masked");
         assert!(r.counts.recovered > 0, "intermittents must recover");
         assert!(r.counts.retired > 0, "stuck-ats must retire");
-        assert!(r.restarts_total > 0, "recovery must spend restarts");
-        assert_eq!(r.counts.total(), r.trials);
+        assert!(r.counts.restarts_total > 0, "recovery must spend restarts");
+        assert_eq!(r.counts.total(), r.counts.trials);
     }
 
     #[test]
@@ -1084,7 +1071,7 @@ mod tests {
         assert_eq!(r.counts.missed_permanent, 0);
         assert_eq!(
             r.counts.masked_transient + r.counts.recovered + r.counts.unresolved,
-            r.trials
+            r.counts.trials
         );
     }
 }

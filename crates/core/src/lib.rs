@@ -29,7 +29,7 @@
 //!
 //! let config = CampaignConfig::new(200, 42, NodePolicy::LightweightNlft);
 //! let result = run_campaign(&config);
-//! assert_eq!(result.trials, 200);
+//! assert_eq!(result.counts.trials, 200);
 //! let p_t = result.counts.p_t().estimate();
 //! assert!(p_t > 0.5, "TEM masks the majority of detected transients");
 //! ```

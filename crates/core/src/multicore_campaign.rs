@@ -21,6 +21,7 @@
 //! Results are bit-identical at any thread count (golden-pinned at
 //! 1/2/5 threads alongside the other campaign families).
 
+use nlft_engine::Tally;
 use nlft_kernel::multicore::MulticoreExecutive;
 use nlft_kernel::resources::{certify, left_rs_retry_term, ProtocolKind};
 use nlft_kernel::EscalationPolicy;
@@ -58,74 +59,93 @@ impl MulticoreCampaignConfig {
             threads: 1,
         }
     }
+
+    /// Checks that the campaign can run: trials, at least 2 cores (a
+    /// surviving peer) and a horizon of at least 4 ticks (room to arm a
+    /// death).
+    pub fn check(&self) -> Result<(), String> {
+        if self.trials == 0 {
+            return Err("campaign needs trials".into());
+        }
+        if self.cores < 2 {
+            return Err("multicore needs at least 2 cores".into());
+        }
+        if self.horizon < 4 {
+            return Err("multicore horizon must be at least 4 ticks to arm a death".into());
+        }
+        Ok(())
+    }
 }
 
-/// Aggregated campaign outcome. All counters are integers so golden pins
-/// are bit-exact across platforms and thread counts.
+nlft_engine::tally! {
+    /// Counters of the core-death campaign. All are integers so golden
+    /// pins are bit-exact across platforms and thread counts.
+    pub struct MulticoreCounts: "multicore-counts" {
+        verdicts {
+            /// Trials whose death was a hard crash.
+            crash,
+            /// Trials whose death was escalated fail-silence.
+            escalated,
+        }
+        metrics {
+            /// Crash trials where the lock-based node recorded ≥ 1
+            /// deadlock or deadline miss — the claim requires this to
+            /// equal `crash`.
+            lock_failed_crash,
+            /// Crash trials the lock-based node survived clean (claim:
+            /// zero).
+            lock_clean_crash,
+            /// Escalated trials the lock-based node survived clean
+            /// (claim: all — the ladder's revocation saves it).
+            lock_clean_escalated,
+            /// Total deadlocked jobs across all lock-based runs.
+            lock_deadlocks,
+            /// Total missed deadlines across all lock-based runs.
+            lock_misses,
+            /// Total missed deadlines across all LEFT-RS runs (claim:
+            /// zero).
+            leftrs_misses,
+            /// Total deadlocks across all LEFT-RS runs (claim: zero).
+            leftrs_deadlocks,
+            /// Trials the LEFT-RS node survived clean (claim: all).
+            leftrs_clean,
+            /// Worst per-job CAS retry count observed in any LEFT-RS run.
+            leftrs_max_retries: max,
+            /// Trials whose observed retry cost exceeded the certified
+            /// retry term (claim: zero — the certification is sound).
+            retry_bound_breaches,
+            /// Escalation-ladder events recorded across both executives.
+            escalation_events,
+            /// Tasks of the reference node that fail LEFT-RS
+            /// certification (claim: zero on the 2-core node). No trial
+            /// adds to it: the campaign fills it once after the fold.
+            uncertified_tasks,
+        }
+    }
+}
+
+/// Aggregated campaign outcome: the counters plus the worst retry cost
+/// and the reference node's offline certificate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MulticoreCampaignResult {
-    /// Trials executed.
-    pub trials: u64,
-    /// Trials whose death was a hard crash.
-    pub crash_trials: u64,
-    /// Trials whose death was escalated fail-silence.
-    pub escalated_trials: u64,
-    /// Crash trials where the lock-based node recorded ≥ 1 deadlock or
-    /// deadline miss — the claim requires this to equal `crash_trials`.
-    pub lock_failed_crash_trials: u64,
-    /// Crash trials the lock-based node survived clean (claim: zero).
-    pub lock_clean_crash_trials: u64,
-    /// Escalated trials the lock-based node survived clean (claim: all —
-    /// the ladder's revocation saves it).
-    pub lock_clean_escalated_trials: u64,
-    /// Total deadlocked jobs across all lock-based runs.
-    pub lock_deadlocks: u64,
-    /// Total missed deadlines across all lock-based runs.
-    pub lock_misses: u64,
-    /// Total missed deadlines across all LEFT-RS runs (claim: zero).
-    pub leftrs_misses: u64,
-    /// Total deadlocks across all LEFT-RS runs (claim: zero).
-    pub leftrs_deadlocks: u64,
-    /// Trials the LEFT-RS node survived clean (claim: all).
-    pub leftrs_clean_trials: u64,
-    /// Worst per-job CAS retry count observed in any LEFT-RS run.
-    pub leftrs_max_retries: u32,
+    /// Verdict and metric counters.
+    pub counts: MulticoreCounts,
     /// Worst per-job retry re-execution cost observed, in µs.
     pub leftrs_max_retry_cost_us: u64,
-    /// Trials whose observed retry cost exceeded the certified retry
-    /// term (claim: zero — the certification is sound).
-    pub retry_bound_breaches: u64,
-    /// Escalation-ladder events recorded across both executives.
-    pub escalation_events: u64,
     /// Tasks of the reference node that certify under LEFT-RS
     /// (`response_time_with_blocking` returns a bound). Filled once
     /// after merging, not per shard.
     pub certified_tasks: u64,
-    /// Tasks that fail certification (claim: zero on the 2-core node).
-    pub uncertified_tasks: u64,
     /// The certified worst-case retry term, in µs.
     pub certified_retry_term_us: u64,
 }
 
 impl MulticoreCampaignResult {
     fn merge(&mut self, other: &MulticoreCampaignResult) {
-        self.trials += other.trials;
-        self.crash_trials += other.crash_trials;
-        self.escalated_trials += other.escalated_trials;
-        self.lock_failed_crash_trials += other.lock_failed_crash_trials;
-        self.lock_clean_crash_trials += other.lock_clean_crash_trials;
-        self.lock_clean_escalated_trials += other.lock_clean_escalated_trials;
-        self.lock_deadlocks += other.lock_deadlocks;
-        self.lock_misses += other.lock_misses;
-        self.leftrs_misses += other.leftrs_misses;
-        self.leftrs_deadlocks += other.leftrs_deadlocks;
-        self.leftrs_clean_trials += other.leftrs_clean_trials;
-        self.leftrs_max_retries = self.leftrs_max_retries.max(other.leftrs_max_retries);
+        self.counts.merge(&other.counts);
         self.leftrs_max_retry_cost_us = self
             .leftrs_max_retry_cost_us
             .max(other.leftrs_max_retry_cost_us);
-        self.retry_bound_breaches += other.retry_bound_breaches;
-        self.escalation_events += other.escalation_events;
     }
 
     /// `true` when every robustness claim held: all crashes broke the
@@ -133,14 +153,15 @@ impl MulticoreCampaignResult {
     /// escalated lock-based runs, and the retry bound was never
     /// breached.
     pub fn claims_hold(&self) -> bool {
-        self.lock_failed_crash_trials == self.crash_trials
-            && self.lock_clean_crash_trials == 0
-            && self.lock_clean_escalated_trials == self.escalated_trials
-            && self.leftrs_clean_trials == self.trials
-            && self.leftrs_misses == 0
-            && self.leftrs_deadlocks == 0
-            && self.retry_bound_breaches == 0
-            && self.uncertified_tasks == 0
+        let c = &self.counts;
+        c.lock_failed_crash == c.crash
+            && c.lock_clean_crash == 0
+            && c.lock_clean_escalated == c.escalated
+            && c.leftrs_clean == c.trials
+            && c.leftrs_misses == 0
+            && c.leftrs_deadlocks == 0
+            && c.retry_bound_breaches == 0
+            && c.uncertified_tasks == 0
     }
 }
 
@@ -167,11 +188,12 @@ fn run_multicore_trial(
         (config.horizon / 2).max(2),
         config.escalated_p,
     );
-    result.trials += 1;
+    let c = &mut result.counts;
+    c.trials += 1;
     if death.escalated {
-        result.escalated_trials += 1;
+        c.escalated += 1;
     } else {
-        result.crash_trials += 1;
+        c.crash += 1;
     }
 
     let run = |kind: ProtocolKind| {
@@ -184,40 +206,42 @@ fn run_multicore_trial(
     };
 
     let lock = run(ProtocolKind::LockBased);
-    result.lock_deadlocks += lock.deadlocks;
-    result.lock_misses += lock.missed;
-    result.escalation_events += lock.escalations.len() as u64;
+    c.lock_deadlocks += lock.deadlocks;
+    c.lock_misses += lock.missed;
+    c.escalation_events += lock.escalations.len() as u64;
     if death.escalated {
         if lock.clean() {
-            result.lock_clean_escalated_trials += 1;
+            c.lock_clean_escalated += 1;
         }
     } else if lock.clean() {
-        result.lock_clean_crash_trials += 1;
+        c.lock_clean_crash += 1;
     } else {
-        result.lock_failed_crash_trials += 1;
+        c.lock_failed_crash += 1;
     }
 
     let cas = run(ProtocolKind::LeftRs);
-    result.leftrs_misses += cas.missed;
-    result.leftrs_deadlocks += cas.deadlocks;
-    result.escalation_events += cas.escalations.len() as u64;
+    c.leftrs_misses += cas.missed;
+    c.leftrs_deadlocks += cas.deadlocks;
+    c.escalation_events += cas.escalations.len() as u64;
     if cas.clean() {
-        result.leftrs_clean_trials += 1;
+        c.leftrs_clean += 1;
     }
-    result.leftrs_max_retries = result.leftrs_max_retries.max(cas.max_retries);
+    c.leftrs_max_retries = c.leftrs_max_retries.max(u64::from(cas.max_retries));
     let cost = cas.max_retry_cost.as_micros();
-    result.leftrs_max_retry_cost_us = result.leftrs_max_retry_cost_us.max(cost);
     if cost > certified_term {
-        result.retry_bound_breaches += 1;
+        c.retry_bound_breaches += 1;
     }
+    result.leftrs_max_retry_cost_us = result.leftrs_max_retry_cost_us.max(cost);
 }
 
 /// Runs the campaign, sharded over `config.threads` workers; results are
 /// a pure function of the seed and invariant under the thread count.
+///
+/// # Panics
+///
+/// Panics if [`MulticoreCampaignConfig::check`] rejects the config.
 pub fn run_multicore_campaign(config: &MulticoreCampaignConfig) -> MulticoreCampaignResult {
-    assert!(config.trials > 0, "campaign needs trials");
-    assert!(config.cores >= 2, "core-death needs a surviving peer core");
-    assert!(config.horizon >= 4, "horizon too short to arm a death");
+    config.check().unwrap_or_else(|e| panic!("{e}"));
     // Every trial forks its own stream from (seed, trial index), so the
     // engine's work distribution cannot perturb any drawn value;
     // parallelism only decides which worker runs a trial.
@@ -240,7 +264,7 @@ pub fn run_multicore_campaign(config: &MulticoreCampaignConfig) -> MulticoreCamp
         if c.response.is_some() {
             total.certified_tasks += 1;
         } else {
-            total.uncertified_tasks += 1;
+            total.counts.uncertified_tasks += 1;
         }
     }
     total.certified_retry_term_us = certified_retry_term_us(config.cores);
@@ -254,12 +278,13 @@ mod tests {
     #[test]
     fn campaign_claims_hold_on_the_nominal_config() {
         let result = run_multicore_campaign(&MulticoreCampaignConfig::new(40, 0x2005_0a01));
-        assert_eq!(result.trials, 40);
-        assert!(result.crash_trials > 0, "{result:?}");
-        assert!(result.escalated_trials > 0, "{result:?}");
+        let c = &result.counts;
+        assert_eq!(c.trials, 40);
+        assert!(c.crash > 0, "{result:?}");
+        assert!(c.escalated > 0, "{result:?}");
         assert!(result.claims_hold(), "{result:?}");
-        assert!(result.lock_deadlocks > 0);
-        assert!(result.escalation_events > 0);
+        assert!(c.lock_deadlocks > 0);
+        assert!(c.escalation_events > 0);
         assert_eq!(result.certified_tasks, 4);
         assert_eq!(result.certified_retry_term_us, 40);
         assert!(result.leftrs_max_retry_cost_us <= result.certified_retry_term_us);
@@ -277,24 +302,25 @@ mod tests {
         assert_eq!(one, five, "thread count must not change results");
         // Golden pin: any drift in the RNG stream, the fault sampler, or
         // the executive's tick semantics moves these exact counts.
+        let c = &one.counts;
         assert_eq!(
             (
-                one.crash_trials,
-                one.escalated_trials,
-                one.lock_failed_crash_trials,
-                one.lock_deadlocks,
-                one.lock_misses,
-                one.escalation_events,
+                c.crash,
+                c.escalated,
+                c.lock_failed_crash,
+                c.lock_deadlocks,
+                c.lock_misses,
+                c.escalation_events,
             ),
             (18, 6, 18, 122, 142, 24),
             "{one:?}"
         );
         assert_eq!(
             (
-                one.leftrs_clean_trials,
-                one.leftrs_max_retries,
+                c.leftrs_clean,
+                c.leftrs_max_retries,
                 one.leftrs_max_retry_cost_us,
-                one.retry_bound_breaches,
+                c.retry_bound_breaches,
             ),
             (24, 1, 40, 0),
             "{one:?}"
@@ -304,17 +330,20 @@ mod tests {
     #[test]
     fn claims_hold_rejects_any_breach() {
         let mut r = MulticoreCampaignResult {
-            trials: 2,
-            crash_trials: 1,
-            escalated_trials: 1,
-            lock_failed_crash_trials: 1,
-            lock_clean_escalated_trials: 1,
-            leftrs_clean_trials: 2,
+            counts: MulticoreCounts {
+                trials: 2,
+                crash: 1,
+                escalated: 1,
+                lock_failed_crash: 1,
+                lock_clean_escalated: 1,
+                leftrs_clean: 2,
+                ..MulticoreCounts::default()
+            },
             certified_tasks: 4,
             ..MulticoreCampaignResult::default()
         };
         assert!(r.claims_hold());
-        r.retry_bound_breaches = 1;
+        r.counts.retry_bound_breaches = 1;
         assert!(!r.claims_hold());
     }
 }

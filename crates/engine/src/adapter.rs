@@ -4,7 +4,10 @@
 //! config struct, a per-trial function forking a labelled RNG stream
 //! from `(seed, label, trial)`, and an associative result merge. The
 //! [`indexed_campaign`] constructor lifts that shape onto the engine
-//! without a bespoke adapter type per family.
+//! without a bespoke adapter type per family. The integer counters a
+//! family folds are declared once with [`tally!`](crate::tally), which
+//! generates their merge; a family's result merges that plus its typed
+//! non-counter fields (latency samples, proportions, a worst case).
 
 use std::marker::PhantomData;
 

@@ -30,6 +30,9 @@
 //!   function of the trial count — every accumulator bit is identical
 //!   at any worker count. Periodic [`Checkpoint`] snapshots let a
 //!   10M-trial run resume after interruption.
+//! * **Named counters.** A family declares its verdict and metric
+//!   counters once with [`tally!`]; the fold, the checkpoint codec and
+//!   the named iteration are generated ([`Tally`]).
 //!
 //! The determinism argument in one line: trial randomness is addressed
 //! by `(seed, label, trial-index)` and the fold tree is fixed by
@@ -43,6 +46,7 @@ mod adapter;
 mod campaign;
 pub mod checkpoint;
 mod executor;
+mod tally;
 
 pub use adapter::{indexed_campaign, ClosureCampaign};
 pub use campaign::{
@@ -51,3 +55,4 @@ pub use campaign::{
 };
 pub use checkpoint::Checkpoint;
 pub use executor::{auto_block_size, run_trials, run_trials_with};
+pub use tally::Tally;

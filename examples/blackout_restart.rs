@@ -88,20 +88,21 @@ fn act_two(trials: u64) {
         .map(|n| n.get())
         .unwrap_or(1);
     let result = run_blackout_campaign(&config);
+    let c = &result.counts;
 
     println!(
         "recovered to full membership: {} of {} trials ({:.1}%)",
-        result.full_recoveries,
-        result.trials,
+        c.full_recoveries,
+        c.trials,
         100.0 * result.recovery_fraction()
     );
     println!(
         "cold-start contentions: {} trials, {} marker frames, {} big-bang rounds",
-        result.cold_start_trials, result.cold_starts_sent, result.big_bangs
+        c.cold_start_trials, c.cold_starts_sent, c.big_bangs
     );
     println!(
         "clique reverts: {} (guardian blocks: {} — reverted nodes never babble)",
-        result.clique_reverts, result.guardian_blocks
+        c.clique_reverts, c.guardian_blocks
     );
     println!(
         "membership recovery: p50 {:?} p95 {:?} cycles after the blackout",
@@ -115,16 +116,16 @@ fn act_two(trials: u64) {
     println!(
         "hold-last-safe bridged {} command-dark cycles; mean reset->Active \
          latency {:.2} cycles",
-        result.held_setpoint_cycles,
+        c.held_setpoint_cycles,
         result.integration_latency_mean()
     );
 
     assert_eq!(
-        result.guardian_blocks, 0,
+        c.guardian_blocks, 0,
         "clique avoidance must never degenerate into babbling"
     );
     assert_eq!(
-        result.full_recoveries, result.trials,
+        c.full_recoveries, c.trials,
         "every blackout in this regime must be survivable"
     );
 }

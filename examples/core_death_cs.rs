@@ -93,21 +93,22 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let result = run_multicore_campaign(&config);
+    let c = &result.counts;
     println!(
         "crash trials          : {:>6} (lock-based broken in {}, LEFT-RS in 0)",
-        result.crash_trials, result.lock_failed_crash_trials
+        c.crash, c.lock_failed_crash
     );
     println!(
         "escalated trials      : {:>6} (lock-based clean in {})",
-        result.escalated_trials, result.lock_clean_escalated_trials
+        c.escalated, c.lock_clean_escalated
     );
     println!(
         "lock-based damage     : {:>6} deadlocks, {} misses",
-        result.lock_deadlocks, result.lock_misses
+        c.lock_deadlocks, c.lock_misses
     );
     println!(
         "LEFT-RS damage        : {:>6} deadlocks, {} misses ({} clean trials)",
-        result.leftrs_deadlocks, result.leftrs_misses, result.leftrs_clean_trials
+        c.leftrs_deadlocks, c.leftrs_misses, c.leftrs_clean
     );
     println!(
         "LEFT-RS retry cost    : {:>6}us measured worst case vs {}us certified",
@@ -116,7 +117,7 @@ fn main() {
     println!(
         "certified tasks       : {:>6} of {}",
         result.certified_tasks,
-        result.certified_tasks + result.uncertified_tasks
+        result.certified_tasks + c.uncertified_tasks
     );
     assert!(
         result.claims_hold(),

@@ -61,10 +61,10 @@ fn main() {
         println!("  P_FS = {}", ci(result.counts.p_fs()));
         println!(
             "\nnode-boundary failure modes: masked {} / omission {} / fail-silent {} / undetected {}",
-            result.modes.masked,
-            result.modes.omission,
-            result.modes.fail_silent,
-            result.modes.undetected
+            result.counts.masked,
+            result.counts.omission,
+            result.counts.fail_silent,
+            result.counts.undetected
         );
     }
 

@@ -84,7 +84,7 @@ fn act_two(trials: u64) {
         .unwrap_or(1);
     let result = run_net_storm_campaign(&config);
 
-    let o = &result.outcomes;
+    let o = &result.counts;
     let pct = |n: u64| 100.0 * n as f64 / o.trials as f64;
     println!("outcomes:");
     println!(

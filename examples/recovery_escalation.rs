@@ -94,7 +94,7 @@ fn node_campaign(trials: u64) {
         "  retirement latency = {:.2} jobs (n={}), undetected-wrong jobs = {}",
         result.retirement_latency_jobs.mean(),
         result.retirement_latency_jobs.count(),
-        result.undetected_wrong_jobs
+        result.counts.undetected_wrong_jobs
     );
 }
 

@@ -75,27 +75,26 @@ fn act_one() {
 }
 
 fn print_campaign(result: &ValueDomainCampaignResult) {
-    let o = &result.outcomes;
-    let pct = |n: u64| 100.0 * n as f64 / o.trials as f64;
+    let pct = |n: u64| 100.0 * n as f64 / result.trials as f64;
     println!(
         "  masked            {:>6} ({:>5.1}%)",
-        o.masked,
-        pct(o.masked)
+        result.masked,
+        pct(result.masked)
     );
     println!(
         "  detected          {:>6} ({:>5.1}%)",
-        o.detected,
-        pct(o.detected)
+        result.detected,
+        pct(result.detected)
     );
     println!(
         "  service lost      {:>6} ({:>5.1}%)",
-        o.service_lost,
-        pct(o.service_lost)
+        result.service_lost,
+        pct(result.service_lost)
     );
     println!(
         "  undetected        {:>6} ({:>5.1}%)",
-        o.undetected,
-        pct(o.undetected)
+        result.undetected,
+        pct(result.undetected)
     );
     println!(
         "  worst total-force deficit {:>5}, worst left/right imbalance {:>5}",
@@ -122,7 +121,7 @@ fn act_two(trials: u64) -> f64 {
     let result = run_value_domain_campaign(&config);
     print_campaign(&result);
     assert_eq!(
-        result.outcomes.undetected, 0,
+        result.undetected, 0,
         "single value faults must never be silent"
     );
     result.detection_coverage()

@@ -128,17 +128,18 @@ fn act_three(trials: u64) {
     println!("=== act 3: miss-pattern storm campaign ({trials} trials) ===");
     let cfg = MissPatternCampaignConfig::nominal(trials, 0x3A5E);
     let r = run_miss_pattern_campaign(&cfg);
+    let c = &r.counts;
     println!(
         "  certified trials: {}/{} (violations of certified bounds: {})",
-        r.certified_trials, r.trials, r.certified_violations
+        c.certified, c.trials, c.certified_violations
     );
     println!(
         "  bound breaches: {}   bound reached exactly: {} trials",
-        r.bound_breaches, r.bound_reached_trials
+        c.bound_breaches, c.bound_reached
     );
     println!(
         "  total misses {}   worst window {} misses   uncertified violations {}",
-        r.total_misses, r.worst_window_misses, r.violating_trials
+        c.total_misses, c.worst_window_misses, c.violating
     );
     if let Some(w) = r.worst {
         println!(
@@ -162,15 +163,15 @@ fn act_three(trials: u64) {
             );
         }
     }
-    assert_eq!(r.certified_violations, 0, "analyzer must stay sound");
-    assert_eq!(r.bound_breaches, 0, "no placement may beat the bound");
+    assert_eq!(c.certified_violations, 0, "analyzer must stay sound");
+    assert_eq!(c.bound_breaches, 0, "no placement may beat the bound");
     // Comparing policies: the hold-last-safe window is worth distance.
     let mut zero_cfg = cfg.clone();
     zero_cfg.policy = MissPolicy::ZeroForce;
     let zero = run_miss_pattern_campaign(&zero_cfg);
     println!(
         "  hold-last-safe vs release-to-zero: {} vs {} total excess distance",
-        r.total_excess_distance, zero.total_excess_distance
+        c.total_excess_distance, zero.counts.total_excess_distance
     );
 }
 

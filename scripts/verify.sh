@@ -12,6 +12,12 @@ cargo fmt --all --check
 RUSTFLAGS="-D warnings" cargo build --workspace --release --offline
 cargo test --workspace -q --offline
 
+# perfbench (the repository benchmark) is a package of its own with an
+# empty `[workspace]`, so the commands above never compile it. Build and
+# test it here, so an API change in the crates it uses cannot break it
+# silently.
+cargo test --manifest-path perfbench/Cargo.toml --offline -q
+
 # Lints are part of tier 1: clippy must be warning-clean across the
 # workspace (library, tests, examples and benches alike).
 cargo clippy -q --workspace --all-targets --offline -- -D warnings

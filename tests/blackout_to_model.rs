@@ -21,7 +21,7 @@ fn analytic_cold_start_latency_matches_the_simulated_blackout() {
     // winner's latency.
     let config = BlackoutCampaignConfig::full_blackout(4, 0xB1AC_2005);
     let result = run_blackout_campaign(&config);
-    assert_eq!(result.full_recoveries, result.trials);
+    assert_eq!(result.counts.full_recoveries, result.counts.trials);
     assert!(!result.integration_latencies.is_empty());
 
     // Analytic side: `down_cycles` powered-down states, the winner's

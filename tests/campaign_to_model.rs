@@ -79,6 +79,6 @@ fn fs_campaign_justifies_fail_silent_modelling() {
     );
     assert!(c_nlft > c_fs, "TEM adds coverage: {c_nlft} vs {c_fs}");
     // And the FS node never produces omissions (it is silent instead).
-    assert_eq!(fs.modes.omission, 0);
-    assert!(nlft.modes.masked > nlft.modes.fail_silent);
+    assert_eq!(fs.counts.omission, 0);
+    assert!(nlft.counts.masked > nlft.counts.fail_silent);
 }
