@@ -6,7 +6,8 @@ use nlft_bbw::cluster::BbwCluster;
 use nlft_kernel::preemptive::{PreemptiveExecutive, ResidentTask};
 use nlft_kernel::sched::FpSimulator;
 use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpecBuilder};
-use nlft_kernel::tem::{TemConfig, TemExecutor};
+use nlft_kernel::tem::{InjectionPlan, TemConfig, TemExecutor};
+use nlft_machine::fault::{FaultTarget, TransientFault};
 use nlft_machine::workloads;
 use nlft_net::bus::{Bus, BusConfig};
 use nlft_net::frame::NodeId;
@@ -109,10 +110,29 @@ fn bench_tem() {
     let (_, cycles) = pid.golden_run(&[1000, 900]);
     let tem = TemExecutor::new(TemConfig::with_budget(cycles * 2));
 
+    let mut triplicated = *tem.config();
+    triplicated.min_results = 3;
+    let triplicated = TemExecutor::new(triplicated);
+    // A PC flip early in copy 0 traps at once; a replacement copy runs.
+    let pc_flip = InjectionPlan {
+        copy: 0,
+        at_cycle: 5,
+        fault: TransientFault {
+            target: FaultTarget::Pc,
+            mask: 1 << 20,
+        },
+    };
+
     let mut b = Bench::new("tem");
     let mut m = pid.instantiate();
     b.bench("clean_job_two_copies", || {
         black_box(tem.run_job(&mut m, &pid, &[1000, 900], None))
+    });
+    b.bench("triplicated_job", || {
+        black_box(triplicated.run_job(&mut m, &pid, &[1000, 900], None))
+    });
+    b.bench("recover_job_pc_flip", || {
+        black_box(tem.run_job(&mut m, &pid, &[1000, 900], Some(pc_flip)))
     });
     b.finish();
 }

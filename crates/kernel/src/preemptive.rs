@@ -35,6 +35,8 @@ use crate::task::{Priority, TaskId};
 pub const WINDOW_BYTES: u32 = 0x1000;
 const CODE_BYTES: u32 = 0x400;
 const DATA_BYTES: u32 = 0x400;
+/// [`DATA_BYTES`] in words: the state window TEM snapshots and compares.
+const DATA_WORDS: usize = (DATA_BYTES / WORD_BYTES) as usize;
 
 /// Static description of a resident task.
 #[derive(Debug, Clone)]
@@ -55,9 +57,9 @@ pub struct ResidentTask {
     pub inputs: Vec<(usize, u32)>,
     /// Output port read at job completion.
     pub output_port: usize,
-    /// Run under TEM (§2.5): every job executes two copies with a
-    /// comparison over outputs, state digest and path signature; on any
-    /// detection a replacement/third copy runs (all copies preemptible)
+    /// Run under TEM (§2.5): every job executes two copies with an
+    /// exact comparison of output, data-window words and path signature;
+    /// on any detection a replacement/third copy runs (all copies preemptible)
     /// and a 2-of-3 vote decides; out of copies/budget → omission, the
     /// task stays alive for its next period.
     pub critical: bool,
@@ -121,10 +123,12 @@ const MAX_COPIES: u32 = 4;
 /// Maximum results voted over.
 const MAX_RESULTS: usize = 3;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One copy's result: output, data window words and path signature,
+/// compared exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct CopyResultVec {
     output: Option<u32>,
-    digest: u64,
+    window: Vec<u32>,
     sig: u64,
 }
 
@@ -437,14 +441,14 @@ impl PreemptiveExecutive {
                     // One TEM copy finished: record its result vector and
                     // decide whether to run another copy, deliver, or omit.
                     let output = self.machine.output(self.tcbs[idx].task.output_port);
-                    let digest = self.digest_window(idx);
+                    let window = data_window(&self.machine, self.tcbs[idx].window_base).to_vec();
                     let sig = self.machine.cpu.path_sig;
                     let cap = self.copy_cap(idx);
                     let t = &mut self.tcbs[idx];
                     let tem = t.tem.as_mut().expect("critical job has TEM state");
                     tem.results.push(CopyResultVec {
                         output,
-                        digest,
+                        window,
                         sig,
                     });
                     report.tasks.get_mut(&t.task.id).expect("known task").copies += 1;
@@ -596,38 +600,22 @@ impl PreemptiveExecutive {
                             // First copy of a new job: snapshot the state
                             // window so every copy starts identically and
                             // omissions can roll back (§2.6).
-                            let snapshot = snapshot_window(&self.machine, base);
+                            let snapshot = data_window(&self.machine, base).to_vec();
                             t.tem = Some(TemJob {
                                 snapshot,
-                                results: Vec::new(),
+                                results: Vec::with_capacity(MAX_RESULTS),
                                 copies: 1,
                                 detected: false,
                             });
                         }
                         Some(tem) => {
                             tem.copies += 1;
-                            let snapshot = tem.snapshot.clone();
-                            restore_window(&mut self.machine, base, &snapshot);
+                            restore_window(&mut self.machine, base, &tem.snapshot);
                         }
                     }
                 }
             }
         }
-    }
-
-    fn digest_window(&self, idx: usize) -> u64 {
-        let base = self.tcbs[idx].window_base;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for i in 0..DATA_BYTES / WORD_BYTES {
-            let w = self
-                .machine
-                .mem
-                .peek(base + CODE_BYTES + i * WORD_BYTES)
-                .expect("data window is mapped");
-            h ^= u64::from(w);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
     }
 
     /// Applies a TEM decision after a copy ended (completed or detected).
@@ -672,9 +660,8 @@ impl PreemptiveExecutive {
                 // Roll the state window back and deliver nothing; the task
                 // stays alive for its next period.
                 let t = &mut self.tcbs[idx];
-                let snapshot = t.tem.as_ref().expect("tem state").snapshot.clone();
-                let base = t.window_base;
-                restore_window(&mut self.machine, base, &snapshot);
+                let snapshot = &t.tem.as_ref().expect("tem state").snapshot;
+                restore_window(&mut self.machine, t.window_base, snapshot);
                 let stats = report.tasks.get_mut(&t.task.id).expect("known task");
                 stats.omissions += 1;
                 stats.deadline_misses += 1;
@@ -725,14 +712,13 @@ fn decide(tem: &TemJob, max_copies: u32) -> TemDecision {
         n => {
             debug_assert!(n <= MAX_RESULTS);
             let r = &tem.results;
+            // A matching pair is delivered as soon as it exists, so the
+            // first two results differ and a majority must include the
+            // third — whose state the window already holds.
+            debug_assert_ne!(r[0], r[1]);
             if r[2] == r[0] || r[2] == r[1] {
                 TemDecision::Deliver {
                     output: r[2].output,
-                    masked: true,
-                }
-            } else if r[0] == r[1] {
-                TemDecision::Deliver {
-                    output: r[1].output,
                     masked: true,
                 }
             } else {
@@ -742,24 +728,22 @@ fn decide(tem: &TemJob, max_copies: u32) -> TemDecision {
     }
 }
 
-fn snapshot_window(machine: &Machine, base: u32) -> Vec<u32> {
-    (0..DATA_BYTES / WORD_BYTES)
-        .map(|i| {
-            machine
-                .mem
-                .peek(base + CODE_BYTES + i * WORD_BYTES)
-                .expect("data window is mapped")
-        })
-        .collect()
+/// The golden words of the data window of the task whose window starts
+/// at `base`.
+fn data_window(machine: &Machine, base: u32) -> &[u32] {
+    machine
+        .mem
+        .peek_words(base + CODE_BYTES, DATA_WORDS)
+        .expect("data window is mapped")
 }
 
+/// Writes `snapshot` back over the data window at `base`, clearing any
+/// injected flips there.
 fn restore_window(machine: &mut Machine, base: u32, snapshot: &[u32]) {
-    for (i, &w) in snapshot.iter().enumerate() {
-        machine
-            .mem
-            .store(base + CODE_BYTES + i as u32 * WORD_BYTES, w)
-            .expect("data window is mapped");
-    }
+    machine
+        .mem
+        .store_words(base + CODE_BYTES, snapshot)
+        .expect("data window is mapped");
 }
 
 #[cfg(test)]

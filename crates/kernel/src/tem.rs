@@ -14,23 +14,43 @@
 //!    time remains, **no result is delivered** (omission failure) — the
 //!    task's state is rolled back so a later activation starts clean.
 //!
-//! The result of a task is its output-port vector *plus* a digest of its
-//! state region *plus* its control-flow path signature — a computation
+//! The result of a task is its output-port vector *plus* the words of its
+//! state region *plus* its control-flow path signature, and two results
+//! match only when all three are equal word for word — a computation
 //! error that corrupts only state, or a control-flow error that bypasses
-//! the output-producing code (§2.7), must not slip past the comparison.
+//! the output-producing code (§2.7), must not slip past the comparison,
+//! and no hash collision can make two different results match.
 //! State is committed only when two matching results exist (§2.5: "state
-//! data are only updated when two matching results have been produced").
+//! data are only updated when two matching results have been produced"):
+//! a vote won by an agreeing pair that ran *before* the outvoted copy
+//! writes the pair's state words back over the loser's.
+//!
+//! The state bookkeeping is bulk work on the memory: one slice copy
+//! snapshots the region, one [`EccMemory::store_words`] restores it
+//! before every copy, and a fault-free region is read back with one more
+//! slice copy. Only a region holding an injected fault is read word by
+//! word through [`EccMemory::load`], so ECC correction, detection and
+//! escape happen exactly as if the kernel had loaded each word.
+//!
+//! [`EccMemory::store_words`]: nlft_machine::mem::EccMemory::store_words
+//! [`EccMemory::load`]: nlft_machine::mem::EccMemory::load
 
 use std::fmt;
 
 use nlft_machine::edm::Edm;
 use nlft_machine::fault::{StuckAtFault, TransientFault};
-use nlft_machine::machine::{Machine, RunExit, NUM_PORTS};
+use nlft_machine::machine::{Exception, Machine, RunExit, NUM_PORTS};
 use nlft_machine::mem::WORD_BYTES;
 use nlft_machine::workloads::{Workload, DATA_BASE, STACK_TOP};
 
-/// Size (bytes) of the task state region digested into the result.
+/// Size (bytes) of the task state region carried in every result.
 pub const STATE_BYTES: u32 = 0x400;
+
+/// [`STATE_BYTES`] in words.
+const STATE_WORDS: usize = (STATE_BYTES / WORD_BYTES) as usize;
+
+/// Results a 2-of-3 majority vote runs over.
+const VOTED_RESULTS: usize = 3;
 
 /// Configuration of the TEM executor for one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +97,8 @@ impl TemConfig {
 /// How one execution (copy) of the task ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CopyResult {
-    /// Copy ran to completion and produced a result (digest of outputs+state).
+    /// Copy ran to completion and produced a result (outputs, state words
+    /// and path signature).
     Completed,
     /// An EDM terminated the copy.
     Detected(Edm),
@@ -181,14 +202,15 @@ pub enum JobFault {
     StuckAt(StuckAtFault),
 }
 
-/// One execution's captured result: outputs, a state digest, and the
-/// control-flow path signature. Including the signature closes the §2.7
-/// gap: a control-flow error that skips or repeats code yet happens to
-/// leave outputs and state intact still diverges from the clean copy here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One execution's captured result: outputs, the state region's words, and
+/// the control-flow path signature, compared exactly. Including the
+/// signature closes the §2.7 gap: a control-flow error that skips or
+/// repeats code yet happens to leave outputs and state intact still
+/// diverges from the clean copy here.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct ResultVector {
     outputs: [Option<u32>; NUM_PORTS],
-    state_digest: u64,
+    state: [u32; STATE_WORDS],
     path_sig: u64,
 }
 
@@ -238,12 +260,26 @@ impl TemExecutor {
     ) -> JobReport {
         let cfg = &self.config;
         let mut cycles_used: u64 = 0;
-        let mut copies: Vec<CopyTrace> = Vec::new();
+        // Both sized up front, so no 1 KiB result is re-copied by `Vec`
+        // growth; the copy cap only guards against an absurd config.
+        let mut copies: Vec<CopyTrace> = Vec::with_capacity(cfg.max_executions.min(8) as usize);
         let mut detections: Vec<Edm> = Vec::new();
-        let mut results: Vec<ResultVector> = Vec::new();
+        let mut results: Vec<ResultVector> = Vec::with_capacity(VOTED_RESULTS);
         // Snapshot the state region so every copy starts from identical
         // state, and so an omission can roll back (§2.6).
-        let state_snapshot = snapshot_state(machine);
+        let mut snapshot = [0u32; STATE_WORDS];
+        snapshot.copy_from_slice(
+            machine
+                .mem
+                .peek_words(DATA_BASE, STATE_WORDS)
+                .expect("state region is mapped"),
+        );
+        let restore = |machine: &mut Machine| {
+            machine
+                .mem
+                .store_words(DATA_BASE, &snapshot)
+                .expect("state region is mapped");
+        };
 
         let deliver = |outcome_mask: Option<Edm>,
                        outputs: [Option<u32>; NUM_PORTS],
@@ -268,7 +304,7 @@ impl TemExecutor {
             let out_of_time = cycles_used + next_cost > cfg.deadline_cycles;
             let out_of_copies = copies.len() as u32 >= cfg.max_executions;
             if (results.len() as u32) < results_wanted && (out_of_time || out_of_copies) {
-                restore_state(machine, &state_snapshot);
+                restore(machine);
                 let last = detections
                     .last()
                     .copied()
@@ -285,7 +321,7 @@ impl TemExecutor {
             if (results.len() as u32) < results_wanted {
                 // Execute one more copy.
                 let index = copies.len() as u32;
-                restore_state(machine, &state_snapshot);
+                restore(machine);
                 machine.reset(0, STACK_TOP);
                 machine.clear_outputs();
                 for (&port, &v) in workload.input_ports.iter().zip(inputs) {
@@ -307,57 +343,38 @@ impl TemExecutor {
                     _ => machine.run(cfg.copy_budget),
                 };
                 cycles_used += exit.cycles_used;
-                match exit.exit {
+                let mut copy = CopyTrace {
+                    index,
+                    result: CopyResult::Completed,
+                    cycles: exit.cycles_used,
+                };
+                let detected = match exit.exit {
+                    // Read the state region back; an ECC trap while
+                    // reading state counts as a detection of this copy.
                     RunExit::Halted => {
-                        // Digest the state region; an ECC trap while reading
-                        // state counts as a detection of this copy.
-                        match digest_state(machine) {
-                            Ok(state_digest) => {
-                                copies.push(CopyTrace {
-                                    index,
-                                    result: CopyResult::Completed,
-                                    cycles: exit.cycles_used,
-                                });
+                        let mut state = [0u32; STATE_WORDS];
+                        match read_state(machine, &mut state) {
+                            Ok(()) => {
                                 results.push(ResultVector {
                                     outputs: *machine.outputs(),
-                                    state_digest,
+                                    state,
                                     path_sig: machine.cpu.path_sig,
                                 });
+                                None
                             }
-                            Err(e) => {
-                                let edm = Edm::from_exception(&e);
-                                detections.push(edm);
-                                copies.push(CopyTrace {
-                                    index,
-                                    result: CopyResult::Detected(edm),
-                                    cycles: exit.cycles_used,
-                                });
-                                cycles_used += cfg.restore_cycles;
-                            }
+                            Err(e) => Some(Edm::from_exception(&e)),
                         }
                     }
-                    RunExit::Exception(e) => {
-                        // Scenario iii/iv: terminate, restore context, retry.
-                        let edm = Edm::from_exception(&e);
-                        detections.push(edm);
-                        copies.push(CopyTrace {
-                            index,
-                            result: CopyResult::Detected(edm),
-                            cycles: exit.cycles_used,
-                        });
-                        cycles_used += cfg.restore_cycles;
-                    }
-                    RunExit::BudgetExhausted => {
-                        let edm = Edm::ExecutionTimeMonitor;
-                        detections.push(edm);
-                        copies.push(CopyTrace {
-                            index,
-                            result: CopyResult::Detected(edm),
-                            cycles: exit.cycles_used,
-                        });
-                        cycles_used += cfg.restore_cycles;
-                    }
+                    // Scenario iii/iv: terminate, restore context, retry.
+                    RunExit::Exception(e) => Some(Edm::from_exception(&e)),
+                    RunExit::BudgetExhausted => Some(Edm::ExecutionTimeMonitor),
+                };
+                if let Some(edm) = detected {
+                    detections.push(edm);
+                    copy.result = CopyResult::Detected(edm);
+                    cycles_used += cfg.restore_cycles;
                 }
+                copies.push(copy);
                 continue;
             }
 
@@ -374,7 +391,7 @@ impl TemExecutor {
                     results_wanted = 3;
                     continue;
                 }
-                restore_state(machine, &state_snapshot);
+                restore(machine);
                 return JobReport {
                     outcome: JobOutcome::Omission {
                         detected_by: Edm::TemComparison,
@@ -387,18 +404,20 @@ impl TemExecutor {
             }
 
             // Three results: 2-of-3 majority vote.
-            debug_assert_eq!(results.len(), 3);
+            debug_assert_eq!(results.len(), VOTED_RESULTS);
             cycles_used += cfg.vote_cycles;
             // The third result was executed last, so if it belongs to the
-            // majority the machine state is already the winner's.
+            // majority the state region already holds a winner's state.
+            // Otherwise (a triplicated job whose first two copies agree)
+            // the losing copy's state is overwritten with the pair's.
             let winner = if results[2] == results[0] || results[2] == results[1] {
-                Some(results[2])
+                Some(&results[2])
             } else if results[0] == results[1] {
-                // Cannot happen via the mismatch path, but a replacement
-                // sequence can produce it; state must be re-materialised by
-                // re-running the winning copy — model as accepting result 1
-                // whose state digest equals result 0's.
-                Some(results[1])
+                machine
+                    .mem
+                    .store_words(DATA_BASE, &results[1].state)
+                    .expect("state region is mapped");
+                Some(&results[1])
             } else {
                 None
             };
@@ -409,7 +428,7 @@ impl TemExecutor {
                 }
                 None => {
                     detections.push(Edm::TemVote);
-                    restore_state(machine, &state_snapshot);
+                    restore(machine);
                     JobReport {
                         outcome: JobOutcome::Omission {
                             detected_by: Edm::TemVote,
@@ -425,35 +444,26 @@ impl TemExecutor {
     }
 }
 
-fn snapshot_state(machine: &Machine) -> Vec<u32> {
-    (0..STATE_BYTES / WORD_BYTES)
-        .map(|i| {
-            machine
-                .mem
-                .peek(DATA_BASE + i * WORD_BYTES)
-                .expect("state region is mapped")
-        })
-        .collect()
-}
-
-fn restore_state(machine: &mut Machine, snapshot: &[u32]) {
-    for (i, &w) in snapshot.iter().enumerate() {
-        machine
-            .mem
-            .store(DATA_BASE + i as u32 * WORD_BYTES, w)
-            .expect("state region is mapped");
+/// Reads the state region into `state` as the kernel's own loads would:
+/// one slice copy when no state word carries an injected fault, otherwise
+/// word by word through ECC in address order, stopping at the first
+/// uncorrectable word.
+fn read_state(machine: &mut Machine, state: &mut [u32; STATE_WORDS]) -> Result<(), Exception> {
+    let mem = &mut machine.mem;
+    if mem
+        .words_clean(DATA_BASE, STATE_WORDS)
+        .expect("state region is mapped")
+    {
+        state.copy_from_slice(
+            mem.peek_words(DATA_BASE, STATE_WORDS)
+                .expect("state region is mapped"),
+        );
+        return Ok(());
     }
-}
-
-/// FNV-1a digest of the state region, read through ECC like the kernel would.
-fn digest_state(machine: &mut Machine) -> Result<u64, nlft_machine::machine::Exception> {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for i in 0..STATE_BYTES / WORD_BYTES {
-        let w = machine.mem.load(DATA_BASE + i * WORD_BYTES)?;
-        h ^= u64::from(w);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    for (i, w) in (0u32..).zip(state.iter_mut()) {
+        *w = mem.load(DATA_BASE + i * WORD_BYTES)?;
     }
-    Ok(h)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -713,7 +723,7 @@ mod tests {
         let w = workloads::pid_controller();
         let (exec, mut m) = executor_for(&w);
         // Double-bit flip in the state region mid-copy: the completed copy's
-        // state digest read traps on ECC.
+        // state read-back traps on ECC.
         let plan = InjectionPlan {
             copy: 0,
             at_cycle: 10,
@@ -723,8 +733,8 @@ mod tests {
             },
         };
         let report = exec.run_job(&mut m, &w, &[1000, 900], Some(plan));
-        // Either the copy itself trapped (if it read the word) or the digest
-        // pass caught it; in both cases ECC appears in the detections and
+        // Either the copy itself trapped (if it read the word) or the state
+        // read-back caught it; in both cases ECC appears in the detections and
         // the final result is correct.
         if !report.detections.is_empty() {
             assert!(report.detections.contains(&Edm::Ecc));
@@ -826,6 +836,116 @@ mod tests {
         };
         let report = exec.run_job(&mut m, &w, &[1000, 900], Some(plan));
         assert!(report.outcome.delivered());
+    }
+
+    fn state_region(m: &Machine) -> Vec<u32> {
+        m.mem.peek_words(DATA_BASE, STATE_WORDS).unwrap().to_vec()
+    }
+
+    #[test]
+    fn triplicated_vote_commits_the_winning_pair_state() {
+        // Copies 0 and 1 agree, copy 2 silently corrupts the error term it
+        // stores as integral/prev-error state. The vote delivers the pair's
+        // outputs and must commit the pair's state, not the loser's.
+        let w = workloads::pid_controller();
+        let inputs = [1000u32, 900];
+        let (_, cycles) = w.golden_run(&inputs);
+        let mut cfg = TemConfig::with_budget(cycles * 2);
+        cfg.min_results = 3;
+        let exec = TemExecutor::new(cfg);
+        let mut clean = w.instantiate();
+        let clean_report = exec.run_job(&mut clean, &w, &inputs, None);
+        let clean_state = state_region(&clean);
+        let mut corrupted_copy_state = 0;
+        for reg in [Reg::R2, Reg::R3] {
+            for at_cycle in 3..=13 {
+                let fault = TransientFault {
+                    target: FaultTarget::Register(reg),
+                    mask: 1 << 4,
+                };
+                // Does this fault, alone in one run, change the state?
+                let mut single = w.instantiate();
+                for (&port, &v) in w.input_ports.iter().zip(&inputs) {
+                    single.set_input(port, v);
+                }
+                nlft_machine::fault::run_with_injection(&mut single, cycles * 2, at_cycle, fault);
+                if state_region(&single)[..2] != clean_state[..2] {
+                    corrupted_copy_state += 1;
+                }
+                let mut m = w.instantiate();
+                let plan = InjectionPlan {
+                    copy: 2,
+                    at_cycle,
+                    fault,
+                };
+                let report = exec.run_job(&mut m, &w, &inputs, Some(plan));
+                assert_eq!(report.outputs, clean_report.outputs, "{reg:?} @ {at_cycle}");
+                assert_eq!(state_region(&m), clean_state, "{reg:?} @ {at_cycle}");
+            }
+        }
+        assert!(corrupted_copy_state > 0, "no plan corrupted copy 2's state");
+    }
+
+    /// A state word the PID task never touches.
+    const IDLE_STATE_WORD: u32 = DATA_BASE + 0x100;
+
+    fn flip_idle_state_word(mask: u32) -> InjectionPlan {
+        InjectionPlan {
+            copy: 0,
+            at_cycle: 10,
+            fault: TransientFault {
+                target: FaultTarget::MemoryWord(IDLE_STATE_WORD),
+                mask,
+            },
+        }
+    }
+
+    #[test]
+    fn single_flip_in_state_region_is_corrected_once() {
+        let w = workloads::pid_controller();
+        let (exec, mut m) = executor_for(&w);
+        let plan = flip_idle_state_word(1 << 7);
+        let report = exec.run_job(&mut m, &w, &[1000, 900], Some(plan));
+        assert_eq!(report.outcome, JobOutcome::DeliveredClean);
+        assert_eq!(report.executions(), 2, "the corrected copy matches");
+        assert_eq!(m.mem.ecc_stats().corrected, 1);
+        assert_eq!(m.mem.faulty_words(), 0, "scrubbed by the state read");
+    }
+
+    #[test]
+    fn double_flip_in_state_region_is_detected_by_ecc() {
+        let w = workloads::pid_controller();
+        let (exec, mut m) = executor_for(&w);
+        let plan = flip_idle_state_word(0b11);
+        let report = exec.run_job(&mut m, &w, &[1000, 900], Some(plan));
+        assert_eq!(report.copies[0].result, CopyResult::Detected(Edm::Ecc));
+        assert_eq!(
+            report.outcome,
+            JobOutcome::DeliveredMasked {
+                detected_by: Edm::Ecc
+            }
+        );
+        assert_eq!(m.mem.ecc_stats().detected_uncorrectable, 1);
+    }
+
+    #[test]
+    fn state_region_flip_without_ecc_escapes_and_is_outvoted() {
+        let w = workloads::pid_controller();
+        let (exec, _) = executor_for(&w);
+        let mut m = Machine::new_without_ecc(workloads::MEM_BYTES, w.map.clone());
+        m.load_program(0, &w.image.words).unwrap();
+        let inputs = [1000u32, 900];
+        let plan = flip_idle_state_word(1 << 7);
+        let report = exec.run_job(&mut m, &w, &inputs, Some(plan));
+        assert_eq!(m.mem.ecc_stats().escaped, 1, "copy 0 read the flipped word");
+        assert_eq!(
+            report.outcome,
+            JobOutcome::DeliveredMasked {
+                detected_by: Edm::TemComparison
+            }
+        );
+        assert_eq!(report.outputs.unwrap(), w.golden_run(&inputs).0);
+        assert_eq!(m.mem.peek(IDLE_STATE_WORD).unwrap(), 0);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Byte size of one memory word.
 pub const WORD_BYTES: u32 = 4;
@@ -185,6 +186,25 @@ impl EccMemory {
         Ok(idx)
     }
 
+    /// Word indices of the `len` words starting at byte address `base`,
+    /// failing with the error the first invalid per-word access would give.
+    fn word_range(&self, base: u32, len: usize) -> Result<Range<usize>, MemError> {
+        if len == 0 {
+            return Ok(0..0);
+        }
+        if !base.is_multiple_of(WORD_BYTES) {
+            return Err(MemError::Misaligned { addr: base });
+        }
+        let start = (base / WORD_BYTES) as usize;
+        let end = start.saturating_add(len);
+        if end > self.words.len() {
+            return Err(MemError::Bus {
+                addr: base.max(self.size_bytes()),
+            });
+        }
+        Ok(start..end)
+    }
+
     /// Loads the 32-bit word at byte address `addr`.
     ///
     /// # Errors
@@ -254,6 +274,69 @@ impl EccMemory {
         Ok(self.words[idx])
     }
 
+    /// The golden values of the `len` words starting at byte address
+    /// `base` — [`EccMemory::peek`] over a range, as one slice.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::Misaligned`] or [`MemError::Bus`] when any word of the
+    /// range is invalid; nothing is read then.
+    pub fn peek_words(&self, base: u32, len: usize) -> Result<&[u32], MemError> {
+        let range = self.word_range(base, len)?;
+        Ok(&self.words[range])
+    }
+
+    /// Stores `words` starting at byte address `base` — exactly what one
+    /// [`EccMemory::store`] per word does (values written, injected flips
+    /// cleared), in one step.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::Misaligned`] or [`MemError::Bus`] when any word of the
+    /// range is invalid; nothing is written then.
+    pub fn store_words(&mut self, base: u32, words: &[u32]) -> Result<(), MemError> {
+        let range = self.word_range(base, words.len())?;
+        self.words[range.clone()].copy_from_slice(words);
+        if !self.range_is_clean(range.clone()) {
+            for idx in range {
+                if self.is_dirty(idx) {
+                    self.flips.remove(&(idx as u32));
+                    self.clear_dirty(idx);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `true` when none of the `len` words starting at byte address `base`
+    /// carries an injected fault, so [`EccMemory::load`] of each would
+    /// return its [`EccMemory::peek`] value with no side effect.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::Misaligned`] or [`MemError::Bus`] when any word of the
+    /// range is invalid.
+    pub fn words_clean(&self, base: u32, len: usize) -> Result<bool, MemError> {
+        let range = self.word_range(base, len)?;
+        Ok(self.range_is_clean(range))
+    }
+
+    /// Dirty-bitset test over a word-index range, a whole `u64` at a time.
+    fn range_is_clean(&self, range: Range<usize>) -> bool {
+        if range.is_empty() {
+            return true;
+        }
+        let (first, last) = (range.start >> 6, (range.end - 1) >> 6);
+        let head = !0u64 << (range.start & 63);
+        let tail = !0u64 >> (63 - ((range.end - 1) & 63));
+        if first == last {
+            return self.dirty[first] & head & tail == 0;
+        }
+        self.dirty[first] & head == 0
+            && self.dirty[first + 1..last].iter().all(|&w| w == 0)
+            && self.dirty[last] & tail == 0
+    }
+
     /// XORs `mask` into the injected-fault state of the word at `addr`.
     ///
     /// Does nothing (and returns `false`) for invalid addresses — fault
@@ -300,11 +383,10 @@ impl EccMemory {
     ///
     /// # Errors
     ///
-    /// Fails like [`EccMemory::store`] on the first invalid address.
+    /// Fails like [`EccMemory::store_words`]: an image that does not fit
+    /// writes nothing.
     pub fn load_image(&mut self, base: u32, words: &[u32]) -> Result<(), MemError> {
-        for (i, &w) in words.iter().enumerate() {
-            self.store(base + (i as u32) * WORD_BYTES, w)?;
-        }
+        self.store_words(base, words)?;
         self.generation = self.generation.wrapping_add(1);
         Ok(())
     }
@@ -454,6 +536,58 @@ mod tests {
         assert_eq!(m.load(16).unwrap(), 1);
         assert_eq!(m.load(20).unwrap(), 2);
         assert_eq!(m.load(24).unwrap(), 3);
+    }
+
+    #[test]
+    fn out_of_range_image_writes_nothing() {
+        let mut m = EccMemory::new(64);
+        m.store(56, 9).unwrap();
+        m.inject_flip(56, 0b11);
+        let g = m.generation();
+        // Words 56 and 60 fit, 64 does not: the whole image is refused.
+        assert_eq!(
+            m.load_image(56, &[1, 2, 3]),
+            Err(MemError::Bus { addr: 64 })
+        );
+        assert_eq!(m.peek(56).unwrap(), 9, "no partial prefix");
+        assert_eq!(m.faulty_words(), 1, "flips survive a refused image");
+        assert_eq!(m.generation(), g);
+        assert_eq!(m.load_image(2, &[1]), Err(MemError::Misaligned { addr: 2 }));
+        // A fitting image still bumps the generation and clears flips.
+        m.load_image(56, &[1, 2]).unwrap();
+        assert_ne!(m.generation(), g);
+        assert_eq!(m.faulty_words(), 0);
+        assert_eq!(m.load(56).unwrap(), 1);
+    }
+
+    #[test]
+    fn range_ops_match_per_word_ops() {
+        // 130 words: the range spans three dirty-bitset words.
+        let mut m = EccMemory::new(130 * 4);
+        let image: Vec<u32> = (0..130).map(|i| i * 3 + 1).collect();
+        m.store_words(0, &image).unwrap();
+        assert_eq!(m.peek_words(0, 130).unwrap(), &image[..]);
+        assert_eq!(m.peek_words(4 * 60, 10).unwrap(), &image[60..70]);
+        assert!(m.words_clean(0, 130).unwrap());
+        m.inject_flip(4 * 64, 1);
+        assert!(!m.words_clean(0, 130).unwrap());
+        assert!(!m.words_clean(4 * 63, 2).unwrap());
+        assert!(!m.words_clean(4 * 64, 1).unwrap());
+        assert!(m.words_clean(0, 64).unwrap());
+        assert!(m.words_clean(4 * 65, 65).unwrap());
+        // Storing over the faulty word clears it, like a per-word store.
+        m.store_words(4 * 60, &[7; 8]).unwrap();
+        assert!(m.words_clean(0, 130).unwrap());
+        assert_eq!(m.faulty_words(), 0);
+        assert_eq!(m.peek(4 * 64).unwrap(), 7);
+        // Errors name the first invalid address; empty ranges always fit.
+        assert_eq!(
+            m.peek_words(4 * 129, 2),
+            Err(MemError::Bus { addr: 4 * 130 })
+        );
+        assert_eq!(m.words_clean(1, 1), Err(MemError::Misaligned { addr: 1 }));
+        assert_eq!(m.store_words(1 << 20, &[]), Ok(()));
+        assert_eq!(m.peek_words(1 << 20, 0).unwrap(), &[] as &[u32]);
     }
 
     #[test]

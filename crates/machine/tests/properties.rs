@@ -4,6 +4,7 @@ use nlft_machine::asm::{assemble, disassemble};
 use nlft_machine::fault::{run_with_injection, FaultSpace};
 use nlft_machine::isa::{Instr, Reg};
 use nlft_machine::machine::{Machine, RunExit};
+use nlft_machine::mem::{EccMemory, MemError};
 use nlft_machine::mmu::MemoryMap;
 use nlft_machine::workloads;
 use nlft_sim::rng::RngStream;
@@ -358,6 +359,141 @@ fn stuck_at_detection_classifies_consistently() {
             let b = run();
             prop_assert_eq!(a.0, b.0, "exit and cycles must repeat exactly");
             prop_assert_eq!(a.1, b.1, "outputs must repeat exactly");
+            Ok(())
+        },
+    );
+}
+
+/// Words in the memory the range-op differential runs on: not a multiple
+/// of 64, so ranges end mid-way through a dirty-bitset word.
+const DIFF_WORDS: u32 = 150;
+
+/// One step of the range-op differential.
+#[derive(Debug, Clone)]
+enum MemOp {
+    Store(u32, u32),
+    Inject(u32, u32),
+    ClearFaults,
+    Load(u32),
+    StoreWords(u32, Vec<u32>),
+    LoadWords(u32, usize),
+    PeekWords(u32, usize),
+}
+
+/// A byte address near the memory: mostly word-aligned and in range,
+/// sometimes past the end, occasionally misaligned.
+fn arb_addr(r: &mut TkRng) -> u32 {
+    let addr = r.range(0, u64::from(DIFF_WORDS) + 8) as u32 * 4;
+    if r.range(0, 16) == 0 {
+        addr + r.range(1, 4) as u32
+    } else {
+        addr
+    }
+}
+
+fn arb_mem_op(r: &mut TkRng) -> MemOp {
+    match r.usize_range(0, 7) {
+        0 => MemOp::Store(arb_addr(r), r.next_u32()),
+        // Flip one bit or two: both SEC and DED paths.
+        1 => {
+            let mut mask = 1 << r.range(0, 32);
+            if r.bool() {
+                mask |= 1 << r.range(0, 32);
+            }
+            MemOp::Inject(arb_addr(r), mask)
+        }
+        2 => MemOp::ClearFaults,
+        3 => MemOp::Load(arb_addr(r)),
+        4 => {
+            let len = r.usize_range(0, 80);
+            MemOp::StoreWords(arb_addr(r), (0..len).map(|_| r.next_u32()).collect())
+        }
+        5 => MemOp::LoadWords(arb_addr(r), r.usize_range(0, 80)),
+        _ => MemOp::PeekWords(arb_addr(r), r.usize_range(0, 80)),
+    }
+}
+
+/// Per-word reference for a range's validity: the first invalid word's
+/// error, found with side-effect-free peeks.
+fn check_range_per_word(m: &EccMemory, base: u32, len: usize) -> Result<(), MemError> {
+    (0..len as u32).try_for_each(|i| m.peek(base + i * 4).map(drop))
+}
+
+/// Applies `op` with the range operations (`by_range`) or with one
+/// per-word operation per word, returning the words it read.
+fn apply_mem_op(m: &mut EccMemory, op: &MemOp, by_range: bool) -> Result<Vec<u32>, MemError> {
+    match op {
+        MemOp::Store(addr, value) => m.store(*addr, *value).map(|()| vec![]),
+        MemOp::Inject(addr, mask) => Ok(vec![u32::from(m.inject_flip(*addr, *mask))]),
+        MemOp::ClearFaults => {
+            m.clear_faults();
+            Ok(vec![])
+        }
+        MemOp::Load(addr) => m.load(*addr).map(|w| vec![w]),
+        MemOp::StoreWords(base, words) if by_range => m.store_words(*base, words).map(|()| vec![]),
+        MemOp::StoreWords(base, words) => {
+            check_range_per_word(m, *base, words.len())?;
+            for (i, &w) in (0u32..).zip(words) {
+                m.store(base + i * 4, w)?;
+            }
+            Ok(vec![])
+        }
+        // The kernel's state read-back: one slice copy when clean, ECC
+        // loads in address order otherwise.
+        MemOp::LoadWords(base, len) if by_range && m.words_clean(*base, *len)? => {
+            Ok(m.peek_words(*base, *len)?.to_vec())
+        }
+        MemOp::LoadWords(base, len) => {
+            check_range_per_word(m, *base, *len)?;
+            (0..*len as u32).map(|i| m.load(base + i * 4)).collect()
+        }
+        MemOp::PeekWords(base, len) if by_range => Ok(m.peek_words(*base, *len)?.to_vec()),
+        MemOp::PeekWords(base, len) => {
+            check_range_per_word(m, *base, *len)?;
+            (0..*len as u32).map(|i| m.peek(base + i * 4)).collect()
+        }
+    }
+}
+
+/// The range operations (`peek_words`, `store_words`, `words_clean`) are
+/// observably identical to their per-word loops: over random sequences of
+/// stores, flips, fault clears and loads, with ECC on and off, every
+/// operation returns the same words or error, and the memory's words,
+/// faulty-word count, ECC counters and generation stay equal.
+#[test]
+fn range_ops_match_per_word_ops() {
+    SUITE.check(
+        "range_ops_match_per_word_ops",
+        {
+            let mut ops = gens::vec(arb_mem_op, 1..40);
+            move |r: &mut TkRng| (r.bool(), ops(r))
+        },
+        |(ecc, ops)| {
+            let fresh = || {
+                if *ecc {
+                    EccMemory::new(DIFF_WORDS * 4)
+                } else {
+                    EccMemory::new_without_ecc(DIFF_WORDS * 4)
+                }
+            };
+            let (mut ranged, mut per_word) = (fresh(), fresh());
+            for (step, op) in ops.iter().enumerate() {
+                let a = apply_mem_op(&mut ranged, op, true);
+                let b = apply_mem_op(&mut per_word, op, false);
+                prop_assert_eq!(&a, &b, "step {step}: {op:?} returned differently");
+                prop_assert_eq!(
+                    ranged.peek_words(0, DIFF_WORDS as usize).unwrap(),
+                    per_word.peek_words(0, DIFF_WORDS as usize).unwrap(),
+                    "step {step}: words differ"
+                );
+                prop_assert_eq!(
+                    ranged.faulty_words(),
+                    per_word.faulty_words(),
+                    "step {step}"
+                );
+                prop_assert_eq!(ranged.ecc_stats(), per_word.ecc_stats(), "step {step}");
+                prop_assert_eq!(ranged.generation(), per_word.generation(), "step {step}");
+            }
             Ok(())
         },
     );
