@@ -22,7 +22,7 @@ use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan};
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{BbwCluster, CU_A, CU_B, WHEELS};
+use crate::cluster::{check_run_cycles, BbwCluster, CU_A, CU_B, WHEELS};
 
 const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
 
@@ -93,8 +93,9 @@ impl BlackoutCampaignConfig {
     }
 
     /// Checks that the campaign can run: trials, `warmup_cycles >= 2`,
-    /// a nonzero recovery window and blackout, and `min_reset` within
-    /// `1..=pool size`.
+    /// a nonzero recovery window and blackout, warmup plus recovery
+    /// within [`MAX_CYCLES`](crate::cluster::MAX_CYCLES), and `min_reset`
+    /// within `1..=pool size`.
     pub fn check(&self) -> Result<(), String> {
         if self.trials == 0 {
             return Err("need trials".into());
@@ -108,6 +109,10 @@ impl BlackoutCampaignConfig {
         if self.down_cycles == 0 {
             return Err("blackout must last at least 1 cycle".into());
         }
+        check_run_cycles(
+            "blackout",
+            u64::from(self.warmup_cycles) + u64::from(self.recovery_cycles),
+        )?;
         let pool = self.pool().len();
         if !(1..=pool).contains(&self.min_reset) {
             return Err(format!("blackout min_reset must be in 1..={pool}"));

@@ -72,6 +72,24 @@ pub const HOLD_CYCLES: u32 = 3;
 /// cycle they arrive, so a healthy age is 0).
 pub const COMMAND_MAX_AGE: u32 = 2;
 
+/// Longest run, in communication cycles, one campaign trial may ask of
+/// [`BbwCluster::run`]. The run keeps a record per cycle, so an unbounded
+/// count is an unbounded allocation; the limit is 2 500 times the zoo's
+/// longest scenario.
+pub const MAX_CYCLES: u32 = 100_000;
+
+/// Checks a campaign's per-trial run length against [`MAX_CYCLES`]. The
+/// length is a `u64` so a config can pass a sum of `u32` phases without
+/// wrapping.
+pub(crate) fn check_run_cycles(family: &str, cycles: u64) -> Result<(), String> {
+    if cycles > u64::from(MAX_CYCLES) {
+        return Err(format!(
+            "{family} runs {cycles} cycles per trial; at most {MAX_CYCLES} are allowed"
+        ));
+    }
+    Ok(())
+}
+
 /// Bus node ids: two CU replicas then four wheel nodes.
 pub const CU_A: NodeId = NodeId(0);
 /// Second central-unit replica.

@@ -13,7 +13,7 @@ use nlft_net::frame::NodeId;
 use nlft_net::inject::{InjectionCounts, NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{BbwCluster, ClusterInjection, CU_A, CU_B, WHEELS};
+use crate::cluster::{check_run_cycles, BbwCluster, ClusterInjection, CU_A, CU_B, WHEELS};
 
 /// Configuration of a cluster-level campaign.
 #[derive(Debug, Clone)]
@@ -152,8 +152,8 @@ impl NetStormCampaignConfig {
         }
     }
 
-    /// Checks that the campaign can run: trials, at least two cycles,
-    /// and an intensity in `[0, 1]`.
+    /// Checks that the campaign can run: trials, `2..=MAX_CYCLES`
+    /// cycles, and an intensity in `[0, 1]`.
     pub fn check(&self) -> Result<(), String> {
         if self.trials == 0 {
             return Err("need trials".into());
@@ -161,6 +161,7 @@ impl NetStormCampaignConfig {
         if self.cycles < 2 {
             return Err("net_storm needs at least 2 cycles".into());
         }
+        check_run_cycles("net_storm", u64::from(self.cycles))?;
         if !(0.0..=1.0).contains(&self.intensity) {
             return Err("intensity must be in [0, 1]".into());
         }

@@ -25,7 +25,9 @@ use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault, Transien
 use nlft_net::frame::NodeId;
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS};
+use crate::cluster::{
+    check_run_cycles, BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS,
+};
 
 const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
 
@@ -125,7 +127,8 @@ impl RecoveryClusterCampaignConfig {
     }
 
     /// Checks that the campaign can run: trials, and at least 30 cycles
-    /// so the full escalation ladder fits.
+    /// so the full escalation ladder fits, but no more than
+    /// [`MAX_CYCLES`](crate::cluster::MAX_CYCLES).
     pub fn check(&self) -> Result<(), String> {
         if self.trials == 0 {
             return Err("need trials".into());
@@ -133,6 +136,7 @@ impl RecoveryClusterCampaignConfig {
         if self.cycles < 30 {
             return Err("recovery needs at least 30 cycles (the full ladder)".into());
         }
+        check_run_cycles("recovery", u64::from(self.cycles))?;
         Ok(())
     }
 }

@@ -38,7 +38,9 @@ use nlft_sim::rng::RngStream;
 use crate::actuator::ActuatorFault;
 use crate::blackout::{run_blackout_campaign, BlackoutCampaignConfig};
 use crate::braking::MissPolicy;
-use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS};
+use crate::cluster::{
+    check_run_cycles, BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS,
+};
 use crate::cluster_campaign::{run_net_storm_campaign, NetStormCampaignConfig};
 use crate::recovery::{run_recovery_cluster_campaign, RecoveryClusterCampaignConfig};
 use crate::sensor::SensorFault;
@@ -351,8 +353,8 @@ impl CompiledScenario {
 }
 
 impl ClusterScenarioConfig {
-    /// Checks that the scenario can run: trials, at least 2 cycles, and
-    /// every fault line valid — the net-fault plan dry-built through the
+    /// Checks that the scenario can run: trials, `2..=MAX_CYCLES` cycles,
+    /// and every fault line valid — the net-fault plan dry-built through the
     /// injectors' typed constructors.
     pub fn check(&self) -> Result<(), String> {
         let cluster = &self.spec;
@@ -362,6 +364,7 @@ impl ClusterScenarioConfig {
         if cluster.cycles < 2 {
             return Err("cluster needs at least 2 cycles".into());
         }
+        check_run_cycles("cluster", u64::from(cluster.cycles))?;
         build_net_plan(cluster).map_err(|e| e.to_string())?;
         for fault in &cluster.faults {
             match fault {
@@ -961,21 +964,27 @@ mod tests {
     #[test]
     fn compile_rejects_every_config_its_runner_would_panic_on() {
         // Each of these parses, and each once compiled only to trip a
-        // runner assertion.
+        // runner assertion or, with a huge cycle count, to abort the
+        // process on the per-cycle record allocation.
         let cases = [
-            ("weakly_hard", "horizon_jobs 4\ncontract 2 8"),
-            ("weakly_hard", "interval 0 10"),
-            ("value_domain", "cycles 3"),
-            ("multicore", "horizon 2"),
-            ("blackout", "warmup 1"),
-            ("blackout", "recovery 0"),
-            ("blackout", "min_reset 9"),
+            ("weakly_hard", "params\nhorizon_jobs 4\ncontract 2 8"),
+            ("weakly_hard", "params\ninterval 0 10"),
+            ("value_domain", "params\ncycles 3"),
+            ("multicore", "params\nhorizon 2"),
+            ("blackout", "params\nwarmup 1"),
+            ("blackout", "params\nrecovery 0"),
+            ("blackout", "params\nmin_reset 9"),
+            ("net_storm", "params\ncycles 4294967295"),
+            ("value_domain", "params\ncycles 4294967295"),
+            ("recovery", "params\ncycles 4294967295"),
+            ("cluster", "topology\ncycles 4294967295"),
+            ("blackout", "params\nwarmup 4294967295\nrecovery 4294967295"),
         ];
-        for (family, params) in cases {
+        for (family, section) in cases {
             let s = spec(&format!(
-                "scenario bad\nfamily {family}\ntrials 2\nseed 1\nparams\n{params}\nend\nend\n"
+                "scenario bad\nfamily {family}\ntrials 2\nseed 1\n{section}\nend\nend\n"
             ));
-            let e = compile(&s, 1).expect_err(params);
+            let e = compile(&s, 1).expect_err(section);
             assert_eq!(e.scenario, "bad");
         }
     }

@@ -31,7 +31,9 @@ use nlft_net::inject::{NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
 
 use crate::actuator::ActuatorFault;
-use crate::cluster::{BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS};
+use crate::cluster::{
+    check_run_cycles, BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS,
+};
 use crate::sensor::{SensorFault, PEDAL_MAX};
 
 /// What each trial injects.
@@ -88,8 +90,8 @@ impl ValueDomainCampaignConfig {
         }
     }
 
-    /// Checks that the campaign can run: trials, at least 8 cycles (the
-    /// fault onsets are drawn from `2..cycles / 2`), and a network
+    /// Checks that the campaign can run: trials, `8..=MAX_CYCLES` cycles
+    /// (the fault onsets are drawn from `2..cycles / 2`), and a network
     /// intensity in `[0, 1]`.
     pub fn check(&self) -> Result<(), String> {
         if self.trials == 0 {
@@ -98,6 +100,7 @@ impl ValueDomainCampaignConfig {
         if self.cycles < 8 {
             return Err("value_domain needs at least 8 cycles for its onset windows".into());
         }
+        check_run_cycles("value_domain", u64::from(self.cycles))?;
         if !(0.0..=1.0).contains(&self.net_intensity) {
             return Err("net_intensity must be in [0, 1]".into());
         }

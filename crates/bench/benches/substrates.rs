@@ -1,20 +1,24 @@
 //! Microbenchmarks of every substrate: the matrix exponential, CTMC
-//! solves, BDD fault trees, the TM32 interpreter, TEM jobs, the scheduler
-//! simulation, the TDMA bus and the campaign trial loop.
+//! solves, BDD fault trees, the TM32 interpreter, TEM jobs, the multicore
+//! certification sweep, the escalation-chain solve, the preemptive
+//! executive, the TDMA bus and one BBW cluster cycle.
 
 use nlft_bbw::cluster::BbwCluster;
+use nlft_core::diagnosis::escalation_chain;
+use nlft_kernel::escalation::EscalationPolicy;
+use nlft_kernel::multicore::MulticoreExecutive;
 use nlft_kernel::preemptive::{PreemptiveExecutive, ResidentTask};
-use nlft_kernel::sched::FpSimulator;
-use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpecBuilder};
+use nlft_kernel::resources::{certify, ProtocolKind};
+use nlft_kernel::task::{Priority, TaskId};
 use nlft_kernel::tem::{InjectionPlan, TemConfig, TemExecutor};
 use nlft_machine::fault::{FaultTarget, TransientFault};
 use nlft_machine::workloads;
 use nlft_net::bus::{Bus, BusConfig};
 use nlft_net::frame::NodeId;
 use nlft_reliability::ctmc::CtmcBuilder;
+use nlft_reliability::dtmc::AbsorbingDtmc;
 use nlft_reliability::faulttree::FaultTreeBuilder;
 use nlft_reliability::linalg::Matrix;
-use nlft_sim::time::SimDuration;
 use nlft_testkit::bench::Bench;
 use std::hint::black_box;
 
@@ -137,28 +141,39 @@ fn bench_tem() {
     b.finish();
 }
 
-fn bench_sched() {
-    let set: TaskSet = [
-        (1u32, 0u32, 5_000u64, 500u64),
-        (2, 1, 10_000, 1_000),
-        (3, 2, 20_000, 3_000),
-    ]
-    .into_iter()
-    .map(|(id, prio, period, wcet)| {
-        TaskSpecBuilder::new(TaskId(id), format!("t{id}"))
-            .period(SimDuration::from_micros(period))
-            .wcet(SimDuration::from_micros(wcet))
-            .priority(Priority(prio))
-            .criticality(Criticality::Critical)
-            .build()
-            .expect("valid")
-    })
-    .collect();
+/// Certify the reference workload under both protocols at 2 and 5 cores.
+fn certify_sweep() -> usize {
+    let mut certified = 0usize;
+    for cores in [2usize, 5] {
+        let (set, map) = MulticoreExecutive::reference_workload(cores);
+        for kind in [ProtocolKind::LockBased, ProtocolKind::LeftRs] {
+            certified += certify(&set, &map, kind, cores as u32, 1)
+                .iter()
+                .filter(|c| c.response.is_some())
+                .count();
+        }
+    }
+    certified
+}
 
-    let mut b = Bench::new("sched");
-    let sim = FpSimulator::new(set.clone());
-    b.bench("fp_sim_one_second", || {
-        black_box(sim.run(SimDuration::from_secs(1)))
+fn bench_multicore() {
+    let mut b = Bench::new("multicore");
+    b.bench("certify_sweep_2_and_5_cores", || black_box(certify_sweep()));
+    b.finish();
+}
+
+fn analytic_retirement_slots(p_err: f64) -> f64 {
+    let chain = escalation_chain(EscalationPolicy::default(), p_err);
+    AbsorbingDtmc::new(chain.matrix.clone(), &chain.retired)
+        .expect("ladder chain is absorbing")
+        .expected_steps_to_absorption(chain.start)
+        .expect("retirement reachable")
+}
+
+fn bench_diagnosis() {
+    let mut b = Bench::new("diagnosis");
+    b.bench("escalation_chain_solve", || {
+        black_box(analytic_retirement_slots(black_box(0.5)))
     });
     b.finish();
 }
@@ -224,7 +239,8 @@ fn main() {
     bench_faulttree();
     bench_machine();
     bench_tem();
-    bench_sched();
+    bench_multicore();
+    bench_diagnosis();
     bench_preemptive();
     bench_net();
 }

@@ -3,9 +3,13 @@
 //!
 //! The baseline serves two different promises and treats them differently:
 //!
-//! * **Timings** (median ns per benchmark) are hardware-dependent, so the
-//!   comparison is *fail-soft*: slowdowns beyond a threshold produce
-//!   prominent warnings in the report, never a failure.
+//! * **Timings** (the fastest sample's ns per iteration, `min_ns`) are
+//!   hardware-dependent, so the comparison is *fail-soft*: slowdowns
+//!   beyond a threshold produce prominent warnings in the report, never
+//!   a failure. The minimum rather than the median is compared because
+//!   scheduler and cache noise on a shared host only ever adds time: the
+//!   median of ten samples drifts with the host's load, while the
+//!   fastest sample stays near the code's true cost.
 //! * **Golden results** (a CRC-32 digest over the bit-exact Figure 12
 //!   reliability curves) are hardware-independent, so any drift is a hard
 //!   failure — an optimisation that changes a single output bit is a bug,
@@ -23,7 +27,7 @@ use crate::fig12;
 /// Baseline file schema version (bump on layout changes).
 pub const SCHEMA: u64 = 1;
 
-/// Warn when a benchmark's median slows down by more than this factor.
+/// Warn when a benchmark's minimum slows down by more than this factor.
 pub const SLOWDOWN_WARN_RATIO: f64 = 1.25;
 
 /// CRC-32 digest over the bit-exact Figure 12 curves (labels, every
@@ -66,9 +70,10 @@ pub fn merge_baseline(mut groups: Vec<Json>) -> Json {
 pub struct Delta {
     /// `group/name` of the benchmark.
     pub key: String,
-    /// Baseline median (ns).
+    /// Baseline minimum (ns per iteration).
     pub baseline_ns: f64,
-    /// Fresh median (ns), `None` when the benchmark was not re-run.
+    /// Fresh minimum (ns per iteration), `None` when the benchmark was not
+    /// re-run.
     pub current_ns: Option<f64>,
 }
 
@@ -186,7 +191,7 @@ pub fn compare(baseline: &Json, fresh_groups: &[Json]) -> Comparison {
             .unwrap_or(&[])
         {
             let name = bench.get("name").and_then(Json::as_str).unwrap_or("?");
-            let Some(base_ns) = bench.get("median_ns").and_then(Json::as_f64) else {
+            let Some(base_ns) = bench.get("min_ns").and_then(Json::as_f64) else {
                 continue;
             };
             deltas.push(Delta {
@@ -215,7 +220,7 @@ fn lookup(groups: &[Json], group: &str, name: &str) -> Option<f64> {
         .and_then(Json::as_arr)?
         .iter()
         .find(|b| b.get("name").and_then(Json::as_str) == Some(name))?
-        .get("median_ns")
+        .get("min_ns")
         .and_then(Json::as_f64)
 }
 
@@ -233,13 +238,18 @@ fn fmt_ns(ns: f64) -> String {
 mod tests {
     use super::*;
 
-    fn group(name: &str, benches: &[(&str, f64)]) -> Json {
+    /// A group report; each benchmark is `(name, min_ns, median_ns)`.
+    fn group(name: &str, benches: &[(&str, f64, f64)]) -> Json {
         Json::obj([
             ("group", Json::from(name)),
             (
                 "benchmarks",
-                Json::arr(benches.iter().map(|&(n, m)| {
-                    Json::obj([("name", Json::from(n)), ("median_ns", Json::from(m))])
+                Json::arr(benches.iter().map(|&(n, min, median)| {
+                    Json::obj([
+                        ("name", Json::from(n)),
+                        ("min_ns", Json::from(min)),
+                        ("median_ns", Json::from(median)),
+                    ])
                 })),
             ),
         ])
@@ -271,14 +281,28 @@ mod tests {
     fn compare_flags_slowdowns_and_missing_benches() {
         let baseline = merge_baseline(vec![group(
             "machine",
-            &[("fast", 100.0), ("slow", 100.0), ("gone", 100.0)],
+            &[
+                ("fast", 100.0, 110.0),
+                ("slow", 100.0, 110.0),
+                ("noisy", 100.0, 110.0),
+                ("gone", 100.0, 110.0),
+            ],
         )]);
-        let fresh = [group("machine", &[("fast", 90.0), ("slow", 200.0)])];
+        let fresh = [group(
+            "machine",
+            &[
+                ("fast", 90.0, 95.0),
+                ("slow", 200.0, 210.0),
+                ("noisy", 101.0, 400.0),
+            ],
+        )];
         let cmp = compare(&baseline, &fresh);
-        assert_eq!(cmp.deltas.len(), 3);
+        assert_eq!(cmp.deltas.len(), 4);
         assert!(!cmp.deltas[0].slow(), "speedup is not a warning");
         assert!(cmp.deltas[1].slow(), "2x slowdown must warn");
-        assert_eq!(cmp.deltas[2].current_ns, None);
+        assert_eq!(cmp.deltas[2].current_ns, Some(101.0), "minimum compared");
+        assert!(!cmp.deltas[2].slow(), "a noisy median alone is no warning");
+        assert_eq!(cmp.deltas[3].current_ns, None);
         assert!(cmp.golden_ok(), "same build reproduces its own digest");
         let report = cmp.render();
         assert!(report.contains("SLOWER"), "{report}");

@@ -9,8 +9,6 @@
 //!   validated task sets.
 //! * [`tem`] — temporal error masking: execute critical tasks twice,
 //!   compare, recover with a third execution + 2-of-3 vote (Fig. 3).
-//! * [`sched`] — an event-driven fixed-priority preemptive scheduler
-//!   simulation used to validate the analysis empirically.
 //! * [`analysis`] — response-time analysis, its fault-tolerant extension
 //!   (slack for recovery), and the TEM task transformation.
 //! * [`contract`] — weakly-hard (m,k) deadline-miss contracts with
@@ -24,7 +22,9 @@
 //!   sets, the SRP blocking bound, and fault-tolerant resource-sharing
 //!   protocols (lock-based baseline vs LEFT-RS lock-free retry-bounded).
 //! * [`multicore`] — an N-core partitioned fixed-priority executive with
-//!   ceiling-boosted critical sections and core-death fault injection.
+//!   ceiling-boosted critical sections and core-death fault injection; at
+//!   one core it is the plain preemptive dispatcher whose simulated
+//!   response times validate the analysis empirically.
 //!
 //! # Examples
 //!
@@ -59,7 +59,6 @@ pub mod integrity;
 pub mod multicore;
 pub mod preemptive;
 pub mod resources;
-pub mod sched;
 pub mod task;
 pub mod tem;
 

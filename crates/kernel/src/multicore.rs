@@ -688,6 +688,80 @@ mod tests {
         }
     }
 
+    fn periodic(id: u32, prio: u32, period_us: u64, wcet_us: u64) -> TaskSpec {
+        TaskSpecBuilder::new(TaskId(id), format!("t{id}"))
+            .period(us(period_us))
+            .wcet(us(wcet_us))
+            .priority(Priority(prio))
+            .criticality(Criticality::Critical)
+            .build()
+            .unwrap()
+    }
+
+    /// Periods 50/100/200 µs, WCETs 10/20/40 µs: 60 % utilisation.
+    fn classic_set() -> TaskSet {
+        [
+            periodic(1, 0, 50, 10),
+            periodic(2, 1, 100, 20),
+            periodic(3, 2, 200, 40),
+        ]
+        .into_iter()
+        .collect()
+    }
+
+    /// One core, no resources: the plain fixed-priority dispatcher.
+    fn one_core(set: &TaskSet, horizon: u64) -> MulticoreReport {
+        MulticoreExecutive::new(1, set, &ResourceMap::new(), ProtocolKind::LockBased).run(horizon)
+    }
+
+    #[test]
+    fn one_core_worst_response_matches_rta_at_critical_instant() {
+        let set = classic_set();
+        let report = one_core(&set, 10_000);
+        assert!(report.clean(), "{report:?}");
+        for (t, o) in set.iter().zip(&report.per_task) {
+            let bound = crate::analysis::response_time(&set, t).unwrap();
+            assert_eq!(o.worst_response, Some(bound), "{}", t.name);
+        }
+    }
+
+    #[test]
+    fn one_core_release_preempts_a_lower_priority_job() {
+        // t3 starts at 30 µs, once t1 and t2 are done; t1's release at
+        // 50 µs preempts it for 10 µs, so it ends at 80 µs rather than
+        // the 70 µs an unpreempted run would take.
+        let report = one_core(&classic_set(), 200);
+        assert_eq!(report.per_task[2].worst_response, Some(us(80)));
+    }
+
+    #[test]
+    fn one_core_overload_misses_deadlines() {
+        let set: TaskSet = [periodic(1, 0, 10, 6), periodic(2, 1, 20, 10)]
+            .into_iter()
+            .collect();
+        let report = one_core(&set, 1_000);
+        assert!(!report.clean());
+        assert_eq!(report.per_task[0].missed, 0);
+        assert!(report.per_task[1].missed > 0);
+    }
+
+    #[test]
+    fn one_core_light_load_completes_every_job_undelayed() {
+        let set: TaskSet = [periodic(1, 0, 100, 10)].into_iter().collect();
+        let report = one_core(&set, 1_000);
+        let t = &report.per_task[0];
+        assert_eq!((t.released, t.completed, t.missed), (10, 10, 0));
+        assert_eq!(t.worst_response, Some(us(10)));
+    }
+
+    #[test]
+    fn one_core_long_run_completes_every_job() {
+        let report = one_core(&classic_set(), 100_000);
+        // 100 ms: 2000 jobs of t1, 1000 of t2, 500 of t3.
+        assert_eq!(report.completed, 3500);
+        assert!(report.clean());
+    }
+
     #[test]
     fn clean_reference_run_meets_all_deadlines_under_both_protocols() {
         for kind in [ProtocolKind::LockBased, ProtocolKind::LeftRs] {

@@ -1,9 +1,11 @@
-//! Property-based tests for the kernel: the scheduler simulation never
-//! contradicts the response-time analysis, and TEM is deterministic.
+//! Property-based tests for the kernel: the one-core executive never
+//! contradicts the response-time analysis and reaches its bound on
+//! schedulable sets, and TEM is deterministic.
 
 use nlft_kernel::analysis::{analyse, response_time};
 use nlft_kernel::integrity::{crc32, SealedMessage};
-use nlft_kernel::sched::FpSimulator;
+use nlft_kernel::multicore::{MulticoreExecutive, MulticoreReport};
+use nlft_kernel::resources::{ProtocolKind, ResourceMap};
 use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpecBuilder};
 use nlft_kernel::tem::{InjectionPlan, TemConfig, TemExecutor};
 use nlft_machine::fault::FaultSpace;
@@ -42,8 +44,15 @@ fn arb_task(r: &mut TkRng) -> (u64, u64) {
     (p, c)
 }
 
-/// Soundness: the simulated worst response at the critical instant
-/// never exceeds the RTA bound, for any random task set.
+/// Runs `set` on a one-core executive for 200 ms from the critical
+/// instant (every task released at t = 0).
+fn run_one_core(set: &TaskSet) -> MulticoreReport {
+    MulticoreExecutive::new(1, set, &ResourceMap::new(), ProtocolKind::LockBased).run(200_000)
+}
+
+/// Soundness and tightness: the simulated worst response at the critical
+/// instant never exceeds the RTA bound, for any random task set, and
+/// equals it for every task of a schedulable set.
 #[test]
 fn simulation_never_beats_rta_bound() {
     SUITE.check(
@@ -53,16 +62,22 @@ fn simulation_never_beats_rta_bound() {
             let Some(set) = build_set(specs) else {
                 return Ok(());
             };
-            let horizon = SimDuration::from_millis(200);
-            let report = FpSimulator::new(set.clone()).run(horizon);
-            for t in set.iter() {
-                if let Some(bound) = response_time(&set, t) {
-                    let observed = report.tasks[&t.id].max_response;
+            let schedulable = analyse(&set).is_schedulable();
+            let report = run_one_core(&set);
+            for (t, outcome) in set.iter().zip(&report.per_task) {
+                prop_assert_eq!(outcome.id, t.id);
+                let Some(bound) = response_time(&set, t) else {
+                    continue;
+                };
+                if let Some(observed) = outcome.worst_response {
                     prop_assert!(
                         observed <= bound,
                         "{}: observed {observed} > bound {bound}",
                         t.name
                     );
+                }
+                if schedulable {
+                    prop_assert_eq!(outcome.worst_response, Some(bound));
                 }
             }
             Ok(())
@@ -82,8 +97,8 @@ fn rta_schedulable_implies_no_misses() {
                 return Ok(());
             };
             if analyse(&set).is_schedulable() {
-                let report = FpSimulator::new(set).run(SimDuration::from_millis(200));
-                prop_assert!(report.no_misses());
+                let report = run_one_core(&set);
+                prop_assert_eq!(report.missed, 0);
             }
             Ok(())
         },

@@ -56,13 +56,14 @@ cargo run --release --offline -p nlft-bench --bin scenario_run -- \
     run babbling-wheel --resume "$ckpt"
 
 # Bench trajectory: re-measure the groups in the committed baseline and
-# compare. Timing deltas are advisory only (hardware varies between
-# machines), so slowdowns print warnings; golden-digest drift — a
-# bit-level change to the deterministic Figure 12 results — fails hard.
-echo "== bench: substrates + fig12 + campaigns vs BENCH_BASELINE.json =="
-cargo bench --offline -p nlft-bench --bench substrates -- --samples 10 >/dev/null
-cargo bench --offline -p nlft-bench --bench fig12_system_reliability -- --samples 10 >/dev/null
-for group in net_storm startup diagnosis value_domain weakly_hard multicore scenario engine; do
+# compare. Timing deltas (fastest sample per benchmark) are advisory only,
+# since hardware varies between machines, so slowdowns print warnings;
+# golden-digest drift — a bit-level change to the deterministic Figure 12
+# results — fails hard. Campaign timings are the repository benchmark's
+# job (perfbench); the trajectory keeps the substrate probes, Figure 12
+# and the engine.
+echo "== bench: substrates + fig12 + engine vs BENCH_BASELINE.json =="
+for group in substrates fig12_system_reliability engine; do
     cargo bench --offline -p nlft-bench --bench "$group" -- --samples 10 >/dev/null
 done
 cargo run --release --offline -p nlft-bench --bin bench_compare -- compare
