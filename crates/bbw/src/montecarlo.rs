@@ -213,7 +213,7 @@ pub fn run_monte_carlo(config: &MonteCarloConfig) -> MonteCarloResult {
 /// count, so neither the thread count nor a checkpoint/resume split can
 /// change any drawn value or any merged bit. `engine` picks the path:
 /// in-thread at one worker with no trial budget and no chaos injection,
-/// the work-stealing executor otherwise.
+/// the threaded executor otherwise.
 ///
 /// # Panics
 ///

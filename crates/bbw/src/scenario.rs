@@ -535,7 +535,7 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutco
 #[derive(Default)]
 pub struct ScenarioEngineOptions<'a> {
     /// Per-trial wall-clock budget enforced by the engine watchdog
-    /// (which runs the work-stealing executor even at one thread).
+    /// (which runs the threaded executor even at one thread).
     pub trial_budget: Option<Duration>,
     /// Resume from a checkpoint string previously handed to
     /// `on_checkpoint`.

@@ -1,10 +1,10 @@
 //! The campaign engine benchmarked in isolation: per-trial scheduling
-//! overhead on empty trials (the in-thread path vs the work-stealing
-//! executor, thread spawn included), steal behaviour under skewed
-//! per-trial costs, and the streaming block-merge fold that keeps
-//! memory O(workers); full mode re-runs the skewed campaign and writes
-//! its scheduling telemetry (steal rate, pending-block high-water
-//! mark) to `ENGINE.json` under `<target>/testkit/`.
+//! overhead on empty trials (the in-thread path vs the threaded
+//! executor, thread spawn included), scheduling under skewed and
+//! periodic per-trial costs, and the streaming block-merge fold that
+//! keeps memory O(workers); full mode re-runs the skewed campaign and
+//! writes its scheduling telemetry (pending-block high-water mark) to
+//! `ENGINE.json` under `<target>/testkit/`.
 
 use std::hint::black_box;
 
@@ -16,6 +16,7 @@ use nlft_testkit::json::Json;
 const EMPTY_TRIALS: u64 = 10_000;
 const SKEWED_TRIALS: u64 = 2_048;
 const SKEW_BLOCK: u64 = 8;
+const PERIODIC_TRIALS: u64 = 600;
 const MERGE_BLOCKS: usize = 256;
 
 /// Three rounds of xorshift per unit of `rounds` — deterministic spin
@@ -49,11 +50,11 @@ fn empty_campaign() -> ClosureCampaign<
     )
 }
 
-/// A campaign with a 200:1 cost skew aligned against the round-robin
-/// deal: blocks are dealt to deques by `block_index % workers`, so with
-/// [`SKEW_BLOCK`]-sized blocks and four workers, every heavy block
-/// (`block_index % 4 == 0`) lands on worker 0's deque — the other three
-/// run dry and must steal from its back.
+/// A campaign with a 200:1 cost skew in whole blocks: with
+/// [`SKEW_BLOCK`]-sized blocks, every fourth block (`block_index % 4
+/// == 0`) is heavy, so whichever worker claims one falls behind while
+/// the others claim the cheap blocks after it, up to the fold
+/// buffer's cap.
 #[allow(clippy::type_complexity)]
 fn skewed_campaign() -> ClosureCampaign<
     u64,
@@ -72,6 +73,30 @@ fn skewed_campaign() -> ClosureCampaign<
             } else {
                 50
             };
+            *acc ^= spin(trial | 1, rounds);
+        },
+        |into, from| *into ^= from,
+    )
+}
+
+/// The node-level SWIFI shape: [`PERIODIC_TRIALS`] trials at the
+/// automatic block size (3), every sixth trial 50× costlier than the
+/// rest, so every heavy trial falls in an even block. A uniform-cost
+/// campaign cannot show how the schedule copes with this alignment.
+#[allow(clippy::type_complexity)]
+fn periodic_campaign() -> ClosureCampaign<
+    u64,
+    impl Fn() -> u64,
+    impl Fn(u64, &nlft_engine::TrialCtx<'_>, &mut u64),
+    impl Fn(&mut u64, u64),
+> {
+    indexed_campaign(
+        "bench-engine-periodic",
+        "unused",
+        PERIODIC_TRIALS,
+        || 0u64,
+        |trial, _ctx, acc: &mut u64| {
+            let rounds = if trial.is_multiple_of(6) { 20_000 } else { 400 };
             *acc ^= spin(trial | 1, rounds);
         },
         |into, from| *into ^= from,
@@ -98,7 +123,6 @@ fn telemetry(report: &EngineReport) -> Json {
         ("trials", Json::UInt(report.trials)),
         ("completed", Json::UInt(report.completed)),
         ("blocks", Json::UInt(report.blocks)),
-        ("steals", Json::UInt(report.steals)),
         ("workers", Json::UInt(report.workers as u64)),
         (
             "max_pending_blocks",
@@ -132,7 +156,19 @@ fn main() {
     };
     b.bench_throughput("skewed_trials_4_workers", SKEWED_TRIALS, || {
         let run = run_trials(black_box(skewed_campaign()), &skew_cfg);
-        black_box((run.acc, run.report.steals))
+        black_box(run.acc)
+    });
+    let periodic_acc = run_trials(periodic_campaign(), &EngineConfig::default()).acc;
+    b.bench_throughput("periodic_trials_2_workers", PERIODIC_TRIALS, || {
+        let run = run_trials(
+            black_box(periodic_campaign()),
+            &EngineConfig::with_workers(2),
+        );
+        assert_eq!(
+            run.acc, periodic_acc,
+            "executor must match the in-thread path"
+        );
+        black_box(run.acc)
     });
     b.bench_with_setup("streaming_merge_256_blocks", block_partials, |partials| {
         let mut folded = Histogram::new(0.0, 100.0, 32);

@@ -16,7 +16,7 @@
 //!   counters and digests, and check each acceptance clause; exits
 //!   non-zero if any clause fails. Engine flags (cluster family only):
 //!   `--trial-budget-ms` arms the per-trial watchdog, which runs the
-//!   work-stealing executor even at `--threads 1` (the digest does not
+//!   threaded executor even at `--threads 1` (the digest does not
 //!   change), `--checkpoint FILE` streams resumable checkpoints to a
 //!   file every `--checkpoint-every` trials, and `--resume FILE`
 //!   continues a previously checkpointed run.

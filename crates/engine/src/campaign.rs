@@ -6,7 +6,7 @@
 //! configuration and the trial index (the labelled-RngStream rule —
 //! every trial forks its randomness as `root.fork_indexed(label,
 //! trial)`), never on which worker runs it or when. Under that
-//! contract the executor is free to steal, reorder and even re-execute
+//! contract the executor is free to interleave, reorder and even re-execute
 //! trials after a worker is lost without changing the campaign result.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,7 +104,7 @@ pub trait TrialCampaign {
 }
 
 /// Deterministic mid-campaign worker-death injection, for testing the
-/// engine's own fault tolerance: worker `worker` abandons its queue and
+/// engine's own fault tolerance: worker `worker` abandons its block and
 /// exits after it has executed `after_trials` trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosKill {
@@ -130,17 +130,17 @@ pub struct EngineConfig {
     /// asked to cancel; when it finishes (or is abandoned with its
     /// worker) it is recorded as timed out and excluded from the
     /// accumulator stream. `None` disables the watchdog; `Some` runs
-    /// the work-stealing executor even at one worker, since only it
+    /// the threaded executor even at one worker, since only it
     /// has a watchdog.
     pub trial_budget: Option<Duration>,
     /// Extra grace past the budget before a non-cooperating trial's
-    /// worker is declared lost and its queue redistributed.
+    /// worker is declared lost and its in-flight block rescued.
     pub lost_worker_grace: Duration,
     /// Fire the checkpoint callback every this many folded trials
     /// (0 disables checkpointing).
     pub checkpoint_every: u64,
     /// Optional deterministic worker-death injection (runs the
-    /// work-stealing executor even at one worker).
+    /// threaded executor even at one worker).
     pub chaos_kill: Option<ChaosKill>,
 }
 
@@ -194,8 +194,8 @@ impl std::fmt::Display for Reproducer {
 /// What the executor observed while running a campaign.
 ///
 /// The accumulator in [`CampaignRun`] is deterministic; the scheduling
-/// counters here (steals, pending high-water) are not, and must never
-/// be golden-pinned.
+/// counters here (pending high-water, lost and respawned workers) are
+/// not, and must never be golden-pinned.
 #[derive(Debug, Clone, Default)]
 pub struct EngineReport {
     /// Total trials in the campaign (including any resumed prefix).
@@ -213,8 +213,6 @@ pub struct EngineReport {
     pub timed_out: Vec<Reproducer>,
     /// Scheduling blocks the campaign was partitioned into.
     pub blocks: u64,
-    /// Blocks claimed from another worker's deque.
-    pub steals: u64,
     /// Worker threads the run started with (0 on the in-thread path).
     pub workers: usize,
     /// Workers declared lost (watchdog or chaos injection).

@@ -2,7 +2,7 @@
 //!
 //! [`run_trials_with`] runs a campaign in-thread when it asks for at
 //! most one worker and arms neither a trial budget nor chaos
-//! injection; otherwise it runs on the work-stealing executor, the only
+//! injection; otherwise it runs on the threaded executor, the only
 //! path with a watchdog. Both paths share one set-up — resumed prefix,
 //! block partition, checkpoint cadence — and one in-order fold, so
 //! their accumulators are bit-identical.
@@ -11,12 +11,13 @@
 //!
 //! Trials are partitioned into fixed-size *blocks*; the partition is a
 //! pure function of the trial count (never of the worker count).
-//! Blocks are dealt round-robin across per-worker deques. A worker
-//! claims from the front of its own deque (locality: it keeps walking
-//! its dealt arithmetic progression of block indices), falls back to
-//! the rescue queue left behind by lost workers, and finally steals
-//! from the *back* of the most-loaded victim's deque — the block its
-//! owner would reach last.
+//! Every worker claims from one order, the block index: the lowest
+//! block not yet claimed, unless a block rescued from a lost worker
+//! has a lower index. Blocks in flight therefore always sit just past
+//! the fold cursor, whatever their costs. Once the fold buffer is at
+//! its cap only the cursor block may enter execution, and with
+//! in-order claiming that block is never stranded behind work claimed
+//! far ahead of it.
 //!
 //! # Determinism
 //!
@@ -25,8 +26,8 @@
 //! partials fold into the campaign accumulator strictly in block-index
 //! order on the coordinating thread. The fold tree is therefore fixed
 //! by `(trials, block_size)` alone and every accumulator bit — floats
-//! included — is identical at any worker count, under any steal
-//! schedule, across worker loss and re-execution, and across a
+//! included — is identical at any worker count, under any claim
+//! interleaving, across worker loss and re-execution, and across a
 //! checkpoint/resume split.
 //!
 //! # Robustness
@@ -34,14 +35,13 @@
 //! Every trial runs under `catch_unwind`; a panic becomes a
 //! [`Reproducer`] record, not a dead campaign. A watchdog asks
 //! over-budget trials to cancel cooperatively, and past a grace period
-//! declares the stuck worker lost: its deque is tipped into the rescue
-//! queue, the stuck trial is quarantined (it would stick again), and
-//! its in-flight block is re-executed by the survivors — trials are
-//! pure functions of their index, so re-execution is safe. If every
-//! worker dies the watchdog spawns a replacement, so the campaign
-//! always drains.
+//! declares the stuck worker lost: the stuck trial is quarantined (it
+//! would stick again) and its in-flight block goes into the rescue set,
+//! to be re-executed by the survivors — trials are pure functions of
+//! their index, so re-execution is safe. If every worker dies the
+//! watchdog spawns a replacement, so the campaign always drains.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,9 +52,9 @@ use crate::campaign::{
 };
 
 /// Default block size for a campaign of `trials` trials: aim for ~256
-/// blocks (enough slack for stealing), clamped to `[1, 4096]` so huge
-/// campaigns stream through bounded blocks. A pure function of the
-/// trial count — never of the worker count — so the fold tree, and
+/// blocks (enough to keep every worker busy), clamped to `[1, 4096]`
+/// so huge campaigns stream through bounded blocks. A pure function of
+/// the trial count — never of the worker count — so the fold tree, and
 /// with it every accumulator bit, is fixed before scheduling starts.
 pub fn auto_block_size(trials: u64) -> u64 {
     trials.div_ceil(256).clamp(1, 4096)
@@ -70,11 +70,14 @@ struct Block {
 
 /// Everything the scheduler mutates, under one mutex.
 struct SchedState<A> {
-    /// Per-worker deques of unclaimed blocks.
-    queues: Vec<VecDeque<Block>>,
-    /// Blocks reclaimed from lost workers, claimable by anyone.
-    rescue: VecDeque<Block>,
-    /// Blocks not yet delivered to `pending` (queued or in flight).
+    /// The block partition, indexed by block index.
+    blocks: Vec<Block>,
+    /// Lowest block index never claimed.
+    next: u64,
+    /// Indices of blocks taken back from lost workers, claimable by
+    /// anyone, lowest first.
+    rescue: BTreeSet<u64>,
+    /// Blocks not yet delivered to `pending` (unclaimed or in flight).
     outstanding: u64,
     /// Completed block partials awaiting the in-order fold.
     pending: BTreeMap<u64, A>,
@@ -90,10 +93,32 @@ struct SchedState<A> {
     timed_out: Vec<Reproducer>,
     completed: u64,
     skipped: u64,
-    steals: u64,
     lost_workers: usize,
     respawned: usize,
     max_pending: usize,
+}
+
+impl<A> SchedState<A> {
+    fn new(blocks: Vec<Block>, workers: usize) -> Self {
+        SchedState {
+            next: 0,
+            rescue: BTreeSet::new(),
+            outstanding: blocks.len() as u64,
+            blocks,
+            pending: BTreeMap::new(),
+            cursor: 0,
+            lost: vec![false; workers],
+            live: workers,
+            quarantined: BTreeSet::new(),
+            panicked: Vec::new(),
+            timed_out: Vec::new(),
+            completed: 0,
+            skipped: 0,
+            lost_workers: 0,
+            respawned: 0,
+            max_pending: 0,
+        }
+    }
 }
 
 /// Watchdog-visible execution state of one worker thread.
@@ -276,48 +301,31 @@ fn exec_trial<C: TrialCampaign>(
     }
 }
 
-/// Claims the next block for worker `me`, or `None` if none is
-/// runnable right now: own deque front, then rescue, then steal from
-/// the back of the most-loaded victim.
-fn claim<A>(st: &mut SchedState<A>, me: usize) -> Option<Block> {
-    if let Some(b) = st.queues[me].pop_front() {
-        return Some(b);
+/// Claims the lowest-indexed unclaimed block — a rescued block, else
+/// `next` — or `None` if none is runnable right now. Once `cap`
+/// completed blocks await the fold, only the block the folder is
+/// waiting on (`cursor`) may enter execution: anything else would grow
+/// the fold buffer past O(workers).
+fn claim<A>(st: &mut SchedState<A>, cap: usize) -> Option<Block> {
+    // A rescued block was claimed once, so its index is below `next`.
+    let index = st.rescue.first().copied().unwrap_or(st.next);
+    if index >= st.blocks.len() as u64 || (st.pending.len() >= cap && index != st.cursor) {
+        return None;
     }
-    if let Some(b) = st.rescue.pop_front() {
-        return Some(b);
+    if st.rescue.pop_first().is_none() {
+        st.next += 1;
     }
-    let victim = (0..st.queues.len())
-        .filter(|&v| v != me && !st.queues[v].is_empty())
-        .max_by_key(|&v| st.queues[v].len())?;
-    st.steals += 1;
-    st.queues[victim].pop_back()
+    Some(st.blocks[index as usize])
 }
 
-/// Claims the specific block `index` if it is still queued anywhere
-/// (used under fold-buffer backpressure, where only the folder's next
-/// block may enter execution).
-fn claim_index<A>(st: &mut SchedState<A>, index: u64) -> Option<Block> {
-    let SchedState { queues, rescue, .. } = st;
-    queues
-        .iter_mut()
-        .chain(std::iter::once(rescue))
-        .find_map(|q| {
-            let pos = q.iter().position(|b| b.index == index)?;
-            q.remove(pos)
-        })
-}
-
-/// Marks worker `w` lost: tips its deque (and, if given, its in-flight
-/// block) into the rescue queue.
+/// Marks worker `w` lost and puts its in-flight block, if any, into the
+/// rescue set.
 fn mark_lost<A>(st: &mut SchedState<A>, w: usize, in_flight: Option<Block>) {
     st.lost[w] = true;
     st.live -= 1;
     st.lost_workers += 1;
-    let queue = std::mem::take(&mut st.queues[w]);
-    st.rescue.extend(queue);
     if let Some(b) = in_flight {
-        // Front of the rescue queue: the folder is likely waiting on it.
-        st.rescue.push_front(b);
+        st.rescue.insert(b.index);
     }
 }
 
@@ -338,18 +346,8 @@ fn worker_loop<C: TrialCampaign + Send + Sync + 'static>(
                     st.live -= 1;
                     return;
                 }
-                // Backpressure: once the fold buffer is at cap, the only
-                // claimable block is the one the folder is waiting on —
-                // anything else would grow the buffer past O(workers).
-                if st.pending.len() < shared.pending_cap {
-                    if let Some(b) = claim(&mut st, me) {
-                        break b;
-                    }
-                } else {
-                    let cursor = st.cursor;
-                    if let Some(b) = claim_index(&mut st, cursor) {
-                        break b;
-                    }
+                if let Some(b) = claim(&mut st, shared.pending_cap) {
+                    break b;
                 }
                 st = shared.work_cv.wait(st).expect("engine state poisoned");
             }
@@ -493,8 +491,7 @@ fn watchdog_loop<C: TrialCampaign + Send + Sync + 'static>(shared: Arc<Shared<C>
         let respawn = {
             let mut st = shared.state.lock().expect("engine state poisoned");
             if st.live == 0 && st.outstanding > 0 {
-                let idx = st.queues.len();
-                st.queues.push(Default::default());
+                let idx = st.lost.len();
                 st.lost.push(false);
                 st.live += 1;
                 st.respawned += 1;
@@ -529,10 +526,9 @@ where
 ///
 /// The path is chosen from the configuration: in-thread when
 /// `cfg.workers <= 1` and neither [`EngineConfig::trial_budget`] nor
-/// [`EngineConfig::chaos_kill`] is set — zero threads, no stealing —
-/// and on the work-stealing executor otherwise, because only the
-/// executor has the watchdog that enforces budgets and survives worker
-/// loss. Both paths produce bit-identical accumulators.
+/// [`EngineConfig::chaos_kill`] is set — zero threads — and on the
+/// threaded executor otherwise, because only the executor has the
+/// watchdog that enforces budgets and survives worker loss. Both paths produce bit-identical accumulators.
 pub fn run_trials_with<C>(
     campaign: C,
     cfg: &EngineConfig,
@@ -588,7 +584,7 @@ fn run_in_thread<C: TrialCampaign>(
     }
 }
 
-/// The work-stealing executor path.
+/// The threaded executor path.
 ///
 /// Workers are real (unscoped) threads: a worker declared lost may
 /// still be stuck inside a trial and is simply abandoned — it discards
@@ -606,31 +602,10 @@ where
     let total = campaign.trials();
     let workers = cfg.workers.max(1);
     let n_blocks = blocks.len() as u64;
-    let mut queues: Vec<VecDeque<Block>> = vec![VecDeque::new(); workers];
-    for b in &blocks {
-        queues[(b.index % workers as u64) as usize].push_back(*b);
-    }
     let shared = Arc::new(Shared {
         campaign,
         cfg: cfg.clone(),
-        state: Mutex::new(SchedState {
-            queues,
-            rescue: VecDeque::new(),
-            outstanding: n_blocks,
-            pending: BTreeMap::new(),
-            cursor: 0,
-            lost: vec![false; workers],
-            live: workers,
-            quarantined: BTreeSet::new(),
-            panicked: Vec::new(),
-            timed_out: Vec::new(),
-            completed: 0,
-            skipped: 0,
-            steals: 0,
-            lost_workers: 0,
-            respawned: 0,
-            max_pending: 0,
-        }),
+        state: Mutex::new(SchedState::new(blocks, workers)),
         work_cv: Condvar::new(),
         fold_cv: Condvar::new(),
         slots: Mutex::new((0..workers).map(|_| Arc::new(WorkerSlot::new())).collect()),
@@ -659,6 +634,7 @@ where
     // index, so the fold tree never depends on the schedule.
     let mut folded_blocks = 0u64;
     while folded_blocks < n_blocks {
+        // (end trial, partial) of each block, in index order.
         let batch: Vec<(u64, C::Acc)> = {
             let mut st = shared.state.lock().expect("engine state poisoned");
             loop {
@@ -669,7 +645,7 @@ where
                         break;
                     };
                     st.cursor += 1;
-                    batch.push((idx, partial));
+                    batch.push((st.blocks[idx as usize].end, partial));
                 }
                 if !batch.is_empty() {
                     // Draining may unblock claim backpressure.
@@ -679,8 +655,8 @@ where
                 st = shared.fold_cv.wait(st).expect("engine state poisoned");
             }
         };
-        for (idx, partial) in batch {
-            fold.block(&shared.campaign, partial, blocks[idx as usize].end);
+        for (end, partial) in batch {
+            fold.block(&shared.campaign, partial, end);
             folded_blocks += 1;
         }
     }
@@ -718,11 +694,75 @@ where
             panicked,
             timed_out,
             blocks: n_blocks,
-            steals: st.steals,
             workers,
             lost_workers: st.lost_workers,
             respawned_workers: st.respawned,
             max_pending_blocks: st.max_pending,
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A scheduler over `blocks` one-trial blocks for two workers.
+    fn state(blocks: u64) -> SchedState<()> {
+        SchedState::new(partition(0, blocks, 1), 2)
+    }
+
+    fn next_claim(st: &mut SchedState<()>, cap: usize) -> Option<u64> {
+        claim(st, cap).map(|b| b.index)
+    }
+
+    #[test]
+    fn claims_follow_block_index_order() {
+        let mut st = state(5);
+        let claims: Vec<_> = std::iter::from_fn(|| next_claim(&mut st, usize::MAX)).collect();
+        assert_eq!(claims, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_rescued_block_is_claimed_before_next() {
+        let mut st = state(8);
+        let lost = claim(&mut st, usize::MAX);
+        assert_eq!(next_claim(&mut st, usize::MAX), Some(1));
+        mark_lost(&mut st, 0, lost);
+        assert_eq!(next_claim(&mut st, usize::MAX), Some(0));
+        assert_eq!(next_claim(&mut st, usize::MAX), Some(2));
+    }
+
+    #[test]
+    fn rescued_blocks_come_back_lowest_first() {
+        let mut st = state(8);
+        let (b0, b1) = (claim(&mut st, usize::MAX), claim(&mut st, usize::MAX));
+        mark_lost(&mut st, 1, b1);
+        mark_lost(&mut st, 0, b0);
+        let claims: Vec<_> = (0..3).map(|_| next_claim(&mut st, usize::MAX)).collect();
+        assert_eq!(claims, [Some(0), Some(1), Some(2)]);
+    }
+
+    #[test]
+    fn at_the_pending_cap_only_the_cursor_block_is_claimable() {
+        // A cap of 0 holds the buffer at its cap from the start, with
+        // the cursor block (0) still `next`.
+        let mut st = state(8);
+        assert_eq!(next_claim(&mut st, 0), Some(0));
+        assert_eq!(next_claim(&mut st, 0), None, "next (1) is not the cursor");
+
+        // Blocks 0..3 claimed, 1 and 2 completed: the buffer is at a
+        // cap of 2 while the folder waits on block 0.
+        let mut st = state(8);
+        let b0 = claim(&mut st, 2);
+        claim(&mut st, 2);
+        claim(&mut st, 2);
+        st.pending.insert(1, ());
+        st.pending.insert(2, ());
+        assert_eq!(next_claim(&mut st, 2), None, "next (3) is not the cursor");
+        // Block 0's worker is lost: the cursor block is now in the
+        // rescue set, and claimable at the cap.
+        mark_lost(&mut st, 0, b0);
+        assert_eq!(next_claim(&mut st, 2), Some(0));
+        assert_eq!(next_claim(&mut st, 2), None);
     }
 }

@@ -8,11 +8,13 @@
 //!
 //! * **One entry point.** [`run_trials`] / [`run_trials_with`] run a
 //!   campaign in-thread at one worker with no trial budget and no chaos
-//!   injection, and on the work-stealing executor otherwise — the
+//!   injection, and on the threaded executor otherwise — the
 //!   configuration alone picks the path, and both give the same bits.
-//! * **Work stealing.** Trials are grouped into fixed-size blocks dealt
-//!   across per-worker deques; idle workers steal from the back of the
-//!   most-loaded victim, so skewed trial costs cannot leave cores idle.
+//! * **In-order claiming.** Trials are grouped into fixed-size blocks,
+//!   and every worker claims the lowest-indexed block not yet claimed,
+//!   so the blocks in flight sit next to the fold cursor and a costly
+//!   block cannot strand the other workers behind the fold buffer's
+//!   cap.
 //! * **Panic isolation.** Each trial runs under
 //!   `std::panic::catch_unwind`; a panicking trial becomes a
 //!   [`Reproducer`] record in the [`EngineReport`], not a dead
@@ -20,7 +22,7 @@
 //! * **Trial watchdog.** Over-budget trials are asked to cancel
 //!   cooperatively ([`TrialCtx::cancelled`]); trials that ignore the
 //!   request get their worker declared lost after a grace period — the
-//!   worker's queue is redistributed, the stuck trial is quarantined
+//!   worker's in-flight block is rescued, the stuck trial is quarantined
 //!   with its `(campaign, trial, rng-label)` reproducer triple, and
 //!   the interrupted block is re-executed by the survivors.
 //! * **Streaming statistics.** Workers fold trial outcomes into
@@ -36,9 +38,9 @@
 //!
 //! The determinism argument in one line: trial randomness is addressed
 //! by `(seed, label, trial-index)` and the fold tree is fixed by
-//! `(trials, block_size)`, so the schedule — stealing, worker loss,
-//! re-execution, a checkpoint/resume split — has no channel through
-//! which to reach the result.
+//! `(trials, block_size)`, so the schedule — claim interleaving,
+//! worker loss, re-execution, a checkpoint/resume split — has no
+//! channel through which to reach the result.
 
 #![warn(missing_docs)]
 

@@ -50,7 +50,15 @@ pub struct ToyCampaign {
     /// misbehave — the bitwise reference for "clean run minus the
     /// quarantined trial".
     pub fault_as_noop: bool,
+    /// When set, every trial whose index is a multiple of it costs
+    /// ~50× the rest — the shape of the node-level SWIFI campaigns,
+    /// whose `trial % 6 == 0` workload dominates.
+    pub heavy_every: Option<u64>,
 }
+
+/// Extra RNG draws a heavy trial folds into its checksum: ~50× the
+/// cost of a plain trial in a release build.
+const HEAVY_DRAWS: u32 = 12_000;
 
 impl ToyCampaign {
     pub fn new(seed: u64, trials: u64) -> Self {
@@ -59,7 +67,14 @@ impl ToyCampaign {
             trials,
             fault: Fault::None,
             fault_as_noop: false,
+            heavy_every: None,
         }
+    }
+
+    /// The same campaign with every `period`-th trial ~50× costlier.
+    pub fn with_heavy_every(mut self, period: u64) -> Self {
+        self.heavy_every = Some(period);
+        self
     }
 
     pub fn with_fault(mut self, fault: Fault) -> Self {
@@ -142,6 +157,11 @@ impl TrialCampaign for ToyCampaign {
             acc.survival.record_survivor();
         }
         acc.checksum = acc.checksum.wrapping_add(rng.next_u64() | 1);
+        if self.heavy_every.is_some_and(|p| trial.is_multiple_of(p)) {
+            for _ in 0..HEAVY_DRAWS {
+                acc.checksum = acc.checksum.wrapping_add(rng.next_u64());
+            }
+        }
     }
 
     fn merge(&self, into: &mut ToyAcc, from: ToyAcc) {

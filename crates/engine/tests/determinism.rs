@@ -15,26 +15,34 @@ use nlft_engine::{
 
 #[test]
 fn executor_matches_sequential_reference_bitwise_at_any_worker_count() {
-    let campaign = ToyCampaign::new(0x0E06_1E5C, 997);
-    let reference = run_trials(campaign.clone(), &EngineConfig::default());
-    assert_eq!(reference.report.workers, 0, "one worker runs in-thread");
-    assert_eq!(reference.report.completed, 997);
-    for workers in [1usize, 2, 3, 5, 8] {
-        // A budget no trial comes near puts even one worker on the
-        // executor, so every count here runs the threaded path.
-        let cfg = EngineConfig {
-            trial_budget: Some(Duration::from_secs(3600)),
-            ..EngineConfig::with_workers(workers)
-        };
-        let run = run_trials(campaign.clone(), &cfg);
-        assert_eq!(run.report.workers, workers);
-        // PartialEq on the accumulator compares every float bit.
-        assert_eq!(
-            run.acc, reference.acc,
-            "accumulator drifted at {workers} workers"
-        );
-        assert_eq!(run.report.completed, 997);
-        assert!(run.report.panicked.is_empty() && run.report.timed_out.is_empty());
+    // A uniform-cost campaign, and the node-level shape: 600 trials,
+    // auto block size 3, every sixth trial ~50× costlier, so every
+    // costly trial falls in an even block.
+    for campaign in [
+        ToyCampaign::new(0x0E06_1E5C, 997),
+        ToyCampaign::new(0x0E06_1E5C, 600).with_heavy_every(6),
+    ] {
+        let trials = campaign.trials;
+        let reference = run_trials(campaign.clone(), &EngineConfig::default());
+        assert_eq!(reference.report.workers, 0, "one worker runs in-thread");
+        assert_eq!(reference.report.completed, trials);
+        for workers in [1usize, 2, 3, 4, 5, 8] {
+            // A budget no trial comes near puts even one worker on the
+            // executor, so every count here runs the threaded path.
+            let cfg = EngineConfig {
+                trial_budget: Some(Duration::from_secs(3600)),
+                ..EngineConfig::with_workers(workers)
+            };
+            let run = run_trials(campaign.clone(), &cfg);
+            assert_eq!(run.report.workers, workers);
+            // PartialEq on the accumulator compares every float bit.
+            assert_eq!(
+                run.acc, reference.acc,
+                "accumulator drifted at {workers} workers ({trials} trials)"
+            );
+            assert_eq!(run.report.completed, trials);
+            assert!(run.report.panicked.is_empty() && run.report.timed_out.is_empty());
+        }
     }
 }
 

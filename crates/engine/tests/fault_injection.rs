@@ -150,22 +150,31 @@ fn stuck_trial_costs_its_worker_but_not_the_campaign() {
 
 #[test]
 fn chaos_killed_worker_degrades_gracefully() {
-    let campaign = ToyCampaign::new(SEED, TRIALS);
-    let clean = run_trials(campaign.clone(), &EngineConfig::default());
-    let cfg = EngineConfig {
-        workers: 3,
-        chaos_kill: Some(ChaosKill {
-            worker: 1,
-            after_trials: 25,
-        }),
-        ..EngineConfig::default()
-    };
-    let run = run_trials(campaign, &cfg);
-    assert_eq!(run.report.lost_workers, 1);
-    assert_eq!(
-        run.acc, clean.acc,
-        "worker death must be invisible in the campaign result"
-    );
+    // The uniform campaign, and the node-level shape (600 trials, auto
+    // block size 3, every sixth trial ~50× costlier). Either way the
+    // worker dies partway through a block, which is rescued and re-run
+    // by the survivors.
+    for (campaign, after_trials) in [
+        (ToyCampaign::new(SEED, TRIALS), 25),
+        (ToyCampaign::new(SEED, 600).with_heavy_every(6), 4),
+    ] {
+        let clean = run_trials(campaign.clone(), &EngineConfig::default());
+        let cfg = EngineConfig {
+            workers: 3,
+            chaos_kill: Some(ChaosKill {
+                worker: 1,
+                after_trials,
+            }),
+            ..EngineConfig::default()
+        };
+        let trials = campaign.trials;
+        let run = run_trials(campaign, &cfg);
+        assert_eq!(run.report.lost_workers, 1, "{trials} trials");
+        assert_eq!(
+            run.acc, clean.acc,
+            "worker death must be invisible in the campaign result ({trials} trials)"
+        );
+    }
 }
 
 #[test]

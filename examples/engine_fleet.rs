@@ -2,7 +2,7 @@
 //! checkpoint/resume at millions of trials.
 //!
 //! Runs the brake-by-wire reliability campaign through the
-//! work-stealing executor with streaming aggregation: every trial folds
+//! threaded executor with streaming aggregation: every trial folds
 //! into an O(grid)-sized accumulator, so resident memory stays flat no
 //! matter how many trials run. Along the way the engine emits resumable
 //! checkpoints; the example then restarts from the last one and shows
@@ -85,8 +85,8 @@ fn main() {
         1.0 - full.failures as f64 / replications as f64
     );
     println!(
-        "engine: {} blocks, {} steals, pending-block high-water {} (O(workers))",
-        run.report.blocks, run.report.steals, run.report.max_pending_blocks
+        "engine: {} blocks, pending-block high-water {} (O(workers))",
+        run.report.blocks, run.report.max_pending_blocks
     );
 
     let trail = trail.into_inner();

@@ -42,7 +42,7 @@ done
 echo "== scenario zoo: golden pins at 1/2/5 threads =="
 cargo run --release --offline -p nlft-bench --bin scenario_run -- verify
 
-# Engine gate: one zoo scenario re-run on the work-stealing executor
+# Engine gate: one zoo scenario re-run on the threaded executor
 # with the watchdog armed must reproduce its golden pin — `run`
 # re-checks the pin via the acceptance clause — and so must a
 # checkpoint/resume round trip through the CLI flags.

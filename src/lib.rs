@@ -22,7 +22,7 @@
 //!   membership, duplex replication, state resynchronisation.
 //! * [`core`] — the NLFT framework proper: node policies and
 //!   fault-injection campaigns estimating `C_D`, `P_T`, `P_OM`, `P_FS`.
-//! * [`engine`] — the fleet-scale campaign engine: a work-stealing trial
+//! * [`engine`] — the fleet-scale campaign engine: a threaded trial
 //!   executor with panic isolation, trial watchdogs, streaming statistics
 //!   and checkpoint/resume, deterministic at any worker count.
 //! * [`reliability`] — SHARPE-style analysis: Markov chains, reliability
