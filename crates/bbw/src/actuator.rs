@@ -49,7 +49,7 @@ pub struct WheelActuator {
 }
 
 /// Cap on the modelled force (12-bit, same scale as the pedal).
-pub const FORCE_MAX: u32 = 4095;
+pub(crate) const FORCE_MAX: u32 = 4095;
 
 impl WheelActuator {
     /// A healthy, released actuator.
@@ -77,13 +77,14 @@ impl WheelActuator {
     }
 
     /// Whether the actuator has been failed to its safe release state.
-    pub fn failed_safe(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn failed_safe(&self) -> bool {
         self.failed_safe
     }
 
     /// Forces the safe release state: demands are ignored and the force
     /// decays to zero.
-    pub fn fail_safe(&mut self) {
+    pub(crate) fn fail_safe(&mut self) {
         self.failed_safe = true;
     }
 
@@ -180,7 +181,6 @@ pub struct ActuatorMonitor {
     history: u64,
     last_error: Option<u32>,
     tripped: bool,
-    divergent_cycles: u32,
 }
 
 impl ActuatorMonitor {
@@ -205,18 +205,12 @@ impl ActuatorMonitor {
             history: 0,
             last_error: None,
             tripped: false,
-            divergent_cycles: 0,
         }
     }
 
     /// Whether the monitor has tripped.
     pub fn tripped(&self) -> bool {
         self.tripped
-    }
-
-    /// Divergent cycles counted so far.
-    pub fn divergent_cycles(&self) -> u32 {
-        self.divergent_cycles
     }
 
     /// Feeds one cycle's demand and measured force. Once tripped, the
@@ -237,9 +231,6 @@ impl ActuatorMonitor {
                 .last_error
                 .is_some_and(|prev| error + self.config.shrink_slack >= prev);
         self.last_error = Some(error);
-        if divergent {
-            self.divergent_cycles += 1;
-        }
         self.history = (self.history << 1) | u64::from(divergent);
         let mask = if self.config.window_cycles == 64 {
             u64::MAX
@@ -276,7 +267,6 @@ mod tests {
             assert!(!v.tripped, "healthy step transient must not trip");
         }
         assert!(act.measured() >= 2990, "lag converged");
-        assert_eq!(mon.divergent_cycles(), 0);
     }
 
     #[test]

@@ -328,13 +328,6 @@ impl BbwSystem {
         mttf_numeric(self, 1e-7)
     }
 
-    /// Birnbaum importance of the two subsystems at mission time `t` —
-    /// the quantitative version of Fig. 13's bottleneck observation.
-    /// Returns `[("central unit…", I_B), ("wheel node…", I_B)]`.
-    pub fn subsystem_importance(&self, t_hours: f64) -> Vec<(String, f64)> {
-        self.tree.birnbaum_at(t_hours)
-    }
-
     /// Subsystem MTTFs (CU, WN) in hours, exact from the Markov chains.
     ///
     /// # Errors
@@ -488,13 +481,6 @@ impl ValueDomainSystem {
             value: *value,
             tree,
         }
-    }
-
-    /// Birnbaum importance of every basic event at mission time `t`:
-    /// shows whether the node level or the value domain is the
-    /// reliability bottleneck under a given coverage.
-    pub fn importance(&self, t_hours: f64) -> Vec<(String, f64)> {
-        self.tree.birnbaum_at(t_hours)
     }
 
     /// System mean time to failure in hours (numeric integration).
@@ -699,21 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn importance_ranks_wheel_subsystem_as_critical() {
-        let s = sys(Policy::Nlft, Functionality::Degraded);
-        let imp = s.subsystem_importance(HOURS_PER_YEAR);
-        assert_eq!(imp.len(), 2);
-        // Criticality = P(event) × importance; the wheel subsystem's higher
-        // failure probability dominates the product.
-        let crit_cu = s.central_unit().unreliability(HOURS_PER_YEAR) * imp[0].1;
-        let crit_wn = s.wheel_subsystem().unreliability(HOURS_PER_YEAR) * imp[1].1;
-        assert!(
-            crit_wn > crit_cu,
-            "wheel subsystem must be the bottleneck: {crit_wn} vs {crit_cu}"
-        );
-    }
-
-    #[test]
     fn simplex_nlft_rivals_duplex_fs_when_omissions_are_tolerable() {
         // The §1 cost argument: one NLFT node can approach (here: exceed)
         // the reliability of two FS nodes, when the consumer tolerates
@@ -855,15 +826,5 @@ mod tests {
             coverage_cost > 5.0 * redundancy_cost,
             "silent failures should dominate: {coverage_cost} vs {redundancy_cost}"
         );
-    }
-
-    #[test]
-    fn value_domain_importance_is_reported_for_every_event() {
-        let s = value_sys(Policy::Nlft, 0.9);
-        let imp = s.importance(HOURS_PER_YEAR);
-        // 2 node-level + 3 channels + 3 misses + 4 actuators + 4 misses.
-        assert_eq!(imp.len(), 16);
-        assert!(imp.iter().all(|(_, b)| (0.0..=1.0).contains(b)));
-        assert!(imp.iter().any(|(n, _)| n.contains("undetected")));
     }
 }

@@ -32,7 +32,7 @@ pub enum MissPolicy {
 
 /// The deterministic longitudinal braking model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrakingModel {
+pub(crate) struct BrakingModel {
     /// Initial speed in distance units per cycle.
     pub initial_speed: u32,
     /// Speed shed per cycle is `force / force_gain`.

@@ -54,23 +54,22 @@ use nlft_net::inject::{InjectionCounts, NetFaultInjector, NetFaultPlan};
 use nlft_net::membership::{Membership, MembershipEvent};
 use nlft_net::replication::{select_duplex_among, DuplexPair, DuplexValue, StateResync};
 use nlft_net::startup::{
-    StartupConfig, StartupEvent, StartupMetrics, StartupProtocol, StartupState, TransmitIntent,
-    COLD_START_MARKER,
+    StartupConfig, StartupEvent, StartupMetrics, StartupProtocol, TransmitIntent, COLD_START_MARKER,
 };
 use nlft_sim::rng::RngStream;
 use nlft_sim::weakly_hard::WeaklyHard;
 
 use crate::actuator::{ActuatorFault, ActuatorMonitor, ActuatorMonitorConfig, WheelActuator};
-use crate::sensor::{PedalSensorArray, PedalStats, PedalVoterConfig, SensorFault};
+use crate::sensor::{PedalSensorArray, PedalVoterConfig, SensorFault};
 
 /// Cycles a wheel keeps braking on its last accepted set-point when the
 /// command stream dries up (rejected or missing commands), before it
 /// releases and goes silent.
-pub const HOLD_CYCLES: u32 = 3;
+pub(crate) const HOLD_CYCLES: u32 = 3;
 
 /// Maximum accepted command age in cycles (commands are consumed in the
 /// cycle they arrive, so a healthy age is 0).
-pub const COMMAND_MAX_AGE: u32 = 2;
+pub(crate) const COMMAND_MAX_AGE: u32 = 2;
 
 /// Longest run, in communication cycles, one campaign trial may ask of
 /// [`BbwCluster::run`]. The run keeps a record per cycle, so an unbounded
@@ -238,7 +237,8 @@ pub struct ClusterReport {
 
 impl ClusterReport {
     /// The escalation events of one node, in order.
-    pub fn escalations_for(&self, node: NodeId) -> Vec<EscalationEvent> {
+    #[cfg(test)]
+    pub(crate) fn escalations_for(&self, node: NodeId) -> Vec<EscalationEvent> {
         self.escalations
             .iter()
             .filter(|(_, n, _)| *n == node)
@@ -573,17 +573,13 @@ impl BbwCluster {
     /// Replays the last command one wheel accepted in place of the
     /// current one in the given cycle — a stale-buffer fault. The
     /// freshness check rejects it as stale.
-    pub fn replay_command_at_wheel(&mut self, cycle: u32, wheel: usize) {
+    pub(crate) fn replay_command_at_wheel(&mut self, cycle: u32, wheel: usize) {
         self.command_replays.push((cycle, wheel));
     }
 
-    /// Cumulative pedal-sensor statistics (across all `run` calls).
-    pub fn sensor_stats(&self) -> &PedalStats {
-        self.pedal_sensors.stats()
-    }
-
     /// Whether a wheel's actuator has been failed to safe release.
-    pub fn actuator_failed(&self, wheel: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn actuator_failed(&self, wheel: usize) -> bool {
         self.actuator_failed[wheel]
     }
 
@@ -609,11 +605,6 @@ impl BbwCluster {
         }
     }
 
-    /// Detaches the network fault injector entirely.
-    pub fn clear_net_faults(&mut self) {
-        self.net_injector = None;
-    }
-
     /// Enables the TTP/C-style startup/reintegration protocol over the
     /// six bus slots. The cluster is assumed already synchronised (every
     /// node starts `Active`, clique avoidance disarmed until the first
@@ -628,18 +619,13 @@ impl BbwCluster {
         )));
     }
 
-    /// A node's current startup state (`None` while startup is disabled).
-    pub fn startup_state(&self, node: NodeId) -> Option<StartupState> {
-        self.startup.as_ref().map(|s| s.state(node))
-    }
-
     /// Startup metrics accumulated so far (`None` while disabled).
     pub fn startup_metrics(&self) -> Option<&StartupMetrics> {
         self.startup.as_ref().map(|s| s.metrics())
     }
 
     /// Injection decisions taken by the attached storm so far.
-    pub fn net_injection_counts(&self) -> InjectionCounts {
+    pub(crate) fn net_injection_counts(&self) -> InjectionCounts {
         self.net_injector
             .as_ref()
             .map(|i| i.counts())
@@ -649,7 +635,8 @@ impl BbwCluster {
     /// Corrupts `node`'s frame on the wire in the given cycle: the CRC
     /// rejects it at every receiver, so the node is effectively silent for
     /// that cycle — the network-level end-to-end detection of §2.6.
-    pub fn corrupt_frame(&mut self, cycle: u32, node: NodeId) {
+    #[cfg(test)]
+    pub(crate) fn corrupt_frame(&mut self, cycle: u32, node: NodeId) {
         self.wire_corruptions.push((cycle, node));
     }
 
@@ -671,15 +658,10 @@ impl BbwCluster {
     /// front-left, front-right, rear-left, rear-right) and resets their
     /// monitors. The defaults hold the front axle to at most 1 missed
     /// cycle in any 8 and the rear axle to 2-in-8.
-    pub fn set_wheel_contracts(&mut self, contracts: [MkContract; 4]) {
+    pub(crate) fn set_wheel_contracts(&mut self, contracts: [MkContract; 4]) {
         self.wheel_contracts = contracts;
         self.wheel_monitors = std::array::from_fn(|w| contracts[w].monitor());
         self.wheel_violated = [false; 4];
-    }
-
-    /// The per-wheel service contracts currently in force.
-    pub fn wheel_contracts(&self) -> [MkContract; 4] {
-        self.wheel_contracts
     }
 
     /// Models `node` as a dual-core station whose two cores share their
@@ -687,7 +669,7 @@ impl BbwCluster {
     /// (see [`BbwCluster::attach_core_death`]) then becomes survivable:
     /// the node rides it out on the remaining core iff the protocol keeps
     /// the shared state reachable when a core dies mid-critical-section.
-    pub fn enable_dual_core(&mut self, node: NodeId, protocol: ProtocolKind) {
+    pub(crate) fn enable_dual_core(&mut self, node: NodeId, protocol: ProtocolKind) {
         if let Some(s) = self.station_mut(node) {
             s.dual_core = Some(protocol);
         }
@@ -700,7 +682,7 @@ impl BbwCluster {
     /// decided by a deterministic [`MulticoreExecutive`] replay of its
     /// substrate; any death on a single-core node, and a second death on
     /// a dual-core one, is always fatal.
-    pub fn attach_core_death(&mut self, cycle: u32, node: NodeId, escalated: bool) {
+    pub(crate) fn attach_core_death(&mut self, cycle: u32, node: NodeId, escalated: bool) {
         self.core_deaths.push((cycle, node, escalated));
     }
 
@@ -752,7 +734,7 @@ impl BbwCluster {
     }
 
     /// Supervises all six nodes with the same configuration.
-    pub fn supervise_all(&mut self, alpha: AlphaCountConfig, policy: EscalationPolicy) {
+    pub(crate) fn supervise_all(&mut self, alpha: AlphaCountConfig, policy: EscalationPolicy) {
         for id in [CU_A, CU_B].iter().chain(WHEELS.iter()).copied() {
             self.supervise(id, alpha, policy);
         }
@@ -761,7 +743,7 @@ impl BbwCluster {
     /// Attaches a permanent stuck-at fault to `node`'s processor. It is
     /// re-asserted before every instruction of every TEM copy and — being
     /// hardware — survives node restarts.
-    pub fn attach_stuck_at(&mut self, node: NodeId, fault: StuckAtFault) {
+    pub(crate) fn attach_stuck_at(&mut self, node: NodeId, fault: StuckAtFault) {
         if let Some(s) = self.station_mut(node) {
             s.stuck_at = Some(fault);
         }
@@ -771,7 +753,12 @@ impl BbwCluster {
     /// on, the transient recurs with the fault's recurrence probability
     /// until its burst expires. `rng` should be a dedicated fork of the
     /// experiment's master stream.
-    pub fn attach_intermittent(&mut self, node: NodeId, fault: IntermittentFault, rng: RngStream) {
+    pub(crate) fn attach_intermittent(
+        &mut self,
+        node: NodeId,
+        fault: IntermittentFault,
+        rng: RngStream,
+    ) {
         if let Some(s) = self.station_mut(node) {
             s.intermittent = Some(IntermittentRuntime {
                 fault,
@@ -783,7 +770,7 @@ impl BbwCluster {
 
     /// The ladder position of a supervised node (`None` when the node is
     /// not supervised).
-    pub fn node_health(&self, node: NodeId) -> Option<NodeHealth> {
+    pub(crate) fn node_health(&self, node: NodeId) -> Option<NodeHealth> {
         self.cu
             .get(&node)
             .or_else(|| self.wheels.get(&node))

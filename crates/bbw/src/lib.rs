@@ -76,7 +76,7 @@ pub use analytic::{
 pub use blackout::{
     run_blackout_campaign, BlackoutCampaignConfig, BlackoutCampaignResult, BlackoutCounts,
 };
-pub use braking::{BrakingModel, BrakingScore, MissPolicy};
+pub use braking::{BrakingScore, MissPolicy};
 pub use cluster::{BbwCluster, ClusterInjection, ClusterReport, ValueDomainReport};
 pub use cluster_campaign::{
     run_cluster_campaign, run_net_storm_campaign, ClusterCampaignConfig, ClusterCampaignResult,

@@ -21,7 +21,7 @@ use crate::analytic::{Functionality, Policy};
 use crate::params::BbwParams;
 
 /// Number of nodes: two central-unit replicas + four wheel nodes.
-pub const NUM_NODES: usize = 6;
+pub(crate) const NUM_NODES: usize = 6;
 const CU_NODES: [usize; 2] = [0, 1];
 const WHEEL_NODES: [usize; 4] = [2, 3, 4, 5];
 
@@ -170,7 +170,8 @@ impl TrialCampaign for McCampaign {
 /// # Panics
 ///
 /// Panics on invalid configuration.
-pub fn estimate_mttf(config: &MonteCarloConfig, max_years: f64) -> (f64, f64, u64) {
+#[cfg(test)]
+pub(crate) fn estimate_mttf(config: &MonteCarloConfig, max_years: f64) -> (f64, f64, u64) {
     let mut cfg = config.clone();
     cfg.horizon_hours = max_years * 8_760.0;
     cfg.grid_hours = vec![cfg.horizon_hours];

@@ -90,12 +90,12 @@ impl BbwParams {
 
     /// Rate at which a single NLFT node suffers a *non-masked* event
     /// (anything but a TEM-masked transient): `λ_P + λ_T(1 − C_D·P_T)`.
-    pub fn nlft_unmasked_rate(&self) -> f64 {
+    pub(crate) fn nlft_unmasked_rate(&self) -> f64 {
         self.lambda_p + self.lambda_t * (1.0 - self.coverage * self.p_t)
     }
 
     /// Rate of any activated fault on one node: `λ_P + λ_T`.
-    pub fn total_fault_rate(&self) -> f64 {
+    pub(crate) fn total_fault_rate(&self) -> f64 {
         self.lambda_p + self.lambda_t
     }
 

@@ -155,7 +155,7 @@ impl ScenarioOutcome {
 }
 
 /// A failed acceptance check, human-readable.
-pub type AcceptFailure = String;
+pub(crate) type AcceptFailure = String;
 
 /// Checks a scenario's acceptance clause against its outcome. Returns
 /// the list of violated assertions (empty = accepted).

@@ -58,7 +58,7 @@ pub enum SensorFault {
 
 /// One pedal channel's reading after the boundary clamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SensorReading {
+pub(crate) struct SensorReading {
     /// Clamped value in `[0, PEDAL_MAX]`.
     pub value: u32,
     /// Whether the raw value fell outside the range and was clamped —
@@ -273,7 +273,7 @@ impl PedalSensorArray {
     }
 
     /// Channels still in the vote.
-    pub fn active_channels(&self) -> usize {
+    pub(crate) fn active_channels(&self) -> usize {
         self.channels.iter().filter(|c| !c.demoted).count()
     }
 

@@ -17,7 +17,7 @@
 //!   **no trial may ever beat the bound, and no certified contract may
 //!   ever be violated** (the cross-check this campaign exists for), and
 //! * scores the pattern's braking-distance degradation against the
-//!   clean twin with [`BrakingModel`], so the worst pattern is reported
+//!   clean twin with the braking model, so the worst pattern is reported
 //!   in metres lost, not just misses counted.
 //!
 //! Including the adversarial strategy makes the bound's *tightness*

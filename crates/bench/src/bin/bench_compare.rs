@@ -12,38 +12,56 @@
 //! ratio table against the baseline: timing slowdowns are warnings only
 //! (hardware varies), but golden-digest drift exits nonzero — the
 //! optimisations this trajectory tracks must be bit-invisible.
+//!
+//! A missing or unknown mode, an unknown flag or a missing path is an
+//! error: the binary prints usage and exits with status 2.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use nlft_bench::cli::{unknown_flag, ArgCursor};
 use nlft_bench::trajectory;
 use nlft_testkit::bench::artifact_path;
 use nlft_testkit::json::Json;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    match args.get(1).map(String::as_str) {
-        Some("snapshot") => {
-            let out = flag(&args, "--out").unwrap_or_else(|| PathBuf::from("BENCH_BASELINE.json"));
-            snapshot(&out)
-        }
-        Some("compare") => {
-            let baseline =
-                flag(&args, "--baseline").unwrap_or_else(|| PathBuf::from("BENCH_BASELINE.json"));
-            compare(&baseline)
-        }
-        _ => {
-            eprintln!("usage: bench_compare snapshot [--out PATH] | compare [--baseline PATH]");
-            ExitCode::FAILURE
-        }
-    }
+const USAGE: &str = "usage: bench_compare snapshot [--out PATH] | compare [--baseline PATH]";
+
+/// A parsed command line: the mode and its one path.
+#[derive(Debug, PartialEq, Eq)]
+enum Mode {
+    Snapshot(PathBuf),
+    Compare(PathBuf),
 }
 
-fn flag(args: &[String], name: &str) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
+/// Parses the arguments after the program name.
+fn parse_args(args: &[String]) -> Result<Mode, String> {
+    let mut it = ArgCursor::new(args);
+    let (mode, path_flag): (fn(PathBuf) -> Mode, &str) = match it.next() {
+        Some("snapshot") => (Mode::Snapshot, "--out"),
+        Some("compare") => (Mode::Compare, "--baseline"),
+        Some(other) => return Err(format!("unknown mode `{other}`")),
+        None => return Err("missing mode".to_string()),
+    };
+    let mut path = PathBuf::from("BENCH_BASELINE.json");
+    while let Some(arg) = it.next() {
+        if arg != path_flag {
+            return Err(unknown_flag(arg));
+        }
+        path = PathBuf::from(it.value(arg)?);
+    }
+    Ok(mode(path))
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args(&argv) {
+        Ok(Mode::Snapshot(out)) => snapshot(&out),
+        Ok(Mode::Compare(baseline)) => compare(&baseline),
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            ExitCode::from(2)
+        }
+    }
 }
 
 /// Collects every `BENCH_*.json` group report from the artifact directory.
@@ -128,5 +146,38 @@ fn compare(baseline_path: &Path) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Mode, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn modes_take_their_own_path_flag() {
+        let default = PathBuf::from("BENCH_BASELINE.json");
+        assert_eq!(parse("compare"), Ok(Mode::Compare(default.clone())));
+        assert_eq!(parse("snapshot"), Ok(Mode::Snapshot(default)));
+        assert_eq!(
+            parse("compare --baseline b.json"),
+            Ok(Mode::Compare(PathBuf::from("b.json")))
+        );
+        assert_eq!(
+            parse("snapshot --out s.json"),
+            Ok(Mode::Snapshot(PathBuf::from("s.json")))
+        );
+    }
+
+    #[test]
+    fn rejects_bad_command_lines() {
+        assert_eq!(parse(""), Err("missing mode".into()));
+        assert_eq!(parse("diff"), Err("unknown mode `diff`".into()));
+        assert_eq!(parse("compare --out x"), Err("unknown flag `--out`".into()));
+        assert_eq!(parse("snapshot --out"), Err("`--out` needs a value".into()));
     }
 }

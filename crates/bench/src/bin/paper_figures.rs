@@ -7,18 +7,63 @@
 //! `--json` prints one machine-readable document with every figure's data
 //! instead of the human tables; the layout matches the old serde-derived
 //! artifacts field for field.
+//!
+//! `--trials` and `--reps` default to 20 000 and must be at least 1. An
+//! unknown flag or a missing, malformed or zero count is an error: the
+//! binary names the offending argument and exits with status 2.
 
+use nlft_bench::cli::{unknown_flag, ArgCursor};
 use nlft_bench::{ablation, fig12, fig13, fig14, report, rta, table1, xcheck};
 use nlft_core::policy::NodePolicy;
 use nlft_testkit::json::{Json, ToJson};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let csv = args.iter().any(|a| a == "--csv");
-    let trials = flag_value(&args, "--trials").unwrap_or(20_000);
-    let reps = flag_value(&args, "--reps").unwrap_or(20_000);
+/// A parsed command line.
+#[derive(Debug, PartialEq, Eq)]
+struct Options {
+    csv: bool,
+    json: bool,
+    trials: u64,
+    reps: u64,
+}
 
-    if args.iter().any(|a| a == "--json") {
+/// Parses the arguments after the program name.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut opts = Options {
+        csv: false,
+        json: false,
+        trials: 20_000,
+        reps: 20_000,
+    };
+    let mut it = ArgCursor::new(args);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--csv" => opts.csv = true,
+            "--json" => opts.json = true,
+            "--trials" => opts.trials = it.positive(arg)?,
+            "--reps" => opts.reps = it.positive(arg)?,
+            flag if flag.starts_with('-') => return Err(unknown_flag(flag)),
+            _ => return Err(format!("unexpected argument `{arg}`")),
+        }
+    }
+    Ok(opts)
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Options {
+        csv,
+        json,
+        trials,
+        reps,
+    } = match parse_args(&argv) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
+
+    if json {
         let doc = Json::obj([
             ("fig12", fig12::generate().to_json()),
             ("fig13", fig13::generate().to_json()),
@@ -229,9 +274,54 @@ fn main() {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn defaults_and_flags_in_any_order() {
+        let defaults = Options {
+            csv: false,
+            json: false,
+            trials: 20_000,
+            reps: 20_000,
+        };
+        assert_eq!(parse(""), Ok(defaults));
+        assert_eq!(
+            parse("--reps 300 --json --trials 200 --csv"),
+            Ok(Options {
+                csv: true,
+                json: true,
+                trials: 200,
+                reps: 300,
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_zero_counts() {
+        for line in ["--trials 0", "--reps 0", "--json --trials 0 --reps 0"] {
+            let e = parse(line).unwrap_err();
+            assert!(e.ends_with("must be at least 1"), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_and_missing_counts() {
+        let e = parse("--trials abc").unwrap_err();
+        assert!(e.contains("`--trials` expects"), "{e}");
+        let e = parse("--reps").unwrap_err();
+        assert!(e.contains("`--reps` needs a value"), "{e}");
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_stray_arguments() {
+        assert_eq!(parse("--trails 5"), Err("unknown flag `--trails`".into()));
+        assert_eq!(parse("200"), Err("unexpected argument `200`".into()));
+    }
 }

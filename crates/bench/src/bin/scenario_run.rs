@@ -44,6 +44,7 @@ use std::time::Duration;
 use nlft_bbw::scenario::{
     check_accept, run_scenario, run_scenario_with, ScenarioEngineOptions, ScenarioOutcome,
 };
+use nlft_bench::cli::{unknown_flag, ArgCursor};
 use nlft_reliability::scenario::{parse_scenario, ScenarioSpec};
 
 /// The `scenarios/` directory at the workspace root.
@@ -262,44 +263,31 @@ struct Args {
     flags: EngineFlags,
 }
 
-/// Parses a flag value as a number, naming the flag on failure.
-fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("`{flag}` expects a non-negative integer, got `{value}`"))
-}
-
 /// Parses the arguments after the program name. Unknown flags, a
 /// second filter, and missing or malformed flag values are rejected
 /// with a message naming the offending argument.
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut it = args.iter();
+    let mut it = ArgCursor::new(args);
     let mut parsed = Args {
-        command: it.next().cloned().unwrap_or_else(|| "list".to_string()),
+        command: it.next().unwrap_or("list").to_string(),
         filter: None,
         threads: 1,
         flags: EngineFlags::default(),
     };
     while let Some(arg) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("`{arg}` needs a value"));
-        match arg.as_str() {
-            "--threads" => {
-                parsed.threads = number(arg, value()?)?;
-                if parsed.threads == 0 {
-                    return Err("`--threads` must be at least 1".to_string());
-                }
-            }
-            "--trial-budget-ms" => parsed.flags.trial_budget_ms = Some(number(arg, value()?)?),
-            "--checkpoint" => parsed.flags.checkpoint = Some(PathBuf::from(value()?)),
-            "--checkpoint-every" => parsed.flags.checkpoint_every = number(arg, value()?)?,
-            "--resume" => parsed.flags.resume = Some(PathBuf::from(value()?)),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+        match arg {
+            "--threads" => parsed.threads = it.positive(arg)?,
+            "--trial-budget-ms" => parsed.flags.trial_budget_ms = Some(it.number(arg)?),
+            "--checkpoint" => parsed.flags.checkpoint = Some(PathBuf::from(it.value(arg)?)),
+            "--checkpoint-every" => parsed.flags.checkpoint_every = it.number(arg)?,
+            "--resume" => parsed.flags.resume = Some(PathBuf::from(it.value(arg)?)),
+            flag if flag.starts_with('-') => return Err(unknown_flag(flag)),
             _ if parsed.filter.is_some() => {
                 return Err(format!(
                     "unexpected argument `{arg}`: only one scenario filter is allowed"
                 ))
             }
-            _ => parsed.filter = Some(arg.clone()),
+            _ => parsed.filter = Some(arg.to_string()),
         }
     }
     Ok(parsed)

@@ -14,10 +14,13 @@
 //! | Table 1 (EDM detection matrix)         | [`table1::generate`] |
 //! | Monte-Carlo cross-check (extension)    | [`xcheck::generate`] |
 //! | FT-RTA slack ablation (extension)      | [`rta::generate`] |
+//!
+//! The binaries share one command-line parser, [`cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod report;
 pub mod trajectory;
 
@@ -54,7 +57,7 @@ pub mod fig12 {
     }
 
     /// The four paper configurations in presentation order.
-    pub fn configurations() -> [(&'static str, Policy, Functionality); 4] {
+    pub(crate) fn configurations() -> [(&'static str, Policy, Functionality); 4] {
         [
             ("FS/full", Policy::FailSilent, Functionality::Full),
             ("NLFT/full", Policy::Nlft, Functionality::Full),
@@ -173,10 +176,10 @@ pub mod fig14 {
     }
 
     /// Coverage values swept (paper shows a comparable spread).
-    pub const COVERAGES: [f64; 4] = [0.9, 0.99, 0.999, 0.9999];
+    pub(crate) const COVERAGES: [f64; 4] = [0.9, 0.99, 0.999, 0.9999];
 
     /// Transient-rate multipliers swept (log scale).
-    pub fn multipliers() -> Vec<f64> {
+    pub(crate) fn multipliers() -> Vec<f64> {
         (0..=6).map(|i| 10f64.powf(i as f64 * 0.5)).collect()
     }
 

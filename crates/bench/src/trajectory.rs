@@ -25,7 +25,7 @@ use nlft_testkit::json::Json;
 use crate::fig12;
 
 /// Baseline file schema version (bump on layout changes).
-pub const SCHEMA: u64 = 1;
+pub(crate) const SCHEMA: u64 = 1;
 
 /// Warn when a benchmark's minimum slows down by more than this factor.
 pub const SLOWDOWN_WARN_RATIO: f64 = 1.25;
@@ -33,7 +33,7 @@ pub const SLOWDOWN_WARN_RATIO: f64 = 1.25;
 /// CRC-32 digest over the bit-exact Figure 12 curves (labels, every
 /// `(t, R(t))` point and the MTTF, all f64s taken as raw bits). Any
 /// change to the analytic pipeline — intended or not — moves this digest.
-pub fn golden_digest() -> u32 {
+pub(crate) fn golden_digest() -> u32 {
     let mut bytes = Vec::new();
     for curve in fig12::generate() {
         bytes.extend_from_slice(curve.label.as_bytes());

@@ -28,7 +28,7 @@ use crate::policy::{NodeFailureMode, NodePolicy};
 
 /// Classification of a single injection experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// Fault had no observable effect (overwritten, latent, or the task
     /// finished before the injection point).
     Benign,
@@ -52,19 +52,6 @@ pub enum Verdict {
     KernelError,
     /// A wrong result was delivered with no detection — a coverage escape.
     UndetectedWrongOutput,
-}
-
-impl Verdict {
-    /// The detecting mechanism, if any detection happened.
-    pub fn detected_by(self) -> Option<Edm> {
-        match self {
-            Verdict::Masked { detected_by }
-            | Verdict::Omission { detected_by }
-            | Verdict::Detected { detected_by } => Some(detected_by),
-            Verdict::KernelError => Some(Edm::DataIntegrity),
-            Verdict::Benign | Verdict::UndetectedWrongOutput => None,
-        }
-    }
 }
 
 /// Campaign configuration.
@@ -449,7 +436,7 @@ fn record(
 /// Classification of a whole multi-job recovery trial, judged against the
 /// ground-truth persistence of the injected fault model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RecoveryVerdict {
+pub(crate) enum RecoveryVerdict {
     /// A one-shot transient was handled in place: node healthy at trial
     /// end with zero restarts spent.
     MaskedTransient,

@@ -44,14 +44,13 @@ pub mod policy;
 
 pub use campaign::{
     run_campaign, run_recovery_campaign, CampaignConfig, CampaignResult, RecoveryCampaignConfig,
-    RecoveryCampaignResult, RecoveryVerdict, Verdict,
+    RecoveryCampaignResult,
 };
-pub use multicore_campaign::{
-    run_multicore_campaign, MulticoreCampaignConfig, MulticoreCampaignResult,
-};
-
 pub use diagnosis::{
     escalation_chain, AlphaCount, AlphaCountConfig, Diagnosis, EscalationChain, NodeSupervisor,
     FALSE_RETIREMENT_BOUND,
 };
-pub use policy::{NodeConfig, NodeFailureMode, NodePolicy, Redundancy};
+pub use multicore_campaign::{
+    run_multicore_campaign, MulticoreCampaignConfig, MulticoreCampaignResult,
+};
+pub use policy::NodePolicy;

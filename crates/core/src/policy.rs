@@ -10,12 +10,10 @@
 //!   recovery, and only kernel errors silence the node.
 //!
 //! The observable result of a fault at the node boundary is a
-//! [`NodeFailureMode`] — the event the system-level reliability models
+//! `NodeFailureMode` — the event the system-level reliability models
 //! (Markov chains in `nlft-bbw`) consume.
 
 use std::fmt;
-
-use nlft_machine::edm::Edm;
 
 use crate::campaign::Verdict;
 
@@ -37,36 +35,9 @@ impl fmt::Display for NodePolicy {
     }
 }
 
-/// Replication degree of a node's station.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Redundancy {
-    /// Single node (the paper's wheel-node stations).
-    Simplex,
-    /// Two actively replicated nodes (the paper's central unit).
-    Duplex,
-}
-
-impl fmt::Display for Redundancy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Redundancy::Simplex => write!(f, "simplex"),
-            Redundancy::Duplex => write!(f, "duplex"),
-        }
-    }
-}
-
-/// Full configuration of one station.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeConfig {
-    /// Error-handling policy.
-    pub policy: NodePolicy,
-    /// Replication degree.
-    pub redundancy: Redundancy,
-}
-
 /// The externally observable effect of one fault at the node boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum NodeFailureMode {
+pub(crate) enum NodeFailureMode {
     /// No observable effect (fault overwritten / latent / masked by TEM).
     /// For NLFT nodes this includes actively masked errors.
     Masked,
@@ -112,19 +83,10 @@ impl NodeFailureMode {
     }
 }
 
-/// Convenience: does this EDM belong to the kernel (software) or hardware?
-/// Used when attributing detections in reports.
-pub fn detection_layer(edm: Edm) -> &'static str {
-    if edm.is_hardware() {
-        "hardware"
-    } else {
-        "kernel"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nlft_machine::edm::Edm;
 
     #[test]
     fn fs_nodes_never_omit() {
@@ -199,9 +161,6 @@ mod tests {
     #[test]
     fn displays_are_informative() {
         assert_eq!(NodePolicy::LightweightNlft.to_string(), "light-weight NLFT");
-        assert_eq!(Redundancy::Duplex.to_string(), "duplex");
         assert_eq!(NodeFailureMode::Omission.to_string(), "omission");
-        assert_eq!(detection_layer(Edm::Mmu), "hardware");
-        assert_eq!(detection_layer(Edm::TemComparison), "kernel");
     }
 }

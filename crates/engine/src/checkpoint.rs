@@ -71,13 +71,13 @@ impl<'a> TokenReader<'a> {
     }
 
     /// Consumes one `usize` token.
-    pub fn next_usize(&mut self) -> Result<usize, String> {
+    pub(crate) fn next_usize(&mut self) -> Result<usize, String> {
         let t = self.next()?;
         t.parse().map_err(|_| format!("bad usize token `{t}`"))
     }
 
     /// Consumes one `f64` token serialised as hex bits (`0x…`).
-    pub fn next_f64(&mut self) -> Result<f64, String> {
+    pub(crate) fn next_f64(&mut self) -> Result<f64, String> {
         let t = self.next()?;
         let hex = t
             .strip_prefix("0x")
@@ -97,7 +97,7 @@ impl<'a> TokenReader<'a> {
 }
 
 /// Appends an `f64` as its hex bit pattern.
-pub fn push_f64(out: &mut String, x: f64) {
+pub(crate) fn push_f64(out: &mut String, x: f64) {
     out.push_str(&format!(" 0x{:016x}", x.to_bits()));
 }
 

@@ -5,9 +5,11 @@
 // uses a different subset of it.
 #![allow(dead_code)]
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use nlft_engine::{TrialCampaign, TrialCtx};
 use nlft_sim::rng::RngStream;
@@ -54,6 +56,60 @@ pub struct ToyCampaign {
     /// ~50× the rest — the shape of the node-level SWIFI campaigns,
     /// whose `trial % 6 == 0` workload dominates.
     pub heavy_every: Option<u64>,
+    /// When set, every trial first passes this gate.
+    pub lock_step: Option<Arc<LockStep>>,
+}
+
+/// Holds the worker threads to the same trial count until each has
+/// started `until` trials: a thread that has started `n` may start
+/// another only once every thread has started at least `min(n, until)`.
+///
+/// A chaos kill after `until` trials then always fires, whatever the OS
+/// scheduler does: no peer gets past the victim's count, so none can
+/// drain the campaign before the victim starts its last trial, and a
+/// worker always finishes the trial it started. Waiting changes no
+/// trial's result.
+pub struct LockStep {
+    threads: usize,
+    until: u64,
+    started: Mutex<HashMap<ThreadId, u64>>,
+    turn: Condvar,
+}
+
+impl LockStep {
+    pub fn new(threads: usize, until: u64) -> Arc<Self> {
+        Arc::new(LockStep {
+            threads,
+            until,
+            started: Mutex::new(HashMap::new()),
+            turn: Condvar::new(),
+        })
+    }
+
+    /// Blocks until the calling thread may start a trial, then counts it.
+    ///
+    /// # Panics
+    ///
+    /// After 30 s without a turn, so a scheduling bug fails the test
+    /// instead of hanging it.
+    fn enter(&self) {
+        let me = std::thread::current().id();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut started = self.started.lock().unwrap();
+        started.entry(me).or_insert(0);
+        self.turn.notify_all();
+        loop {
+            let need = started[&me].min(self.until);
+            if started.len() >= self.threads && started.values().all(|&n| n >= need) {
+                break;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "lock-step gate: no turn within 30 s");
+            started = self.turn.wait_timeout(started, left).unwrap().0;
+        }
+        *started.get_mut(&me).unwrap() += 1;
+        self.turn.notify_all();
+    }
 }
 
 /// Extra RNG draws a heavy trial folds into its checksum: ~50× the
@@ -68,7 +124,14 @@ impl ToyCampaign {
             fault: Fault::None,
             fault_as_noop: false,
             heavy_every: None,
+            lock_step: None,
         }
+    }
+
+    /// The same campaign run through `gate` (see [`LockStep`]).
+    pub fn with_lock_step(mut self, gate: Arc<LockStep>) -> Self {
+        self.lock_step = Some(gate);
+        self
     }
 
     /// The same campaign with every `period`-th trial ~50× costlier.
@@ -125,6 +188,9 @@ impl TrialCampaign for ToyCampaign {
     }
 
     fn run_trial(&self, trial: u64, ctx: &TrialCtx<'_>, acc: &mut ToyAcc) {
+        if let Some(gate) = &self.lock_step {
+            gate.enter();
+        }
         if self.faulty_trial() == Some(trial) {
             if self.fault_as_noop {
                 return;

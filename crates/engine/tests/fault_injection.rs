@@ -153,7 +153,9 @@ fn chaos_killed_worker_degrades_gracefully() {
     // The uniform campaign, and the node-level shape (600 trials, auto
     // block size 3, every sixth trial ~50× costlier). Either way the
     // worker dies partway through a block, which is rescued and re-run
-    // by the survivors.
+    // by the survivors. The lock-step gate makes the kill certain: no
+    // peer can drain the campaign before worker 1 reaches its kill
+    // point, however the threads are scheduled.
     for (campaign, after_trials) in [
         (ToyCampaign::new(SEED, TRIALS), 25),
         (ToyCampaign::new(SEED, 600).with_heavy_every(6), 4),
@@ -168,7 +170,8 @@ fn chaos_killed_worker_degrades_gracefully() {
             ..EngineConfig::default()
         };
         let trials = campaign.trials;
-        let run = run_trials(campaign, &cfg);
+        let gated = campaign.with_lock_step(common::LockStep::new(3, after_trials));
+        let run = run_trials(gated, &cfg);
         assert_eq!(run.report.lost_workers, 1, "{trials} trials");
         assert_eq!(
             run.acc, clean.acc,

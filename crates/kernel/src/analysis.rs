@@ -60,7 +60,7 @@ impl Default for TemCosts {
 /// * non-critical tasks: unchanged (single execution).
 ///
 /// The returned set is what the *fault-free* schedule must accommodate;
-/// recovery demand is added separately by [`ft_response_time`].
+/// recovery demand is added separately by `ft_response_time`.
 ///
 /// # Panics
 ///
@@ -86,7 +86,7 @@ pub fn tem_transform(set: &TaskSet, costs: &TemCosts) -> TaskSet {
 
 /// Worst-case cost of recovering task `t` under TEM: one more execution,
 /// a context restore, and the majority vote.
-pub fn tem_recovery_cost(t: &TaskSpec, costs: &TemCosts) -> SimDuration {
+pub(crate) fn tem_recovery_cost(t: &TaskSpec, costs: &TemCosts) -> SimDuration {
     match t.criticality {
         Criticality::Critical => t.wcet + costs.context_restore + costs.vote,
         // Non-critical tasks are not recovered: they are shut down.
@@ -108,7 +108,7 @@ pub fn response_time(set: &TaskSet, task: &TaskSpec) -> Option<SimDuration> {
 /// `recovery_cost`).
 ///
 /// Returns `None` when unschedulable under that fault arrival assumption.
-pub fn ft_response_time(
+pub(crate) fn ft_response_time(
     set: &TaskSet,
     task: &TaskSpec,
     fault_interval: SimDuration,
@@ -252,7 +252,7 @@ pub const MAX_TOLERATED_FAULTS: u32 = 64;
 /// arrive", this asks "how many faults does one job survive".
 ///
 /// Returns `None` when the response exceeds the deadline.
-pub fn response_time_with_fault_count(
+pub(crate) fn response_time_with_fault_count(
     set: &TaskSet,
     task: &TaskSpec,
     faults: u32,
@@ -261,7 +261,7 @@ pub fn response_time_with_fault_count(
     response_time_with_blocking(set, task, SimDuration::ZERO, faults, recovery_cost)
 }
 
-/// [`response_time_with_fault_count`] with an additional one-shot
+/// `response_time_with_fault_count` with an additional one-shot
 /// `blocking` term — the SRP bound from
 /// [`crate::resources::ResourceMap::blocking_bound`], charged once before
 /// the task starts (SRP blocks a task at most once). With

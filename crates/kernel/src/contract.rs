@@ -8,7 +8,7 @@
 //! are then within spec; it is the *density* of misses that breaks the
 //! contract, and only then does the kernel degrade the task.
 //!
-//! A [`TaskContract`] couples the static [`MkContract`] with an online
+//! A `TaskContract` couples the static [`MkContract`] with an online
 //! [`WeaklyHard`] monitor and a [`DegradationAction`] the executive
 //! applies while the window is violated:
 //!
@@ -145,8 +145,7 @@ pub struct ContractOutcomes {
 /// A registered contract: static terms, online monitor, degradation
 /// state and telemetry.
 #[derive(Debug, Clone)]
-pub struct TaskContract {
-    contract: MkContract,
+pub(crate) struct TaskContract {
     action: DegradationAction,
     monitor: WeaklyHard,
     degraded: bool,
@@ -159,7 +158,6 @@ impl TaskContract {
         let monitor = contract.monitor();
         let min_margin = monitor.margin();
         TaskContract {
-            contract,
             action,
             monitor,
             degraded: false,
@@ -175,11 +173,6 @@ impl TaskContract {
         }
     }
 
-    /// The static contract terms.
-    pub fn contract(&self) -> MkContract {
-        self.contract
-    }
-
     /// The configured degradation action.
     pub fn action(&self) -> DegradationAction {
         self.action
@@ -187,13 +180,9 @@ impl TaskContract {
 
     /// Whether the task is currently degraded (window violated at the
     /// last recorded job, not yet recovered).
-    pub fn is_degraded(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_degraded(&self) -> bool {
         self.degraded
-    }
-
-    /// Misses the window still absorbs before violating.
-    pub fn margin(&self) -> u32 {
-        self.monitor.margin()
     }
 
     /// Telemetry collected so far.
@@ -229,21 +218,21 @@ impl TaskContract {
 
     /// Whether the next release should be substituted by the safe
     /// variant.
-    pub fn wants_safe_substitute(&self) -> bool {
+    pub(crate) fn wants_safe_substitute(&self) -> bool {
         self.degraded && self.action == DegradationAction::SkipToSafe
     }
 
     /// Records a safe-substituted release: counts as a hit (the safe
     /// variant always meets its deadline), so substitution itself heals
     /// the window.
-    pub fn record_safe_substitute(&mut self) {
+    pub(crate) fn record_safe_substitute(&mut self) {
         self.outcomes.safe_substituted += 1;
         self.record(false);
     }
 
     /// TEM copy cap while degraded under
     /// [`DegradationAction::ClampRecovery`]; `None` = no clamp.
-    pub fn copy_cap(&self) -> Option<u32> {
+    pub(crate) fn copy_cap(&self) -> Option<u32> {
         if self.degraded && self.action == DegradationAction::ClampRecovery {
             Some(2)
         } else {

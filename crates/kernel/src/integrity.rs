@@ -1,45 +1,21 @@
 //! Data-integrity and end-to-end error detection (§2.6).
 //!
 //! TEM's comparison protects data *during* a computation; this module
-//! protects it *between* computations and across the I/O boundary:
+//! protects it across the I/O boundary:
 //!
-//! * [`crc32`] — the CRC the kernel uses for larger structures;
-//! * [`DuplicatedRegion`] — store-twice/compare-before-use protection for
-//!   small state records;
-//! * [`CrcRegion`] — checksummed memory blocks, verified before use and
-//!   resealed after update;
+//! * [`crc32`] — the CRC the seals use;
 //! * [`SealedMessage`] — end-to-end protection for input/output data
-//!   travelling between tasks or nodes.
+//!   travelling between tasks or nodes;
+//! * [`FreshSealedMessage`] and [`CommandAcceptor`] — sealed commands
+//!   whose sequence number also rejects replayed and stale copies.
 
 use std::fmt;
-
-use nlft_machine::machine::Machine;
-use nlft_machine::mem::WORD_BYTES;
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over raw bytes.
-///
-/// This is the classic CRC-32 ("CRC-32/ISO-HDLC"): its check value over
-/// the ASCII digits `"123456789"` is `0xCBF43926`, which is pinned by a
-/// known-answer test so the polynomial, reflection and init/final-xor
-/// conventions can never silently regress. Delegates to the workspace's
-/// one shared table-driven implementation ([`nlft_sim::crc`]), the same
-/// routine the network frames use.
-///
-/// # Examples
-///
-/// ```
-/// use nlft_kernel::integrity::crc32_bytes;
-///
-/// assert_eq!(crc32_bytes(b"123456789"), 0xCBF43926);
-/// ```
-pub fn crc32_bytes(bytes: &[u8]) -> u32 {
-    nlft_sim::crc::crc32(bytes)
-}
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over words.
 ///
 /// Each word contributes its four bytes in little-endian order, so
-/// `crc32(&[w])` equals [`crc32_bytes`]`(&w.to_le_bytes())`.
+/// `crc32(&[w])` equals the byte CRC [`nlft_sim::crc::crc32`]`(&w.to_le_bytes())`,
+/// the one table-driven routine the network frames use too.
 ///
 /// # Examples
 ///
@@ -58,169 +34,29 @@ pub fn crc32(words: &[u32]) -> u32 {
 /// Failure reported by an integrity check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntegrityError {
-    /// The two copies of a duplicated region disagree.
-    DuplicateMismatch {
-        /// Byte offset of the first disagreeing word.
-        offset: u32,
-    },
-    /// A CRC-protected region fails verification.
+    /// A CRC-protected message fails verification.
     CrcMismatch {
         /// Expected (stored) CRC.
         expected: u32,
         /// CRC computed over the current contents.
         actual: u32,
     },
-    /// The underlying memory access itself trapped (ECC/bus) — the fault
-    /// was caught by hardware before the software check even ran.
-    Memory(nlft_machine::machine::Exception),
 }
 
 impl fmt::Display for IntegrityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IntegrityError::DuplicateMismatch { offset } => {
-                write!(f, "duplicated data mismatch at offset {offset:#x}")
-            }
             IntegrityError::CrcMismatch { expected, actual } => {
                 write!(
                     f,
                     "crc mismatch: stored {expected:#010x}, computed {actual:#010x}"
                 )
             }
-            IntegrityError::Memory(e) => write!(f, "memory fault during check: {e}"),
         }
     }
 }
 
 impl std::error::Error for IntegrityError {}
-
-/// A region stored twice in memory; reads are validated by comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DuplicatedRegion {
-    /// Base address of the primary copy.
-    pub primary: u32,
-    /// Base address of the shadow copy.
-    pub shadow: u32,
-    /// Length in words.
-    pub words: u32,
-}
-
-impl DuplicatedRegion {
-    /// Writes `data` to both copies.
-    ///
-    /// # Errors
-    ///
-    /// [`IntegrityError::Memory`] if either region is unmapped.
-    pub fn write(&self, m: &mut Machine, data: &[u32]) -> Result<(), IntegrityError> {
-        assert!(data.len() as u32 <= self.words, "data exceeds region");
-        for (i, &w) in data.iter().enumerate() {
-            let off = i as u32 * WORD_BYTES;
-            m.mem
-                .store(self.primary + off, w)
-                .map_err(|e| IntegrityError::Memory(e.into()))?;
-            m.mem
-                .store(self.shadow + off, w)
-                .map_err(|e| IntegrityError::Memory(e.into()))?;
-        }
-        Ok(())
-    }
-
-    /// Reads the region, comparing both copies word by word.
-    ///
-    /// # Errors
-    ///
-    /// [`IntegrityError::DuplicateMismatch`] on the first disagreement;
-    /// [`IntegrityError::Memory`] if an access traps.
-    pub fn read_checked(&self, m: &mut Machine) -> Result<Vec<u32>, IntegrityError> {
-        let mut out = Vec::with_capacity(self.words as usize);
-        for i in 0..self.words {
-            let off = i * WORD_BYTES;
-            let a = m
-                .mem
-                .load(self.primary + off)
-                .map_err(|e| IntegrityError::Memory(e.into()))?;
-            let b = m
-                .mem
-                .load(self.shadow + off)
-                .map_err(|e| IntegrityError::Memory(e.into()))?;
-            if a != b {
-                return Err(IntegrityError::DuplicateMismatch { offset: off });
-            }
-            out.push(a);
-        }
-        Ok(out)
-    }
-}
-
-/// A CRC-protected memory block: `words` data words followed by one CRC word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrcRegion {
-    /// Base address of the data.
-    pub base: u32,
-    /// Number of data words (CRC is stored right after them).
-    pub words: u32,
-}
-
-impl CrcRegion {
-    fn crc_addr(&self) -> u32 {
-        self.base + self.words * WORD_BYTES
-    }
-
-    /// Writes `data` and seals the region with its CRC.
-    ///
-    /// # Errors
-    ///
-    /// [`IntegrityError::Memory`] if the region is unmapped.
-    pub fn write_sealed(&self, m: &mut Machine, data: &[u32]) -> Result<(), IntegrityError> {
-        assert!(data.len() as u32 <= self.words, "data exceeds region");
-        for (i, &w) in data.iter().enumerate() {
-            m.mem
-                .store(self.base + i as u32 * WORD_BYTES, w)
-                .map_err(|e| IntegrityError::Memory(e.into()))?;
-        }
-        let mut all = Vec::with_capacity(self.words as usize);
-        for i in 0..self.words {
-            all.push(
-                m.mem
-                    .load(self.base + i * WORD_BYTES)
-                    .map_err(|e| IntegrityError::Memory(e.into()))?,
-            );
-        }
-        m.mem
-            .store(self.crc_addr(), crc32(&all))
-            .map_err(|e| IntegrityError::Memory(e.into()))?;
-        Ok(())
-    }
-
-    /// Verifies the CRC and returns the data.
-    ///
-    /// # Errors
-    ///
-    /// [`IntegrityError::CrcMismatch`] if the contents changed since
-    /// sealing; [`IntegrityError::Memory`] if an access traps.
-    pub fn read_verified(&self, m: &mut Machine) -> Result<Vec<u32>, IntegrityError> {
-        let mut data = Vec::with_capacity(self.words as usize);
-        for i in 0..self.words {
-            data.push(
-                m.mem
-                    .load(self.base + i * WORD_BYTES)
-                    .map_err(|e| IntegrityError::Memory(e.into()))?,
-            );
-        }
-        let stored = m
-            .mem
-            .load(self.crc_addr())
-            .map_err(|e| IntegrityError::Memory(e.into()))?;
-        let actual = crc32(&data);
-        if stored != actual {
-            return Err(IntegrityError::CrcMismatch {
-                expected: stored,
-                actual,
-            });
-        }
-        Ok(data)
-    }
-}
 
 /// An end-to-end protected message: payload plus CRC, checked at the
 /// consumer regardless of how many hops it crossed (§2.6, Kopetz).
@@ -253,18 +89,14 @@ impl SealedMessage {
         Ok(self.payload)
     }
 
-    /// Read-only view of the (unverified) payload.
-    pub fn payload_unchecked(&self) -> &[u32] {
-        &self.payload
-    }
-
     /// Flips bits in the payload — test/fault-injection helper.
     pub fn corrupt_payload(&mut self, index: usize, mask: u32) {
         self.payload[index] ^= mask;
     }
 
     /// Flips bits in the CRC — test/fault-injection helper.
-    pub fn corrupt_crc(&mut self, mask: u32) {
+    #[cfg(test)]
+    pub(crate) fn corrupt_crc(&mut self, mask: u32) {
         self.crc ^= mask;
     }
 }
@@ -286,9 +118,8 @@ impl SealedMessage {
 /// use nlft_kernel::integrity::FreshSealedMessage;
 ///
 /// let msg = FreshSealedMessage::seal(7, vec![100, 200]);
-/// let words = msg.to_words();
-/// let back = FreshSealedMessage::from_words(&words).unwrap();
-/// let (seq, payload) = back.open().unwrap();
+/// assert_eq!(msg.to_words().len(), 4, "[seq, payload…, crc]");
+/// let (seq, payload) = msg.open().unwrap();
 /// assert_eq!((seq, payload), (7, vec![100, 200]));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -308,16 +139,6 @@ impl FreshSealedMessage {
         FreshSealedMessage { seq, payload, crc }
     }
 
-    /// The (unverified) sequence number.
-    pub fn seq_unchecked(&self) -> u32 {
-        self.seq
-    }
-
-    /// Read-only view of the (unverified) payload.
-    pub fn payload_unchecked(&self) -> &[u32] {
-        &self.payload
-    }
-
     /// Serialises to `[seq, payload…, crc]` for transport in a frame.
     pub fn to_words(&self) -> Vec<u32> {
         let mut words = Vec::with_capacity(self.payload.len() + 2);
@@ -330,7 +151,7 @@ impl FreshSealedMessage {
     /// Reassembles a message from its wire words. Returns `None` when the
     /// word count cannot hold even an empty sealed command — a malformed
     /// buffer, not merely a corrupted one.
-    pub fn from_words(words: &[u32]) -> Option<Self> {
+    pub(crate) fn from_words(words: &[u32]) -> Option<Self> {
         if words.len() < 2 {
             return None;
         }
@@ -365,7 +186,8 @@ impl FreshSealedMessage {
 
     /// Flips bits in one wire word (seq = 0, payload words, CRC last) —
     /// test/fault-injection helper.
-    pub fn corrupt_word(&mut self, index: usize, mask: u32) {
+    #[cfg(test)]
+    pub(crate) fn corrupt_word(&mut self, index: usize, mask: u32) {
         let last = self.payload.len() + 1;
         match index {
             0 => self.seq ^= mask,
@@ -469,7 +291,8 @@ impl CommandAcceptor {
     }
 
     /// Highest sequence number accepted, if any.
-    pub fn last_seq(&self) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn last_seq(&self) -> Option<u32> {
         self.last_seq
     }
 
@@ -528,13 +351,7 @@ fn seq_newer(a: u32, b: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nlft_machine::mmu::MemoryMap;
-    use nlft_machine::workloads::DATA_BASE;
-
-    fn machine() -> Machine {
-        Machine::new(4096, MemoryMap::permissive())
-    }
-
+    use nlft_sim::crc::crc32 as crc32_bytes;
     #[test]
     fn crc32_known_properties() {
         assert_eq!(crc32(&[]), 0);
@@ -714,69 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicated_region_round_trip() {
-        let mut m = machine();
-        let region = DuplicatedRegion {
-            primary: DATA_BASE,
-            shadow: DATA_BASE + 0x100,
-            words: 4,
-        };
-        region.write(&mut m, &[10, 20, 30, 40]).unwrap();
-        assert_eq!(region.read_checked(&mut m).unwrap(), vec![10, 20, 30, 40]);
-    }
-
-    #[test]
-    fn duplicated_region_detects_corruption() {
-        let mut m = machine();
-        let region = DuplicatedRegion {
-            primary: DATA_BASE,
-            shadow: DATA_BASE + 0x100,
-            words: 4,
-        };
-        region.write(&mut m, &[1, 2, 3, 4]).unwrap();
-        // Corrupt the primary copy directly (bypassing ECC bookkeeping by a
-        // plain store, modelling a wild store by a faulty task).
-        m.mem.store(DATA_BASE + 8, 99).unwrap();
-        assert_eq!(
-            region.read_checked(&mut m),
-            Err(IntegrityError::DuplicateMismatch { offset: 8 })
-        );
-    }
-
-    #[test]
-    fn crc_region_round_trip_and_detection() {
-        let mut m = machine();
-        let region = CrcRegion {
-            base: DATA_BASE,
-            words: 8,
-        };
-        region
-            .write_sealed(&mut m, &[5, 6, 7, 8, 9, 10, 11, 12])
-            .unwrap();
-        assert_eq!(
-            region.read_verified(&mut m).unwrap(),
-            vec![5, 6, 7, 8, 9, 10, 11, 12]
-        );
-        m.mem.store(DATA_BASE + 4, 0xBAD).unwrap();
-        assert!(matches!(
-            region.read_verified(&mut m),
-            Err(IntegrityError::CrcMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn crc_region_detects_wild_write_into_crc_word() {
-        let mut m = machine();
-        let region = CrcRegion {
-            base: DATA_BASE,
-            words: 2,
-        };
-        region.write_sealed(&mut m, &[1, 2]).unwrap();
-        m.mem.store(DATA_BASE + 8, 0).unwrap(); // clobber stored CRC
-        assert!(region.read_verified(&mut m).is_err());
-    }
-
-    #[test]
     fn sealed_message_round_trip() {
         let msg = SealedMessage::seal(vec![7, 8, 9]);
         assert_eq!(msg.open().unwrap(), vec![7, 8, 9]);
@@ -799,18 +553,5 @@ mod tests {
             SealedMessage::seal(vec![]).open().unwrap(),
             Vec::<u32>::new()
         );
-    }
-
-    #[test]
-    fn write_past_region_panics() {
-        let mut m = machine();
-        let region = CrcRegion {
-            base: DATA_BASE,
-            words: 1,
-        };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            region.write_sealed(&mut m, &[1, 2]).unwrap();
-        }));
-        assert!(result.is_err());
     }
 }

@@ -13,9 +13,8 @@
 //!   (slack for recovery), and the TEM task transformation.
 //! * [`contract`] — weakly-hard (m,k) deadline-miss contracts with
 //!   online monitoring and configurable degradation actions.
-//! * [`integrity`] — data-integrity and end-to-end checks (§2.6).
-//! * [`executive`] — the node-level activation loop implementing the three
-//!   strategies of §2.2 (critical / non-critical / kernel errors).
+//! * [`integrity`] — end-to-end message checks (§2.6): CRC-sealed
+//!   messages and fresh-command acceptance.
 //! * [`escalation`] — the recovery-escalation ladder: suspect → fail-silent
 //!   → restart with capped exponential backoff → reintegrate or retire.
 //! * [`resources`] — SRP ceiling analysis over declared resource-access
@@ -25,6 +24,13 @@
 //!   ceiling-boosted critical sections and core-death fault injection; at
 //!   one core it is the plain preemptive dispatcher whose simulated
 //!   response times validate the analysis empirically.
+//! * [`preemptive`] — several MMU-confined tasks co-resident on one CPU
+//!   under fixed-priority preemptive dispatch (§2.8).
+//!
+//! The node-level strategies of §2.2 (mask errors in critical tasks, shut
+//! down a non-critical task, silence the node on a kernel error) are not
+//! an executive here: `nlft_core::campaign` applies them per fault-injection
+//! trial and `nlft_core::policy` maps each outcome to the node boundary.
 //!
 //! # Examples
 //!
@@ -54,7 +60,6 @@
 pub mod analysis;
 pub mod contract;
 pub mod escalation;
-pub mod executive;
 pub mod integrity;
 pub mod multicore;
 pub mod preemptive;
@@ -63,11 +68,10 @@ pub mod task;
 pub mod tem;
 
 pub use analysis::{analyse, analyse_with_faults, TemCosts};
-pub use contract::{ContractOutcomes, DegradationAction, MkContract, TaskContract};
+pub use contract::{ContractOutcomes, DegradationAction, MkContract};
 pub use escalation::{
     EscalationEvent, EscalationMachine, EscalationPolicy, NodeHealth, RestartPolicy,
 };
-pub use executive::{BoundTask, ExecutiveConfig, NodeExecutive, NodeState};
 pub use multicore::{MulticoreExecutive, MulticoreReport, TaskCoreOutcome};
 pub use preemptive::{PreemptiveExecutive, PreemptiveReport, ResidentTask};
 pub use resources::{

@@ -1,7 +1,6 @@
 //! A machine-level fixed-priority **preemptive** executive.
 //!
-//! Where [`crate::executive`] activates one task at a time on private
-//! machines, this executive models the paper's actual kernel architecture:
+//! This executive models the paper's actual kernel architecture:
 //! several tasks co-resident in **one** memory, each confined to its own
 //! MMU window, sharing one CPU under fixed-priority preemptive dispatch
 //! (§2.8). A release of a higher-priority task suspends the running one by
@@ -32,7 +31,7 @@ use crate::contract::{ContractOutcomes, DegradationAction, MkContract, TaskContr
 use crate::task::{Priority, TaskId};
 
 /// Size of one task window (code 1 KiB + data 1 KiB + stack 2 KiB).
-pub const WINDOW_BYTES: u32 = 0x1000;
+pub(crate) const WINDOW_BYTES: u32 = 0x1000;
 const CODE_BYTES: u32 = 0x400;
 const DATA_BYTES: u32 = 0x400;
 /// [`DATA_BYTES`] in words: the state window TEM snapshots and compares.
@@ -202,7 +201,8 @@ pub struct PreemptiveReport {
 
 impl PreemptiveReport {
     /// `true` when no deadline was missed anywhere.
-    pub fn no_misses(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn no_misses(&self) -> bool {
         self.tasks.values().all(|t| t.deadline_misses == 0)
     }
 }
@@ -305,14 +305,6 @@ impl PreemptiveExecutive {
             task,
         });
         Ok(())
-    }
-
-    /// Base address of a task's window (for oracle inspection in tests).
-    pub fn window_of(&self, id: TaskId) -> Option<u32> {
-        self.tcbs
-            .iter()
-            .find(|t| t.task.id == id)
-            .map(|t| t.window_base)
     }
 
     /// Raw access to the shared machine (oracle inspection).

@@ -120,7 +120,7 @@ impl ResourceMap {
 
     /// The longest critical section `task` declares on any resource
     /// (zero when it shares nothing) — the unit of LEFT-RS re-execution.
-    pub fn longest_section(&self, task: TaskId) -> SimDuration {
+    pub(crate) fn longest_section(&self, task: TaskId) -> SimDuration {
         self.accesses
             .iter()
             .filter(|a| a.task == task)
@@ -151,7 +151,7 @@ impl ResourceMap {
     }
 
     /// The ceiling of every declared resource, sorted by resource id.
-    pub fn ceilings(&self, set: &TaskSet) -> Vec<(ResourceId, Priority)> {
+    pub(crate) fn ceilings(&self, set: &TaskSet) -> Vec<(ResourceId, Priority)> {
         self.resources()
             .into_iter()
             .map(|r| (r, self.ceiling(set, r).expect("resource has an accessor")))
@@ -396,14 +396,6 @@ impl ProtocolKind {
             ProtocolKind::LeftRs => "left-rs",
         }
     }
-
-    /// Worst-case section re-executions on `cores` cores.
-    pub fn retry_bound(self, cores: u32) -> u32 {
-        match self {
-            ProtocolKind::LockBased => 0,
-            ProtocolKind::LeftRs => cores.saturating_sub(1),
-        }
-    }
 }
 
 /// Worst-case LEFT-RS re-execution cost for one job of `task` on a node
@@ -620,10 +612,10 @@ mod tests {
 
     #[test]
     fn retry_bounds() {
-        assert_eq!(ProtocolKind::LockBased.retry_bound(4), 0);
-        assert_eq!(ProtocolKind::LeftRs.retry_bound(1), 0);
-        assert_eq!(ProtocolKind::LeftRs.retry_bound(2), 1);
-        assert_eq!(ProtocolKind::LeftRs.retry_bound(5), 4);
+        assert_eq!(ProtocolKind::LockBased.build().retry_bound(4), 0);
+        assert_eq!(ProtocolKind::LeftRs.build().retry_bound(1), 0);
+        assert_eq!(ProtocolKind::LeftRs.build().retry_bound(2), 1);
+        assert_eq!(ProtocolKind::LeftRs.build().retry_bound(5), 4);
         assert_eq!(LeftRs::new().retry_bound(3), 2);
         assert_eq!(LockBased::new().retry_bound(3), 0);
     }

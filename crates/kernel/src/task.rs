@@ -291,7 +291,7 @@ impl TaskSet {
 
     /// Tasks with higher-or-equal priority (including `task` itself) —
     /// the `hep(i)` set of fault-tolerant response-time analysis.
-    pub fn higher_or_equal_priority<'a>(
+    pub(crate) fn higher_or_equal_priority<'a>(
         &'a self,
         task: &TaskSpec,
     ) -> impl Iterator<Item = &'a TaskSpec> + 'a {

@@ -44,7 +44,7 @@ use nlft_machine::mem::WORD_BYTES;
 use nlft_machine::workloads::{Workload, DATA_BASE, STACK_TOP};
 
 /// Size (bytes) of the task state region carried in every result.
-pub const STATE_BYTES: u32 = 0x400;
+pub(crate) const STATE_BYTES: u32 = 0x400;
 
 /// [`STATE_BYTES`] in words.
 const STATE_WORDS: usize = (STATE_BYTES / WORD_BYTES) as usize;

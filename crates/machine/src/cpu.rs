@@ -24,12 +24,12 @@ pub struct StatusFlags {
 
 impl StatusFlags {
     /// Packs the flags into a status-register word (bit 0 = Z, bit 1 = N).
-    pub fn to_word(self) -> u32 {
+    pub(crate) fn to_word(self) -> u32 {
         u32::from(self.zero) | (u32::from(self.negative) << 1)
     }
 
     /// Unpacks flags from a status-register word; undefined bits are ignored.
-    pub fn from_word(word: u32) -> Self {
+    pub(crate) fn from_word(word: u32) -> Self {
         StatusFlags {
             zero: word & 1 != 0,
             negative: word & 2 != 0,
@@ -37,7 +37,7 @@ impl StatusFlags {
     }
 
     /// Recomputes flags from an ALU result.
-    pub fn from_result(value: u32) -> Self {
+    pub(crate) fn from_result(value: u32) -> Self {
         StatusFlags {
             zero: value == 0,
             negative: (value as i32) < 0,
@@ -79,7 +79,7 @@ impl CpuState {
     }
 
     /// Folds a taken control transfer into the path signature.
-    pub fn record_branch(&mut self, from_pc: u32, to_pc: u32) {
+    pub(crate) fn record_branch(&mut self, from_pc: u32, to_pc: u32) {
         let x = (u64::from(from_pc) << 32) | u64::from(to_pc);
         self.path_sig = self.path_sig.rotate_left(7).wrapping_mul(0x100_0000_01b3) ^ x;
     }
@@ -94,13 +94,8 @@ impl CpuState {
         self.regs[r.index()] = value;
     }
 
-    /// All general-purpose registers, for context save and fault injection.
-    pub fn regs(&self) -> &[u32; NUM_REGS] {
-        &self.regs
-    }
-
     /// XORs a bit mask into a general-purpose register (fault injection).
-    pub fn flip_reg(&mut self, r: Reg, mask: u32) {
+    pub(crate) fn flip_reg(&mut self, r: Reg, mask: u32) {
         self.regs[r.index()] ^= mask;
     }
 

@@ -70,20 +70,6 @@ impl Edm {
         }
     }
 
-    /// Whether this is a hardware mechanism (upper half of Table 1) or a
-    /// software mechanism provided by the kernel (lower half).
-    pub fn is_hardware(self) -> bool {
-        matches!(
-            self,
-            Edm::IllegalOpcode
-                | Edm::AddressError
-                | Edm::BusError
-                | Edm::ArithmeticTrap
-                | Edm::Ecc
-                | Edm::Mmu
-        )
-    }
-
     /// Short human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -158,7 +144,7 @@ impl DetectionMatrix {
     }
 
     /// Total detected errors for a class across all mechanisms.
-    pub fn total_detected(&self, class: TargetClass) -> u64 {
+    pub(crate) fn total_detected(&self, class: TargetClass) -> u64 {
         Edm::ALL.iter().map(|&e| self.detections(class, e)).sum()
     }
 
@@ -177,20 +163,6 @@ impl DetectionMatrix {
             None
         } else {
             Some(det / (det + esc))
-        }
-    }
-
-    /// Overall coverage across all classes.
-    pub fn overall_coverage(&self) -> Option<f64> {
-        let det: u64 = TargetClass::ALL
-            .iter()
-            .map(|&c| self.total_detected(c))
-            .sum();
-        let esc: u64 = TargetClass::ALL.iter().map(|&c| self.undetected(c)).sum();
-        if det + esc == 0 {
-            None
-        } else {
-            Some(det as f64 / (det + esc) as f64)
         }
     }
 
@@ -297,16 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn hardware_software_split_matches_table1() {
-        assert!(Edm::IllegalOpcode.is_hardware());
-        assert!(Edm::Ecc.is_hardware());
-        assert!(Edm::Mmu.is_hardware());
-        assert!(!Edm::TemComparison.is_hardware());
-        assert!(!Edm::ExecutionTimeMonitor.is_hardware());
-        assert!(!Edm::DataIntegrity.is_hardware());
-    }
-
-    #[test]
     fn matrix_counts_and_coverage() {
         let mut m = DetectionMatrix::new();
         for _ in 0..90 {
@@ -335,7 +297,6 @@ mod tests {
             None,
             "benign-only has no coverage"
         );
-        assert_eq!(m.overall_coverage(), None);
     }
 
     #[test]

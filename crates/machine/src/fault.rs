@@ -408,7 +408,7 @@ impl FaultSpace {
 
     /// Non-panicking form of [`FaultSpace::with_stuck_at`]: rejects NaN
     /// and out-of-`[0, 1]` fractions with a typed error.
-    pub fn try_with_stuck_at(mut self, fraction: f64) -> Result<Self, FaultSpecError> {
+    pub(crate) fn try_with_stuck_at(mut self, fraction: f64) -> Result<Self, FaultSpecError> {
         probability("stuck_at_fraction", fraction)?;
         self.stuck_at_fraction = fraction;
         Ok(self)
@@ -431,7 +431,7 @@ impl FaultSpace {
 
     /// Non-panicking form of [`FaultSpace::with_intermittent`]: rejects
     /// NaN and out-of-`[0, 1]` fractions with a typed error.
-    pub fn try_with_intermittent(
+    pub(crate) fn try_with_intermittent(
         mut self,
         fraction: f64,
         recurrence: f64,

@@ -19,7 +19,7 @@
 use std::fmt;
 
 /// Number of general-purpose registers (`R0`–`R7`).
-pub const NUM_REGS: usize = 8;
+pub(crate) const NUM_REGS: usize = 8;
 
 /// A general-purpose register index, guaranteed in `0..NUM_REGS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -227,26 +227,10 @@ impl Machine {
         self.trace_capacity = capacity;
     }
 
-    /// Disables and discards the trace.
-    pub fn disable_trace(&mut self) {
-        self.trace = None;
-        self.trace_capacity = 0;
-    }
-
     /// The most recent trace entries, oldest first. Empty when tracing is
     /// disabled.
     pub fn trace(&self) -> impl Iterator<Item = &TraceEntry> {
         self.trace.iter().flatten()
-    }
-
-    /// Renders the trace as disassembly, one line per retired instruction.
-    pub fn format_trace(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for e in self.trace() {
-            let _ = writeln!(out, "{:>10}  {:#06x}: {}", e.cycles, e.pc, e.instr);
-        }
-        out
     }
 
     /// Creates a machine whose memory has no ECC (cheap-node configuration).
@@ -276,11 +260,6 @@ impl Machine {
     /// only exists for that comparison and for forensics.
     pub fn set_decode_cache_enabled(&mut self, enabled: bool) {
         self.decode_cache_enabled = enabled;
-    }
-
-    /// The active memory map.
-    pub fn memory_map(&self) -> &MemoryMap {
-        &self.map
     }
 
     /// Loads a program image at `base` (bypasses the MMU — boot loader).
@@ -326,11 +305,6 @@ impl Machine {
     /// Clears all output ports (between redundant TEM executions).
     pub fn clear_outputs(&mut self) {
         self.outputs = [None; NUM_PORTS];
-    }
-
-    /// Whether the last step retired a `HALT`.
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// Clears the halt latch without touching CPU state — the kernel uses
@@ -804,9 +778,9 @@ mod tests {
         m.run(100);
         let pcs: Vec<u32> = m.trace().map(|e| e.pc).collect();
         assert_eq!(pcs, vec![0, 4, 8, 12, 16]);
-        let text = m.format_trace();
-        assert!(text.contains("add r2, r0, r1"));
-        assert!(text.contains("halt"));
+        let text: Vec<String> = m.trace().map(|e| e.instr.to_string()).collect();
+        assert_eq!(text[2], "add r2, r0, r1");
+        assert_eq!(text[4], "halt");
     }
 
     #[test]
@@ -852,12 +826,6 @@ mod tests {
         let mut m = machine_with("halt");
         m.run(10);
         assert_eq!(m.trace().count(), 0);
-        assert!(m.format_trace().is_empty());
-        m.enable_trace(4);
-        m.disable_trace();
-        m.reset(0, 4096);
-        m.run(10);
-        assert_eq!(m.trace().count(), 0);
     }
 
     #[test]
@@ -865,7 +833,6 @@ mod tests {
         let mut m = machine_with("halt");
         assert_eq!(m.step().unwrap(), Step::Halted);
         assert_eq!(m.step().unwrap(), Step::Halted);
-        assert!(m.is_halted());
     }
 
     #[test]

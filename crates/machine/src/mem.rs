@@ -143,11 +143,6 @@ impl EccMemory {
         self.words.len() as u32 * WORD_BYTES
     }
 
-    /// Whether ECC is active.
-    pub fn ecc_enabled(&self) -> bool {
-        self.ecc_enabled
-    }
-
     /// ECC correction/detection counters.
     pub fn ecc_stats(&self) -> EccStats {
         self.stats
@@ -385,7 +380,7 @@ impl EccMemory {
     ///
     /// Fails like [`EccMemory::store_words`]: an image that does not fit
     /// writes nothing.
-    pub fn load_image(&mut self, base: u32, words: &[u32]) -> Result<(), MemError> {
+    pub(crate) fn load_image(&mut self, base: u32, words: &[u32]) -> Result<(), MemError> {
         self.store_words(base, words)?;
         self.generation = self.generation.wrapping_add(1);
         Ok(())

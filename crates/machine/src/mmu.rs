@@ -62,7 +62,7 @@ impl Perms {
     };
 
     /// Whether the permission set allows the given access.
-    pub fn allows(self, access: Access) -> bool {
+    pub(crate) fn allows(self, access: Access) -> bool {
         match access {
             Access::Read => self.read,
             Access::Write => self.write,
@@ -177,16 +177,6 @@ impl MemoryMap {
                 execute: true,
             },
         )])
-    }
-
-    /// Adds a region.
-    pub fn add_region(&mut self, region: Region) {
-        self.regions.push(region);
-    }
-
-    /// The configured regions.
-    pub fn regions(&self) -> &[Region] {
-        &self.regions
     }
 
     /// Checks an access against the map.

@@ -273,7 +273,7 @@ pub fn stacked_average() -> Workload {
 /// wheel speed (all 0..4095). Output: port 0 = applied force.
 /// Slip is `(v - w) * 256 / v`; above the threshold (~20 %) the force is
 /// halved, giving the characteristic ABS pumping when iterated.
-pub fn abs_controller() -> Workload {
+pub(crate) fn abs_controller() -> Workload {
     build(
         "abs",
         "

@@ -196,7 +196,6 @@ pub struct Bus {
     crc_rejects: u64,
     masquerade_rejects: u64,
     corruptions_applied: u64,
-    drops_applied: u64,
     masquerades_applied: u64,
 }
 
@@ -215,7 +214,6 @@ impl Bus {
             crc_rejects: 0,
             masquerade_rejects: 0,
             corruptions_applied: 0,
-            drops_applied: 0,
             masquerades_applied: 0,
         }
     }
@@ -250,11 +248,6 @@ impl Bus {
     /// corruptions on silent or dropped slots do not count).
     pub fn corruptions_applied(&self) -> u64 {
         self.corruptions_applied
-    }
-
-    /// Wire drops actually applied to a pending frame so far.
-    pub fn drops_applied(&self) -> u64 {
-        self.drops_applied
     }
 
     /// Wire masquerades actually applied to a pending frame so far.
@@ -350,7 +343,7 @@ impl Bus {
     /// # Panics
     ///
     /// Panics if no cycle is open.
-    pub fn transmit_dynamic(
+    pub(crate) fn transmit_dynamic(
         &mut self,
         node: NodeId,
         priority: u8,
@@ -411,9 +404,7 @@ impl Bus {
         // need encoding.
         for f in &faults {
             if let WireFault::DropStatic { slot } = f {
-                if self.static_pending.remove(slot).is_some() {
-                    self.drops_applied += 1;
-                }
+                self.static_pending.remove(slot);
             }
         }
         for f in &faults {
@@ -677,7 +668,6 @@ mod tests {
         assert_eq!(d.rejected, 0);
         assert_eq!(d.static_frames[&SlotId(1)].payload, vec![5]);
         assert_eq!(bus.corruptions_applied(), 0);
-        assert_eq!(bus.drops_applied(), 0);
         assert_eq!(bus.masquerades_applied(), 0);
         assert_eq!(bus.crc_rejects(), 0);
         assert_eq!(bus.masquerade_rejects(), 0);
@@ -766,7 +756,6 @@ mod tests {
             d.rejected, 0,
             "an omission is silence, not a rejected frame"
         );
-        assert_eq!(bus.drops_applied(), 1);
         assert_eq!(bus.crc_rejects(), 0);
     }
 
@@ -802,7 +791,6 @@ mod tests {
         bus.stage_wire_fault(WireFault::DropStatic { slot: SlotId(0) });
         let d = bus.finish_cycle();
         assert!(d.static_frames.is_empty());
-        assert_eq!(bus.drops_applied(), 1);
         assert_eq!(
             bus.corruptions_applied(),
             0,

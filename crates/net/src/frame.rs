@@ -117,7 +117,7 @@ impl Frame {
     /// # Panics
     ///
     /// As [`Frame::encode`].
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         assert!(
             self.payload.len() <= Frame::MAX_PAYLOAD_WORDS,
             "payload of {} words exceeds the 16-bit length field",

@@ -150,7 +150,7 @@ impl NetFaultRates {
     }
 
     /// Whether every rate is zero.
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         *self == NetFaultRates::QUIET
     }
 
@@ -220,9 +220,7 @@ pub struct NetFaultPlan {
     pub blackouts: Vec<BlackoutSpec>,
     /// Cycles a crashed node stays silent before returning.
     pub restart_cycles: u32,
-    /// Cycles a clock-glitched node loses slot alignment for. Calibrate
-    /// with [`clock_outage_cycles`] to couple this to the Welch–Lynch
-    /// resynchronisation dynamics.
+    /// Cycles a clock-glitched node loses slot alignment for.
     pub clock_outage_cycles: u32,
     /// Probability per cycle that one dynamic frame is delivered twice.
     pub duplicate_dynamic: f64,
@@ -351,7 +349,7 @@ impl NetFaultPlan {
     }
 
     /// The rates applying to `node` (quiet if never configured).
-    pub fn rates_for(&self, node: NodeId) -> NetFaultRates {
+    pub(crate) fn rates_for(&self, node: NodeId) -> NetFaultRates {
         self.node_rates
             .get(&node)
             .copied()
@@ -359,7 +357,7 @@ impl NetFaultPlan {
     }
 
     /// Whether the plan is active in `cycle`.
-    pub fn active_in(&self, cycle: u32) -> bool {
+    pub(crate) fn active_in(&self, cycle: u32) -> bool {
         (self.from_cycle..self.until_cycle).contains(&cycle)
     }
 }
@@ -474,7 +472,7 @@ impl NetFaultInjector {
 
     /// Whether `node` is being held silent in `cycle` by a crash or clock
     /// outage window.
-    pub fn is_down(&self, node: NodeId, cycle: u32) -> bool {
+    pub(crate) fn is_down(&self, node: NodeId, cycle: u32) -> bool {
         self.down_until
             .get(&node)
             .is_some_and(|&until| cycle < until)
@@ -600,23 +598,6 @@ impl NetFaultInjector {
         }
         silenced
     }
-}
-
-/// Calibrates a [`NetFaultPlan`]'s `clock_outage_cycles` from the
-/// Welch–Lynch dynamics: simulates a cluster of `n` drifting clocks
-/// (tolerating one Byzantine), hits one node with a `glitch_us` jump, and
-/// returns how many resync rounds (≙ TDMA cycles) it takes that node to
-/// re-enter the synchronisation bound. The result is at least 1: a
-/// glitched node always misses at least the cycle of the glitch.
-pub fn clock_outage_cycles(n: usize, max_ppm: f64, glitch_us: f64, rng: &mut RngStream) -> u32 {
-    let config = crate::sync::SyncConfig::cluster(n, max_ppm, 1, rng);
-    let glitch = crate::sync::ClockGlitch {
-        node: 0,
-        at_round: 4,
-        offset_us: glitch_us,
-    };
-    let report = crate::sync::run_with_glitches(&config, 40, 0.0, &[glitch], rng);
-    report.recovery_rounds[0].unwrap_or(u32::MAX).max(1)
 }
 
 #[cfg(test)]
@@ -816,17 +797,6 @@ mod tests {
                 ..NetFaultRates::QUIET
             },
         );
-    }
-
-    #[test]
-    fn clock_outage_calibration_is_positive_and_deterministic() {
-        let mut r1 = RngStream::new(0xC10C);
-        let mut r2 = RngStream::new(0xC10C);
-        let a = clock_outage_cycles(6, 50.0, 400.0, &mut r1);
-        let b = clock_outage_cycles(6, 50.0, 400.0, &mut r2);
-        assert_eq!(a, b);
-        assert!(a >= 1);
-        assert!(a < 40, "Welch-Lynch must pull a glitched clock back: {a}");
     }
 
     #[test]

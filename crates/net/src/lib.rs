@@ -25,7 +25,7 @@
 //! ```
 //! use nlft_net::bus::{Bus, BusConfig};
 //! use nlft_net::frame::NodeId;
-//! use nlft_net::replication::{select_duplex, DuplexPair, DuplexValue};
+//! use nlft_net::replication::{select_duplex_among, DuplexPair, DuplexValue};
 //!
 //! let config = BusConfig::round_robin(2, 0);
 //! let mut bus = Bus::new(config.clone());
@@ -34,7 +34,7 @@
 //! bus.start_cycle();
 //! bus.transmit_static(NodeId(0), vec![1234]).unwrap(); // replica 1 omits
 //! let delivery = bus.finish_cycle();
-//! let value = select_duplex(&config, &delivery, pair);
+//! let value = select_duplex_among(&config, &delivery, pair, |_| true);
 //! assert_eq!(value.payload(), Some(&[1234u32][..]));
 //! ```
 
@@ -53,12 +53,10 @@ pub mod timing;
 pub use bus::{Bus, BusConfig, CycleDelivery, TransmitError, WireFault};
 pub use frame::{Frame, FrameError, NodeId, SlotId};
 pub use inject::{BlackoutSpec, InjectionCounts, NetFaultInjector, NetFaultPlan, NetFaultRates};
-pub use membership::{clique_majority_threshold, CliqueVerdict, Membership, MembershipEvent};
-pub use replication::{
-    select_duplex, select_duplex_among, DuplexPair, DuplexValue, ResyncPolicy, StateResync,
-};
+pub use membership::{Membership, MembershipEvent};
+pub use replication::{select_duplex_among, DuplexPair, DuplexValue, StateResync};
 pub use startup::{
     StartupConfig, StartupEvent, StartupMetrics, StartupProtocol, StartupState, TransmitIntent,
 };
-pub use sync::{ClockBehaviour, ClockGlitch, SyncConfig, SyncReport};
+pub use sync::{ClockBehaviour, SyncConfig, SyncReport};
 pub use timing::{derive_repair_rates, BusTiming, DerivedRepairRates};

@@ -17,7 +17,7 @@
 use std::fmt;
 
 use crate::bus::{Bus, BusConfig, CycleDelivery, TransmitError};
-use crate::frame::{Frame, NodeId};
+use crate::frame::NodeId;
 
 /// A duplex pair of replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +40,7 @@ impl DuplexPair {
     }
 
     /// The partner of `node`, if `node` is in the pair.
-    pub fn partner_of(&self, node: NodeId) -> Option<NodeId> {
+    pub(crate) fn partner_of(&self, node: NodeId) -> Option<NodeId> {
         if node == self.a {
             Some(self.b)
         } else if node == self.b {
@@ -98,37 +98,6 @@ impl fmt::Display for DuplexValue {
     }
 }
 
-/// Selects the duplex pair's value from one cycle's delivery.
-pub fn select_duplex(
-    config: &BusConfig,
-    delivery: &CycleDelivery,
-    pair: DuplexPair,
-) -> DuplexValue {
-    let fa = delivery.from_node(config, pair.a);
-    let fb = delivery.from_node(config, pair.b);
-    match (fa, fb) {
-        (Some(x), Some(y)) => {
-            if x.payload == y.payload {
-                DuplexValue::Agreed(x.payload.clone())
-            } else {
-                DuplexValue::Disagreement {
-                    a: x.payload.clone(),
-                    b: y.payload.clone(),
-                }
-            }
-        }
-        (Some(x), None) => DuplexValue::Single {
-            from: pair.a,
-            payload: x.payload.clone(),
-        },
-        (None, Some(y)) => DuplexValue::Single {
-            from: pair.b,
-            payload: y.payload.clone(),
-        },
-        (None, None) => DuplexValue::Silent,
-    }
-}
-
 /// Selects the duplex pair's value considering only replicas that
 /// `is_member` accepts. A replica outside the membership view — excluded,
 /// or freshly restarted and not yet reintegrated — may transmit with stale
@@ -181,7 +150,7 @@ const RESYNC_RESPONSE: u32 = 0x5259_0002;
 /// segment the rest of the cluster also needs. The compromise is classic:
 /// retry, back off exponentially, cap the backoff, bound the attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResyncPolicy {
+pub(crate) struct ResyncPolicy {
     /// Cycles to wait for an answer to the first request.
     pub initial_wait_cycles: u32,
     /// Cap on the exponentially growing wait.
@@ -225,7 +194,6 @@ pub struct StateResync {
     outstanding: bool,
     policy: ResyncPolicy,
     resyncing: bool,
-    gave_up: bool,
     attempts: u32,
     wait: u32,
 }
@@ -254,7 +222,7 @@ impl StateResync {
     /// # Panics
     ///
     /// Panics if `node` is not in the pair or `max_attempts` is zero.
-    pub fn with_policy(node: NodeId, pair: DuplexPair, policy: ResyncPolicy) -> Self {
+    pub(crate) fn with_policy(node: NodeId, pair: DuplexPair, policy: ResyncPolicy) -> Self {
         assert!(
             pair.partner_of(node).is_some(),
             "{node} is not part of the duplex pair"
@@ -266,27 +234,21 @@ impl StateResync {
             outstanding: false,
             policy,
             resyncing: false,
-            gave_up: false,
             attempts: 0,
             wait: 0,
         }
     }
 
     /// Whether a request is waiting for an answer.
-    pub fn awaiting_state(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn awaiting_state(&self) -> bool {
         self.outstanding
     }
 
     /// Whether a [`StateResync::begin_resync`] episode is still running.
-    pub fn is_resyncing(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_resyncing(&self) -> bool {
         self.resyncing
-    }
-
-    /// Whether the last episode exhausted its retry budget without an
-    /// answer. The replica then resumes from its own (possibly stale)
-    /// state rather than blocking forever — availability over freshness.
-    pub fn gave_up(&self) -> bool {
-        self.gave_up
     }
 
     /// Requests sent in the current/last episode.
@@ -296,10 +258,9 @@ impl StateResync {
 
     /// Starts (or restarts) a resynchronisation episode: [`StateResync::tick`]
     /// will send the first request on its next call and retry per the
-    /// [`ResyncPolicy`] until an answer arrives or the budget runs out.
+    /// endpoint's retry policy until an answer arrives or the budget runs out.
     pub fn begin_resync(&mut self) {
         self.resyncing = true;
-        self.gave_up = false;
         self.outstanding = false;
         self.attempts = 0;
         self.wait = 0;
@@ -319,7 +280,6 @@ impl StateResync {
             return;
         }
         if self.attempts >= self.policy.max_attempts {
-            self.gave_up = true;
             self.resyncing = false;
             self.outstanding = false;
             return;
@@ -336,7 +296,7 @@ impl StateResync {
     ///
     /// Propagates [`TransmitError::DynamicSegmentFull`] — the request is
     /// retried next cycle by calling this again.
-    pub fn request_state(&mut self, bus: &mut Bus) -> Result<(), TransmitError> {
+    pub(crate) fn request_state(&mut self, bus: &mut Bus) -> Result<(), TransmitError> {
         bus.transmit_dynamic(self.node, 0, vec![RESYNC_REQUEST, u32::from(self.node.0)])?;
         self.outstanding = true;
         Ok(())
@@ -386,7 +346,8 @@ impl StateResync {
 
 /// Convenience: does a dynamic frame belong to the resync protocol?
 /// (Filtering keeps application traffic separate.)
-pub fn is_resync_frame(frame: &Frame) -> bool {
+#[cfg(test)]
+pub(crate) fn is_resync_frame(frame: &crate::frame::Frame) -> bool {
     matches!(
         frame.payload.first(),
         Some(&RESYNC_REQUEST) | Some(&RESYNC_RESPONSE)
@@ -396,6 +357,7 @@ pub fn is_resync_frame(frame: &Frame) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Frame;
 
     fn setup() -> (Bus, BusConfig, DuplexPair) {
         let config = BusConfig::round_robin(2, 4);
@@ -414,7 +376,7 @@ mod tests {
         bus.transmit_static(NodeId(1), vec![42]).unwrap();
         let d = bus.finish_cycle();
         assert_eq!(
-            select_duplex(&config, &d, pair),
+            select_duplex_among(&config, &d, pair, |_| true),
             DuplexValue::Agreed(vec![42])
         );
     }
@@ -425,7 +387,7 @@ mod tests {
         bus.start_cycle();
         bus.transmit_static(NodeId(1), vec![7]).unwrap();
         let d = bus.finish_cycle();
-        let v = select_duplex(&config, &d, pair);
+        let v = select_duplex_among(&config, &d, pair, |_| true);
         assert_eq!(
             v,
             DuplexValue::Single {
@@ -443,7 +405,7 @@ mod tests {
         bus.transmit_static(NodeId(0), vec![1]).unwrap();
         bus.transmit_static(NodeId(1), vec![2]).unwrap();
         let d = bus.finish_cycle();
-        let v = select_duplex(&config, &d, pair);
+        let v = select_duplex_among(&config, &d, pair, |_| true);
         assert!(matches!(v, DuplexValue::Disagreement { .. }));
         assert_eq!(v.payload(), None, "divergent pair yields no usable value");
     }
@@ -453,7 +415,10 @@ mod tests {
         let (mut bus, config, pair) = setup();
         bus.start_cycle();
         let d = bus.finish_cycle();
-        assert_eq!(select_duplex(&config, &d, pair), DuplexValue::Silent);
+        assert_eq!(
+            select_duplex_among(&config, &d, pair, |_| true),
+            DuplexValue::Silent
+        );
     }
 
     #[test]
@@ -582,8 +547,7 @@ mod tests {
         // Waits: 2, 4, 4 (capped) → requests at cycles 0, 3, 8, 13.
         assert_eq!(request_cycles, vec![0, 3, 8, 13]);
         assert_eq!(node.attempts(), 4);
-        assert!(node.gave_up(), "budget exhausted without an answer");
-        assert!(!node.is_resyncing());
+        assert!(!node.is_resyncing(), "budget exhausted without an answer");
     }
 
     #[test]
@@ -611,7 +575,6 @@ mod tests {
         let ev = recovering.process_cycle(&mut bus, &d2, &[]).unwrap();
         assert_eq!(ev, vec![ResyncEvent::StateReceived(vec![55])]);
         assert!(!recovering.is_resyncing());
-        assert!(!recovering.gave_up());
         bus.finish_cycle();
 
         // Further ticks are no-ops: no more requests on the wire.
@@ -639,9 +602,8 @@ mod tests {
             node.tick(&mut bus);
             bus.finish_cycle();
         }
-        assert!(node.gave_up());
+        assert!(!node.is_resyncing(), "the one attempt went unanswered");
         node.begin_resync();
-        assert!(!node.gave_up());
         assert!(node.is_resyncing());
         assert_eq!(node.attempts(), 0);
     }

@@ -214,12 +214,14 @@ struct NodeStartup {
 ///
 /// ```
 /// use nlft_net::bus::{Bus, BusConfig};
+/// use nlft_net::frame::NodeId;
 /// use nlft_net::startup::{StartupConfig, StartupProtocol, TransmitIntent, COLD_START_MARKER};
 ///
 /// let config = BusConfig::round_robin(4, 2);
 /// let mut bus = Bus::new(config.clone());
-/// let mut startup = StartupProtocol::cold_boot(StartupConfig::for_bus(&config));
-/// for cycle in 0.. {
+/// let mut startup = StartupProtocol::all_active(StartupConfig::for_bus(&config));
+/// startup.reset_node(NodeId(2), 0, 0); // node 2 restarts and listens
+/// for cycle in 0..100 {
 ///     bus.start_cycle();
 ///     for &node in config.static_slots.clone().iter() {
 ///         match startup.intent(node) {
@@ -234,11 +236,13 @@ struct NodeStartup {
 ///     }
 ///     let delivery = bus.finish_cycle();
 ///     startup.observe(cycle, &delivery);
-///     if startup.all_ready() {
+///     if startup.is_active(NodeId(2)) {
 ///         break;
 ///     }
 /// }
-/// assert!(startup.metrics().first_cold_start_cycle.is_some());
+/// // The running traffic was adopted: no cold start was needed.
+/// assert!(startup.is_active(NodeId(2)));
+/// assert_eq!(startup.metrics().cold_starts_sent, 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct StartupProtocol {
@@ -287,7 +291,8 @@ impl StartupProtocol {
 
     /// All nodes powered up simultaneously into Listen with their own
     /// timeouts: a cluster-wide cold boot.
-    pub fn cold_boot(config: StartupConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn cold_boot(config: StartupConfig) -> Self {
         Self::with_state(config, StartupState::Listen { remaining: 0 }, false)
     }
 
@@ -311,7 +316,8 @@ impl StartupProtocol {
     }
 
     /// Whether every participant is Active.
-    pub fn all_ready(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn all_ready(&self) -> bool {
         self.nodes
             .values()
             .all(|n| matches!(n.state, StartupState::Active))

@@ -89,19 +89,6 @@ impl SyncConfig {
     }
 }
 
-/// A one-off clock jump injected into a run — the clock-fault half of the
-/// network fault model: a node whose oscillator glitches loses slot
-/// alignment until the resynchronisation algorithm pulls it back.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClockGlitch {
-    /// Index of the node whose clock jumps.
-    pub node: usize,
-    /// Round at whose start the jump is applied.
-    pub at_round: usize,
-    /// Signed jump in microseconds.
-    pub offset_us: f64,
-}
-
 /// Result of a synchronization run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyncReport {
@@ -109,11 +96,6 @@ pub struct SyncReport {
     pub max_skew_per_round: Vec<f64>,
     /// The theoretical bound `4ε + 2·ρ·R` for the configuration (µs).
     pub skew_bound_us: f64,
-    /// For each injected [`ClockGlitch`], how many rounds (from the glitch
-    /// round, inclusive) until the glitched node is back within the skew
-    /// bound of every other correct clock; `None` if it never recovered
-    /// within the run. Empty when no glitches were injected.
-    pub recovery_rounds: Vec<Option<u32>>,
 }
 
 impl SyncReport {
@@ -134,8 +116,7 @@ impl SyncReport {
 /// # Panics
 ///
 /// Panics unless `n ≥ 3k + 1` with at most `k` Byzantine clocks — below
-/// that the algorithm's precondition is violated (see
-/// [`run_unprotected`] for observing what goes wrong).
+/// that the algorithm's precondition is violated.
 pub fn run(
     config: &SyncConfig,
     rounds: usize,
@@ -160,61 +141,12 @@ pub fn run(
     run_unchecked(config, rounds, initial_offset_us, rng)
 }
 
-/// Runs the algorithm *without* the `n ≥ 3k+1` precondition check — for
-/// experiments demonstrating why the bound matters.
-pub fn run_unprotected(
-    config: &SyncConfig,
-    rounds: usize,
-    initial_offset_us: f64,
-    rng: &mut RngStream,
-) -> SyncReport {
-    run_unchecked(config, rounds, initial_offset_us, rng)
-}
-
-/// Runs the algorithm while injecting [`ClockGlitch`]es, measuring for each
-/// how long the glitched node stays outside the synchronisation bound. The
-/// per-glitch answers land in [`SyncReport::recovery_rounds`]; network
-/// fault-injection plans use them to calibrate how many TDMA cycles a
-/// clock-faulted node effectively loses (see `nlft_net::inject`).
-///
-/// # Panics
-///
-/// Panics if a glitch names a node index out of range or a Byzantine node.
-pub fn run_with_glitches(
-    config: &SyncConfig,
-    rounds: usize,
-    initial_offset_us: f64,
-    glitches: &[ClockGlitch],
-    rng: &mut RngStream,
-) -> SyncReport {
-    for g in glitches {
-        assert!(
-            g.node < config.clocks.len(),
-            "glitch node {} out of range",
-            g.node
-        );
-        assert!(
-            matches!(config.clocks[g.node], ClockBehaviour::Drifting { .. }),
-            "glitching a Byzantine clock is meaningless"
-        );
-    }
-    run_faulted(config, rounds, initial_offset_us, glitches, rng)
-}
-
+/// Runs the algorithm *without* the `n ≥ 3k+1` precondition check; the
+/// tests use it to show why the bound matters.
 fn run_unchecked(
     config: &SyncConfig,
     rounds: usize,
     initial_offset_us: f64,
-    rng: &mut RngStream,
-) -> SyncReport {
-    run_faulted(config, rounds, initial_offset_us, &[], rng)
-}
-
-fn run_faulted(
-    config: &SyncConfig,
-    rounds: usize,
-    initial_offset_us: f64,
-    glitches: &[ClockGlitch],
     rng: &mut RngStream,
 ) -> SyncReport {
     let n = config.clocks.len();
@@ -227,17 +159,9 @@ fn run_faulted(
         max_skew_per_round: Vec::with_capacity(rounds),
         skew_bound_us: 4.0 * config.reading_error_us
             + 2.0 * max_drift(config) * 1e-6 * config.resync_interval_us,
-        recovery_rounds: vec![None; glitches.len()],
     };
 
-    for round in 0..rounds {
-        // 0. Inject any clock glitches due this round.
-        for g in glitches {
-            if g.at_round == round {
-                offsets[g.node] += g.offset_us;
-            }
-        }
-
+    for _ in 0..rounds {
         // 1. Drift for one interval.
         for (i, c) in config.clocks.iter().enumerate() {
             if let ClockBehaviour::Drifting { ppm } = c {
@@ -285,24 +209,6 @@ fn run_faulted(
         let max = correct.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let min = correct.iter().cloned().fold(f64::INFINITY, f64::min);
         report.max_skew_per_round.push(max - min);
-
-        // 4. A glitched node has "recovered" once it is back within the
-        //    bound of every other correct clock.
-        for (gi, g) in glitches.iter().enumerate() {
-            if round < g.at_round || report.recovery_rounds[gi].is_some() {
-                continue;
-            }
-            let worst = config
-                .clocks
-                .iter()
-                .enumerate()
-                .filter(|(j, c)| *j != g.node && matches!(c, ClockBehaviour::Drifting { .. }))
-                .map(|(j, _)| (offsets[j] - offsets[g.node]).abs())
-                .fold(0.0, f64::max);
-            if worst <= report.skew_bound_us * 1.5 {
-                report.recovery_rounds[gi] = Some((round - g.at_round + 1) as u32);
-            }
-        }
     }
     report
 }
@@ -367,7 +273,7 @@ mod tests {
         let mut r = rng();
         let mut config = SyncConfig::cluster(3, 20.0, 1, &mut r);
         config.clocks[2] = ClockBehaviour::Byzantine;
-        let report = run_unprotected(&config, 60, 10.0, &mut r);
+        let report = run_unchecked(&config, 60, 10.0, &mut r);
         let steady = report.steady_state_skew();
         // With only the median surviving the trim, the split attack's
         // plausible per-reader values steer each correct node apart:
@@ -409,45 +315,6 @@ mod tests {
         // Bound scales with the interval: 2·100ppm·10s = 2000 µs (+4ε).
         assert!(report.skew_bound_us > 2_000.0);
         assert!(report.steady_state_skew() <= report.skew_bound_us * 1.5);
-    }
-
-    #[test]
-    fn glitched_clock_recovers_within_a_few_rounds() {
-        let mut r = rng();
-        let config = SyncConfig::cluster(6, 50.0, 1, &mut r);
-        let glitch = ClockGlitch {
-            node: 2,
-            at_round: 5,
-            offset_us: 500.0,
-        };
-        let report = run_with_glitches(&config, 30, 0.0, &[glitch], &mut r);
-        let recovery = report.recovery_rounds[0].expect("must recover");
-        // The fault-tolerant midpoint trims the outlier reading, so the
-        // glitched node snaps back almost immediately (skew is recorded
-        // after the resync step, so the jump itself never shows).
-        assert!(recovery >= 1);
-        assert!(recovery <= 3, "recovery took {recovery} rounds");
-    }
-
-    #[test]
-    fn unglitched_run_reports_no_recoveries() {
-        let mut r = rng();
-        let config = SyncConfig::cluster(4, 20.0, 1, &mut r);
-        let report = run(&config, 10, 10.0, &mut r);
-        assert!(report.recovery_rounds.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn glitch_node_bounds_checked() {
-        let mut r = rng();
-        let config = SyncConfig::cluster(4, 20.0, 1, &mut r);
-        let glitch = ClockGlitch {
-            node: 9,
-            at_round: 0,
-            offset_us: 1.0,
-        };
-        run_with_glitches(&config, 5, 0.0, &[glitch], &mut r);
     }
 
     #[test]

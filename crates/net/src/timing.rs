@@ -36,7 +36,7 @@ impl BusTiming {
     }
 
     /// Wall-clock duration of one full cycle under a configuration.
-    pub fn cycle_duration(&self, config: &BusConfig) -> SimDuration {
+    pub(crate) fn cycle_duration(&self, config: &BusConfig) -> SimDuration {
         self.slot_duration * config.static_slots.len() as u64
             + self.minislot_duration * u64::from(config.dynamic_minislots)
     }

@@ -10,8 +10,7 @@
 //!   (repairs ~10³/h against faults ~10⁻⁴/h over a year);
 //! * an independent **uniformization** solver used to cross-check the
 //!   exponential on non-stiff cases;
-//! * mean time to failure for absorbing chains (`MTTF = π₀·(-Q_TT)⁻¹·1`);
-//! * steady-state distributions for ergodic chains.
+//! * mean time to failure for absorbing chains (`MTTF = π₀·(-Q_TT)⁻¹·1`).
 
 use std::fmt;
 
@@ -147,7 +146,7 @@ pub struct Ctmc {
 
 impl Ctmc {
     /// Number of states.
-    pub fn num_states(&self) -> usize {
+    pub(crate) fn num_states(&self) -> usize {
         self.names.len()
     }
 
@@ -260,7 +259,7 @@ impl Ctmc {
     }
 
     /// Probability mass in a set of states.
-    pub fn probability_in(&self, pi: &[f64], states: &[StateId]) -> f64 {
+    pub(crate) fn probability_in(&self, pi: &[f64], states: &[StateId]) -> f64 {
         states.iter().map(|s| pi[s.0]).sum()
     }
 
@@ -305,31 +304,6 @@ impl Ctmc {
             mttf += pi0[i] * t;
         }
         Ok(mttf)
-    }
-
-    /// Steady-state distribution of an ergodic chain: solves `πQ = 0` with
-    /// `Σπ = 1`.
-    ///
-    /// # Errors
-    ///
-    /// [`CtmcError::Linalg`] when the chain is reducible (no unique
-    /// stationary distribution).
-    pub fn steady_state(&self) -> Result<Vec<f64>, CtmcError> {
-        let n = self.num_states();
-        // Solve Qᵀ π = 0 with the last equation replaced by Σπ = 1.
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                a.set(i, j, self.q.get(j, i));
-            }
-        }
-        for j in 0..n {
-            a.set(n - 1, j, 1.0);
-        }
-        let mut b = Matrix::zeros(n, 1);
-        b.set(n - 1, 0, 1.0);
-        let x = a.solve(&b)?;
-        Ok((0..n).map(|i| x.get(i, 0).max(0.0)).collect())
     }
 }
 
@@ -441,14 +415,6 @@ mod tests {
             Err(CtmcError::InfiniteMttf)
         );
         drop((c, up));
-    }
-
-    #[test]
-    fn steady_state_of_repairable_pair() {
-        let (c, _, _) = two_state(0.5, 2.0);
-        let pi = c.steady_state().unwrap();
-        assert_close(pi[0], 0.8, 1e-12);
-        assert_close(pi[1], 0.2, 1e-12);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl AbsorbingDtmc {
         self.p.is_empty()
     }
 
-    /// The sorted absorbing-state indices.
-    pub fn absorbing_states(&self) -> &[usize] {
-        &self.absorbing
-    }
-
     /// Expected number of steps until absorption, starting from `from`.
     ///
     /// Solves `(I − Q) t = 1` where `Q` is the transient-to-transient

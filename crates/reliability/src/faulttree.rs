@@ -182,13 +182,8 @@ pub struct FaultTree {
 
 impl FaultTree {
     /// Number of basic events (length of the probability vector).
-    pub fn num_events(&self) -> usize {
+    pub(crate) fn num_events(&self) -> usize {
         self.event_names.len()
-    }
-
-    /// Name of a basic event.
-    pub fn event_name(&self, ev: EventId) -> &str {
-        &self.event_names[ev.0]
     }
 
     /// Birnbaum importance of every basic event:
@@ -265,24 +260,6 @@ impl HierarchicalTree {
     /// The wrapped tree.
     pub fn tree(&self) -> &FaultTree {
         &self.tree
-    }
-}
-
-impl HierarchicalTree {
-    /// Birnbaum importance of each basic event at mission time `t_hours`,
-    /// paired with the event's name.
-    pub fn birnbaum_at(&self, t_hours: f64) -> Vec<(String, f64)> {
-        let probs: Vec<f64> = self
-            .models
-            .iter()
-            .map(|m| m.unreliability(t_hours).clamp(0.0, 1.0))
-            .collect();
-        self.tree
-            .birnbaum_importance(&probs)
-            .into_iter()
-            .enumerate()
-            .map(|(i, imp)| (self.tree.event_name(EventId(i)).to_string(), imp))
-            .collect()
     }
 }
 
@@ -626,36 +603,6 @@ mod tests {
         let imp = t.birnbaum_importance(&[0.3, 0.1]);
         assert_close(imp[0], 0.1, 1e-12);
         assert_close(imp[1], 0.3, 1e-12);
-    }
-
-    #[test]
-    fn hierarchical_importance_identifies_bottleneck() {
-        // Less reliable subsystem in an OR tree → its *event probability*
-        // is higher but its Birnbaum importance is lower (the other event
-        // becomes the differentiator); together, probability × importance
-        // ranks contributions. Here we just check the values.
-        let mut b = FaultTreeBuilder::new();
-        let cu = b.basic_event("cu");
-        let wn = b.basic_event("wn");
-        let top = b.or(vec![cu, wn]);
-        let tree = b.build(top);
-        let model = HierarchicalTree::new(
-            tree,
-            vec![
-                Arc::new(Exponential::new(1e-5)),
-                Arc::new(Exponential::new(1e-4)),
-            ],
-        );
-        let imp = model.birnbaum_at(8760.0);
-        assert_eq!(imp[0].0, "cu");
-        // I_B(cu) = R_wn, I_B(wn) = R_cu:
-        assert_close(imp[0].1, (-1e-4f64 * 8760.0).exp(), 1e-12);
-        assert_close(imp[1].1, (-1e-5f64 * 8760.0).exp(), 1e-12);
-        // The criticality (probability × importance) of the weak subsystem
-        // dominates:
-        let crit_cu = (1.0 - (-1e-5f64 * 8760.0).exp()) * imp[0].1;
-        let crit_wn = (1.0 - (-1e-4f64 * 8760.0).exp()) * imp[1].1;
-        assert!(crit_wn > crit_cu);
     }
 
     #[test]

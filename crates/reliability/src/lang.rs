@@ -726,23 +726,6 @@ impl ModelSet {
             _ => None,
         }
     }
-
-    /// Borrow a named model as a [`ReliabilityModel`] trait object.
-    pub fn as_model(&self, model: &str) -> Option<Arc<dyn ReliabilityModel + Send + Sync>> {
-        Some(match self.models.get(model)? {
-            Compiled::Markov(m) => m.clone(),
-            Compiled::Rbd(b) => b.clone(),
-            Compiled::Ftree(ft) => Arc::new(FtreeModel(ft.clone())),
-        })
-    }
-}
-
-struct FtreeModel(Arc<CompiledFtree>);
-
-impl ReliabilityModel for FtreeModel {
-    fn reliability(&self, t_hours: f64) -> f64 {
-        1.0 - self.0.top_probability(t_hours)
-    }
 }
 
 fn compile_markov(def: &MarkovDef) -> Result<CtmcReliability, LangError> {
@@ -1142,14 +1125,6 @@ mod tests {
         let r1 = set.reliability("f", 1e6).unwrap();
         assert_close(r0, 1.0 - 0.02, 1e-12);
         assert_eq!(r0, r1);
-    }
-
-    #[test]
-    fn as_model_returns_usable_trait_object() {
-        let set = parse("markov m\n trans a b 0.1\n absorb b\n init a 1\nend").unwrap();
-        let model = set.as_model("m").unwrap();
-        assert_close(model.reliability(10.0), (-1.0f64).exp(), 1e-12);
-        assert!(set.as_model("missing").is_none());
     }
 
     #[test]

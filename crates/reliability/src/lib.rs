@@ -9,7 +9,7 @@
 //!   exponential (the paper's models are stiff: repairs ~10³/h against
 //!   faults ~10⁻⁴/h over one-year horizons);
 //! * [`ctmc`] — continuous-time Markov chains: transient solutions (matrix
-//!   exponential, cross-checked by uniformization), MTTF and steady state;
+//!   exponential, cross-checked by uniformization) and MTTF;
 //! * [`dtmc`] — absorbing discrete-time chains: expected steps to
 //!   absorption and finite-horizon absorption probabilities, used to
 //!   validate the kernel's recovery-escalation ladder against campaigns;

@@ -67,7 +67,8 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if rows are empty or ragged.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
         assert!(!rows.is_empty(), "need at least one row");
         let cols = rows[0].len();
         assert!(cols > 0, "need at least one column");
@@ -84,11 +85,6 @@ impl Matrix {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Element access.
@@ -112,7 +108,7 @@ impl Matrix {
     }
 
     /// Adds `v` to an element.
-    pub fn add_to(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn add_to(&mut self, r: usize, c: usize, v: f64) {
         let cur = self.get(r, c);
         self.set(r, c, cur + v);
     }
@@ -144,7 +140,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `v.len() != rows`.
-    pub fn vec_mul(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn vec_mul(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.rows, "vector length mismatch");
         let mut out = vec![0.0; self.cols];
         for (i, &vi) in v.iter().enumerate() {
@@ -196,7 +192,7 @@ impl Matrix {
     }
 
     /// 1-norm (maximum absolute column sum).
-    pub fn one_norm(&self) -> f64 {
+    pub(crate) fn one_norm(&self) -> f64 {
         (0..self.cols)
             .map(|j| (0..self.rows).map(|i| self.get(i, j).abs()).sum::<f64>())
             .fold(0.0, f64::max)

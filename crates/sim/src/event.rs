@@ -178,7 +178,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         // Drop cancelled heads so the peek is accurate.
         while let Some(Reverse(entry)) = self.heap.peek() {
             if !self.live.contains(&entry.seq) {
@@ -198,20 +198,6 @@ impl<E> EventQueue<E> {
             _ => None,
         }
     }
-
-    /// Advances the clock to `at` without delivering events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` would move the clock backwards or jump over a pending
-    /// event — both indicate a simulator bug.
-    pub fn advance_to(&mut self, at: SimTime) {
-        assert!(at >= self.now, "clock cannot move backwards");
-        if let Some(t) = self.peek_time() {
-            assert!(at <= t, "cannot advance past a pending event at {t}");
-        }
-        self.now = at;
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -223,7 +209,6 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     fn at_ms(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -314,23 +299,6 @@ mod tests {
         q.schedule(at_ms(2), 'b').unwrap();
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(at_ms(2)));
-    }
-
-    #[test]
-    fn advance_to_moves_clock_between_events() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.schedule(at_ms(10), ()).unwrap();
-        q.advance_to(at_ms(4));
-        assert_eq!(q.now(), at_ms(4));
-        assert_eq!(q.now() + SimDuration::from_millis(6), at_ms(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot advance past")]
-    fn advance_past_pending_event_panics() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.schedule(at_ms(10), ()).unwrap();
-        q.advance_to(at_ms(11));
     }
 
     #[test]

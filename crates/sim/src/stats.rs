@@ -54,7 +54,7 @@ impl fmt::Display for Confidence {
 ///     s.record(x);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
@@ -106,15 +106,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (`n` denominator); 0 when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
@@ -128,14 +119,6 @@ impl OnlineStats {
     /// Largest observation; `-inf` when empty.
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Normal-approximation half-width of the mean's confidence interval.
-    pub fn ci_half_width(&self, level: Confidence) -> f64 {
-        if self.count < 2 {
-            return f64::INFINITY;
-        }
-        level.z() * self.std_dev() / (self.count as f64).sqrt()
     }
 
     /// Raw accumulator state `(count, mean, m2, min, max)`, for
@@ -398,29 +381,6 @@ impl Histogram {
         self.overflow = self.overflow.saturating_add(other.overflow);
         self.count = self.count.saturating_add(other.count);
     }
-
-    /// Approximate quantile (0..=1) by linear walk over the bins.
-    ///
-    /// Returns `None` when empty. Under/overflow observations count toward
-    /// the extreme bin boundaries.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(self.low);
-        }
-        let width = (self.high - self.low) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.low + width * (i as f64 + 1.0));
-            }
-        }
-        Some(self.high)
-    }
 }
 
 /// Empirical survival (reliability) curve from observed failure times.
@@ -614,19 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn ci_shrinks_with_samples() {
-        let mut small = OnlineStats::new();
-        let mut large = OnlineStats::new();
-        for i in 0..10 {
-            small.record((i % 3) as f64);
-        }
-        for i in 0..10_000 {
-            large.record((i % 3) as f64);
-        }
-        assert!(large.ci_half_width(Confidence::C95) < small.ci_half_width(Confidence::C95));
-    }
-
-    #[test]
     fn wilson_interval_contains_estimate_and_is_proper() {
         let p = Proportion::from_counts(9, 10);
         let (lo, hi) = p.wilson_interval(Confidence::C95);
@@ -657,19 +604,6 @@ mod tests {
         assert_eq!(h.bins()[5], 1);
         assert_eq!(h.bins()[9], 1);
         assert_eq!(h.count(), 7);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..1000 {
-            h.record((i % 100) as f64);
-        }
-        let q25 = h.quantile(0.25).unwrap();
-        let q50 = h.quantile(0.50).unwrap();
-        let q99 = h.quantile(0.99).unwrap();
-        assert!(q25 <= q50 && q50 <= q99);
-        assert!((q50 - 50.0).abs() <= 2.0);
     }
 
     #[test]

@@ -112,12 +112,6 @@ impl SimTime {
         }
     }
 
-    /// Duration elapsed since `earlier`, saturating to zero if `earlier`
-    /// is actually later than `self`.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Checked addition of a duration; `None` on overflow.
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
@@ -148,11 +142,6 @@ impl SimDuration {
     /// Creates a duration from whole seconds.
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * NANOS_PER_SEC)
-    }
-
-    /// Creates a duration from whole hours.
-    pub const fn from_hours(hours: u64) -> Self {
-        SimDuration(hours * NANOS_PER_HOUR)
     }
 
     /// Creates a duration from a floating-point number of seconds.
@@ -339,7 +328,6 @@ mod tests {
         assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimTime::from_secs(3).as_millis(), 3_000);
-        assert_eq!(SimDuration::from_hours(2).as_secs_f64(), 7_200.0);
     }
 
     #[test]
@@ -348,14 +336,6 @@ mod tests {
         let t1 = t0 + SimDuration::from_millis(5);
         assert_eq!(t1 - t0, SimDuration::from_millis(5));
         assert_eq!(t1 - SimDuration::from_millis(15), SimTime::ZERO);
-    }
-
-    #[test]
-    fn saturating_since_clamps_to_zero() {
-        let early = SimTime::from_secs(1);
-        let late = SimTime::from_secs(2);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(late.saturating_since(early), SimDuration::from_secs(1));
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl WeaklyHard {
         WeaklyHard::new(n, n)
     }
 
-    /// The miss threshold `m`.
-    pub fn miss_threshold(&self) -> u32 {
-        self.misses
-    }
-
     /// The window length `k`.
     pub fn window(&self) -> u32 {
         self.window

@@ -36,7 +36,7 @@ const MAX_ITERS_PER_SAMPLE: u64 = 1 << 22;
 
 /// Summary of one benchmark.
 #[derive(Debug, Clone)]
-pub struct Record {
+pub(crate) struct Record {
     /// Benchmark name within the group.
     pub name: String,
     /// Timed samples taken.

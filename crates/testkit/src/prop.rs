@@ -46,11 +46,11 @@ pub enum CaseError {
 }
 
 /// Outcome of one property evaluation on one input.
-pub type CaseResult = Result<(), CaseError>;
+pub(crate) type CaseResult = Result<(), CaseError>;
 
 /// Default number of cases per property (matches proptest's default, the
 /// floor the suites were originally written against).
-pub const DEFAULT_CASES: u32 = 256;
+pub(crate) const DEFAULT_CASES: u32 = 256;
 
 fn hash_label(seed: u64, label: &str) -> u64 {
     let mut state = seed ^ 0xA076_1D64_78BD_642F;
@@ -314,19 +314,6 @@ pub mod gens {
     pub fn select<T: Clone>(options: Vec<T>) -> impl FnMut(&mut TkRng) -> T {
         assert!(!options.is_empty(), "select needs options");
         move |r| options[r.usize_range(0, options.len())].clone()
-    }
-
-    /// A boxed generator, as accepted by [`one_of`].
-    pub type BoxedGen<T> = Box<dyn FnMut(&mut TkRng) -> T>;
-
-    /// A value from one of the given generators, uniformly (the port of
-    /// `prop_oneof!`).
-    pub fn one_of<T>(mut variants: Vec<BoxedGen<T>>) -> impl FnMut(&mut TkRng) -> T {
-        assert!(!variants.is_empty(), "one_of needs variants");
-        move |r| {
-            let i = r.usize_range(0, variants.len());
-            variants[i](r)
-        }
     }
 
     /// An abstract index, resolved against a collection length at use site

@@ -36,6 +36,16 @@ for ex in examples/*.rs; do
     cargo run --release --offline --example "$name" -- 50 >/dev/null
 done
 
+# A bad command line is an error with a message and exit status 2,
+# never a panic (status 101).
+echo "== paper_figures rejects a zero trial count =="
+status=0
+cargo run --release --offline -p nlft-bench --bin paper_figures -- --trials 0 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "paper_figures --trials 0 exited with status $status, expected 2" >&2
+    exit 1
+fi
+
 # Scenario zoo: every declarative campaign under scenarios/ must run
 # bit-identically at 1, 2 and 5 threads, match its golden pin, and
 # satisfy its acceptance clause. Any drift fails hard.
