@@ -36,7 +36,9 @@
 //! out on the remaining core, a lock-based substrate wedges and the node
 //! drops fail-silent for good.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
 
 use nlft_core::diagnosis::{AlphaCountConfig, NodeSupervisor};
 use nlft_kernel::contract::MkContract;
@@ -406,6 +408,32 @@ impl StationRuntime {
     }
 }
 
+/// The cluster's two task programs with the cycles of a clean run of
+/// each: the CU replicas' brake distribution and the wheels' PID
+/// controller.
+struct ClusterWorkloads {
+    dist: Workload,
+    dist_cycles: u64,
+    pid: Workload,
+    pid_cycles: u64,
+}
+
+/// [`ClusterWorkloads`], built once per process. Assembling both programs
+/// and golden-running them is a pure function of nothing, so every
+/// cluster clones the same result instead of redoing it.
+static CLUSTER_WORKLOADS: LazyLock<ClusterWorkloads> = LazyLock::new(|| {
+    let dist = workloads::brake_distribution();
+    let (_, dist_cycles) = dist.golden_run(&[1000]);
+    let pid = workloads::pid_controller();
+    let (_, pid_cycles) = pid.golden_run(&[1000, 900]);
+    ClusterWorkloads {
+        dist,
+        dist_cycles,
+        pid,
+        pid_cycles,
+    }
+});
+
 /// The running cluster.
 pub struct BbwCluster {
     bus: Bus,
@@ -487,18 +515,14 @@ impl BbwCluster {
         // scaled-down versions of the paper's 1.6 s / 3 s windows.
         let membership = Membership::new(&config, 2, 2);
 
-        let dist = workloads::brake_distribution();
-        let (_, dist_cycles) = dist.golden_run(&[1000]);
-        let pid = workloads::pid_controller();
-        let (_, pid_cycles) = pid.golden_run(&[1000, 900]);
-
+        let w = &*CLUSTER_WORKLOADS;
         let mut cu = BTreeMap::new();
         for id in [CU_A, CU_B] {
-            cu.insert(id, StationRuntime::new(dist.clone(), dist_cycles));
+            cu.insert(id, StationRuntime::new(w.dist.clone(), w.dist_cycles));
         }
         let mut wheels = BTreeMap::new();
         for id in WHEELS {
-            wheels.insert(id, StationRuntime::new(pid.clone(), pid_cycles));
+            wheels.insert(id, StationRuntime::new(w.pid.clone(), w.pid_cycles));
         }
         let cu_pair = DuplexPair::new(CU_A, CU_B);
         // The front axle carries most of the braking load, so its service
@@ -939,22 +963,18 @@ impl BbwCluster {
                     if let Some(outputs) = result {
                         // Degraded-mode redistribution: scale the shares of the
                         // serving wheels when some are out of the membership.
-                        let serving: Vec<usize> = (0..4)
-                            .filter(|&w| self.membership.is_member(WHEELS[w]))
-                            .collect();
+                        let serving = WHEELS.map(|n| self.membership.is_member(n));
+                        let scale_num = 4_u32;
+                        let scale_den = serving.iter().filter(|&&s| s).count() as u32;
                         let mut payload = vec![0u32; 4];
-                        if !serving.is_empty() {
-                            let scale_num = 4_u32;
-                            let scale_den = serving.len() as u32;
-                            for &w in &serving {
-                                payload[w] = outputs[w] * scale_num / scale_den;
-                            }
+                        for w in (0..4).filter(|&w| serving[w]) {
+                            payload[w] = outputs[w] * scale_num / scale_den;
                         }
                         // Seal the set-points with a sequence number and
                         // CRC: the wheel-side acceptor can then reject
                         // corrupted, stale or replayed commands even when
                         // the corruption happens past the bus CRC.
-                        let words = FreshSealedMessage::seal(bus_cycle, payload).to_words();
+                        let words = FreshSealedMessage::seal(bus_cycle, payload).into_words();
                         our_state = words.clone();
                         let _ = self.bus.transmit_static(id, words);
                     }
@@ -1170,32 +1190,34 @@ impl BbwCluster {
                 self.membership.is_member(n)
             });
             let cu_single = matches!(cu_value, DuplexValue::Single { .. });
-            let cu_words: Option<Vec<u32>> = cu_value.payload().map(|p| p.to_vec());
+            let cu_words = cu_value.payload();
             for w in 0..4 {
                 // Wheel-local command path: a replay fault substitutes an
                 // old buffered command, a corruption fault flips bits in
                 // the wheel's copy — both *past* the bus CRC, which is
-                // why the application-level seal must catch them.
+                // why the application-level seal must catch them. Only
+                // those faults copy the words; a wheel otherwise reads
+                // the selected CU payload in place.
                 let replayed = self.command_replays.contains(&(bus_cycle, w));
-                let mut presented = if replayed {
-                    self.last_command_words[w].clone()
+                let mut presented: Option<Cow<'_, [u32]>> = if replayed {
+                    self.last_command_words[w].clone().map(Cow::Owned)
                 } else {
-                    cu_words.clone()
+                    cu_words.map(Cow::Borrowed)
                 };
                 let mut injected_corruption = false;
                 if let Some(words) = presented.as_mut() {
                     for &(c, cw, word, mask) in &self.command_corruptions {
                         if c == bus_cycle && cw == w && word < words.len() && mask != 0 {
-                            words[word] ^= mask;
+                            words.to_mut()[word] ^= mask;
                             injected_corruption = true;
                         }
                     }
                 }
                 let accepted = presented
                     .as_deref()
-                    .map(|words| self.acceptors[w].accept(words, bus_cycle));
+                    .map(|words| (words, self.acceptors[w].accept(words, bus_cycle)));
                 match accepted {
-                    Some(Ok(forces)) if forces.len() == 4 => {
+                    Some((words, Ok(forces))) if forces.len() == 4 => {
                         if injected_corruption || replayed {
                             // The acceptor let an injected command fault
                             // through: a silent value failure.
@@ -1204,16 +1226,18 @@ impl BbwCluster {
                         self.setpoints[w] = Some(forces[w]);
                         self.last_good[w] = Some(forces[w]);
                         self.hold_left[w] = HOLD_CYCLES;
-                        self.last_command_words[w] = presented;
+                        let last = self.last_command_words[w].get_or_insert_with(Vec::new);
+                        last.clear();
+                        last.extend_from_slice(words);
                     }
                     other => {
                         match other {
-                            Some(Err(CommandReject::Stale { .. }))
-                            | Some(Err(CommandReject::TooOld { .. })) => {
+                            Some((_, Err(CommandReject::Stale { .. })))
+                            | Some((_, Err(CommandReject::TooOld { .. }))) => {
                                 value.stale_rejects += 1;
                                 value.command_rejects += 1;
                             }
-                            Some(Err(_)) | Some(Ok(_)) => {
+                            Some(_) => {
                                 // CRC mismatch, malformed frame, or a
                                 // well-sealed payload of the wrong shape.
                                 value.seal_rejects += 1;
@@ -1363,6 +1387,32 @@ mod tests {
 
     fn constant_pedal(_: u32) -> u32 {
         1000
+    }
+
+    #[test]
+    fn cached_workloads_equal_freshly_built_ones() {
+        let cached = &*CLUSTER_WORKLOADS;
+        for (cached, cycles, fresh, inputs) in [
+            (
+                &cached.dist,
+                cached.dist_cycles,
+                workloads::brake_distribution(),
+                &[1000][..],
+            ),
+            (
+                &cached.pid,
+                cached.pid_cycles,
+                workloads::pid_controller(),
+                &[1000, 900][..],
+            ),
+        ] {
+            assert_eq!(cached.name, fresh.name);
+            assert_eq!(cached.image, fresh.image, "{}", fresh.name);
+            assert_eq!(cached.map, fresh.map, "{}", fresh.name);
+            assert_eq!(cached.input_ports, fresh.input_ports, "{}", fresh.name);
+            assert_eq!(cached.output_ports, fresh.output_ports, "{}", fresh.name);
+            assert_eq!(cycles, fresh.golden_run(inputs).1, "{}", fresh.name);
+        }
     }
 
     #[test]

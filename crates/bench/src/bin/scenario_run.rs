@@ -277,7 +277,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg {
             "--threads" => parsed.threads = it.positive(arg)?,
-            "--trial-budget-ms" => parsed.flags.trial_budget_ms = Some(it.number(arg)?),
+            "--trial-budget-ms" => parsed.flags.trial_budget_ms = Some(it.positive(arg)?),
             "--checkpoint" => parsed.flags.checkpoint = Some(PathBuf::from(it.value(arg)?)),
             "--checkpoint-every" => parsed.flags.checkpoint_every = it.number(arg)?,
             "--resume" => parsed.flags.resume = Some(PathBuf::from(it.value(arg)?)),
@@ -406,7 +406,9 @@ mod tests {
                 assert!(e.contains(&format!("`{flag}` expects")), "{e}");
             }
         }
-        let e = parse("run --threads 0").unwrap_err();
-        assert!(e.contains("`--threads` must be at least 1"), "{e}");
+        for flag in ["--threads", "--trial-budget-ms"] {
+            let e = parse(&format!("run {flag} 0")).unwrap_err();
+            assert!(e.contains(&format!("`{flag}` must be at least 1")), "{e}");
+        }
     }
 }

@@ -117,9 +117,10 @@ pub struct ChaosKill {
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Number of worker threads (clamped to at least 1). At most one
-    /// worker, with no `trial_budget` and no `chaos_kill`, runs the
-    /// campaign in-thread instead.
+    /// Number of worker threads (clamped to at least 1, and to at most
+    /// one per scheduling block). At most one worker, with no
+    /// `trial_budget` and no `chaos_kill`, runs the campaign in-thread
+    /// instead.
     pub workers: usize,
     /// Trials per scheduling block; `None` picks
     /// [`auto_block_size`](crate::auto_block_size). The block partition

@@ -508,9 +508,28 @@ fn watchdog_loop<C: TrialCampaign + Send + Sync + 'static>(shared: Arc<Shared<C>
                 .expect("slots poisoned")
                 .push(Arc::clone(&slot));
             let shared2 = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(shared2, idx, slot));
+            if spawn_worker(shared2, idx, slot).is_none() {
+                // No thread to be had: the replacement counts as lost
+                // at once, and the next poll tries again.
+                let mut st = shared.state.lock().expect("engine state poisoned");
+                st.lost[idx] = true;
+                st.live -= 1;
+                st.respawned -= 1;
+            }
         }
     }
+}
+
+/// Starts worker `me` on a thread of its own, or returns `None` when the
+/// system has no thread to give.
+fn spawn_worker<C: TrialCampaign + Send + Sync + 'static>(
+    shared: Arc<Shared<C>>,
+    me: usize,
+    slot: Arc<WorkerSlot>,
+) -> Option<std::thread::JoinHandle<()>> {
+    std::thread::Builder::new()
+        .spawn(move || worker_loop(shared, me, slot))
+        .ok()
 }
 
 /// Runs a campaign. See [`run_trials_with`] for resume and checkpoint
@@ -539,20 +558,22 @@ where
 {
     let (blocks, fold) = plan(&campaign, cfg, opts);
     if cfg.workers <= 1 && cfg.trial_budget.is_none() && cfg.chaos_kill.is_none() {
-        run_in_thread(&campaign, blocks, fold)
+        run_in_thread(&campaign, blocks, fold, None)
     } else {
         run_executor(campaign, cfg, blocks, fold)
     }
 }
 
 /// The in-thread path: the shared partition and fold, trial after
-/// trial on the calling thread. Panics are still isolated per trial.
+/// trial on the calling thread. Panics are still isolated per trial,
+/// and a trial that overran `budget` is reported timed out, but with no
+/// watchdog nothing cancels a trial while it runs.
 fn run_in_thread<C: TrialCampaign>(
     campaign: &C,
     blocks: Vec<Block>,
     mut fold: Fold<'_, C::Acc>,
+    budget: Option<Duration>,
 ) -> CampaignRun<C::Acc> {
-    // No budget on this path, so nothing ever requests cancellation.
     let never_cancelled = AtomicBool::new(false);
     let mut report = EngineReport {
         trials: campaign.trials(),
@@ -563,7 +584,7 @@ fn run_in_thread<C: TrialCampaign>(
     for b in &blocks {
         let mut partial = campaign.empty();
         for trial in b.start..b.end {
-            match exec_trial(campaign, trial, &never_cancelled, None) {
+            match exec_trial(campaign, trial, &never_cancelled, budget) {
                 TrialExec::Done(tacc) => {
                     campaign.merge(&mut partial, tacc);
                     report.completed += 1;
@@ -590,6 +611,11 @@ fn run_in_thread<C: TrialCampaign>(
 /// still be stuck inside a trial and is simply abandoned — it discards
 /// its own results when it eventually returns. All surviving workers
 /// are joined before this function returns.
+///
+/// No more workers start than there are blocks, since a worker with no
+/// block to claim would only idle. A worker whose thread cannot be
+/// spawned is simply not there; with no thread at all the campaign runs
+/// on the calling thread. The outcome is the same at any worker count.
 fn run_executor<C>(
     campaign: C,
     cfg: &EngineConfig,
@@ -600,35 +626,62 @@ where
     C: TrialCampaign + Send + Sync + 'static,
 {
     let total = campaign.trials();
-    let workers = cfg.workers.max(1);
+    let planned = cfg.workers.clamp(1, blocks.len().max(1));
     let n_blocks = blocks.len() as u64;
     let shared = Arc::new(Shared {
         campaign,
         cfg: cfg.clone(),
-        state: Mutex::new(SchedState::new(blocks, workers)),
+        state: Mutex::new(SchedState::new(blocks, planned)),
         work_cv: Condvar::new(),
         fold_cv: Condvar::new(),
-        slots: Mutex::new((0..workers).map(|_| Arc::new(WorkerSlot::new())).collect()),
+        slots: Mutex::new((0..planned).map(|_| Arc::new(WorkerSlot::new())).collect()),
         epoch: Instant::now(),
         done: AtomicBool::new(false),
-        pending_cap: workers * 4 + 4,
+        pending_cap: planned * 4 + 4,
     });
 
-    let handles: Vec<_> = {
-        let slots = shared.slots.lock().expect("slots poisoned").clone();
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(shared, i, slot))
-            })
-            .collect()
-    };
-    let watchdog = (cfg.trial_budget.is_some() || cfg.chaos_kill.is_some()).then(|| {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || watchdog_loop(shared))
-    });
+    let mut handles = Vec::with_capacity(planned);
+    let slots = shared.slots.lock().expect("slots poisoned").clone();
+    for (i, slot) in slots.into_iter().enumerate() {
+        match spawn_worker(Arc::clone(&shared), i, slot) {
+            Some(h) => handles.push(h),
+            None => break,
+        }
+    }
+    let workers = handles.len();
+    if workers == 0 {
+        // Every failed spawn dropped its clone, so this is the last
+        // handle on the campaign.
+        let shared = Arc::into_inner(shared).expect("no worker thread holds the campaign");
+        let blocks = shared
+            .state
+            .into_inner()
+            .expect("engine state poisoned")
+            .blocks;
+        return run_in_thread(&shared.campaign, blocks, fold, cfg.trial_budget);
+    }
+    if workers < planned {
+        // Forget the workers that never started; the running ones only
+        // ever touch their own, lower, indices.
+        shared
+            .slots
+            .lock()
+            .expect("slots poisoned")
+            .truncate(workers);
+        let mut st = shared.state.lock().expect("engine state poisoned");
+        st.lost.truncate(workers);
+        st.live -= planned - workers;
+    }
+    // Without a watchdog thread nothing is cancelled mid-trial, but an
+    // overrun is still reported when its trial returns.
+    let watchdog = (cfg.trial_budget.is_some() || cfg.chaos_kill.is_some())
+        .then(|| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .spawn(move || watchdog_loop(shared))
+                .ok()
+        })
+        .flatten();
 
     // In-order fold on this thread: blocks leave `pending` strictly by
     // index, so the fold tree never depends on the schedule.

@@ -47,6 +47,24 @@ fn executor_matches_sequential_reference_bitwise_at_any_worker_count() {
 }
 
 #[test]
+fn absurd_worker_count_runs_no_more_workers_than_blocks() {
+    // Asking for 10 000 threads must neither abort the process on a
+    // failed spawn nor change a bit: 12 trials make 12 blocks, so at
+    // most 12 workers start.
+    let campaign = ToyCampaign::new(0x7EAD_5000, 12);
+    let reference = run_trials(campaign.clone(), &EngineConfig::default());
+    let run = run_trials(campaign, &EngineConfig::with_workers(10_000));
+    assert_eq!(run.report.blocks, 12);
+    assert!(
+        (1..=12).contains(&run.report.workers),
+        "{} workers for 12 blocks",
+        run.report.workers
+    );
+    assert_eq!(run.acc, reference.acc);
+    assert_eq!(run.report.completed, 12);
+}
+
+#[test]
 fn block_size_choice_is_a_function_of_trials_not_workers() {
     // Different explicit block sizes are allowed to change float
     // association, but a fixed block size must give the same bits

@@ -124,42 +124,28 @@ impl SealedMessage {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreshSealedMessage {
-    seq: u32,
-    payload: Vec<u32>,
-    crc: u32,
+    /// The wire words `[seq, payload…, crc]`; never fewer than two.
+    words: Vec<u32>,
 }
 
 impl FreshSealedMessage {
     /// Seals a payload under a sequence number.
     pub fn seal(seq: u32, payload: Vec<u32>) -> Self {
-        let mut all = Vec::with_capacity(payload.len() + 1);
-        all.push(seq);
-        all.extend_from_slice(&payload);
-        let crc = crc32(&all);
-        FreshSealedMessage { seq, payload, crc }
+        let mut words = Vec::with_capacity(payload.len() + 2);
+        words.push(seq);
+        words.extend_from_slice(&payload);
+        words.push(crc32(&words));
+        FreshSealedMessage { words }
     }
 
     /// Serialises to `[seq, payload…, crc]` for transport in a frame.
     pub fn to_words(&self) -> Vec<u32> {
-        let mut words = Vec::with_capacity(self.payload.len() + 2);
-        words.push(self.seq);
-        words.extend_from_slice(&self.payload);
-        words.push(self.crc);
-        words
+        self.words.clone()
     }
 
-    /// Reassembles a message from its wire words. Returns `None` when the
-    /// word count cannot hold even an empty sealed command — a malformed
-    /// buffer, not merely a corrupted one.
-    pub(crate) fn from_words(words: &[u32]) -> Option<Self> {
-        if words.len() < 2 {
-            return None;
-        }
-        Some(FreshSealedMessage {
-            seq: words[0],
-            payload: words[1..words.len() - 1].to_vec(),
-            crc: words[words.len() - 1],
-        })
+    /// [`FreshSealedMessage::to_words`] without the copy.
+    pub fn into_words(self) -> Vec<u32> {
+        self.words
     }
 
     /// Opens the message, verifying end-to-end integrity of sequence
@@ -171,30 +157,32 @@ impl FreshSealedMessage {
     /// [`IntegrityError::CrcMismatch`] if seq, payload or CRC were
     /// corrupted anywhere between sealing and opening.
     pub fn open(self) -> Result<(u32, Vec<u32>), IntegrityError> {
-        let mut all = Vec::with_capacity(self.payload.len() + 1);
-        all.push(self.seq);
-        all.extend_from_slice(&self.payload);
-        let actual = crc32(&all);
-        if actual != self.crc {
-            return Err(IntegrityError::CrcMismatch {
-                expected: self.crc,
-                actual,
-            });
-        }
-        Ok((self.seq, self.payload))
+        let mut words = self.words;
+        let crc = words.pop().expect("a sealed message ends in its CRC");
+        check_seal(&words, crc)?;
+        let seq = words.remove(0);
+        Ok((seq, words))
     }
 
     /// Flips bits in one wire word (seq = 0, payload words, CRC last) —
     /// test/fault-injection helper.
     #[cfg(test)]
     pub(crate) fn corrupt_word(&mut self, index: usize, mask: u32) {
-        let last = self.payload.len() + 1;
-        match index {
-            0 => self.seq ^= mask,
-            i if i == last => self.crc ^= mask,
-            i => self.payload[i - 1] ^= mask,
-        }
+        self.words[index] ^= mask;
     }
+}
+
+/// Checks `crc` against the sealed words `seq ‖ payload`, which the wire
+/// format holds contiguously in front of the CRC word.
+fn check_seal(sealed: &[u32], crc: u32) -> Result<(), IntegrityError> {
+    let actual = crc32(sealed);
+    if actual != crc {
+        return Err(IntegrityError::CrcMismatch {
+            expected: crc,
+            actual,
+        });
+    }
+    Ok(())
 }
 
 /// Why a consumer rejected a sealed command.
@@ -298,14 +286,14 @@ impl CommandAcceptor {
 
     /// Validates one wire buffer at consumer time `now` (same clock the
     /// producer seals with — in a time-triggered system, the global cycle
-    /// count). Returns the payload on success.
+    /// count). Returns the payload on success, borrowed from `words`.
     ///
     /// # Errors
     ///
     /// [`CommandReject`] when the buffer is malformed, fails the
     /// end-to-end CRC, repeats or precedes an accepted sequence number,
     /// or is older than the acceptor's age bound.
-    pub fn accept(&mut self, words: &[u32], now: u32) -> Result<Vec<u32>, CommandReject> {
+    pub fn accept<'w>(&mut self, words: &'w [u32], now: u32) -> Result<&'w [u32], CommandReject> {
         let result = self.accept_inner(words, now);
         match result {
             Ok(_) => self.accepted += 1,
@@ -314,9 +302,14 @@ impl CommandAcceptor {
         result
     }
 
-    fn accept_inner(&mut self, words: &[u32], now: u32) -> Result<Vec<u32>, CommandReject> {
-        let msg = FreshSealedMessage::from_words(words).ok_or(CommandReject::Malformed)?;
-        let (seq, payload) = msg.open().map_err(CommandReject::Corrupt)?;
+    fn accept_inner<'w>(&mut self, words: &'w [u32], now: u32) -> Result<&'w [u32], CommandReject> {
+        let Some((&crc, sealed)) = words.split_last() else {
+            return Err(CommandReject::Malformed);
+        };
+        let &[seq, ref payload @ ..] = sealed else {
+            return Err(CommandReject::Malformed);
+        };
+        check_seal(sealed, crc).map_err(CommandReject::Corrupt)?;
         if let Some(last) = self.last_seq {
             if !seq_newer(seq, last) {
                 return Err(CommandReject::Stale { seq, last });
@@ -394,7 +387,9 @@ mod tests {
         let words = msg.to_words();
         assert_eq!(words.len(), 5, "[seq, 3 payload words, crc]");
         assert_eq!(words[0], 42);
-        let back = FreshSealedMessage::from_words(&words).unwrap();
+        let back = FreshSealedMessage {
+            words: words.clone(),
+        };
         assert_eq!(back, msg);
         assert_eq!(back.open().unwrap(), (42, vec![10, 20, 30]));
     }
@@ -403,7 +398,9 @@ mod tests {
     fn fresh_sealed_detects_corruption_of_any_word() {
         let words = FreshSealedMessage::seal(9, vec![7, 8]).to_words();
         for i in 0..words.len() {
-            let mut msg = FreshSealedMessage::from_words(&words).unwrap();
+            let mut msg = FreshSealedMessage {
+                words: words.clone(),
+            };
             msg.corrupt_word(i, 1 << (i % 32));
             assert!(msg.open().is_err(), "corruption of word {i} must be caught");
         }
@@ -528,6 +525,82 @@ mod tests {
             port.accept(&msg.to_words(), 20),
             Err(CommandReject::Corrupt(_))
         ));
+    }
+
+    /// The reference acceptor: rebuilds `[seq, payload…]` in its own
+    /// buffer, CRCs that, then applies the freshness rules.
+    fn oracle_accept(
+        words: &[u32],
+        last: Option<u32>,
+        max_age: u32,
+        now: u32,
+    ) -> Result<Vec<u32>, CommandReject> {
+        if words.len() < 2 {
+            return Err(CommandReject::Malformed);
+        }
+        let (seq, payload, crc) = (words[0], &words[1..words.len() - 1], words[words.len() - 1]);
+        let mut all = vec![seq];
+        all.extend_from_slice(payload);
+        let actual = crc32(&all);
+        if actual != crc {
+            return Err(CommandReject::Corrupt(IntegrityError::CrcMismatch {
+                expected: crc,
+                actual,
+            }));
+        }
+        if let Some(last) = last {
+            if !seq_newer(seq, last) {
+                return Err(CommandReject::Stale { seq, last });
+            }
+        }
+        let diff = now.wrapping_sub(seq);
+        let age = if diff < 1 << 31 { diff } else { 0 };
+        if age > max_age {
+            return Err(CommandReject::TooOld { age, max_age });
+        }
+        Ok(payload.to_vec())
+    }
+
+    /// `accept` reads the sealed words where they lie; it must decide
+    /// exactly as an acceptor that copies them out first.
+    #[test]
+    fn in_place_accept_matches_the_copying_oracle() {
+        use nlft_testkit::prop::{gens, Suite};
+        use nlft_testkit::rng::TkRng;
+        use nlft_testkit::{prop_assert, prop_assert_eq};
+
+        const MAX_AGE: u32 = 2;
+        Suite::new(0x5EA1_ED00).cases(512).check(
+            "in_place_accept_matches_the_copying_oracle",
+            {
+                let mut payload = gens::vec(|r| r.next_u32(), 0..9);
+                let mut word = gens::index();
+                move |r: &mut TkRng| {
+                    let seq = r.next_u32();
+                    let payload = payload(r);
+                    let flip = r.bool().then(|| (word(r), r.next_u32()));
+                    let last = r
+                        .bool()
+                        .then(|| seq.wrapping_add(r.range(0, 5) as u32).wrapping_sub(2));
+                    let now = seq.wrapping_add(r.range(0, 5) as u32).wrapping_sub(1);
+                    (seq, payload, flip, last, now)
+                }
+            },
+            |(seq, payload, flip, last, now)| {
+                let mut words = FreshSealedMessage::seal(*seq, payload.clone()).into_words();
+                if let Some((word, mask)) = flip {
+                    let i = word.index(words.len());
+                    words[i] ^= mask;
+                }
+                let mut port = CommandAcceptor::new(MAX_AGE);
+                port.last_seq = *last;
+                let got = port.accept(&words, *now).map(<[u32]>::to_vec);
+                let want = oracle_accept(&words, *last, MAX_AGE, *now);
+                prop_assert_eq!(&got, &want);
+                prop_assert!(port.accepted() + port.rejected() == 1);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -28,9 +28,13 @@
 //! The state bookkeeping is bulk work on the memory: one slice copy
 //! snapshots the region, one [`EccMemory::store_words`] restores it
 //! before every copy, and a fault-free region is read back with one more
-//! slice copy. Only a region holding an injected fault is read word by
-//! word through [`EccMemory::load`], so ECC correction, detection and
-//! escape happen exactly as if the kernel had loaded each word.
+//! slice copy, straight into the result's slot on the stack. Only a
+//! region holding an injected fault is read word by word through
+//! [`EccMemory::load`], so ECC correction, detection and escape happen
+//! exactly as if the kernel had loaded each word. The restore before
+//! copy 0 is skipped when no word of the region holds an injected flip:
+//! the region then already holds the snapshot, and the restore would
+//! change nothing.
 //!
 //! [`EccMemory::store_words`]: nlft_machine::mem::EccMemory::store_words
 //! [`EccMemory::load`]: nlft_machine::mem::EccMemory::load
@@ -214,6 +218,15 @@ struct ResultVector {
     path_sig: u64,
 }
 
+impl ResultVector {
+    /// An unfilled result slot.
+    const EMPTY: ResultVector = ResultVector {
+        outputs: [None; NUM_PORTS],
+        state: [0; STATE_WORDS],
+        path_sig: 0,
+    };
+}
+
 /// The TEM executor for one workload.
 #[derive(Debug, Clone)]
 pub struct TemExecutor {
@@ -260,11 +273,13 @@ impl TemExecutor {
     ) -> JobReport {
         let cfg = &self.config;
         let mut cycles_used: u64 = 0;
-        // Both sized up front, so no 1 KiB result is re-copied by `Vec`
-        // growth; the copy cap only guards against an absurd config.
+        // Sized up front; the cap only guards against an absurd config.
         let mut copies: Vec<CopyTrace> = Vec::with_capacity(cfg.max_executions.min(8) as usize);
         let mut detections: Vec<Edm> = Vec::new();
-        let mut results: Vec<ResultVector> = Vec::with_capacity(VOTED_RESULTS);
+        // The results gathered so far are `results[..n_results]`; a copy's
+        // state is read straight into the next free slot.
+        let mut results = [ResultVector::EMPTY; VOTED_RESULTS];
+        let mut n_results: usize = 0;
         // Snapshot the state region so every copy starts from identical
         // state, and so an omission can roll back (§2.6).
         let mut snapshot = [0u32; STATE_WORDS];
@@ -296,14 +311,18 @@ impl TemExecutor {
             detections,
         };
 
-        let mut results_wanted: u32 = cfg.min_results.clamp(2, cfg.max_results);
+        // At most the three results a 2-of-3 vote runs over are gathered.
+        let mut results_wanted: u32 = cfg
+            .min_results
+            .clamp(2, cfg.max_results)
+            .min(VOTED_RESULTS as u32);
         loop {
             // Deadline check before starting any copy (§2.5): a fresh copy
             // needs its full budget plus the pending comparison.
             let next_cost = cfg.copy_budget + cfg.compare_cycles;
             let out_of_time = cycles_used + next_cost > cfg.deadline_cycles;
             let out_of_copies = copies.len() as u32 >= cfg.max_executions;
-            if (results.len() as u32) < results_wanted && (out_of_time || out_of_copies) {
+            if (n_results as u32) < results_wanted && (out_of_time || out_of_copies) {
                 restore(machine);
                 let last = detections
                     .last()
@@ -318,10 +337,21 @@ impl TemExecutor {
                 };
             }
 
-            if (results.len() as u32) < results_wanted {
+            if (n_results as u32) < results_wanted {
                 // Execute one more copy.
                 let index = copies.len() as u32;
-                restore(machine);
+                // Before copy 0 the region still holds the snapshot's words,
+                // so a restore can only clear injected flips: with none in
+                // the region it would change nothing, not even the memory
+                // generation, and is skipped.
+                if index > 0
+                    || !machine
+                        .mem
+                        .words_clean(DATA_BASE, STATE_WORDS)
+                        .expect("state region is mapped")
+                {
+                    restore(machine);
+                }
                 machine.reset(0, STACK_TOP);
                 machine.clear_outputs();
                 for (&port, &v) in workload.input_ports.iter().zip(inputs) {
@@ -352,14 +382,12 @@ impl TemExecutor {
                     // Read the state region back; an ECC trap while
                     // reading state counts as a detection of this copy.
                     RunExit::Halted => {
-                        let mut state = [0u32; STATE_WORDS];
-                        match read_state(machine, &mut state) {
+                        let slot = &mut results[n_results];
+                        match read_state(machine, &mut slot.state) {
                             Ok(()) => {
-                                results.push(ResultVector {
-                                    outputs: *machine.outputs(),
-                                    state,
-                                    path_sig: machine.cpu.path_sig,
-                                });
+                                slot.outputs = *machine.outputs();
+                                slot.path_sig = machine.cpu.path_sig;
+                                n_results += 1;
                                 None
                             }
                             Err(e) => Some(Edm::from_exception(&e)),
@@ -379,7 +407,7 @@ impl TemExecutor {
             }
 
             // Enough results: compare or vote.
-            if results.len() == 2 {
+            if n_results == 2 {
                 cycles_used += cfg.compare_cycles;
                 if results[0] == results[1] {
                     let masked = detections.first().copied();
@@ -404,7 +432,7 @@ impl TemExecutor {
             }
 
             // Three results: 2-of-3 majority vote.
-            debug_assert_eq!(results.len(), VOTED_RESULTS);
+            debug_assert_eq!(n_results, VOTED_RESULTS);
             cycles_used += cfg.vote_cycles;
             // The third result was executed last, so if it belongs to the
             // majority the state region already holds a winner's state.
@@ -910,6 +938,29 @@ mod tests {
         assert_eq!(report.executions(), 2, "the corrected copy matches");
         assert_eq!(m.mem.ecc_stats().corrected, 1);
         assert_eq!(m.mem.faulty_words(), 0, "scrubbed by the state read");
+    }
+
+    #[test]
+    fn flip_pending_in_state_region_at_job_start_is_restored_away() {
+        // A flip that lands in the state region between jobs is still
+        // pending when the next job snapshots it: the restore before copy
+        // 0 rewrites the word, so no copy ever reads the flip.
+        let w = workloads::pid_controller();
+        let inputs = [1000u32, 900];
+        let (exec, mut clean) = executor_for(&w);
+        assert_eq!(
+            exec.run_job(&mut clean, &w, &inputs, None).outcome,
+            JobOutcome::DeliveredClean
+        );
+        let mut m = w.instantiate();
+        assert!(m.mem.inject_flip(IDLE_STATE_WORD, 0b11));
+        let report = exec.run_job(&mut m, &w, &inputs, None);
+        assert_eq!(report.outcome, JobOutcome::DeliveredClean);
+        assert_eq!(report.executions(), 2);
+        assert_eq!(m.mem.faulty_words(), 0, "the restore cleared the flip");
+        assert_eq!(m.mem.ecc_stats(), clean.mem.ecc_stats(), "no ECC event");
+        assert_eq!(m.mem.ecc_stats().corrected, 0);
+        assert_eq!(state_region(&m), state_region(&clean));
     }
 
     #[test]

@@ -18,6 +18,12 @@ cargo test --workspace -q --offline
 # silently.
 cargo test --manifest-path perfbench/Cargo.toml --offline -q
 
+# Run perfbench once, briefly: every workload's scaled campaigns must
+# reproduce their pins (perfbench/pins.txt, seed 2005) and agree
+# between 1 and nproc workers. It exits 1 on any drift.
+echo "== perfbench: scaled-campaign pins and 1-vs-nproc identity =="
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload all --seconds 1 >/dev/null
+
 # Lints are part of tier 1: clippy must be warning-clean across the
 # workspace (library, tests, examples and benches alike).
 cargo clippy -q --workspace --all-targets --offline -- -D warnings
