@@ -106,6 +106,16 @@ fn bench_machine() {
         m.set_input(1, 900);
         black_box(m.run(100_000))
     });
+    // One machine re-run, its decode cache warm: a 3-instruction loop
+    // 1000 times over, so the per-instruction cost dominates.
+    let sum = workloads::sum_series();
+    let (_, cycles) = sum.golden_run(&[1000]);
+    let mut m = sum.instantiate();
+    b.bench_throughput("sum_series_warm", cycles, || {
+        m.reset(0, workloads::STACK_TOP);
+        m.set_input(0, 1000);
+        black_box(m.run(100_000))
+    });
     b.finish();
 }
 

@@ -342,8 +342,7 @@ impl TemExecutor {
                 let index = copies.len() as u32;
                 // Before copy 0 the region still holds the snapshot's words,
                 // so a restore can only clear injected flips: with none in
-                // the region it would change nothing, not even the memory
-                // generation, and is skipped.
+                // the region it would change nothing, and is skipped.
                 if index > 0
                     || !machine
                         .mem

@@ -45,6 +45,11 @@ impl StatusFlags {
     }
 }
 
+// A `Reg` is below `NUM_REGS` by construction, so `& (NUM_REGS - 1)`
+// changes no index; it lets the compiler see that, and drop the bounds
+// check (and panic branch) from every operand access.
+const _: () = assert!(NUM_REGS.is_power_of_two());
+
 /// Full architectural register state of the TM32 core.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpuState {
@@ -86,17 +91,17 @@ impl CpuState {
 
     /// Reads a general-purpose register.
     pub fn reg(&self, r: Reg) -> u32 {
-        self.regs[r.index()]
+        self.regs[r.index() & (NUM_REGS - 1)]
     }
 
     /// Writes a general-purpose register.
     pub fn set_reg(&mut self, r: Reg, value: u32) {
-        self.regs[r.index()] = value;
+        self.regs[r.index() & (NUM_REGS - 1)] = value;
     }
 
     /// XORs a bit mask into a general-purpose register (fault injection).
     pub(crate) fn flip_reg(&mut self, r: Reg, mask: u32) {
-        self.regs[r.index()] ^= mask;
+        self.regs[r.index() & (NUM_REGS - 1)] ^= mask;
     }
 
     /// Captures a restorable snapshot of the architectural state.

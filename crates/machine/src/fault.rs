@@ -581,9 +581,9 @@ pub fn run_with_stuck_at(m: &mut Machine, cycle_budget: u64, fault: StuckAtFault
 /// cycles, then continues to completion within the overall `cycle_budget`.
 ///
 /// Returns the outcome plus whether the injection actually happened (it
-/// does not if the program finished first — the fault was *not activated*,
-/// matching the paper's definition of fault rate as the rate of *activated*
-/// faults).
+/// does not if the program finished, or the budget ran out, first — the
+/// fault was *not activated*, matching the paper's definition of fault rate
+/// as the rate of *activated* faults; the outcome is then `m.run`'s).
 pub fn run_with_injection(
     m: &mut Machine,
     cycle_budget: u64,
@@ -591,11 +591,11 @@ pub fn run_with_injection(
     fault: TransientFault,
 ) -> (RunOutcome, bool) {
     let start = m.cpu.cycles;
-    // Phase 1: run up to the injection point.
-    let pre_budget = inject_at_cycle.min(cycle_budget);
-    let pre = m.run(pre_budget);
+    // Phase 1: run up to the injection point. A run that overshoots the
+    // budget as well stopped where `m.run(cycle_budget)` would have.
+    let pre = m.run(inject_at_cycle.min(cycle_budget));
     match pre.exit {
-        RunExit::BudgetExhausted if pre.cycles_used >= inject_at_cycle => {
+        RunExit::BudgetExhausted if (inject_at_cycle..cycle_budget).contains(&pre.cycles_used) => {
             // Reached the injection point with the program still running.
             fault.apply(m);
             let remaining = cycle_budget - pre.cycles_used;
@@ -636,6 +636,39 @@ mod tests {
         m.load_program(0, &image.words).unwrap();
         m.reset(0, 4096);
         m
+    }
+
+    #[test]
+    fn injection_past_a_spent_budget_is_not_activated() {
+        // The DIV (8 cycles) overshoots both the injection point (5) and
+        // the budget (6): no budget is left to inject into, so nothing is
+        // injected and the outcome is the plain run's.
+        let image = assemble(
+            "    ldi r1, 1
+             loop:
+                 div r0, r0, r1
+                 jmp loop",
+        )
+        .unwrap();
+        let fresh = || {
+            let mut m = Machine::new(4096, MemoryMap::permissive());
+            m.load_program(0, &image.words).unwrap();
+            m.reset(0, 4096);
+            m
+        };
+        let fault = TransientFault {
+            target: FaultTarget::Register(Reg::R1),
+            mask: 1,
+        };
+        for (budget, at) in [(6, 5), (5, 6), (9, 9), (9, 5)] {
+            let mut plain = fresh();
+            let expected = plain.run(budget);
+            let mut m = fresh();
+            let (out, injected) = run_with_injection(&mut m, budget, at, fault);
+            assert_eq!(out, expected, "budget {budget}, inject at {at}");
+            assert!(!injected, "budget {budget}, inject at {at}");
+            assert_eq!(m.cpu, plain.cpu);
+        }
     }
 
     #[test]

@@ -141,48 +141,34 @@ pub struct Machine {
     halted: bool,
     trace: Option<VecDeque<TraceEntry>>,
     trace_capacity: usize,
-    /// Decoded-instruction cache, indexed by word address (`pc / 4`).
-    /// Grown lazily to the highest fetched PC, so a freshly instantiated
-    /// machine (one per campaign trial) pays for its code footprint, not
-    /// its memory size.
+    /// Decoded-instruction cache, indexed by word address (`pc / 4`) and
+    /// emptied whenever the memory map changes. Grown on demand, so a
+    /// freshly instantiated machine (one per campaign trial) pays for its
+    /// code footprint, not its memory size.
     decode_cache: Vec<DecodeEntry>,
-    /// Bumped whenever the active memory map changes; entries from older
-    /// epochs are stale because their Execute-permission check may no
-    /// longer hold.
-    cache_epoch: u64,
+    /// Slots filled since the cache was last emptied lie in
+    /// `filled.0..filled.1` (`(usize::MAX, 0)` for none). One map confines
+    /// execution to one task's code, so emptying costs that footprint.
+    filled: (usize, usize),
     decode_cache_enabled: bool,
 }
 
 /// One slot of the decoded-instruction cache.
 ///
-/// A hit requires all three tags to match: the machine's `cache_epoch`
-/// (the MMU Execute check was performed under the *current* map), the
-/// memory's mutation [`EccMemory::generation`] (no image load, reset,
-/// injection or scrub since the fill), and the fetched `word` itself
-/// (catches ordinary stores into the instruction stream, which bump
-/// neither counter). The word tag alone already makes the cache
-/// semantically transparent; the generation tag is belt-and-braces that
-/// also keeps hits off the faulty-word load path entirely.
-#[derive(Debug, Clone, Copy)]
+/// A filled slot at word index `i` vouches for two facts: address `4 * i`
+/// passed the MMU Execute check under the current map (the cache is
+/// emptied on every map change, and the check is a pure function of map,
+/// address and access), and `instr` is the decoding of `word`.
+#[derive(Debug, Clone, Copy, Default)]
 struct DecodeEntry {
-    /// `cache_epoch` at fill time; 0 marks an empty slot.
-    epoch: u64,
-    /// Memory mutation generation at fill time.
-    generation: u64,
-    /// The instruction word this entry decoded.
+    /// The instruction word this slot decoded.
     word: u32,
-    /// Its decoding.
-    instr: Instr,
+    /// Its decoding; `None` marks an empty slot.
+    instr: Option<Instr>,
 }
 
-impl DecodeEntry {
-    const EMPTY: DecodeEntry = DecodeEntry {
-        epoch: 0,
-        generation: 0,
-        word: 0,
-        instr: Instr::Nop,
-    };
-}
+// The hit path reads one slot per instruction: keep it small.
+const _: () = assert!(std::mem::size_of::<DecodeEntry>() <= 16);
 
 /// One retired (or faulting) instruction in the execution trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,7 +195,7 @@ impl Machine {
             trace: None,
             trace_capacity: 0,
             decode_cache: Vec::new(),
-            cache_epoch: 1,
+            filled: (usize::MAX, 0),
             decode_cache_enabled: true,
         }
     }
@@ -244,11 +230,10 @@ impl Machine {
     /// switch to confine the incoming task).
     pub fn set_memory_map(&mut self, map: MemoryMap) {
         self.map = map;
-        // Cached entries embedded an Execute check against the old map.
-        self.cache_epoch = self.cache_epoch.wrapping_add(1);
-        if self.cache_epoch == 0 {
-            // 0 marks empty slots; skip it on wrap-around.
-            self.cache_epoch = 1;
+        // Every filled slot vouched for an Execute check under the old map.
+        let (lo, hi) = std::mem::replace(&mut self.filled, (usize::MAX, 0));
+        if let Some(slots) = self.decode_cache.get_mut(lo..hi) {
+            slots.fill(DecodeEntry::default());
         }
     }
 
@@ -260,6 +245,9 @@ impl Machine {
     /// only exists for that comparison and for forensics.
     pub fn set_decode_cache_enabled(&mut self, enabled: bool) {
         self.decode_cache_enabled = enabled;
+        // An empty cache never hits, so the fetch needs no flag test.
+        self.decode_cache.clear();
+        self.filled = (usize::MAX, 0);
     }
 
     /// Loads a program image at `base` (bypasses the MMU — boot loader).
@@ -268,7 +256,7 @@ impl Machine {
     ///
     /// Propagates [`MemError`] for invalid addresses.
     pub fn load_program(&mut self, base: u32, words: &[u32]) -> Result<(), MemError> {
-        self.mem.load_image(base, words)
+        self.mem.store_words(base, words)
     }
 
     /// Resets the CPU to `entry` with the stack at `stack_top`, clears the
@@ -323,46 +311,60 @@ impl Machine {
     /// cache.
     ///
     /// The memory load is *never* skipped: ECC semantics (correction
-    /// counters, scrubbing, uncorrectable exceptions, silent escapes) must
-    /// fire exactly as they would uncached. What a hit skips is the MMU
-    /// region scan (validated under the current `cache_epoch` at fill
-    /// time; the check is a pure function of map, address and access, so
-    /// an unchanged epoch implies an unchanged outcome) and the decoder.
+    /// counters, scrubbing, uncorrectable exceptions, silent escapes) fire
+    /// exactly as they would uncached, and the word the load returned is
+    /// the one decoded. A hit skips the MMU scan and the decoder; the range
+    /// is still checked, as `mem` may have been replaced by a smaller one.
     #[inline]
     fn fetch_decode(&mut self, pc: u32) -> Result<Instr, Exception> {
-        if self.decode_cache_enabled && pc.is_multiple_of(WORD_BYTES) {
-            let idx = (pc / WORD_BYTES) as usize;
-            if idx < self.decode_cache.len() {
-                let e = self.decode_cache[idx];
-                if e.epoch == self.cache_epoch && e.generation == self.mem.generation() {
-                    let word = self.mem.load(pc)?;
-                    if word == e.word {
-                        return Ok(e.instr);
+        let idx = (pc / WORD_BYTES) as usize;
+        if pc.is_multiple_of(WORD_BYTES) {
+            if let Some(&DecodeEntry {
+                word: tag,
+                instr: Some(instr),
+            }) = self.decode_cache.get(idx)
+            {
+                if let Some(loaded) = self.mem.load_word(idx) {
+                    let word = loaded?;
+                    if word == tag {
+                        return Ok(instr);
                     }
+                    return self.decode_and_fill(pc, word);
                 }
             }
         }
         self.fetch_decode_slow(pc)
     }
 
+    #[cold]
+    #[inline(never)]
     fn fetch_decode_slow(&mut self, pc: u32) -> Result<Instr, Exception> {
         let word = self.load_checked(pc, Access::Execute)?;
+        self.decode_and_fill(pc, word)
+    }
+
+    /// Decodes `word`, fetched from `pc` under the current map, and caches
+    /// the decoding.
+    #[cold]
+    #[inline(never)]
+    fn decode_and_fill(&mut self, pc: u32, word: u32) -> Result<Instr, Exception> {
         let instr =
             Instr::decode(word).map_err(|e| Exception::IllegalOpcode { pc, word: e.word })?;
-        if self.decode_cache_enabled && pc.is_multiple_of(WORD_BYTES) {
+        if self.decode_cache_enabled {
+            // The fetch succeeded, so `pc` is aligned and inside memory.
             let idx = (pc / WORD_BYTES) as usize;
-            if idx < (self.mem.size_bytes() / WORD_BYTES) as usize {
-                if idx >= self.decode_cache.len() {
-                    // Amortised growth: `resize` reserves geometrically.
-                    self.decode_cache.resize(idx + 1, DecodeEntry::EMPTY);
-                }
-                self.decode_cache[idx] = DecodeEntry {
-                    epoch: self.cache_epoch,
-                    generation: self.mem.generation(),
-                    word,
-                    instr,
-                };
+            if idx >= self.decode_cache.len() {
+                // At least 64 slots, and doubling: a small program grows it once.
+                let slots = (self.mem.size_bytes() / WORD_BYTES) as usize;
+                let len = (idx + 1).next_power_of_two().max(64).min(slots);
+                self.decode_cache
+                    .resize(len.max(idx + 1), DecodeEntry::default());
             }
+            self.decode_cache[idx] = DecodeEntry {
+                word,
+                instr: Some(instr),
+            };
+            self.filled = (self.filled.0.min(idx), self.filled.1.max(idx + 1));
         }
         Ok(instr)
     }
@@ -380,6 +382,7 @@ impl Machine {
     /// Returns the [`Exception`] raised by any hardware EDM. The CPU state
     /// is left as-is at the fault point so a diagnostic handler (the kernel)
     /// can inspect it.
+    #[inline]
     pub fn step(&mut self) -> Result<Step, Exception> {
         if self.halted {
             return Ok(Step::Halted);
@@ -837,9 +840,9 @@ mod tests {
 
     #[test]
     fn decode_cache_sees_direct_instruction_store() {
-        // Self-modifying code through a plain data store never bumps the
-        // memory generation; the word tag on the cached entry must catch
-        // the rewrite anyway.
+        // A plain data store into the instruction stream leaves the cache
+        // untouched; the word tag on the cached entry must catch the
+        // rewrite.
         let src = "ldi r0, 1
                    out r0, port0
                    halt";
@@ -878,6 +881,51 @@ mod tests {
             "expected MMU violation after Execute revoked, got {:?}",
             out.exit
         );
+    }
+
+    #[test]
+    fn decode_cache_reenabled_still_empties_on_map_switch() {
+        // Fill a slot far up, re-enable the cache, fill a low slot: a map
+        // that revokes Execute must still trap at the low one.
+        let mut m = machine_with("halt");
+        m.load_program(0x800, &[Instr::Halt.encode()]).unwrap();
+        m.reset(0x800, 4096);
+        assert_eq!(m.run(10).exit, RunExit::Halted);
+        m.set_decode_cache_enabled(false);
+        m.set_decode_cache_enabled(true);
+        m.reset(0, 4096);
+        assert_eq!(m.run(10).exit, RunExit::Halted);
+        m.set_memory_map(MemoryMap::from_regions(vec![Region::new(
+            0,
+            0x1000,
+            Perms::RW,
+        )]));
+        m.reset(0, 4096);
+        assert!(matches!(
+            m.run(10).exit,
+            RunExit::Exception(Exception::Mmu(_))
+        ));
+    }
+
+    #[test]
+    fn decode_cache_counts_a_swapped_memorys_escape_once() {
+        // A cached slot whose tag no longer matches the word a swapped-in
+        // ECC-off memory holds: the flipped word is loaded once, and its
+        // escape counted once, as on the uncached path.
+        let image = assemble("ldi r0, 1\nout r0, port0\nhalt").unwrap();
+        let run = |cached: bool| {
+            let mut m = machine_with("ldi r0, 1\nout r0, port0\nhalt");
+            m.set_decode_cache_enabled(cached);
+            m.run(100);
+            let mut mem = EccMemory::new_without_ecc(4096);
+            mem.store_words(0, &image.words).unwrap();
+            mem.inject_flip(0, 1 << 3);
+            m.mem = mem;
+            m.reset(0, 4096);
+            (m.run(100), m.output(0), m.mem.ecc_stats())
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(run(true).2.escaped, 1);
     }
 
     #[test]

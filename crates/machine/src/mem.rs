@@ -104,10 +104,6 @@ pub struct EccMemory {
     dirty: Vec<u64>,
     ecc_enabled: bool,
     stats: EccStats,
-    /// Bumped by every operation that can change the instruction stream
-    /// other than an ordinary store: image loads, resets, fault injection
-    /// and scrubs. The machine's decoded-instruction cache keys on it.
-    generation: u64,
 }
 
 impl EccMemory {
@@ -126,7 +122,6 @@ impl EccMemory {
             dirty: vec![0; words.div_ceil(64)],
             ecc_enabled: true,
             stats: EccStats::default(),
-            generation: 0,
         }
     }
 
@@ -146,15 +141,6 @@ impl EccMemory {
     /// ECC correction/detection counters.
     pub fn ecc_stats(&self) -> EccStats {
         self.stats
-    }
-
-    /// Instruction-stream mutation counter: changes whenever an image
-    /// load, reset, fault injection, scrub or fault-clear may have altered
-    /// what a fetch would observe. Ordinary stores are *not* counted —
-    /// consumers that cache decoded instructions also tag entries with the
-    /// fetched word, which covers self-modifying stores exactly.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     #[inline]
@@ -209,15 +195,25 @@ impl EccMemory {
     /// word carries a multi-bit fault and ECC is enabled.
     pub fn load(&mut self, addr: u32) -> Result<u32, MemError> {
         let idx = self.word_index(addr)?;
+        self.load_word(idx).unwrap_or(Err(MemError::Bus { addr }))
+    }
+
+    /// [`EccMemory::load`] of the word at word index `idx`, for a caller
+    /// that knows the address is aligned; `None` past the end of memory.
+    #[inline]
+    pub(crate) fn load_word(&mut self, idx: usize) -> Option<Result<u32, MemError>> {
+        let word = *self.words.get(idx)?;
         // Dirty-word fast path: fault-free words never touch the hash map.
-        if !self.is_dirty(idx) {
-            return Ok(self.words[idx]);
-        }
-        self.load_faulty(addr, idx)
+        Some(if self.is_dirty(idx) {
+            self.load_faulty(idx)
+        } else {
+            Ok(word)
+        })
     }
 
     /// Slow path for a load whose word carries an injected fault.
-    fn load_faulty(&mut self, addr: u32, idx: usize) -> Result<u32, MemError> {
+    #[cold]
+    fn load_faulty(&mut self, idx: usize) -> Result<u32, MemError> {
         let mask = self.flips.get(&(idx as u32)).copied().unwrap_or(0);
         if mask == 0 {
             return Ok(self.words[idx]);
@@ -232,12 +228,13 @@ impl EccMemory {
             // SEC: corrected in place (scrubbing).
             self.flips.remove(&(idx as u32));
             self.clear_dirty(idx);
-            self.generation = self.generation.wrapping_add(1);
             self.stats.corrected += 1;
             Ok(self.words[idx])
         } else {
             self.stats.detected_uncorrectable += 1;
-            Err(MemError::EccUncorrectable { addr })
+            Err(MemError::EccUncorrectable {
+                addr: idx as u32 * WORD_BYTES,
+            })
         }
     }
 
@@ -347,7 +344,6 @@ impl EccMemory {
                 } else {
                     self.set_dirty(idx);
                 }
-                self.generation = self.generation.wrapping_add(1);
                 true
             }
             Err(_) => false,
@@ -363,7 +359,6 @@ impl EccMemory {
     pub fn clear_faults(&mut self) {
         self.flips.clear();
         self.dirty.fill(0);
-        self.generation = self.generation.wrapping_add(1);
     }
 
     /// Zeroes all of memory and clears fault state (hard reset).
@@ -371,19 +366,6 @@ impl EccMemory {
         self.words.fill(0);
         self.flips.clear();
         self.dirty.fill(0);
-        self.generation = self.generation.wrapping_add(1);
-    }
-
-    /// Bulk-loads `words` starting at byte address `base` (program loading).
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`EccMemory::store_words`]: an image that does not fit
-    /// writes nothing.
-    pub(crate) fn load_image(&mut self, base: u32, words: &[u32]) -> Result<(), MemError> {
-        self.store_words(base, words)?;
-        self.generation = self.generation.wrapping_add(1);
-        Ok(())
     }
 }
 
@@ -484,31 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracks_instruction_stream_mutations() {
-        let mut m = EccMemory::new(64);
-        let g0 = m.generation();
-        // Ordinary stores do not bump — the decode cache covers them with
-        // its word tag.
-        m.store(0, 7).unwrap();
-        assert_eq!(m.generation(), g0);
-        m.inject_flip(0, 1);
-        let g1 = m.generation();
-        assert_ne!(g1, g0, "injection bumps");
-        // A corrected (scrubbing) load changes fault state: bump.
-        m.load(0).unwrap();
-        assert_ne!(m.generation(), g1, "scrub bumps");
-        let g2 = m.generation();
-        m.load_image(0, &[1, 2]).unwrap();
-        assert_ne!(m.generation(), g2, "image load bumps");
-        let g3 = m.generation();
-        m.reset();
-        assert_ne!(m.generation(), g3, "reset bumps");
-        let g4 = m.generation();
-        m.clear_faults();
-        assert_ne!(m.generation(), g4, "fault clear bumps");
-    }
-
-    #[test]
     fn inject_into_invalid_address_reports_false() {
         let mut m = EccMemory::new(64);
         assert!(!m.inject_flip(1 << 20, 1));
@@ -527,7 +484,7 @@ mod tests {
     #[test]
     fn load_image_places_program() {
         let mut m = EccMemory::new(64);
-        m.load_image(16, &[1, 2, 3]).unwrap();
+        m.store_words(16, &[1, 2, 3]).unwrap();
         assert_eq!(m.load(16).unwrap(), 1);
         assert_eq!(m.load(20).unwrap(), 2);
         assert_eq!(m.load(24).unwrap(), 3);
@@ -538,19 +495,19 @@ mod tests {
         let mut m = EccMemory::new(64);
         m.store(56, 9).unwrap();
         m.inject_flip(56, 0b11);
-        let g = m.generation();
         // Words 56 and 60 fit, 64 does not: the whole image is refused.
         assert_eq!(
-            m.load_image(56, &[1, 2, 3]),
+            m.store_words(56, &[1, 2, 3]),
             Err(MemError::Bus { addr: 64 })
         );
         assert_eq!(m.peek(56).unwrap(), 9, "no partial prefix");
         assert_eq!(m.faulty_words(), 1, "flips survive a refused image");
-        assert_eq!(m.generation(), g);
-        assert_eq!(m.load_image(2, &[1]), Err(MemError::Misaligned { addr: 2 }));
-        // A fitting image still bumps the generation and clears flips.
-        m.load_image(56, &[1, 2]).unwrap();
-        assert_ne!(m.generation(), g);
+        assert_eq!(
+            m.store_words(2, &[1]),
+            Err(MemError::Misaligned { addr: 2 })
+        );
+        // A fitting image clears flips.
+        m.store_words(56, &[1, 2]).unwrap();
         assert_eq!(m.faulty_words(), 0);
         assert_eq!(m.load(56).unwrap(), 1);
     }

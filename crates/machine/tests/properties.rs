@@ -5,7 +5,7 @@ use nlft_machine::fault::{run_with_injection, FaultSpace};
 use nlft_machine::isa::{Instr, Reg};
 use nlft_machine::machine::{Machine, RunExit};
 use nlft_machine::mem::{EccMemory, MemError};
-use nlft_machine::mmu::MemoryMap;
+use nlft_machine::mmu::{MemoryMap, Perms, Region};
 use nlft_machine::workloads;
 use nlft_sim::rng::RngStream;
 use nlft_testkit::prop::{gens, Suite};
@@ -283,9 +283,9 @@ fn decode_cache_is_bit_invisible_under_fault_injection() {
 /// The cache stays bit-invisible across the campaign reuse pattern: flips
 /// pre-planted in instruction memory, a run, `clear_faults`, a *second*
 /// program loaded over the first, and a second run. Every phase must match
-/// the uncached machine exactly — this exercises the generation bump on
-/// `inject_flip`, `clear_faults` and `load_image`, and the word-tag check
-/// for ECC-off corrupted fetches.
+/// the uncached machine exactly — this exercises slots left filled across
+/// `inject_flip`, `clear_faults` and a program reload, and the word-tag
+/// check for ECC-off corrupted fetches.
 #[test]
 fn decode_cache_is_bit_invisible_across_reuse_and_reload() {
     SUITE.check(
@@ -325,6 +325,162 @@ fn decode_cache_is_bit_invisible_across_reuse_and_reload() {
             let uncached = run(false);
             prop_assert_eq!(&cached.0, &uncached.0, "first phase differs");
             prop_assert_eq!(&cached.1, &uncached.1, "second phase differs");
+            Ok(())
+        },
+    );
+}
+
+/// Words of code in the map/store/replacement differential's programs at
+/// most; every map below covers them.
+const CODE_WORDS: u64 = 40;
+
+/// An instruction for the map/store/replacement differential: jump
+/// targets and memory offsets mostly land in the program itself, so stores
+/// rewrite the code that is running.
+fn arb_code_instr(r: &mut TkRng) -> Instr {
+    let code_addr = |r: &mut TkRng| (r.range(0, CODE_WORDS) * 4) as u16;
+    match r.usize_range(0, 16) {
+        0 => Instr::Ldi(arb_reg(r), arb_i16(r)),
+        1 => Instr::Addi(arb_reg(r), arb_reg(r), r.range(0, 8) as i16 - 4),
+        2 => Instr::Add(arb_reg(r), arb_reg(r), arb_reg(r)),
+        3 => Instr::Sub(arb_reg(r), arb_reg(r), arb_reg(r)),
+        4 => Instr::Cmp(arb_reg(r), arb_reg(r)),
+        5 => Instr::Jnz(code_addr(r)),
+        6 => Instr::Jz(code_addr(r)),
+        7 => Instr::Jmp(code_addr(r)),
+        8 | 9 => Instr::St(arb_reg(r), arb_reg(r), code_addr(r) as i16),
+        10 => Instr::Ld(arb_reg(r), arb_reg(r), code_addr(r) as i16),
+        11 => Instr::Out(arb_reg(r), r.range(0, 16) as u16),
+        12 => Instr::Call(code_addr(r)),
+        13 => Instr::Ret,
+        14 => Instr::Push(arb_reg(r)),
+        _ => Instr::Halt,
+    }
+}
+
+/// Map `n` of the four the differential switches between: permissive;
+/// code RX and data RW; code readable but not executable; code RWX.
+fn cache_map(n: usize) -> MemoryMap {
+    let code = match n {
+        0 => return MemoryMap::permissive(),
+        1 => Perms::RX,
+        2 => Perms::R,
+        _ => Perms {
+            read: true,
+            write: true,
+            execute: true,
+        },
+    };
+    MemoryMap::from_regions(vec![
+        Region::new(0, 0x400, code),
+        Region::new(0x400, 0xC00, Perms::RW),
+    ])
+}
+
+/// What happens to both machines between two quanta.
+#[derive(Debug, Clone)]
+enum CacheEvent {
+    /// Install `cache_map(n)`, revoking or granting Execute.
+    Map(usize),
+    /// Overwrite a code word with `mem.store`, behind the machine's back.
+    Patch(u32, u32),
+    /// Flip bits of a code word.
+    Flip(u32, u32),
+    /// Replace `m.mem` with a fresh memory of this many bytes, ECC on or
+    /// off, holding the old golden words that fit.
+    Replace(u32, bool),
+}
+
+fn arb_cache_event(r: &mut TkRng) -> CacheEvent {
+    let code_addr = |r: &mut TkRng| (r.range(0, CODE_WORDS) * 4) as u32;
+    match r.usize_range(0, 4) {
+        0 => CacheEvent::Map(r.usize_range(0, 4)),
+        1 => {
+            let word = if r.bool() {
+                arb_code_instr(r).encode()
+            } else {
+                r.next_u32()
+            };
+            CacheEvent::Patch(code_addr(r), word)
+        }
+        2 => CacheEvent::Flip(code_addr(r), 1 << r.range(0, 32)),
+        _ => CacheEvent::Replace([4096, 2048, 256, 64][r.usize_range(0, 4)], r.bool()),
+    }
+}
+
+fn apply_cache_event(m: &mut Machine, event: &CacheEvent) {
+    match *event {
+        CacheEvent::Map(n) => m.set_memory_map(cache_map(n)),
+        CacheEvent::Patch(addr, word) => drop(m.mem.store(addr, word)),
+        CacheEvent::Flip(addr, mask) => drop(m.mem.inject_flip(addr, mask)),
+        CacheEvent::Replace(bytes, ecc) => {
+            let mut mem = if ecc {
+                EccMemory::new(bytes)
+            } else {
+                EccMemory::new_without_ecc(bytes)
+            };
+            let keep = (bytes.min(m.mem.size_bytes()) / 4) as usize;
+            let words = m.mem.peek_words(0, keep).unwrap().to_vec();
+            mem.store_words(0, &words).unwrap();
+            m.mem = mem;
+        }
+    }
+}
+
+/// The decoded-instruction cache is bit-invisible in every case that
+/// empties or bypasses its slots: a map switch between quanta (revoking
+/// and granting Execute), program stores into the code region under a
+/// writable map, direct `mem.store` patches, bit flips, and `m.mem`
+/// replaced by a memory that is smaller or has ECC off. After every
+/// quantum a cached and an uncached machine have the same exit and cycle
+/// count, outputs, CPU state, ECC statistics and memory words, and
+/// neither panics.
+#[test]
+fn decode_cache_is_bit_invisible_across_maps_stores_and_memory_swaps() {
+    SUITE.check(
+        "decode_cache_is_bit_invisible_across_maps_stores_and_memory_swaps",
+        {
+            let mut code = gens::vec(|r| arb_code_instr(r).encode(), 4..CODE_WORDS as usize);
+            let mut plan = gens::vec(|r| (r.range(1, 300), arb_cache_event(r)), 1..16);
+            move |r: &mut TkRng| (code(r), plan(r), r.usize_range(0, 4), r.bool())
+        },
+        |(code, plan, map, ecc)| {
+            let fresh = |cached: bool| {
+                let mut m = if *ecc {
+                    Machine::new(4096, cache_map(*map))
+                } else {
+                    Machine::new_without_ecc(4096, cache_map(*map))
+                };
+                m.set_decode_cache_enabled(cached);
+                m.load_program(0, code).unwrap();
+                m.reset(0, 4096);
+                m
+            };
+            let (mut cached, mut uncached) = (fresh(true), fresh(false));
+            for (step, (quantum, event)) in plan.iter().enumerate() {
+                let a = cached.run(*quantum);
+                let b = uncached.run(*quantum);
+                prop_assert_eq!(&a, &b, "step {step}: exit and cycle count differ");
+                prop_assert_eq!(cached.outputs(), uncached.outputs(), "step {step}");
+                prop_assert_eq!(&cached.cpu, &uncached.cpu, "step {step}: CPU state");
+                prop_assert_eq!(
+                    cached.mem.ecc_stats(),
+                    uncached.mem.ecc_stats(),
+                    "step {step}"
+                );
+                let words = (cached.mem.size_bytes() / 4) as usize;
+                prop_assert_eq!(
+                    cached.mem.peek_words(0, words).unwrap(),
+                    uncached.mem.peek_words(0, words).unwrap(),
+                    "step {step}: memory differs"
+                );
+                if a.exit != RunExit::BudgetExhausted {
+                    cached.reset(0, 4096);
+                    uncached.reset(0, 4096);
+                }
+                apply_cache_event(&mut cached, event);
+                apply_cache_event(&mut uncached, event);
+            }
             Ok(())
         },
     );
@@ -459,7 +615,7 @@ fn apply_mem_op(m: &mut EccMemory, op: &MemOp, by_range: bool) -> Result<Vec<u32
 /// observably identical to their per-word loops: over random sequences of
 /// stores, flips, fault clears and loads, with ECC on and off, every
 /// operation returns the same words or error, and the memory's words,
-/// faulty-word count, ECC counters and generation stay equal.
+/// faulty-word count and ECC counters stay equal.
 #[test]
 fn range_ops_match_per_word_ops() {
     SUITE.check(
@@ -492,7 +648,6 @@ fn range_ops_match_per_word_ops() {
                     "step {step}"
                 );
                 prop_assert_eq!(ranged.ecc_stats(), per_word.ecc_stats(), "step {step}");
-                prop_assert_eq!(ranged.generation(), per_word.generation(), "step {step}");
             }
             Ok(())
         },
