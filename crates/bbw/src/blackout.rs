@@ -22,9 +22,7 @@ use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan};
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{check_run_cycles, BbwCluster, CU_A, CU_B, WHEELS};
-
-const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
+use crate::cluster::{check_run_cycles, BbwCluster, ALL_NODES, WHEELS};
 
 /// Configuration of a blackout-survival campaign.
 #[derive(Debug, Clone)]
@@ -337,9 +335,10 @@ fn run_blackout_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{pc_fault, CU_A, CU_B};
     use nlft_core::diagnosis::AlphaCountConfig;
     use nlft_kernel::escalation::{EscalationEvent, EscalationPolicy};
-    use nlft_machine::fault::{FaultTarget, IntermittentFault, TransientFault};
+    use nlft_machine::fault::IntermittentFault;
     use nlft_net::startup::StartupEvent;
 
     #[test]
@@ -363,10 +362,7 @@ mod tests {
         cluster.attach_intermittent(
             victim,
             IntermittentFault {
-                fault: TransientFault {
-                    target: FaultTarget::Pc,
-                    mask: 1 << 20,
-                },
+                fault: pc_fault(),
                 recurrence: 0.9,
                 burst_jobs: 12,
             },

@@ -12,12 +12,12 @@
 //! stack: TEM masks it, or the node omits its slot, membership notices,
 //! and the central unit redistributes brake force to the remaining wheels.
 //!
-//! Since PR 4 the loop also carries the *value domain* end to end:
+//! The loop also carries the *value domain* end to end:
 //!
 //! * the pedal is read through a triplicated [`crate::sensor`] array
 //!   (median vote + plausibility + weakly-hard demotion) instead of
-//!   being a perfect oracle — the silent `min(4095)` clamp now happens
-//!   at the sensor boundary and is flagged;
+//!   being a perfect oracle — out-of-range readings are clamped and
+//!   flagged at the sensor boundary;
 //! * CU→wheel set-points travel as sealed fresh commands
 //!   (`[seq, f0..f3, crc]`); each wheel runs a
 //!   [`nlft_kernel::integrity::CommandAcceptor`] that rejects corrupted,
@@ -29,15 +29,14 @@
 //!   fail-silent, so the failure reports into membership and the CU
 //!   redistributes force exactly as for a crashed node.
 //!
-//! Since PR 8 the wheels carry heterogeneous weakly-hard *(m,k) service
-//! contracts* (the front axle tighter than the rear), and any node can be
-//! modelled as a *dual-core* station: a core-death fault then plays out
-//! against the node's resource-sharing protocol — LEFT-RS rides the death
-//! out on the remaining core, a lock-based substrate wedges and the node
-//! drops fail-silent for good.
+//! The wheels carry heterogeneous weakly-hard *(m,k) service contracts*
+//! (the front axle tighter than the rear), and any node can be modelled
+//! as a *dual-core* station: a core-death fault then plays out against
+//! the node's resource-sharing protocol — LEFT-RS rides the death out on
+//! the remaining core, a lock-based substrate wedges and the node drops
+//! fail-silent for good.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
 use nlft_core::diagnosis::{AlphaCountConfig, NodeSupervisor};
@@ -47,10 +46,12 @@ use nlft_kernel::integrity::{CommandAcceptor, CommandReject, FreshSealedMessage}
 use nlft_kernel::multicore::MulticoreExecutive;
 use nlft_kernel::resources::ProtocolKind;
 use nlft_kernel::tem::{InjectionPlan, JobFault, JobOutcome, TemConfig, TemExecutor};
-use nlft_machine::fault::{CoreDeathFault, IntermittentFault, StuckAtFault, TransientFault};
+use nlft_machine::fault::{
+    CoreDeathFault, FaultSpace, FaultTarget, IntermittentFault, StuckAtFault, TransientFault,
+};
 use nlft_machine::machine::Machine;
 use nlft_machine::workloads::{self, Workload};
-use nlft_net::bus::{Bus, BusConfig, CycleDelivery, WireFault};
+use nlft_net::bus::{Bus, BusConfig, CycleDelivery};
 use nlft_net::frame::NodeId;
 use nlft_net::inject::{InjectionCounts, NetFaultInjector, NetFaultPlan};
 use nlft_net::membership::{Membership, MembershipEvent};
@@ -97,6 +98,17 @@ pub const CU_A: NodeId = NodeId(0);
 pub const CU_B: NodeId = NodeId(1);
 /// Wheel nodes, front-left/front-right/rear-left/rear-right.
 pub const WHEELS: [NodeId; 4] = [NodeId(2), NodeId(3), NodeId(4), NodeId(5)];
+/// All six nodes in slot order; a node's index here is its `NodeId.0`.
+pub(crate) const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
+
+/// A processor fault that essentially always activates: a flipped high PC
+/// bit sends execution into unmapped memory.
+pub(crate) fn pc_fault() -> TransientFault {
+    TransientFault {
+        target: FaultTarget::Pc,
+        mask: 1 << 20,
+    }
+}
 
 /// Cluster-level fault to inject in a specific communication cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,6 +123,24 @@ pub struct ClusterInjection {
     pub at_cycle: u64,
     /// The machine-level fault.
     pub fault: TransientFault,
+}
+
+impl ClusterInjection {
+    /// Draws one transient over the whole cluster, in this order: the
+    /// node, a cycle in `[1, cycles - 1)` (from cycle 1 on a wheel victim
+    /// is executing — its first set-point arrives after cycle 0), the TEM
+    /// copy, the offset within the copy and the fault from `space`.
+    pub(crate) fn sample(rng: &mut RngStream, cycles: u32, space: &FaultSpace) -> Self {
+        let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
+        let cycle = rng.uniform_range(1, u64::from(cycles) - 1) as u32;
+        ClusterInjection {
+            cycle,
+            node,
+            copy: rng.uniform_range(0, 2) as u32,
+            at_cycle: rng.uniform_range(1, 40),
+            fault: space.sample(rng),
+        }
+    }
 }
 
 /// Per-cycle observable record.
@@ -238,6 +268,21 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
+    /// Records `node`'s escalation-ladder steps taken in `cycle`: the one
+    /// place a step enters the report, counting scheduled restarts and
+    /// retirements as it goes.
+    fn escalate(&mut self, cycle: u32, node: NodeId, events: Vec<EscalationEvent>) {
+        for event in events {
+            if matches!(event, EscalationEvent::RestartScheduled { .. }) {
+                self.restarts += 1;
+            }
+            if event == EscalationEvent::Retired && !self.retired_nodes.contains(&node) {
+                self.retired_nodes.push(node);
+            }
+            self.escalations.push((cycle, node, event));
+        }
+    }
+
     /// The escalation events of one node, in order.
     #[cfg(test)]
     pub(crate) fn escalations_for(&self, node: NodeId) -> Vec<EscalationEvent> {
@@ -439,10 +484,9 @@ pub struct BbwCluster {
     bus: Bus,
     membership: Membership,
     cu_pair: DuplexPair,
-    cu: BTreeMap<NodeId, StationRuntime>,
-    wheels: BTreeMap<NodeId, StationRuntime>,
+    /// The six stations, indexed by `NodeId.0` (CUs 0–1, wheels 2–5).
+    stations: [StationRuntime; 6],
     injections: Vec<ClusterInjection>,
-    wire_corruptions: Vec<(u32, NodeId)>,
     /// Network-level fault injector, when a storm is attached.
     net_injector: Option<NetFaultInjector>,
     /// TTP/C-style startup/reintegration protocol, when enabled. `None`
@@ -450,14 +494,14 @@ pub struct BbwCluster {
     /// transmitting in their slot.
     startup: Option<StartupProtocol>,
     /// Per-CU state-resync endpoints, driven when a replica returns from an
-    /// outage.
-    cu_resync: BTreeMap<NodeId, StateResync>,
+    /// outage (index order: `CU_A`, `CU_B`).
+    cu_resync: [StateResync; 2],
     /// Whether each CU was silent (enforced or net-crashed) last cycle.
-    cu_silent_last: BTreeMap<NodeId, bool>,
+    cu_silent_last: [bool; 2],
     /// Last delivery, fed into the resync endpoints next cycle.
     prev_delivery: Option<CycleDelivery>,
-    /// First cycle of each node's current exclusion episode.
-    exclusion_started: BTreeMap<NodeId, u32>,
+    /// First cycle of each node's current exclusion episode, by `NodeId.0`.
+    exclusion_started: [Option<u32>; 6],
     /// Triplicated pedal sensor array feeding both CU replicas.
     pedal_sensors: PedalSensorArray,
     /// Per-wheel brake actuators (persist across `run` calls — the brake
@@ -516,14 +560,13 @@ impl BbwCluster {
         let membership = Membership::new(&config, 2, 2);
 
         let w = &*CLUSTER_WORKLOADS;
-        let mut cu = BTreeMap::new();
-        for id in [CU_A, CU_B] {
-            cu.insert(id, StationRuntime::new(w.dist.clone(), w.dist_cycles));
-        }
-        let mut wheels = BTreeMap::new();
-        for id in WHEELS {
-            wheels.insert(id, StationRuntime::new(w.pid.clone(), w.pid_cycles));
-        }
+        let stations = std::array::from_fn(|i| {
+            if i < 2 {
+                StationRuntime::new(w.dist.clone(), w.dist_cycles)
+            } else {
+                StationRuntime::new(w.pid.clone(), w.pid_cycles)
+            }
+        });
         let cu_pair = DuplexPair::new(CU_A, CU_B);
         // The front axle carries most of the braking load, so its service
         // contracts are tighter: at most 1 missed cycle in any 8, against
@@ -538,19 +581,14 @@ impl BbwCluster {
             bus,
             membership,
             cu_pair,
-            cu,
-            wheels,
+            stations,
             injections: Vec::new(),
-            wire_corruptions: Vec::new(),
             net_injector: None,
             startup: None,
-            cu_resync: [CU_A, CU_B]
-                .into_iter()
-                .map(|id| (id, StateResync::new(id, cu_pair)))
-                .collect(),
-            cu_silent_last: [CU_A, CU_B].into_iter().map(|id| (id, false)).collect(),
+            cu_resync: [CU_A, CU_B].map(|id| StateResync::new(id, cu_pair)),
+            cu_silent_last: [false; 2],
             prev_delivery: None,
-            exclusion_started: BTreeMap::new(),
+            exclusion_started: [None; 6],
             pedal_sensors: PedalSensorArray::new(PedalVoterConfig::default(), sensor_rng),
             actuators: std::array::from_fn(|_| WheelActuator::new()),
             monitors: std::array::from_fn(|_| {
@@ -656,14 +694,6 @@ impl BbwCluster {
             .unwrap_or_default()
     }
 
-    /// Corrupts `node`'s frame on the wire in the given cycle: the CRC
-    /// rejects it at every receiver, so the node is effectively silent for
-    /// that cycle — the network-level end-to-end detection of §2.6.
-    #[cfg(test)]
-    pub(crate) fn corrupt_frame(&mut self, cycle: u32, node: NodeId) {
-        self.wire_corruptions.push((cycle, node));
-    }
-
     /// Forces a node silent for `cycles` cycles (models a fail-silent
     /// restart window without machine-level detail).
     pub fn silence_node(&mut self, node: NodeId, cycles: u32) {
@@ -672,10 +702,9 @@ impl BbwCluster {
         }
     }
 
+    /// `node`'s station; `None` for an id outside the cluster.
     fn station_mut(&mut self, node: NodeId) -> Option<&mut StationRuntime> {
-        self.cu
-            .get_mut(&node)
-            .or_else(|| self.wheels.get_mut(&node))
+        self.stations.get_mut(usize::from(node.0))
     }
 
     /// Replaces the per-wheel (m,k) service contracts (index order:
@@ -759,7 +788,7 @@ impl BbwCluster {
 
     /// Supervises all six nodes with the same configuration.
     pub(crate) fn supervise_all(&mut self, alpha: AlphaCountConfig, policy: EscalationPolicy) {
-        for id in [CU_A, CU_B].iter().chain(WHEELS.iter()).copied() {
+        for id in ALL_NODES {
             self.supervise(id, alpha, policy);
         }
     }
@@ -795,9 +824,8 @@ impl BbwCluster {
     /// The ladder position of a supervised node (`None` when the node is
     /// not supervised).
     pub(crate) fn node_health(&self, node: NodeId) -> Option<NodeHealth> {
-        self.cu
-            .get(&node)
-            .or_else(|| self.wheels.get(&node))
+        self.stations
+            .get(usize::from(node.0))
             .and_then(|s| s.supervisor.as_ref())
             .map(|sup| sup.health())
     }
@@ -810,23 +838,31 @@ impl BbwCluster {
     /// actuator state persist, so a storm phase can be followed by a
     /// quiet phase on the same cluster.
     pub fn run(&mut self, cycles: u32, pedal: impl Fn(u32) -> u32) -> ClusterReport {
-        let mut records = Vec::with_capacity(cycles as usize);
-        let mut value = ValueDomainReport::default();
+        let mut report = ClusterReport {
+            records: Vec::with_capacity(cycles as usize),
+            degraded_cycles: 0,
+            omissions: 0,
+            service_lost: false,
+            split_membership: false,
+            min_members: self.membership.members().len(),
+            reintegration_latencies: Vec::new(),
+            crc_rejects: 0,
+            guardian_blocks: 0,
+            masquerade_rejects: 0,
+            corruptions_applied: 0,
+            masquerades_applied: 0,
+            escalations: Vec::new(),
+            restarts: 0,
+            retired_nodes: Vec::new(),
+            startup_events: Vec::new(),
+            value: ValueDomainReport::default(),
+            wheel_contracts: self.wheel_contracts,
+            wheel_contract_misses: [0; 4],
+            wheel_contract_violations: [0; 4],
+            core_deaths: Vec::new(),
+        };
         let undetected_sensor_base = self.pedal_sensors.stats().undetected_error_cycles;
         let mon_cfg = ActuatorMonitorConfig::default();
-        let mut degraded_cycles = 0;
-        let mut omissions = 0;
-        let mut service_lost = false;
-        let mut split_membership = false;
-        let mut min_members = self.membership.members().len();
-        let mut reintegration_latencies = Vec::new();
-        let mut escalations: Vec<(u32, NodeId, EscalationEvent)> = Vec::new();
-        let mut restarts = 0;
-        let mut retired_nodes: Vec<NodeId> = Vec::new();
-        let mut startup_events: Vec<(u32, StartupEvent)> = Vec::new();
-        let mut wheel_contract_misses = [0u32; 4];
-        let mut wheel_contract_violations = [0u32; 4];
-        let mut core_death_records: Vec<(u32, NodeId, bool)> = Vec::new();
         let crc_rejects_0 = self.bus.crc_rejects();
         let guardian_blocks_0 = self.bus.guardian_blocks();
         let masquerade_rejects_0 = self.bus.masquerade_rejects();
@@ -880,7 +916,7 @@ impl BbwCluster {
                 .collect();
             for (node, escalated) in deaths_now {
                 let survived = self.fire_core_death(node, escalated);
-                core_death_records.push((bus_cycle, node, survived));
+                report.core_deaths.push((bus_cycle, node, survived));
             }
 
             // Read the pedal through the triplicated sensor array: the
@@ -889,94 +925,68 @@ impl BbwCluster {
             let pedal_sample = self.pedal_sensors.sample(bus_cycle, pedal(cycle));
             let pedal_now = pedal_sample.voted;
             if pedal_sample.clamped {
-                value.pedal_clamped_cycles += 1;
+                report.value.pedal_clamped_cycles += 1;
             }
-            value.sensor_implausible_flags +=
+            report.value.sensor_implausible_flags +=
                 pedal_sample.implausible.iter().filter(|&&f| f).count() as u32;
             if pedal_sample.demoted_now.is_some() {
-                value.sensor_demotions += 1;
+                report.value.sensor_demotions += 1;
             }
 
             // Central units: compute the 4-way force distribution under TEM.
-            for (&id, station) in self.cu.iter_mut() {
+            for (c, id) in [CU_A, CU_B].into_iter().enumerate() {
+                let intent = self.intent(id, &net_silenced);
                 let plan = plan_for(&self.injections, bus_cycle, id);
-                if self.wire_corruptions.contains(&(bus_cycle, id)) {
-                    let slot = self.bus.config().slot_of(id).expect("CU owns a slot");
-                    self.bus.stage_wire_fault(WireFault::CorruptStatic {
-                        slot,
-                        byte: 7,
-                        mask: 0x40,
-                    });
-                }
-                let net_down = net_silenced.contains(&id);
-                let intent = self
-                    .startup
-                    .as_ref()
-                    .map(|s| s.intent(id))
-                    .unwrap_or(TransmitIntent::Normal);
-                let was_silent = self.cu_silent_last[&id];
-                let silent_now = net_down
-                    || intent != TransmitIntent::Normal
+                let station = &mut self.stations[usize::from(id.0)];
+                let silent_now = intent != TransmitIntent::Normal
                     || station.silent_for > 0
                     || station.supervised_silent();
-                let resync = self.cu_resync.get_mut(&id).expect("CU endpoint");
-                if was_silent && !silent_now {
+                let resync = &mut self.cu_resync[c];
+                if self.cu_silent_last[c] && !silent_now {
                     // The replica returns: it resumes transmitting at once
                     // (the distribution task is stateless) while refreshing
                     // soft state from its partner over the dynamic segment.
                     resync.begin_resync();
                 }
-                self.cu_silent_last.insert(id, silent_now);
+                self.cu_silent_last[c] = silent_now;
                 let mut our_state: Vec<u32> = Vec::new();
-                if net_down || intent == TransmitIntent::Silent {
-                    // Held down by the network outage, or still listening
-                    // for a time base: the node does not execute, but its
-                    // supervisor's restart clock still runs.
-                    for ev in station.tick_supervisor() {
-                        record_escalation(
-                            &mut escalations,
-                            &mut restarts,
-                            &mut retired_nodes,
-                            bus_cycle,
-                            id,
-                            ev,
-                        );
+                match intent {
+                    TransmitIntent::Silent => {
+                        // Held down by the network outage, or still
+                        // listening for a time base: the node does not
+                        // execute, but its supervisor's restart clock
+                        // still runs.
+                        report.escalate(bus_cycle, id, station.tick_supervisor());
                     }
-                } else if intent == TransmitIntent::ColdStartFrame {
-                    // Cold-start contention: the only frame this node may
-                    // send is the marker offering its own time base.
-                    let _ = self
-                        .bus
-                        .transmit_static(id, vec![COLD_START_MARKER, bus_cycle]);
-                } else {
-                    let (result, events) = station.run_job(&[pedal_now], plan);
-                    for ev in events {
-                        record_escalation(
-                            &mut escalations,
-                            &mut restarts,
-                            &mut retired_nodes,
-                            bus_cycle,
-                            id,
-                            ev,
-                        );
+                    TransmitIntent::ColdStartFrame => {
+                        // Cold-start contention: the only frame this node
+                        // may send is the marker offering its own time base.
+                        let _ = self
+                            .bus
+                            .transmit_static(id, vec![COLD_START_MARKER, bus_cycle]);
                     }
-                    if let Some(outputs) = result {
-                        // Degraded-mode redistribution: scale the shares of the
-                        // serving wheels when some are out of the membership.
-                        let serving = WHEELS.map(|n| self.membership.is_member(n));
-                        let scale_num = 4_u32;
-                        let scale_den = serving.iter().filter(|&&s| s).count() as u32;
-                        let mut payload = vec![0u32; 4];
-                        for w in (0..4).filter(|&w| serving[w]) {
-                            payload[w] = outputs[w] * scale_num / scale_den;
+                    TransmitIntent::Normal => {
+                        let (result, events) = station.run_job(&[pedal_now], plan);
+                        report.escalate(bus_cycle, id, events);
+                        if let Some(outputs) = result {
+                            // Degraded-mode redistribution: scale the shares
+                            // of the serving wheels when some are out of the
+                            // membership.
+                            let serving = WHEELS.map(|n| self.membership.is_member(n));
+                            let scale_num = 4_u32;
+                            let scale_den = serving.iter().filter(|&&s| s).count() as u32;
+                            let mut payload = vec![0u32; 4];
+                            for w in (0..4).filter(|&w| serving[w]) {
+                                payload[w] = outputs[w] * scale_num / scale_den;
+                            }
+                            // Seal the set-points with a sequence number and
+                            // CRC: the wheel-side acceptor can then reject
+                            // corrupted, stale or replayed commands even when
+                            // the corruption happens past the bus CRC.
+                            let words = FreshSealedMessage::seal(bus_cycle, payload).into_words();
+                            our_state = words.clone();
+                            let _ = self.bus.transmit_static(id, words);
                         }
-                        // Seal the set-points with a sequence number and
-                        // CRC: the wheel-side acceptor can then reject
-                        // corrupted, stale or replayed commands even when
-                        // the corruption happens past the bus CRC.
-                        let words = FreshSealedMessage::seal(bus_cycle, payload).into_words();
-                        our_state = words.clone();
-                        let _ = self.bus.transmit_static(id, words);
                     }
                 }
                 if !silent_now {
@@ -988,7 +998,7 @@ impl BbwCluster {
             }
 
             // Wheel nodes: run PID on last cycle's set-point.
-            for (w, &id) in WHEELS.iter().enumerate() {
+            for (w, id) in WHEELS.into_iter().enumerate() {
                 if self.actuator_failed[w] {
                     // Failed-safe actuator: the brake releases and the
                     // node stays fail-silent, so membership keeps it
@@ -996,43 +1006,20 @@ impl BbwCluster {
                     self.actuators[w].apply(bus_cycle, 0);
                     continue;
                 }
-                let station = self.wheels.get_mut(&id).expect("wheel exists");
-                if net_silenced.contains(&id) {
-                    // Crashed / clock-lost: the node does not execute.
+                let intent = self.intent(id, &net_silenced);
+                let station = &mut self.stations[usize::from(id.0)];
+                if intent == TransmitIntent::ColdStartFrame {
+                    let _ = self
+                        .bus
+                        .transmit_static(id, vec![COLD_START_MARKER, bus_cycle]);
                     continue;
                 }
-                match self
-                    .startup
-                    .as_ref()
-                    .map(|s| s.intent(id))
-                    .unwrap_or(TransmitIntent::Normal)
-                {
-                    TransmitIntent::Silent => {
-                        // Listening for a time base, or reverted by clique
-                        // avoidance: fail-silent by construction.
-                        continue;
-                    }
-                    TransmitIntent::ColdStartFrame => {
-                        let _ = self
-                            .bus
-                            .transmit_static(id, vec![COLD_START_MARKER, bus_cycle]);
-                        continue;
-                    }
-                    TransmitIntent::Normal => {}
-                }
-                if station.supervised_silent() {
-                    // The escalation ladder holds this wheel down (silent,
-                    // restarting or retired): advance its restart clock.
-                    for ev in station.tick_supervisor() {
-                        record_escalation(
-                            &mut escalations,
-                            &mut restarts,
-                            &mut retired_nodes,
-                            bus_cycle,
-                            id,
-                            ev,
-                        );
-                    }
+                if intent == TransmitIntent::Silent || station.supervised_silent() {
+                    // Held down by the network outage, listening for a time
+                    // base, or held down by the escalation ladder (silent,
+                    // restarting or retired): the node does not execute,
+                    // but wall time passes, so its restart clock runs.
+                    report.escalate(bus_cycle, id, station.tick_supervisor());
                     continue;
                 }
                 let Some(sp) = self.setpoints[w] else {
@@ -1042,25 +1029,8 @@ impl BbwCluster {
                     continue;
                 };
                 let plan = plan_for(&self.injections, bus_cycle, id);
-                if self.wire_corruptions.contains(&(bus_cycle, id)) {
-                    let slot = self.bus.config().slot_of(id).expect("wheel owns a slot");
-                    self.bus.stage_wire_fault(WireFault::CorruptStatic {
-                        slot,
-                        byte: 7,
-                        mask: 0x40,
-                    });
-                }
                 let (result, events) = station.run_job(&[sp, self.actuators[w].measured()], plan);
-                for ev in events {
-                    record_escalation(
-                        &mut escalations,
-                        &mut restarts,
-                        &mut retired_nodes,
-                        bus_cycle,
-                        id,
-                        ev,
-                    );
-                }
+                report.escalate(bus_cycle, id, events);
                 if let Some(outputs) = result {
                     let force = outputs[0];
                     // Drive the actuator (healthy: a first-order lag) and
@@ -1074,7 +1044,7 @@ impl BbwCluster {
                     if fault_active && !verdict.tripped && error > mon_cfg.tolerance {
                         self.overrun_streak[w] += 1;
                         if self.overrun_streak[w] > mon_cfg.window_cycles {
-                            value.undetected_actuator_cycles += 1;
+                            report.value.undetected_actuator_cycles += 1;
                         }
                     } else {
                         self.overrun_streak[w] = 0;
@@ -1085,7 +1055,7 @@ impl BbwCluster {
                         // membership and the CU handle the rest.
                         self.actuators[w].fail_safe();
                         self.actuator_failed[w] = true;
-                        value.actuator_trips.push((bus_cycle, id));
+                        report.value.actuator_trips.push((bus_cycle, id));
                         continue;
                     }
                     let _ = self.bus.transmit_static(id, vec![force]);
@@ -1096,34 +1066,20 @@ impl BbwCluster {
             // policy park on the integration gate. Route them into the
             // startup protocol (re-entering through Listen), or — with no
             // protocol to gate on — admit them at once.
-            let parked: Vec<NodeId> = [CU_A, CU_B]
-                .iter()
-                .chain(WHEELS.iter())
-                .copied()
-                .filter(|id| {
-                    self.cu
-                        .get(id)
-                        .or_else(|| self.wheels.get(id))
-                        .and_then(|s| s.supervisor.as_ref())
-                        .is_some_and(|sup| sup.awaiting_integration())
-                })
-                .collect();
-            for id in parked {
+            for (station, id) in self.stations.iter_mut().zip(ALL_NODES) {
+                if !station
+                    .supervisor
+                    .as_ref()
+                    .is_some_and(|sup| sup.awaiting_integration())
+                {
+                    continue;
+                }
                 if let Some(st) = self.startup.as_mut() {
                     if st.is_active(id) {
                         st.reset_node(id, 0, bus_cycle);
                     }
-                } else if let Some(station) = self.station_mut(id) {
-                    for ev in station.complete_integration() {
-                        record_escalation(
-                            &mut escalations,
-                            &mut restarts,
-                            &mut retired_nodes,
-                            bus_cycle,
-                            id,
-                            ev,
-                        );
-                    }
+                } else {
+                    report.escalate(bus_cycle, id, station.complete_integration());
                 }
             }
 
@@ -1133,50 +1089,39 @@ impl BbwCluster {
             // cycle but missed their slot. Wheels only start transmitting
             // once the first set-points arrive (cycle 1), so their silent
             // first cycle is not an omission.
-            for id in [CU_A, CU_B].iter().chain(WHEELS.iter()) {
-                let expected = *id == CU_A || *id == CU_B || bus_cycle > 0;
+            for id in ALL_NODES {
+                let expected = id == CU_A || id == CU_B || bus_cycle > 0;
                 if expected
-                    && self.membership.is_member(*id)
-                    && delivery.from_node(self.bus.config(), *id).is_none()
+                    && self.membership.is_member(id)
+                    && delivery.from_node(self.bus.config(), id).is_none()
                 {
-                    omissions += 1;
+                    report.omissions += 1;
                 }
             }
 
             // Startup transitions: fed the same delivery, after
             // membership. An `Activated` node has been counted into the
             // majority clique — release its parked supervisor, if any.
-            let cycle_startup_events = match self.startup.as_mut() {
-                Some(st) => st.observe(bus_cycle, &delivery),
-                None => Vec::new(),
-            };
-            for ev in cycle_startup_events {
-                if let StartupEvent::Activated(n) = ev {
-                    if let Some(station) = self.station_mut(n) {
-                        for sev in station.complete_integration() {
-                            record_escalation(
-                                &mut escalations,
-                                &mut restarts,
-                                &mut retired_nodes,
-                                bus_cycle,
-                                n,
-                                sev,
-                            );
+            if let Some(st) = self.startup.as_mut() {
+                for ev in st.observe(bus_cycle, &delivery) {
+                    if let StartupEvent::Activated(n) = ev {
+                        if let Some(station) = self.stations.get_mut(usize::from(n.0)) {
+                            report.escalate(bus_cycle, n, station.complete_integration());
                         }
                     }
+                    report.startup_events.push((bus_cycle, ev));
                 }
-                startup_events.push((bus_cycle, ev));
             }
 
             let events = self.membership.observe(&delivery);
             for ev in &events {
-                match ev {
+                match *ev {
                     MembershipEvent::Excluded(n) => {
-                        self.exclusion_started.insert(*n, bus_cycle);
+                        self.exclusion_started[usize::from(n.0)] = Some(bus_cycle);
                     }
                     MembershipEvent::Reintegrated(n) => {
-                        if let Some(started) = self.exclusion_started.remove(n) {
-                            reintegration_latencies.push(bus_cycle - started);
+                        if let Some(started) = self.exclusion_started[usize::from(n.0)].take() {
+                            report.reintegration_latencies.push(bus_cycle - started);
                         }
                     }
                 }
@@ -1216,6 +1161,7 @@ impl BbwCluster {
                 let accepted = presented
                     .as_deref()
                     .map(|words| (words, self.acceptors[w].accept(words, bus_cycle)));
+                let value = &mut report.value;
                 match accepted {
                     Some((words, Ok(forces))) if forces.len() == 4 => {
                         if injected_corruption || replayed {
@@ -1265,19 +1211,18 @@ impl BbwCluster {
                 .count();
             let degraded = serving_wheels < 4;
             if degraded {
-                degraded_cycles += 1;
+                report.degraded_cycles += 1;
             }
             let cu_alive = self.membership.is_member(CU_A) || self.membership.is_member(CU_B);
             if !cu_alive || serving_wheels < 3 {
-                service_lost = true;
+                report.service_lost = true;
             }
 
-            let mut wheel_force = [None; 4];
-            for (w, &id) in WHEELS.iter().enumerate() {
-                wheel_force[w] = delivery
+            let wheel_force = WHEELS.map(|id| {
+                delivery
                     .from_node(self.bus.config(), id)
-                    .and_then(|f| f.payload.first().copied());
-            }
+                    .and_then(|f| f.payload.first().copied())
+            });
 
             // Per-wheel weakly-hard service contracts: once the bus has
             // warmed up, a wheel delivering no brake force this cycle is
@@ -1285,26 +1230,26 @@ impl BbwCluster {
             // Violation episodes are edge-triggered so a long outage
             // counts once per excursion, not once per cycle.
             if bus_cycle > 0 {
-                for w in 0..4 {
-                    let miss = wheel_force[w].is_none();
+                for (w, force) in wheel_force.iter().enumerate() {
+                    let miss = force.is_none();
                     if miss {
-                        wheel_contract_misses[w] += 1;
+                        report.wheel_contract_misses[w] += 1;
                     }
                     let verdict = self.wheel_monitors[w].record(miss);
                     if verdict.violated && !self.wheel_violated[w] {
-                        wheel_contract_violations[w] += 1;
+                        report.wheel_contract_violations[w] += 1;
                     }
                     self.wheel_violated[w] = verdict.violated;
                 }
             }
 
             let members = self.membership.members().len();
-            min_members = min_members.min(members);
+            report.min_members = report.min_members.min(members);
             if members <= 3 {
-                split_membership = true;
+                report.split_membership = true;
             }
 
-            records.push(CycleRecord {
+            report.records.push(CycleRecord {
                 cycle: bus_cycle,
                 pedal: pedal_now,
                 wheel_force,
@@ -1316,51 +1261,27 @@ impl BbwCluster {
             self.prev_delivery = Some(delivery);
         }
 
-        ClusterReport {
-            records,
-            degraded_cycles,
-            omissions,
-            service_lost,
-            split_membership,
-            min_members,
-            reintegration_latencies,
-            crc_rejects: self.bus.crc_rejects() - crc_rejects_0,
-            guardian_blocks: self.bus.guardian_blocks() - guardian_blocks_0,
-            masquerade_rejects: self.bus.masquerade_rejects() - masquerade_rejects_0,
-            corruptions_applied: self.bus.corruptions_applied() - corruptions_applied_0,
-            masquerades_applied: self.bus.masquerades_applied() - masquerades_applied_0,
-            escalations,
-            restarts,
-            retired_nodes,
-            startup_events,
-            value: ValueDomainReport {
-                undetected_sensor_cycles: self.pedal_sensors.stats().undetected_error_cycles
-                    - undetected_sensor_base,
-                ..value
-            },
-            wheel_contracts: self.wheel_contracts,
-            wheel_contract_misses,
-            wheel_contract_violations,
-            core_deaths: core_death_records,
-        }
+        report.crc_rejects = self.bus.crc_rejects() - crc_rejects_0;
+        report.guardian_blocks = self.bus.guardian_blocks() - guardian_blocks_0;
+        report.masquerade_rejects = self.bus.masquerade_rejects() - masquerade_rejects_0;
+        report.corruptions_applied = self.bus.corruptions_applied() - corruptions_applied_0;
+        report.masquerades_applied = self.bus.masquerades_applied() - masquerades_applied_0;
+        report.value.undetected_sensor_cycles =
+            self.pedal_sensors.stats().undetected_error_cycles - undetected_sensor_base;
+        report
     }
-}
 
-fn record_escalation(
-    escalations: &mut Vec<(u32, NodeId, EscalationEvent)>,
-    restarts: &mut u32,
-    retired_nodes: &mut Vec<NodeId>,
-    cycle: u32,
-    node: NodeId,
-    event: EscalationEvent,
-) {
-    if matches!(event, EscalationEvent::RestartScheduled { .. }) {
-        *restarts += 1;
+    /// What `id` may transmit this cycle: nothing while the net injector
+    /// holds it down, otherwise what the startup protocol (when enabled)
+    /// allows.
+    fn intent(&self, id: NodeId, net_silenced: &[NodeId]) -> TransmitIntent {
+        if net_silenced.contains(&id) {
+            return TransmitIntent::Silent;
+        }
+        self.startup
+            .as_ref()
+            .map_or(TransmitIntent::Normal, |s| s.intent(id))
     }
-    if event == EscalationEvent::Retired && !retired_nodes.contains(&node) {
-        retired_nodes.push(node);
-    }
-    escalations.push((cycle, node, event));
 }
 
 impl Default for BbwCluster {
@@ -1383,10 +1304,23 @@ fn plan_for(injections: &[ClusterInjection], cycle: u32, node: NodeId) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nlft_machine::fault::FaultTarget;
+    use nlft_net::inject::{BlackoutSpec, NetFaultRates};
 
     fn constant_pedal(_: u32) -> u32 {
         1000
+    }
+
+    /// Corrupts every frame `node` sends in cycles `[from, until)`: the
+    /// injector flips one or two bits, which the frame CRC always rejects.
+    fn garble_frames(cluster: &mut BbwCluster, node: NodeId, from: u32, until: u32) {
+        let rates = NetFaultRates {
+            corruption: 1.0,
+            ..NetFaultRates::QUIET
+        };
+        let plan = NetFaultPlan::quiet()
+            .with_node(node, rates)
+            .window(from, until);
+        cluster.attach_net_faults(plan, RngStream::new(0xC0DE).fork("net-injector"));
     }
 
     #[test]
@@ -1447,10 +1381,7 @@ mod tests {
             node: WHEELS[1],
             copy: 0,
             at_cycle: 5,
-            fault: TransientFault {
-                target: FaultTarget::Pc,
-                mask: 1 << 20,
-            },
+            fault: pc_fault(),
         });
         let report = cluster.run(10, constant_pedal);
         assert!(!report.service_lost);
@@ -1521,9 +1452,67 @@ mod tests {
     }
 
     #[test]
+    fn unknown_node_ids_are_no_ops() {
+        let outside = NodeId(6);
+        let mut cluster = BbwCluster::new();
+        cluster.supervise(
+            outside,
+            AlphaCountConfig::default(),
+            EscalationPolicy::default(),
+        );
+        cluster.silence_node(outside, 4);
+        cluster.attach_stuck_at(
+            outside,
+            StuckAtFault {
+                target: FaultTarget::Pc,
+                bit: 1 << 20,
+                stuck_high: true,
+            },
+        );
+        assert_eq!(cluster.node_health(outside), None);
+        assert_eq!(cluster.node_health(NodeId(u8::MAX)), None);
+        let report = cluster.run(10, constant_pedal);
+        assert_eq!(report, BbwCluster::new().run(10, constant_pedal));
+    }
+
+    #[test]
+    fn held_down_wheel_keeps_wall_time() {
+        // A supervised wheel with an intermittent fault is blacked out for
+        // six cycles mid-burst. Wall time runs on while it is down: its
+        // restart wait and its burst clock both advance, so it comes back
+        // restarted once, past the burst, instead of relapsing.
+        let victim = WHEELS[1];
+        let mut cluster = BbwCluster::new();
+        cluster.supervise_all(AlphaCountConfig::default(), EscalationPolicy::default());
+        cluster.attach_intermittent(
+            victim,
+            IntermittentFault {
+                fault: pc_fault(),
+                recurrence: 0.9,
+                burst_jobs: 12,
+            },
+            RngStream::new(0x1E7E).fork("intermittent-wheel"),
+        );
+        let blackout = BlackoutSpec {
+            at_cycle: 7,
+            nodes: vec![victim],
+            down_cycles: 6,
+            stagger: 0,
+        };
+        let plan = NetFaultPlan::quiet().with_blackout(blackout);
+        cluster.attach_net_faults(plan, RngStream::new(0xB1AC).fork("net-injector"));
+        let report = cluster.run(45, |_| 1200);
+        assert_eq!(report.restarts, 1, "{:?}", report.escalations);
+        assert!(report
+            .escalations
+            .contains(&(9, victim, EscalationEvent::Restarted)));
+        assert_eq!(cluster.node_health(victim), Some(NodeHealth::Healthy));
+    }
+
+    #[test]
     fn wire_corruption_is_a_single_cycle_omission() {
         let mut cluster = BbwCluster::new();
-        cluster.corrupt_frame(5, WHEELS[2]);
+        garble_frames(&mut cluster, WHEELS[2], 5, 6);
         let report = cluster.run(12, constant_pedal);
         assert!(!report.service_lost);
         assert_eq!(report.omissions, 1, "one rejected frame = one omission");
@@ -1537,8 +1526,7 @@ mod tests {
     #[test]
     fn repeated_wire_corruption_triggers_exclusion() {
         let mut cluster = BbwCluster::new();
-        cluster.corrupt_frame(3, WHEELS[0]);
-        cluster.corrupt_frame(4, WHEELS[0]);
+        garble_frames(&mut cluster, WHEELS[0], 3, 5);
         let report = cluster.run(12, constant_pedal);
         assert!(!report.service_lost);
         assert!(
@@ -1551,8 +1539,6 @@ mod tests {
 
     #[test]
     fn storm_on_one_wheel_degrades_but_never_loses_service() {
-        use nlft_net::inject::NetFaultRates;
-
         let mut cluster = BbwCluster::new();
         // A total omission storm on one wheel: every frame it sends is
         // lost, so it is permanently excluded while the storm lasts.
@@ -1596,8 +1582,6 @@ mod tests {
 
     #[test]
     fn cluster_storm_bus_counters_reported_per_run() {
-        use nlft_net::inject::NetFaultRates;
-
         let mut cluster = BbwCluster::new();
         let plan = NetFaultPlan::quiet().with_node(
             WHEELS[0],

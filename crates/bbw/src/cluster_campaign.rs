@@ -9,11 +9,10 @@
 
 use nlft_engine::Tally;
 use nlft_machine::fault::FaultSpace;
-use nlft_net::frame::NodeId;
 use nlft_net::inject::{InjectionCounts, NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{check_run_cycles, BbwCluster, ClusterInjection, CU_A, CU_B, WHEELS};
+use crate::cluster::{check_run_cycles, BbwCluster, ClusterInjection, ALL_NODES};
 
 /// Configuration of a cluster-level campaign.
 #[derive(Debug, Clone)]
@@ -71,8 +70,6 @@ impl ClusterCampaignResult {
     }
 }
 
-const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
-
 /// Runs the campaign. Deterministic in the seed.
 ///
 /// # Panics
@@ -90,19 +87,8 @@ pub fn run_cluster_campaign(config: &ClusterCampaignConfig) -> ClusterCampaignRe
         ClusterCampaignResult::default,
         move |trial, _ctx, result: &mut ClusterCampaignResult| {
             let mut rng = root.fork_indexed("cluster-trial", trial);
-            let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
-            // Cycle ≥ 1 so wheel victims are actually executing (set-points
-            // arrive after the first cycle).
-            let cycle = rng.uniform_range(1, u64::from(c.cycles) - 1) as u32;
-            let injection = ClusterInjection {
-                cycle,
-                node,
-                copy: rng.uniform_range(0, 2) as u32,
-                at_cycle: rng.uniform_range(1, 40),
-                fault: c.space.sample(&mut rng),
-            };
             let mut cluster = BbwCluster::new();
-            cluster.inject(injection);
+            cluster.inject(ClusterInjection::sample(&mut rng, c.cycles, &c.space));
             let report = cluster.run(c.cycles, |_| 1200);
             result.trials += 1;
             if report.service_lost {
@@ -314,15 +300,8 @@ fn run_storm_trial(
         .with_dynamic(0.10 * config.intensity, 0.10 * config.intensity);
     cluster.attach_net_faults(plan, rng.fork("net-injector"));
     if config.with_node_faults {
-        let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
-        let cycle = rng.uniform_range(1, u64::from(config.cycles) - 1) as u32;
-        cluster.inject(ClusterInjection {
-            cycle,
-            node,
-            copy: rng.uniform_range(0, 2) as u32,
-            at_cycle: rng.uniform_range(1, 40),
-            fault: FaultSpace::cpu_only().sample(&mut rng),
-        });
+        let space = FaultSpace::cpu_only();
+        cluster.inject(ClusterInjection::sample(&mut rng, config.cycles, &space));
     }
     let report = cluster.run(config.cycles, |_| 1200);
     let injected = cluster.net_injection_counts();

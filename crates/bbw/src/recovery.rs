@@ -21,24 +21,14 @@
 use nlft_core::diagnosis::AlphaCountConfig;
 use nlft_engine::Tally;
 use nlft_kernel::escalation::{EscalationPolicy, NodeHealth};
-use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault, TransientFault};
+use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault};
 use nlft_net::frame::NodeId;
 use nlft_sim::rng::RngStream;
 
 use crate::cluster::{
-    check_run_cycles, BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS,
+    check_run_cycles, pc_fault, BbwCluster, ClusterInjection, ClusterReport, ALL_NODES, CU_A,
+    WHEELS,
 };
-
-const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
-
-/// A processor fault that essentially always activates: a flipped high PC
-/// bit sends execution into unmapped memory.
-fn pc_fault() -> TransientFault {
-    TransientFault {
-        target: FaultTarget::Pc,
-        mask: 1 << 20,
-    }
-}
 
 /// A storm of one-shot transients across the cluster, every node under
 /// supervision. Spaced strikes never build an error streak, so the whole

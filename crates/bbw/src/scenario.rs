@@ -25,7 +25,7 @@ use nlft_engine::{CampaignOptions, EngineConfig, ResumePoint, Tally};
 use nlft_kernel::contract::MkContract;
 use nlft_kernel::escalation::EscalationPolicy;
 use nlft_kernel::resources::ProtocolKind;
-use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault, TransientFault};
+use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault};
 use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan, NetFaultRates};
 use nlft_reliability::scenario::{
@@ -39,7 +39,8 @@ use crate::actuator::ActuatorFault;
 use crate::blackout::{run_blackout_campaign, BlackoutCampaignConfig};
 use crate::braking::MissPolicy;
 use crate::cluster::{
-    check_run_cycles, BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS,
+    check_run_cycles, pc_fault, BbwCluster, ClusterInjection, ClusterReport, ALL_NODES, CU_A, CU_B,
+    WHEELS,
 };
 use crate::cluster_campaign::{run_net_storm_campaign, NetStormCampaignConfig};
 use crate::recovery::{run_recovery_cluster_campaign, RecoveryClusterCampaignConfig};
@@ -205,18 +206,6 @@ fn node_id(name: NodeName) -> NodeId {
         NodeName::WheelFr => WHEELS[1],
         NodeName::WheelRl => WHEELS[2],
         NodeName::WheelRr => WHEELS[3],
-    }
-}
-
-const ALL_NODES: [NodeId; 6] = [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
-
-/// The deterministic near-certain-activation transient the DSL's
-/// `transient` / `intermittent` lines inject: a flipped high PC bit
-/// sends every job into unmapped memory.
-fn pc_fault() -> TransientFault {
-    TransientFault {
-        target: FaultTarget::Pc,
-        mask: 1 << 20,
     }
 }
 
@@ -979,6 +968,9 @@ mod tests {
             ("recovery", "params\ncycles 4294967295"),
             ("cluster", "topology\ncycles 4294967295"),
             ("blackout", "params\nwarmup 4294967295\nrecovery 4294967295"),
+            ("multicore", "params\nhorizon 4294967296"),
+            ("multicore", "params\ncores 4294967295"),
+            ("weakly_hard", "params\ninterval 1000 18446744073709551615"),
         ];
         for (family, section) in cases {
             let s = spec(&format!(

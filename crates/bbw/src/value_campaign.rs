@@ -31,9 +31,7 @@ use nlft_net::inject::{NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
 
 use crate::actuator::ActuatorFault;
-use crate::cluster::{
-    check_run_cycles, BbwCluster, ClusterInjection, ClusterReport, CU_A, CU_B, WHEELS,
-};
+use crate::cluster::{check_run_cycles, BbwCluster, ClusterInjection, ClusterReport, ALL_NODES};
 use crate::sensor::{SensorFault, PEDAL_MAX};
 
 /// What each trial injects.
@@ -244,9 +242,6 @@ fn draw_command_fault(rng: &mut RngStream, cluster: &mut BbwCluster, cycles: u32
     }
 }
 
-const ALL_NODES: [nlft_net::frame::NodeId; 6] =
-    [CU_A, CU_B, WHEELS[0], WHEELS[1], WHEELS[2], WHEELS[3]];
-
 /// Runs the value-domain campaign. Deterministic in the seed and
 /// invariant in the thread count.
 ///
@@ -304,15 +299,8 @@ fn run_value_trial(
                     .with_nodes(&ALL_NODES, NetFaultRates::storm(config.net_intensity));
                 cluster.attach_net_faults(plan, rng.fork("net-injector"));
             }
-            let node = ALL_NODES[rng.uniform_range(0, ALL_NODES.len() as u64) as usize];
-            let cycle = rng.uniform_range(1, u64::from(config.cycles) - 1) as u32;
-            cluster.inject(ClusterInjection {
-                cycle,
-                node,
-                copy: rng.uniform_range(0, 2) as u32,
-                at_cycle: rng.uniform_range(1, 40),
-                fault: FaultSpace::cpu_only().sample(&mut rng),
-            });
+            let space = FaultSpace::cpu_only();
+            cluster.inject(ClusterInjection::sample(&mut rng, config.cycles, &space));
         }
     }
     let report = cluster.run(config.cycles, campaign_pedal);

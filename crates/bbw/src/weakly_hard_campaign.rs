@@ -41,6 +41,12 @@ use crate::braking::{BrakingModel, BrakingScore, MissPolicy};
 const PERIOD_US: u64 = 100;
 /// Relative deadline in microseconds.
 const DEADLINE_US: u64 = 80;
+/// Longest fault inter-arrival time, in µs, a campaign may draw. A trial
+/// spans at most 64 periods (6.4 ms), so a longer interval places at most
+/// one fault anyway; one second leaves room for 150 horizons while the
+/// placement sums (up to four intervals) and the µs→ns conversion stay
+/// far from `u64` overflow.
+pub const MAX_FAULT_INTERVAL_US: u64 = 1_000_000;
 /// Single-copy WCET in microseconds.
 const WCET_US: u64 = 30;
 
@@ -123,7 +129,7 @@ impl MissPatternCampaignConfig {
 
     /// Checks that the campaign can run: trials, a horizon within
     /// `[window, 64]` jobs, and a non-empty fault-interval range above
-    /// zero.
+    /// zero ending at most at [`MAX_FAULT_INTERVAL_US`].
     pub fn check(&self) -> Result<(), String> {
         if self.trials == 0 {
             return Err("need trials".into());
@@ -138,6 +144,11 @@ impl MissPatternCampaignConfig {
         let (lo, hi) = self.fault_interval_us;
         if lo == 0 || lo >= hi {
             return Err("weakly_hard interval must be a non-empty range above 0".into());
+        }
+        if hi > MAX_FAULT_INTERVAL_US {
+            return Err(format!(
+                "weakly_hard interval ends at {hi} µs; at most {MAX_FAULT_INTERVAL_US} µs is allowed"
+            ));
         }
         Ok(())
     }

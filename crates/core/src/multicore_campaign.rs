@@ -28,6 +28,18 @@ use nlft_kernel::EscalationPolicy;
 use nlft_machine::fault::CoreDeathFault;
 use nlft_sim::rng::RngStream;
 
+/// Most cores per node a campaign may ask for. Per-core state, the
+/// reference workload's extra controllers (one per core beyond two) and
+/// the linear-search task assignment all grow with the count; 16 is
+/// eight times the zoo's dual-core node.
+pub const MAX_CORES: u32 = 16;
+
+/// Longest executive horizon, in ticks, a campaign may ask for. A trial
+/// steps the executive once per tick, twice over (lock-based and
+/// LEFT-RS), so the horizon bounds a trial's run time; one million ticks
+/// (one second of node time) is 250 times the zoo's 4 000.
+pub const MAX_HORIZON: u64 = 1_000_000;
+
 /// Configuration of [`run_multicore_campaign`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MulticoreCampaignConfig {
@@ -60,18 +72,27 @@ impl MulticoreCampaignConfig {
         }
     }
 
-    /// Checks that the campaign can run: trials, at least 2 cores (a
-    /// surviving peer) and a horizon of at least 4 ticks (room to arm a
-    /// death).
+    /// Checks that the campaign can run: trials, 2 to [`MAX_CORES`] cores
+    /// (at least a surviving peer) and a horizon of 4 (room to arm a
+    /// death) to [`MAX_HORIZON`] ticks.
     pub fn check(&self) -> Result<(), String> {
         if self.trials == 0 {
             return Err("campaign needs trials".into());
         }
-        if self.cores < 2 {
-            return Err("multicore needs at least 2 cores".into());
+        if !(2..=MAX_CORES).contains(&self.cores) {
+            return Err(format!(
+                "multicore needs 2 to {MAX_CORES} cores, not {}",
+                self.cores
+            ));
         }
         if self.horizon < 4 {
             return Err("multicore horizon must be at least 4 ticks to arm a death".into());
+        }
+        if self.horizon > MAX_HORIZON {
+            return Err(format!(
+                "multicore horizon of {} ticks exceeds the {MAX_HORIZON}-tick limit",
+                self.horizon
+            ));
         }
         Ok(())
     }

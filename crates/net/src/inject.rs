@@ -507,8 +507,10 @@ impl NetFaultInjector {
                         .fork_indexed("net-blackout", (u64::from(cycle) << 8) | u64::from(node.0))
                         .uniform_range(0, u64::from(spec.stagger) + 1) as u32
                 };
-                let down = spec.down_cycles + stagger;
-                self.down_until.insert(node, cycle + down);
+                // A blackout longer than the run keeps the node down for
+                // the rest of it.
+                let down = spec.down_cycles.saturating_add(stagger);
+                self.down_until.insert(node, cycle.saturating_add(down));
                 self.counts.blackout_resets += 1;
                 self.last_resets.push((node, down));
             }
@@ -873,6 +875,36 @@ mod tests {
             a.iter().any(|&(_, down)| down != a[0].1),
             "a 3-cycle stagger over 6 nodes should not be uniform"
         );
+    }
+
+    #[test]
+    fn blackout_longer_than_any_run_saturates() {
+        let config = BusConfig::round_robin(4, 0);
+        let mut bus = Bus::new(config);
+        let plan = NetFaultPlan::quiet().with_blackout(BlackoutSpec {
+            at_cycle: 2,
+            nodes: vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)],
+            down_cycles: u32::MAX,
+            stagger: 3,
+        });
+        let mut injector = NetFaultInjector::new(plan, RngStream::new(0x5A7));
+        for cycle in 0..12 {
+            bus.start_cycle();
+            let silenced = injector.perturb_cycle(&mut bus);
+            if cycle == 2 {
+                assert!(
+                    injector
+                        .resets_this_cycle()
+                        .iter()
+                        .all(|&(_, down)| down == u32::MAX),
+                    "{:?}",
+                    injector.resets_this_cycle()
+                );
+            }
+            let expected = if cycle < 2 { 0 } else { 4 };
+            assert_eq!(silenced.len(), expected, "cycle {cycle}: down for good");
+            bus.finish_cycle();
+        }
     }
 
     #[test]

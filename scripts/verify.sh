@@ -58,18 +58,28 @@ fi
 echo "== scenario zoo: golden pins at 1/2/5 threads =="
 cargo run --release --offline -p nlft-bench --bin scenario_run -- verify
 
-# Engine gate: one zoo scenario re-run on the threaded executor
-# with the watchdog armed must reproduce its golden pin — `run`
-# re-checks the pin via the acceptance clause — and so must a
-# checkpoint/resume round trip through the CLI flags.
+# Engine gate: zoo scenarios re-run on the threaded executor with the
+# watchdog armed must reproduce their golden pins — `run` re-checks the
+# pin via the acceptance clause — and so must a checkpoint/resume round
+# trip through the CLI flags. `wheel-restart-under-blackout` drives the
+# supervised escalation ladder through a network outage.
 echo "== scenario zoo: watchdog-armed executor and checkpoint/resume =="
 ckpt="$(mktemp)"
 trap 'rm -f "$ckpt"' EXIT
-cargo run --release --offline -p nlft-bench --bin scenario_run -- \
-    run babbling-wheel --threads 4 --trial-budget-ms 10000 \
-    --checkpoint "$ckpt" --checkpoint-every 4
-cargo run --release --offline -p nlft-bench --bin scenario_run -- \
-    run babbling-wheel --resume "$ckpt"
+for scenario in babbling-wheel wheel-restart-under-blackout; do
+    cargo run --release --offline -p nlft-bench --bin scenario_run -- \
+        run "$scenario" --threads 4 --trial-budget-ms 10000 \
+        --checkpoint "$ckpt" --checkpoint-every 4
+    cargo run --release --offline -p nlft-bench --bin scenario_run -- \
+        run "$scenario" --resume "$ckpt"
+done
+
+# Scenario text fuzzing: the zoo mutation property once more, in
+# release and over a wider sweep than the default tier-1 run. Nothing a
+# mutated `.scn` file holds may panic the parser, the compiler or a
+# runner, and whatever compiles must fold every trial it asks for.
+echo "== scenario zoo: mutation property, 2000 cases =="
+NLFT_PROP_CASES=2000 cargo test --release --offline -q -p nlft-bbw --test zoo_mutations
 
 # Bench trajectory: re-measure the groups in the committed baseline and
 # compare. Timing deltas (fastest sample per benchmark) are advisory only,
