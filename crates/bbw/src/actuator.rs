@@ -102,7 +102,9 @@ impl WheelActuator {
         self.measured = match active {
             None => lag(self.measured, demand),
             Some((ActuatorFault::Stuck, _)) => self.measured,
-            Some((ActuatorFault::Runaway { step }, _)) => (self.measured + step).min(FORCE_MAX),
+            Some((ActuatorFault::Runaway { step }, _)) => {
+                self.measured.saturating_add(step).min(FORCE_MAX)
+            }
             Some((ActuatorFault::Offset(o), _)) => {
                 let biased = i64::from(lag(self.measured, demand)) + o;
                 biased.clamp(0, i64::from(FORCE_MAX)) as u32
@@ -333,6 +335,16 @@ mod tests {
         }
         let t = tripped_at.expect("runaway must trip");
         assert!(t <= 10, "runaway caught quickly, got cycle {t}");
+    }
+
+    #[test]
+    fn runaway_step_at_the_u32_edge_saturates() {
+        // A scenario may declare any u32 step; the force pins at the
+        // rail instead of wrapping back down.
+        let mut act = WheelActuator::new();
+        act.attach_fault(ActuatorFault::Runaway { step: u32::MAX }, 0);
+        assert_eq!(act.apply(0, 500), FORCE_MAX);
+        assert_eq!(act.apply(1, 500), FORCE_MAX);
     }
 
     #[test]

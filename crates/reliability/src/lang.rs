@@ -38,59 +38,60 @@
 //! ```
 //!
 //! Parse with [`parse`], then evaluate any named model's `R(t)` through
-//! [`ModelSet::reliability`].
+//! [`ModelSet::reliability`]. The scenario DSL ([`crate::scenario`]) shares
+//! this language's front end, so an error carries the line and column of
+//! the token at fault, and an unknown keyword names the closest known one.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::ctmc::{Ctmc, CtmcBuilder, StateId};
+use crate::ctmc::{CtmcBuilder, StateId};
 use crate::faulttree::{FaultTreeBuilder, GateId};
 use crate::model::{CtmcReliability, Exponential, ReliabilityModel};
 use crate::rbd::Block;
+use crate::syntax::{err, tokenize, unknown, Cursor, Line, ParseError, Token};
 
-/// A parse or semantic error, with its 1-based source line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LangError {
-    /// 1-based line number.
-    pub line: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for LangError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for LangError {}
-
-fn err(line: usize, message: impl Into<String>) -> LangError {
-    LangError {
-        line,
-        message: message.into(),
-    }
-}
+/// Largest transition rate, per hour, a `trans` line may declare. The
+/// paper's largest rate is the omission repair μ_om = 2.25e3/h, so the
+/// bound leaves a factor of 4·10⁵ above it. Near `f64::MAX` a rate makes
+/// the one-norm of Q·t overflow, and the matrix exponential cannot scale
+/// it back.
+const MAX_RATE: f64 = 1e9;
 
 // ---------------------------------------------------------------------------
 // Expressions: numbers, identifiers, + - * / and parentheses.
 // ---------------------------------------------------------------------------
 
-fn eval_expr(src: &str, bindings: &BTreeMap<String, f64>, line: usize) -> Result<f64, LangError> {
-    let tokens = tokenize_expr(src, line)?;
-    let mut pos = 0usize;
-    let v = parse_sum(&tokens, &mut pos, bindings, line)?;
-    if pos != tokens.len() {
-        return Err(err(line, format!("trailing tokens in expression `{src}`")));
+/// Evaluates `src`, an expression that starts at column `col` of `line`.
+fn eval_expr(
+    src: &str,
+    bindings: &BTreeMap<String, f64>,
+    line: usize,
+    col: usize,
+) -> Result<f64, ParseError> {
+    let mut e = Expr {
+        tokens: tokenize_expr(src, line, col)?,
+        pos: 0,
+        bindings,
+        line,
+        end: col + src.chars().count(),
+    };
+    let v = e.sum()?;
+    if let Some(&(_, at)) = e.tokens.get(e.pos) {
+        return Err(err(
+            line,
+            at,
+            format!("trailing tokens in expression `{src}`"),
+        ));
     }
     Ok(v)
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'s> {
     Num(f64),
-    Ident(String),
+    Ident(&'s str),
     Plus,
     Minus,
     Star,
@@ -99,212 +100,206 @@ enum Tok {
     RParen,
 }
 
-fn tokenize_expr(src: &str, line: usize) -> Result<Vec<Tok>, LangError> {
+/// The tokens of `src`, each with its column.
+fn tokenize_expr(src: &str, line: usize, col: usize) -> Result<Vec<(Tok<'_>, usize)>, ParseError> {
+    let chars: Vec<(usize, char)> = src.char_indices().collect();
+    let byte = |i: usize| chars.get(i).map_or(src.len(), |&(b, _)| b);
     let mut out = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            ' ' | '\t' => i += 1,
-            '+' => {
-                out.push(Tok::Plus);
-                i += 1;
-            }
-            '-' => {
-                out.push(Tok::Minus);
-                i += 1;
-            }
-            '*' => {
-                out.push(Tok::Star);
-                i += 1;
-            }
-            '/' => {
-                out.push(Tok::Slash);
-                i += 1;
-            }
-            '(' => {
-                out.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                out.push(Tok::RParen);
-                i += 1;
-            }
+    while i < chars.len() {
+        let (start, c) = chars[i];
+        let at = col + i;
+        i += 1;
+        let tok = match c {
+            c if c.is_whitespace() => continue,
+            '+' => Tok::Plus,
+            '-' => Tok::Minus,
+            '*' => Tok::Star,
+            '/' => Tok::Slash,
+            '(' => Tok::LParen,
+            ')' => Tok::RParen,
             c if c.is_ascii_digit() || c == '.' => {
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_digit()
-                        || bytes[i] == '.'
-                        || bytes[i] == 'e'
-                        || bytes[i] == 'E'
-                        || ((bytes[i] == '+' || bytes[i] == '-')
-                            && i > start
-                            && (bytes[i - 1] == 'e' || bytes[i - 1] == 'E')))
+                while let Some(&(_, d)) = chars.get(i) {
+                    let exponent_sign =
+                        (d == '+' || d == '-') && matches!(chars[i - 1].1, 'e' | 'E');
+                    if !(d.is_ascii_digit() || matches!(d, '.' | 'e' | 'E') || exponent_sign) {
+                        break;
+                    }
+                    i += 1;
+                }
+                let text = &src[start..byte(i)];
+                Tok::Num(
+                    text.parse()
+                        .map_err(|_| err(line, at, format!("bad number `{text}`")))?,
+                )
+            }
+            c if c.is_ascii_alphabetic() || c == '_' => {
+                while chars
+                    .get(i)
+                    .is_some_and(|&(_, d)| d.is_ascii_alphanumeric() || d == '_')
                 {
                     i += 1;
                 }
-                let text: String = bytes[start..i].iter().collect();
-                let v: f64 = text
-                    .parse()
-                    .map_err(|_| err(line, format!("bad number `{text}`")))?;
-                out.push(Tok::Num(v));
+                Tok::Ident(&src[start..byte(i)])
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
-                    i += 1;
-                }
-                out.push(Tok::Ident(bytes[start..i].iter().collect()));
-            }
-            other => return Err(err(line, format!("unexpected character `{other}`"))),
-        }
+            other => return Err(err(line, at, format!("unexpected character `{other}`"))),
+        };
+        out.push((tok, at));
     }
     Ok(out)
 }
 
-fn parse_sum(
-    tokens: &[Tok],
-    pos: &mut usize,
-    bindings: &BTreeMap<String, f64>,
+/// A recursive-descent evaluator over one expression's tokens.
+struct Expr<'s, 'b> {
+    tokens: Vec<(Tok<'s>, usize)>,
+    pos: usize,
+    bindings: &'b BTreeMap<String, f64>,
     line: usize,
-) -> Result<f64, LangError> {
-    let mut acc = parse_product(tokens, pos, bindings, line)?;
-    while *pos < tokens.len() {
-        match tokens[*pos] {
-            Tok::Plus => {
-                *pos += 1;
-                acc += parse_product(tokens, pos, bindings, line)?;
-            }
-            Tok::Minus => {
-                *pos += 1;
-                acc -= parse_product(tokens, pos, bindings, line)?;
-            }
-            _ => break,
-        }
-    }
-    Ok(acc)
+    /// The column just past the expression, for errors at its end.
+    end: usize,
 }
 
-fn parse_product(
-    tokens: &[Tok],
-    pos: &mut usize,
-    bindings: &BTreeMap<String, f64>,
-    line: usize,
-) -> Result<f64, LangError> {
-    let mut acc = parse_atom(tokens, pos, bindings, line)?;
-    while *pos < tokens.len() {
-        match tokens[*pos] {
-            Tok::Star => {
-                *pos += 1;
-                acc *= parse_atom(tokens, pos, bindings, line)?;
+impl Expr<'_, '_> {
+    /// The column of the next token, or of the expression's end.
+    fn col(&self) -> usize {
+        self.tokens.get(self.pos).map_or(self.end, |&(_, at)| at)
+    }
+
+    fn next_is(&self, tok: Tok<'_>) -> bool {
+        self.tokens.get(self.pos).is_some_and(|&(t, _)| t == tok)
+    }
+
+    fn sum(&mut self) -> Result<f64, ParseError> {
+        let mut acc = self.product()?;
+        loop {
+            if self.next_is(Tok::Plus) {
+                self.pos += 1;
+                acc += self.product()?;
+            } else if self.next_is(Tok::Minus) {
+                self.pos += 1;
+                acc -= self.product()?;
+            } else {
+                return Ok(acc);
             }
-            Tok::Slash => {
-                *pos += 1;
-                let d = parse_atom(tokens, pos, bindings, line)?;
+        }
+    }
+
+    fn product(&mut self) -> Result<f64, ParseError> {
+        let mut acc = self.atom()?;
+        loop {
+            if self.next_is(Tok::Star) {
+                self.pos += 1;
+                acc *= self.atom()?;
+            } else if self.next_is(Tok::Slash) {
+                let at = self.col();
+                self.pos += 1;
+                let d = self.atom()?;
                 if d == 0.0 {
-                    return Err(err(line, "division by zero in expression"));
+                    return Err(err(self.line, at, "division by zero in expression"));
                 }
                 acc /= d;
+            } else {
+                return Ok(acc);
             }
-            _ => break,
         }
     }
-    Ok(acc)
+
+    fn atom(&mut self) -> Result<f64, ParseError> {
+        let at = self.col();
+        let tok = self.tokens.get(self.pos).map(|&(t, _)| t);
+        match tok {
+            Some(Tok::Num(v)) => {
+                self.pos += 1;
+                Ok(v)
+            }
+            Some(Tok::Ident(name)) => {
+                self.pos += 1;
+                self.bindings
+                    .get(name)
+                    .copied()
+                    .ok_or_else(|| err(self.line, at, format!("unknown binding `{name}`")))
+            }
+            Some(Tok::Minus) => {
+                self.pos += 1;
+                Ok(-self.atom()?)
+            }
+            Some(Tok::LParen) => {
+                self.pos += 1;
+                let v = self.sum()?;
+                if !self.next_is(Tok::RParen) {
+                    return Err(err(self.line, self.col(), "missing `)`"));
+                }
+                self.pos += 1;
+                Ok(v)
+            }
+            _ => Err(err(self.line, at, "expected number, name or `(`")),
+        }
+    }
 }
 
-fn parse_atom(
-    tokens: &[Tok],
-    pos: &mut usize,
+/// Evaluates the expression running from operand `i` to the end of `line`,
+/// returning its first token with its value.
+fn expr_operand<'s>(
+    line: &Line<'s>,
+    i: usize,
+    what: &str,
     bindings: &BTreeMap<String, f64>,
-    line: usize,
-) -> Result<f64, LangError> {
-    match tokens.get(*pos) {
-        Some(Tok::Num(v)) => {
-            *pos += 1;
-            Ok(*v)
-        }
-        Some(Tok::Ident(name)) => {
-            *pos += 1;
-            bindings
-                .get(name)
-                .copied()
-                .ok_or_else(|| err(line, format!("unknown binding `{name}`")))
-        }
-        Some(Tok::Minus) => {
-            *pos += 1;
-            Ok(-parse_atom(tokens, pos, bindings, line)?)
-        }
-        Some(Tok::LParen) => {
-            *pos += 1;
-            let v = parse_sum(tokens, pos, bindings, line)?;
-            if tokens.get(*pos) != Some(&Tok::RParen) {
-                return Err(err(line, "missing `)`"));
-            }
-            *pos += 1;
-            Ok(v)
-        }
-        _ => Err(err(line, "expected number, name or `(`")),
-    }
+) -> Result<(&'s Token<'s>, f64), ParseError> {
+    let (at, text) = line.rest(i, what)?;
+    Ok((at, eval_expr(text, bindings, at.line, at.col)?))
 }
 
 // ---------------------------------------------------------------------------
-// Model definitions (intermediate form).
+// Model definitions (intermediate form), located by their tokens.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct MarkovDef {
-    name: String,
-    transitions: Vec<(String, String, f64)>,
-    absorbing: Vec<String>,
-    init: Vec<(String, f64)>,
-    line: usize,
+struct MarkovDef<'s> {
+    name: &'s Token<'s>,
+    /// `(from, to, rate, the rate expression's first token)`.
+    transitions: Vec<(&'s Token<'s>, &'s Token<'s>, f64, &'s Token<'s>)>,
+    absorbing: Vec<&'s Token<'s>>,
+    init: Vec<(&'s Token<'s>, f64)>,
 }
 
-#[derive(Debug, Clone)]
-enum CompRef {
+/// A `markov(name)` or `rbd(name)` reference to another model.
+enum ModelRef<'s> {
+    Markov(&'s str),
+    Rbd(&'s str),
+}
+
+/// An RBD component: an exponential lifetime or another model.
+enum CompRef<'s> {
     Exp(f64),
-    Markov(String),
-    Rbd(String),
+    Model(ModelRef<'s>),
 }
 
-#[derive(Debug, Clone)]
-enum RbdNodeDef {
-    Comp(CompRef),
-    Series(Vec<String>),
-    Parallel(Vec<String>),
-    KOfN(usize, Vec<String>),
-}
-
-#[derive(Debug, Clone)]
-struct RbdDef {
-    name: String,
-    nodes: Vec<(String, RbdNodeDef, usize)>, // (name, def, line)
-    top: Option<(String, usize)>,
-    line: usize,
-}
-
-#[derive(Debug, Clone)]
-enum BasicRef {
+/// A fault-tree basic event: a fixed probability or another model.
+enum BasicRef<'s> {
     Fixed(f64),
-    Markov(String),
-    Rbd(String),
+    Model(ModelRef<'s>),
 }
 
-#[derive(Debug, Clone)]
-enum FtNodeDef {
-    Basic(BasicRef),
-    And(Vec<String>),
-    Or(Vec<String>),
-    KOfN(usize, Vec<String>),
+/// How a gate combines its children: RBD `series` / fault-tree `and` need
+/// all of them, `parallel` / `or` any one, `kofn` at least `k`.
+#[derive(Clone, Copy)]
+enum Gate {
+    All,
+    Any,
+    KOfN(usize),
 }
 
-#[derive(Debug, Clone)]
-struct FtreeDef {
-    name: String,
-    nodes: Vec<(String, FtNodeDef, usize)>,
-    top: Option<(String, usize)>,
-    line: usize,
+/// A node of an RBD or fault tree: a leaf (with the token its spec starts
+/// at) or a gate over earlier nodes.
+enum NodeDef<'s, L> {
+    Leaf(&'s Token<'s>, L),
+    Gate(Gate, &'s [Token<'s>]),
+}
+
+/// An `rbd` (leaves [`CompRef`]) or `ftree` (leaves [`BasicRef`]) block.
+struct TreeDef<'s, L> {
+    name: &'s Token<'s>,
+    nodes: Vec<(&'s Token<'s>, NodeDef<'s, L>)>,
+    top: Option<&'s Token<'s>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -315,290 +310,213 @@ struct FtreeDef {
 ///
 /// # Errors
 ///
-/// Returns the first [`LangError`]: syntax errors, unknown bindings,
-/// dangling references, invalid rates or probabilities.
-pub fn parse(source: &str) -> Result<ModelSet, LangError> {
+/// Returns the first [`ParseError`], located at the token at fault:
+/// syntax errors, unknown bindings, dangling references, invalid or
+/// over-bound rates, probabilities outside `[0, 1]`.
+pub fn parse(source: &str) -> Result<ModelSet, ParseError> {
+    let tokens = tokenize(source);
+    let mut p = tokens.cursor();
     let mut bindings: BTreeMap<String, f64> = BTreeMap::new();
-    let mut markovs: Vec<MarkovDef> = Vec::new();
-    let mut rbds: Vec<RbdDef> = Vec::new();
-    let mut ftrees: Vec<FtreeDef> = Vec::new();
-
-    #[derive(Debug)]
-    enum Section {
-        TopLevel,
-        Markov(MarkovDef),
-        Rbd(RbdDef),
-        Ftree(FtreeDef),
-    }
-    let mut section = Section::TopLevel;
-
-    for (idx, raw) in source.lines().enumerate() {
-        let line_no = idx + 1;
-        let text = match raw.find('#') {
-            Some(p) => &raw[..p],
-            None => raw,
-        }
-        .trim();
-        if text.is_empty() {
-            continue;
-        }
-        let words: Vec<&str> = text.split_whitespace().collect();
-        let keyword = words[0];
-
-        match (&mut section, keyword) {
-            (Section::TopLevel, "bind") => {
-                if words.len() < 3 {
-                    return Err(err(line_no, "bind needs a name and an expression"));
-                }
-                let name = words[1].to_string();
-                let expr = words[2..].join(" ");
-                let v = eval_expr(&expr, &bindings, line_no)?;
-                bindings.insert(name, v);
+    let mut markovs = Vec::new();
+    let mut rbds = Vec::new();
+    let mut ftrees = Vec::new();
+    while let Some(line) = p.next_line() {
+        match line.key().text {
+            "bind" => {
+                let name = line.operand(1, "binding name")?;
+                let (_, v) = expr_operand(&line, 2, "expression", &bindings)?;
+                bindings.insert(name.text.to_string(), v);
             }
-            (Section::TopLevel, "markov") => {
-                if words.len() != 2 {
-                    return Err(err(line_no, "markov needs exactly one name"));
-                }
-                section = Section::Markov(MarkovDef {
-                    name: words[1].to_string(),
-                    transitions: Vec::new(),
-                    absorbing: Vec::new(),
-                    init: Vec::new(),
-                    line: line_no,
-                });
-            }
-            (Section::TopLevel, "rbd") => {
-                if words.len() != 2 {
-                    return Err(err(line_no, "rbd needs exactly one name"));
-                }
-                section = Section::Rbd(RbdDef {
-                    name: words[1].to_string(),
-                    nodes: Vec::new(),
-                    top: None,
-                    line: line_no,
-                });
-            }
-            (Section::TopLevel, "ftree") => {
-                if words.len() != 2 {
-                    return Err(err(line_no, "ftree needs exactly one name"));
-                }
-                section = Section::Ftree(FtreeDef {
-                    name: words[1].to_string(),
-                    nodes: Vec::new(),
-                    top: None,
-                    line: line_no,
-                });
-            }
-            (Section::TopLevel, other) => {
-                return Err(err(line_no, format!("unknown top-level keyword `{other}`")))
-            }
-
-            (Section::Markov(def), "trans") => {
-                if words.len() < 4 {
-                    return Err(err(line_no, "trans needs: from to rate-expr"));
-                }
-                let rate = eval_expr(&words[3..].join(" "), &bindings, line_no)?;
-                def.transitions
-                    .push((words[1].to_string(), words[2].to_string(), rate));
-            }
-            (Section::Markov(def), "absorb") => {
-                if words.len() < 2 {
-                    return Err(err(line_no, "absorb needs at least one state"));
-                }
-                def.absorbing
-                    .extend(words[1..].iter().map(|s| s.to_string()));
-            }
-            (Section::Markov(def), "init") => {
-                if words.len() < 3 {
-                    return Err(err(line_no, "init needs: state prob-expr"));
-                }
-                let p = eval_expr(&words[2..].join(" "), &bindings, line_no)?;
-                def.init.push((words[1].to_string(), p));
-            }
-            (Section::Markov(_), "end") => {
-                if let Section::Markov(def) = std::mem::replace(&mut section, Section::TopLevel) {
-                    markovs.push(def);
-                }
-            }
-            (Section::Markov(_), other) => {
-                return Err(err(line_no, format!("unknown markov keyword `{other}`")))
-            }
-
-            (Section::Rbd(def), "comp") => {
-                if words.len() < 3 {
-                    return Err(err(line_no, "comp needs: name spec"));
-                }
-                let spec = words[2..].join(" ");
-                let comp = parse_comp_ref(&spec, &bindings, line_no)?;
-                def.nodes
-                    .push((words[1].to_string(), RbdNodeDef::Comp(comp), line_no));
-            }
-            (Section::Rbd(def), "series") => {
-                if words.len() < 3 {
-                    return Err(err(line_no, "series needs: name children…"));
-                }
-                def.nodes.push((
-                    words[1].to_string(),
-                    RbdNodeDef::Series(words[2..].iter().map(|s| s.to_string()).collect()),
-                    line_no,
-                ));
-            }
-            (Section::Rbd(def), "parallel") => {
-                if words.len() < 3 {
-                    return Err(err(line_no, "parallel needs: name children…"));
-                }
-                def.nodes.push((
-                    words[1].to_string(),
-                    RbdNodeDef::Parallel(words[2..].iter().map(|s| s.to_string()).collect()),
-                    line_no,
-                ));
-            }
-            (Section::Rbd(def), "kofn") => {
-                if words.len() < 4 {
-                    return Err(err(line_no, "kofn needs: name k children…"));
-                }
-                let k: usize = words[2]
-                    .parse()
-                    .map_err(|_| err(line_no, format!("bad k `{}`", words[2])))?;
-                def.nodes.push((
-                    words[1].to_string(),
-                    RbdNodeDef::KOfN(k, words[3..].iter().map(|s| s.to_string()).collect()),
-                    line_no,
-                ));
-            }
-            (Section::Rbd(def), "top") => {
-                if words.len() != 2 {
-                    return Err(err(line_no, "top needs exactly one node"));
-                }
-                def.top = Some((words[1].to_string(), line_no));
-            }
-            (Section::Rbd(_), "end") => {
-                if let Section::Rbd(def) = std::mem::replace(&mut section, Section::TopLevel) {
-                    rbds.push(def);
-                }
-            }
-            (Section::Rbd(_), other) => {
-                return Err(err(line_no, format!("unknown rbd keyword `{other}`")))
-            }
-
-            (Section::Ftree(def), "basic") => {
-                if words.len() < 3 {
-                    return Err(err(line_no, "basic needs: name spec"));
-                }
-                let spec = words[2..].join(" ");
-                let basic = parse_basic_ref(&spec, &bindings, line_no)?;
-                def.nodes
-                    .push((words[1].to_string(), FtNodeDef::Basic(basic), line_no));
-            }
-            (Section::Ftree(def), "and") => {
-                if words.len() < 3 {
-                    return Err(err(line_no, "and needs: name children…"));
-                }
-                def.nodes.push((
-                    words[1].to_string(),
-                    FtNodeDef::And(words[2..].iter().map(|s| s.to_string()).collect()),
-                    line_no,
-                ));
-            }
-            (Section::Ftree(def), "or") => {
-                if words.len() < 3 {
-                    return Err(err(line_no, "or needs: name children…"));
-                }
-                def.nodes.push((
-                    words[1].to_string(),
-                    FtNodeDef::Or(words[2..].iter().map(|s| s.to_string()).collect()),
-                    line_no,
-                ));
-            }
-            (Section::Ftree(def), "kofn") => {
-                if words.len() < 4 {
-                    return Err(err(line_no, "kofn needs: name k children…"));
-                }
-                let k: usize = words[2]
-                    .parse()
-                    .map_err(|_| err(line_no, format!("bad k `{}`", words[2])))?;
-                def.nodes.push((
-                    words[1].to_string(),
-                    FtNodeDef::KOfN(k, words[3..].iter().map(|s| s.to_string()).collect()),
-                    line_no,
-                ));
-            }
-            (Section::Ftree(def), "top") => {
-                if words.len() != 2 {
-                    return Err(err(line_no, "top needs exactly one node"));
-                }
-                def.top = Some((words[1].to_string(), line_no));
-            }
-            (Section::Ftree(_), "end") => {
-                if let Section::Ftree(def) = std::mem::replace(&mut section, Section::TopLevel) {
-                    ftrees.push(def);
-                }
-            }
-            (Section::Ftree(_), other) => {
-                return Err(err(line_no, format!("unknown ftree keyword `{other}`")))
+            "markov" => markovs.push(parse_markov(&mut p, line, &bindings)?),
+            "rbd" => rbds.push(parse_tree(
+                &mut p,
+                line,
+                ["comp", "series", "parallel"],
+                |at, spec| parse_comp_ref(at, spec, &bindings),
+            )?),
+            "ftree" => ftrees.push(parse_tree(
+                &mut p,
+                line,
+                ["basic", "and", "or"],
+                |at, spec| parse_basic_ref(at, spec, &bindings),
+            )?),
+            _ => {
+                return Err(unknown(
+                    line.key(),
+                    "top-level keyword",
+                    &["bind", "markov", "rbd", "ftree"],
+                ))
             }
         }
     }
-
-    match section {
-        Section::TopLevel => {}
-        Section::Markov(d) => return Err(err(d.line, format!("markov `{}` missing end", d.name))),
-        Section::Rbd(d) => return Err(err(d.line, format!("rbd `{}` missing end", d.name))),
-        Section::Ftree(d) => return Err(err(d.line, format!("ftree `{}` missing end", d.name))),
-    }
-
     ModelSet::build(bindings, markovs, rbds, ftrees)
 }
 
-/// Parses `exp(expr)`, `markov(name)` or `rbd(name)`.
-fn parse_comp_ref(
-    spec: &str,
+/// The model name on a block's header line, which holds nothing else.
+fn model_name<'s>(header: &Line<'s>) -> Result<&'s Token<'s>, ParseError> {
+    let name = header.operand(1, "model name")?;
+    header.expect_len(2)?;
+    Ok(name)
+}
+
+/// The error for a block the source ends inside.
+fn missing_end(header: &Line<'_>, name: &Token<'_>) -> ParseError {
+    let key = header.key();
+    key.err(format!("{} `{}` missing end", key.text, name.text))
+}
+
+fn parse_markov<'s>(
+    p: &mut Cursor<'s>,
+    header: Line<'s>,
     bindings: &BTreeMap<String, f64>,
-    line: usize,
-) -> Result<CompRef, LangError> {
-    let spec = spec.trim();
+) -> Result<MarkovDef<'s>, ParseError> {
+    let name = model_name(&header)?;
+    let mut def = MarkovDef {
+        name,
+        transitions: Vec::new(),
+        absorbing: Vec::new(),
+        init: Vec::new(),
+    };
+    p.section(
+        "markov keyword",
+        &["trans", "absorb", "init"],
+        |_| missing_end(&header, name),
+        |_, line| {
+            match line.key().text {
+                "trans" => {
+                    let from = line.operand(1, "source state")?;
+                    let to = line.operand(2, "target state")?;
+                    let (at, rate) = expr_operand(&line, 3, "rate expression", bindings)?;
+                    if rate > MAX_RATE {
+                        return Err(at.err(format!(
+                            "rate {rate:e} exceeds the bound of {MAX_RATE:e} per hour"
+                        )));
+                    }
+                    def.transitions.push((from, to, rate, at));
+                }
+                "absorb" => {
+                    line.operand(1, "absorbing state")?;
+                    for state in &line.tokens[1..] {
+                        if def.absorbing.iter().any(|a| a.text == state.text) {
+                            return Err(state.err(format!(
+                                "state `{}` is already declared absorbing",
+                                state.text
+                            )));
+                        }
+                        def.absorbing.push(state);
+                    }
+                }
+                _ => {
+                    let state = line.operand(1, "state")?;
+                    let (at, prob) = expr_operand(&line, 2, "probability expression", bindings)?;
+                    if !(0.0..=1.0).contains(&prob) {
+                        return Err(at.err(format!("probability {prob} outside [0,1]")));
+                    }
+                    def.init.push((state, prob));
+                }
+            }
+            Ok(())
+        },
+    )?;
+    Ok(def)
+}
+
+/// Parses the body of an `rbd` or `ftree` block. `kinds` names its leaf
+/// keyword and its all-of and any-of gates; `parse_leaf` reads a leaf's
+/// spec, the text after the node name.
+fn parse_tree<'s, L>(
+    p: &mut Cursor<'s>,
+    header: Line<'s>,
+    kinds: [&str; 3],
+    mut parse_leaf: impl FnMut(&'s Token<'s>, &'s str) -> Result<L, ParseError>,
+) -> Result<TreeDef<'s, L>, ParseError> {
+    let name = model_name(&header)?;
+    let mut def = TreeDef {
+        name,
+        nodes: Vec::new(),
+        top: None,
+    };
+    let [leaf, all, _] = kinds;
+    p.section(
+        &format!("{} keyword", header.key().text),
+        &[kinds[0], kinds[1], kinds[2], "kofn", "top"],
+        |_| missing_end(&header, name),
+        |_, line| {
+            let key = line.key().text;
+            if key == "top" {
+                def.top = Some(line.operand(1, "top node")?);
+                return line.expect_len(2);
+            }
+            let node = line.operand(1, "node name")?;
+            let node_def = if key == leaf {
+                let (at, spec) = line.rest(2, "spec")?;
+                NodeDef::Leaf(at, parse_leaf(at, spec)?)
+            } else if key == "kofn" {
+                let t = line.operand(2, "k")?;
+                line.operand(3, "children")?;
+                let children = &line.tokens[3..];
+                let k: usize = t
+                    .text
+                    .parse()
+                    .map_err(|_| t.err(format!("bad k `{}`", t.text)))?;
+                if k < 1 || k > children.len() {
+                    return Err(t.err(format!("kofn k={k} out of range")));
+                }
+                NodeDef::Gate(Gate::KOfN(k), children)
+            } else {
+                line.operand(2, "children")?;
+                let gate = if key == all { Gate::All } else { Gate::Any };
+                NodeDef::Gate(gate, &line.tokens[2..])
+            };
+            def.nodes.push((node, node_def));
+            Ok(())
+        },
+    )?;
+    Ok(def)
+}
+
+/// Parses `markov(name)` or `rbd(name)`.
+fn parse_model_ref(spec: &str) -> Option<ModelRef<'_>> {
+    let inner = |prefix: &str| spec.strip_prefix(prefix)?.strip_suffix(')').map(str::trim);
+    inner("markov(")
+        .map(ModelRef::Markov)
+        .or_else(|| inner("rbd(").map(ModelRef::Rbd))
+}
+
+/// Parses `exp(expr)`, `markov(name)` or `rbd(name)`.
+fn parse_comp_ref<'s>(
+    at: &Token<'_>,
+    spec: &'s str,
+    bindings: &BTreeMap<String, f64>,
+) -> Result<CompRef<'s>, ParseError> {
     if let Some(inner) = spec.strip_prefix("exp(").and_then(|s| s.strip_suffix(')')) {
-        let rate = eval_expr(inner, bindings, line)?;
+        let rate = eval_expr(inner, bindings, at.line, at.col + "exp(".len())?;
         if !(rate >= 0.0 && rate.is_finite()) {
-            return Err(err(line, format!("invalid rate {rate}")));
+            return Err(at.err(format!("invalid rate {rate}")));
         }
-        Ok(CompRef::Exp(rate))
-    } else if let Some(inner) = spec
-        .strip_prefix("markov(")
-        .and_then(|s| s.strip_suffix(')'))
-    {
-        Ok(CompRef::Markov(inner.trim().to_string()))
-    } else if let Some(inner) = spec.strip_prefix("rbd(").and_then(|s| s.strip_suffix(')')) {
-        Ok(CompRef::Rbd(inner.trim().to_string()))
-    } else {
-        Err(err(
-            line,
-            format!("expected exp(…), markov(…) or rbd(…), got `{spec}`"),
-        ))
+        return Ok(CompRef::Exp(rate));
     }
+    parse_model_ref(spec).map(CompRef::Model).ok_or_else(|| {
+        at.err(format!(
+            "expected exp(…), markov(…) or rbd(…), got `{spec}`"
+        ))
+    })
 }
 
 /// Parses a fixed probability expression, `markov(name)` or `rbd(name)`.
-fn parse_basic_ref(
-    spec: &str,
+fn parse_basic_ref<'s>(
+    at: &Token<'_>,
+    spec: &'s str,
     bindings: &BTreeMap<String, f64>,
-    line: usize,
-) -> Result<BasicRef, LangError> {
-    let spec = spec.trim();
-    if let Some(inner) = spec
-        .strip_prefix("markov(")
-        .and_then(|s| s.strip_suffix(')'))
-    {
-        Ok(BasicRef::Markov(inner.trim().to_string()))
-    } else if let Some(inner) = spec.strip_prefix("rbd(").and_then(|s| s.strip_suffix(')')) {
-        Ok(BasicRef::Rbd(inner.trim().to_string()))
-    } else {
-        let p = eval_expr(spec, bindings, line)?;
-        if !(0.0..=1.0).contains(&p) {
-            return Err(err(line, format!("probability {p} outside [0,1]")));
-        }
-        Ok(BasicRef::Fixed(p))
+) -> Result<BasicRef<'s>, ParseError> {
+    if let Some(model) = parse_model_ref(spec) {
+        return Ok(BasicRef::Model(model));
     }
+    let p = eval_expr(spec, bindings, at.line, at.col)?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(at.err(format!("probability {p} outside [0,1]")));
+    }
+    Ok(BasicRef::Fixed(p))
 }
 
 // ---------------------------------------------------------------------------
@@ -656,42 +574,32 @@ impl fmt::Debug for ModelSet {
 impl ModelSet {
     fn build(
         bindings: BTreeMap<String, f64>,
-        markovs: Vec<MarkovDef>,
-        rbds: Vec<RbdDef>,
-        ftrees: Vec<FtreeDef>,
-    ) -> Result<ModelSet, LangError> {
+        markovs: Vec<MarkovDef<'_>>,
+        rbds: Vec<TreeDef<'_, CompRef<'_>>>,
+        ftrees: Vec<TreeDef<'_, BasicRef<'_>>>,
+    ) -> Result<ModelSet, ParseError> {
         let mut models: BTreeMap<String, Compiled> = BTreeMap::new();
-
-        for def in markovs {
-            if models.contains_key(&def.name) {
-                return Err(err(
-                    def.line,
-                    format!("duplicate model name `{}`", def.name),
-                ));
+        let fresh = |models: &BTreeMap<String, Compiled>, name: &Token<'_>| {
+            if models.contains_key(name.text) {
+                return Err(name.err(format!("duplicate model name `{}`", name.text)));
             }
-            let model = compile_markov(&def)?;
-            models.insert(def.name.clone(), Compiled::Markov(Arc::new(model)));
+            Ok(name.text.to_string())
+        };
+        for def in &markovs {
+            let name = fresh(&models, def.name)?;
+            let model = compile_markov(def)?;
+            models.insert(name, Compiled::Markov(Arc::new(model)));
         }
         // RBDs may reference markov models (and earlier RBDs).
-        for def in rbds {
-            if models.contains_key(&def.name) {
-                return Err(err(
-                    def.line,
-                    format!("duplicate model name `{}`", def.name),
-                ));
-            }
-            let block = compile_rbd(&def, &models)?;
-            models.insert(def.name.clone(), Compiled::Rbd(Arc::new(block)));
+        for def in &rbds {
+            let name = fresh(&models, def.name)?;
+            let block = compile_rbd(def, &models)?;
+            models.insert(name, Compiled::Rbd(Arc::new(block)));
         }
-        for def in ftrees {
-            if models.contains_key(&def.name) {
-                return Err(err(
-                    def.line,
-                    format!("duplicate model name `{}`", def.name),
-                ));
-            }
-            let ft = compile_ftree(&def, &models)?;
-            models.insert(def.name.clone(), Compiled::Ftree(Arc::new(ft)));
+        for def in &ftrees {
+            let name = fresh(&models, def.name)?;
+            let ft = compile_ftree(def, &models)?;
+            models.insert(name, Compiled::Ftree(Arc::new(ft)));
         }
 
         Ok(ModelSet { bindings, models })
@@ -728,179 +636,170 @@ impl ModelSet {
     }
 }
 
-fn compile_markov(def: &MarkovDef) -> Result<CtmcReliability, LangError> {
-    let mut builder = CtmcBuilder::new();
-    let mut states: BTreeMap<String, StateId> = BTreeMap::new();
-    let mut order: Vec<String> = Vec::new();
-    let intern = |name: &str,
-                  b: &mut CtmcBuilder,
-                  states: &mut BTreeMap<String, StateId>,
-                  order: &mut Vec<String>| {
-        *states.entry(name.to_string()).or_insert_with(|| {
-            order.push(name.to_string());
-            b.state(name)
-        })
-    };
-    for (from, to, rate) in &def.transitions {
-        let f = intern(from, &mut builder, &mut states, &mut order);
-        let t = intern(to, &mut builder, &mut states, &mut order);
-        builder
-            .transition(f, t, *rate)
-            .map_err(|e| err(def.line, format!("markov `{}`: {e}", def.name)))?;
+/// The Markov model a `markov(name)` reference at `at` names.
+fn markov_model<'m>(
+    models: &'m BTreeMap<String, Compiled>,
+    name: &str,
+    at: &Token<'_>,
+) -> Result<&'m Arc<CtmcReliability>, ParseError> {
+    match models.get(name) {
+        Some(Compiled::Markov(model)) => Ok(model),
+        _ => Err(at.err(format!("unknown markov model `{name}`"))),
     }
-    for a in &def.absorbing {
-        intern(a, &mut builder, &mut states, &mut order);
-    }
-    for (s, _) in &def.init {
-        intern(s, &mut builder, &mut states, &mut order);
-    }
-    if states.is_empty() {
-        return Err(err(
-            def.line,
-            format!("markov `{}` has no states", def.name),
-        ));
-    }
-    let chain: Ctmc = builder.build();
+}
 
-    let mut pi0 = vec![0.0; chain.num_states()];
-    if def.init.is_empty() {
-        return Err(err(
-            def.line,
-            format!("markov `{}` needs an init line", def.name),
-        ));
+/// The RBD an `rbd(name)` reference at `at` names.
+fn rbd_model<'m>(
+    models: &'m BTreeMap<String, Compiled>,
+    name: &str,
+    at: &Token<'_>,
+) -> Result<&'m Arc<Block>, ParseError> {
+    match models.get(name) {
+        Some(Compiled::Rbd(block)) => Ok(block),
+        _ => Err(at.err(format!("unknown rbd model `{name}`"))),
     }
-    for (sname, p) in &def.init {
-        pi0[states[sname].0] += *p;
+}
+
+/// Looks up each child of a gate among the nodes built so far.
+fn children<T: Clone>(
+    built: &BTreeMap<&str, T>,
+    children: &[Token<'_>],
+    kind: &str,
+) -> Result<Vec<T>, ParseError> {
+    children
+        .iter()
+        .map(|c| {
+            built
+                .get(c.text)
+                .cloned()
+                .ok_or_else(|| c.err(format!("unknown {kind} node `{}`", c.text)))
+        })
+        .collect()
+}
+
+fn compile_markov<'s>(def: &MarkovDef<'s>) -> Result<CtmcReliability, ParseError> {
+    let mut builder = CtmcBuilder::new();
+    let mut states: BTreeMap<&'s str, StateId> = BTreeMap::new();
+    let mut intern = |name: &Token<'s>| {
+        *states
+            .entry(name.text)
+            .or_insert_with(|| builder.state(name.text))
+    };
+    let mut edges = Vec::with_capacity(def.transitions.len());
+    for &(from, to, rate, at) in &def.transitions {
+        edges.push((intern(from), intern(to), rate, at));
+    }
+    let absorbing: Vec<StateId> = def.absorbing.iter().map(|&a| intern(a)).collect();
+    let init: Vec<(StateId, f64)> = def.init.iter().map(|&(s, p)| (intern(s), p)).collect();
+    let name = def.name.text;
+    if states.is_empty() {
+        return Err(def.name.err(format!("markov `{name}` has no states")));
+    }
+    for (from, to, rate, at) in edges {
+        builder
+            .transition(from, to, rate)
+            .map_err(|e| at.err(format!("markov `{name}`: {e}")))?;
+    }
+    let chain = builder.build();
+
+    if init.is_empty() {
+        return Err(def.name.err(format!("markov `{name}` needs an init line")));
+    }
+    let mut pi0 = vec![0.0; chain.num_states()];
+    for (s, p) in init {
+        pi0[s.0] += p;
     }
     if (pi0.iter().sum::<f64>() - 1.0).abs() > 1e-9 {
-        return Err(err(
-            def.line,
-            format!("markov `{}`: init probabilities must sum to 1", def.name),
-        ));
+        return Err(def
+            .name
+            .err(format!("markov `{name}`: init probabilities must sum to 1")));
     }
-    let absorbing: Vec<StateId> = def.absorbing.iter().map(|a| states[a]).collect();
-    for &a in &absorbing {
-        for j in 0..chain.num_states() {
-            if j != a.0 && chain.generator().get(a.0, j) != 0.0 {
-                return Err(err(
-                    def.line,
-                    format!(
-                        "markov `{}`: declared absorbing state `{}` has outgoing transitions",
-                        def.name,
-                        chain.name(a)
-                    ),
-                ));
-            }
+    for (&a, at) in absorbing.iter().zip(&def.absorbing) {
+        if (0..chain.num_states()).any(|j| j != a.0 && chain.generator().get(a.0, j) != 0.0) {
+            return Err(at.err(format!(
+                "markov `{name}`: declared absorbing state `{}` has outgoing transitions",
+                at.text
+            )));
         }
     }
     Ok(CtmcReliability::new(chain, pi0, absorbing))
 }
 
-fn compile_rbd(def: &RbdDef, models: &BTreeMap<String, Compiled>) -> Result<Block, LangError> {
-    let mut built: BTreeMap<String, Block> = BTreeMap::new();
-    for (name, node, line) in &def.nodes {
-        let resolve_children = |children: &[String],
-                                built: &BTreeMap<String, Block>|
-         -> Result<Vec<Block>, LangError> {
-            children
-                .iter()
-                .map(|c| {
-                    built
-                        .get(c)
-                        .cloned()
-                        .ok_or_else(|| err(*line, format!("unknown rbd node `{c}`")))
-                })
-                .collect()
-        };
+fn compile_rbd(
+    def: &TreeDef<'_, CompRef<'_>>,
+    models: &BTreeMap<String, Compiled>,
+) -> Result<Block, ParseError> {
+    let mut built: BTreeMap<&str, Block> = BTreeMap::new();
+    for (name, node) in &def.nodes {
         let block = match node {
-            RbdNodeDef::Comp(CompRef::Exp(rate)) => Block::component(Exponential::new(*rate)),
-            RbdNodeDef::Comp(CompRef::Markov(m)) => match models.get(m) {
-                Some(Compiled::Markov(model)) => Block::Component(model.clone()),
-                _ => return Err(err(*line, format!("unknown markov model `{m}`"))),
-            },
-            RbdNodeDef::Comp(CompRef::Rbd(r)) => match models.get(r) {
-                Some(Compiled::Rbd(b)) => (**b).clone(),
-                _ => return Err(err(*line, format!("unknown rbd model `{r}`"))),
-            },
-            RbdNodeDef::Series(children) => Block::series(resolve_children(children, &built)?),
-            RbdNodeDef::Parallel(children) => Block::parallel(resolve_children(children, &built)?),
-            RbdNodeDef::KOfN(k, children) => {
-                let blocks = resolve_children(children, &built)?;
-                if *k < 1 || *k > blocks.len() {
-                    return Err(err(*line, format!("kofn k={k} out of range")));
+            NodeDef::Leaf(_, CompRef::Exp(rate)) => Block::component(Exponential::new(*rate)),
+            NodeDef::Leaf(at, CompRef::Model(ModelRef::Markov(m))) => {
+                Block::Component(markov_model(models, m, at)?.clone())
+            }
+            NodeDef::Leaf(at, CompRef::Model(ModelRef::Rbd(r))) => {
+                (**rbd_model(models, r, at)?).clone()
+            }
+            NodeDef::Gate(gate, kids) => {
+                let blocks = children(&built, kids, "rbd")?;
+                match *gate {
+                    Gate::All => Block::series(blocks),
+                    Gate::Any => Block::parallel(blocks),
+                    Gate::KOfN(k) => Block::k_of_n(k, blocks),
                 }
-                Block::k_of_n(*k, blocks)
             }
         };
-        built.insert(name.clone(), block);
+        built.insert(name.text, block);
     }
-    let (top, top_line) = def
-        .top
-        .clone()
-        .ok_or_else(|| err(def.line, format!("rbd `{}` needs a top line", def.name)))?;
+    let top = def.top.ok_or_else(|| {
+        def.name
+            .err(format!("rbd `{}` needs a top line", def.name.text))
+    })?;
     built
-        .remove(&top)
-        .ok_or_else(|| err(top_line, format!("unknown top node `{top}`")))
+        .remove(top.text)
+        .ok_or_else(|| top.err(format!("unknown top node `{}`", top.text)))
 }
 
 fn compile_ftree(
-    def: &FtreeDef,
+    def: &TreeDef<'_, BasicRef<'_>>,
     models: &BTreeMap<String, Compiled>,
-) -> Result<CompiledFtree, LangError> {
+) -> Result<CompiledFtree, ParseError> {
     let mut builder = FaultTreeBuilder::new();
-    let mut gates: BTreeMap<String, GateId> = BTreeMap::new();
+    let mut gates: BTreeMap<&str, GateId> = BTreeMap::new();
     let mut sources: Vec<FtSource> = Vec::new();
-    for (name, node, line) in &def.nodes {
-        let resolve = |children: &[String],
-                       gates: &BTreeMap<String, GateId>|
-         -> Result<Vec<GateId>, LangError> {
-            children
-                .iter()
-                .map(|c| {
-                    gates
-                        .get(c)
-                        .copied()
-                        .ok_or_else(|| err(*line, format!("unknown ftree node `{c}`")))
-                })
-                .collect()
-        };
+    for (name, node) in &def.nodes {
         let gate = match node {
-            FtNodeDef::Basic(basic) => {
-                let source = match basic {
+            NodeDef::Leaf(at, basic) => {
+                sources.push(match basic {
                     BasicRef::Fixed(p) => FtSource::Fixed(*p),
-                    BasicRef::Markov(m) => match models.get(m) {
-                        Some(Compiled::Markov(model)) => FtSource::Model(model.clone()),
-                        _ => return Err(err(*line, format!("unknown markov model `{m}`"))),
-                    },
-                    BasicRef::Rbd(r) => match models.get(r) {
-                        Some(Compiled::Rbd(b)) => FtSource::Model(b.clone()),
-                        _ => return Err(err(*line, format!("unknown rbd model `{r}`"))),
-                    },
-                };
-                sources.push(source);
-                builder.basic_event(name.clone())
+                    BasicRef::Model(ModelRef::Markov(m)) => {
+                        FtSource::Model(markov_model(models, m, at)?.clone())
+                    }
+                    BasicRef::Model(ModelRef::Rbd(r)) => {
+                        FtSource::Model(rbd_model(models, r, at)?.clone())
+                    }
+                });
+                builder.basic_event(name.text)
             }
-            FtNodeDef::And(children) => builder.and(resolve(children, &gates)?),
-            FtNodeDef::Or(children) => builder.or(resolve(children, &gates)?),
-            FtNodeDef::KOfN(k, children) => {
-                let c = resolve(children, &gates)?;
-                if *k < 1 || *k > c.len() {
-                    return Err(err(*line, format!("kofn k={k} out of range")));
+            NodeDef::Gate(gate, kids) => {
+                let c = children(&gates, kids, "ftree")?;
+                match *gate {
+                    Gate::All => builder.and(c),
+                    Gate::Any => builder.or(c),
+                    Gate::KOfN(k) => builder.k_of_n(k, c),
                 }
-                builder.k_of_n(*k, c)
             }
         };
-        if gates.insert(name.clone(), gate).is_some() {
-            return Err(err(*line, format!("duplicate ftree node `{name}`")));
+        if gates.insert(name.text, gate).is_some() {
+            return Err(name.err(format!("duplicate ftree node `{}`", name.text)));
         }
     }
-    let (top, top_line) = def
-        .top
-        .clone()
-        .ok_or_else(|| err(def.line, format!("ftree `{}` needs a top line", def.name)))?;
+    let top = def.top.ok_or_else(|| {
+        def.name
+            .err(format!("ftree `{}` needs a top line", def.name.text))
+    })?;
     let top_gate = *gates
-        .get(&top)
-        .ok_or_else(|| err(top_line, format!("unknown top node `{top}`")))?;
+        .get(top.text)
+        .ok_or_else(|| top.err(format!("unknown top node `{}`", top.text)))?;
     Ok(CompiledFtree {
         tree: builder.build(top_gate),
         sources,
@@ -919,14 +818,14 @@ mod tests {
     fn expressions_evaluate() {
         let mut b = BTreeMap::new();
         b.insert("x".to_string(), 2.0);
-        assert_eq!(eval_expr("1 + 2 * 3", &b, 1).unwrap(), 7.0);
-        assert_eq!(eval_expr("(1 + 2) * 3", &b, 1).unwrap(), 9.0);
-        assert_eq!(eval_expr("10 * x", &b, 1).unwrap(), 20.0);
-        assert_eq!(eval_expr("-x + 5", &b, 1).unwrap(), 3.0);
-        assert_close(eval_expr("1.82e-5 * 10", &b, 1).unwrap(), 1.82e-4, 1e-18);
-        assert!(eval_expr("1 / 0", &b, 1).is_err());
-        assert!(eval_expr("unknown", &b, 1).is_err());
-        assert!(eval_expr("1 +", &b, 1).is_err());
+        assert_eq!(eval_expr("1 + 2 * 3", &b, 1, 1).unwrap(), 7.0);
+        assert_eq!(eval_expr("(1 + 2) * 3", &b, 1, 1).unwrap(), 9.0);
+        assert_eq!(eval_expr("10 * x", &b, 1, 1).unwrap(), 20.0);
+        assert_eq!(eval_expr("-x + 5", &b, 1, 1).unwrap(), 3.0);
+        assert_close(eval_expr("1.82e-5 * 10", &b, 1, 1).unwrap(), 1.82e-4, 1e-18);
+        assert!(eval_expr("1 / 0", &b, 1, 1).is_err());
+        assert!(eval_expr("unknown", &b, 1, 1).is_err());
+        assert!(eval_expr("1 +", &b, 1, 1).is_err());
     }
 
     #[test]
@@ -1131,6 +1030,73 @@ mod tests {
     fn kofn_bounds_checked_in_both_sections() {
         assert!(parse("rbd r\n comp a exp(1)\n kofn g 2 a\n top g\nend").is_err());
         assert!(parse("ftree f\n basic a 0.5\n kofn g 2 a\n top g\nend").is_err());
+    }
+
+    #[test]
+    fn misspelled_keyword_gets_line_col_and_hint() {
+        let e = parse("markvo m\n trans a b 1\n init a 1\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 1));
+        assert!(e.message.contains("did you mean `markov`?"), "{e}");
+
+        let e = parse("markov m\n  tran a b 1\n init a 1\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 3));
+        assert!(e.message.contains("did you mean `trans`?"), "{e}");
+    }
+
+    #[test]
+    fn over_bound_rates_are_rejected_at_their_trans_line() {
+        // Column c of Q·t would sum past f64::MAX: expm never finished.
+        let e = parse(
+            "markov m\n trans a c 1e305\n trans b c 1e305\n trans a b 1\n absorb c\n init a 1\nend",
+        )
+        .unwrap_err();
+        assert_eq!((e.line, e.col), (2, 12));
+        assert!(e.message.contains("exceeds the bound"), "{e}");
+        // Q·t overflowed to an infinite entry: expm panicked.
+        let e = parse("markov m\n trans a b   1e305 * 1\n absorb b\n init a 1\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 14));
+        // The paper's largest rate is far inside the bound.
+        let set = parse("markov m\n trans a b 2.25e3\n absorb b\n init a 1\nend").unwrap();
+        assert!(set.reliability("m", 8760.0).is_some());
+    }
+
+    #[test]
+    fn absorbing_state_declared_twice_is_rejected() {
+        // Counted twice, it made R(1) = 1 - 2(1 - e^-1) < 0.
+        let e = parse("markov m\n trans a b 1\n absorb b b\n init a 1\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (3, 11));
+        assert!(e.message.contains("already declared absorbing"), "{e}");
+        let e = parse("markov m\n trans a b 1\n absorb b\n absorb b\n init a 1\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (4, 9));
+    }
+
+    #[test]
+    fn markov_errors_point_at_the_line_that_caused_them() {
+        let e = parse("markov m\n trans a b 1\n trans b b 1\n init a 1\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (3, 12));
+        let e =
+            parse("markov m\n trans a b 1\n trans b a 1\n absorb b\n init a 1\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (4, 9));
+        // A negative init probability summing to 1 with the rest used to
+        // panic inside `reliability`.
+        let e = parse("markov m\n trans a b 1\n absorb b\n init a 2\n init b -1\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (4, 9));
+    }
+
+    #[test]
+    fn tokens_after_end_are_rejected() {
+        let e = parse("rbd r\n comp a exp(1)\n top a\nend r").unwrap_err();
+        assert_eq!((e.line, e.col), (4, 5));
+        assert!(e.message.contains("unexpected trailing `r`"), "{e}");
+    }
+
+    #[test]
+    fn expression_errors_carry_the_column_of_the_bad_token() {
+        let e = parse("bind x 1\nbind y 2 * (x + nope)").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 17));
+        assert!(e.message.contains("unknown binding `nope`"), "{e}");
+        let e = parse("rbd r\n comp a exp(1 / 0)\n top a\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 15));
     }
 
     #[test]

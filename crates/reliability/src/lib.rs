@@ -48,11 +48,13 @@ pub mod linalg;
 pub mod model;
 pub mod rbd;
 pub mod scenario;
+mod syntax;
 
 pub use ctmc::{Ctmc, CtmcBuilder, CtmcError, StateId};
 pub use dtmc::{AbsorbingDtmc, DtmcError};
 pub use faulttree::{EventId, FaultTree, FaultTreeBuilder, HierarchicalTree};
-pub use lang::{parse, LangError, ModelSet};
+pub use lang::{parse, ModelSet};
 pub use linalg::{LinalgError, Matrix};
 pub use model::{mttf_numeric, CoveredModel, CtmcReliability, Exponential, ReliabilityModel};
 pub use rbd::Block;
+pub use syntax::ParseError;

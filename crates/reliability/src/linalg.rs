@@ -276,7 +276,8 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not square or contains non-finite entries.
+    /// Panics if the matrix is not square, contains non-finite entries, or
+    /// has finite entries whose column sums overflow.
     pub fn expm(&self) -> Matrix {
         assert_eq!(self.rows, self.cols, "expm needs a square matrix");
         assert!(
@@ -291,7 +292,9 @@ impl Matrix {
             670_442_572_800.0, 33_522_128_640.0, 1_323_241_920.0, 40_840_800.0,
             960_960.0, 16_380.0, 182.0, 1.0,
         ];
+        // A one-norm that overflows would ask for u32::MAX squarings below.
         let norm = self.one_norm();
+        assert!(norm.is_finite(), "expm needs a finite one-norm");
         let s = if norm > THETA_13 {
             (norm / THETA_13).log2().ceil().max(0.0) as u32
         } else {
@@ -424,6 +427,14 @@ mod tests {
                 assert_close(e.get(i, j), if i == j { 1.0 } else { 0.0 }, 1e-14);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "expm needs a finite one-norm")]
+    fn expm_rejects_an_overflowing_one_norm() {
+        // Every entry is finite, but column 0 sums past f64::MAX.
+        let q = Matrix::from_rows(&[&[-1e308, 1e308], &[1e308, -1e308]]);
+        let _ = q.expm();
     }
 
     #[test]

@@ -34,28 +34,12 @@
 //! assert!(matches!(spec.params, FamilyParams::NetStorm { cycles: 20, .. }));
 //! ```
 
-use std::fmt;
 use std::fmt::Write as _;
 
-/// A parse error with its 1-based line and column, plus a "did you
-/// mean" hint when an unknown keyword is close to a known one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioError {
-    /// 1-based line number.
-    pub line: usize,
-    /// 1-based column (character offset) of the offending token.
-    pub col: usize,
-    /// Description, including any suggestion.
-    pub message: String,
-}
-
-impl fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}, col {}: {}", self.line, self.col, self.message)
-    }
-}
-
-impl std::error::Error for ScenarioError {}
+use crate::syntax::{
+    err, keyword, parse_i64, parse_probability, parse_u32, parse_u64, tokenize, unknown, Cursor,
+    Line, ParseError, Token,
+};
 
 /// The six stations of the reference brake-by-wire cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -500,236 +484,23 @@ pub struct ScenarioSpec {
 }
 
 // ---------------------------------------------------------------------
-// Diagnostics
-// ---------------------------------------------------------------------
-
-/// Classic dynamic-programming edit distance, for keyword hints.
-fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut row = vec![i + 1];
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            row.push(sub.min(prev[j + 1] + 1).min(row[j] + 1));
-        }
-        prev = row;
-    }
-    prev[b.len()]
-}
-
-/// The closest candidate within edit distance 2, if any.
-fn suggest<'a>(word: &str, candidates: &[&'a str]) -> Option<&'a str> {
-    candidates
-        .iter()
-        .copied()
-        .map(|c| (levenshtein(word, c), c))
-        .filter(|&(d, _)| d <= 2)
-        .min_by_key(|&(d, _)| d)
-        .map(|(_, c)| c)
-}
-
-fn err(line: usize, col: usize, message: impl Into<String>) -> ScenarioError {
-    ScenarioError {
-        line,
-        col,
-        message: message.into(),
-    }
-}
-
-/// An "unknown keyword" error with a did-you-mean hint when one is close.
-fn unknown(line: usize, col: usize, what: &str, word: &str, candidates: &[&str]) -> ScenarioError {
-    let mut message = format!("unknown {what} `{word}`");
-    if let Some(s) = suggest(word, candidates) {
-        let _ = write!(message, " — did you mean `{s}`?");
-    } else {
-        let _ = write!(message, " (expected one of: {})", candidates.join(", "));
-    }
-    err(line, col, message)
-}
-
-// ---------------------------------------------------------------------
-// Tokenizer
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-struct Token<'a> {
-    line: usize,
-    col: usize,
-    text: &'a str,
-}
-
-/// One non-empty source line as tokens (comments stripped).
-#[derive(Debug, Clone)]
-struct Line<'a> {
-    no: usize,
-    tokens: Vec<Token<'a>>,
-}
-
-fn tokenize(source: &str) -> Vec<Line<'_>> {
-    let mut lines = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
-        let no = idx + 1;
-        let mut tokens = Vec::new();
-        let mut start = None;
-        for (ci, ch) in raw.chars().chain(std::iter::once(' ')).enumerate() {
-            if ch == '#' {
-                if let Some(s) = start {
-                    tokens.push(Token {
-                        line: no,
-                        col: s + 1,
-                        text: &raw[byte_of(raw, s)..byte_of(raw, ci)],
-                    });
-                }
-                break;
-            }
-            if ch.is_whitespace() {
-                if let Some(s) = start.take() {
-                    tokens.push(Token {
-                        line: no,
-                        col: s + 1,
-                        text: &raw[byte_of(raw, s)..byte_of(raw, ci)],
-                    });
-                }
-            } else if start.is_none() {
-                start = Some(ci);
-            }
-        }
-        if !tokens.is_empty() {
-            lines.push(Line { no, tokens });
-        }
-    }
-    lines
-}
-
-/// Byte offset of the `i`-th character of `s`.
-fn byte_of(s: &str, i: usize) -> usize {
-    s.char_indices().nth(i).map(|(b, _)| b).unwrap_or(s.len())
-}
-
-// ---------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------
 
-struct Parser<'a> {
-    lines: Vec<Line<'a>>,
-    pos: usize,
+fn parse_on_off(t: &Token<'_>) -> Result<bool, ParseError> {
+    keyword(t, "flag value", &[("on", true), ("off", false)])
 }
 
-impl<'a> Parser<'a> {
-    fn next_line(&mut self) -> Option<&Line<'a>> {
-        let line = self.lines.get(self.pos)?;
-        self.pos += 1;
-        Some(line)
-    }
-
-    fn last_line_no(&self) -> usize {
-        self.lines.last().map_or(1, |l| l.no)
-    }
+fn parse_node(t: &Token<'_>) -> Result<NodeName, ParseError> {
+    keyword(t, "node", &NodeName::ALL.map(|n| (n.keyword(), n)))
 }
 
-fn parse_u64(t: &Token<'_>) -> Result<u64, ScenarioError> {
-    let text = t.text;
-    let parsed = if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        u64::from_str_radix(&hex.replace('_', ""), 16).ok()
-    } else {
-        text.replace('_', "").parse().ok()
-    };
-    parsed.ok_or_else(|| err(t.line, t.col, format!("expected an integer, got `{text}`")))
-}
-
-fn parse_u32(t: &Token<'_>) -> Result<u32, ScenarioError> {
-    let v = parse_u64(t)?;
-    u32::try_from(v).map_err(|_| {
-        err(
-            t.line,
-            t.col,
-            format!("`{}` does not fit in 32 bits", t.text),
-        )
-    })
-}
-
-fn parse_i64(t: &Token<'_>) -> Result<i64, ScenarioError> {
-    t.text.parse().map_err(|_| {
-        err(
-            t.line,
-            t.col,
-            format!("expected an integer, got `{}`", t.text),
-        )
-    })
-}
-
-fn parse_f64(t: &Token<'_>) -> Result<f64, ScenarioError> {
-    t.text.parse().map_err(|_| {
-        err(
-            t.line,
-            t.col,
-            format!("expected a number, got `{}`", t.text),
-        )
-    })
-}
-
-/// Parses a probability: a finite number in `[0, 1]`. NaN and
-/// out-of-range values are parse errors, mirroring the typed
-/// construction-time validation in the injector crates.
-fn parse_probability(t: &Token<'_>) -> Result<f64, ScenarioError> {
-    let v = parse_f64(t)?;
-    if (0.0..=1.0).contains(&v) {
-        Ok(v)
-    } else {
-        Err(err(
-            t.line,
-            t.col,
-            format!("`{}` is not a probability in [0, 1]", t.text),
-        ))
-    }
-}
-
-fn parse_on_off(t: &Token<'_>) -> Result<bool, ScenarioError> {
-    match t.text {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(unknown(t.line, t.col, "flag value", other, &["on", "off"])),
-    }
-}
-
-fn parse_node(t: &Token<'_>) -> Result<NodeName, ScenarioError> {
-    const NAMES: [&str; 6] = [
-        "cu_a", "cu_b", "wheel_fl", "wheel_fr", "wheel_rl", "wheel_rr",
-    ];
-    NodeName::ALL
-        .into_iter()
-        .find(|n| n.keyword() == t.text)
-        .ok_or_else(|| unknown(t.line, t.col, "node", t.text, &NAMES))
-}
-
-/// Fixed-arity operand access: `line.tokens[i]` or a typed error.
-fn operand<'b, 'a>(
-    line: &'b Line<'a>,
-    i: usize,
-    what: &str,
-) -> Result<&'b Token<'a>, ScenarioError> {
-    line.tokens.get(i).ok_or_else(|| {
-        let last = line.tokens.last().expect("non-empty line");
-        err(
-            line.no,
-            last.col + last.text.chars().count(),
-            format!("missing {what}"),
-        )
-    })
-}
-
-fn expect_len(line: &Line<'_>, len: usize) -> Result<(), ScenarioError> {
-    if line.tokens.len() > len {
-        let t = &line.tokens[len];
-        return Err(err(
-            t.line,
-            t.col,
-            format!("unexpected trailing `{}`", t.text),
-        ));
-    }
-    Ok(())
+/// The `onset <cycle>` tail of a sensor or actuator line, from token `i`.
+fn parse_onset(line: &Line<'_>, i: usize) -> Result<u32, ParseError> {
+    keyword(line.operand(i, "`onset`")?, "keyword", &[("onset", ())])?;
+    let onset = parse_u32(line.operand(i + 1, "onset cycle")?)?;
+    line.expect_len(i + 2)?;
+    Ok(onset)
 }
 
 /// Parses one scenario file into its typed AST.
@@ -748,785 +519,604 @@ fn expect_len(line: &Line<'_>, len: usize) -> Result<(), ScenarioError> {
 ///   accept ... end
 /// end
 /// ```
-pub fn parse_scenario(source: &str) -> Result<ScenarioSpec, ScenarioError> {
-    let mut p = Parser {
-        lines: tokenize(source),
-        pos: 0,
-    };
+///
+/// # Errors
+///
+/// Returns the first [`ParseError`], located at the token at fault.
+pub fn parse_scenario(source: &str) -> Result<ScenarioSpec, ParseError> {
+    let tokens = tokenize(source);
+    let mut p = tokens.cursor();
     let header = p
         .next_line()
-        .cloned()
         .ok_or_else(|| err(1, 1, "empty scenario source"))?;
-    if header.tokens[0].text != "scenario" {
-        let t = &header.tokens[0];
-        return Err(unknown(t.line, t.col, "keyword", t.text, &["scenario"]));
-    }
-    let name = operand(&header, 1, "scenario name")?.text.to_string();
-    expect_len(&header, 2)?;
+    keyword(header.key(), "keyword", &[("scenario", ())])?;
+    let name = header.operand(1, "scenario name")?.text.to_string();
+    header.expect_len(2)?;
 
     let mut trials: Option<u64> = None;
     let mut seed: Option<u64> = None;
     let mut params: Option<FamilyParams> = None;
     let mut accept: Option<AcceptSpec> = None;
-    let mut closed = false;
-
-    const TOP_KEYS: [&str; 9] = [
-        "family",
-        "trials",
-        "seed",
-        "params",
-        "topology",
-        "faults",
-        "contracts",
-        "accept",
-        "end",
-    ];
-
-    while let Some(line) = p.next_line().cloned() {
-        let key = &line.tokens[0];
-        match key.text {
-            "end" => {
-                expect_len(&line, 1)?;
-                closed = true;
-                break;
-            }
-            "family" => {
-                let t = operand(&line, 1, "family name")?;
-                let fam = FamilyParams::defaults(t.text)
-                    .ok_or_else(|| unknown(t.line, t.col, "family", t.text, &FAMILIES))?;
-                expect_len(&line, 2)?;
-                if params.is_some() {
-                    return Err(err(key.line, key.col, "family declared twice"));
+    p.section(
+        "keyword",
+        &[
+            "family",
+            "trials",
+            "seed",
+            "params",
+            "topology",
+            "faults",
+            "contracts",
+            "accept",
+        ],
+        |last| err(last, 1, "missing closing `end`"),
+        |p, line| {
+            let key = line.key();
+            match key.text {
+                "family" => {
+                    let t = line.operand(1, "family name")?;
+                    let fam = FamilyParams::defaults(t.text)
+                        .ok_or_else(|| unknown(t, "family", &FAMILIES))?;
+                    line.expect_len(2)?;
+                    if params.is_some() {
+                        return Err(key.err("family declared twice"));
+                    }
+                    params = Some(fam);
                 }
-                params = Some(fam);
-            }
-            "trials" => {
-                trials = Some(parse_u64(operand(&line, 1, "trial count")?)?);
-                expect_len(&line, 2)?;
-            }
-            "seed" => {
-                seed = Some(parse_u64(operand(&line, 1, "seed")?)?);
-                expect_len(&line, 2)?;
-            }
-            "params" => {
-                expect_len(&line, 1)?;
-                let fam = params.as_mut().ok_or_else(|| {
-                    err(key.line, key.col, "`params` before `family` declaration")
-                })?;
-                parse_params(&mut p, fam)?;
-            }
-            "topology" | "faults" | "contracts" => {
-                expect_len(&line, 1)?;
-                let fam = params.as_mut().ok_or_else(|| {
-                    err(
-                        key.line,
-                        key.col,
-                        format!("`{}` before `family` declaration", key.text),
-                    )
-                })?;
-                let FamilyParams::Cluster(cluster) = fam else {
-                    return Err(err(
-                        key.line,
-                        key.col,
-                        format!(
-                            "`{}` sections only apply to `family cluster` scenarios",
-                            key.text
-                        ),
-                    ));
-                };
-                match key.text {
-                    "topology" => parse_topology(&mut p, cluster)?,
-                    "faults" => parse_faults(&mut p, cluster)?,
-                    _ => parse_contracts(&mut p, cluster)?,
+                "trials" => {
+                    trials = Some(parse_u64(line.operand(1, "trial count")?)?);
+                    line.expect_len(2)?;
+                }
+                "seed" => {
+                    seed = Some(parse_u64(line.operand(1, "seed")?)?);
+                    line.expect_len(2)?;
+                }
+                "accept" => {
+                    line.expect_len(1)?;
+                    if accept.is_some() {
+                        return Err(key.err("accept declared twice"));
+                    }
+                    accept = Some(parse_accept(p)?);
+                }
+                block => {
+                    line.expect_len(1)?;
+                    let fam = params
+                        .as_mut()
+                        .ok_or_else(|| key.err(format!("`{block}` before `family` declaration")))?;
+                    match (block, fam) {
+                        ("params", fam) => parse_params(p, line.no, fam)?,
+                        ("topology", FamilyParams::Cluster(cluster)) => parse_topology(p, cluster)?,
+                        ("faults", FamilyParams::Cluster(cluster)) => parse_faults(p, cluster)?,
+                        ("contracts", FamilyParams::Cluster(cluster)) => {
+                            parse_contracts(p, cluster)?
+                        }
+                        _ => {
+                            return Err(key.err(format!(
+                                "`{block}` sections only apply to `family cluster` scenarios"
+                            )))
+                        }
+                    }
                 }
             }
-            "accept" => {
-                expect_len(&line, 1)?;
-                if accept.is_some() {
-                    return Err(err(key.line, key.col, "accept declared twice"));
-                }
-                accept = Some(parse_accept(&mut p)?);
-            }
-            other => {
-                return Err(unknown(key.line, key.col, "keyword", other, &TOP_KEYS));
-            }
-        }
-    }
-    if !closed {
-        return Err(err(p.last_line_no(), 1, "missing closing `end`"));
-    }
+            Ok(())
+        },
+    )?;
     if let Some(line) = p.next_line() {
-        let t = &line.tokens[0];
-        return Err(err(
-            t.line,
-            t.col,
-            format!("trailing content `{}` after scenario", t.text),
-        ));
+        let t = line.key();
+        return Err(t.err(format!("trailing content `{}` after scenario", t.text)));
     }
-    let params = params.ok_or_else(|| err(header.tokens[0].line, 1, "missing `family`"))?;
+    let params = params.ok_or_else(|| err(header.no, 1, "missing `family`"))?;
     Ok(ScenarioSpec {
         name,
-        trials: trials.ok_or_else(|| err(header.tokens[0].line, 1, "missing `trials`"))?,
-        seed: seed.ok_or_else(|| err(header.tokens[0].line, 1, "missing `seed`"))?,
+        trials: trials.ok_or_else(|| err(header.no, 1, "missing `trials`"))?,
+        seed: seed.ok_or_else(|| err(header.no, 1, "missing `seed`"))?,
         params,
         accept: accept.unwrap_or_default(),
     })
 }
 
-fn parse_params(p: &mut Parser<'_>, fam: &mut FamilyParams) -> Result<(), ScenarioError> {
-    if matches!(fam, FamilyParams::Cluster(_)) {
-        let no = p.lines.get(p.pos.saturating_sub(1)).map_or(1, |l| l.no);
-        return Err(err(
-            no,
-            1,
-            "cluster scenarios declare `topology` / `faults` / `contracts`, not `params`",
-        ));
-    }
-    while let Some(line) = p.next_line().cloned() {
-        let key = &line.tokens[0];
-        if key.text == "end" {
-            expect_len(&line, 1)?;
-            return Ok(());
-        }
-        match fam {
-            FamilyParams::NetStorm {
-                cycles,
-                intensity,
-                node_faults,
-            } => match key.text {
-                "cycles" => *cycles = parse_u32(operand(&line, 1, "cycle count")?)?,
-                "intensity" => *intensity = parse_probability(operand(&line, 1, "intensity")?)?,
-                "node_faults" => *node_faults = parse_on_off(operand(&line, 1, "on/off")?)?,
-                other => {
-                    return Err(unknown(
-                        key.line,
-                        key.col,
-                        "net_storm parameter",
-                        other,
-                        &["cycles", "intensity", "node_faults", "end"],
-                    ))
+/// The `params` block of the family `fam`, opened on line `at`.
+fn parse_params(p: &mut Cursor<'_>, at: usize, fam: &mut FamilyParams) -> Result<(), ParseError> {
+    let unterminated = |last| err(last, 1, "unterminated `params` section");
+    match fam {
+        FamilyParams::NetStorm {
+            cycles,
+            intensity,
+            node_faults,
+        } => p.section(
+            "net_storm parameter",
+            &["cycles", "intensity", "node_faults"],
+            unterminated,
+            |_, line| {
+                match line.key().text {
+                    "cycles" => *cycles = parse_u32(line.operand(1, "cycle count")?)?,
+                    "intensity" => *intensity = parse_probability(line.operand(1, "intensity")?)?,
+                    _ => *node_faults = parse_on_off(line.operand(1, "on/off")?)?,
                 }
+                line.expect_len(2)
             },
-            FamilyParams::ValueDomain {
-                cycles,
-                combined,
-                net_intensity,
-            } => match key.text {
-                "cycles" => *cycles = parse_u32(operand(&line, 1, "cycle count")?)?,
-                "mode" => {
-                    let t = operand(&line, 1, "mode")?;
-                    *combined = match t.text {
-                        "single_fault" => false,
-                        "combined_storm" => true,
-                        other => {
-                            return Err(unknown(
-                                t.line,
-                                t.col,
-                                "mode",
-                                other,
-                                &["single_fault", "combined_storm"],
-                            ))
-                        }
-                    };
+        ),
+        FamilyParams::ValueDomain {
+            cycles,
+            combined,
+            net_intensity,
+        } => p.section(
+            "value_domain parameter",
+            &["cycles", "mode", "net_intensity"],
+            unterminated,
+            |_, line| {
+                match line.key().text {
+                    "cycles" => *cycles = parse_u32(line.operand(1, "cycle count")?)?,
+                    "mode" => {
+                        *combined = keyword(
+                            line.operand(1, "mode")?,
+                            "mode",
+                            &[("single_fault", false), ("combined_storm", true)],
+                        )?
+                    }
+                    _ => *net_intensity = parse_probability(line.operand(1, "intensity")?)?,
                 }
-                "net_intensity" => {
-                    *net_intensity = parse_probability(operand(&line, 1, "intensity")?)?
-                }
-                other => {
-                    return Err(unknown(
-                        key.line,
-                        key.col,
-                        "value_domain parameter",
-                        other,
-                        &["cycles", "mode", "net_intensity", "end"],
-                    ))
-                }
+                line.expect_len(2)
             },
-            FamilyParams::Blackout {
-                warmup,
-                recovery,
-                down,
-                stagger,
-                min_reset,
-                include_cus,
-            } => match key.text {
-                "warmup" => *warmup = parse_u32(operand(&line, 1, "cycle count")?)?,
-                "recovery" => *recovery = parse_u32(operand(&line, 1, "cycle count")?)?,
-                "down" => *down = parse_u32(operand(&line, 1, "cycle count")?)?,
-                "stagger" => *stagger = parse_u32(operand(&line, 1, "cycle count")?)?,
-                "min_reset" => *min_reset = parse_u32(operand(&line, 1, "victim count")?)?,
-                "include_cus" => *include_cus = parse_on_off(operand(&line, 1, "on/off")?)?,
-                other => {
-                    return Err(unknown(
-                        key.line,
-                        key.col,
-                        "blackout parameter",
-                        other,
-                        &[
-                            "warmup",
-                            "recovery",
-                            "down",
-                            "stagger",
-                            "min_reset",
-                            "include_cus",
-                            "end",
-                        ],
-                    ))
+        ),
+        FamilyParams::Blackout {
+            warmup,
+            recovery,
+            down,
+            stagger,
+            min_reset,
+            include_cus,
+        } => p.section(
+            "blackout parameter",
+            &[
+                "warmup",
+                "recovery",
+                "down",
+                "stagger",
+                "min_reset",
+                "include_cus",
+            ],
+            unterminated,
+            |_, line| {
+                match line.key().text {
+                    "warmup" => *warmup = parse_u32(line.operand(1, "cycle count")?)?,
+                    "recovery" => *recovery = parse_u32(line.operand(1, "cycle count")?)?,
+                    "down" => *down = parse_u32(line.operand(1, "cycle count")?)?,
+                    "stagger" => *stagger = parse_u32(line.operand(1, "cycle count")?)?,
+                    "min_reset" => *min_reset = parse_u32(line.operand(1, "victim count")?)?,
+                    _ => *include_cus = parse_on_off(line.operand(1, "on/off")?)?,
                 }
+                line.expect_len(2)
             },
-            FamilyParams::Recovery { cycles } => match key.text {
-                "cycles" => *cycles = parse_u32(operand(&line, 1, "cycle count")?)?,
-                other => {
-                    return Err(unknown(
-                        key.line,
-                        key.col,
-                        "recovery parameter",
-                        other,
-                        &["cycles", "end"],
-                    ))
+        ),
+        FamilyParams::Recovery { cycles } => p.section(
+            "recovery parameter",
+            &["cycles"],
+            unterminated,
+            |_, line| {
+                *cycles = parse_u32(line.operand(1, "cycle count")?)?;
+                line.expect_len(2)
+            },
+        ),
+        FamilyParams::WeaklyHard {
+            horizon_jobs,
+            max_misses,
+            window,
+            interval_lo,
+            interval_hi,
+            zero_force,
+        } => p.section(
+            "weakly_hard parameter",
+            &["horizon_jobs", "contract", "interval", "policy"],
+            unterminated,
+            |_, line| match line.key().text {
+                "horizon_jobs" => {
+                    *horizon_jobs = parse_u32(line.operand(1, "job count")?)?;
+                    line.expect_len(2)
                 }
-            },
-            FamilyParams::WeaklyHard {
-                horizon_jobs,
-                max_misses,
-                window,
-                interval_lo,
-                interval_hi,
-                zero_force,
-            } => match key.text {
-                "horizon_jobs" => *horizon_jobs = parse_u32(operand(&line, 1, "job count")?)?,
                 "contract" => {
-                    *max_misses = parse_u32(operand(&line, 1, "m")?)?;
-                    *window = parse_u32(operand(&line, 2, "k")?)?;
-                    expect_len(&line, 3)?;
+                    *max_misses = parse_u32(line.operand(1, "m")?)?;
+                    *window = parse_u32(line.operand(2, "k")?)?;
+                    line.expect_len(3)
                 }
                 "interval" => {
-                    *interval_lo = parse_u64(operand(&line, 1, "lower bound")?)?;
-                    *interval_hi = parse_u64(operand(&line, 2, "upper bound")?)?;
-                    expect_len(&line, 3)?;
+                    *interval_lo = parse_u64(line.operand(1, "lower bound")?)?;
+                    *interval_hi = parse_u64(line.operand(2, "upper bound")?)?;
+                    line.expect_len(3)
                 }
-                "policy" => {
-                    let t = operand(&line, 1, "policy")?;
-                    *zero_force = match t.text {
-                        "hold_last" => false,
-                        "zero_force" => true,
-                        other => {
-                            return Err(unknown(
-                                t.line,
-                                t.col,
-                                "miss policy",
-                                other,
-                                &["hold_last", "zero_force"],
-                            ))
-                        }
-                    };
-                }
-                other => {
-                    return Err(unknown(
-                        key.line,
-                        key.col,
-                        "weakly_hard parameter",
-                        other,
-                        &["horizon_jobs", "contract", "interval", "policy", "end"],
-                    ))
+                _ => {
+                    *zero_force = keyword(
+                        line.operand(1, "policy")?,
+                        "miss policy",
+                        &[("hold_last", false), ("zero_force", true)],
+                    )?;
+                    line.expect_len(2)
                 }
             },
-            FamilyParams::Multicore {
-                cores,
-                horizon,
-                escalated_p,
-            } => match key.text {
-                "cores" => *cores = parse_u32(operand(&line, 1, "core count")?)?,
-                "horizon" => *horizon = parse_u64(operand(&line, 1, "tick count")?)?,
-                "escalated_p" => {
-                    *escalated_p = parse_probability(operand(&line, 1, "probability")?)?
+        ),
+        FamilyParams::Multicore {
+            cores,
+            horizon,
+            escalated_p,
+        } => p.section(
+            "multicore parameter",
+            &["cores", "horizon", "escalated_p"],
+            unterminated,
+            |_, line| {
+                match line.key().text {
+                    "cores" => *cores = parse_u32(line.operand(1, "core count")?)?,
+                    "horizon" => *horizon = parse_u64(line.operand(1, "tick count")?)?,
+                    _ => *escalated_p = parse_probability(line.operand(1, "probability")?)?,
                 }
-                other => {
-                    return Err(unknown(
-                        key.line,
-                        key.col,
-                        "multicore parameter",
-                        other,
-                        &["cores", "horizon", "escalated_p", "end"],
-                    ))
-                }
+                line.expect_len(2)
             },
-            FamilyParams::Node { lightweight_nlft } => match key.text {
-                "policy" => {
-                    let t = operand(&line, 1, "policy")?;
-                    *lightweight_nlft = match t.text {
-                        "fail_silent" => false,
-                        "lightweight_nlft" => true,
-                        other => {
-                            return Err(unknown(
-                                t.line,
-                                t.col,
-                                "node policy",
-                                other,
-                                &["fail_silent", "lightweight_nlft"],
-                            ))
-                        }
-                    };
-                }
-                other => {
-                    return Err(unknown(
-                        key.line,
-                        key.col,
-                        "node parameter",
-                        other,
-                        &["policy", "end"],
-                    ))
-                }
-            },
-            FamilyParams::Cluster(_) => unreachable!("rejected above"),
+        ),
+        FamilyParams::Node { lightweight_nlft } => {
+            p.section("node parameter", &["policy"], unterminated, |_, line| {
+                *lightweight_nlft = keyword(
+                    line.operand(1, "policy")?,
+                    "node policy",
+                    &[("fail_silent", false), ("lightweight_nlft", true)],
+                )?;
+                line.expect_len(2)
+            })
         }
-        // Single-operand keys were length-checked by the match arms that
-        // consume more; check the common 2-token shape here.
-        if !matches!(key.text, "contract" | "interval") {
-            expect_len(&line, 2)?;
-        }
+        FamilyParams::Cluster(_) => Err(err(
+            at,
+            1,
+            "cluster scenarios declare `topology` / `faults` / `contracts`, not `params`",
+        )),
     }
-    Err(err(p.last_line_no(), 1, "unterminated `params` section"))
 }
 
-fn parse_topology(p: &mut Parser<'_>, cluster: &mut ClusterSpec) -> Result<(), ScenarioError> {
-    while let Some(line) = p.next_line().cloned() {
-        let key = &line.tokens[0];
-        match key.text {
-            "end" => {
-                expect_len(&line, 1)?;
-                return Ok(());
-            }
+fn parse_topology(p: &mut Cursor<'_>, cluster: &mut ClusterSpec) -> Result<(), ParseError> {
+    p.section(
+        "topology keyword",
+        &["cycles", "pedal", "node", "startup", "supervise"],
+        |last| err(last, 1, "unterminated `topology` section"),
+        |_, line| match line.key().text {
             "cycles" => {
-                cluster.cycles = parse_u32(operand(&line, 1, "cycle count")?)?;
-                expect_len(&line, 2)?;
+                cluster.cycles = parse_u32(line.operand(1, "cycle count")?)?;
+                line.expect_len(2)
             }
             "pedal" => {
-                let t = operand(&line, 1, "pedal profile")?;
+                let t = line.operand(1, "pedal profile")?;
                 cluster.pedal = match t.text {
                     "constant" => {
-                        let v = parse_u32(operand(&line, 2, "force")?)?;
-                        expect_len(&line, 3)?;
+                        let v = parse_u32(line.operand(2, "force")?)?;
+                        line.expect_len(3)?;
                         PedalSpec::Constant(v)
                     }
                     "ramp" => {
-                        let base = parse_u32(operand(&line, 2, "base")?)?;
-                        let slope = parse_u32(operand(&line, 3, "slope")?)?;
-                        let max = parse_u32(operand(&line, 4, "max")?)?;
-                        expect_len(&line, 5)?;
+                        let base = parse_u32(line.operand(2, "base")?)?;
+                        let slope = parse_u32(line.operand(3, "slope")?)?;
+                        let max = parse_u32(line.operand(4, "max")?)?;
+                        line.expect_len(5)?;
                         PedalSpec::Ramp { base, slope, max }
                     }
-                    other => {
-                        return Err(unknown(
-                            t.line,
-                            t.col,
-                            "pedal profile",
-                            other,
-                            &["constant", "ramp"],
-                        ))
-                    }
+                    _ => return Err(unknown(t, "pedal profile", &["constant", "ramp"])),
                 };
+                Ok(())
             }
             "node" => {
-                let node = parse_node(operand(&line, 1, "node name")?)?;
-                let t = operand(&line, 2, "node kind")?;
-                let kind = [
-                    NodeKind::SingleCore,
-                    NodeKind::DualCoreLock,
-                    NodeKind::DualCoreLeftRs,
-                ]
-                .into_iter()
-                .find(|k| k.keyword() == t.text)
-                .ok_or_else(|| {
-                    unknown(
-                        t.line,
-                        t.col,
-                        "node kind",
-                        t.text,
-                        &["single_core", "dual_core_lock", "dual_core_left_rs"],
-                    )
-                })?;
-                expect_len(&line, 3)?;
+                let node = parse_node(line.operand(1, "node name")?)?;
+                let kind = keyword(
+                    line.operand(2, "node kind")?,
+                    "node kind",
+                    &[
+                        NodeKind::SingleCore,
+                        NodeKind::DualCoreLock,
+                        NodeKind::DualCoreLeftRs,
+                    ]
+                    .map(|k| (k.keyword(), k)),
+                )?;
+                line.expect_len(3)?;
                 cluster.nodes.push((node, kind));
+                Ok(())
             }
             "startup" => {
-                cluster.startup = parse_on_off(operand(&line, 1, "on/off")?)?;
-                expect_len(&line, 2)?;
+                cluster.startup = parse_on_off(line.operand(1, "on/off")?)?;
+                line.expect_len(2)
             }
-            "supervise" => {
-                cluster.supervise = parse_on_off(operand(&line, 1, "on/off")?)?;
-                expect_len(&line, 2)?;
+            _ => {
+                cluster.supervise = parse_on_off(line.operand(1, "on/off")?)?;
+                line.expect_len(2)
             }
-            other => {
-                return Err(unknown(
-                    key.line,
-                    key.col,
-                    "topology keyword",
-                    other,
-                    &["cycles", "pedal", "node", "startup", "supervise", "end"],
-                ))
+        },
+    )
+}
+
+fn parse_faults(p: &mut Cursor<'_>, cluster: &mut ClusterSpec) -> Result<(), ParseError> {
+    p.section(
+        "fault keyword",
+        &[
+            "storm",
+            "rates",
+            "dynamic",
+            "blackout",
+            "transient",
+            "stuck_at",
+            "intermittent",
+            "core_death",
+            "sensor",
+            "actuator",
+            "silence",
+        ],
+        |last| err(last, 1, "unterminated `faults` section"),
+        |_, line| {
+            let fault = parse_fault(&line)?;
+            cluster.faults.push(fault);
+            Ok(())
+        },
+    )
+}
+
+/// One line of a `faults` block; its keyword is a fault keyword.
+fn parse_fault(line: &Line<'_>) -> Result<FaultLine, ParseError> {
+    let key = line.key();
+    Ok(match key.text {
+        "storm" => {
+            let intensity = parse_probability(line.operand(1, "intensity")?)?;
+            let mut from = 0u32;
+            let mut until = u32::MAX;
+            let mut i = 2;
+            while let Some(t) = line.tokens.get(i) {
+                match t.text {
+                    "from" => from = parse_u32(line.operand(i + 1, "cycle")?)?,
+                    "until" => until = parse_u32(line.operand(i + 1, "cycle")?)?,
+                    _ => return Err(unknown(t, "storm option", &["from", "until"])),
+                }
+                i += 2;
+            }
+            FaultLine::Storm {
+                intensity,
+                from,
+                until,
             }
         }
-    }
-    Err(err(p.last_line_no(), 1, "unterminated `topology` section"))
+        "rates" => {
+            const FIELDS: [&str; 6] = [
+                "corruption",
+                "omission",
+                "crash",
+                "babble",
+                "masquerade",
+                "clock_glitch",
+            ];
+            let node = parse_node(line.operand(1, "node name")?)?;
+            let mut rates = [0.0f64; 6];
+            let mut i = 2;
+            while let Some(t) = line.tokens.get(i) {
+                let Some(slot) = FIELDS.iter().position(|f| *f == t.text) else {
+                    return Err(unknown(t, "rate field", &FIELDS));
+                };
+                rates[slot] = parse_probability(line.operand(i + 1, "rate")?)?;
+                i += 2;
+            }
+            FaultLine::Rates {
+                node,
+                corruption: rates[0],
+                omission: rates[1],
+                crash: rates[2],
+                babble: rates[3],
+                masquerade: rates[4],
+                clock_glitch: rates[5],
+            }
+        }
+        "dynamic" => {
+            let dup = parse_probability(line.operand(1, "dup rate")?)?;
+            let reorder = parse_probability(line.operand(2, "reorder rate")?)?;
+            line.expect_len(3)?;
+            FaultLine::Dynamic { dup, reorder }
+        }
+        "blackout" => {
+            let at = parse_u32(line.operand(1, "cycle")?)?;
+            let down = parse_u32(line.operand(2, "down cycles")?)?;
+            let stagger = parse_u32(line.operand(3, "stagger")?)?;
+            let nodes = line.tokens[4..]
+                .iter()
+                .map(parse_node)
+                .collect::<Result<Vec<_>, _>>()?;
+            if nodes.is_empty() {
+                return Err(key.err("blackout without victim nodes"));
+            }
+            FaultLine::Blackout {
+                at,
+                down,
+                stagger,
+                nodes,
+            }
+        }
+        "transient" => {
+            let node = parse_node(line.operand(1, "node name")?)?;
+            let cycle = parse_u32(line.operand(2, "cycle")?)?;
+            let copy = parse_u32(line.operand(3, "copy index")?)?;
+            let at = parse_u64(line.operand(4, "machine cycle")?)?;
+            line.expect_len(5)?;
+            FaultLine::Transient {
+                node,
+                cycle,
+                copy,
+                at,
+            }
+        }
+        "stuck_at" => {
+            let node = parse_node(line.operand(1, "node name")?)?;
+            let t = line.operand(2, "bit index")?;
+            let bit = parse_u32(t)?;
+            if bit >= 32 {
+                return Err(t.err(format!("bit index {bit} outside 0–31")));
+            }
+            line.expect_len(3)?;
+            FaultLine::StuckAtPc { node, bit }
+        }
+        "intermittent" => {
+            let node = parse_node(line.operand(1, "node name")?)?;
+            let recurrence = parse_probability(line.operand(2, "recurrence")?)?;
+            let burst = parse_u32(line.operand(3, "burst length")?)?;
+            line.expect_len(4)?;
+            FaultLine::Intermittent {
+                node,
+                recurrence,
+                burst,
+            }
+        }
+        "core_death" => {
+            let node = parse_node(line.operand(1, "node name")?)?;
+            let cycle = parse_u32(line.operand(2, "cycle")?)?;
+            let escalated = match line.tokens.get(3) {
+                Some(t) => keyword(t, "core_death option", &[("escalated", true)])?,
+                None => false,
+            };
+            line.expect_len(4)?;
+            FaultLine::CoreDeath {
+                node,
+                cycle,
+                escalated,
+            }
+        }
+        "sensor" => {
+            let channel = parse_u32(line.operand(1, "channel index")?)?;
+            let t = line.operand(2, "sensor fault kind")?;
+            let (fault, onset_idx) = match t.text {
+                "stuck_at" => (
+                    SensorFaultSpec::StuckAt(parse_u32(line.operand(3, "value")?)?),
+                    4,
+                ),
+                "offset" => (
+                    SensorFaultSpec::Offset(parse_i64(line.operand(3, "offset")?)?),
+                    4,
+                ),
+                "drift" => (
+                    SensorFaultSpec::Drift(parse_i64(line.operand(3, "per-cycle drift")?)?),
+                    4,
+                ),
+                "noise" => (
+                    SensorFaultSpec::Noise {
+                        amplitude: parse_u32(line.operand(3, "amplitude")?)?,
+                        cycles: parse_u32(line.operand(4, "burst cycles")?)?,
+                    },
+                    5,
+                ),
+                _ => {
+                    return Err(unknown(
+                        t,
+                        "sensor fault",
+                        &["stuck_at", "offset", "drift", "noise"],
+                    ))
+                }
+            };
+            FaultLine::Sensor {
+                channel,
+                fault,
+                onset: parse_onset(line, onset_idx)?,
+            }
+        }
+        "actuator" => {
+            let wheel = parse_u32(line.operand(1, "wheel index")?)?;
+            let t = line.operand(2, "actuator fault kind")?;
+            let (fault, onset_idx) = match t.text {
+                "stuck" => (ActuatorFaultSpec::Stuck, 3),
+                "runaway" => (
+                    ActuatorFaultSpec::Runaway {
+                        step: parse_u32(line.operand(3, "step")?)?,
+                    },
+                    4,
+                ),
+                "offset" => (
+                    ActuatorFaultSpec::Offset(parse_i64(line.operand(3, "offset")?)?),
+                    4,
+                ),
+                _ => {
+                    return Err(unknown(
+                        t,
+                        "actuator fault",
+                        &["stuck", "runaway", "offset"],
+                    ))
+                }
+            };
+            FaultLine::Actuator {
+                wheel,
+                fault,
+                onset: parse_onset(line, onset_idx)?,
+            }
+        }
+        _ => {
+            let node = parse_node(line.operand(1, "node name")?)?;
+            let cycles = parse_u32(line.operand(2, "cycle count")?)?;
+            line.expect_len(3)?;
+            FaultLine::Silence { node, cycles }
+        }
+    })
 }
 
-fn parse_faults(p: &mut Parser<'_>, cluster: &mut ClusterSpec) -> Result<(), ScenarioError> {
-    const KEYS: [&str; 12] = [
-        "storm",
-        "rates",
-        "dynamic",
-        "blackout",
-        "transient",
-        "stuck_at",
-        "intermittent",
-        "core_death",
-        "sensor",
-        "actuator",
-        "silence",
-        "end",
-    ];
-    while let Some(line) = p.next_line().cloned() {
-        let key = &line.tokens[0];
-        let fault = match key.text {
-            "end" => {
-                expect_len(&line, 1)?;
-                return Ok(());
-            }
-            "storm" => {
-                let intensity = parse_probability(operand(&line, 1, "intensity")?)?;
-                let mut from = 0u32;
-                let mut until = u32::MAX;
-                let mut i = 2;
-                while i < line.tokens.len() {
-                    let t = &line.tokens[i];
-                    match t.text {
-                        "from" => {
-                            from = parse_u32(operand(&line, i + 1, "cycle")?)?;
-                            i += 2;
-                        }
-                        "until" => {
-                            until = parse_u32(operand(&line, i + 1, "cycle")?)?;
-                            i += 2;
-                        }
-                        other => {
-                            return Err(unknown(
-                                t.line,
-                                t.col,
-                                "storm option",
-                                other,
-                                &["from", "until"],
-                            ))
-                        }
-                    }
-                }
-                FaultLine::Storm {
-                    intensity,
-                    from,
-                    until,
-                }
-            }
-            "rates" => {
-                let node = parse_node(operand(&line, 1, "node name")?)?;
-                let mut rates = [0.0f64; 6];
-                const FIELDS: [&str; 6] = [
-                    "corruption",
-                    "omission",
-                    "crash",
-                    "babble",
-                    "masquerade",
-                    "clock_glitch",
-                ];
-                let mut i = 2;
-                while i < line.tokens.len() {
-                    let t = &line.tokens[i];
-                    let Some(slot) = FIELDS.iter().position(|f| *f == t.text) else {
-                        return Err(unknown(t.line, t.col, "rate field", t.text, &FIELDS));
-                    };
-                    rates[slot] = parse_probability(operand(&line, i + 1, "rate")?)?;
-                    i += 2;
-                }
-                FaultLine::Rates {
-                    node,
-                    corruption: rates[0],
-                    omission: rates[1],
-                    crash: rates[2],
-                    babble: rates[3],
-                    masquerade: rates[4],
-                    clock_glitch: rates[5],
-                }
-            }
-            "dynamic" => {
-                let dup = parse_probability(operand(&line, 1, "dup rate")?)?;
-                let reorder = parse_probability(operand(&line, 2, "reorder rate")?)?;
-                expect_len(&line, 3)?;
-                FaultLine::Dynamic { dup, reorder }
-            }
-            "blackout" => {
-                let at = parse_u32(operand(&line, 1, "cycle")?)?;
-                let down = parse_u32(operand(&line, 2, "down cycles")?)?;
-                let stagger = parse_u32(operand(&line, 3, "stagger")?)?;
-                let mut nodes = Vec::new();
-                for t in &line.tokens[4..] {
-                    nodes.push(parse_node(t)?);
-                }
-                if nodes.is_empty() {
-                    return Err(err(key.line, key.col, "blackout without victim nodes"));
-                }
-                FaultLine::Blackout {
-                    at,
-                    down,
-                    stagger,
-                    nodes,
-                }
-            }
-            "transient" => {
-                let node = parse_node(operand(&line, 1, "node name")?)?;
-                let cycle = parse_u32(operand(&line, 2, "cycle")?)?;
-                let copy = parse_u32(operand(&line, 3, "copy index")?)?;
-                let at = parse_u64(operand(&line, 4, "machine cycle")?)?;
-                expect_len(&line, 5)?;
-                FaultLine::Transient {
-                    node,
-                    cycle,
-                    copy,
-                    at,
-                }
-            }
-            "stuck_at" => {
-                let node = parse_node(operand(&line, 1, "node name")?)?;
-                let bit = parse_u32(operand(&line, 2, "bit index")?)?;
-                if bit >= 32 {
-                    let t = &line.tokens[2];
-                    return Err(err(t.line, t.col, format!("bit index {bit} outside 0–31")));
-                }
-                expect_len(&line, 3)?;
-                FaultLine::StuckAtPc { node, bit }
-            }
-            "intermittent" => {
-                let node = parse_node(operand(&line, 1, "node name")?)?;
-                let recurrence = parse_probability(operand(&line, 2, "recurrence")?)?;
-                let burst = parse_u32(operand(&line, 3, "burst length")?)?;
-                expect_len(&line, 4)?;
-                FaultLine::Intermittent {
-                    node,
-                    recurrence,
-                    burst,
-                }
-            }
-            "core_death" => {
-                let node = parse_node(operand(&line, 1, "node name")?)?;
-                let cycle = parse_u32(operand(&line, 2, "cycle")?)?;
-                let escalated = if let Some(t) = line.tokens.get(3) {
-                    if t.text != "escalated" {
-                        return Err(unknown(
-                            t.line,
-                            t.col,
-                            "core_death option",
-                            t.text,
-                            &["escalated"],
-                        ));
-                    }
-                    expect_len(&line, 4)?;
-                    true
-                } else {
-                    false
-                };
-                FaultLine::CoreDeath {
-                    node,
-                    cycle,
-                    escalated,
-                }
-            }
-            "sensor" => {
-                let channel = parse_u32(operand(&line, 1, "channel index")?)?;
-                let t = operand(&line, 2, "sensor fault kind")?;
-                let (fault, onset_idx) = match t.text {
-                    "stuck_at" => (
-                        SensorFaultSpec::StuckAt(parse_u32(operand(&line, 3, "value")?)?),
-                        4,
-                    ),
-                    "offset" => (
-                        SensorFaultSpec::Offset(parse_i64(operand(&line, 3, "offset")?)?),
-                        4,
-                    ),
-                    "drift" => (
-                        SensorFaultSpec::Drift(parse_i64(operand(&line, 3, "per-cycle drift")?)?),
-                        4,
-                    ),
-                    "noise" => (
-                        SensorFaultSpec::Noise {
-                            amplitude: parse_u32(operand(&line, 3, "amplitude")?)?,
-                            cycles: parse_u32(operand(&line, 4, "burst cycles")?)?,
-                        },
-                        5,
-                    ),
-                    other => {
-                        return Err(unknown(
-                            t.line,
-                            t.col,
-                            "sensor fault",
-                            other,
-                            &["stuck_at", "offset", "drift", "noise"],
-                        ))
-                    }
-                };
-                let kw = operand(&line, onset_idx, "`onset`")?;
-                if kw.text != "onset" {
-                    return Err(unknown(kw.line, kw.col, "keyword", kw.text, &["onset"]));
-                }
-                let onset = parse_u32(operand(&line, onset_idx + 1, "onset cycle")?)?;
-                expect_len(&line, onset_idx + 2)?;
-                FaultLine::Sensor {
-                    channel,
-                    fault,
-                    onset,
-                }
-            }
-            "actuator" => {
-                let wheel = parse_u32(operand(&line, 1, "wheel index")?)?;
-                let t = operand(&line, 2, "actuator fault kind")?;
-                let (fault, onset_idx) = match t.text {
-                    "stuck" => (ActuatorFaultSpec::Stuck, 3),
-                    "runaway" => (
-                        ActuatorFaultSpec::Runaway {
-                            step: parse_u32(operand(&line, 3, "step")?)?,
-                        },
-                        4,
-                    ),
-                    "offset" => (
-                        ActuatorFaultSpec::Offset(parse_i64(operand(&line, 3, "offset")?)?),
-                        4,
-                    ),
-                    other => {
-                        return Err(unknown(
-                            t.line,
-                            t.col,
-                            "actuator fault",
-                            other,
-                            &["stuck", "runaway", "offset"],
-                        ))
-                    }
-                };
-                let kw = operand(&line, onset_idx, "`onset`")?;
-                if kw.text != "onset" {
-                    return Err(unknown(kw.line, kw.col, "keyword", kw.text, &["onset"]));
-                }
-                let onset = parse_u32(operand(&line, onset_idx + 1, "onset cycle")?)?;
-                expect_len(&line, onset_idx + 2)?;
-                FaultLine::Actuator {
-                    wheel,
-                    fault,
-                    onset,
-                }
-            }
-            "silence" => {
-                let node = parse_node(operand(&line, 1, "node name")?)?;
-                let cycles = parse_u32(operand(&line, 2, "cycle count")?)?;
-                expect_len(&line, 3)?;
-                FaultLine::Silence { node, cycles }
-            }
-            other => return Err(unknown(key.line, key.col, "fault keyword", other, &KEYS)),
-        };
-        cluster.faults.push(fault);
-    }
-    Err(err(p.last_line_no(), 1, "unterminated `faults` section"))
-}
-
-fn parse_contracts(p: &mut Parser<'_>, cluster: &mut ClusterSpec) -> Result<(), ScenarioError> {
-    const WHEEL_KEYS: [&str; 4] = ["fl", "fr", "rl", "rr"];
+fn parse_contracts(p: &mut Cursor<'_>, cluster: &mut ClusterSpec) -> Result<(), ParseError> {
     let mut contracts = cluster
         .contracts
         .unwrap_or([(1, 8), (1, 8), (2, 8), (2, 8)]);
-    while let Some(line) = p.next_line().cloned() {
-        let key = &line.tokens[0];
-        match key.text {
-            "end" => {
-                expect_len(&line, 1)?;
-                cluster.contracts = Some(contracts);
-                return Ok(());
+    p.section(
+        "contracts keyword",
+        &["wheel"],
+        |last| err(last, 1, "unterminated `contracts` section"),
+        |_, line| {
+            let wheel = keyword(
+                line.operand(1, "wheel name")?,
+                "wheel",
+                &[("fl", 0), ("fr", 1), ("rl", 2), ("rr", 3)],
+            )?;
+            let m = parse_u32(line.operand(2, "m")?)?;
+            let k = parse_u32(line.operand(3, "k")?)?;
+            if k == 0 || m >= k {
+                return Err(
+                    line.tokens[2].err(format!("({m},{k}) is not a valid weakly-hard contract"))
+                );
             }
-            "wheel" => {
-                let t = operand(&line, 1, "wheel name")?;
-                let idx = WHEEL_KEYS
-                    .iter()
-                    .position(|w| *w == t.text)
-                    .ok_or_else(|| unknown(t.line, t.col, "wheel", t.text, &WHEEL_KEYS))?;
-                let m = parse_u32(operand(&line, 2, "m")?)?;
-                let k = parse_u32(operand(&line, 3, "k")?)?;
-                if k == 0 || m >= k {
-                    let t = &line.tokens[2];
-                    return Err(err(
-                        t.line,
-                        t.col,
-                        format!("({m},{k}) is not a valid weakly-hard contract"),
-                    ));
-                }
-                expect_len(&line, 4)?;
-                contracts[idx] = (m, k);
-            }
-            other => {
-                return Err(unknown(
-                    key.line,
-                    key.col,
-                    "contracts keyword",
-                    other,
-                    &["wheel", "end"],
-                ))
-            }
-        }
-    }
-    Err(err(p.last_line_no(), 1, "unterminated `contracts` section"))
+            line.expect_len(4)?;
+            contracts[wheel] = (m, k);
+            Ok(())
+        },
+    )?;
+    cluster.contracts = Some(contracts);
+    Ok(())
 }
 
-fn parse_accept(p: &mut Parser<'_>) -> Result<AcceptSpec, ScenarioError> {
+fn parse_accept(p: &mut Cursor<'_>) -> Result<AcceptSpec, ParseError> {
     let mut accept = AcceptSpec::default();
-    while let Some(line) = p.next_line().cloned() {
-        let key = &line.tokens[0];
-        match key.text {
-            "end" => {
-                expect_len(&line, 1)?;
-                return Ok(accept);
+    p.section(
+        "accept keyword",
+        &["pin", "verdict", "require_zero", "max"],
+        |last| err(last, 1, "unterminated `accept` section"),
+        |_, line| {
+            match line.key().text {
+                "pin" => {
+                    let t = line.operand(1, "digest")?;
+                    let v = u32::try_from(parse_u64(t)?)
+                        .map_err(|_| t.err("digest does not fit in 32 bits"))?;
+                    line.expect_len(2)?;
+                    accept.pin = Some(v);
+                }
+                "verdict" => {
+                    let name = line.operand(1, "verdict name")?.text.to_string();
+                    let count = parse_u64(line.operand(2, "count")?)?;
+                    line.expect_len(3)?;
+                    accept.verdicts.push((name, count));
+                }
+                "require_zero" => {
+                    let name = line.operand(1, "verdict or metric name")?;
+                    line.expect_len(2)?;
+                    accept.require_zero.push(name.text.to_string());
+                }
+                _ => {
+                    let name = line.operand(1, "metric name")?.text.to_string();
+                    let v = parse_u64(line.operand(2, "ceiling")?)?;
+                    line.expect_len(3)?;
+                    accept.max.push((name, v));
+                }
             }
-            "pin" => {
-                let t = operand(&line, 1, "digest")?;
-                let v = parse_u64(t)?;
-                let v = u32::try_from(v)
-                    .map_err(|_| err(t.line, t.col, "digest does not fit in 32 bits"))?;
-                expect_len(&line, 2)?;
-                accept.pin = Some(v);
-            }
-            "verdict" => {
-                let name = operand(&line, 1, "verdict name")?.text.to_string();
-                let count = parse_u64(operand(&line, 2, "count")?)?;
-                expect_len(&line, 3)?;
-                accept.verdicts.push((name, count));
-            }
-            "require_zero" => {
-                let name = operand(&line, 1, "verdict or metric name")?
-                    .text
-                    .to_string();
-                expect_len(&line, 2)?;
-                accept.require_zero.push(name);
-            }
-            "max" => {
-                let name = operand(&line, 1, "metric name")?.text.to_string();
-                let v = parse_u64(operand(&line, 2, "ceiling")?)?;
-                expect_len(&line, 3)?;
-                accept.max.push((name, v));
-            }
-            other => {
-                return Err(unknown(
-                    key.line,
-                    key.col,
-                    "accept keyword",
-                    other,
-                    &["pin", "verdict", "require_zero", "max", "end"],
-                ))
-            }
-        }
-    }
-    Err(err(p.last_line_no(), 1, "unterminated `accept` section"))
+            Ok(())
+        },
+    )?;
+    Ok(accept)
 }
 
 // ---------------------------------------------------------------------

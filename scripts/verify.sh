@@ -74,12 +74,17 @@ for scenario in babbling-wheel wheel-restart-under-blackout; do
         run "$scenario" --resume "$ckpt"
 done
 
-# Scenario text fuzzing: the zoo mutation property once more, in
-# release and over a wider sweep than the default tier-1 run. Nothing a
-# mutated `.scn` file holds may panic the parser, the compiler or a
-# runner, and whatever compiles must fold every trial it asks for.
-echo "== scenario zoo: mutation property, 2000 cases =="
-NLFT_PROP_CASES=2000 cargo test --release --offline -q -p nlft-bbw --test zoo_mutations
+# Model text fuzzing: the two mutation properties once more, over a far
+# wider sweep than the default tier-1 run, in the `fuzz` profile (release
+# speed, integer overflow checks on, so an overflowing add panics instead
+# of wrapping). Nothing a mutated `.scn` file holds may panic the parser,
+# the compiler or a runner, and whatever compiles must fold every trial
+# it asks for; nothing a mutated `.sharpe` file holds may panic or hang
+# the parser or the evaluation of what it accepts.
+echo "== scenario zoo: mutation property, 100000 cases, overflow checks on =="
+NLFT_PROP_CASES=100000 cargo test --profile fuzz --offline -q -p nlft-bbw --test zoo_mutations
+echo "== SHARPE models: mutation property, 100000 cases, overflow checks on =="
+NLFT_PROP_CASES=100000 cargo test --profile fuzz --offline -q -p nlft-reliability --test sharpe_mutations
 
 # Bench trajectory: re-measure the groups in the committed baseline and
 # compare. Timing deltas (fastest sample per benchmark) are advisory only,
