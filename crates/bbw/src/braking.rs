@@ -13,7 +13,8 @@
 //!
 //! Scoring a miss pattern means braking twice — once with the pattern
 //! (repeated cyclically until the vehicle stops), once with the all-hit
-//! clean twin — and reporting the **excess stopping distance**. That is
+//! clean twin, which a campaign brakes once for all its patterns — and
+//! reporting the **excess stopping distance**. That is
 //! the functional number the miss-pattern storm campaign attaches to
 //! every pattern it finds: not "2 misses in 8" but "0.4% longer
 //! stopping distance".
@@ -67,9 +68,16 @@ impl BrakingModel {
         let mut distance = 0u64;
         let mut held_force = 0u32;
         let mut cycle = 0u32;
+        // `pattern[at]` is this cycle's entry; `at` wraps to 0 at the
+        // pattern's end, so no cycle pays a division.
+        let mut at = 0usize;
         while speed > 0 && cycle < self.max_cycles {
             distance += speed;
-            let missed = !pattern.is_empty() && pattern[cycle as usize % pattern.len()];
+            let missed = pattern.get(at).copied().unwrap_or(false);
+            at += 1;
+            if at >= pattern.len() {
+                at = 0;
+            }
             let applied = if missed {
                 match policy {
                     MissPolicy::HoldLast => held_force,
@@ -85,9 +93,16 @@ impl BrakingModel {
         (distance, cycle, speed == 0)
     }
 
-    /// Scores a miss pattern against the all-hit clean twin.
-    pub fn score(&self, pattern: &[bool], policy: MissPolicy) -> BrakingScore {
-        let (clean_distance, clean_cycles, _) = self.brake(&[], policy);
+    /// Scores a miss pattern against the all-hit clean twin, which is
+    /// `self.brake(&[], policy)` for the same policy: the same for every
+    /// pattern, so a campaign brakes it once and passes it to each score.
+    pub fn score(
+        &self,
+        pattern: &[bool],
+        policy: MissPolicy,
+        clean: (u64, u32, bool),
+    ) -> BrakingScore {
+        let (clean_distance, clean_cycles, _) = clean;
         let (distance, cycles, stopped) = self.brake(pattern, policy);
         BrakingScore {
             clean_distance,
@@ -132,11 +147,64 @@ impl BrakingScore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nlft_sim::rng::RngStream;
+
+    /// Scores `pattern` against the clean twin the campaign brakes.
+    fn score(m: &BrakingModel, pattern: &[bool], policy: MissPolicy) -> BrakingScore {
+        m.score(pattern, policy, m.brake(&[], policy))
+    }
+
+    /// Reference: the braking loop indexed by `pattern[cycle % len]`.
+    fn brake_by_modulo(m: &BrakingModel, pattern: &[bool], policy: MissPolicy) -> (u64, u32, bool) {
+        let mut speed = u64::from(m.initial_speed);
+        let mut distance = 0u64;
+        let mut held_force = 0u32;
+        let mut cycle = 0u32;
+        while speed > 0 && cycle < m.max_cycles {
+            distance += speed;
+            let missed = !pattern.is_empty() && pattern[cycle as usize % pattern.len()];
+            let applied = if missed {
+                match policy {
+                    MissPolicy::HoldLast => held_force,
+                    MissPolicy::ZeroForce => 0,
+                }
+            } else {
+                held_force = BrakingModel::demand(cycle);
+                held_force
+            };
+            speed = speed.saturating_sub(u64::from(applied / m.force_gain.max(1)));
+            cycle += 1;
+        }
+        (distance, cycle, speed == 0)
+    }
+
+    #[test]
+    fn wrapping_index_brakes_like_the_modulo() {
+        let m = BrakingModel::nominal();
+        let mut rng = RngStream::new(0xB4A4E);
+        for policy in [MissPolicy::HoldLast, MissPolicy::ZeroForce] {
+            assert_eq!(m.brake(&[], policy), brake_by_modulo(&m, &[], policy));
+            for len in 1..=20 {
+                for _ in 0..16 {
+                    // Miss rates from none to all, so runs both stop early
+                    // and run to `max_cycles`.
+                    let rate = rng.uniform_range(0, 5);
+                    let pattern: Vec<bool> =
+                        (0..len).map(|_| rng.uniform_range(0, 4) < rate).collect();
+                    assert_eq!(
+                        m.brake(&pattern, policy),
+                        brake_by_modulo(&m, &pattern, policy),
+                        "{pattern:?} under {policy:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn clean_twin_has_zero_excess() {
         let m = BrakingModel::nominal();
-        let s = m.score(&[false; 8], MissPolicy::HoldLast);
+        let s = score(&m, &[false; 8], MissPolicy::HoldLast);
         assert!(s.stopped);
         assert_eq!(s.excess_distance, 0);
         assert_eq!(s.stop_cycles, s.clean_stop_cycles);
@@ -145,7 +213,7 @@ mod tests {
     #[test]
     fn all_miss_zero_force_never_stops() {
         let m = BrakingModel::nominal();
-        let s = m.score(&[true], MissPolicy::ZeroForce);
+        let s = score(&m, &[true], MissPolicy::ZeroForce);
         assert!(!s.stopped, "no force ever applied");
         assert_eq!(s.stop_cycles, m.max_cycles);
         assert!(s.excess_distance > s.clean_distance);
@@ -155,8 +223,8 @@ mod tests {
     fn misses_cost_distance_and_hold_beats_release() {
         let m = BrakingModel::nominal();
         let pattern = [true, false, true, false, false, false, false, false];
-        let hold = m.score(&pattern, MissPolicy::HoldLast);
-        let zero = m.score(&pattern, MissPolicy::ZeroForce);
+        let hold = score(&m, &pattern, MissPolicy::HoldLast);
+        let zero = score(&m, &pattern, MissPolicy::ZeroForce);
         assert!(hold.excess_distance > 0, "misses must cost distance");
         assert!(
             hold.excess_distance < zero.excess_distance,
@@ -168,8 +236,8 @@ mod tests {
     #[test]
     fn denser_patterns_cost_more() {
         let m = BrakingModel::nominal();
-        let sparse = m.score(&[true, false, false, false], MissPolicy::HoldLast);
-        let dense = m.score(&[true, true, false, false], MissPolicy::HoldLast);
+        let sparse = score(&m, &[true, false, false, false], MissPolicy::HoldLast);
+        let dense = score(&m, &[true, true, false, false], MissPolicy::HoldLast);
         assert!(dense.excess_distance > sparse.excess_distance);
         assert!(dense.excess_ppm() > sparse.excess_ppm());
     }
@@ -179,12 +247,12 @@ mod tests {
         // Golden pin: the campaign's functional metric must stay
         // bit-identical; any model change shows up here first.
         let m = BrakingModel::nominal();
-        let clean = m.score(&[], MissPolicy::HoldLast);
+        let clean = score(&m, &[], MissPolicy::HoldLast);
         assert_eq!(
             (clean.clean_distance, clean.clean_stop_cycles),
             (1_686_135, 92)
         );
-        let s = m.score(&[true, false, true, false, true], MissPolicy::HoldLast);
+        let s = score(&m, &[true, false, true, false, true], MissPolicy::HoldLast);
         assert_eq!(
             (s.distance, s.stop_cycles, s.stopped),
             (1_710_598, 93, true)

@@ -247,7 +247,10 @@ fn place_faults(
     horizon_jobs: u32,
 ) -> Vec<SimDuration> {
     let horizon_us = u64::from(horizon_jobs) * PERIOD_US;
-    let mut times = Vec::new();
+    // An upper bound for the first three strategies: jitter and periodic
+    // trains space faults at least `T_F` apart, and a burst places at most
+    // 12 faults `T_F` apart, all inside the horizon.
+    let mut times = Vec::with_capacity((horizon_us / tf_us + 2) as usize);
     match strategy {
         PlacementStrategy::RandomJitter => {
             let mut t = rng.uniform_range(0, tf_us);
@@ -276,7 +279,7 @@ fn place_faults(
         }
         PlacementStrategy::Adversarial => {
             let (_, faults) = model.worst_pattern(horizon_jobs);
-            times = faults;
+            return faults;
         }
     }
     times
@@ -292,16 +295,14 @@ pub fn run_miss_pattern_campaign(config: &MissPatternCampaignConfig) -> MissPatt
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
-    let set = brake_task_set();
-    let costs = TemCosts::nominal();
-    let braking = BrakingModel::nominal();
+    let invariants = CampaignInvariants::new(config.policy);
     let campaign = nlft_engine::indexed_campaign(
         "bbw-miss-pattern",
         "miss-pattern-trial",
         config.trials,
         MissPatternCampaignResult::default,
         move |trial, _ctx, result: &mut MissPatternCampaignResult| {
-            run_miss_pattern_trial(&c, &set, &costs, &braking, &root, trial, result);
+            run_miss_pattern_trial(&c, &invariants, &root, trial, result);
         },
         |into, from| into.merge(from),
     );
@@ -309,11 +310,34 @@ pub fn run_miss_pattern_campaign(config: &MissPatternCampaignConfig) -> MissPatt
     nlft_engine::run_trials(campaign, &engine).acc
 }
 
+/// What every trial of a campaign shares, built once per campaign.
+struct CampaignInvariants {
+    /// The brake controller under contract.
+    set: TaskSet,
+    /// TEM overheads for the fault-recovery RTA.
+    costs: TemCosts,
+    /// The vehicle each pattern brakes.
+    braking: BrakingModel,
+    /// `braking.brake(&[], policy)`: the all-hit clean twin every score
+    /// is measured against.
+    clean: (u64, u32, bool),
+}
+
+impl CampaignInvariants {
+    fn new(policy: MissPolicy) -> Self {
+        let braking = BrakingModel::nominal();
+        CampaignInvariants {
+            set: brake_task_set(),
+            costs: TemCosts::nominal(),
+            braking,
+            clean: braking.brake(&[], policy),
+        }
+    }
+}
+
 fn run_miss_pattern_trial(
     config: &MissPatternCampaignConfig,
-    set: &TaskSet,
-    costs: &TemCosts,
-    braking: &BrakingModel,
+    inv: &CampaignInvariants,
     root: &RngStream,
     trial: u64,
     result: &mut MissPatternCampaignResult,
@@ -324,7 +348,12 @@ fn run_miss_pattern_trial(
     let strategy = STRATEGIES[rng.uniform_range(0, STRATEGIES.len() as u64) as usize];
 
     // The offline certificate for this trial's fault interval.
-    let bound = &analyse_weakly_hard(set, &[(TaskId(1), config.contract)], us(tf_us), costs)[0];
+    let bound = &analyse_weakly_hard(
+        &inv.set,
+        &[(TaskId(1), config.contract)],
+        us(tf_us),
+        &inv.costs,
+    )[0];
     let model = MissModel {
         period: us(PERIOD_US),
         deadline: us(DEADLINE_US),
@@ -375,7 +404,7 @@ fn run_miss_pattern_trial(
     }
 
     // The functional metric: what this pattern costs in distance.
-    let score = braking.score(&pattern, config.policy);
+    let score = inv.braking.score(&pattern, config.policy, inv.clean);
     c.total_excess_distance += score.excess_distance;
     let candidate = WorstPattern {
         trial,

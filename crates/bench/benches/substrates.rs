@@ -1,10 +1,12 @@
 //! Microbenchmarks of every substrate: the matrix exponential, CTMC
 //! solves, BDD fault trees, the TM32 interpreter, TEM jobs, the multicore
 //! certification sweep, the escalation-chain solve, the preemptive
-//! executive, the TDMA bus and one BBW cluster cycle.
+//! executive, the TDMA bus, one BBW cluster cycle and the weakly-hard
+//! miss count.
 
 use nlft_bbw::cluster::BbwCluster;
 use nlft_core::diagnosis::escalation_chain;
+use nlft_kernel::analysis::MissModel;
 use nlft_kernel::escalation::EscalationPolicy;
 use nlft_kernel::multicore::MulticoreExecutive;
 use nlft_kernel::preemptive::{PreemptiveExecutive, ResidentTask};
@@ -19,6 +21,8 @@ use nlft_reliability::ctmc::CtmcBuilder;
 use nlft_reliability::dtmc::AbsorbingDtmc;
 use nlft_reliability::faulttree::FaultTreeBuilder;
 use nlft_reliability::linalg::Matrix;
+use nlft_sim::rng::RngStream;
+use nlft_sim::time::SimDuration;
 use nlft_testkit::bench::Bench;
 use std::hint::black_box;
 
@@ -243,6 +247,32 @@ fn bench_net() {
     b.finish();
 }
 
+/// One miss count over the densest train the weakly-hard campaign draws:
+/// `T_F` = 40 µs with jitter in `[0, T_F)` over 64 jobs of 100 µs, about
+/// 110 faults. Linear in jobs plus faults; a per-job filter over the
+/// whole train is quadratic.
+fn bench_weakly_hard() {
+    let us = SimDuration::from_micros;
+    let model = MissModel {
+        period: us(100),
+        deadline: us(80),
+        fault_interval: us(40),
+        tolerated: 1,
+    };
+    let mut rng = RngStream::new(0x40);
+    let mut faults = Vec::new();
+    let mut t = rng.uniform_range(0, 40);
+    while t < 6_400 {
+        faults.push(us(t));
+        t += 40 + rng.uniform_range(0, 40);
+    }
+    let mut b = Bench::new("weakly_hard");
+    b.bench("misses_64_jobs_dense", || {
+        black_box(model.misses(black_box(&faults), 64))
+    });
+    b.finish();
+}
+
 fn main() {
     bench_linalg();
     bench_ctmc();
@@ -253,4 +283,5 @@ fn main() {
     bench_diagnosis();
     bench_preemptive();
     bench_net();
+    bench_weakly_hard();
 }

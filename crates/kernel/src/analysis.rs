@@ -389,15 +389,33 @@ impl MissModel {
 
     /// Which of the first `k` jobs miss under an explicit fault
     /// placement (`fault_times` as offsets from the first release).
+    ///
+    /// Job `j` misses when more than `tolerated` faults lie in
+    /// `[j·period, j·period + deadline)`. One forward sweep over the
+    /// train: releases only grow, so the first fault not before a
+    /// release is never before it again. That is O(k + F) when job
+    /// windows do not overlap, and stays exact when they do (deadline
+    /// above the period). Every placement in this workspace is
+    /// ascending; an unsorted train is sorted into a local copy first.
     pub fn misses(&self, fault_times: &[SimDuration], k: u32) -> Vec<bool> {
+        let sorted;
+        let faults = if fault_times.is_sorted() {
+            fault_times
+        } else {
+            let mut copy = fault_times.to_vec();
+            copy.sort_unstable();
+            sorted = copy;
+            &sorted
+        };
+        let mut lo = 0;
         (0..u64::from(k))
             .map(|j| {
                 let release = self.period * j;
                 let deadline = release + self.deadline;
-                let hits = fault_times
-                    .iter()
-                    .filter(|&&f| f >= release && f < deadline)
-                    .count();
+                while lo < faults.len() && faults[lo] < release {
+                    lo += 1;
+                }
+                let hits = faults[lo..].iter().take_while(|&&f| f < deadline).count();
                 hits as u32 > self.tolerated
             })
             .collect()

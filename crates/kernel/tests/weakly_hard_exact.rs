@@ -11,11 +11,18 @@
 //!   a certified (m,k) contract is never violated;
 //! * tight — the reported worst pattern is itself reachable by an
 //!   enumerated placement (the bound is not conservative slack).
+//!
+//! A seeded property pins `MissModel::misses`, a one-pass sweep, to its
+//! definition: a job misses when more than `tolerated` faults land in
+//! its window.
 
 use nlft_kernel::analysis::{analyse_weakly_hard, faults_tolerated, MissModel, TemCosts};
 use nlft_kernel::contract::MkContract;
 use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpecBuilder};
 use nlft_sim::time::SimDuration;
+use nlft_testkit::prop::Suite;
+use nlft_testkit::prop_assert_eq;
+use nlft_testkit::rng::TkRng;
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_micros(v)
@@ -161,5 +168,96 @@ fn certified_contracts_survive_every_placement() {
     assert!(
         refused_violated,
         "(1,3) must be violated by a real placement"
+    );
+}
+
+/// The definition `misses` implements: for each job, count the faults
+/// inside its window by filtering the whole train.
+fn misses_by_definition(m: &MissModel, fault_times: &[SimDuration], k: u32) -> Vec<bool> {
+    (0..u64::from(k))
+        .map(|j| {
+            let release = m.period * j;
+            let deadline = release + m.deadline;
+            let hits = fault_times
+                .iter()
+                .filter(|&&f| f >= release && f < deadline)
+                .count();
+            hits as u32 > m.tolerated
+        })
+        .collect()
+}
+
+/// One `misses` input: a model, a job count and a fault train.
+#[derive(Debug)]
+struct MissCase {
+    model: MissModel,
+    k: u32,
+    faults: Vec<SimDuration>,
+}
+
+/// Periods of 1–40 µs with deadlines below, at or above the period; k in
+/// [0, 128]; up to 80 faults reaching past the horizon, a third of them on
+/// a release or deadline edge. The train is left sorted, shuffled, or
+/// sorted with duplicated times.
+fn arb_miss_case(r: &mut TkRng) -> MissCase {
+    let period = r.range(1, 41);
+    let deadline = match r.range(0, 3) {
+        0 => r.range(0, period),
+        1 => period,
+        _ => r.range(period + 1, 3 * period + 1),
+    };
+    let k = r.range(0, 129) as u32;
+    let reach = (u64::from(k) + 2) * period + deadline;
+    let mut faults: Vec<u64> = (0..r.range(0, 81))
+        .map(|_| {
+            let job = r.range(0, u64::from(k) + 2) * period;
+            match r.range(0, 6) {
+                0 => job,
+                1 => job + deadline,
+                _ => r.range(0, reach),
+            }
+        })
+        .collect();
+    faults.sort_unstable();
+    match r.range(0, 3) {
+        0 => {}
+        1 => {
+            for i in (1..faults.len()).rev() {
+                faults.swap(i, r.usize_range(0, i + 1));
+            }
+        }
+        _ => {
+            for _ in 0..r.range(1, 6) {
+                if !faults.is_empty() {
+                    let i = r.usize_range(0, faults.len());
+                    faults.insert(i, faults[i]);
+                }
+            }
+        }
+    }
+    MissCase {
+        model: MissModel {
+            period: us(period),
+            deadline: us(deadline),
+            fault_interval: us(1),
+            tolerated: r.range(0, 4) as u32,
+        },
+        k,
+        faults: faults.into_iter().map(us).collect(),
+    }
+}
+
+#[test]
+fn misses_sweep_equals_the_definition() {
+    Suite::new(0x5EED_3155).cases(512).check(
+        "misses_sweep_equals_the_definition",
+        arb_miss_case,
+        |c| {
+            prop_assert_eq!(
+                c.model.misses(&c.faults, c.k),
+                misses_by_definition(&c.model, &c.faults, c.k)
+            );
+            Ok(())
+        },
     );
 }

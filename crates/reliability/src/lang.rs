@@ -619,8 +619,15 @@ impl ModelSet {
     ///
     /// For fault trees this is `1 − P(top)`; time-independent trees (all
     /// fixed probabilities) are constant in `t`.
+    ///
+    /// `None` when no model has that name, or when `t_hours` is negative
+    /// or not finite: no model kind has a reliability there.
     pub fn reliability(&self, model: &str, t_hours: f64) -> Option<f64> {
-        Some(match self.models.get(model)? {
+        let model = self.models.get(model)?;
+        if !(t_hours.is_finite() && t_hours >= 0.0) {
+            return None;
+        }
+        Some(match model {
             Compiled::Markov(m) => m.reliability(t_hours),
             Compiled::Rbd(b) => b.reliability(t_hours),
             Compiled::Ftree(ft) => 1.0 - ft.top_probability(t_hours),
@@ -748,7 +755,9 @@ fn compile_rbd(
                 }
             }
         };
-        built.insert(name.text, block);
+        if built.insert(name.text, block).is_some() {
+            return Err(name.err(format!("duplicate rbd node `{}`", name.text)));
+        }
     }
     let top = def.top.ok_or_else(|| {
         def.name
@@ -1097,6 +1106,34 @@ mod tests {
         assert!(e.message.contains("unknown binding `nope`"), "{e}");
         let e = parse("rbd r\n comp a exp(1 / 0)\n top a\nend").unwrap_err();
         assert_eq!((e.line, e.col), (2, 15));
+    }
+
+    #[test]
+    fn duplicate_rbd_node_is_rejected_at_its_second_name() {
+        // The second `comp a` used to replace the first: R(1) = e^-2.
+        let e = parse("rbd r\n comp a exp(1)\n comp a exp(2)\n top a\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (3, 7));
+        assert_eq!(e.message, "duplicate rbd node `a`");
+        let e =
+            parse("rbd r\n comp a exp(1)\n comp b exp(1)\n series a b\n top a\nend").unwrap_err();
+        assert_eq!((e.line, e.col), (4, 9));
+    }
+
+    #[test]
+    fn a_bad_time_has_no_reliability_for_any_model_kind() {
+        let set = parse(
+            "markov m\n trans a b 1\n absorb b\n init a 1\nend\n\
+             rbd r\n comp c exp(0.5)\n top c\nend\n\
+             ftree f\n basic e markov(m)\n top e\nend",
+        )
+        .unwrap();
+        for name in ["m", "r", "f"] {
+            for t in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert_eq!(set.reliability(name, t), None, "R_{name}({t})");
+            }
+            assert!(set.reliability(name, 0.0).is_some_and(|r| r == 1.0));
+        }
+        assert_eq!(set.reliability("nope", 1.0), None);
     }
 
     #[test]

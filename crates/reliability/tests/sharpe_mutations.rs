@@ -11,7 +11,8 @@
 //! * an error's line lies within the source and its column within that
 //!   line (or just past its end, for a missing operand);
 //! * every model of a parsed set has `R(t)` in `[0, 1]` at t = 0, 1 and
-//!   8760 hours, and `markov_mttf` returns.
+//!   8760 hours, no `R(t)` at a negative or non-finite t, and
+//!   `markov_mttf` returns.
 //!
 //! `NLFT_PROP_CASES=<n>` widens the sweep; `NLFT_PROP_SEED=<seed>` replays
 //! one reported case.
@@ -193,6 +194,16 @@ fn check_mutant(m: &Mutant) -> Result<(), CaseError> {
             let r = no_panic(m, "reliability", || set.reliability(name, t))?;
             prop_assert!(
                 r.is_some_and(|r| (0.0..=1.0).contains(&r)),
+                "{} ({:?}): R_{name}({t}) = {r:?}\n{}",
+                m.file,
+                m.mutations,
+                m.source
+            );
+        }
+        for t in [-1.0, f64::NAN, f64::INFINITY] {
+            let r = no_panic(m, "reliability", || set.reliability(name, t))?;
+            prop_assert!(
+                r.is_none(),
                 "{} ({:?}): R_{name}({t}) = {r:?}\n{}",
                 m.file,
                 m.mutations,
