@@ -686,6 +686,37 @@ impl ClusterTallies {
     }
 }
 
+/// Rejects a decoded cluster checkpoint that does not agree with itself
+/// or with a scenario of `trials` trials: its prefix must fit the
+/// scenario, its tallies must count no more trials than that prefix,
+/// and — since every tallied trial gets exactly one verdict — its
+/// verdicts must sum to the tallied trials. The tallies may count fewer
+/// trials than the prefix: a trial that panics or overruns its budget
+/// is left out of them, yet the prefix it belongs to still ends past it.
+fn check_resume_point(point: &ResumePoint<ClusterTallies>, trials: u64) -> Result<(), String> {
+    let acc = &point.acc;
+    if point.trials_done > trials {
+        return Err(format!(
+            "resumes at trial {} of a {trials}-trial scenario",
+            point.trials_done
+        ));
+    }
+    if acc.trials > point.trials_done {
+        return Err(format!(
+            "tallies count {} trials but resume at trial {}",
+            acc.trials, point.trials_done
+        ));
+    }
+    let verdicts: u128 = acc.verdicts().iter().map(|&(_, n)| u128::from(n)).sum();
+    if verdicts != u128::from(acc.trials) {
+        return Err(format!(
+            "verdicts sum to {verdicts} over {} trials",
+            acc.trials
+        ));
+    }
+    Ok(())
+}
+
 /// Runs one trial of a cluster scenario: builds the cluster from the
 /// declaration, attaches every fault line, runs the pedal profile.
 fn run_cluster_trial(
@@ -851,9 +882,13 @@ fn run_cluster_scenario(
     let resume = opts
         .resume
         .as_deref()
-        .map(checkpoint::decode::<ResumePoint<ClusterTallies>>)
+        .map(|text| {
+            let point = checkpoint::decode::<ResumePoint<ClusterTallies>>(text)?;
+            check_resume_point(&point, config.trials)?;
+            Ok(point)
+        })
         .transpose()
-        .map_err(|e| CompileError {
+        .map_err(|e: String| CompileError {
             scenario: name.to_string(),
             message: format!("bad resume checkpoint: {e}"),
         })?;
@@ -1028,5 +1063,120 @@ mod tests {
         let (truncated, _) = text.rsplit_once(' ').expect("several tokens");
         assert!(checkpoint::decode::<ResumePoint<ClusterTallies>>(truncated).is_err());
         assert!(checkpoint::decode::<ResumePoint<ClusterTallies>>(&format!("{text} 27")).is_err());
+    }
+
+    /// A 12-trial cluster scenario run from `checkpoint`.
+    fn resume_from(checkpoint: &str) -> Result<ScenarioOutcome, CompileError> {
+        let s = spec(
+            "scenario resumed\nfamily cluster\ntrials 12\nseed 0xfeed\n\
+             topology\ncycles 12\nend\nfaults\nstorm 0.4\nend\nend\n",
+        );
+        let opts = ScenarioEngineOptions {
+            resume: Some(checkpoint.to_string()),
+            ..ScenarioEngineOptions::default()
+        };
+        run_scenario_with(&s, 2, &opts)
+    }
+
+    /// A checkpoint at `done` whose tallies count `trials` trials with
+    /// `verdicts` and every metric at `metric`.
+    fn cluster_checkpoint(done: u64, trials: u64, verdicts: [u64; 6], metric: u64) -> String {
+        let mut text = format!("resume {done} cluster-tallies {trials}");
+        for v in verdicts {
+            text.push_str(&format!(" {v}"));
+        }
+        for _ in 0..20 {
+            text.push_str(&format!(" {metric}"));
+        }
+        text
+    }
+
+    fn assert_rejected(checkpoint: &str, why: &str) {
+        let e = resume_from(checkpoint).expect_err(why);
+        assert!(e.message.starts_with("bad resume checkpoint: "), "{e}");
+        assert!(e.message.contains(why), "{e}");
+    }
+
+    #[test]
+    fn resume_rejects_a_prefix_longer_than_the_scenario() {
+        let text = cluster_checkpoint(20, 20, [0, 0, 0, 0, 0, 20], 0);
+        assert_rejected(&text, "resumes at trial 20 of a 12-trial scenario");
+    }
+
+    #[test]
+    fn resume_rejects_tallies_of_another_prefix() {
+        // The tallies already count 12 trials at resume index 4: run
+        // on, they would give a 20-trial outcome for a 12-trial scenario.
+        let text = cluster_checkpoint(4, 12, [0, 0, 0, 0, 0, 12], 0);
+        assert_rejected(&text, "tallies count 12 trials but resume at trial 4");
+    }
+
+    #[test]
+    fn resume_rejects_verdicts_that_do_not_sum_to_the_trials() {
+        let text = cluster_checkpoint(4, 4, [1, 1, 0, 0, 0, 1], 0);
+        assert_rejected(&text, "verdicts sum to 3 over 4 trials");
+        let text = cluster_checkpoint(4, 4, [u64::MAX, 0, 0, 0, 0, 5], 0);
+        assert_rejected(&text, "over 4 trials");
+    }
+
+    #[test]
+    fn resume_accepts_its_own_checkpoint() {
+        let s = spec(
+            "scenario resumed\nfamily cluster\ntrials 12\nseed 0xfeed\n\
+             topology\ncycles 12\nend\nfaults\nstorm 0.4\nend\nend\n",
+        );
+        let saved = std::sync::Mutex::new(Vec::new());
+        let record = |done: u64, text: String| saved.lock().unwrap().push((done, text));
+        let opts = ScenarioEngineOptions {
+            checkpoint_every: 4,
+            on_checkpoint: Some(&record),
+            ..ScenarioEngineOptions::default()
+        };
+        let full = run_scenario_with(&s, 2, &opts).unwrap();
+        let saved = saved.into_inner().unwrap();
+        let (_, mid) = saved
+            .iter()
+            .find(|(done, _)| *done == 4)
+            .expect("a checkpoint at 4");
+        assert_eq!(resume_from(mid).unwrap(), full);
+    }
+
+    #[test]
+    fn resume_accepts_a_checkpoint_whose_trials_overran() {
+        // A 1 ns budget: every trial overruns and is left out of the
+        // tallies, so the checkpoint at 4 tallies fewer than 4 trials.
+        let s = spec(
+            "scenario resumed\nfamily cluster\ntrials 12\nseed 0xfeed\n\
+             topology\ncycles 12\nend\nfaults\nstorm 0.4\nend\nend\n",
+        );
+        let saved = std::sync::Mutex::new(Vec::new());
+        let record = |done: u64, text: String| saved.lock().unwrap().push((done, text));
+        let opts = ScenarioEngineOptions {
+            trial_budget: Some(Duration::from_nanos(1)),
+            checkpoint_every: 4,
+            on_checkpoint: Some(&record),
+            ..ScenarioEngineOptions::default()
+        };
+        run_scenario_with(&s, 2, &opts).unwrap();
+        let saved = saved.into_inner().unwrap();
+        let (_, mid) = saved
+            .iter()
+            .find(|(done, _)| *done == 4)
+            .expect("a checkpoint at 4");
+        let point: ResumePoint<ClusterTallies> =
+            checkpoint::decode(mid).expect("checkpoint decodes");
+        assert!(point.acc.trials < 4, "{mid}");
+        let outcome = resume_from(mid).expect("the program's own checkpoint resumes");
+        assert_eq!(outcome.trials, point.acc.trials + 8);
+    }
+
+    #[test]
+    fn resumed_metrics_near_the_u64_edge_saturate() {
+        // A consistent empty prefix whose metrics sit at the edge: the
+        // storm's injections push `injected` past it.
+        let text = cluster_checkpoint(0, 0, [0; 6], u64::MAX - 1);
+        let outcome = resume_from(&text).expect("a consistent checkpoint resumes");
+        assert_eq!(outcome.trials, 12);
+        assert_eq!(outcome.counter("injected"), Some(u64::MAX));
     }
 }

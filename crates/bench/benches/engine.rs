@@ -1,10 +1,11 @@
 //! The campaign engine benchmarked in isolation: per-trial scheduling
 //! overhead on empty trials (the in-thread path vs the threaded
 //! executor, thread spawn included), scheduling under skewed and
-//! periodic per-trial costs, and the streaming block-merge fold that
-//! keeps memory O(workers); full mode re-runs the skewed campaign and
-//! writes its scheduling telemetry (pending-block high-water mark) to
-//! `ENGINE.json` under `<target>/testkit/`.
+//! periodic per-trial costs, per-block coordination on many small
+//! blocks, and the streaming block-merge fold that keeps memory
+//! O(workers); full mode re-runs the skewed campaign and writes its
+//! scheduling telemetry (pending-block high-water mark, claim and fold
+//! waits) to `ENGINE.json` under `<target>/testkit/`.
 
 use std::hint::black_box;
 
@@ -17,6 +18,9 @@ const EMPTY_TRIALS: u64 = 10_000;
 const SKEWED_TRIALS: u64 = 2_048;
 const SKEW_BLOCK: u64 = 8;
 const PERIODIC_TRIALS: u64 = 600;
+const FINE_TRIALS: u64 = 4_000;
+/// Spin rounds of a fine trial: about 2–3 µs in a release build.
+const FINE_ROUNDS: u32 = 1_000;
 const MERGE_BLOCKS: usize = 256;
 
 /// Three rounds of xorshift per unit of `rounds` — deterministic spin
@@ -103,6 +107,27 @@ fn periodic_campaign() -> ClosureCampaign<
     )
 }
 
+/// The weakly-hard shape without its model: [`FINE_TRIALS`] uniform
+/// trials of a few microseconds at the automatic block size (16), so
+/// 250 blocks of ~40 µs each and the per-block claim, delivery and fold
+/// are a visible share of the campaign.
+#[allow(clippy::type_complexity)]
+fn fine_campaign() -> ClosureCampaign<
+    u64,
+    impl Fn() -> u64,
+    impl Fn(u64, &nlft_engine::TrialCtx<'_>, &mut u64),
+    impl Fn(&mut u64, u64),
+> {
+    indexed_campaign(
+        "bench-engine-fine",
+        "unused",
+        FINE_TRIALS,
+        || 0u64,
+        |trial, _ctx, acc: &mut u64| *acc ^= spin(trial | 1, FINE_ROUNDS),
+        |into, from| *into ^= from,
+    )
+}
+
 /// One block-partial accumulator as the executor's fold loop sees it:
 /// a populated histogram whose counters the streaming merge folds in.
 fn block_partials() -> Vec<Histogram> {
@@ -127,6 +152,14 @@ fn telemetry(report: &EngineReport) -> Json {
         (
             "max_pending_blocks",
             Json::UInt(report.max_pending_blocks as u64),
+        ),
+        (
+            "claim_wait_ns",
+            Json::UInt(report.claim_wait.as_nanos() as u64),
+        ),
+        (
+            "fold_wait_ns",
+            Json::UInt(report.fold_wait.as_nanos() as u64),
         ),
     ])
 }
@@ -168,6 +201,12 @@ fn main() {
             run.acc, periodic_acc,
             "executor must match the in-thread path"
         );
+        black_box(run.acc)
+    });
+    let fine_acc = run_trials(fine_campaign(), &EngineConfig::default()).acc;
+    b.bench_throughput("fine_blocks_2_workers", FINE_TRIALS, || {
+        let run = run_trials(black_box(fine_campaign()), &EngineConfig::with_workers(2));
+        assert_eq!(run.acc, fine_acc, "executor must match the in-thread path");
         black_box(run.acc)
     });
     b.bench_with_setup("streaming_merge_256_blocks", block_partials, |partials| {

@@ -117,10 +117,13 @@ pub struct ChaosKill {
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Number of worker threads (clamped to at least 1, and to at most
-    /// one per scheduling block). At most one worker, with no
-    /// `trial_budget` and no `chaos_kill`, runs the campaign in-thread
-    /// instead.
+    /// Number of workers (clamped to at least 1, and to at most one per
+    /// scheduling block). At most one worker, with no `trial_budget`
+    /// and no `chaos_kill`, runs the campaign in-thread. Otherwise the
+    /// calling thread is worker 0 and `workers − 1` helper threads
+    /// start — except under a watchdog (`trial_budget` or
+    /// `chaos_kill`), where the calling thread only folds and `workers`
+    /// helper threads start.
     pub workers: usize,
     /// Trials per scheduling block; `None` picks
     /// [`auto_block_size`](crate::auto_block_size). The block partition
@@ -214,7 +217,10 @@ pub struct EngineReport {
     pub timed_out: Vec<Reproducer>,
     /// Scheduling blocks the campaign was partitioned into.
     pub blocks: u64,
-    /// Worker threads the run started with (0 on the in-thread path).
+    /// Workers the run started with, the calling thread included when
+    /// it claims blocks (0 on the in-thread path). Under a watchdog the
+    /// calling thread only folds and every worker is a thread of its
+    /// own.
     pub workers: usize,
     /// Workers declared lost (watchdog or chaos injection).
     pub lost_workers: usize,
@@ -224,6 +230,12 @@ pub struct EngineReport {
     /// engine's only trial-count-independent buffering, bounded by
     /// O(workers).
     pub max_pending_blocks: usize,
+    /// Time the helper threads spent blocked waiting for a claimable
+    /// block, summed over helpers (zero on the in-thread path).
+    pub claim_wait: Duration,
+    /// Time the calling thread spent blocked waiting for a block to
+    /// fold (zero on the in-thread path).
+    pub fold_wait: Duration,
 }
 
 /// A finished campaign: the merged accumulator plus the engine report.
@@ -247,7 +259,7 @@ pub struct ResumePoint<A> {
 
 /// Optional run inputs: resume state and a checkpoint callback.
 ///
-/// The callback is invoked on the coordinating thread every
+/// The callback is invoked on the calling thread every
 /// [`EngineConfig::checkpoint_every`] folded trials with the absolute
 /// folded-prefix length and the accumulator over exactly that prefix.
 pub struct CampaignOptions<'cb, A> {

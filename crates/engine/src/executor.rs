@@ -7,6 +7,13 @@
 //! block partition, checkpoint cadence — and one in-order fold, so
 //! their accumulators are bit-identical.
 //!
+//! On the executor the calling thread is worker 0: at `n` workers it
+//! starts `n − 1` helper threads, claims blocks like they do and folds
+//! what is ready between its own blocks. Under a watchdog it only
+//! folds, and `n` helpers run the trials: the watchdog may have to
+//! abandon a worker stuck in a trial, and the calling thread cannot be
+//! abandoned.
+//!
 //! # Scheduling
 //!
 //! Trials are partitioned into fixed-size *blocks*; the partition is a
@@ -24,7 +31,7 @@
 //! Each trial runs into a fresh accumulator; successful trial
 //! accumulators fold into the block partial in trial order; block
 //! partials fold into the campaign accumulator strictly in block-index
-//! order on the coordinating thread. The fold tree is therefore fixed
+//! order on the calling thread. The fold tree is therefore fixed
 //! by `(trials, block_size)` alone and every accumulator bit — floats
 //! included — is identical at any worker count, under any claim
 //! interleaving, across worker loss and re-execution, and across a
@@ -38,7 +45,7 @@
 //! declares the stuck worker lost: the stuck trial is quarantined (it
 //! would stick again) and its in-flight block goes into the rescue set,
 //! to be re-executed by the survivors — trials are pure functions of
-//! their index, so re-execution is safe. If every worker dies the
+//! their index, so re-execution is safe. If every helper dies the
 //! watchdog spawns a replacement, so the campaign always drains.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -96,6 +103,8 @@ struct SchedState<A> {
     lost_workers: usize,
     respawned: usize,
     max_pending: usize,
+    /// Time helpers spent blocked on `work_cv`, summed over helpers.
+    claim_wait: Duration,
 }
 
 impl<A> SchedState<A> {
@@ -117,6 +126,7 @@ impl<A> SchedState<A> {
             lost_workers: 0,
             respawned: 0,
             max_pending: 0,
+            claim_wait: Duration::ZERO,
         }
     }
 }
@@ -329,11 +339,133 @@ fn mark_lost<A>(st: &mut SchedState<A>, w: usize, in_flight: Option<Block>) {
     }
 }
 
+/// What one worker made of one block: its partial and outcome records,
+/// to be delivered for the fold.
+struct BlockPartial<A> {
+    acc: A,
+    panicked: Vec<Reproducer>,
+    timed_out: Vec<Reproducer>,
+    completed: u64,
+    skipped: u64,
+}
+
+/// Runs the trials of `block` on the worker that owns `slot`, skipping
+/// quarantined ones. Returns `None` when chaos injection kills the
+/// worker partway through: `kill_after` is the number of trials the
+/// worker may run in all, or `None` if it is no chaos victim.
+fn run_block<C: TrialCampaign>(
+    shared: &Shared<C>,
+    slot: &WorkerSlot,
+    block: Block,
+    kill_after: Option<u64>,
+) -> Option<BlockPartial<C::Acc>> {
+    // Snapshot the quarantine list for this range.
+    let quarantined: Vec<u64> = {
+        let st = shared.state.lock().expect("engine state poisoned");
+        st.quarantined
+            .range(block.start..block.end)
+            .copied()
+            .collect()
+    };
+
+    let mut out = BlockPartial {
+        acc: shared.campaign.empty(),
+        panicked: Vec::new(),
+        timed_out: Vec::new(),
+        completed: 0,
+        skipped: 0,
+    };
+    for trial in block.start..block.end {
+        if quarantined.binary_search(&trial).is_ok() {
+            out.skipped += 1;
+            continue;
+        }
+        slot.trial.store(trial, Ordering::Relaxed);
+        slot.cancel.store(false, Ordering::Relaxed);
+        slot.busy_since.store(shared.nanos(), Ordering::Relaxed);
+        let exec = exec_trial(
+            &shared.campaign,
+            trial,
+            &slot.cancel,
+            shared.cfg.trial_budget,
+        );
+        slot.busy_since.store(0, Ordering::Relaxed);
+        match exec {
+            TrialExec::Done(tacc) => {
+                shared.campaign.merge(&mut out.acc, tacc);
+                out.completed += 1;
+            }
+            TrialExec::Panicked(detail) => {
+                out.panicked
+                    .push(reproducer(&shared.campaign, trial, detail))
+            }
+            TrialExec::TimedOut(detail) => {
+                out.timed_out
+                    .push(reproducer(&shared.campaign, trial, detail))
+            }
+        }
+        let run = slot.trials_run.fetch_add(1, Ordering::Relaxed) + 1;
+        if kill_after.is_some_and(|after| run >= after) {
+            return None;
+        }
+    }
+    Some(out)
+}
+
+/// Hands the outcome of `block` — run by worker `me` from `slot` — to
+/// the fold. Returns false when the worker must stop: the watchdog has
+/// declared it lost, or chaos injection killed it (`ran` is `None`).
+fn deliver<C: TrialCampaign>(
+    shared: &Shared<C>,
+    me: usize,
+    slot: &WorkerSlot,
+    block: Block,
+    ran: Option<BlockPartial<C::Acc>>,
+) -> bool {
+    let mut current = slot.current.lock().expect("slot poisoned");
+    let mut st = shared.state.lock().expect("engine state poisoned");
+    if st.lost[me] {
+        // The watchdog already rescued our block; our partial (and
+        // its outcome records) must be discarded — the re-execution
+        // will regenerate them.
+        return false;
+    }
+    let rescued = current.take();
+    let Some(mut partial) = ran else {
+        // Chaos injection: abandon the partial block and die. The
+        // full block is re-executed elsewhere; trials are pure
+        // functions of their index, so the result is unchanged.
+        mark_lost(&mut st, me, rescued);
+        shared.work_cv.notify_all();
+        shared.fold_cv.notify_all();
+        return false;
+    };
+    st.pending.insert(block.index, partial.acc);
+    st.max_pending = st.max_pending.max(st.pending.len());
+    st.outstanding -= 1;
+    st.completed += partial.completed;
+    st.skipped += partial.skipped;
+    st.panicked.append(&mut partial.panicked);
+    st.timed_out.append(&mut partial.timed_out);
+    shared.fold_cv.notify_all();
+    if st.outstanding == 0 {
+        shared.work_cv.notify_all();
+    }
+    true
+}
+
+/// A helper thread: claims blocks in index order and delivers them
+/// until the campaign drains or the worker is lost.
 fn worker_loop<C: TrialCampaign + Send + Sync + 'static>(
     shared: Arc<Shared<C>>,
     me: usize,
     slot: Arc<WorkerSlot>,
 ) {
+    let kill_after = shared
+        .cfg
+        .chaos_kill
+        .filter(|kill| kill.worker == me)
+        .map(|kill| kill.after_trials);
     loop {
         // Claim the next block (or exit when the campaign has drained).
         let block = {
@@ -349,91 +481,15 @@ fn worker_loop<C: TrialCampaign + Send + Sync + 'static>(
                 if let Some(b) = claim(&mut st, shared.pending_cap) {
                     break b;
                 }
+                let waited = Instant::now();
                 st = shared.work_cv.wait(st).expect("engine state poisoned");
+                st.claim_wait += waited.elapsed();
             }
         };
         *slot.current.lock().expect("slot poisoned") = Some(block);
-
-        // Snapshot the quarantine list for this range.
-        let quarantined: Vec<u64> = {
-            let st = shared.state.lock().expect("engine state poisoned");
-            st.quarantined
-                .range(block.start..block.end)
-                .copied()
-                .collect()
-        };
-
-        let mut acc = shared.campaign.empty();
-        let mut panicked = Vec::new();
-        let mut timed_out = Vec::new();
-        let mut completed = 0u64;
-        let mut skipped = 0u64;
-        let mut died_mid_block = false;
-        for trial in block.start..block.end {
-            if quarantined.binary_search(&trial).is_ok() {
-                skipped += 1;
-                continue;
-            }
-            slot.trial.store(trial, Ordering::Relaxed);
-            slot.cancel.store(false, Ordering::Relaxed);
-            slot.busy_since.store(shared.nanos(), Ordering::Relaxed);
-            let exec = exec_trial(
-                &shared.campaign,
-                trial,
-                &slot.cancel,
-                shared.cfg.trial_budget,
-            );
-            slot.busy_since.store(0, Ordering::Relaxed);
-            match exec {
-                TrialExec::Done(tacc) => {
-                    shared.campaign.merge(&mut acc, tacc);
-                    completed += 1;
-                }
-                TrialExec::Panicked(detail) => {
-                    panicked.push(reproducer(&shared.campaign, trial, detail))
-                }
-                TrialExec::TimedOut(detail) => {
-                    timed_out.push(reproducer(&shared.campaign, trial, detail))
-                }
-            }
-            slot.trials_run.fetch_add(1, Ordering::Relaxed);
-            if let Some(kill) = shared.cfg.chaos_kill {
-                if kill.worker == me && slot.trials_run.load(Ordering::Relaxed) >= kill.after_trials
-                {
-                    died_mid_block = true;
-                    break;
-                }
-            }
-        }
-
-        let mut current = slot.current.lock().expect("slot poisoned");
-        let mut st = shared.state.lock().expect("engine state poisoned");
-        if st.lost[me] {
-            // The watchdog already rescued our block; our partial (and
-            // its outcome records) must be discarded — the re-execution
-            // will regenerate them.
+        let ran = run_block(&shared, &slot, block, kill_after);
+        if !deliver(&shared, me, &slot, block, ran) {
             return;
-        }
-        let rescued = current.take();
-        if died_mid_block {
-            // Chaos injection: abandon the partial block and die. The
-            // full block is re-executed elsewhere; trials are pure
-            // functions of their index, so the result is unchanged.
-            mark_lost(&mut st, me, rescued);
-            shared.work_cv.notify_all();
-            shared.fold_cv.notify_all();
-            return;
-        }
-        st.pending.insert(block.index, acc);
-        st.max_pending = st.max_pending.max(st.pending.len());
-        st.outstanding -= 1;
-        st.completed += completed;
-        st.skipped += skipped;
-        st.panicked.append(&mut panicked);
-        st.timed_out.append(&mut timed_out);
-        shared.fold_cv.notify_all();
-        if st.outstanding == 0 {
-            shared.work_cv.notify_all();
         }
     }
 }
@@ -607,15 +663,24 @@ fn run_in_thread<C: TrialCampaign>(
 
 /// The threaded executor path.
 ///
-/// Workers are real (unscoped) threads: a worker declared lost may
+/// The calling thread is worker 0: it starts `n − 1` helper threads,
+/// then claims blocks in the same index order and folds whatever is
+/// ready between its own blocks. Under a watchdog (a trial budget or
+/// chaos injection) it only folds and `n` helpers run the trials,
+/// because the watchdog may abandon a worker stuck in a trial, and the
+/// calling thread cannot be abandoned.
+///
+/// Helpers are real (unscoped) threads: a helper declared lost may
 /// still be stuck inside a trial and is simply abandoned — it discards
-/// its own results when it eventually returns. All surviving workers
+/// its own results when it eventually returns. All surviving helpers
 /// are joined before this function returns.
 ///
 /// No more workers start than there are blocks, since a worker with no
-/// block to claim would only idle. A worker whose thread cannot be
-/// spawned is simply not there; with no thread at all the campaign runs
-/// on the calling thread. The outcome is the same at any worker count.
+/// block to claim would only idle. A helper whose thread cannot be
+/// spawned is simply not there; with no helper at all the calling
+/// thread runs every block itself, with no watchdog — an overrun is
+/// still reported when its trial returns. The outcome is the same at
+/// any worker count.
 fn run_executor<C>(
     campaign: C,
     cfg: &EngineConfig,
@@ -628,6 +693,7 @@ where
     let total = campaign.trials();
     let planned = cfg.workers.clamp(1, blocks.len().max(1));
     let n_blocks = blocks.len() as u64;
+    let watched = cfg.trial_budget.is_some() || cfg.chaos_kill.is_some();
     let shared = Arc::new(Shared {
         campaign,
         cfg: cfg.clone(),
@@ -640,26 +706,23 @@ where
         pending_cap: planned * 4 + 4,
     });
 
+    // Helpers take the indices after the caller's, or every index
+    // under a watchdog.
+    let first_helper = usize::from(!watched);
     let mut handles = Vec::with_capacity(planned);
     let slots = shared.slots.lock().expect("slots poisoned").clone();
-    for (i, slot) in slots.into_iter().enumerate() {
-        match spawn_worker(Arc::clone(&shared), i, slot) {
+    for (i, slot) in slots.iter().enumerate().skip(first_helper) {
+        match spawn_worker(Arc::clone(&shared), i, Arc::clone(slot)) {
             Some(h) => handles.push(h),
             None => break,
         }
     }
-    let workers = handles.len();
-    if workers == 0 {
-        // Every failed spawn dropped its clone, so this is the last
-        // handle on the campaign.
-        let shared = Arc::into_inner(shared).expect("no worker thread holds the campaign");
-        let blocks = shared
-            .state
-            .into_inner()
-            .expect("engine state poisoned")
-            .blocks;
-        return run_in_thread(&shared.campaign, blocks, fold, cfg.trial_budget);
-    }
+    let caller_slot = (!watched || handles.is_empty()).then(|| Arc::clone(&slots[0]));
+    let workers = if handles.is_empty() {
+        1
+    } else {
+        first_helper + handles.len()
+    };
     if workers < planned {
         // Forget the workers that never started; the running ones only
         // ever touch their own, lower, indices.
@@ -674,7 +737,7 @@ where
     }
     // Without a watchdog thread nothing is cancelled mid-trial, but an
     // overrun is still reported when its trial returns.
-    let watchdog = (cfg.trial_budget.is_some() || cfg.chaos_kill.is_some())
+    let watchdog = (watched && !handles.is_empty())
         .then(|| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -684,11 +747,18 @@ where
         .flatten();
 
     // In-order fold on this thread: blocks leave `pending` strictly by
-    // index, so the fold tree never depends on the schedule.
+    // index, so the fold tree never depends on the schedule. When
+    // nothing is ready the caller runs a block of its own, if it is a
+    // worker and a block is claimable, and waits otherwise.
+    enum Next<A> {
+        /// (end trial, partial) of each ready block, in index order.
+        Fold(Vec<(u64, A)>),
+        Run(Block),
+    }
     let mut folded_blocks = 0u64;
+    let mut fold_wait = Duration::ZERO;
     while folded_blocks < n_blocks {
-        // (end trial, partial) of each block, in index order.
-        let batch: Vec<(u64, C::Acc)> = {
+        let next = {
             let mut st = shared.state.lock().expect("engine state poisoned");
             loop {
                 let mut batch = Vec::new();
@@ -703,14 +773,36 @@ where
                 if !batch.is_empty() {
                     // Draining may unblock claim backpressure.
                     shared.work_cv.notify_all();
-                    break batch;
+                    break Next::Fold(batch);
                 }
+                if caller_slot.is_some() {
+                    if let Some(b) = claim(&mut st, shared.pending_cap) {
+                        break Next::Run(b);
+                    }
+                }
+                let waited = Instant::now();
                 st = shared.fold_cv.wait(st).expect("engine state poisoned");
+                fold_wait += waited.elapsed();
             }
         };
-        for (end, partial) in batch {
-            fold.block(&shared.campaign, partial, end);
-            folded_blocks += 1;
+        match next {
+            Next::Fold(batch) => {
+                for (end, partial) in batch {
+                    fold.block(&shared.campaign, partial, end);
+                    folded_blocks += 1;
+                }
+            }
+            Next::Run(block) => {
+                let slot = caller_slot
+                    .as_deref()
+                    .expect("only a working caller claims");
+                *slot.current.lock().expect("slot poisoned") = Some(block);
+                // The caller is never a chaos victim, and with no
+                // watchdog running it is never declared lost.
+                let ran = run_block(&shared, slot, block, None);
+                let delivered = deliver(&shared, 0, slot, block, ran);
+                debug_assert!(delivered, "the calling thread is never lost");
+            }
         }
     }
     shared.done.store(true, Ordering::Relaxed);
@@ -726,7 +818,7 @@ where
         let st = shared.state.lock().expect("engine state poisoned");
         st.lost.clone()
     };
-    for (i, h) in handles.into_iter().enumerate() {
+    for (i, h) in (first_helper..).zip(handles) {
         // A lost worker may be stuck inside a trial forever; abandon it.
         if !lost.get(i).copied().unwrap_or(true) {
             let _ = h.join();
@@ -751,6 +843,8 @@ where
             lost_workers: st.lost_workers,
             respawned_workers: st.respawned,
             max_pending_blocks: st.max_pending,
+            claim_wait: st.claim_wait,
+            fold_wait,
         },
     }
 }

@@ -15,6 +15,11 @@
 //!   so the blocks in flight sit next to the fold cursor and a costly
 //!   block cannot strand the other workers behind the fold buffer's
 //!   cap.
+//! * **The caller is a worker.** At `n` workers the executor starts
+//!   `n − 1` helper threads; the calling thread claims blocks too and
+//!   folds between them, so no thread sits idle waiting to fold. Under
+//!   a watchdog the calling thread only folds, since a worker stuck in
+//!   a trial may have to be abandoned and the caller cannot be.
 //! * **Panic isolation.** Each trial runs under
 //!   `std::panic::catch_unwind`; a panicking trial becomes a
 //!   [`Reproducer`] record in the [`EngineReport`], not a dead

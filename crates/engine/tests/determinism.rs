@@ -1,16 +1,19 @@
 //! Schedule-independence of the executor: bitwise-identical
 //! accumulators at any worker count and on either path,
-//! checkpoint/resume, and the streaming-memory bound.
+//! checkpoint/resume, the streaming-memory bound, and which threads
+//! run trials and where they wait.
 
 mod common;
 
+use std::collections::HashSet;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use common::ToyCampaign;
 use nlft_engine::{
-    auto_block_size, run_trials, run_trials_with, CampaignOptions, EngineConfig, ResumePoint,
-    TrialCampaign,
+    auto_block_size, indexed_campaign, run_trials, run_trials_with, CampaignOptions,
+    ClosureCampaign, EngineConfig, ResumePoint, TrialCampaign, TrialCtx,
 };
 
 #[test]
@@ -62,6 +65,101 @@ fn absurd_worker_count_runs_no_more_workers_than_blocks() {
     );
     assert_eq!(run.acc, reference.acc);
     assert_eq!(run.report.completed, 12);
+}
+
+/// A campaign whose accumulator is the set of threads that ran its
+/// trials; each trial busy-waits `spin`, long enough that every worker
+/// gets to claim blocks.
+#[allow(clippy::type_complexity)]
+fn thread_census(
+    trials: u64,
+    spin: Duration,
+) -> ClosureCampaign<
+    HashSet<ThreadId>,
+    impl Fn() -> HashSet<ThreadId>,
+    impl Fn(u64, &TrialCtx<'_>, &mut HashSet<ThreadId>),
+    impl Fn(&mut HashSet<ThreadId>, HashSet<ThreadId>),
+> {
+    indexed_campaign(
+        "thread-census",
+        "unused",
+        trials,
+        HashSet::new,
+        move |_trial, _ctx, acc: &mut HashSet<ThreadId>| {
+            let started = Instant::now();
+            while started.elapsed() < spin {
+                std::hint::spin_loop();
+            }
+            acc.insert(std::thread::current().id());
+        },
+        |into: &mut HashSet<ThreadId>, from| into.extend(from),
+    )
+}
+
+#[test]
+fn the_caller_runs_trials_exactly_when_no_watchdog_is_armed() {
+    let me = std::thread::current().id();
+    let campaign = || thread_census(128, Duration::from_micros(200));
+
+    let run = run_trials(campaign(), &EngineConfig::with_workers(2));
+    assert_eq!(run.report.workers, 2, "the caller counts as a worker");
+    assert_eq!(run.report.completed, 128);
+    assert!(run.acc.contains(&me), "the caller ran no trial");
+    assert_eq!(run.acc.len(), 2, "one helper and the caller");
+
+    // A budget arms the watchdog, which may have to abandon a worker
+    // stuck in a trial: the caller then only folds.
+    let cfg = EngineConfig {
+        trial_budget: Some(Duration::from_secs(10)),
+        ..EngineConfig::with_workers(2)
+    };
+    let run = run_trials(campaign(), &cfg);
+    assert_eq!(run.report.workers, 2);
+    assert_eq!(run.report.completed, 128);
+    assert!(
+        !run.acc.contains(&me),
+        "the caller ran trials under a watchdog"
+    );
+}
+
+#[test]
+fn the_report_says_where_the_threads_waited() {
+    // Trial 0 sleeps; the thread not running it fills the fold buffer
+    // to its cap and then blocks, waiting to claim (a helper) or to
+    // fold (the caller), until trial 0 returns. The margin leaves that
+    // thread 100 ms to fill the buffer, even on a loaded host.
+    let campaign = || {
+        indexed_campaign(
+            "wait-census",
+            "unused",
+            64,
+            || 0u64,
+            |trial, _ctx, acc: &mut u64| {
+                if trial == 0 {
+                    std::thread::sleep(Duration::from_millis(200));
+                }
+                *acc += trial;
+            },
+            |into: &mut u64, from| *into += from,
+        )
+    };
+    let cfg = EngineConfig {
+        workers: 2,
+        block_size: Some(1),
+        ..EngineConfig::default()
+    };
+    let run = run_trials(campaign(), &cfg);
+    assert_eq!(run.acc, (0..64).sum::<u64>());
+    let waited = run.report.claim_wait + run.report.fold_wait;
+    assert!(
+        waited >= Duration::from_millis(100),
+        "waits of {waited:?} while one thread slept 200 ms"
+    );
+
+    let run = run_trials(campaign(), &EngineConfig::default());
+    assert_eq!(run.report.workers, 0);
+    assert_eq!(run.report.claim_wait, Duration::ZERO);
+    assert_eq!(run.report.fold_wait, Duration::ZERO);
 }
 
 #[test]

@@ -93,3 +93,28 @@ fn generated_tally_merges_splits_and_round_trips_its_checkpoint() {
         Ok(())
     });
 }
+
+#[test]
+fn merge_saturates_at_the_u64_edge() {
+    // A decoded checkpoint can carry any u64; folding more trials into
+    // it must neither wrap nor panic.
+    let mut edge = ToyCounts {
+        trials: u64::MAX - 1,
+        passed: u64::MAX - 1,
+        work: u64::MAX - 1,
+        peak: 7,
+        ..ToyCounts::default()
+    };
+    let more = ToyCounts {
+        trials: 3,
+        passed: 3,
+        work: 5,
+        peak: 9,
+        ..ToyCounts::default()
+    };
+    edge.merge(&more);
+    assert_eq!(
+        (edge.trials, edge.passed, edge.failed, edge.work, edge.peak),
+        (u64::MAX, u64::MAX, 0, u64::MAX, 9)
+    );
+}
