@@ -17,7 +17,7 @@
 //!   minority-clique reverts, and — critically — that reverted nodes
 //!   never babble (zero guardian blocks).
 
-use nlft_engine::Tally;
+use nlft_engine::{EngineConfig, Tally};
 use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan};
 use nlft_sim::rng::RngStream;
@@ -31,8 +31,6 @@ pub struct BlackoutCampaignConfig {
     pub trials: u64,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads; results are identical for any value.
-    pub threads: usize,
     /// Healthy cycles before the blackout strikes (must be ≥ 2 so the
     /// clique-avoidance check has armed on real majority traffic).
     pub warmup_cycles: u32,
@@ -59,7 +57,6 @@ impl BlackoutCampaignConfig {
         BlackoutCampaignConfig {
             trials,
             seed,
-            threads: 1,
             warmup_cycles: 6,
             recovery_cycles: 40,
             down_cycles: 2,
@@ -231,7 +228,10 @@ impl BlackoutCampaignResult {
 /// # Panics
 ///
 /// Panics if [`BlackoutCampaignConfig::check`] rejects the config.
-pub fn run_blackout_campaign(config: &BlackoutCampaignConfig) -> BlackoutCampaignResult {
+pub fn run_blackout_campaign(
+    config: &BlackoutCampaignConfig,
+    engine: &EngineConfig,
+) -> BlackoutCampaignResult {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
@@ -245,8 +245,7 @@ pub fn run_blackout_campaign(config: &BlackoutCampaignConfig) -> BlackoutCampaig
         },
         |into, from| into.merge(from),
     );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    let mut result = nlft_engine::run_trials(campaign, &engine).acc;
+    let mut result = nlft_engine::run_trials(campaign, engine).acc;
     result.time_to_cold_start.sort_unstable();
     result.time_to_full_membership.sort_unstable();
     result.unavailability_cycles.sort_unstable();
@@ -411,7 +410,7 @@ mod tests {
         // again three cycles later: marker at 12, set-points at 13,
         // wheels back at 14, readmission complete at 15.
         let cfg = BlackoutCampaignConfig::full_blackout(3, 0xB1AC);
-        let r = run_blackout_campaign(&cfg);
+        let r = run_blackout_campaign(&cfg, &EngineConfig::default());
         let c = &r.counts;
         assert_eq!(c.trials, 3);
         assert_eq!(c.cold_start_trials, 3, "{r:?}");
@@ -556,13 +555,10 @@ mod tests {
 
     #[test]
     fn blackout_campaign_identical_across_thread_counts() {
-        let mut cfg = BlackoutCampaignConfig::new(10, 0xB1AC_0007);
-        cfg.threads = 1;
-        let one = run_blackout_campaign(&cfg);
-        cfg.threads = 2;
-        let two = run_blackout_campaign(&cfg);
-        cfg.threads = 5;
-        let five = run_blackout_campaign(&cfg);
+        let cfg = BlackoutCampaignConfig::new(10, 0xB1AC_0007);
+        let one = run_blackout_campaign(&cfg, &EngineConfig::with_workers(1));
+        let two = run_blackout_campaign(&cfg, &EngineConfig::with_workers(2));
+        let five = run_blackout_campaign(&cfg, &EngineConfig::with_workers(5));
         assert_eq!(one, two, "2 threads diverged from 1");
         assert_eq!(one, five, "5 threads diverged from 1");
         // Golden pin: any change to the RNG fork labels, the blackout

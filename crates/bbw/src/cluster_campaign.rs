@@ -7,7 +7,7 @@
 //! episode, or lost braking. With TEM doing its job, the overwhelming
 //! majority of faults must be invisible at this level.
 
-use nlft_engine::Tally;
+use nlft_engine::{EngineConfig, Tally};
 use nlft_machine::fault::FaultSpace;
 use nlft_net::inject::{InjectionCounts, NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
@@ -103,7 +103,7 @@ pub fn run_cluster_campaign(config: &ClusterCampaignConfig) -> ClusterCampaignRe
         },
         |into, from| into.merge(&from),
     );
-    nlft_engine::run_trials(campaign, &nlft_engine::EngineConfig::default()).acc
+    nlft_engine::run_trials(campaign, &EngineConfig::default()).acc
 }
 
 /// Configuration of a combined node + network storm campaign.
@@ -115,8 +115,6 @@ pub struct NetStormCampaignConfig {
     pub seed: u64,
     /// Communication cycles per run.
     pub cycles: u32,
-    /// Worker threads; results are identical for any value.
-    pub threads: usize,
     /// Storm intensity in `[0, 1]`, scaling [`NetFaultRates::storm`] on
     /// every node.
     pub intensity: f64,
@@ -132,7 +130,6 @@ impl NetStormCampaignConfig {
             trials,
             seed,
             cycles: 30,
-            threads: 1,
             intensity: 0.3,
             with_node_faults: true,
         }
@@ -267,7 +264,10 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// # Panics
 ///
 /// Panics if [`NetStormCampaignConfig::check`] rejects the config.
-pub fn run_net_storm_campaign(config: &NetStormCampaignConfig) -> NetStormCampaignResult {
+pub fn run_net_storm_campaign(
+    config: &NetStormCampaignConfig,
+    engine: &EngineConfig,
+) -> NetStormCampaignResult {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
@@ -281,8 +281,7 @@ pub fn run_net_storm_campaign(config: &NetStormCampaignConfig) -> NetStormCampai
         },
         |into, from| into.merge(from),
     );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    let mut result = nlft_engine::run_trials(campaign, &engine).acc;
+    let mut result = nlft_engine::run_trials(campaign, engine).acc;
     result.reintegration_latencies.sort_unstable();
     result
 }
@@ -374,12 +373,9 @@ mod tests {
     fn storm_campaign_identical_across_thread_counts() {
         let mut cfg = NetStormCampaignConfig::new(10, 0x5708);
         cfg.cycles = 20;
-        cfg.threads = 1;
-        let one = run_net_storm_campaign(&cfg);
-        cfg.threads = 2;
-        let two = run_net_storm_campaign(&cfg);
-        cfg.threads = 5;
-        let five = run_net_storm_campaign(&cfg);
+        let one = run_net_storm_campaign(&cfg, &EngineConfig::with_workers(1));
+        let two = run_net_storm_campaign(&cfg, &EngineConfig::with_workers(2));
+        let five = run_net_storm_campaign(&cfg, &EngineConfig::with_workers(5));
         assert_eq!(one, two, "2 threads diverged from 1");
         assert_eq!(one, five, "5 threads diverged from 1");
         // Golden pin: any change to the RNG fork labels, the injector's
@@ -414,7 +410,7 @@ mod tests {
         let mut cfg = NetStormCampaignConfig::new(20, 0xC0FE);
         cfg.cycles = 30;
         cfg.with_node_faults = false;
-        let r = run_net_storm_campaign(&cfg);
+        let r = run_net_storm_campaign(&cfg, &EngineConfig::default());
         assert!(r.counts.corruptions_applied > 50, "storm too weak: {r:?}");
         assert!(r.injected.babbles > 20, "storm too weak: {r:?}");
         assert!(r.counts.masquerades_applied > 10, "storm too weak: {r:?}");

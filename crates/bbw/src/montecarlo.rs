@@ -42,8 +42,6 @@ pub struct MonteCarloConfig {
     pub seed: u64,
     /// Reliability evaluation grid (hours, strictly increasing).
     pub grid_hours: Vec<f64>,
-    /// Worker threads (results independent of the count).
-    pub threads: usize,
 }
 
 impl MonteCarloConfig {
@@ -62,7 +60,6 @@ impl MonteCarloConfig {
             replications,
             seed,
             grid_hours: (1..=12).map(|m| m as f64 * 730.0).collect(),
-            threads: 1,
         }
     }
 }
@@ -175,7 +172,7 @@ pub(crate) fn estimate_mttf(config: &MonteCarloConfig, max_years: f64) -> (f64, 
     let mut cfg = config.clone();
     cfg.horizon_hours = max_years * 8_760.0;
     cfg.grid_hours = vec![cfg.horizon_hours];
-    let result = run_monte_carlo(&cfg);
+    let result = run_monte_carlo(&cfg, &EngineConfig::default());
     let censored = result.curve.replications() - result.failures;
     let mean = result.failure_times.mean();
     let se = result.failure_times.std_dev() / (result.failure_times.count().max(1) as f64).sqrt();
@@ -201,9 +198,8 @@ enum Event {
 /// # Panics
 ///
 /// Panics on invalid configuration (no replications, bad grid, bad params).
-pub fn run_monte_carlo(config: &MonteCarloConfig) -> MonteCarloResult {
-    let engine = EngineConfig::with_workers(config.threads.max(1));
-    run_monte_carlo_with(config, &engine, CampaignOptions::default()).acc
+pub fn run_monte_carlo(config: &MonteCarloConfig, engine: &EngineConfig) -> MonteCarloResult {
+    run_monte_carlo_with(config, engine, CampaignOptions::default()).acc
 }
 
 /// Runs the Monte-Carlo experiment on the campaign engine with explicit
@@ -369,8 +365,8 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let cfg = MonteCarloConfig::one_year(Policy::Nlft, Functionality::Degraded, 200, 7);
-        let a = run_monte_carlo(&cfg);
-        let b = run_monte_carlo(&cfg);
+        let a = run_monte_carlo(&cfg, &EngineConfig::default());
+        let b = run_monte_carlo(&cfg, &EngineConfig::default());
         assert_eq!(a.reliability(), b.reliability());
         assert_eq!(a.failures, b.failures);
     }
@@ -392,10 +388,9 @@ mod tests {
         for threads in [1, 2, 5] {
             let cfg = MonteCarloConfig {
                 grid_hours: vec![2_000.0, 5_000.0, 8_760.0],
-                threads,
                 ..MonteCarloConfig::one_year(Policy::Nlft, Functionality::Degraded, 400, 0x2005)
             };
-            let r = run_monte_carlo(&cfg);
+            let r = run_monte_carlo(&cfg, &EngineConfig::with_workers(threads));
             assert_eq!(r.failures, GOLDEN_FAILURES, "threads = {threads}");
             let bits: Vec<u64> = r.reliability().iter().map(|x| x.to_bits()).collect();
             assert_eq!(bits, GOLDEN_R_BITS, "threads = {threads}");
@@ -411,7 +406,7 @@ mod tests {
             grid_hours: vec![2_000.0, 5_000.0, 8_760.0],
             ..MonteCarloConfig::one_year(Policy::Nlft, Functionality::Degraded, 400, 0x2005)
         };
-        let r = run_monte_carlo(&cfg);
+        let r = run_monte_carlo(&cfg, &EngineConfig::default());
         println!("const GOLDEN_FAILURES: u64 = {};", r.failures);
         println!("const GOLDEN_R_BITS: [u64; 3] = [");
         for x in r.reliability() {
@@ -422,10 +417,9 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let mut cfg = MonteCarloConfig::one_year(Policy::Nlft, Functionality::Degraded, 300, 9);
-        let seq = run_monte_carlo(&cfg);
-        cfg.threads = 4;
-        let par = run_monte_carlo(&cfg);
+        let cfg = MonteCarloConfig::one_year(Policy::Nlft, Functionality::Degraded, 300, 9);
+        let seq = run_monte_carlo(&cfg, &EngineConfig::default());
+        let par = run_monte_carlo(&cfg, &EngineConfig::with_workers(4));
         assert_eq!(seq.failures, par.failures);
         assert_eq!(seq.reliability(), par.reliability());
     }
@@ -442,7 +436,7 @@ mod tests {
                 grid_hours: vec![2_000.0, 5_000.0, 8_760.0],
                 ..MonteCarloConfig::one_year(policy, functionality, 3_000, 1234)
             };
-            let mc = run_monte_carlo(&cfg);
+            let mc = run_monte_carlo(&cfg, &EngineConfig::default());
             let analytic = BbwSystem::new(&cfg.params, policy, functionality);
             let bands = mc.curve.confidence_band(Confidence::C99);
             for (i, &t) in cfg.grid_hours.iter().enumerate() {
@@ -458,25 +452,21 @@ mod tests {
 
     #[test]
     fn nlft_survives_more_often_than_fs() {
-        let fs = run_monte_carlo(&MonteCarloConfig::one_year(
-            Policy::FailSilent,
-            Functionality::Degraded,
-            2_000,
-            42,
-        ));
-        let nlft = run_monte_carlo(&MonteCarloConfig::one_year(
-            Policy::Nlft,
-            Functionality::Degraded,
-            2_000,
-            42,
-        ));
+        let fs = run_monte_carlo(
+            &MonteCarloConfig::one_year(Policy::FailSilent, Functionality::Degraded, 2_000, 42),
+            &EngineConfig::default(),
+        );
+        let nlft = run_monte_carlo(
+            &MonteCarloConfig::one_year(Policy::Nlft, Functionality::Degraded, 2_000, 42),
+            &EngineConfig::default(),
+        );
         assert!(nlft.failures < fs.failures);
     }
 
     #[test]
     fn full_mode_fails_fast_for_fs() {
         let cfg = MonteCarloConfig::one_year(Policy::FailSilent, Functionality::Full, 500, 5);
-        let r = run_monte_carlo(&cfg);
+        let r = run_monte_carlo(&cfg, &EngineConfig::default());
         // FS/full fails on effectively every replication within a year
         // (analytic R(1y) ≈ 0.0007).
         assert!(
@@ -493,7 +483,7 @@ mod tests {
             grid_hours: vec![1.0, 5.0],
             ..MonteCarloConfig::one_year(Policy::Nlft, Functionality::Degraded, 2_000, 77)
         };
-        let r = run_monte_carlo(&cfg);
+        let r = run_monte_carlo(&cfg, &EngineConfig::default());
         let rel = r.reliability();
         assert!(rel[1] > 0.999, "R(5h) = {}", rel[1]);
     }
@@ -521,7 +511,7 @@ mod tests {
     #[test]
     fn failure_time_stats_collected() {
         let cfg = MonteCarloConfig::one_year(Policy::FailSilent, Functionality::Full, 300, 3);
-        let r = run_monte_carlo(&cfg);
+        let r = run_monte_carlo(&cfg, &EngineConfig::default());
         assert_eq!(r.failure_times.count(), r.failures);
         assert!(r.failure_times.mean() > 0.0);
         assert!(r.failure_times.max() <= 8_760.0);

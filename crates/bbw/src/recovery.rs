@@ -19,7 +19,7 @@
 //! bit-identical for any thread count.
 
 use nlft_core::diagnosis::AlphaCountConfig;
-use nlft_engine::Tally;
+use nlft_engine::{EngineConfig, Tally};
 use nlft_kernel::escalation::{EscalationPolicy, NodeHealth};
 use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault};
 use nlft_net::frame::NodeId;
@@ -101,8 +101,6 @@ pub struct RecoveryClusterCampaignConfig {
     /// Communication cycles per run. Must leave room for the full ladder
     /// (the default policy needs 25 job slots to retirement).
     pub cycles: u32,
-    /// Worker threads; results are identical for any value.
-    pub threads: usize,
 }
 
 impl RecoveryClusterCampaignConfig {
@@ -112,7 +110,6 @@ impl RecoveryClusterCampaignConfig {
             trials,
             seed,
             cycles: 40,
-            threads: 1,
         }
     }
 
@@ -169,6 +166,7 @@ nlft_engine::tally! {
 /// config.
 pub fn run_recovery_cluster_campaign(
     config: &RecoveryClusterCampaignConfig,
+    engine: &EngineConfig,
 ) -> RecoveryClusterOutcomes {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
@@ -183,8 +181,7 @@ pub fn run_recovery_cluster_campaign(
         },
         |into, from| into.merge(&from),
     );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    nlft_engine::run_trials(campaign, &engine).acc
+    nlft_engine::run_trials(campaign, engine).acc
 }
 
 fn run_recovery_trial(
@@ -352,13 +349,10 @@ mod tests {
 
     #[test]
     fn recovery_campaign_identical_across_thread_counts() {
-        let mut cfg = RecoveryClusterCampaignConfig::new(12, 0x3E5C);
-        cfg.threads = 1;
-        let one = run_recovery_cluster_campaign(&cfg);
-        cfg.threads = 2;
-        let two = run_recovery_cluster_campaign(&cfg);
-        cfg.threads = 5;
-        let five = run_recovery_cluster_campaign(&cfg);
+        let cfg = RecoveryClusterCampaignConfig::new(12, 0x3E5C);
+        let one = run_recovery_cluster_campaign(&cfg, &EngineConfig::with_workers(1));
+        let two = run_recovery_cluster_campaign(&cfg, &EngineConfig::with_workers(2));
+        let five = run_recovery_cluster_campaign(&cfg, &EngineConfig::with_workers(5));
         assert_eq!(one, two, "2 threads diverged from 1");
         assert_eq!(one, five, "5 threads diverged from 1");
         // Golden pin: any change to the RNG fork labels, the fault draw
@@ -383,7 +377,7 @@ mod tests {
     #[test]
     fn recovery_campaign_covers_the_three_diagnoses() {
         let cfg = RecoveryClusterCampaignConfig::new(30, 0x3E5C);
-        let r = run_recovery_cluster_campaign(&cfg);
+        let r = run_recovery_cluster_campaign(&cfg, &EngineConfig::default());
         assert_eq!(r.trials, 30);
         assert!(r.masked_transient > 0, "{r:?}");
         assert!(r.recovered > 0, "{r:?}");

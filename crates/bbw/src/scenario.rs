@@ -6,7 +6,7 @@
 //! compiled through the typed `try_*` constructors of the injector
 //! crates into a [`CompiledScenario`] — one of the existing campaign
 //! configurations, or a free-form cluster scenario driven by its own
-//! per-trial engine.
+//! per-trial engine, plus the worker count to run it at.
 //!
 //! Every path preserves the labelled-`RngStream`-per-trial rule: a
 //! trial's stream is forked as `fork_indexed(label, trial)` off the
@@ -67,7 +67,17 @@ impl std::error::Error for CompileError {}
 
 /// A scenario compiled onto its concrete runner configuration.
 #[derive(Debug, Clone)]
-pub enum CompiledScenario {
+pub struct CompiledScenario {
+    /// The family's runner configuration.
+    pub family: CompiledFamily,
+    /// Workers the runner spreads its trials over; the outcome is the
+    /// same for any count.
+    pub workers: usize,
+}
+
+/// A family's concrete runner configuration.
+#[derive(Debug, Clone)]
+pub enum CompiledFamily {
     /// The six-node network-storm campaign.
     NetStorm(NetStormCampaignConfig),
     /// The value-domain campaign.
@@ -82,8 +92,11 @@ pub enum CompiledScenario {
     Multicore(MulticoreCampaignConfig),
     /// The node-level SWIFI parameter campaign.
     Node(CampaignConfig),
-    /// A free-form cluster scenario run by this module's engine.
-    Cluster(ClusterScenarioConfig),
+    /// A free-form cluster scenario run by this module's engine. Boxed:
+    /// it is the largest config, and out of line it keeps a
+    /// `CompiledScenario` within the 128 bytes the compiler moves
+    /// without a `memcpy` call.
+    Cluster(Box<ClusterScenarioConfig>),
 }
 
 /// A compiled free-form cluster scenario.
@@ -212,131 +225,126 @@ fn node_id(name: NodeName) -> NodeId {
 /// Compiles a parsed scenario onto its concrete runner configuration,
 /// revalidating every rate through the injectors' typed constructors and
 /// the configuration through its family's `check`, so whatever compiles
-/// runs without panicking. `threads` is the worker count for families
-/// that shard (the outcome itself is thread-count invariant).
-pub fn compile(spec: &ScenarioSpec, threads: usize) -> Result<CompiledScenario, CompileError> {
+/// runs without panicking. Each family starts from its campaign's stock
+/// constructor and takes the scenario's parameters over it. `workers`
+/// is stored on the result for [`run_compiled`]; the outcome itself
+/// does not depend on it.
+pub fn compile(spec: &ScenarioSpec, workers: usize) -> Result<CompiledScenario, CompileError> {
     let fail = |message: String| CompileError {
         scenario: spec.name.clone(),
         message,
     };
-    let compiled = match &spec.params {
-        FamilyParams::NetStorm {
+    let (trials, seed) = (spec.trials, spec.seed);
+    let family = match &spec.params {
+        &FamilyParams::NetStorm {
             cycles,
             intensity,
             node_faults,
-        } => {
-            let mut config = NetStormCampaignConfig::new(spec.trials, spec.seed);
-            config.cycles = *cycles;
-            config.intensity = *intensity;
-            config.with_node_faults = *node_faults;
-            config.threads = threads;
-            CompiledScenario::NetStorm(config)
-        }
-        FamilyParams::ValueDomain {
+        } => CompiledFamily::NetStorm(NetStormCampaignConfig {
+            cycles,
+            intensity,
+            with_node_faults: node_faults,
+            ..NetStormCampaignConfig::new(trials, seed)
+        }),
+        &FamilyParams::ValueDomain {
             cycles,
             combined,
             net_intensity,
         } => {
-            let mut config = if *combined {
-                ValueDomainCampaignConfig::combined_storm(spec.trials, spec.seed)
+            let stock = if combined {
+                ValueDomainCampaignConfig::combined_storm(trials, seed)
             } else {
-                ValueDomainCampaignConfig::single_fault(spec.trials, spec.seed)
+                ValueDomainCampaignConfig::single_fault(trials, seed)
             };
-            config.cycles = *cycles;
-            config.net_intensity = *net_intensity;
-            config.threads = threads;
-            CompiledScenario::ValueDomain(config)
+            CompiledFamily::ValueDomain(ValueDomainCampaignConfig {
+                cycles,
+                net_intensity,
+                ..stock
+            })
         }
-        FamilyParams::Blackout {
+        &FamilyParams::Blackout {
             warmup,
             recovery,
             down,
             stagger,
             min_reset,
             include_cus,
-        } => {
-            let mut config = BlackoutCampaignConfig::new(spec.trials, spec.seed);
-            config.warmup_cycles = *warmup;
-            config.recovery_cycles = *recovery;
-            config.down_cycles = *down;
-            config.stagger = *stagger;
-            config.min_reset = *min_reset as usize;
-            config.include_cus = *include_cus;
-            config.threads = threads;
-            CompiledScenario::Blackout(config)
+        } => CompiledFamily::Blackout(BlackoutCampaignConfig {
+            warmup_cycles: warmup,
+            recovery_cycles: recovery,
+            down_cycles: down,
+            stagger,
+            min_reset: min_reset as usize,
+            include_cus,
+            ..BlackoutCampaignConfig::new(trials, seed)
+        }),
+        &FamilyParams::Recovery { cycles } => {
+            CompiledFamily::Recovery(RecoveryClusterCampaignConfig {
+                cycles,
+                ..RecoveryClusterCampaignConfig::new(trials, seed)
+            })
         }
-        FamilyParams::Recovery { cycles } => {
-            let mut config = RecoveryClusterCampaignConfig::new(spec.trials, spec.seed);
-            config.cycles = *cycles;
-            config.threads = threads;
-            CompiledScenario::Recovery(config)
-        }
-        FamilyParams::WeaklyHard {
+        &FamilyParams::WeaklyHard {
             horizon_jobs,
             max_misses,
             window,
             interval_lo,
             interval_hi,
             zero_force,
-        } => {
-            let mut config = MissPatternCampaignConfig::nominal(spec.trials, spec.seed);
-            config.horizon_jobs = *horizon_jobs;
-            config.contract =
-                MkContract::try_new(*max_misses, *window).map_err(|e| fail(e.to_string()))?;
-            config.fault_interval_us = (*interval_lo, *interval_hi);
-            config.policy = if *zero_force {
+        } => CompiledFamily::WeaklyHard(MissPatternCampaignConfig {
+            horizon_jobs,
+            contract: MkContract::try_new(max_misses, window).map_err(|e| fail(e.to_string()))?,
+            fault_interval_us: (interval_lo, interval_hi),
+            policy: if zero_force {
                 MissPolicy::ZeroForce
             } else {
                 MissPolicy::HoldLast
-            };
-            config.threads = threads;
-            CompiledScenario::WeaklyHard(config)
-        }
-        FamilyParams::Multicore {
+            },
+            ..MissPatternCampaignConfig::nominal(trials, seed)
+        }),
+        &FamilyParams::Multicore {
             cores,
             horizon,
             escalated_p,
-        } => {
-            let mut config = MulticoreCampaignConfig::new(spec.trials, spec.seed);
-            config.cores = *cores;
-            config.horizon = *horizon;
-            config.escalated_p = *escalated_p;
-            config.threads = threads;
-            CompiledScenario::Multicore(config)
-        }
-        FamilyParams::Node { lightweight_nlft } => {
-            let policy = if *lightweight_nlft {
+        } => CompiledFamily::Multicore(MulticoreCampaignConfig {
+            cores,
+            horizon,
+            escalated_p,
+            ..MulticoreCampaignConfig::new(trials, seed)
+        }),
+        &FamilyParams::Node { lightweight_nlft } => {
+            let policy = if lightweight_nlft {
                 NodePolicy::LightweightNlft
             } else {
                 NodePolicy::FailSilent
             };
-            let mut config = CampaignConfig::new(spec.trials, spec.seed, policy);
-            config.threads = threads;
-            CompiledScenario::Node(config)
+            CompiledFamily::Node(CampaignConfig::new(trials, seed, policy))
         }
-        FamilyParams::Cluster(cluster) => CompiledScenario::Cluster(ClusterScenarioConfig {
-            trials: spec.trials,
-            seed: spec.seed,
-            spec: cluster.clone(),
-        }),
+        FamilyParams::Cluster(cluster) => {
+            CompiledFamily::Cluster(Box::new(ClusterScenarioConfig {
+                trials,
+                seed,
+                spec: cluster.clone(),
+            }))
+        }
     };
-    compiled.check().map_err(fail)?;
-    Ok(compiled)
+    family.check().map_err(fail)?;
+    Ok(CompiledScenario { family, workers })
 }
 
-impl CompiledScenario {
+impl CompiledFamily {
     /// The family configuration's own validity check — the one its
     /// runner panics on.
     fn check(&self) -> Result<(), String> {
         match self {
-            CompiledScenario::NetStorm(config) => config.check(),
-            CompiledScenario::ValueDomain(config) => config.check(),
-            CompiledScenario::Blackout(config) => config.check(),
-            CompiledScenario::Recovery(config) => config.check(),
-            CompiledScenario::WeaklyHard(config) => config.check(),
-            CompiledScenario::Multicore(config) => config.check(),
-            CompiledScenario::Node(config) => config.check(),
-            CompiledScenario::Cluster(config) => config.check(),
+            CompiledFamily::NetStorm(config) => config.check(),
+            CompiledFamily::ValueDomain(config) => config.check(),
+            CompiledFamily::Blackout(config) => config.check(),
+            CompiledFamily::Recovery(config) => config.check(),
+            CompiledFamily::WeaklyHard(config) => config.check(),
+            CompiledFamily::Multicore(config) => config.check(),
+            CompiledFamily::Node(config) => config.check(),
+            CompiledFamily::Cluster(config) => config.check(),
         }
     }
 }
@@ -474,36 +482,46 @@ fn build_net_plan(
     Ok(if any { Some(plan) } else { None })
 }
 
-/// Runs a compiled scenario and reduces its family's counters to the
-/// canonical [`ScenarioOutcome`].
+/// Runs a compiled scenario at its worker count and reduces its
+/// family's counters to the canonical [`ScenarioOutcome`].
 ///
 /// # Panics
 ///
 /// Panics if the configuration fails its family's `check` — impossible
 /// for one [`compile`] returned.
 pub fn run_compiled(name: &str, compiled: &CompiledScenario) -> ScenarioOutcome {
-    match compiled {
-        CompiledScenario::NetStorm(c) => {
-            ScenarioOutcome::new(name, &run_net_storm_campaign(c).counts)
+    run_family(
+        name,
+        &compiled.family,
+        &EngineConfig::with_workers(compiled.workers),
+    )
+}
+
+/// Runs one family's campaign on `engine` (a cluster scenario with no
+/// checkpoint or resume).
+fn run_family(name: &str, family: &CompiledFamily, engine: &EngineConfig) -> ScenarioOutcome {
+    match family {
+        CompiledFamily::NetStorm(c) => {
+            ScenarioOutcome::new(name, &run_net_storm_campaign(c, engine).counts)
         }
-        CompiledScenario::ValueDomain(c) => {
-            ScenarioOutcome::new(name, &run_value_domain_campaign(c))
+        CompiledFamily::ValueDomain(c) => {
+            ScenarioOutcome::new(name, &run_value_domain_campaign(c, engine))
         }
-        CompiledScenario::Blackout(c) => {
-            ScenarioOutcome::new(name, &run_blackout_campaign(c).counts)
+        CompiledFamily::Blackout(c) => {
+            ScenarioOutcome::new(name, &run_blackout_campaign(c, engine).counts)
         }
-        CompiledScenario::Recovery(c) => {
-            ScenarioOutcome::new(name, &run_recovery_cluster_campaign(c))
+        CompiledFamily::Recovery(c) => {
+            ScenarioOutcome::new(name, &run_recovery_cluster_campaign(c, engine))
         }
-        CompiledScenario::WeaklyHard(c) => {
-            ScenarioOutcome::new(name, &run_miss_pattern_campaign(c).counts)
+        CompiledFamily::WeaklyHard(c) => {
+            ScenarioOutcome::new(name, &run_miss_pattern_campaign(c, engine).counts)
         }
-        CompiledScenario::Multicore(c) => {
-            ScenarioOutcome::new(name, &run_multicore_campaign(c).counts)
+        CompiledFamily::Multicore(c) => {
+            ScenarioOutcome::new(name, &run_multicore_campaign(c, engine).counts)
         }
-        CompiledScenario::Node(c) => ScenarioOutcome::new(name, &run_campaign(c).counts),
-        CompiledScenario::Cluster(c) => {
-            run_cluster_scenario(name, c, 1, &ScenarioEngineOptions::default())
+        CompiledFamily::Node(c) => ScenarioOutcome::new(name, &run_campaign(c, engine).counts),
+        CompiledFamily::Cluster(c) => {
+            run_cluster_scenario(name, c, engine, &ScenarioEngineOptions::default())
                 .expect("default engine options cannot fail")
         }
     }
@@ -515,11 +533,11 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutco
     run_scenario_with(spec, threads, &ScenarioEngineOptions::default())
 }
 
-/// Engine options for the cluster-family scenario path.
+/// Engine options for a scenario run.
 ///
-/// Only the free-form `cluster` family honours these (the other
-/// families run on the engine through their own campaign runners);
-/// passing non-default options with any other family is a
+/// A trial budget applies to every family. Checkpoint and resume apply
+/// to the free-form `cluster` family only, since only its tallies have a
+/// checkpoint codec; setting either with any other family is a
 /// [`CompileError`].
 #[derive(Default)]
 pub struct ScenarioEngineOptions<'a> {
@@ -536,15 +554,6 @@ pub struct ScenarioEngineOptions<'a> {
     pub on_checkpoint: Option<&'a dyn Fn(u64, String)>,
 }
 
-impl ScenarioEngineOptions<'_> {
-    fn is_default(&self) -> bool {
-        self.trial_budget.is_none()
-            && self.resume.is_none()
-            && self.checkpoint_every == 0
-            && self.on_checkpoint.is_none()
-    }
-}
-
 impl std::fmt::Debug for ScenarioEngineOptions<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScenarioEngineOptions")
@@ -556,29 +565,28 @@ impl std::fmt::Debug for ScenarioEngineOptions<'_> {
     }
 }
 
-/// [`run_scenario`] with explicit engine options for the cluster
-/// family.
+/// [`run_scenario`] with explicit engine options: one engine
+/// configuration (the worker count, the trial budget and the checkpoint
+/// cadence) runs whichever family the scenario declares.
 pub fn run_scenario_with(
     spec: &ScenarioSpec,
     threads: usize,
     opts: &ScenarioEngineOptions<'_>,
 ) -> Result<ScenarioOutcome, CompileError> {
     let compiled = compile(spec, threads)?;
-    match &compiled {
-        CompiledScenario::Cluster(config) => {
-            run_cluster_scenario(&spec.name, config, threads, opts)
-        }
-        other => {
-            if !opts.is_default() {
-                return Err(CompileError {
-                    scenario: spec.name.clone(),
-                    message: "engine options (trial budget / checkpoint / resume) \
-                              require a cluster-family scenario"
-                        .to_string(),
-                });
-            }
-            Ok(run_compiled(&spec.name, other))
-        }
+    let engine = EngineConfig {
+        workers: compiled.workers,
+        trial_budget: opts.trial_budget,
+        checkpoint_every: opts.checkpoint_every,
+        ..EngineConfig::default()
+    };
+    match &compiled.family {
+        CompiledFamily::Cluster(config) => run_cluster_scenario(&spec.name, config, &engine, opts),
+        _ if opts.resume.is_some() || opts.checkpoint_every != 0 => Err(CompileError {
+            scenario: spec.name.clone(),
+            message: "checkpoint / resume options require a cluster-family scenario".to_string(),
+        }),
+        family => Ok(run_family(&spec.name, family, &engine)),
     }
 }
 
@@ -856,7 +864,7 @@ fn run_cluster_trial(
 fn run_cluster_scenario(
     name: &str,
     config: &ClusterScenarioConfig,
-    threads: usize,
+    engine: &EngineConfig,
     opts: &ScenarioEngineOptions<'_>,
 ) -> Result<ScenarioOutcome, CompileError> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
@@ -873,12 +881,6 @@ fn run_cluster_scenario(
         },
         |into: &mut ClusterTallies, from| into.merge(&from),
     );
-    let engine = EngineConfig {
-        workers: threads.max(1),
-        trial_budget: opts.trial_budget,
-        checkpoint_every: opts.checkpoint_every,
-        ..EngineConfig::default()
-    };
     let resume = opts
         .resume
         .as_deref()
@@ -906,7 +908,7 @@ fn run_cluster_scenario(
         resume,
         on_checkpoint: encode_cb.as_deref(),
     };
-    let run = nlft_engine::run_trials_with(campaign, &engine, options);
+    let run = nlft_engine::run_trials_with(campaign, engine, options);
     Ok(ScenarioOutcome::new(name, &run.acc))
 }
 
@@ -930,7 +932,7 @@ mod tests {
         let outcome = run_scenario(&spec, 1).unwrap();
         let mut config = NetStormCampaignConfig::new(10, 0x5708);
         config.cycles = 20;
-        let direct = run_net_storm_campaign(&config);
+        let direct = run_net_storm_campaign(&config, &EngineConfig::default());
         assert_eq!(
             outcome.counter("service_lost"),
             Some(direct.counts.service_lost)
@@ -953,6 +955,47 @@ mod tests {
         let five = run_scenario(&spec, 5).unwrap();
         assert_eq!(one, two);
         assert_eq!(one, five);
+    }
+
+    #[test]
+    fn a_generous_trial_budget_leaves_every_family_unchanged() {
+        let opts = ScenarioEngineOptions {
+            trial_budget: Some(Duration::from_secs(10)),
+            ..ScenarioEngineOptions::default()
+        };
+        for family in [
+            "net_storm",
+            "value_domain",
+            "blackout",
+            "recovery",
+            "weakly_hard",
+            "multicore",
+            "node",
+        ] {
+            let s = spec(&format!(
+                "scenario budget\nfamily {family}\ntrials 3\nseed 0xb0d6\nend\n"
+            ));
+            let plain = run_scenario(&s, 2).unwrap();
+            assert_eq!(run_scenario_with(&s, 2, &opts).unwrap(), plain, "{family}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_options_are_rejected_outside_the_cluster_family() {
+        let s = spec("scenario ckpt\nfamily recovery\ntrials 4\nseed 1\nend\n");
+        let resume = ScenarioEngineOptions {
+            resume: Some("resume 0 recovery-cluster 0".into()),
+            ..ScenarioEngineOptions::default()
+        };
+        let every = ScenarioEngineOptions {
+            checkpoint_every: 2,
+            ..ScenarioEngineOptions::default()
+        };
+        for opts in [resume, every] {
+            let e = run_scenario_with(&s, 1, &opts).expect_err("recovery has no checkpoints");
+            assert_eq!(e.scenario, "ckpt");
+            assert!(e.message.contains("cluster-family"), "{e}");
+        }
     }
 
     #[test]

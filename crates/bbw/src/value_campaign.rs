@@ -25,7 +25,7 @@
 //! stream from `(seed, trial index)`, shard results merge by sums and
 //! maxima, and the golden test pins the exact outcome at 1/2/5 threads.
 
-use nlft_engine::Tally;
+use nlft_engine::{EngineConfig, Tally};
 use nlft_machine::fault::FaultSpace;
 use nlft_net::inject::{NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
@@ -55,8 +55,6 @@ pub struct ValueDomainCampaignConfig {
     pub seed: u64,
     /// Communication cycles per run.
     pub cycles: u32,
-    /// Worker threads; results are identical for any value.
-    pub threads: usize,
     /// What to inject per trial.
     pub mode: ValueCampaignMode,
     /// Network storm intensity in `[0, 1]` (combined mode only).
@@ -70,7 +68,6 @@ impl ValueDomainCampaignConfig {
             trials,
             seed,
             cycles: 30,
-            threads: 1,
             mode: ValueCampaignMode::SingleFault,
             net_intensity: 0.0,
         }
@@ -82,7 +79,6 @@ impl ValueDomainCampaignConfig {
             trials,
             seed,
             cycles: 30,
-            threads: 1,
             mode: ValueCampaignMode::CombinedStorm,
             net_intensity: 0.2,
         }
@@ -248,7 +244,10 @@ fn draw_command_fault(rng: &mut RngStream, cluster: &mut BbwCluster, cycles: u32
 /// # Panics
 ///
 /// Panics if [`ValueDomainCampaignConfig::check`] rejects the config.
-pub fn run_value_domain_campaign(config: &ValueDomainCampaignConfig) -> ValueDomainCampaignResult {
+pub fn run_value_domain_campaign(
+    config: &ValueDomainCampaignConfig,
+    engine: &EngineConfig,
+) -> ValueDomainCampaignResult {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let clean = clean_reference(config.cycles);
     let c = config.clone();
@@ -263,8 +262,7 @@ pub fn run_value_domain_campaign(config: &ValueDomainCampaignConfig) -> ValueDom
         },
         |into, from| into.merge(&from),
     );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    nlft_engine::run_trials(campaign, &engine).acc
+    nlft_engine::run_trials(campaign, engine).acc
 }
 
 fn run_value_trial(
@@ -361,7 +359,7 @@ mod tests {
     #[test]
     fn single_fault_campaign_has_zero_silent_failures() {
         let cfg = ValueDomainCampaignConfig::single_fault(40, 0x7A1E);
-        let r = run_value_domain_campaign(&cfg);
+        let r = run_value_domain_campaign(&cfg, &EngineConfig::default());
         assert_eq!(r.trials, 40);
         assert_eq!(
             r.undetected, 0,
@@ -378,12 +376,9 @@ mod tests {
     fn campaign_identical_across_thread_counts() {
         let mut cfg = ValueDomainCampaignConfig::combined_storm(12, 0x5AFE);
         cfg.cycles = 24;
-        cfg.threads = 1;
-        let one = run_value_domain_campaign(&cfg);
-        cfg.threads = 2;
-        let two = run_value_domain_campaign(&cfg);
-        cfg.threads = 5;
-        let five = run_value_domain_campaign(&cfg);
+        let one = run_value_domain_campaign(&cfg, &EngineConfig::with_workers(1));
+        let two = run_value_domain_campaign(&cfg, &EngineConfig::with_workers(2));
+        let five = run_value_domain_campaign(&cfg, &EngineConfig::with_workers(5));
         assert_eq!(one, two, "2 threads diverged from 1");
         assert_eq!(one, five, "5 threads diverged from 1");
         // Golden pin: any change to fork labels, draw order, the sealed
@@ -423,7 +418,7 @@ mod tests {
     #[test]
     fn combined_storm_keeps_metrics_bounded() {
         let cfg = ValueDomainCampaignConfig::combined_storm(10, 0xB0DE);
-        let r = run_value_domain_campaign(&cfg);
+        let r = run_value_domain_campaign(&cfg, &EngineConfig::default());
         // Bounded-degradation claim: even with a sensor fault, an
         // actuator fault, a command fault, a network storm and a CPU
         // transient per trial, the deficit cannot exceed the clean

@@ -28,7 +28,7 @@
 //! streams, block merges by sums and strictly-greater maxima, golden
 //! pins at 1/2/5 threads.
 
-use nlft_engine::Tally;
+use nlft_engine::{EngineConfig, Tally};
 use nlft_kernel::analysis::{analyse_weakly_hard, MissModel, TemCosts};
 use nlft_kernel::contract::MkContract;
 use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpecBuilder};
@@ -98,8 +98,6 @@ pub struct MissPatternCampaignConfig {
     pub trials: u64,
     /// Master seed.
     pub seed: u64,
-    /// Worker threads; results are identical for any value.
-    pub threads: usize,
     /// Brake-controller jobs per trial (≤ 64 so patterns pack into one
     /// word, ≥ the contract window).
     pub horizon_jobs: u32,
@@ -119,7 +117,6 @@ impl MissPatternCampaignConfig {
         MissPatternCampaignConfig {
             trials,
             seed,
-            threads: 1,
             horizon_jobs: 64,
             contract: MkContract::new(2, 8),
             fault_interval_us: (40, 160),
@@ -291,7 +288,10 @@ fn place_faults(
 /// # Panics
 ///
 /// Panics if [`MissPatternCampaignConfig::check`] rejects the config.
-pub fn run_miss_pattern_campaign(config: &MissPatternCampaignConfig) -> MissPatternCampaignResult {
+pub fn run_miss_pattern_campaign(
+    config: &MissPatternCampaignConfig,
+    engine: &EngineConfig,
+) -> MissPatternCampaignResult {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
@@ -306,8 +306,7 @@ pub fn run_miss_pattern_campaign(config: &MissPatternCampaignConfig) -> MissPatt
         },
         |into, from| into.merge(from),
     );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    nlft_engine::run_trials(campaign, &engine).acc
+    nlft_engine::run_trials(campaign, engine).acc
 }
 
 /// What every trial of a campaign shares, built once per campaign.
@@ -429,7 +428,7 @@ mod tests {
     #[test]
     fn analyzer_is_never_beaten_and_bound_is_reached() {
         let cfg = MissPatternCampaignConfig::nominal(60, 0x3A5E);
-        let r = run_miss_pattern_campaign(&cfg);
+        let r = run_miss_pattern_campaign(&cfg, &EngineConfig::default());
         let c = &r.counts;
         assert_eq!(c.trials, 60);
         // The tentpole cross-check: simulation never violates a
@@ -449,13 +448,10 @@ mod tests {
 
     #[test]
     fn campaign_identical_across_thread_counts() {
-        let mut cfg = MissPatternCampaignConfig::nominal(24, 0x5EED);
-        cfg.threads = 1;
-        let one = run_miss_pattern_campaign(&cfg);
-        cfg.threads = 2;
-        let two = run_miss_pattern_campaign(&cfg);
-        cfg.threads = 5;
-        let five = run_miss_pattern_campaign(&cfg);
+        let cfg = MissPatternCampaignConfig::nominal(24, 0x5EED);
+        let one = run_miss_pattern_campaign(&cfg, &EngineConfig::with_workers(1));
+        let two = run_miss_pattern_campaign(&cfg, &EngineConfig::with_workers(2));
+        let five = run_miss_pattern_campaign(&cfg, &EngineConfig::with_workers(5));
         assert_eq!(one, two, "2 threads diverged from 1");
         assert_eq!(one, five, "5 threads diverged from 1");
         // Golden pin: any change to fork labels, draw order, the miss
@@ -504,9 +500,9 @@ mod tests {
     #[test]
     fn zero_force_policy_costs_more_than_hold() {
         let mut cfg = MissPatternCampaignConfig::nominal(20, 0xF0CE);
-        let hold = run_miss_pattern_campaign(&cfg);
+        let hold = run_miss_pattern_campaign(&cfg, &EngineConfig::default());
         cfg.policy = MissPolicy::ZeroForce;
-        let zero = run_miss_pattern_campaign(&cfg);
+        let zero = run_miss_pattern_campaign(&cfg, &EngineConfig::default());
         // Same seeds ⇒ same patterns; only the wheel's miss behaviour
         // differs, so the functional cost ordering is deterministic.
         assert_eq!(hold.counts.total_misses, zero.counts.total_misses);

@@ -10,6 +10,7 @@ use nlft_bbw::montecarlo::{run_monte_carlo, MonteCarloConfig};
 use nlft_bbw::params::BbwParams;
 use nlft_bbw::sensor::{PedalSensorArray, PedalVoterConfig, SensorFault, PEDAL_MAX};
 use nlft_bbw::value_campaign::{run_value_domain_campaign, ValueDomainCampaignConfig};
+use nlft_engine::EngineConfig;
 use nlft_reliability::model::ReliabilityModel;
 use nlft_sim::rng::RngStream;
 use nlft_testkit::prop::Suite;
@@ -391,7 +392,7 @@ fn single_fault_campaigns_have_no_silent_failures_for_any_seed() {
         |&seed| {
             let mut cfg = ValueDomainCampaignConfig::single_fault(6, seed);
             cfg.cycles = 20;
-            let result = run_value_domain_campaign(&cfg);
+            let result = run_value_domain_campaign(&cfg, &EngineConfig::default());
             prop_assert_eq!(result.undetected, 0, "silent trial under seed {}", seed);
             prop_assert_eq!(result.service_lost, 0);
             prop_assert_eq!(result.undetected_value_failures, 0);
@@ -411,9 +412,8 @@ fn montecarlo_thread_invariance() {
             let mut cfg =
                 MonteCarloConfig::one_year(Policy::Nlft, Functionality::Degraded, 150, seed);
             cfg.grid_hours = vec![4_000.0, 8_760.0];
-            let seq = run_monte_carlo(&cfg);
-            cfg.threads = 3;
-            let par = run_monte_carlo(&cfg);
+            let seq = run_monte_carlo(&cfg, &EngineConfig::default());
+            let par = run_monte_carlo(&cfg, &EngineConfig::with_workers(3));
             prop_assert_eq!(seq.failures, par.failures);
             prop_assert_eq!(seq.reliability(), par.reliability());
             Ok(())

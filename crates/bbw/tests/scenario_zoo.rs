@@ -9,6 +9,7 @@ use std::path::PathBuf;
 use nlft_bbw::cluster_campaign::{run_net_storm_campaign, NetStormCampaignConfig};
 use nlft_bbw::scenario::{check_accept, run_scenario};
 use nlft_core::multicore_campaign::{run_multicore_campaign, MulticoreCampaignConfig};
+use nlft_engine::EngineConfig;
 use nlft_reliability::scenario::{parse_scenario, ScenarioSpec};
 
 fn zoo() -> Vec<(String, ScenarioSpec)> {
@@ -65,7 +66,7 @@ fn net_storm_nominal_equals_hand_wired_campaign() {
 
     let mut config = NetStormCampaignConfig::new(spec.trials, spec.seed);
     config.cycles = 20;
-    let direct = run_net_storm_campaign(&config);
+    let direct = run_net_storm_campaign(&config, &EngineConfig::default());
 
     assert_eq!(
         outcome.counter("split_membership"),
@@ -106,7 +107,7 @@ fn core_death_mid_section_equals_hand_wired_campaign() {
     let outcome = run_scenario(&spec, 1).expect("scenario runs");
 
     let config = MulticoreCampaignConfig::new(spec.trials, spec.seed);
-    let direct = run_multicore_campaign(&config);
+    let direct = run_multicore_campaign(&config, &EngineConfig::default());
 
     assert_eq!(outcome.counter("crash"), Some(direct.counts.crash));
     assert_eq!(outcome.counter("escalated"), Some(direct.counts.escalated));

@@ -4,6 +4,7 @@
 use nlft_bbw::analytic::{Functionality, Policy};
 use nlft_bbw::montecarlo::{run_monte_carlo, MonteCarloConfig};
 use nlft_bench::{report, xcheck};
+use nlft_engine::EngineConfig;
 use nlft_testkit::bench::Bench;
 use std::hint::black_box;
 
@@ -33,7 +34,7 @@ fn main() {
     b.bench("100_replications_one_year", || {
         let cfg =
             MonteCarloConfig::one_year(Policy::Nlft, Functionality::Degraded, 100, black_box(11));
-        black_box(run_monte_carlo(&cfg))
+        black_box(run_monte_carlo(&cfg, &EngineConfig::default()))
     });
     b.finish();
 }

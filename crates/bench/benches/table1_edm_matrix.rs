@@ -4,6 +4,7 @@
 use nlft_bench::{report, table1};
 use nlft_core::campaign::{run_campaign, CampaignConfig};
 use nlft_core::policy::NodePolicy;
+use nlft_engine::EngineConfig;
 use nlft_testkit::bench::Bench;
 use std::hint::black_box;
 
@@ -29,7 +30,7 @@ fn main() {
     for policy in [NodePolicy::LightweightNlft, NodePolicy::FailSilent] {
         b.bench(&format!("campaign_100_trials_{policy}"), || {
             let cfg = CampaignConfig::new(100, black_box(7), policy);
-            black_box(run_campaign(&cfg))
+            black_box(run_campaign(&cfg, &EngineConfig::default()))
         });
     }
     b.finish();

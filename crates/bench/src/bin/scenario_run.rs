@@ -14,12 +14,14 @@
 //!   substring.
 //! * `run` — run matching scenarios, print their verdict/metric
 //!   counters and digests, and check each acceptance clause; exits
-//!   non-zero if any clause fails. Engine flags (cluster family only):
-//!   `--trial-budget-ms` arms the per-trial watchdog, which runs the
-//!   threaded executor even at `--threads 1` (the digest does not
-//!   change), `--checkpoint FILE` streams resumable checkpoints to a
-//!   file every `--checkpoint-every` trials, and `--resume FILE`
-//!   continues a previously checkpointed run.
+//!   non-zero if any clause fails. Engine flags: `--trial-budget-ms`
+//!   arms the per-trial watchdog for any family, which runs the threaded
+//!   executor even at `--threads 1` (the digest does not change);
+//!   `--checkpoint FILE` streams resumable checkpoints to a file every
+//!   `--checkpoint-every` trials, and `--resume FILE` continues a
+//!   previously checkpointed run. Only cluster-family scenarios can be
+//!   checkpointed, so with either of those two flags `run` skips every
+//!   other family.
 //! * `verify` — the CI gate: every matching scenario runs at 1, 2 and
 //!   5 threads; the three outcomes must be bit-identical and match the
 //!   scenario's `pin`. Fails hard on drift or a missing pin.
@@ -103,7 +105,7 @@ fn cmd_list(zoo: &[(PathBuf, ScenarioSpec)]) {
     println!("{} scenarios", zoo.len());
 }
 
-/// Engine flags collected from the command line (cluster family only).
+/// Engine flags collected from the command line.
 #[derive(Debug, Default, PartialEq)]
 struct EngineFlags {
     trial_budget_ms: Option<u64>,
@@ -113,8 +115,10 @@ struct EngineFlags {
 }
 
 impl EngineFlags {
-    fn active(&self) -> bool {
-        self.trial_budget_ms.is_some() || self.checkpoint.is_some() || self.resume.is_some()
+    /// Whether the run checkpoints or resumes, which only the cluster
+    /// family can.
+    fn checkpoints(&self) -> bool {
+        self.checkpoint.is_some() || self.resume.is_some()
     }
 }
 
@@ -122,8 +126,8 @@ fn cmd_run(zoo: &[(PathBuf, ScenarioSpec)], threads: usize, flags: &EngineFlags)
     let mut ok = true;
     for (_, spec) in zoo {
         println!("== {} ({})", spec.name, spec.params.family());
-        if flags.active() && spec.params.family() != "cluster" {
-            println!("  skipped: engine flags apply to cluster-family scenarios only");
+        if flags.checkpoints() && spec.params.family() != "cluster" {
+            println!("  skipped: checkpoint/resume flags apply to cluster-family scenarios only");
             continue;
         }
         let resume = match &flags.resume {

@@ -214,14 +214,12 @@ pub mod fig14 {
 pub mod table1 {
     use nlft_core::campaign::{run_campaign, CampaignConfig, CampaignResult};
     use nlft_core::policy::NodePolicy;
+    use nlft_engine::EngineConfig;
 
     /// Runs the campaign behind the table.
     pub fn generate(trials: u64, seed: u64, policy: NodePolicy) -> CampaignResult {
-        let mut config = CampaignConfig::new(trials, seed, policy);
-        config.threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        run_campaign(&config)
+        let config = CampaignConfig::new(trials, seed, policy);
+        run_campaign(&config, &EngineConfig::all_cores())
     }
 }
 
@@ -230,6 +228,7 @@ pub mod xcheck {
     use nlft_bbw::analytic::{BbwSystem, Functionality, Policy};
     use nlft_bbw::montecarlo::{run_monte_carlo, MonteCarloConfig};
     use nlft_bbw::params::BbwParams;
+    use nlft_engine::EngineConfig;
     use nlft_reliability::model::ReliabilityModel;
     use nlft_testkit::json::{Json, ToJson};
 
@@ -270,10 +269,7 @@ pub mod xcheck {
         ] {
             let mut cfg = MonteCarloConfig::one_year(policy, functionality, replications, seed);
             cfg.grid_hours = grid.clone();
-            cfg.threads = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            let mc = run_monte_carlo(&cfg);
+            let mc = run_monte_carlo(&cfg, &EngineConfig::all_cores());
             let analytic = BbwSystem::new(&BbwParams::paper(), policy, functionality);
             let rel = mc.reliability();
             let bands = mc.curve.confidence_band(Default::default());
@@ -299,6 +295,7 @@ pub mod ablation {
     use nlft_bbw::params::BbwParams;
     use nlft_core::campaign::{run_campaign, CampaignConfig};
     use nlft_core::policy::NodePolicy;
+    use nlft_engine::EngineConfig;
     use nlft_machine::fault::FaultSpace;
     use nlft_reliability::model::ReliabilityModel;
     use nlft_testkit::json::{Json, ToJson};
@@ -336,10 +333,7 @@ pub mod ablation {
             .map(|tight| {
                 let mut cfg = CampaignConfig::new(trials, seed, NodePolicy::LightweightNlft);
                 cfg.tight_deadline_fraction = tight;
-                cfg.threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                let r = run_campaign(&cfg);
+                let r = run_campaign(&cfg, &EngineConfig::all_cores());
                 let (p_t, p_om, p_fs) = (
                     r.counts.p_t().estimate(),
                     r.counts.p_om().estimate(),
@@ -397,10 +391,7 @@ pub mod ablation {
                 let mut cfg = CampaignConfig::new(trials, seed, policy);
                 cfg.space = FaultSpace::seu(nlft_machine::workloads::MEM_BYTES);
                 cfg.ecc = ecc;
-                cfg.threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                let r = run_campaign(&cfg);
+                let r = run_campaign(&cfg, &EngineConfig::all_cores());
                 out.push(EccRow {
                     ecc,
                     policy: policy.to_string(),

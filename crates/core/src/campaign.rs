@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use nlft_engine::Tally;
+use nlft_engine::{EngineConfig, Tally};
 use nlft_kernel::escalation::{EscalationEvent, EscalationPolicy, NodeHealth};
 use nlft_kernel::tem::{InjectionPlan, JobFault, JobOutcome, TemConfig, TemExecutor};
 use nlft_machine::edm::{DetectionMatrix, Edm};
@@ -77,9 +77,6 @@ pub struct CampaignConfig {
     /// Run the node with ECC-protected memory (`true`, the default) or
     /// without (cheap-node ablation: memory faults escape to the program).
     pub ecc: bool,
-    /// Number of worker threads (1 = sequential; results are identical
-    /// regardless).
-    pub threads: usize,
 }
 
 impl CampaignConfig {
@@ -94,7 +91,6 @@ impl CampaignConfig {
             kernel_fraction: 0.05,
             tight_deadline_fraction: 0.05,
             ecc: true,
-            threads: 1,
         }
     }
 
@@ -226,7 +222,7 @@ impl fmt::Display for CampaignResult {
 /// # Panics
 ///
 /// Panics if [`CampaignConfig::check`] rejects the config.
-pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
+pub fn run_campaign(config: &CampaignConfig, engine: &EngineConfig) -> CampaignResult {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     // Every trial forks its own stream from (seed, trial index) and the
     // engine folds block partials in block order regardless of worker
@@ -245,8 +241,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
         },
         |into, from| into.merge(&from),
     );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    nlft_engine::run_trials(campaign, &engine).acc
+    nlft_engine::run_trials(campaign, engine).acc
 }
 
 fn run_trial(config: &CampaignConfig, workload: &Workload, rng: &mut RngStream) -> TrialOutcome {
@@ -478,8 +473,6 @@ pub struct RecoveryCampaignConfig {
     pub alpha: AlphaCountConfig,
     /// Escalation-ladder thresholds and restart budget.
     pub escalation: EscalationPolicy,
-    /// Number of worker threads (results identical regardless).
-    pub threads: usize,
 }
 
 impl RecoveryCampaignConfig {
@@ -496,7 +489,6 @@ impl RecoveryCampaignConfig {
             workloads: nlft_machine::workloads::standard_workloads(),
             alpha: AlphaCountConfig::default(),
             escalation: EscalationPolicy::default(),
-            threads: 1,
         }
     }
 }
@@ -620,13 +612,16 @@ impl fmt::Display for RecoveryCampaignResult {
 /// (transient / intermittent / stuck-at), drives a TEM node through
 /// `jobs_per_trial` job slots under a [`NodeSupervisor`], and judges the
 /// supervisor's verdict against the ground truth. Deterministic in the
-/// seed and invariant under `threads`.
+/// seed and invariant under `engine`'s worker count.
 ///
 /// # Panics
 ///
 /// Panics if the configuration has no trials, no workloads, or too few
 /// jobs per trial to fit the escalation ladder.
-pub fn run_recovery_campaign(config: &RecoveryCampaignConfig) -> RecoveryCampaignResult {
+pub fn run_recovery_campaign(
+    config: &RecoveryCampaignConfig,
+    engine: &EngineConfig,
+) -> RecoveryCampaignResult {
     assert!(config.trials > 0, "campaign needs trials");
     assert!(!config.workloads.is_empty(), "campaign needs workloads");
     assert!(
@@ -646,8 +641,7 @@ pub fn run_recovery_campaign(config: &RecoveryCampaignConfig) -> RecoveryCampaig
         },
         |into, from| into.merge(&from),
     );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    nlft_engine::run_trials(campaign, &engine).acc
+    nlft_engine::run_trials(campaign, engine).acc
 }
 
 fn run_recovery_trial(
@@ -831,17 +825,16 @@ mod tests {
     #[test]
     fn campaign_is_deterministic() {
         let cfg = quick_config(NodePolicy::LightweightNlft, 120);
-        let a = run_campaign(&cfg);
-        let b = run_campaign(&cfg);
+        let a = run_campaign(&cfg, &EngineConfig::default());
+        let b = run_campaign(&cfg, &EngineConfig::default());
         assert_eq!(a.counts, b.counts);
     }
 
     #[test]
     fn parallel_equals_sequential() {
-        let mut cfg = quick_config(NodePolicy::LightweightNlft, 100);
-        let seq = run_campaign(&cfg);
-        cfg.threads = 4;
-        let par = run_campaign(&cfg);
+        let cfg = quick_config(NodePolicy::LightweightNlft, 100);
+        let seq = run_campaign(&cfg, &EngineConfig::default());
+        let par = run_campaign(&cfg, &EngineConfig::with_workers(4));
         assert_eq!(seq.counts, par.counts);
         assert_eq!(seq.matrix, par.matrix);
     }
@@ -849,7 +842,7 @@ mod tests {
     #[test]
     fn nlft_masks_most_detected_errors() {
         let cfg = quick_config(NodePolicy::LightweightNlft, 400);
-        let r = run_campaign(&cfg);
+        let r = run_campaign(&cfg, &EngineConfig::default());
         assert!(r.counts.param_detected > 0, "some faults must activate");
         let p_t = r.counts.p_t().estimate();
         assert!(
@@ -865,7 +858,7 @@ mod tests {
     #[test]
     fn fs_policy_never_masks() {
         let cfg = quick_config(NodePolicy::FailSilent, 300);
-        let r = run_campaign(&cfg);
+        let r = run_campaign(&cfg, &EngineConfig::default());
         assert_eq!(r.counts.param_masked, 0);
         assert_eq!(r.counts.param_omissions, 0);
         assert_eq!(r.counts.omission, 0);
@@ -876,7 +869,7 @@ mod tests {
     fn fs_policy_has_undetected_escapes() {
         // Without TEM, silent data corruption reaches the outputs.
         let cfg = quick_config(NodePolicy::FailSilent, 600);
-        let r = run_campaign(&cfg);
+        let r = run_campaign(&cfg, &EngineConfig::default());
         assert!(
             r.counts.param_undetected > 0,
             "a plain run must let some wrong outputs through"
@@ -887,8 +880,14 @@ mod tests {
 
     #[test]
     fn nlft_coverage_exceeds_fs_coverage() {
-        let nlft = run_campaign(&quick_config(NodePolicy::LightweightNlft, 600));
-        let fs = run_campaign(&quick_config(NodePolicy::FailSilent, 600));
+        let nlft = run_campaign(
+            &quick_config(NodePolicy::LightweightNlft, 600),
+            &EngineConfig::default(),
+        );
+        let fs = run_campaign(
+            &quick_config(NodePolicy::FailSilent, 600),
+            &EngineConfig::default(),
+        );
         let c_nlft = nlft.counts.coverage().estimate();
         let c_fs = fs.counts.coverage().estimate();
         assert!(
@@ -901,7 +900,7 @@ mod tests {
     fn kernel_fraction_produces_fail_silent() {
         let mut cfg = quick_config(NodePolicy::LightweightNlft, 400);
         cfg.kernel_fraction = 0.5;
-        let r = run_campaign(&cfg);
+        let r = run_campaign(&cfg, &EngineConfig::default());
         let p_fs = r.counts.p_fs().estimate();
         assert!(p_fs > 0.3, "half the faults hit the kernel, p_fs = {p_fs}");
     }
@@ -909,7 +908,7 @@ mod tests {
     #[test]
     fn matrix_populated_for_detections() {
         let cfg = quick_config(NodePolicy::LightweightNlft, 300);
-        let r = run_campaign(&cfg);
+        let r = run_campaign(&cfg, &EngineConfig::default());
         let any: u64 = nlft_machine::fault::TargetClass::ALL
             .iter()
             .map(|&c| r.matrix.total(c))
@@ -921,7 +920,7 @@ mod tests {
     #[test]
     fn display_summarises() {
         let cfg = quick_config(NodePolicy::LightweightNlft, 50);
-        let r = run_campaign(&cfg);
+        let r = run_campaign(&cfg, &EngineConfig::default());
         let text = r.to_string();
         assert!(text.contains("C_D"));
         assert!(text.contains("P_T"));
@@ -931,7 +930,7 @@ mod tests {
     fn tight_deadlines_produce_omissions() {
         let mut cfg = quick_config(NodePolicy::LightweightNlft, 800);
         cfg.tight_deadline_fraction = 1.0; // every job slack-free
-        let r = run_campaign(&cfg);
+        let r = run_campaign(&cfg, &EngineConfig::default());
         assert!(
             r.counts.param_omissions > 0,
             "without slack, some detected errors must become omissions"
@@ -948,8 +947,8 @@ mod tests {
         relaxed.tight_deadline_fraction = 0.0;
         let mut pressed = quick_config(NodePolicy::LightweightNlft, 800);
         pressed.tight_deadline_fraction = 0.3;
-        let r0 = run_campaign(&relaxed);
-        let r1 = run_campaign(&pressed);
+        let r0 = run_campaign(&relaxed, &EngineConfig::default());
+        let r1 = run_campaign(&pressed, &EngineConfig::default());
         assert_eq!(r0.counts.param_omissions, 0);
         assert!(r1.counts.p_om().estimate() > r0.counts.p_om().estimate());
     }
@@ -961,7 +960,7 @@ mod tests {
             let mut cfg = quick_config(NodePolicy::FailSilent, 1200);
             cfg.space = FaultSpace::seu(nlft_machine::workloads::MEM_BYTES);
             cfg.ecc = ecc;
-            run_campaign(&cfg)
+            run_campaign(&cfg, &EngineConfig::default())
         };
         let with_ecc = mk(true);
         let without = mk(false);
@@ -981,7 +980,7 @@ mod tests {
         let cfg = quick_config(NodePolicy::FailSilent, 1);
         let mut cfg = cfg;
         cfg.trials = 0;
-        run_campaign(&cfg);
+        run_campaign(&cfg, &EngineConfig::default());
     }
 
     fn quick_recovery(trials: u64) -> RecoveryCampaignConfig {
@@ -996,19 +995,17 @@ mod tests {
     #[test]
     fn recovery_campaign_is_deterministic() {
         let cfg = quick_recovery(60);
-        let a = run_recovery_campaign(&cfg);
-        let b = run_recovery_campaign(&cfg);
+        let a = run_recovery_campaign(&cfg, &EngineConfig::default());
+        let b = run_recovery_campaign(&cfg, &EngineConfig::default());
         assert_eq!(a.counts, b.counts);
     }
 
     #[test]
     fn recovery_campaign_thread_invariant() {
-        let mut cfg = quick_recovery(50);
-        let seq = run_recovery_campaign(&cfg);
-        cfg.threads = 2;
-        let two = run_recovery_campaign(&cfg);
-        cfg.threads = 5;
-        let five = run_recovery_campaign(&cfg);
+        let cfg = quick_recovery(50);
+        let seq = run_recovery_campaign(&cfg, &EngineConfig::default());
+        let two = run_recovery_campaign(&cfg, &EngineConfig::with_workers(2));
+        let five = run_recovery_campaign(&cfg, &EngineConfig::with_workers(5));
         assert_eq!(seq.counts, two.counts);
         assert_eq!(seq.counts, five.counts);
         assert_eq!(
@@ -1019,7 +1016,7 @@ mod tests {
 
     #[test]
     fn recovery_campaign_produces_all_regimes() {
-        let r = run_recovery_campaign(&quick_recovery(150));
+        let r = run_recovery_campaign(&quick_recovery(150), &EngineConfig::default());
         assert!(r.counts.masked_transient > 0, "transients must be masked");
         assert!(r.counts.recovered > 0, "intermittents must recover");
         assert!(r.counts.retired > 0, "stuck-ats must retire");
@@ -1029,7 +1026,7 @@ mod tests {
 
     #[test]
     fn recovery_false_retirement_stays_below_bound() {
-        let r = run_recovery_campaign(&quick_recovery(200));
+        let r = run_recovery_campaign(&quick_recovery(200), &EngineConfig::default());
         let (_, hi) = r
             .false_retirement
             .wilson_interval(nlft_sim::stats::Confidence::C95);
@@ -1042,7 +1039,7 @@ mod tests {
 
     #[test]
     fn recovery_display_summarises() {
-        let r = run_recovery_campaign(&quick_recovery(30));
+        let r = run_recovery_campaign(&quick_recovery(30), &EngineConfig::default());
         let text = r.to_string();
         assert!(text.contains("false-retirement rate"));
         assert!(text.contains("restarts"));
@@ -1052,7 +1049,7 @@ mod tests {
     fn transient_only_space_never_restarts() {
         let mut cfg = quick_recovery(80);
         cfg.space = FaultSpace::cpu_only();
-        let r = run_recovery_campaign(&cfg);
+        let r = run_recovery_campaign(&cfg, &EngineConfig::default());
         assert_eq!(r.counts.retired, 0);
         assert_eq!(r.counts.false_retirement, 0);
         assert_eq!(r.counts.missed_permanent, 0);

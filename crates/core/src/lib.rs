@@ -26,9 +26,10 @@
 //! ```
 //! use nlft_core::campaign::{run_campaign, CampaignConfig};
 //! use nlft_core::policy::NodePolicy;
+//! use nlft_engine::EngineConfig;
 //!
 //! let config = CampaignConfig::new(200, 42, NodePolicy::LightweightNlft);
-//! let result = run_campaign(&config);
+//! let result = run_campaign(&config, &EngineConfig::default());
 //! assert_eq!(result.counts.trials, 200);
 //! let p_t = result.counts.p_t().estimate();
 //! assert!(p_t > 0.5, "TEM masks the majority of detected transients");

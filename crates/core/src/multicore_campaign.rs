@@ -21,7 +21,7 @@
 //! Results are bit-identical at any thread count (golden-pinned at
 //! 1/2/5 threads alongside the other campaign families).
 
-use nlft_engine::Tally;
+use nlft_engine::{EngineConfig, Tally};
 use nlft_kernel::multicore::MulticoreExecutive;
 use nlft_kernel::resources::{certify, left_rs_retry_term, ProtocolKind};
 use nlft_kernel::EscalationPolicy;
@@ -54,8 +54,6 @@ pub struct MulticoreCampaignConfig {
     /// Probability a sampled death is escalated fail-silence rather than
     /// a hard crash.
     pub escalated_p: f64,
-    /// Worker threads (results identical regardless).
-    pub threads: usize,
 }
 
 impl MulticoreCampaignConfig {
@@ -68,7 +66,6 @@ impl MulticoreCampaignConfig {
             cores: 2,
             horizon: 4_000,
             escalated_p: 0.25,
-            threads: 1,
         }
     }
 
@@ -255,13 +252,16 @@ fn run_multicore_trial(
     result.leftrs_max_retry_cost_us = result.leftrs_max_retry_cost_us.max(cost);
 }
 
-/// Runs the campaign, sharded over `config.threads` workers; results are
-/// a pure function of the seed and invariant under the thread count.
+/// Runs the campaign on `engine`; results are a pure function of the
+/// seed and invariant under the worker count.
 ///
 /// # Panics
 ///
 /// Panics if [`MulticoreCampaignConfig::check`] rejects the config.
-pub fn run_multicore_campaign(config: &MulticoreCampaignConfig) -> MulticoreCampaignResult {
+pub fn run_multicore_campaign(
+    config: &MulticoreCampaignConfig,
+    engine: &EngineConfig,
+) -> MulticoreCampaignResult {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     // Every trial forks its own stream from (seed, trial index), so the
     // engine's work distribution cannot perturb any drawn value;
@@ -278,8 +278,7 @@ pub fn run_multicore_campaign(config: &MulticoreCampaignConfig) -> MulticoreCamp
         },
         |into, from| into.merge(&from),
     );
-    let engine = nlft_engine::EngineConfig::with_workers(config.threads.max(1));
-    let mut total = nlft_engine::run_trials(campaign, &engine).acc;
+    let mut total = nlft_engine::run_trials(campaign, engine).acc;
     let (set, map) = MulticoreExecutive::reference_workload(config.cores as usize);
     for c in certify(&set, &map, ProtocolKind::LeftRs, config.cores, 1) {
         if c.response.is_some() {
@@ -298,7 +297,10 @@ mod tests {
 
     #[test]
     fn campaign_claims_hold_on_the_nominal_config() {
-        let result = run_multicore_campaign(&MulticoreCampaignConfig::new(40, 0x2005_0a01));
+        let result = run_multicore_campaign(
+            &MulticoreCampaignConfig::new(40, 0x2005_0a01),
+            &EngineConfig::default(),
+        );
         let c = &result.counts;
         assert_eq!(c.trials, 40);
         assert!(c.crash > 0, "{result:?}");
@@ -313,12 +315,10 @@ mod tests {
 
     #[test]
     fn campaign_golden_pin_identical_at_1_2_5_threads() {
-        let mut config = MulticoreCampaignConfig::new(24, 0x5708_c0de);
-        let one = run_multicore_campaign(&config);
-        config.threads = 2;
-        let two = run_multicore_campaign(&config);
-        config.threads = 5;
-        let five = run_multicore_campaign(&config);
+        let config = MulticoreCampaignConfig::new(24, 0x5708_c0de);
+        let one = run_multicore_campaign(&config, &EngineConfig::default());
+        let two = run_multicore_campaign(&config, &EngineConfig::with_workers(2));
+        let five = run_multicore_campaign(&config, &EngineConfig::with_workers(5));
         assert_eq!(one, two, "thread count must not change results");
         assert_eq!(one, five, "thread count must not change results");
         // Golden pin: any drift in the RNG stream, the fault sampler, or

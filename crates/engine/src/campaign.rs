@@ -169,6 +169,12 @@ impl EngineConfig {
             ..EngineConfig::default()
         }
     }
+
+    /// A default configuration with one worker per available core (one
+    /// when the count cannot be read).
+    pub fn all_cores() -> Self {
+        EngineConfig::with_workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
 }
 
 /// The reproducer triple for a quarantined trial: enough to re-run the

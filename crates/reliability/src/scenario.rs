@@ -307,150 +307,238 @@ impl Default for ClusterSpec {
     }
 }
 
-/// Family-specific parameters, defaults mirroring each campaign's stock
-/// constructor so a scenario file only states its overrides.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FamilyParams {
-    /// The six-node network-storm campaign.
-    NetStorm {
-        /// Communication cycles per trial.
-        cycles: u32,
-        /// Storm intensity in `[0, 1]`.
-        intensity: f64,
-        /// Also inject one machine-level transient per trial.
-        node_faults: bool,
-    },
-    /// The value-domain (sensor / command / actuator) campaign.
-    ValueDomain {
-        /// Communication cycles per trial.
-        cycles: u32,
-        /// Combined storm mode instead of single-fault coverage mode.
-        combined: bool,
-        /// Network storm intensity (combined mode only).
-        net_intensity: f64,
-    },
-    /// The correlated-blackout survival campaign.
-    Blackout {
-        /// Healthy cycles before the blackout.
-        warmup: u32,
-        /// Cycles observed after the blackout.
-        recovery: u32,
-        /// Base reset duration per victim.
-        down: u32,
-        /// Maximum extra per-victim down time.
-        stagger: u32,
-        /// Minimum victims per trial.
-        min_reset: u32,
-        /// Whether the central units are in the victim pool.
-        include_cus: bool,
-    },
-    /// The diagnosis / recovery-escalation campaign.
-    Recovery {
-        /// Communication cycles per trial (≥ 30).
-        cycles: u32,
-    },
-    /// The weakly-hard miss-pattern storm campaign.
-    WeaklyHard {
-        /// Brake-controller jobs per trial (≤ 64).
-        horizon_jobs: u32,
-        /// Tolerated misses per window (`m`).
-        max_misses: u32,
-        /// Window length in jobs (`k`).
-        window: u32,
-        /// Fault inter-arrival lower bound, µs (inclusive).
-        interval_lo: u64,
-        /// Fault inter-arrival upper bound, µs (exclusive).
-        interval_hi: u64,
-        /// Release to zero force on a miss instead of holding the last
-        /// commanded force.
-        zero_force: bool,
-    },
-    /// The multicore core-death campaign.
-    Multicore {
-        /// Cores per node (≥ 2).
-        cores: u32,
-        /// Executive horizon in ticks (µs).
-        horizon: u64,
-        /// Probability a death is escalated fail-silence.
-        escalated_p: f64,
-    },
-    /// The node-level SWIFI parameter-estimation campaign.
-    Node {
-        /// Light-weight NLFT policy instead of fail-silent.
-        lightweight_nlft: bool,
-    },
-    /// A free-form cluster scenario.
-    Cluster(ClusterSpec),
+/// One `params` value kind: its Rust type, its parse and its canonical
+/// text. `on_off` reads `on`/`off`; `[what: no | yes]` reads a keyword
+/// pair onto `false`/`true`, naming a bad word an unknown `what`.
+#[rustfmt::skip]
+macro_rules! kind {
+    (type u32) => { u32 };
+    (type u64) => { u64 };
+    (type probability) => { f64 };
+    (type $flag:tt) => { bool };
+    (parse u32, $t:expr) => { parse_u32($t) };
+    (parse u64, $t:expr) => { parse_u64($t) };
+    (parse probability, $t:expr) => { parse_probability($t) };
+    (parse on_off, $t:expr) => { parse_on_off($t) };
+    (parse [$what:literal: $no:ident | $yes:ident], $t:expr) => {
+        keyword($t, $what, &[(stringify!($no), false), (stringify!($yes), true)])
+    };
+    (show on_off, $v:expr) => { on_off($v) };
+    (show [$what:literal: $no:ident | $yes:ident], $v:expr) => {
+        if $v { stringify!($yes) } else { stringify!($no) }
+    };
+    (show $number:tt, $v:expr) => { $v };
 }
 
-impl FamilyParams {
-    /// The family keyword.
-    pub fn family(&self) -> &'static str {
-        match self {
-            FamilyParams::NetStorm { .. } => "net_storm",
-            FamilyParams::ValueDomain { .. } => "value_domain",
-            FamilyParams::Blackout { .. } => "blackout",
-            FamilyParams::Recovery { .. } => "recovery",
-            FamilyParams::WeaklyHard { .. } => "weakly_hard",
-            FamilyParams::Multicore { .. } => "multicore",
-            FamilyParams::Node { .. } => "node",
-            FamilyParams::Cluster(_) => "cluster",
+/// Declares every campaign family's `params` block once. Per family: its
+/// [`FamilyParams`] variant and keyword; per `params` line: its keyword
+/// and, in operand order, each field it sets with its value kind, the
+/// operand's name in a "missing …" error, and its default. Generates
+/// [`FamilyParams`], its `family` keyword and defaults, `FAMILIES`, and
+/// the `params` block's parse and canonical format. `cluster` declares
+/// its own sections and is added by hand.
+macro_rules! families {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $family:literal {
+            $($key:literal {
+                $($(#[$field_doc:meta])* $field:ident: $kind:tt ($operand:literal) = $default:expr,)+
+            })+
+        }
+    )+) => {
+        /// Family-specific parameters, defaults mirroring each campaign's
+        /// stock constructor so a scenario file only states its overrides.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum FamilyParams {
+            $($(#[$doc])* $variant {
+                $($($(#[$field_doc])* $field: kind!(type $kind),)+)+
+            },)+
+            /// A free-form cluster scenario.
+            Cluster(ClusterSpec),
+        }
+
+        impl FamilyParams {
+            /// The family keyword.
+            pub fn family(&self) -> &'static str {
+                match self {
+                    $(FamilyParams::$variant { .. } => $family,)+
+                    FamilyParams::Cluster(_) => "cluster",
+                }
+            }
+
+            fn defaults(family: &str) -> Option<FamilyParams> {
+                Some(match family {
+                    $($family => FamilyParams::$variant { $($($field: $default,)+)+ },)+
+                    "cluster" => FamilyParams::Cluster(ClusterSpec::default()),
+                    _ => return None,
+                })
+            }
+        }
+
+        const FAMILIES: &[&str] = &[$($family,)+ "cluster"];
+
+        /// The `params` block of the family `fam`, opened on line `at`.
+        fn parse_params(
+            p: &mut Cursor<'_>,
+            at: usize,
+            fam: &mut FamilyParams,
+        ) -> Result<(), ParseError> {
+            let unterminated = |last| err(last, 1, "unterminated `params` section");
+            match fam {
+                $(FamilyParams::$variant { $($($field,)+)+ } => p.section(
+                    concat!($family, " parameter"),
+                    &[$($key),+],
+                    unterminated,
+                    |_, line| {
+                        let mut operands = 0;
+                        match line.key().text {
+                            $($key => {$(
+                                operands += 1;
+                                *$field = kind!(parse $kind, line.operand(operands, $operand)?)?;
+                            )+})+
+                            _ => unreachable!("`section` passes only the listed keywords"),
+                        }
+                        line.expect_len(operands + 1)
+                    },
+                ),)+
+                FamilyParams::Cluster(_) => Err(err(
+                    at,
+                    1,
+                    "cluster scenarios declare `topology` / `faults` / `contracts`, not `params`",
+                )),
+            }
+        }
+
+        /// The canonical `params` block, or the cluster sections.
+        fn format_params(out: &mut String, params: &FamilyParams) {
+            match params {
+                $(FamilyParams::$variant { $($($field,)+)+ } => {
+                    out.push_str("  params\n");
+                    $(
+                        out.push_str(concat!("    ", $key));
+                        $(let _ = write!(out, " {}", kind!(show $kind, *$field));)+
+                        out.push('\n');
+                    )+
+                    out.push_str("  end\n");
+                })+
+                FamilyParams::Cluster(cluster) => format_cluster(out, cluster),
+            }
+        }
+    };
+}
+
+families! {
+    /// The six-node network-storm campaign.
+    NetStorm "net_storm" {
+        "cycles" {
+            /// Communication cycles per trial.
+            cycles: u32 ("cycle count") = 30,
+        }
+        "intensity" {
+            /// Storm intensity in `[0, 1]`.
+            intensity: probability ("intensity") = 0.3,
+        }
+        "node_faults" {
+            /// Also inject one machine-level transient per trial.
+            node_faults: on_off ("on/off") = true,
         }
     }
-
-    fn defaults(family: &str) -> Option<FamilyParams> {
-        Some(match family {
-            "net_storm" => FamilyParams::NetStorm {
-                cycles: 30,
-                intensity: 0.3,
-                node_faults: true,
-            },
-            "value_domain" => FamilyParams::ValueDomain {
-                cycles: 30,
-                combined: false,
-                net_intensity: 0.0,
-            },
-            "blackout" => FamilyParams::Blackout {
-                warmup: 6,
-                recovery: 40,
-                down: 2,
-                stagger: 2,
-                min_reset: 2,
-                include_cus: true,
-            },
-            "recovery" => FamilyParams::Recovery { cycles: 40 },
-            "weakly_hard" => FamilyParams::WeaklyHard {
-                horizon_jobs: 64,
-                max_misses: 2,
-                window: 8,
-                interval_lo: 40,
-                interval_hi: 160,
-                zero_force: false,
-            },
-            "multicore" => FamilyParams::Multicore {
-                cores: 2,
-                horizon: 4_000,
-                escalated_p: 0.25,
-            },
-            "node" => FamilyParams::Node {
-                lightweight_nlft: true,
-            },
-            "cluster" => FamilyParams::Cluster(ClusterSpec::default()),
-            _ => return None,
-        })
+    /// The value-domain (sensor / command / actuator) campaign.
+    ValueDomain "value_domain" {
+        "cycles" {
+            /// Communication cycles per trial.
+            cycles: u32 ("cycle count") = 30,
+        }
+        "mode" {
+            /// Combined storm mode instead of single-fault coverage mode.
+            combined: ["mode": single_fault | combined_storm] ("mode") = false,
+        }
+        "net_intensity" {
+            /// Network storm intensity (combined mode only).
+            net_intensity: probability ("intensity") = 0.0,
+        }
+    }
+    /// The correlated-blackout survival campaign.
+    Blackout "blackout" {
+        "warmup" {
+            /// Healthy cycles before the blackout.
+            warmup: u32 ("cycle count") = 6,
+        }
+        "recovery" {
+            /// Cycles observed after the blackout.
+            recovery: u32 ("cycle count") = 40,
+        }
+        "down" {
+            /// Base reset duration per victim.
+            down: u32 ("cycle count") = 2,
+        }
+        "stagger" {
+            /// Maximum extra per-victim down time.
+            stagger: u32 ("cycle count") = 2,
+        }
+        "min_reset" {
+            /// Minimum victims per trial.
+            min_reset: u32 ("victim count") = 2,
+        }
+        "include_cus" {
+            /// Whether the central units are in the victim pool.
+            include_cus: on_off ("on/off") = true,
+        }
+    }
+    /// The diagnosis / recovery-escalation campaign.
+    Recovery "recovery" {
+        "cycles" {
+            /// Communication cycles per trial (≥ 30).
+            cycles: u32 ("cycle count") = 40,
+        }
+    }
+    /// The weakly-hard miss-pattern storm campaign.
+    WeaklyHard "weakly_hard" {
+        "horizon_jobs" {
+            /// Brake-controller jobs per trial (≤ 64).
+            horizon_jobs: u32 ("job count") = 64,
+        }
+        "contract" {
+            /// Tolerated misses per window (`m`).
+            max_misses: u32 ("m") = 2,
+            /// Window length in jobs (`k`).
+            window: u32 ("k") = 8,
+        }
+        "interval" {
+            /// Fault inter-arrival lower bound, µs (inclusive).
+            interval_lo: u64 ("lower bound") = 40,
+            /// Fault inter-arrival upper bound, µs (exclusive).
+            interval_hi: u64 ("upper bound") = 160,
+        }
+        "policy" {
+            /// Release to zero force on a miss instead of holding the last
+            /// commanded force.
+            zero_force: ["miss policy": hold_last | zero_force] ("policy") = false,
+        }
+    }
+    /// The multicore core-death campaign.
+    Multicore "multicore" {
+        "cores" {
+            /// Cores per node (≥ 2).
+            cores: u32 ("core count") = 2,
+        }
+        "horizon" {
+            /// Executive horizon in ticks (µs).
+            horizon: u64 ("tick count") = 4_000,
+        }
+        "escalated_p" {
+            /// Probability a death is escalated fail-silence.
+            escalated_p: probability ("probability") = 0.25,
+        }
+    }
+    /// The node-level SWIFI parameter-estimation campaign.
+    Node "node" {
+        "policy" {
+            /// Light-weight NLFT policy instead of fail-silent.
+            lightweight_nlft: ["node policy": fail_silent | lightweight_nlft] ("policy") = true,
+        }
     }
 }
-
-const FAMILIES: [&str; 8] = [
-    "net_storm",
-    "value_domain",
-    "blackout",
-    "recovery",
-    "weakly_hard",
-    "multicore",
-    "node",
-    "cluster",
-];
 
 /// The acceptance clause: what the campaign outcome must look like for
 /// the scenario to pass.
@@ -556,7 +644,7 @@ pub fn parse_scenario(source: &str) -> Result<ScenarioSpec, ParseError> {
                 "family" => {
                     let t = line.operand(1, "family name")?;
                     let fam = FamilyParams::defaults(t.text)
-                        .ok_or_else(|| unknown(t, "family", &FAMILIES))?;
+                        .ok_or_else(|| unknown(t, "family", FAMILIES))?;
                     line.expect_len(2)?;
                     if params.is_some() {
                         return Err(key.err("family declared twice"));
@@ -613,160 +701,6 @@ pub fn parse_scenario(source: &str) -> Result<ScenarioSpec, ParseError> {
         params,
         accept: accept.unwrap_or_default(),
     })
-}
-
-/// The `params` block of the family `fam`, opened on line `at`.
-fn parse_params(p: &mut Cursor<'_>, at: usize, fam: &mut FamilyParams) -> Result<(), ParseError> {
-    let unterminated = |last| err(last, 1, "unterminated `params` section");
-    match fam {
-        FamilyParams::NetStorm {
-            cycles,
-            intensity,
-            node_faults,
-        } => p.section(
-            "net_storm parameter",
-            &["cycles", "intensity", "node_faults"],
-            unterminated,
-            |_, line| {
-                match line.key().text {
-                    "cycles" => *cycles = parse_u32(line.operand(1, "cycle count")?)?,
-                    "intensity" => *intensity = parse_probability(line.operand(1, "intensity")?)?,
-                    _ => *node_faults = parse_on_off(line.operand(1, "on/off")?)?,
-                }
-                line.expect_len(2)
-            },
-        ),
-        FamilyParams::ValueDomain {
-            cycles,
-            combined,
-            net_intensity,
-        } => p.section(
-            "value_domain parameter",
-            &["cycles", "mode", "net_intensity"],
-            unterminated,
-            |_, line| {
-                match line.key().text {
-                    "cycles" => *cycles = parse_u32(line.operand(1, "cycle count")?)?,
-                    "mode" => {
-                        *combined = keyword(
-                            line.operand(1, "mode")?,
-                            "mode",
-                            &[("single_fault", false), ("combined_storm", true)],
-                        )?
-                    }
-                    _ => *net_intensity = parse_probability(line.operand(1, "intensity")?)?,
-                }
-                line.expect_len(2)
-            },
-        ),
-        FamilyParams::Blackout {
-            warmup,
-            recovery,
-            down,
-            stagger,
-            min_reset,
-            include_cus,
-        } => p.section(
-            "blackout parameter",
-            &[
-                "warmup",
-                "recovery",
-                "down",
-                "stagger",
-                "min_reset",
-                "include_cus",
-            ],
-            unterminated,
-            |_, line| {
-                match line.key().text {
-                    "warmup" => *warmup = parse_u32(line.operand(1, "cycle count")?)?,
-                    "recovery" => *recovery = parse_u32(line.operand(1, "cycle count")?)?,
-                    "down" => *down = parse_u32(line.operand(1, "cycle count")?)?,
-                    "stagger" => *stagger = parse_u32(line.operand(1, "cycle count")?)?,
-                    "min_reset" => *min_reset = parse_u32(line.operand(1, "victim count")?)?,
-                    _ => *include_cus = parse_on_off(line.operand(1, "on/off")?)?,
-                }
-                line.expect_len(2)
-            },
-        ),
-        FamilyParams::Recovery { cycles } => p.section(
-            "recovery parameter",
-            &["cycles"],
-            unterminated,
-            |_, line| {
-                *cycles = parse_u32(line.operand(1, "cycle count")?)?;
-                line.expect_len(2)
-            },
-        ),
-        FamilyParams::WeaklyHard {
-            horizon_jobs,
-            max_misses,
-            window,
-            interval_lo,
-            interval_hi,
-            zero_force,
-        } => p.section(
-            "weakly_hard parameter",
-            &["horizon_jobs", "contract", "interval", "policy"],
-            unterminated,
-            |_, line| match line.key().text {
-                "horizon_jobs" => {
-                    *horizon_jobs = parse_u32(line.operand(1, "job count")?)?;
-                    line.expect_len(2)
-                }
-                "contract" => {
-                    *max_misses = parse_u32(line.operand(1, "m")?)?;
-                    *window = parse_u32(line.operand(2, "k")?)?;
-                    line.expect_len(3)
-                }
-                "interval" => {
-                    *interval_lo = parse_u64(line.operand(1, "lower bound")?)?;
-                    *interval_hi = parse_u64(line.operand(2, "upper bound")?)?;
-                    line.expect_len(3)
-                }
-                _ => {
-                    *zero_force = keyword(
-                        line.operand(1, "policy")?,
-                        "miss policy",
-                        &[("hold_last", false), ("zero_force", true)],
-                    )?;
-                    line.expect_len(2)
-                }
-            },
-        ),
-        FamilyParams::Multicore {
-            cores,
-            horizon,
-            escalated_p,
-        } => p.section(
-            "multicore parameter",
-            &["cores", "horizon", "escalated_p"],
-            unterminated,
-            |_, line| {
-                match line.key().text {
-                    "cores" => *cores = parse_u32(line.operand(1, "core count")?)?,
-                    "horizon" => *horizon = parse_u64(line.operand(1, "tick count")?)?,
-                    _ => *escalated_p = parse_probability(line.operand(1, "probability")?)?,
-                }
-                line.expect_len(2)
-            },
-        ),
-        FamilyParams::Node { lightweight_nlft } => {
-            p.section("node parameter", &["policy"], unterminated, |_, line| {
-                *lightweight_nlft = keyword(
-                    line.operand(1, "policy")?,
-                    "node policy",
-                    &[("fail_silent", false), ("lightweight_nlft", true)],
-                )?;
-                line.expect_len(2)
-            })
-        }
-        FamilyParams::Cluster(_) => Err(err(
-            at,
-            1,
-            "cluster scenarios declare `topology` / `faults` / `contracts`, not `params`",
-        )),
-    }
 }
 
 fn parse_topology(p: &mut Cursor<'_>, cluster: &mut ClusterSpec) -> Result<(), ParseError> {
@@ -1131,108 +1065,7 @@ pub fn format_scenario(spec: &ScenarioSpec) -> String {
     let _ = writeln!(out, "  family {}", spec.params.family());
     let _ = writeln!(out, "  trials {}", spec.trials);
     let _ = writeln!(out, "  seed 0x{:x}", spec.seed);
-    match &spec.params {
-        FamilyParams::NetStorm {
-            cycles,
-            intensity,
-            node_faults,
-        } => {
-            let _ = writeln!(out, "  params");
-            let _ = writeln!(out, "    cycles {cycles}");
-            let _ = writeln!(out, "    intensity {intensity}");
-            let _ = writeln!(out, "    node_faults {}", on_off(*node_faults));
-            let _ = writeln!(out, "  end");
-        }
-        FamilyParams::ValueDomain {
-            cycles,
-            combined,
-            net_intensity,
-        } => {
-            let _ = writeln!(out, "  params");
-            let _ = writeln!(out, "    cycles {cycles}");
-            let _ = writeln!(
-                out,
-                "    mode {}",
-                if *combined {
-                    "combined_storm"
-                } else {
-                    "single_fault"
-                }
-            );
-            let _ = writeln!(out, "    net_intensity {net_intensity}");
-            let _ = writeln!(out, "  end");
-        }
-        FamilyParams::Blackout {
-            warmup,
-            recovery,
-            down,
-            stagger,
-            min_reset,
-            include_cus,
-        } => {
-            let _ = writeln!(out, "  params");
-            let _ = writeln!(out, "    warmup {warmup}");
-            let _ = writeln!(out, "    recovery {recovery}");
-            let _ = writeln!(out, "    down {down}");
-            let _ = writeln!(out, "    stagger {stagger}");
-            let _ = writeln!(out, "    min_reset {min_reset}");
-            let _ = writeln!(out, "    include_cus {}", on_off(*include_cus));
-            let _ = writeln!(out, "  end");
-        }
-        FamilyParams::Recovery { cycles } => {
-            let _ = writeln!(out, "  params");
-            let _ = writeln!(out, "    cycles {cycles}");
-            let _ = writeln!(out, "  end");
-        }
-        FamilyParams::WeaklyHard {
-            horizon_jobs,
-            max_misses,
-            window,
-            interval_lo,
-            interval_hi,
-            zero_force,
-        } => {
-            let _ = writeln!(out, "  params");
-            let _ = writeln!(out, "    horizon_jobs {horizon_jobs}");
-            let _ = writeln!(out, "    contract {max_misses} {window}");
-            let _ = writeln!(out, "    interval {interval_lo} {interval_hi}");
-            let _ = writeln!(
-                out,
-                "    policy {}",
-                if *zero_force {
-                    "zero_force"
-                } else {
-                    "hold_last"
-                }
-            );
-            let _ = writeln!(out, "  end");
-        }
-        FamilyParams::Multicore {
-            cores,
-            horizon,
-            escalated_p,
-        } => {
-            let _ = writeln!(out, "  params");
-            let _ = writeln!(out, "    cores {cores}");
-            let _ = writeln!(out, "    horizon {horizon}");
-            let _ = writeln!(out, "    escalated_p {escalated_p}");
-            let _ = writeln!(out, "  end");
-        }
-        FamilyParams::Node { lightweight_nlft } => {
-            let _ = writeln!(out, "  params");
-            let _ = writeln!(
-                out,
-                "    policy {}",
-                if *lightweight_nlft {
-                    "lightweight_nlft"
-                } else {
-                    "fail_silent"
-                }
-            );
-            let _ = writeln!(out, "  end");
-        }
-        FamilyParams::Cluster(cluster) => format_cluster(&mut out, cluster),
-    }
+    format_params(&mut out, &spec.params);
     format_accept(&mut out, &spec.accept);
     let _ = writeln!(out, "end");
     out
@@ -1484,19 +1317,6 @@ end
             vec!["split_membership".to_string()]
         );
         assert_eq!(spec.accept.max, vec![("guardian_blocks".into(), 100)]);
-    }
-
-    #[test]
-    fn defaults_mirror_campaign_constructors() {
-        let spec = parse_scenario("scenario d\nfamily multicore\ntrials 4\nseed 1\nend\n").unwrap();
-        assert_eq!(
-            spec.params,
-            FamilyParams::Multicore {
-                cores: 2,
-                horizon: 4_000,
-                escalated_p: 0.25,
-            }
-        );
     }
 
     #[test]

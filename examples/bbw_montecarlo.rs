@@ -12,6 +12,7 @@
 use nlft::bbw::analytic::{BbwSystem, Functionality, Policy};
 use nlft::bbw::montecarlo::{run_monte_carlo, MonteCarloConfig};
 use nlft::bbw::params::BbwParams;
+use nlft::engine::EngineConfig;
 use nlft::reliability::model::ReliabilityModel;
 use nlft::sim::stats::Confidence;
 
@@ -29,10 +30,7 @@ fn main() {
     ] {
         let mut cfg = MonteCarloConfig::one_year(policy, functionality, replications, 0xCAFE);
         cfg.grid_hours = grid.clone();
-        cfg.threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mc = run_monte_carlo(&cfg);
+        let mc = run_monte_carlo(&cfg, &EngineConfig::all_cores());
         let analytic = BbwSystem::new(&BbwParams::paper(), policy, functionality);
 
         println!("\n=== {name} ({replications} replications) ===");

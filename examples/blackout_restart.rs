@@ -20,6 +20,7 @@
 
 use nlft::bbw::blackout::{run_blackout_campaign, BlackoutCampaignConfig};
 use nlft::bbw::cluster::{BbwCluster, CU_A, CU_B, WHEELS};
+use nlft::engine::EngineConfig;
 use nlft::net::inject::{BlackoutSpec, NetFaultPlan};
 use nlft::sim::rng::RngStream;
 
@@ -83,11 +84,8 @@ fn act_one() {
 
 fn act_two(trials: u64) {
     println!("\n=== act 2: blackout-survival campaign ({trials} trials) ===");
-    let mut config = BlackoutCampaignConfig::new(trials, 0xB1AC_2005);
-    config.threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let result = run_blackout_campaign(&config);
+    let config = BlackoutCampaignConfig::new(trials, 0xB1AC_2005);
+    let result = run_blackout_campaign(&config, &EngineConfig::all_cores());
     let c = &result.counts;
 
     println!(

@@ -19,6 +19,7 @@
 //! ```
 
 use nlft::core::multicore_campaign::{run_multicore_campaign, MulticoreCampaignConfig};
+use nlft::engine::EngineConfig;
 use nlft::kernel::escalation::EscalationPolicy;
 use nlft::kernel::multicore::MulticoreExecutive;
 use nlft::kernel::resources::{certify, ProtocolKind};
@@ -88,11 +89,8 @@ fn main() {
 
     // Act 3: the campaign over randomized placements.
     println!("\n=== Core-death campaign ({trials} trials) ===");
-    let mut config = MulticoreCampaignConfig::new(trials, 0x2005_0a08);
-    config.threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let result = run_multicore_campaign(&config);
+    let config = MulticoreCampaignConfig::new(trials, 0x2005_0a08);
+    let result = run_multicore_campaign(&config, &EngineConfig::all_cores());
     let c = &result.counts;
     println!(
         "crash trials          : {:>6} (lock-based broken in {}, LEFT-RS in 0)",

@@ -38,21 +38,16 @@ fn main() {
         .nth(1)
         .and_then(|v| v.parse().ok())
         .unwrap_or(1_000_000);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let mut cfg =
+    let cfg =
         MonteCarloConfig::one_year(Policy::Nlft, Functionality::Degraded, replications, 0xF1EE7);
-    cfg.threads = workers;
 
     let engine = EngineConfig {
-        workers,
         // Eight checkpoints over the run, at least one even when the
         // smoke harness passes a tiny count.
         checkpoint_every: (replications / 8).max(1),
-        ..EngineConfig::default()
+        ..EngineConfig::all_cores()
     };
+    let workers = engine.workers;
 
     // At every checkpoint: encode a resumable snapshot and sample
     // resident memory. The snapshots are O(grid) — a survival curve,

@@ -14,7 +14,8 @@
 //! cargo run --release --example fault_injection_campaign [trials]
 //! ```
 
-use nlft::bbw::{compile, CompiledScenario};
+use nlft::bbw::{compile, CompiledFamily};
+use nlft::engine::EngineConfig;
 use nlft::reliability::scenario::parse_scenario;
 use nlft::sim::stats::Confidence;
 
@@ -23,24 +24,22 @@ fn main() {
         .nth(1)
         .and_then(|v| v.parse().ok())
         .unwrap_or(10_000);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let engine = EngineConfig::all_cores();
 
     for file in ["node-failsilent-reference", "node-nlft-reference"] {
         let path = format!("{}/scenarios/{file}.scn", env!("CARGO_MANIFEST_DIR"));
         let source =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("could not read {path}: {e}"));
         let spec = parse_scenario(&source).unwrap_or_else(|e| panic!("{file}.scn: {e}"));
-        let mut config = match compile(&spec, threads) {
-            Ok(CompiledScenario::Node(config)) => config,
+        let mut config = match compile(&spec, engine.workers).map(|c| c.family) {
+            Ok(CompiledFamily::Node(config)) => config,
             Ok(_) => panic!("{file}.scn: expected a `family node` scenario"),
             Err(e) => panic!("{e}"),
         };
         // The zoo pins the scenario at its declared trial count; here we
         // scale the same experiment up (or down) for estimation quality.
         config.trials = trials;
-        let result = nlft::core::campaign::run_campaign(&config);
+        let result = nlft::core::campaign::run_campaign(&config, &engine);
 
         println!(
             "\n================ scenario: {} (policy {}) ================",

@@ -20,6 +20,7 @@
 
 use nlft::bbw::cluster::{BbwCluster, WHEELS};
 use nlft::bbw::{run_net_storm_campaign, NetStormCampaignConfig};
+use nlft::engine::EngineConfig;
 use nlft::net::inject::{NetFaultPlan, NetFaultRates};
 use nlft::sim::rng::RngStream;
 
@@ -78,11 +79,8 @@ fn act_one() {
 
 fn act_two(trials: u64) {
     println!("\n=== act 2: cluster-wide storm campaign ({trials} trials) ===");
-    let mut config = NetStormCampaignConfig::new(trials, 0x5702_2005);
-    config.threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let result = run_net_storm_campaign(&config);
+    let config = NetStormCampaignConfig::new(trials, 0x5702_2005);
+    let result = run_net_storm_campaign(&config, &EngineConfig::all_cores());
 
     let o = &result.counts;
     let pct = |n: u64| 100.0 * n as f64 / o.trials as f64;

@@ -28,6 +28,7 @@ use nlft::bbw::recovery::{
 };
 use nlft::core::campaign::{run_recovery_campaign, RecoveryCampaignConfig};
 use nlft::core::diagnosis::escalation_chain;
+use nlft::engine::EngineConfig;
 use nlft::kernel::escalation::EscalationPolicy;
 use nlft::reliability::dtmc::AbsorbingDtmc;
 
@@ -84,11 +85,8 @@ fn act_three() {
 
 fn node_campaign(trials: u64) {
     println!("\n=== node-level recovery campaign ({trials} trials) ===");
-    let mut config = RecoveryCampaignConfig::new(trials, 0x2005_AC01);
-    config.threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let result = run_recovery_campaign(&config);
+    let config = RecoveryCampaignConfig::new(trials, 0x2005_AC01);
+    let result = run_recovery_campaign(&config, &EngineConfig::all_cores());
     println!("{result}");
     println!(
         "  retirement latency = {:.2} jobs (n={}), undetected-wrong jobs = {}",
@@ -100,11 +98,8 @@ fn node_campaign(trials: u64) {
 
 fn cluster_campaign(trials: u64) {
     println!("\n=== cluster-level recovery campaign ({trials} trials) ===");
-    let mut config = RecoveryClusterCampaignConfig::new(trials, 0x2005_AC02);
-    config.threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let o = run_recovery_cluster_campaign(&config);
+    let config = RecoveryClusterCampaignConfig::new(trials, 0x2005_AC02);
+    let o = run_recovery_cluster_campaign(&config, &EngineConfig::all_cores());
     let pct = |n: u64| 100.0 * n as f64 / o.trials as f64;
     println!(
         "  masked transient  {:>6} ({:>5.1}%)",

@@ -27,6 +27,7 @@ use nlft::bbw::{
     run_value_domain_campaign, ActuatorFault, SensorFault, ValueDomainCampaignConfig,
     ValueDomainCampaignResult, ValueDomainParams,
 };
+use nlft::engine::EngineConfig;
 use nlft::reliability::model::ReliabilityModel;
 
 fn act_one() {
@@ -114,11 +115,8 @@ fn print_campaign(result: &ValueDomainCampaignResult) {
 
 fn act_two(trials: u64) -> f64 {
     println!("\n=== act 2: single-fault coverage campaign ({trials} trials) ===");
-    let mut config = ValueDomainCampaignConfig::single_fault(trials, 0x5EA1_2005);
-    config.threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let result = run_value_domain_campaign(&config);
+    let config = ValueDomainCampaignConfig::single_fault(trials, 0x5EA1_2005);
+    let result = run_value_domain_campaign(&config, &EngineConfig::all_cores());
     print_campaign(&result);
     assert_eq!(
         result.undetected, 0,
@@ -129,11 +127,8 @@ fn act_two(trials: u64) -> f64 {
 
 fn act_three(trials: u64, measured_coverage: f64) {
     println!("\n=== act 3: combined storm campaign ({trials} trials) ===");
-    let mut config = ValueDomainCampaignConfig::combined_storm(trials, 0x5EA1_2006);
-    config.threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let result = run_value_domain_campaign(&config);
+    let config = ValueDomainCampaignConfig::combined_storm(trials, 0x5EA1_2006);
+    let result = run_value_domain_campaign(&config, &EngineConfig::all_cores());
     print_campaign(&result);
 
     println!("\nextended fault tree, one-year mission, degraded mode:");

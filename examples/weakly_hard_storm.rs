@@ -20,6 +20,7 @@
 
 use nlft::bbw::braking::MissPolicy;
 use nlft::bbw::{run_miss_pattern_campaign, MissPatternCampaignConfig};
+use nlft::engine::EngineConfig;
 use nlft::kernel::analysis::{analyse_weakly_hard, TemCosts};
 use nlft::kernel::contract::{DegradationAction, MkContract};
 use nlft::kernel::preemptive::{PreemptiveExecutive, ResidentTask};
@@ -127,7 +128,7 @@ fn act_two() {
 fn act_three(trials: u64) {
     println!("=== act 3: miss-pattern storm campaign ({trials} trials) ===");
     let cfg = MissPatternCampaignConfig::nominal(trials, 0x3A5E);
-    let r = run_miss_pattern_campaign(&cfg);
+    let r = run_miss_pattern_campaign(&cfg, &EngineConfig::default());
     let c = &r.counts;
     println!(
         "  certified trials: {}/{} (violations of certified bounds: {})",
@@ -168,7 +169,7 @@ fn act_three(trials: u64) {
     // Comparing policies: the hold-last-safe window is worth distance.
     let mut zero_cfg = cfg.clone();
     zero_cfg.policy = MissPolicy::ZeroForce;
-    let zero = run_miss_pattern_campaign(&zero_cfg);
+    let zero = run_miss_pattern_campaign(&zero_cfg, &EngineConfig::default());
     println!(
         "  hold-last-safe vs release-to-zero: {} vs {} total excess distance",
         c.total_excess_distance, zero.counts.total_excess_distance

@@ -73,6 +73,13 @@ for scenario in babbling-wheel wheel-restart-under-blackout; do
     cargo run --release --offline -p nlft-bench --bin scenario_run -- \
         run "$scenario" --resume "$ckpt"
 done
+# The watchdog-armed executor runs every other family too: one zoo
+# scenario per non-cluster family must reproduce its pin under it.
+for scenario in net-storm-nominal value-single-fault-coverage full-blackout-coldstart \
+    recovery-ladder-mix weakly-hard-nominal-storm core-death-mid-section node-nlft-reference; do
+    cargo run --release --offline -p nlft-bench --bin scenario_run -- \
+        run "$scenario" --threads 4 --trial-budget-ms 10000
+done
 
 # Model text fuzzing: the two mutation properties once more, over a far
 # wider sweep than the default tier-1 run, in the `fuzz` profile (release

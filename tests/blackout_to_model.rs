@@ -9,6 +9,7 @@
 //! by real bus deliveries) and must agree exactly.
 
 use nlft::bbw::blackout::{run_blackout_campaign, BlackoutCampaignConfig};
+use nlft::engine::EngineConfig;
 use nlft::net::startup::{cold_start_chain, BASE_LISTEN_TIMEOUT};
 use nlft::reliability::dtmc::AbsorbingDtmc;
 
@@ -20,7 +21,7 @@ fn analytic_cold_start_latency_matches_the_simulated_blackout() {
     // marches through the same phases — every node integrates with the
     // winner's latency.
     let config = BlackoutCampaignConfig::full_blackout(4, 0xB1AC_2005);
-    let result = run_blackout_campaign(&config);
+    let result = run_blackout_campaign(&config, &EngineConfig::default());
     assert_eq!(result.counts.full_recoveries, result.counts.trials);
     assert!(!result.integration_latencies.is_empty());
 

@@ -8,13 +8,13 @@ use nlft::bbw::analytic::{BbwSystem, Functionality, Policy, HOURS_PER_YEAR};
 use nlft::bbw::params::BbwParams;
 use nlft::core::campaign::{run_campaign, CampaignConfig};
 use nlft::core::policy::NodePolicy;
+use nlft::engine::EngineConfig;
 use nlft::reliability::model::ReliabilityModel;
 
 /// Runs a campaign and converts its estimates into model parameters.
 fn measured_params(trials: u64) -> BbwParams {
-    let mut config = CampaignConfig::new(trials, 0x0200_5D5A, NodePolicy::LightweightNlft);
-    config.threads = 4;
-    let result = run_campaign(&config);
+    let config = CampaignConfig::new(trials, 0x0200_5D5A, NodePolicy::LightweightNlft);
+    let result = run_campaign(&config, &EngineConfig::with_workers(4));
 
     let c_d = result.counts.coverage().estimate();
     let p_t = result.counts.p_t().estimate();
@@ -67,12 +67,10 @@ fn fs_campaign_justifies_fail_silent_modelling() {
     // The FS campaign measures the coverage a *fail-silent* node achieves
     // without TEM; it must be clearly below the NLFT campaign's coverage —
     // that delta is the entire premise of the paper.
-    let mut fs_cfg = CampaignConfig::new(3_000, 0xFEED, NodePolicy::FailSilent);
-    fs_cfg.threads = 4;
-    let mut nlft_cfg = CampaignConfig::new(3_000, 0xFEED, NodePolicy::LightweightNlft);
-    nlft_cfg.threads = 4;
-    let fs = run_campaign(&fs_cfg);
-    let nlft = run_campaign(&nlft_cfg);
+    let fs_cfg = CampaignConfig::new(3_000, 0xFEED, NodePolicy::FailSilent);
+    let nlft_cfg = CampaignConfig::new(3_000, 0xFEED, NodePolicy::LightweightNlft);
+    let fs = run_campaign(&fs_cfg, &EngineConfig::with_workers(4));
+    let nlft = run_campaign(&nlft_cfg, &EngineConfig::with_workers(4));
     let (c_fs, c_nlft) = (
         fs.counts.coverage().estimate(),
         nlft.counts.coverage().estimate(),

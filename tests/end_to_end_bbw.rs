@@ -5,6 +5,7 @@ use nlft::bbw::analytic::{BbwSystem, Functionality, Policy, HOURS_PER_YEAR};
 use nlft::bbw::cluster::{BbwCluster, ClusterInjection, CU_A, CU_B, WHEELS};
 use nlft::bbw::montecarlo::{run_monte_carlo, MonteCarloConfig};
 use nlft::bbw::params::BbwParams;
+use nlft::engine::EngineConfig;
 use nlft::machine::fault::{FaultTarget, TransientFault};
 use nlft::net::bus::BusConfig;
 use nlft::net::timing::{derive_repair_rates, paper_membership, BusTiming, NodeRecoveryTimes};
@@ -90,7 +91,7 @@ fn analytic_cluster_and_montecarlo_agree_on_the_ordering() {
     let mc = |p, f| {
         let mut cfg = MonteCarloConfig::one_year(p, f, 1_500, 0xABCD);
         cfg.grid_hours = vec![t];
-        run_monte_carlo(&cfg).reliability()[0]
+        run_monte_carlo(&cfg, &EngineConfig::default()).reliability()[0]
     };
     assert!(
         mc(Policy::Nlft, Functionality::Degraded) > mc(Policy::FailSilent, Functionality::Degraded)
@@ -105,7 +106,7 @@ fn montecarlo_brackets_analytic_at_one_year() {
     ] {
         let mut cfg = MonteCarloConfig::one_year(policy, functionality, 2_500, 0x1111);
         cfg.grid_hours = vec![HOURS_PER_YEAR];
-        let mc = run_monte_carlo(&cfg);
+        let mc = run_monte_carlo(&cfg, &EngineConfig::default());
         let analytic =
             BbwSystem::new(&BbwParams::paper(), policy, functionality).reliability(HOURS_PER_YEAR);
         let (lo, hi) = mc.curve.confidence_band(Confidence::C99)[0];

@@ -9,6 +9,7 @@
 
 use nlft::core::campaign::{run_recovery_campaign, RecoveryCampaignConfig};
 use nlft::core::diagnosis::escalation_chain;
+use nlft::engine::EngineConfig;
 use nlft::kernel::escalation::EscalationPolicy;
 use nlft::machine::fault::FaultSpace;
 use nlft::reliability::dtmc::AbsorbingDtmc;
@@ -30,8 +31,7 @@ fn analytic_retirement_latency_matches_the_simulated_campaign() {
     // p_err = 1 path of the chain exactly.
     let mut config = RecoveryCampaignConfig::new(400, 0xD73C_2005);
     config.space = FaultSpace::cpu_only().with_stuck_at(0.9);
-    config.threads = 4;
-    let result = run_recovery_campaign(&config);
+    let result = run_recovery_campaign(&config, &EngineConfig::with_workers(4));
     assert!(
         result.counts.retired >= 20,
         "need a healthy sample of retirements, got {}",
