@@ -69,7 +69,9 @@ impl ValueDomainCampaignConfig {
             seed,
             cycles: 30,
             mode: ValueCampaignMode::SingleFault,
-            net_intensity: 0.0,
+            // Unused in this mode; the combined storm's value, so the two
+            // constructors share one scenario default.
+            net_intensity: 0.2,
         }
     }
 

@@ -26,27 +26,10 @@ use nlft_reliability::scenario::parse_scenario;
 const TRIALS: u64 = 7;
 const SEED: u64 = 0x5eed;
 
-/// Every field of a configuration by name: its `Debug` rendering, with
-/// the node campaign's workloads named rather than dumped (their label
-/// maps print in no fixed order).
+/// Every field of a configuration by name: its `Debug` rendering, the
+/// node campaign's workloads included.
 fn fields(family: &CompiledFamily) -> String {
-    match family {
-        CompiledFamily::Node(c) => {
-            let names: Vec<&str> = c.workloads.iter().map(|w| w.name).collect();
-            format!(
-                "Node {{ trials: {}, seed: {}, policy: {:?}, space: {:?}, workloads: {names:?}, \
-                 kernel_fraction: {}, tight_deadline_fraction: {}, ecc: {} }}",
-                c.trials,
-                c.seed,
-                c.policy,
-                c.space,
-                c.kernel_fraction,
-                c.tight_deadline_fraction,
-                c.ecc
-            )
-        }
-        other => format!("{other:?}"),
-    }
+    format!("{family:?}")
 }
 
 /// The configuration `family` compiles to with `params` (a `params`
@@ -98,6 +81,15 @@ fn a_scenario_without_params_compiles_to_the_stock_constructor() {
     for (family, expected) in stock {
         assert_eq!(compiled(family, ""), fields(&expected), "{family}");
     }
+}
+
+#[test]
+fn a_combined_storm_without_net_intensity_runs_the_stock_storm() {
+    let stock = ValueDomainCampaignConfig::combined_storm(TRIALS, SEED);
+    assert_eq!(
+        compiled("value_domain", "params\nmode combined_storm\nend\n"),
+        fields(&CompiledFamily::ValueDomain(stock))
+    );
 }
 
 #[test]

@@ -237,7 +237,7 @@ pub fn run_campaign(config: &CampaignConfig, engine: &EngineConfig) -> CampaignR
             let mut rng = RngStream::new(c.seed).fork_indexed("trial", trial);
             let workload = &c.workloads[(trial % c.workloads.len() as u64) as usize];
             let verdict = run_trial(&c, workload, &mut rng);
-            record(result, c.policy, verdict, &mut rng, workload, &c);
+            record(result, c.policy, verdict);
         },
         |into, from| into.merge(&from),
     );
@@ -365,14 +365,7 @@ struct TrialOutcome {
     ecc_escaped: u64,
 }
 
-fn record(
-    result: &mut CampaignResult,
-    policy: NodePolicy,
-    outcome: TrialOutcome,
-    _rng: &mut RngStream,
-    _workload: &Workload,
-    _config: &CampaignConfig,
-) {
+fn record(result: &mut CampaignResult, policy: NodePolicy, outcome: TrialOutcome) {
     let counts = &mut result.counts;
     counts.trials += 1;
     counts.ecc_escaped += outcome.ecc_escaped;

@@ -614,21 +614,19 @@ where
 {
     let (blocks, fold) = plan(&campaign, cfg, opts);
     if cfg.workers <= 1 && cfg.trial_budget.is_none() && cfg.chaos_kill.is_none() {
-        run_in_thread(&campaign, blocks, fold, None)
+        run_in_thread(&campaign, blocks, fold)
     } else {
         run_executor(campaign, cfg, blocks, fold)
     }
 }
 
 /// The in-thread path: the shared partition and fold, trial after
-/// trial on the calling thread. Panics are still isolated per trial,
-/// and a trial that overran `budget` is reported timed out, but with no
-/// watchdog nothing cancels a trial while it runs.
+/// trial on the calling thread. Panics are still isolated per trial;
+/// with no trial budget and no watchdog, no trial times out.
 fn run_in_thread<C: TrialCampaign>(
     campaign: &C,
     blocks: Vec<Block>,
     mut fold: Fold<'_, C::Acc>,
-    budget: Option<Duration>,
 ) -> CampaignRun<C::Acc> {
     let never_cancelled = AtomicBool::new(false);
     let mut report = EngineReport {
@@ -640,7 +638,7 @@ fn run_in_thread<C: TrialCampaign>(
     for b in &blocks {
         let mut partial = campaign.empty();
         for trial in b.start..b.end {
-            match exec_trial(campaign, trial, &never_cancelled, budget) {
+            match exec_trial(campaign, trial, &never_cancelled, None) {
                 TrialExec::Done(tacc) => {
                     campaign.merge(&mut partial, tacc);
                     report.completed += 1;

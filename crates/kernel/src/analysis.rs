@@ -99,7 +99,7 @@ pub(crate) fn tem_recovery_cost(t: &TaskSpec, costs: &TemCosts) -> SimDuration {
 /// Returns the worst-case response time, or `None` when the iteration
 /// exceeds the deadline (unschedulable).
 pub fn response_time(set: &TaskSet, task: &TaskSpec) -> Option<SimDuration> {
-    response_time_with_recovery(set, task, None)
+    response_fixpoint(set, task, task.wcet, None)
 }
 
 /// Fault-tolerant RTA: worst-case response time of `task` when faults
@@ -119,32 +119,36 @@ pub(crate) fn ft_response_time(
         .map(&recovery_cost)
         .max()
         .unwrap_or(SimDuration::ZERO);
-    response_time_with_recovery(set, task, Some((fault_interval, max_recovery)))
+    response_fixpoint(set, task, task.wcet, Some((fault_interval, max_recovery)))
 }
 
-fn response_time_with_recovery(
+/// The response-time fixpoint every RTA form here iterates:
+/// `R = base + Σ_{j∈hp(i)} ⌈R/T_j⌉·C_j`, plus `max(1, ⌈R/T_F⌉)·F` when
+/// faults arrive at most once per `T_F` and each costs a recovery of `F`
+/// (`fault = Some((T_F, F))`).
+///
+/// Returns `None` when the response exceeds the deadline.
+fn response_fixpoint(
     set: &TaskSet,
     task: &TaskSpec,
+    base: SimDuration,
     fault: Option<(SimDuration, SimDuration)>,
 ) -> Option<SimDuration> {
-    let mut r = task.wcet;
+    let fault = fault.filter(|(_, f_max)| !f_max.is_zero());
+    if matches!(fault, Some((t_f, _)) if t_f.is_zero()) {
+        return None; // infinitely frequent faults
+    }
+    let mut r = base;
     // Fixpoint iteration; bounded by the strictly increasing response time,
     // each step at least one nanosecond, capped by the deadline.
     loop {
-        let mut next = task.wcet;
+        let mut next = base;
         for hp in set.higher_priority_than(task) {
             let releases = r.div_ceil(hp.period);
             next += hp.wcet.checked_mul(releases)?;
         }
         if let Some((t_f, f_max)) = fault {
-            if !f_max.is_zero() {
-                let hits = if t_f.is_zero() {
-                    return None; // infinitely frequent faults
-                } else {
-                    r.div_ceil(t_f).max(1)
-                };
-                next += f_max.checked_mul(hits)?;
-            }
+            next += f_max.checked_mul(r.div_ceil(t_f).max(1))?;
         }
         if next > task.deadline {
             return None;
@@ -283,22 +287,7 @@ pub fn response_time_with_blocking(
         .max()
         .unwrap_or(SimDuration::ZERO);
     let recovery_total = max_recovery.checked_mul(u64::from(faults))?;
-    let base = task.wcet + blocking + recovery_total;
-    let mut r = base;
-    loop {
-        let mut next = base;
-        for hp in set.higher_priority_than(task) {
-            let releases = r.div_ceil(hp.period);
-            next += hp.wcet.checked_mul(releases)?;
-        }
-        if next > task.deadline {
-            return None;
-        }
-        if next == r {
-            return Some(r);
-        }
-        r = next;
-    }
+    response_fixpoint(set, task, task.wcet + blocking + recovery_total, None)
 }
 
 /// The largest fault count a single job of `task` absorbs while still

@@ -23,19 +23,18 @@ use nlft_machine::asm::assemble_at;
 use nlft_machine::cpu::CpuContext;
 use nlft_machine::edm::Edm;
 use nlft_machine::fault::TransientFault;
-use nlft_machine::machine::{Machine, RunExit};
-use nlft_machine::mem::WORD_BYTES;
+use nlft_machine::machine::{Machine, RunExit, NUM_PORTS};
 use nlft_machine::mmu::{MemoryMap, Perms, Region};
 
 use crate::contract::{ContractOutcomes, DegradationAction, MkContract, TaskContract};
 use crate::task::{Priority, TaskId};
+use crate::tem::{JobOutcome, Step, TemJob, STATE_BYTES};
 
 /// Size of one task window (code 1 KiB + data 1 KiB + stack 2 KiB).
 pub(crate) const WINDOW_BYTES: u32 = 0x1000;
 const CODE_BYTES: u32 = 0x400;
-const DATA_BYTES: u32 = 0x400;
-/// [`DATA_BYTES`] in words: the state window TEM snapshots and compares.
-const DATA_WORDS: usize = (DATA_BYTES / WORD_BYTES) as usize;
+/// The data window: the state TEM snapshots and compares.
+const DATA_BYTES: u32 = STATE_BYTES;
 
 /// Static description of a resident task.
 #[derive(Debug, Clone)]
@@ -119,30 +118,10 @@ enum JobState {
 
 /// Maximum executions per TEM job (two scheduled + up to two recoveries).
 const MAX_COPIES: u32 = 4;
-/// Maximum results voted over.
-const MAX_RESULTS: usize = 3;
-
-/// One copy's result: output, data window words and path signature,
-/// compared exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct CopyResultVec {
-    output: Option<u32>,
-    window: Vec<u32>,
-    sig: u64,
-}
-
-#[derive(Debug, Clone)]
-struct TemJob {
-    snapshot: Vec<u32>,
-    results: Vec<CopyResultVec>,
-    copies: u32,
-    detected: bool,
-}
 
 #[derive(Debug)]
 struct Tcb {
     task: ResidentTask,
-    window_base: u32,
     entry: u32,
     stack_top: u32,
     map: MemoryMap,
@@ -150,7 +129,8 @@ struct Tcb {
     state: JobState,
     next_release: u64,
     shutdown: bool,
-    tem: Option<TemJob>,
+    /// The TEM job of a critical task, reused from job to job.
+    tem: Option<Box<TemJob>>,
 }
 
 /// Per-task statistics from a run.
@@ -165,7 +145,7 @@ pub struct ResidentStats {
     /// Budget-overrun aborts.
     pub overruns: u64,
     /// Exception aborts (non-critical: task shut down; critical: copy
-    /// replaced).
+    /// replaced, an ECC trap while reading its state window included).
     pub exceptions: u64,
     /// TEM copies executed (critical tasks only).
     pub copies: u64,
@@ -295,13 +275,15 @@ impl PreemptiveExecutive {
         self.tcbs.push(Tcb {
             stack_top: base + WINDOW_BYTES,
             entry: base,
-            window_base: base,
             map,
             context: None,
             state: JobState::Idle,
             next_release: 0,
             shutdown: false,
-            tem: None,
+            // Two results compared, three voted over (§2.5).
+            tem: task
+                .critical
+                .then(|| Box::new(TemJob::new(base + CODE_BYTES, 2, 3))),
             task,
         });
         Ok(())
@@ -348,6 +330,9 @@ impl PreemptiveExecutive {
                         t.state = JobState::Ready {
                             released_at: t.next_release,
                         };
+                        if let Some(job) = &mut t.tem {
+                            job.begin(&self.machine.mem);
+                        }
                     }
                     // (A still-active job at its next release is already
                     // counted late via its deadline; skip re-release.)
@@ -430,22 +415,22 @@ impl PreemptiveExecutive {
 
             match out.exit {
                 RunExit::Halted if self.tcbs[idx].task.critical => {
-                    // One TEM copy finished: record its result vector and
-                    // decide whether to run another copy, deliver, or omit.
-                    let output = self.machine.output(self.tcbs[idx].task.output_port);
-                    let window = data_window(&self.machine, self.tcbs[idx].window_base).to_vec();
-                    let sig = self.machine.cpu.path_sig;
-                    let cap = self.copy_cap(idx);
+                    // One TEM copy finished: record its result, compared
+                    // on the task's own output port only, since other
+                    // residents write the shared ports. An ECC trap in its
+                    // state window makes it a detected copy instead.
                     let t = &mut self.tcbs[idx];
-                    let tem = t.tem.as_mut().expect("critical job has TEM state");
-                    tem.results.push(CopyResultVec {
-                        output,
-                        window,
-                        sig,
-                    });
-                    report.tasks.get_mut(&t.task.id).expect("known task").copies += 1;
-                    let decision = decide(tem, cap);
-                    self.conclude_copy(idx, decision, now, released_at, &mut report);
+                    let job = t.tem.as_mut().expect("critical job has TEM state");
+                    let mut outputs = [None; NUM_PORTS];
+                    outputs[t.task.output_port] = self.machine.output(t.task.output_port);
+                    let path_sig = self.machine.cpu.path_sig;
+                    let trapped = job.record(&mut self.machine.mem, outputs, path_sig);
+                    let stats = report.tasks.get_mut(&t.task.id).expect("known task");
+                    match trapped {
+                        None => stats.copies += 1,
+                        Some(_) => stats.exceptions += 1,
+                    }
+                    self.conclude_copy(idx, now, released_at, &mut report);
                     running = None;
                 }
                 RunExit::Halted => {
@@ -469,15 +454,11 @@ impl PreemptiveExecutive {
                 RunExit::BudgetExhausted => {
                     if consumed >= self.tcbs[idx].task.budget_cycles {
                         // Execution-time monitor trip.
-                        if self.tcbs[idx].task.critical {
-                            let cap = self.copy_cap(idx);
-                            let t = &mut self.tcbs[idx];
-                            let stats = report.tasks.get_mut(&t.task.id).expect("known task");
-                            stats.overruns += 1;
-                            let tem = t.tem.as_mut().expect("critical job has TEM state");
-                            tem.detected = true;
-                            let decision = decide(tem, cap);
-                            self.conclude_copy(idx, decision, now, released_at, &mut report);
+                        if let Some(job) = &mut self.tcbs[idx].tem {
+                            job.detect(Edm::ExecutionTimeMonitor);
+                            let id = self.tcbs[idx].task.id;
+                            report.tasks.get_mut(&id).expect("known task").overruns += 1;
+                            self.conclude_copy(idx, now, released_at, &mut report);
                             running = None;
                         } else {
                             let t = &mut self.tcbs[idx];
@@ -504,18 +485,13 @@ impl PreemptiveExecutive {
                     }
                 }
                 RunExit::Exception(e) => {
-                    let _ = Edm::from_exception(&e);
-                    if self.tcbs[idx].task.critical {
+                    if let Some(job) = &mut self.tcbs[idx].tem {
                         // Scenario iii/iv of Fig. 3: terminate the copy,
                         // restore a clean context, run a replacement.
-                        let cap = self.copy_cap(idx);
-                        let t = &mut self.tcbs[idx];
-                        let stats = report.tasks.get_mut(&t.task.id).expect("known task");
-                        stats.exceptions += 1;
-                        let tem = t.tem.as_mut().expect("critical job has TEM state");
-                        tem.detected = true;
-                        let decision = decide(tem, cap);
-                        self.conclude_copy(idx, decision, now, released_at, &mut report);
+                        job.detect(Edm::from_exception(&e));
+                        let id = self.tcbs[idx].task.id;
+                        report.tasks.get_mut(&id).expect("known task").exceptions += 1;
+                        self.conclude_copy(idx, now, released_at, &mut report);
                         running = None;
                     } else {
                         // Fault confinement: only this task is affected; it
@@ -585,157 +561,65 @@ impl PreemptiveExecutive {
                 self.machine.cpu = nlft_machine::cpu::CpuState::new(t.entry, t.stack_top);
                 self.machine.cpu.cycles = cycles;
                 self.machine.clear_outputs();
-                if t.task.critical {
-                    let base = t.window_base;
-                    match &mut t.tem {
-                        None => {
-                            // First copy of a new job: snapshot the state
-                            // window so every copy starts identically and
-                            // omissions can roll back (§2.6).
-                            let snapshot = data_window(&self.machine, base).to_vec();
-                            t.tem = Some(TemJob {
-                                snapshot,
-                                results: Vec::with_capacity(MAX_RESULTS),
-                                copies: 1,
-                                detected: false,
-                            });
-                        }
-                        Some(tem) => {
-                            tem.copies += 1;
-                            restore_window(&mut self.machine, base, &tem.snapshot);
-                        }
-                    }
+                if let Some(job) = &mut t.tem {
+                    job.start_copy(&mut self.machine.mem);
                 }
             }
         }
     }
 
-    /// Applies a TEM decision after a copy ended (completed or detected).
+    /// Decides a critical job's next step after a copy ended (completed or
+    /// detected): queue another copy, deliver, or omit.
     fn conclude_copy(
         &mut self,
         idx: usize,
-        decision: TemDecision,
         now: u64,
         released_at: u64,
         report: &mut PreemptiveReport,
     ) {
-        let id = self.tcbs[idx].task.id;
-        let mut concluded: Option<bool> = None;
-        match decision {
-            TemDecision::AnotherCopy => {
-                // Queue the next copy: the job stays Ready (fresh context
-                // dispatch restores the snapshot and bumps the copy count).
-                let t = &mut self.tcbs[idx];
+        let cap = self.copy_cap(idx);
+        let t = &mut self.tcbs[idx];
+        let job = t.tem.as_mut().expect("critical job has TEM state");
+        let room = job.copies() < cap;
+        let stats = report.tasks.get_mut(&t.task.id).expect("known task");
+        let miss = match job.decide(&mut self.machine.mem, room) {
+            Step::RunCopy => {
+                // Queue the next copy: the job stays Ready, and its fresh
+                // dispatch restores the state window.
                 t.state = JobState::Ready { released_at };
                 t.context = None;
+                return;
             }
-            TemDecision::Deliver { output, masked } => {
-                let t = &mut self.tcbs[idx];
-                let stats = report.tasks.get_mut(&t.task.id).expect("known task");
+            Step::Done {
+                outcome,
+                outputs: Some(outputs),
+            } => {
                 stats.completed += 1;
-                if masked {
+                if matches!(outcome, JobOutcome::DeliveredMasked { .. }) {
                     stats.masked += 1;
                 }
-                stats.last_output = output;
+                stats.last_output = outputs[t.task.output_port];
                 let response = now - released_at;
                 stats.max_response_cycles = stats.max_response_cycles.max(response);
                 let miss = response > t.task.deadline_cycles;
                 if miss {
                     stats.deadline_misses += 1;
                 }
-                t.state = JobState::Idle;
-                t.context = None;
-                t.tem = None;
-                concluded = Some(miss);
+                miss
             }
-            TemDecision::Omission => {
-                // Roll the state window back and deliver nothing; the task
-                // stays alive for its next period.
-                let t = &mut self.tcbs[idx];
-                let snapshot = &t.tem.as_ref().expect("tem state").snapshot;
-                restore_window(&mut self.machine, t.window_base, snapshot);
-                let stats = report.tasks.get_mut(&t.task.id).expect("known task");
+            Step::Done { outputs: None, .. } => {
+                // The state window is rolled back and nothing is
+                // delivered; the task stays alive for its next period.
                 stats.omissions += 1;
                 stats.deadline_misses += 1;
-                t.state = JobState::Idle;
-                t.context = None;
-                t.tem = None;
-                concluded = Some(true);
+                true
             }
-        }
-        if let Some(miss) = concluded {
-            self.observe_contract(id, miss, now, report);
-        }
+        };
+        t.state = JobState::Idle;
+        t.context = None;
+        let id = t.task.id;
+        self.observe_contract(id, miss, now, report);
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TemDecision {
-    AnotherCopy,
-    Deliver { output: Option<u32>, masked: bool },
-    Omission,
-}
-
-/// The TEM progression rule over the copies executed so far.
-/// `max_copies` is normally [`MAX_COPIES`] but a violated ClampRecovery
-/// contract lowers it to the two scheduled copies.
-fn decide(tem: &TemJob, max_copies: u32) -> TemDecision {
-    let out_of_copies = tem.copies >= max_copies;
-    match tem.results.len() {
-        0 | 1 => {
-            if out_of_copies {
-                TemDecision::Omission
-            } else {
-                TemDecision::AnotherCopy
-            }
-        }
-        2 => {
-            if tem.results[0] == tem.results[1] {
-                TemDecision::Deliver {
-                    output: tem.results[1].output,
-                    masked: tem.detected,
-                }
-            } else if out_of_copies {
-                TemDecision::Omission
-            } else {
-                TemDecision::AnotherCopy
-            }
-        }
-        n => {
-            debug_assert!(n <= MAX_RESULTS);
-            let r = &tem.results;
-            // A matching pair is delivered as soon as it exists, so the
-            // first two results differ and a majority must include the
-            // third — whose state the window already holds.
-            debug_assert_ne!(r[0], r[1]);
-            if r[2] == r[0] || r[2] == r[1] {
-                TemDecision::Deliver {
-                    output: r[2].output,
-                    masked: true,
-                }
-            } else {
-                TemDecision::Omission
-            }
-        }
-    }
-}
-
-/// The golden words of the data window of the task whose window starts
-/// at `base`.
-fn data_window(machine: &Machine, base: u32) -> &[u32] {
-    machine
-        .mem
-        .peek_words(base + CODE_BYTES, DATA_WORDS)
-        .expect("data window is mapped")
-}
-
-/// Writes `snapshot` back over the data window at `base`, clearing any
-/// injected flips there.
-fn restore_window(machine: &mut Machine, base: u32, snapshot: &[u32]) {
-    machine
-        .mem
-        .store_words(base + CODE_BYTES, snapshot)
-        .expect("data window is mapped");
 }
 
 #[cfg(test)]
@@ -941,6 +825,69 @@ mod tests {
         assert_eq!(s.last_output, Some(40));
         // The faulted job used three copies.
         assert!(s.copies > s.completed * 2);
+    }
+
+    /// The last word of window 0's state window.
+    const LAST_STATE_WORD: u32 = CODE_BYTES + DATA_BYTES - 4;
+
+    fn flip_last_state_word(mask: u32) -> TransientFault {
+        TransientFault {
+            target: nlft_machine::fault::FaultTarget::MemoryWord(LAST_STATE_WORD),
+            mask,
+        }
+    }
+
+    #[test]
+    fn double_flip_in_state_window_is_detected_by_ecc() {
+        // The task never touches the flipped word, so only the state read
+        // after its copy halts can see it: ECC traps there, and the copy
+        // is replaced like any other detected copy.
+        let mut exec = PreemptiveExecutive::new(1);
+        exec.add_task(critical(1, 0, 2_000, 800), &counting_task_src(2, 20))
+            .unwrap();
+        exec.inject(30, TaskId(1), flip_last_state_word(0b11));
+        let report = exec.run(8_000);
+        let s = &report.tasks[&TaskId(1)];
+        assert_eq!(exec.machine().mem.ecc_stats().detected_uncorrectable, 1);
+        assert_eq!(s.exceptions, 1, "the trapped copy is a detected copy");
+        assert_eq!(s.masked, 1);
+        assert_eq!(s.omissions, 0);
+        assert_eq!(s.copies, s.completed * 2, "two results per job");
+        assert_eq!(s.last_output, Some(40));
+    }
+
+    #[test]
+    fn flip_pending_in_state_window_at_job_start_is_restored_away() {
+        // A neighbour is on the CPU when a flip lands in the critical
+        // task's state window, before that task's first copy. The restore
+        // before copy 0 rewrites the word, so no copy ever reads the flip.
+        const STATE_COUNTER_SRC: &str = "
+                ldi r1, 0x7FC
+                ld  r0, [r1+0]
+                addi r0, r0, 1
+                st  r0, [r1+0]
+                out r0, port0
+                halt";
+        let build = || {
+            let mut exec = PreemptiveExecutive::new(2);
+            exec.add_task(critical(1, 1, 2_000, 400), STATE_COUNTER_SRC)
+                .unwrap();
+            exec.add_task(resident(2, 0, 2_000, 200), &counting_task_src(2, 20))
+                .unwrap();
+            exec
+        };
+        let clean = build().run(8_000);
+        assert_eq!(clean.tasks[&TaskId(1)].last_output, Some(4));
+        let mut exec = build();
+        exec.inject(0, TaskId(2), flip_last_state_word(0b11));
+        let report = exec.run(8_000);
+        assert_eq!(report, clean);
+        assert_eq!(exec.machine().mem.faulty_words(), 0);
+        assert_eq!(
+            exec.machine().mem.ecc_stats(),
+            nlft_machine::mem::EccStats::default(),
+            "no ECC event"
+        );
     }
 
     #[test]

@@ -36,6 +36,11 @@
 //! the region then already holds the snapshot, and the restore would
 //! change nothing.
 //!
+//! The rule above is one state machine, `TemJob`, with two drivers:
+//! [`TemExecutor`] runs a job's copies back to back, and
+//! [`crate::preemptive::PreemptiveExecutive`] runs them one dispatch at a
+//! time between preemptions.
+//!
 //! [`EccMemory::store_words`]: nlft_machine::mem::EccMemory::store_words
 //! [`EccMemory::load`]: nlft_machine::mem::EccMemory::load
 
@@ -44,7 +49,7 @@ use std::fmt;
 use nlft_machine::edm::Edm;
 use nlft_machine::fault::{StuckAtFault, TransientFault};
 use nlft_machine::machine::{Exception, Machine, RunExit, NUM_PORTS};
-use nlft_machine::mem::WORD_BYTES;
+use nlft_machine::mem::{EccMemory, WORD_BYTES};
 use nlft_machine::workloads::{Workload, DATA_BASE, STACK_TOP};
 
 /// Size (bytes) of the task state region carried in every result.
@@ -264,6 +269,11 @@ impl TemExecutor {
     /// persistence-aware generalisation of [`TemExecutor::run_job`]:
     /// transients strike one copy, stuck-at faults are asserted before
     /// every instruction of every copy.
+    ///
+    /// This is the sequential driver of the §2.5 rule in `TemJob`: it
+    /// runs each copy to its end, charges the kernel's comparison, vote and
+    /// restore cycles, and ends the job when the next copy would no longer
+    /// fit the deadline.
     pub fn run_job_with_fault(
         &self,
         machine: &mut Machine,
@@ -275,220 +285,297 @@ impl TemExecutor {
         let mut cycles_used: u64 = 0;
         // Sized up front; the cap only guards against an absurd config.
         let mut copies: Vec<CopyTrace> = Vec::with_capacity(cfg.max_executions.min(8) as usize);
-        let mut detections: Vec<Edm> = Vec::new();
-        // The results gathered so far are `results[..n_results]`; a copy's
-        // state is read straight into the next free slot.
-        let mut results = [ResultVector::EMPTY; VOTED_RESULTS];
-        let mut n_results: usize = 0;
-        // Snapshot the state region so every copy starts from identical
-        // state, and so an omission can roll back (§2.6).
-        let mut snapshot = [0u32; STATE_WORDS];
-        snapshot.copy_from_slice(
-            machine
-                .mem
-                .peek_words(DATA_BASE, STATE_WORDS)
-                .expect("state region is mapped"),
-        );
-        let restore = |machine: &mut Machine| {
-            machine
-                .mem
-                .store_words(DATA_BASE, &snapshot)
-                .expect("state region is mapped");
-        };
-
-        let deliver = |outcome_mask: Option<Edm>,
-                       outputs: [Option<u32>; NUM_PORTS],
-                       copies: Vec<CopyTrace>,
-                       cycles_used: u64,
-                       detections: Vec<Edm>| JobReport {
-            outcome: match outcome_mask {
-                None => JobOutcome::DeliveredClean,
-                Some(edm) => JobOutcome::DeliveredMasked { detected_by: edm },
-            },
-            copies,
-            cycles_used,
-            outputs: Some(outputs),
-            detections,
-        };
-
-        // At most the three results a 2-of-3 vote runs over are gathered.
-        let mut results_wanted: u32 = cfg
-            .min_results
-            .clamp(2, cfg.max_results)
-            .min(VOTED_RESULTS as u32);
+        let mut job = TemJob::new(DATA_BASE, cfg.min_results, cfg.max_results);
+        job.begin(&machine.mem);
         loop {
+            cycles_used += match job.pending_check() {
+                Some(Check::Compare) => cfg.compare_cycles,
+                Some(Check::Vote) => cfg.vote_cycles,
+                None => 0,
+            };
             // Deadline check before starting any copy (§2.5): a fresh copy
             // needs its full budget plus the pending comparison.
-            let next_cost = cfg.copy_budget + cfg.compare_cycles;
-            let out_of_time = cycles_used + next_cost > cfg.deadline_cycles;
-            let out_of_copies = copies.len() as u32 >= cfg.max_executions;
-            if (n_results as u32) < results_wanted && (out_of_time || out_of_copies) {
-                restore(machine);
-                let last = detections
-                    .last()
-                    .copied()
-                    .unwrap_or(Edm::ExecutionTimeMonitor);
+            let in_time = cycles_used + cfg.copy_budget + cfg.compare_cycles <= cfg.deadline_cycles;
+            let room = in_time && job.copies() < cfg.max_executions;
+            if let Step::Done { outcome, outputs } = job.decide(&mut machine.mem, room) {
                 return JobReport {
-                    outcome: JobOutcome::Omission { detected_by: last },
+                    outcome,
                     copies,
                     cycles_used,
-                    outputs: None,
-                    detections,
+                    outputs,
+                    detections: job.detections,
                 };
             }
-
-            if (n_results as u32) < results_wanted {
-                // Execute one more copy.
-                let index = copies.len() as u32;
-                // Before copy 0 the region still holds the snapshot's words,
-                // so a restore can only clear injected flips: with none in
-                // the region it would change nothing, and is skipped.
-                if index > 0
-                    || !machine
-                        .mem
-                        .words_clean(DATA_BASE, STATE_WORDS)
-                        .expect("state region is mapped")
-                {
-                    restore(machine);
-                }
-                machine.reset(0, STACK_TOP);
-                machine.clear_outputs();
-                for (&port, &v) in workload.input_ports.iter().zip(inputs) {
-                    machine.set_input(port, v);
-                }
-                let exit = match fault {
-                    Some(JobFault::Transient(plan)) if plan.copy == index => {
-                        let (out, _) = nlft_machine::fault::run_with_injection(
-                            machine,
-                            cfg.copy_budget,
-                            plan.at_cycle,
-                            plan.fault,
-                        );
-                        out
-                    }
-                    Some(JobFault::StuckAt(stuck)) => {
-                        nlft_machine::fault::run_with_stuck_at(machine, cfg.copy_budget, stuck)
-                    }
-                    _ => machine.run(cfg.copy_budget),
-                };
-                cycles_used += exit.cycles_used;
-                let mut copy = CopyTrace {
-                    index,
-                    result: CopyResult::Completed,
-                    cycles: exit.cycles_used,
-                };
-                let detected = match exit.exit {
-                    // Read the state region back; an ECC trap while
-                    // reading state counts as a detection of this copy.
-                    RunExit::Halted => {
-                        let slot = &mut results[n_results];
-                        match read_state(machine, &mut slot.state) {
-                            Ok(()) => {
-                                slot.outputs = *machine.outputs();
-                                slot.path_sig = machine.cpu.path_sig;
-                                n_results += 1;
-                                None
-                            }
-                            Err(e) => Some(Edm::from_exception(&e)),
-                        }
-                    }
-                    // Scenario iii/iv: terminate, restore context, retry.
-                    RunExit::Exception(e) => Some(Edm::from_exception(&e)),
-                    RunExit::BudgetExhausted => Some(Edm::ExecutionTimeMonitor),
-                };
-                if let Some(edm) = detected {
-                    detections.push(edm);
-                    copy.result = CopyResult::Detected(edm);
-                    cycles_used += cfg.restore_cycles;
-                }
-                copies.push(copy);
-                continue;
+            let index = job.start_copy(&mut machine.mem);
+            machine.reset(0, STACK_TOP);
+            machine.clear_outputs();
+            for (&port, &v) in workload.input_ports.iter().zip(inputs) {
+                machine.set_input(port, v);
             }
-
-            // Enough results: compare or vote.
-            if n_results == 2 {
-                cycles_used += cfg.compare_cycles;
-                if results[0] == results[1] {
-                    let masked = detections.first().copied();
-                    return deliver(masked, results[1].outputs, copies, cycles_used, detections);
+            let exit = match fault {
+                Some(JobFault::Transient(plan)) if plan.copy == index => {
+                    let (out, _) = nlft_machine::fault::run_with_injection(
+                        machine,
+                        cfg.copy_budget,
+                        plan.at_cycle,
+                        plan.fault,
+                    );
+                    out
                 }
-                // Scenario ii: mismatch → need a third result for the vote.
-                detections.push(Edm::TemComparison);
-                if cfg.max_results >= 3 {
-                    results_wanted = 3;
-                    continue;
+                Some(JobFault::StuckAt(stuck)) => {
+                    nlft_machine::fault::run_with_stuck_at(machine, cfg.copy_budget, stuck)
                 }
-                restore(machine);
-                return JobReport {
-                    outcome: JobOutcome::Omission {
-                        detected_by: Edm::TemComparison,
-                    },
-                    copies,
-                    cycles_used,
-                    outputs: None,
-                    detections,
-                };
-            }
-
-            // Three results: 2-of-3 majority vote.
-            debug_assert_eq!(n_results, VOTED_RESULTS);
-            cycles_used += cfg.vote_cycles;
-            // The third result was executed last, so if it belongs to the
-            // majority the state region already holds a winner's state.
-            // Otherwise (a triplicated job whose first two copies agree)
-            // the losing copy's state is overwritten with the pair's.
-            let winner = if results[2] == results[0] || results[2] == results[1] {
-                Some(&results[2])
-            } else if results[0] == results[1] {
-                machine
-                    .mem
-                    .store_words(DATA_BASE, &results[1].state)
-                    .expect("state region is mapped");
-                Some(&results[1])
-            } else {
-                None
+                _ => machine.run(cfg.copy_budget),
             };
-            return match winner {
-                Some(w) => {
-                    let first = detections.first().copied();
-                    deliver(first, w.outputs, copies, cycles_used, detections)
+            cycles_used += exit.cycles_used;
+            let detected = match exit.exit {
+                RunExit::Halted => {
+                    let (outputs, path_sig) = (*machine.outputs(), machine.cpu.path_sig);
+                    job.record(&mut machine.mem, outputs, path_sig)
                 }
-                None => {
-                    detections.push(Edm::TemVote);
-                    restore(machine);
-                    JobReport {
-                        outcome: JobOutcome::Omission {
-                            detected_by: Edm::TemVote,
-                        },
-                        copies,
-                        cycles_used,
-                        outputs: None,
-                        detections,
-                    }
-                }
+                // Scenario iii/iv: terminate, restore context, retry.
+                RunExit::Exception(e) => Some(job.detect(Edm::from_exception(&e))),
+                RunExit::BudgetExhausted => Some(job.detect(Edm::ExecutionTimeMonitor)),
             };
+            if detected.is_some() {
+                cycles_used += cfg.restore_cycles;
+            }
+            copies.push(CopyTrace {
+                index,
+                result: detected.map_or(CopyResult::Completed, CopyResult::Detected),
+                cycles: exit.cycles_used,
+            });
         }
     }
 }
 
-/// Reads the state region into `state` as the kernel's own loads would:
-/// one slice copy when no state word carries an injected fault, otherwise
+/// A kernel check the next [`TemJob::decide`] makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Check {
+    /// Two results are compared.
+    Compare,
+    /// Three results are voted over.
+    Vote,
+}
+
+/// What a TEM job does next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Run another copy.
+    RunCopy,
+    /// The job is over: `outputs` are the delivered result, `None` on an
+    /// omission.
+    Done {
+        /// How the job ended.
+        outcome: JobOutcome,
+        /// The delivered output ports.
+        outputs: Option<[Option<u32>; NUM_PORTS]>,
+    },
+}
+
+/// The §2.5 job rule, once for both executives: the state-window
+/// snapshot, the results gathered so far, the copies run, the detections,
+/// and the one decision — run another copy, deliver, or omit — with the
+/// §2.6 commit and rollback that go with it.
+///
+/// [`TemExecutor`] drives it sequentially; the preemptive executive
+/// drives it across preemptions, one copy per dispatch. A driver calls
+/// [`TemJob::begin`] when a job is released, then [`TemJob::decide`]
+/// before every copy it might run. Each copy starts with
+/// [`TemJob::start_copy`] and ends with [`TemJob::record`] when it halted
+/// or [`TemJob::detect`] when an EDM terminated it.
+#[derive(Debug, Clone)]
+pub(crate) struct TemJob {
+    /// First byte of the state window.
+    base: u32,
+    /// The window as the job found it: every copy starts from it, and an
+    /// omission rolls back to it (§2.6).
+    snapshot: [u32; STATE_WORDS],
+    /// The results gathered so far are `results[..n_results]`; a copy's
+    /// state is read straight into the next free slot.
+    results: [ResultVector; VOTED_RESULTS],
+    n_results: usize,
+    /// Results to gather before comparing or voting.
+    wanted: usize,
+    /// Results a comparison mismatch may escalate to.
+    max_results: u32,
+    /// Results `wanted` starts from.
+    min_wanted: usize,
+    /// Copies started.
+    copies: u32,
+    /// Every detection, in order.
+    detections: Vec<Edm>,
+}
+
+impl TemJob {
+    /// A job over the state window at `base` that gathers
+    /// `min_results` results, clamped to `[2, max_results]` and to the
+    /// three a vote runs over, before comparing or voting.
+    pub(crate) fn new(base: u32, min_results: u32, max_results: u32) -> Self {
+        let min_wanted = min_results.clamp(2, max_results).min(VOTED_RESULTS as u32) as usize;
+        TemJob {
+            base,
+            snapshot: [0; STATE_WORDS],
+            results: [ResultVector::EMPTY; VOTED_RESULTS],
+            n_results: 0,
+            wanted: min_wanted,
+            max_results,
+            min_wanted,
+            copies: 0,
+            detections: Vec::new(),
+        }
+    }
+
+    /// Opens a new job: snapshots the state window and forgets the last
+    /// job's results, copies and detections.
+    pub(crate) fn begin(&mut self, mem: &EccMemory) {
+        self.snapshot
+            .copy_from_slice(mem.peek_words(self.base, STATE_WORDS).expect(MAPPED));
+        self.n_results = 0;
+        self.wanted = self.min_wanted;
+        self.copies = 0;
+        self.detections.clear();
+    }
+
+    /// Copies started so far.
+    pub(crate) fn copies(&self) -> u32 {
+        self.copies
+    }
+
+    /// The check the next [`TemJob::decide`] makes, if any.
+    pub(crate) fn pending_check(&self) -> Option<Check> {
+        match self.n_results {
+            n if n < self.wanted => None,
+            2 => Some(Check::Compare),
+            _ => Some(Check::Vote),
+        }
+    }
+
+    /// Starts a copy and returns its 0-based index: the state window is
+    /// restored from the snapshot, so every copy starts from the same
+    /// state. Before copy 0 the window still holds the snapshot's words,
+    /// so the restore can only clear injected flips; with none in the
+    /// window it would change nothing, and is skipped.
+    pub(crate) fn start_copy(&mut self, mem: &mut EccMemory) -> u32 {
+        if self.copies > 0 || !mem.words_clean(self.base, STATE_WORDS).expect(MAPPED) {
+            self.restore(mem);
+        }
+        self.copies += 1;
+        self.copies - 1
+    }
+
+    /// Records the result of a copy that halted: the `outputs` it is
+    /// compared on, its path signature and its state window, read as the
+    /// kernel's own loads would. An ECC trap while reading the window is
+    /// this copy's detection, and is returned.
+    pub(crate) fn record(
+        &mut self,
+        mem: &mut EccMemory,
+        outputs: [Option<u32>; NUM_PORTS],
+        path_sig: u64,
+    ) -> Option<Edm> {
+        let slot = &mut self.results[self.n_results];
+        if let Err(e) = read_state(mem, self.base, &mut slot.state) {
+            return Some(self.detect(Edm::from_exception(&e)));
+        }
+        slot.outputs = outputs;
+        slot.path_sig = path_sig;
+        self.n_results += 1;
+        None
+    }
+
+    /// Records a detection and returns it.
+    pub(crate) fn detect(&mut self, edm: Edm) -> Edm {
+        self.detections.push(edm);
+        edm
+    }
+
+    /// The §2.5 decision. With results missing, another copy runs when the
+    /// driver has `room` for one, and the job omits otherwise. Two results
+    /// are compared: a match is delivered, a mismatch asks for a third
+    /// result. Three results are voted over, 2 of 3. A delivery commits the
+    /// winners' state; an omission restores the snapshot.
+    pub(crate) fn decide(&mut self, mem: &mut EccMemory, room: bool) -> Step {
+        if self.n_results == 2 && self.wanted == 2 {
+            if self.results[0] == self.results[1] {
+                return self.deliver(1);
+            }
+            // Scenario ii: mismatch → a third result for the vote.
+            self.detect(Edm::TemComparison);
+            if self.max_results < 3 {
+                return self.omit(mem, Edm::TemComparison);
+            }
+            self.wanted = 3;
+        }
+        if self.n_results < self.wanted {
+            if room {
+                return Step::RunCopy;
+            }
+            let last = self.detections.last().copied();
+            return self.omit(mem, last.unwrap_or(Edm::ExecutionTimeMonitor));
+        }
+        debug_assert_eq!(self.n_results, VOTED_RESULTS);
+        // The third result was executed last, so if it belongs to the
+        // majority the window already holds a winner's state. Otherwise (a
+        // triplicated job whose first two copies agree) the losing copy's
+        // state is overwritten with the pair's.
+        let r = &self.results;
+        if r[2] == r[0] || r[2] == r[1] {
+            self.deliver(2)
+        } else if r[0] == r[1] {
+            mem.store_words(self.base, &r[1].state).expect(MAPPED);
+            self.deliver(1)
+        } else {
+            self.detect(Edm::TemVote);
+            self.omit(mem, Edm::TemVote)
+        }
+    }
+
+    /// Delivers result `winner`, masked when anything was detected.
+    fn deliver(&self, winner: usize) -> Step {
+        Step::Done {
+            outcome: match self.detections.first() {
+                None => JobOutcome::DeliveredClean,
+                Some(&detected_by) => JobOutcome::DeliveredMasked { detected_by },
+            },
+            outputs: Some(self.results[winner].outputs),
+        }
+    }
+
+    /// Rolls the state window back and delivers nothing.
+    fn omit(&self, mem: &mut EccMemory, detected_by: Edm) -> Step {
+        self.restore(mem);
+        Step::Done {
+            outcome: JobOutcome::Omission { detected_by },
+            outputs: None,
+        }
+    }
+
+    /// Writes the snapshot back over the state window, clearing any
+    /// injected flips there.
+    fn restore(&self, mem: &mut EccMemory) {
+        mem.store_words(self.base, &self.snapshot).expect(MAPPED);
+    }
+}
+
+/// Why a state-window access cannot fail: both executives map the window.
+const MAPPED: &str = "state window is mapped";
+
+/// Reads the state window at `base` into `state` as the kernel's own loads
+/// would: one slice copy when no word carries an injected fault, otherwise
 /// word by word through ECC in address order, stopping at the first
 /// uncorrectable word.
-fn read_state(machine: &mut Machine, state: &mut [u32; STATE_WORDS]) -> Result<(), Exception> {
-    let mem = &mut machine.mem;
-    if mem
-        .words_clean(DATA_BASE, STATE_WORDS)
-        .expect("state region is mapped")
-    {
-        state.copy_from_slice(
-            mem.peek_words(DATA_BASE, STATE_WORDS)
-                .expect("state region is mapped"),
-        );
+fn read_state(
+    mem: &mut EccMemory,
+    base: u32,
+    state: &mut [u32; STATE_WORDS],
+) -> Result<(), Exception> {
+    if mem.words_clean(base, STATE_WORDS).expect(MAPPED) {
+        state.copy_from_slice(mem.peek_words(base, STATE_WORDS).expect(MAPPED));
         return Ok(());
     }
     for (i, w) in (0u32..).zip(state.iter_mut()) {
-        *w = mem.load(DATA_BASE + i * WORD_BYTES)?;
+        *w = mem.load(base + i * WORD_BYTES)?;
     }
     Ok(())
 }

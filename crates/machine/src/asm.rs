@@ -33,7 +33,7 @@
 //! # Ok::<(), nlft_machine::asm::AsmError>(())
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::isa::{Instr, Reg};
@@ -45,7 +45,7 @@ pub struct Image {
     /// Encoded instruction/data words, loaded contiguously from [`Image::base`].
     pub words: Vec<u32>,
     /// Label name → byte address (already relocated).
-    pub labels: HashMap<String, u32>,
+    pub labels: BTreeMap<String, u32>,
     /// Load address of the first word.
     pub base: u32,
 }
@@ -160,7 +160,7 @@ fn parse_mem(s: &str, line: usize) -> Result<(Reg, i16), AsmError> {
 }
 
 /// Resolves a branch target: a label or a numeric address.
-fn resolve_target(s: &str, labels: &HashMap<String, u32>, line: usize) -> Result<u16, AsmError> {
+fn resolve_target(s: &str, labels: &BTreeMap<String, u32>, line: usize) -> Result<u16, AsmError> {
     if let Some(&addr) = labels.get(s) {
         return u16::try_from(addr)
             .map_err(|_| err(line, format!("label `{s}` beyond 16-bit address space")));
@@ -194,7 +194,7 @@ pub fn assemble_at(source: &str, base: u32) -> Result<Image, AsmError> {
     if !base.is_multiple_of(WORD_BYTES) {
         return Err(err(0, format!("base {base:#x} is not word-aligned")));
     }
-    let mut labels: HashMap<String, u32> = HashMap::new();
+    let mut labels: BTreeMap<String, u32> = BTreeMap::new();
     let mut stmts: Vec<Stmt> = Vec::new();
 
     // Pass 1: strip comments, collect labels and raw statements.

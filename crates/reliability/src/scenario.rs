@@ -455,7 +455,7 @@ families! {
         }
         "net_intensity" {
             /// Network storm intensity (combined mode only).
-            net_intensity: probability ("intensity") = 0.0,
+            net_intensity: probability ("intensity") = 0.2,
         }
     }
     /// The correlated-blackout survival campaign.

@@ -93,6 +93,12 @@ NLFT_PROP_CASES=100000 cargo test --profile fuzz --offline -q -p nlft-bbw --test
 echo "== SHARPE models: mutation property, 100000 cases, overflow checks on =="
 NLFT_PROP_CASES=100000 cargo test --profile fuzz --offline -q -p nlft-reliability --test sharpe_mutations
 
+# The kernel properties at scale, overflow checks on: delivered TEM
+# results are always golden, TEM reports are deterministic, and the
+# one-core executive never beats the response-time analysis.
+echo "== kernel properties: 20000 cases, overflow checks on =="
+NLFT_PROP_CASES=20000 cargo test --profile fuzz --offline -q -p nlft-kernel --test properties
+
 # Bench trajectory: re-measure the groups in the committed baseline and
 # compare. Timing deltas (fastest sample per benchmark) are advisory only,
 # since hardware varies between machines, so slowdowns print warnings;
