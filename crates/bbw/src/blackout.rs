@@ -17,12 +17,13 @@
 //!   minority-clique reverts, and — critically — that reverted nodes
 //!   never babble (zero guardian blocks).
 
-use nlft_engine::{EngineConfig, Tally};
+use nlft_engine::{EngineConfig, Tally, TrialCampaign};
 use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan};
+use nlft_net::startup::StartupMetrics;
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{check_run_cycles, BbwCluster, ALL_NODES, WHEELS};
+use crate::cluster::{check_run_cycles, BbwCluster, ClusterReport, ALL_NODES, WHEELS};
 
 /// Configuration of a blackout-survival campaign.
 #[derive(Debug, Clone)]
@@ -232,16 +233,19 @@ pub fn run_blackout_campaign(
     config: &BlackoutCampaignConfig,
     engine: &EngineConfig,
 ) -> BlackoutCampaignResult {
-    config.check().unwrap_or_else(|e| panic!("{e}"));
-    let c = config.clone();
-    let root = RngStream::new(config.seed);
-    let campaign = nlft_engine::indexed_campaign(
-        "bbw-blackout",
-        "blackout-trial",
-        config.trials,
-        BlackoutCampaignResult::default,
-        move |trial, _ctx, result: &mut BlackoutCampaignResult| {
-            run_blackout_trial(&c, &root, trial, result);
+    let blackout_at = config.warmup_cycles;
+    let campaign = blackout_campaign(
+        config,
+        move |result: &mut BlackoutCampaignResult, report, metrics| {
+            let (membership, unavailable) = result.counts.absorb(&report, &metrics, blackout_at);
+            if let Some(cycle) = metrics.first_cold_start_cycle {
+                result.time_to_cold_start.push(cycle - blackout_at);
+            }
+            result
+                .integration_latencies
+                .extend(metrics.integration_latencies.iter().map(|&(_, l)| l));
+            result.time_to_full_membership.extend(membership);
+            result.unavailability_cycles.push(unavailable);
         },
         |into, from| into.merge(from),
     );
@@ -253,13 +257,52 @@ pub fn run_blackout_campaign(
     result
 }
 
+/// The blackout campaign as a scenario runs it: the counters alone.
+pub(crate) fn tally_campaign(
+    config: &BlackoutCampaignConfig,
+) -> impl TrialCampaign<Acc = BlackoutCounts> {
+    let blackout_at = config.warmup_cycles;
+    blackout_campaign(
+        config,
+        move |counts: &mut BlackoutCounts, report, metrics| {
+            counts.absorb(&report, &metrics, blackout_at);
+        },
+        |into, from| into.merge(&from),
+    )
+}
+
+/// The blackout campaign, folding each trial's report and startup
+/// metrics into an `A` with `fold`.
+///
+/// # Panics
+///
+/// Panics if [`BlackoutCampaignConfig::check`] rejects the config.
+fn blackout_campaign<A: Default + Send + 'static>(
+    config: &BlackoutCampaignConfig,
+    fold: impl Fn(&mut A, ClusterReport, StartupMetrics),
+    merge: impl Fn(&mut A, A),
+) -> impl TrialCampaign<Acc = A> {
+    config.check().unwrap_or_else(|e| panic!("{e}"));
+    let c = config.clone();
+    let root = RngStream::new(config.seed);
+    nlft_engine::indexed_campaign(
+        "bbw-blackout",
+        "blackout-trial",
+        config.trials,
+        A::default,
+        move |trial, _ctx, acc: &mut A| {
+            let (report, metrics) = run_blackout_trial(&c, &root, trial);
+            fold(acc, report, metrics);
+        },
+        merge,
+    )
+}
+
 fn run_blackout_trial(
     config: &BlackoutCampaignConfig,
     root: &RngStream,
     trial: u64,
-    result: &mut BlackoutCampaignResult,
-) {
-    let blackout_at = config.warmup_cycles;
+) -> (ClusterReport, StartupMetrics) {
     let total_cycles = config.warmup_cycles + config.recovery_cycles;
     let mut rng = root.fork_indexed("blackout-trial", trial);
     let mut pool = config.pool().to_vec();
@@ -275,7 +318,7 @@ fn run_blackout_trial(
     let mut cluster = BbwCluster::new();
     cluster.enable_startup();
     let plan = NetFaultPlan::quiet().with_blackout(BlackoutSpec {
-        at_cycle: blackout_at,
+        at_cycle: config.warmup_cycles,
         nodes: pool,
         down_cycles: config.down_cycles,
         stagger: config.stagger,
@@ -286,49 +329,57 @@ fn run_blackout_trial(
         .startup_metrics()
         .expect("startup enabled for blackout trials")
         .clone();
+    (report, metrics)
+}
 
-    let c = &mut result.counts;
-    c.trials += 1;
-    c.cold_starts_sent += u64::from(metrics.cold_starts_sent);
-    c.big_bangs += u64::from(metrics.big_bangs);
-    c.clique_reverts += u64::from(metrics.clique_reverts);
-    c.guardian_blocks += report.guardian_blocks;
-    c.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
-    if let Some(cycle) = metrics.first_cold_start_cycle {
-        c.cold_start_trials += 1;
-        result.time_to_cold_start.push(cycle - blackout_at);
-    }
-    result
-        .integration_latencies
-        .extend(metrics.integration_latencies.iter().map(|&(_, l)| l));
+impl BlackoutCounts {
+    /// Folds one trial whose blackout struck at cycle `blackout_at`.
+    /// Returns the cycles from the blackout until the membership view
+    /// was whole again (if it was) and the braking-unavailability
+    /// cycles.
+    fn absorb(
+        &mut self,
+        report: &ClusterReport,
+        metrics: &StartupMetrics,
+        blackout_at: u32,
+    ) -> (Option<u32>, u32) {
+        self.trials += 1;
+        self.cold_starts_sent += u64::from(metrics.cold_starts_sent);
+        self.big_bangs += u64::from(metrics.big_bangs);
+        self.clique_reverts += u64::from(metrics.clique_reverts);
+        self.guardian_blocks += report.guardian_blocks;
+        self.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
+        if metrics.first_cold_start_cycle.is_some() {
+            self.cold_start_trials += 1;
+        }
 
-    let mut dipped = false;
-    let mut recovered_at = None;
-    let mut unavailable = 0u32;
-    for rec in &report.records {
-        if rec.cycle < blackout_at {
-            continue;
+        let mut dipped = false;
+        let mut recovered_at = None;
+        let mut unavailable = 0u32;
+        for rec in &report.records {
+            if rec.cycle < blackout_at {
+                continue;
+            }
+            let forces = rec.wheel_force.iter().filter(|f| f.is_some()).count();
+            if forces < 3 {
+                unavailable += 1;
+            }
+            if rec.members < ALL_NODES.len() {
+                dipped = true;
+            } else if dipped && recovered_at.is_none() {
+                recovered_at = Some(rec.cycle);
+            }
         }
-        let forces = rec.wheel_force.iter().filter(|f| f.is_some()).count();
-        if forces < 3 {
-            unavailable += 1;
+        let membership = recovered_at.map(|cycle| cycle - blackout_at);
+        if let Some(cycles) = membership {
+            self.full_recoveries += 1;
+            self.membership_cycles += u64::from(cycles);
+        } else {
+            self.incomplete += 1;
         }
-        if rec.members < ALL_NODES.len() {
-            dipped = true;
-        } else if dipped && recovered_at.is_none() {
-            recovered_at = Some(rec.cycle);
-        }
+        self.unavailability_cycles += u64::from(unavailable);
+        (membership, unavailable)
     }
-    let c = &mut result.counts;
-    if let Some(cycle) = recovered_at {
-        c.full_recoveries += 1;
-        c.membership_cycles += u64::from(cycle - blackout_at);
-        result.time_to_full_membership.push(cycle - blackout_at);
-    } else {
-        c.incomplete += 1;
-    }
-    c.unavailability_cycles += u64::from(unavailable);
-    result.unavailability_cycles.push(unavailable);
 }
 
 #[cfg(test)]

@@ -7,12 +7,12 @@
 //! episode, or lost braking. With TEM doing its job, the overwhelming
 //! majority of faults must be invisible at this level.
 
-use nlft_engine::{EngineConfig, Tally};
+use nlft_engine::{EngineConfig, Tally, TrialCampaign};
 use nlft_machine::fault::FaultSpace;
 use nlft_net::inject::{InjectionCounts, NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
 
-use crate::cluster::{check_run_cycles, BbwCluster, ClusterInjection, ALL_NODES};
+use crate::cluster::{check_run_cycles, BbwCluster, ClusterInjection, ClusterReport, ALL_NODES};
 
 /// Configuration of a cluster-level campaign.
 #[derive(Debug, Clone)]
@@ -268,16 +268,14 @@ pub fn run_net_storm_campaign(
     config: &NetStormCampaignConfig,
     engine: &EngineConfig,
 ) -> NetStormCampaignResult {
-    config.check().unwrap_or_else(|e| panic!("{e}"));
-    let c = config.clone();
-    let root = RngStream::new(config.seed);
-    let campaign = nlft_engine::indexed_campaign(
-        "bbw-net-storm",
-        "net-storm-trial",
-        config.trials,
-        NetStormCampaignResult::default,
-        move |trial, _ctx, result: &mut NetStormCampaignResult| {
-            run_storm_trial(&c, &root, trial, result);
+    let campaign = net_storm_campaign(
+        config,
+        |result: &mut NetStormCampaignResult, report, injected| {
+            result.counts.absorb(&report, &injected);
+            result.injected.merge(&injected);
+            result
+                .reintegration_latencies
+                .extend(report.reintegration_latencies);
         },
         |into, from| into.merge(from),
     );
@@ -286,12 +284,49 @@ pub fn run_net_storm_campaign(
     result
 }
 
+/// The storm campaign as a scenario runs it: the counters alone.
+pub(crate) fn tally_campaign(
+    config: &NetStormCampaignConfig,
+) -> impl TrialCampaign<Acc = NetStormCounts> {
+    net_storm_campaign(
+        config,
+        |counts: &mut NetStormCounts, report, injected| counts.absorb(&report, &injected),
+        |into, from| into.merge(&from),
+    )
+}
+
+/// The storm campaign, folding each trial's report and injection
+/// decisions into an `A` with `fold`.
+///
+/// # Panics
+///
+/// Panics if [`NetStormCampaignConfig::check`] rejects the config.
+fn net_storm_campaign<A: Default + Send + 'static>(
+    config: &NetStormCampaignConfig,
+    fold: impl Fn(&mut A, ClusterReport, InjectionCounts),
+    merge: impl Fn(&mut A, A),
+) -> impl TrialCampaign<Acc = A> {
+    config.check().unwrap_or_else(|e| panic!("{e}"));
+    let c = config.clone();
+    let root = RngStream::new(config.seed);
+    nlft_engine::indexed_campaign(
+        "bbw-net-storm",
+        "net-storm-trial",
+        config.trials,
+        A::default,
+        move |trial, _ctx, acc: &mut A| {
+            let (report, injected) = run_storm_trial(&c, &root, trial);
+            fold(acc, report, injected);
+        },
+        merge,
+    )
+}
+
 fn run_storm_trial(
     config: &NetStormCampaignConfig,
     root: &RngStream,
     trial: u64,
-    result: &mut NetStormCampaignResult,
-) {
+) -> (ClusterReport, InjectionCounts) {
     let mut rng = root.fork_indexed("net-storm-trial", trial);
     let mut cluster = BbwCluster::new();
     let plan = NetFaultPlan::quiet()
@@ -303,36 +338,37 @@ fn run_storm_trial(
         cluster.inject(ClusterInjection::sample(&mut rng, config.cycles, &space));
     }
     let report = cluster.run(config.cycles, |_| 1200);
-    let injected = cluster.net_injection_counts();
-    let c = &mut result.counts;
-    c.trials += 1;
-    if report.split_membership {
-        c.split_membership += 1;
-    } else if report.service_lost {
-        c.service_lost += 1;
-    } else if report.degraded_cycles > 0 {
-        c.degraded_episode += 1;
-    } else if report.omissions > 0 {
-        c.omission_only += 1;
-    } else {
-        c.unaffected += 1;
+    (report, cluster.net_injection_counts())
+}
+
+impl NetStormCounts {
+    /// Folds one trial's report and injection decisions.
+    fn absorb(&mut self, report: &ClusterReport, injected: &InjectionCounts) {
+        self.trials += 1;
+        if report.split_membership {
+            self.split_membership += 1;
+        } else if report.service_lost {
+            self.service_lost += 1;
+        } else if report.degraded_cycles > 0 {
+            self.degraded_episode += 1;
+        } else if report.omissions > 0 {
+            self.omission_only += 1;
+        } else {
+            self.unaffected += 1;
+        }
+        self.injected += injected.total();
+        self.crc_rejects += report.crc_rejects;
+        self.corruptions_applied += report.corruptions_applied;
+        self.guardian_blocks += report.guardian_blocks;
+        self.masquerade_rejects += report.masquerade_rejects;
+        self.masquerades_applied += report.masquerades_applied;
+        self.reintegrations += report.reintegration_latencies.len() as u64;
+        self.reintegration_cycles += report
+            .reintegration_latencies
+            .iter()
+            .map(|&l| u64::from(l))
+            .sum::<u64>();
     }
-    c.injected += injected.total();
-    c.crc_rejects += report.crc_rejects;
-    c.corruptions_applied += report.corruptions_applied;
-    c.guardian_blocks += report.guardian_blocks;
-    c.masquerade_rejects += report.masquerade_rejects;
-    c.masquerades_applied += report.masquerades_applied;
-    c.reintegrations += report.reintegration_latencies.len() as u64;
-    c.reintegration_cycles += report
-        .reintegration_latencies
-        .iter()
-        .map(|&l| u64::from(l))
-        .sum::<u64>();
-    result.injected.merge(&injected);
-    result
-        .reintegration_latencies
-        .extend(report.reintegration_latencies);
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! bit-identical for any thread count.
 
 use nlft_core::diagnosis::AlphaCountConfig;
-use nlft_engine::{EngineConfig, Tally};
+use nlft_engine::{EngineConfig, Tally, TrialCampaign};
 use nlft_kernel::escalation::{EscalationPolicy, NodeHealth};
 use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault};
 use nlft_net::frame::NodeId;
@@ -168,10 +168,22 @@ pub fn run_recovery_cluster_campaign(
     config: &RecoveryClusterCampaignConfig,
     engine: &EngineConfig,
 ) -> RecoveryClusterOutcomes {
+    nlft_engine::run_trials(tally_campaign(config), engine).acc
+}
+
+/// The recovery campaign, which folds only its counters.
+///
+/// # Panics
+///
+/// Panics if [`RecoveryClusterCampaignConfig::check`] rejects the
+/// config.
+pub(crate) fn tally_campaign(
+    config: &RecoveryClusterCampaignConfig,
+) -> impl TrialCampaign<Acc = RecoveryClusterOutcomes> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
-    let campaign = nlft_engine::indexed_campaign(
+    nlft_engine::indexed_campaign(
         "bbw-recovery-cluster",
         "recovery-cluster-trial",
         config.trials,
@@ -180,8 +192,7 @@ pub fn run_recovery_cluster_campaign(
             run_recovery_trial(&c, &root, trial, result);
         },
         |into, from| into.merge(&from),
-    );
-    nlft_engine::run_trials(campaign, engine).acc
+    )
 }
 
 fn run_recovery_trial(

@@ -8,20 +8,22 @@
 //! configurations, or a free-form cluster scenario driven by its own
 //! per-trial engine, plus the worker count to run it at.
 //!
-//! Every path preserves the labelled-`RngStream`-per-trial rule: a
-//! trial's stream is forked as `fork_indexed(label, trial)` off the
-//! scenario seed, so running a scenario at 1, 2 or 5 threads yields a
-//! bit-identical [`ScenarioOutcome`] — including its CRC-32 `digest`,
-//! which the zoo's `accept … pin` clauses golden-pin in CI.
+//! Every family runs on one path: its campaign folds only the family's
+//! `tally!` counters — the outcome reports nothing else — and one
+//! runner resumes it from a checkpoint, streams new checkpoints, and
+//! reduces the counters to a [`ScenarioOutcome`]. Every trial's stream
+//! is forked as `fork_indexed(label, trial)` off the scenario seed, so
+//! running a scenario at 1, 2 or 5 threads, or across a
+//! checkpoint/resume split, yields a bit-identical outcome — including
+//! its CRC-32 `digest`, which the zoo's `accept … pin` clauses
+//! golden-pin in CI.
 
-use std::time::Duration;
-
-use nlft_core::campaign::{run_campaign, CampaignConfig};
+use nlft_core::campaign::{self, CampaignConfig};
 use nlft_core::diagnosis::AlphaCountConfig;
-use nlft_core::multicore_campaign::{run_multicore_campaign, MulticoreCampaignConfig};
+use nlft_core::multicore_campaign::{self as multicore, MulticoreCampaignConfig};
 use nlft_core::policy::NodePolicy;
-use nlft_engine::checkpoint;
-use nlft_engine::{CampaignOptions, EngineConfig, ResumePoint, Tally};
+use nlft_engine::checkpoint::TokenReader;
+use nlft_engine::{CampaignOptions, Checkpoint, EngineConfig, ResumePoint, Tally, TrialCampaign};
 use nlft_kernel::contract::MkContract;
 use nlft_kernel::escalation::EscalationPolicy;
 use nlft_kernel::resources::ProtocolKind;
@@ -29,24 +31,24 @@ use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault};
 use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan, NetFaultRates};
 use nlft_reliability::scenario::{
-    ActuatorFaultSpec, ClusterSpec, FamilyParams, FaultLine, NodeKind, NodeName, PedalSpec,
-    ScenarioSpec, SensorFaultSpec,
+    format_scenario, AcceptSpec, ActuatorFaultSpec, ClusterSpec, FamilyParams, FaultLine, NodeKind,
+    NodeName, PedalSpec, ScenarioSpec, SensorFaultSpec,
 };
 use nlft_sim::crc::crc32;
 use nlft_sim::rng::RngStream;
 
 use crate::actuator::ActuatorFault;
-use crate::blackout::{run_blackout_campaign, BlackoutCampaignConfig};
+use crate::blackout::{self, BlackoutCampaignConfig};
 use crate::braking::MissPolicy;
 use crate::cluster::{
     check_run_cycles, pc_fault, BbwCluster, ClusterInjection, ClusterReport, ALL_NODES, CU_A, CU_B,
     WHEELS,
 };
-use crate::cluster_campaign::{run_net_storm_campaign, NetStormCampaignConfig};
-use crate::recovery::{run_recovery_cluster_campaign, RecoveryClusterCampaignConfig};
+use crate::cluster_campaign::{self, NetStormCampaignConfig};
+use crate::recovery::{self, RecoveryClusterCampaignConfig};
 use crate::sensor::SensorFault;
-use crate::value_campaign::{run_value_domain_campaign, ValueDomainCampaignConfig};
-use crate::weakly_hard_campaign::{run_miss_pattern_campaign, MissPatternCampaignConfig};
+use crate::value_campaign::{self, ValueDomainCampaignConfig};
+use crate::weakly_hard_campaign::{self as weakly_hard, MissPatternCampaignConfig};
 
 /// Why a parsed scenario could not be compiled onto the runners.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -490,103 +492,186 @@ fn build_net_plan(
 /// Panics if the configuration fails its family's `check` — impossible
 /// for one [`compile`] returned.
 pub fn run_compiled(name: &str, compiled: &CompiledScenario) -> ScenarioOutcome {
-    run_family(
+    let engine = EngineConfig::with_workers(compiled.workers);
+    let run = ScenarioRun {
         name,
-        &compiled.family,
-        &EngineConfig::with_workers(compiled.workers),
-    )
-}
-
-/// Runs one family's campaign on `engine` (a cluster scenario with no
-/// checkpoint or resume).
-fn run_family(name: &str, family: &CompiledFamily, engine: &EngineConfig) -> ScenarioOutcome {
-    match family {
-        CompiledFamily::NetStorm(c) => {
-            ScenarioOutcome::new(name, &run_net_storm_campaign(c, engine).counts)
-        }
-        CompiledFamily::ValueDomain(c) => {
-            ScenarioOutcome::new(name, &run_value_domain_campaign(c, engine))
-        }
-        CompiledFamily::Blackout(c) => {
-            ScenarioOutcome::new(name, &run_blackout_campaign(c, engine).counts)
-        }
-        CompiledFamily::Recovery(c) => {
-            ScenarioOutcome::new(name, &run_recovery_cluster_campaign(c, engine))
-        }
-        CompiledFamily::WeaklyHard(c) => {
-            ScenarioOutcome::new(name, &run_miss_pattern_campaign(c, engine).counts)
-        }
-        CompiledFamily::Multicore(c) => {
-            ScenarioOutcome::new(name, &run_multicore_campaign(c, engine).counts)
-        }
-        CompiledFamily::Node(c) => ScenarioOutcome::new(name, &run_campaign(c, engine).counts),
-        CompiledFamily::Cluster(c) => {
-            run_cluster_scenario(name, c, engine, &ScenarioEngineOptions::default())
-                .expect("default engine options cannot fail")
-        }
-    }
+        engine,
+        ..ScenarioRun::default()
+    };
+    run.family(&compiled.family)
+        .expect("a run with no resume point cannot fail")
 }
 
 /// Parses nothing, compiles nothing: runs an already-parsed scenario
 /// end to end at the given thread count.
 pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutcome, CompileError> {
-    run_scenario_with(spec, threads, &ScenarioEngineOptions::default())
+    run_scenario_with(spec, &EngineConfig::with_workers(threads), None, None)
 }
 
-/// Engine options for a scenario run.
-///
-/// A trial budget applies to every family. Checkpoint and resume apply
-/// to the free-form `cluster` family only, since only its tallies have a
-/// checkpoint codec; setting either with any other family is a
-/// [`CompileError`].
-#[derive(Default)]
-pub struct ScenarioEngineOptions<'a> {
-    /// Per-trial wall-clock budget enforced by the engine watchdog
-    /// (which runs the threaded executor even at one thread).
-    pub trial_budget: Option<Duration>,
-    /// Resume from a checkpoint string previously handed to
-    /// `on_checkpoint`.
-    pub resume: Option<String>,
-    /// Checkpoint cadence in trials (0 = never).
-    pub checkpoint_every: u64,
-    /// Called with `(trials_done, encoded_checkpoint)` at each cadence.
-    #[allow(clippy::type_complexity)]
-    pub on_checkpoint: Option<&'a dyn Fn(u64, String)>,
-}
-
-impl std::fmt::Debug for ScenarioEngineOptions<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScenarioEngineOptions")
-            .field("trial_budget", &self.trial_budget)
-            .field("resume", &self.resume.is_some())
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("on_checkpoint", &self.on_checkpoint.is_some())
-            .finish()
-    }
-}
-
-/// [`run_scenario`] with explicit engine options: one engine
-/// configuration (the worker count, the trial budget and the checkpoint
-/// cadence) runs whichever family the scenario declares.
+/// [`run_scenario`] on an explicit engine configuration — workers,
+/// trial budget and checkpoint cadence — for any family. `resume`
+/// continues from a checkpoint of this scenario; `on_checkpoint` is
+/// called with `(trials_done, checkpoint)` every
+/// `engine.checkpoint_every` folded trials. A checkpoint starts with a
+/// header naming its scenario, family, seed and trial count and a CRC-32
+/// of the scenario's canonical text; a resume checkpoint whose header
+/// does not match this scenario, or one that disagrees with itself, is
+/// a [`CompileError`].
 pub fn run_scenario_with(
     spec: &ScenarioSpec,
-    threads: usize,
-    opts: &ScenarioEngineOptions<'_>,
+    engine: &EngineConfig,
+    resume: Option<&str>,
+    on_checkpoint: Option<&dyn Fn(u64, String)>,
 ) -> Result<ScenarioOutcome, CompileError> {
-    let compiled = compile(spec, threads)?;
-    let engine = EngineConfig {
-        workers: compiled.workers,
-        trial_budget: opts.trial_budget,
-        checkpoint_every: opts.checkpoint_every,
-        ..EngineConfig::default()
+    let compiled = compile(spec, engine.workers)?;
+    let run = ScenarioRun {
+        name: &spec.name,
+        engine: engine.clone(),
+        // A plain run neither formats nor hashes the spec: that would
+        // cost more than a whole weakly-hard trial.
+        header: if resume.is_some() || on_checkpoint.is_some() {
+            checkpoint_header(spec)
+        } else {
+            String::new()
+        },
+        resume,
+        sink: on_checkpoint,
     };
-    match &compiled.family {
-        CompiledFamily::Cluster(config) => run_cluster_scenario(&spec.name, config, &engine, opts),
-        _ if opts.resume.is_some() || opts.checkpoint_every != 0 => Err(CompileError {
-            scenario: spec.name.clone(),
-            message: "checkpoint / resume options require a cluster-family scenario".to_string(),
-        }),
-        family => Ok(run_family(&spec.name, family, &engine)),
+    run.family(&compiled.family).map_err(|e| CompileError {
+        scenario: spec.name.clone(),
+        message: format!("bad resume checkpoint: {e}"),
+    })
+}
+
+/// The header that binds a checkpoint to its scenario: `field value`
+/// pairs naming the scenario, its family, seed and trial count, then a
+/// CRC-32 of its canonical text with the accept clause cleared — an
+/// edited acceptance check keeps a checkpoint valid, an edit to
+/// anything that runs does not.
+fn checkpoint_header(spec: &ScenarioSpec) -> String {
+    let mut runs = spec.clone();
+    runs.accept = AcceptSpec::default();
+    format!(
+        "scenario {} family {} seed {} trials {} config {:08x}",
+        spec.name,
+        spec.params.family(),
+        spec.seed,
+        spec.trials,
+        crc32(format_scenario(&runs).as_bytes())
+    )
+}
+
+/// One scenario run: its engine and its checkpoint traffic.
+#[derive(Default)]
+struct ScenarioRun<'a> {
+    /// The scenario's name.
+    name: &'a str,
+    engine: EngineConfig,
+    /// [`checkpoint_header`] of the scenario; empty when there is no
+    /// checkpoint traffic.
+    header: String,
+    /// The checkpoint to resume from.
+    resume: Option<&'a str>,
+    /// Where new checkpoints go.
+    sink: Option<&'a dyn Fn(u64, String)>,
+}
+
+/// A family's `finish` step when it has none.
+fn keep<A>(_: &mut A) {}
+
+impl ScenarioRun<'_> {
+    /// Runs a family's campaign, folding only its counters. Fails only
+    /// on a bad resume checkpoint.
+    fn family(&self, family: &CompiledFamily) -> Result<ScenarioOutcome, String> {
+        match family {
+            CompiledFamily::NetStorm(c) => self.fold(cluster_campaign::tally_campaign(c), keep),
+            CompiledFamily::ValueDomain(c) => self.fold(value_campaign::tally_campaign(c), keep),
+            CompiledFamily::Blackout(c) => self.fold(blackout::tally_campaign(c), keep),
+            CompiledFamily::Recovery(c) => self.fold(recovery::tally_campaign(c), keep),
+            CompiledFamily::WeaklyHard(c) => self.fold(weakly_hard::tally_campaign(c), keep),
+            // Certification is no trial's work: it joins the counts once,
+            // after the fold, so no checkpoint carries it.
+            CompiledFamily::Multicore(c) => {
+                self.fold(multicore::tally_campaign(c), |n| _ = n.certify(c.cores))
+            }
+            CompiledFamily::Node(c) => self.fold(campaign::tally_campaign(c), keep),
+            CompiledFamily::Cluster(c) => self.fold(cluster_tally_campaign(c), keep),
+        }
+    }
+
+    /// Runs `campaign` from the resume point, if any, streaming
+    /// checkpoints to the sink, then applies `finish` once to the folded
+    /// counters and reduces them to the outcome.
+    fn fold<C>(
+        &self,
+        campaign: C,
+        finish: impl FnOnce(&mut C::Acc),
+    ) -> Result<ScenarioOutcome, String>
+    where
+        C: TrialCampaign + Send + Sync + 'static,
+        C::Acc: Tally + Copy,
+    {
+        let resume = self.resume_point(campaign.trials())?;
+        let save = self.sink.map(|sink| {
+            move |done, acc: &C::Acc| {
+                let point = ResumePoint {
+                    trials_done: done,
+                    acc: *acc,
+                };
+                sink(done, format!("{} {}", self.header, point.encode()));
+            }
+        });
+        let options = CampaignOptions {
+            resume,
+            on_checkpoint: save.as_ref().map(|f| f as &dyn Fn(u64, &C::Acc)),
+        };
+        let mut counts = nlft_engine::run_trials_with(campaign, &self.engine, options).acc;
+        finish(&mut counts);
+        Ok(ScenarioOutcome::new(self.name, &counts))
+    }
+
+    /// Decodes the resume checkpoint, if any, and rejects one whose
+    /// header does not name this scenario or that does not agree with
+    /// itself or with a run of `trials` trials: its prefix must fit the
+    /// run, its counters must count no more trials than that prefix,
+    /// and — since every counted trial gets exactly one ladder verdict
+    /// — its ladder verdicts must sum to the counted trials. The
+    /// counters may count fewer trials than the prefix: a trial that
+    /// panics or overruns its budget is left out of them, yet the
+    /// prefix it belongs to still ends past it.
+    fn resume_point<A: Tally>(&self, trials: u64) -> Result<Option<ResumePoint<A>>, String> {
+        let Some(text) = self.resume else {
+            return Ok(None);
+        };
+        let mut reader = TokenReader::new(text);
+        let mut expected = self.header.split_whitespace();
+        while let (Some(field), Some(value)) = (expected.next(), expected.next()) {
+            reader.expect_tag(field)?;
+            let found = reader.next_token()?;
+            if found != value {
+                return Err(format!(
+                    "checkpoint {field} `{found}` is not this scenario's `{value}`"
+                ));
+            }
+        }
+        let point = ResumePoint::<A>::decode(&mut reader)?;
+        reader.finish()?;
+        let (done, counted) = (point.trials_done, point.acc.trials());
+        if done > trials {
+            return Err(format!(
+                "resumes at trial {done} of a {trials}-trial scenario"
+            ));
+        }
+        if counted > done {
+            return Err(format!(
+                "tallies count {counted} trials but resume at trial {done}"
+            ));
+        }
+        let verdicts = point.acc.ladder_total();
+        if verdicts != u128::from(counted) {
+            return Err(format!("verdicts sum to {verdicts} over {counted} trials"));
+        }
+        Ok(Some(point))
     }
 }
 
@@ -692,37 +777,6 @@ impl ClusterTallies {
         self.reintegrations += report.reintegration_latencies.len() as u64;
         self.reintegration_cycles += sum(&report.reintegration_latencies);
     }
-}
-
-/// Rejects a decoded cluster checkpoint that does not agree with itself
-/// or with a scenario of `trials` trials: its prefix must fit the
-/// scenario, its tallies must count no more trials than that prefix,
-/// and — since every tallied trial gets exactly one verdict — its
-/// verdicts must sum to the tallied trials. The tallies may count fewer
-/// trials than the prefix: a trial that panics or overruns its budget
-/// is left out of them, yet the prefix it belongs to still ends past it.
-fn check_resume_point(point: &ResumePoint<ClusterTallies>, trials: u64) -> Result<(), String> {
-    let acc = &point.acc;
-    if point.trials_done > trials {
-        return Err(format!(
-            "resumes at trial {} of a {trials}-trial scenario",
-            point.trials_done
-        ));
-    }
-    if acc.trials > point.trials_done {
-        return Err(format!(
-            "tallies count {} trials but resume at trial {}",
-            acc.trials, point.trials_done
-        ));
-    }
-    let verdicts: u128 = acc.verdicts().iter().map(|&(_, n)| u128::from(n)).sum();
-    if verdicts != u128::from(acc.trials) {
-        return Err(format!(
-            "verdicts sum to {verdicts} over {} trials",
-            acc.trials
-        ));
-    }
-    Ok(())
 }
 
 /// Runs one trial of a cluster scenario: builds the cluster from the
@@ -853,24 +907,21 @@ fn run_cluster_trial(
     (report, injected)
 }
 
-/// Runs a cluster scenario on the campaign engine. Every trial forks
-/// its own labelled stream off the scenario seed and block partials are
-/// folded in block order, so the outcome — digest included — is
-/// identical for any thread count and across a checkpoint/resume split.
+/// The cluster scenario's campaign. Every trial forks its own labelled
+/// stream off the scenario seed and block partials are folded in block
+/// order, so the tallies are identical for any thread count and across
+/// a checkpoint/resume split.
 ///
 /// # Panics
 ///
 /// Panics if [`ClusterScenarioConfig::check`] rejects the config.
-fn run_cluster_scenario(
-    name: &str,
+fn cluster_tally_campaign(
     config: &ClusterScenarioConfig,
-    engine: &EngineConfig,
-    opts: &ScenarioEngineOptions<'_>,
-) -> Result<ScenarioOutcome, CompileError> {
+) -> impl TrialCampaign<Acc = ClusterTallies> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
     let root = RngStream::new(config.seed);
-    let campaign = nlft_engine::indexed_campaign(
+    nlft_engine::indexed_campaign(
         "bbw-cluster-scenario",
         "scenario-trial",
         config.trials,
@@ -880,42 +931,16 @@ fn run_cluster_scenario(
             tallies.absorb(&report, injected);
         },
         |into: &mut ClusterTallies, from| into.merge(&from),
-    );
-    let resume = opts
-        .resume
-        .as_deref()
-        .map(|text| {
-            let point = checkpoint::decode::<ResumePoint<ClusterTallies>>(text)?;
-            check_resume_point(&point, config.trials)?;
-            Ok(point)
-        })
-        .transpose()
-        .map_err(|e: String| CompileError {
-            scenario: name.to_string(),
-            message: format!("bad resume checkpoint: {e}"),
-        })?;
-    #[allow(clippy::type_complexity)]
-    let encode_cb: Option<Box<dyn Fn(u64, &ClusterTallies)>> = opts.on_checkpoint.map(|f| {
-        Box::new(move |done: u64, acc: &ClusterTallies| {
-            let point = ResumePoint {
-                trials_done: done,
-                acc: *acc,
-            };
-            f(done, checkpoint::encode(&point));
-        }) as _
-    });
-    let options = CampaignOptions {
-        resume,
-        on_checkpoint: encode_cb.as_deref(),
-    };
-    let run = nlft_engine::run_trials_with(campaign, engine, options);
-    Ok(ScenarioOutcome::new(name, &run.acc))
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster_campaign::run_net_storm_campaign;
+    use nlft_engine::checkpoint;
     use nlft_reliability::scenario::parse_scenario;
+    use std::time::Duration;
 
     fn spec(source: &str) -> ScenarioSpec {
         parse_scenario(source).expect("test scenario parses")
@@ -959,9 +984,10 @@ mod tests {
 
     #[test]
     fn a_generous_trial_budget_leaves_every_family_unchanged() {
-        let opts = ScenarioEngineOptions {
+        let engine = EngineConfig {
+            workers: 2,
             trial_budget: Some(Duration::from_secs(10)),
-            ..ScenarioEngineOptions::default()
+            ..EngineConfig::default()
         };
         for family in [
             "net_storm",
@@ -976,25 +1002,8 @@ mod tests {
                 "scenario budget\nfamily {family}\ntrials 3\nseed 0xb0d6\nend\n"
             ));
             let plain = run_scenario(&s, 2).unwrap();
-            assert_eq!(run_scenario_with(&s, 2, &opts).unwrap(), plain, "{family}");
-        }
-    }
-
-    #[test]
-    fn checkpoint_options_are_rejected_outside_the_cluster_family() {
-        let s = spec("scenario ckpt\nfamily recovery\ntrials 4\nseed 1\nend\n");
-        let resume = ScenarioEngineOptions {
-            resume: Some("resume 0 recovery-cluster 0".into()),
-            ..ScenarioEngineOptions::default()
-        };
-        let every = ScenarioEngineOptions {
-            checkpoint_every: 2,
-            ..ScenarioEngineOptions::default()
-        };
-        for opts in [resume, every] {
-            let e = run_scenario_with(&s, 1, &opts).expect_err("recovery has no checkpoints");
-            assert_eq!(e.scenario, "ckpt");
-            assert!(e.message.contains("cluster-family"), "{e}");
+            let budgeted = run_scenario_with(&s, &engine, None, None).unwrap();
+            assert_eq!(budgeted, plain, "{family}");
         }
     }
 
@@ -1108,23 +1117,43 @@ mod tests {
         assert!(checkpoint::decode::<ResumePoint<ClusterTallies>>(&format!("{text} 27")).is_err());
     }
 
-    /// A 12-trial cluster scenario run from `checkpoint`.
-    fn resume_from(checkpoint: &str) -> Result<ScenarioOutcome, CompileError> {
-        let s = spec(
+    /// The 12-trial cluster scenario the resume tests run.
+    fn resumed() -> ScenarioSpec {
+        spec(
             "scenario resumed\nfamily cluster\ntrials 12\nseed 0xfeed\n\
              topology\ncycles 12\nend\nfaults\nstorm 0.4\nend\nend\n",
-        );
-        let opts = ScenarioEngineOptions {
-            resume: Some(checkpoint.to_string()),
-            ..ScenarioEngineOptions::default()
-        };
-        run_scenario_with(&s, 2, &opts)
+        )
     }
 
-    /// A checkpoint at `done` whose tallies count `trials` trials with
-    /// `verdicts` and every metric at `metric`.
+    /// Runs `spec` on `engine`, returning the outcome and every
+    /// checkpoint written along the way.
+    fn run_saving(
+        spec: &ScenarioSpec,
+        engine: &EngineConfig,
+    ) -> (Result<ScenarioOutcome, CompileError>, Vec<(u64, String)>) {
+        let saved = std::sync::Mutex::new(Vec::new());
+        let record = |done: u64, text: String| saved.lock().unwrap().push((done, text));
+        let outcome = run_scenario_with(spec, engine, None, Some(&record));
+        (outcome, saved.into_inner().unwrap())
+    }
+
+    /// [`resumed`] run from `checkpoint`.
+    fn resume_from(checkpoint: &str) -> Result<ScenarioOutcome, CompileError> {
+        run_scenario_with(
+            &resumed(),
+            &EngineConfig::with_workers(2),
+            Some(checkpoint),
+            None,
+        )
+    }
+
+    /// A checkpoint of [`resumed`] at `done` whose tallies count `trials`
+    /// trials with `verdicts` and every metric at `metric`.
     fn cluster_checkpoint(done: u64, trials: u64, verdicts: [u64; 6], metric: u64) -> String {
-        let mut text = format!("resume {done} cluster-tallies {trials}");
+        let mut text = format!(
+            "{} resume {done} cluster-tallies {trials}",
+            checkpoint_header(&resumed())
+        );
         for v in verdicts {
             text.push_str(&format!(" {v}"));
         }
@@ -1163,51 +1192,67 @@ mod tests {
     }
 
     #[test]
-    fn resume_accepts_its_own_checkpoint() {
-        let s = spec(
-            "scenario resumed\nfamily cluster\ntrials 12\nseed 0xfeed\n\
-             topology\ncycles 12\nend\nfaults\nstorm 0.4\nend\nend\n",
+    fn resume_rejects_a_checkpoint_without_its_header() {
+        let text = cluster_checkpoint(4, 4, [0, 0, 0, 0, 0, 4], 0);
+        let (_, bare) = text.split_once(" resume ").expect("a header");
+        assert_rejected(
+            &format!("resume {bare}"),
+            "expected checkpoint tag `scenario`",
         );
-        let saved = std::sync::Mutex::new(Vec::new());
-        let record = |done: u64, text: String| saved.lock().unwrap().push((done, text));
-        let opts = ScenarioEngineOptions {
-            checkpoint_every: 4,
-            on_checkpoint: Some(&record),
-            ..ScenarioEngineOptions::default()
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_of_an_edited_scenario() {
+        // Same name, family, seed and trials; one more cycle.
+        let mut edited = resumed();
+        let FamilyParams::Cluster(cluster) = &mut edited.params else {
+            unreachable!("a cluster scenario")
         };
-        let full = run_scenario_with(&s, 2, &opts).unwrap();
-        let saved = saved.into_inner().unwrap();
+        cluster.cycles += 1;
+        let (_, saved) = run_saving(&edited, &checkpointing(4));
+        assert_rejected(&saved[0].1, "checkpoint config `");
+        // The accept clause is not part of the binding.
+        let mut accepting = resumed();
+        accepting.accept.require_zero.push("undetected".into());
+        let (_, saved) = run_saving(&accepting, &checkpointing(4));
+        resume_from(&saved[0].1).expect("an accept edit keeps checkpoints valid");
+    }
+
+    /// Two workers, a checkpoint every `every` trials.
+    fn checkpointing(every: u64) -> EngineConfig {
+        EngineConfig {
+            checkpoint_every: every,
+            ..EngineConfig::with_workers(2)
+        }
+    }
+
+    #[test]
+    fn resume_accepts_its_own_checkpoint() {
+        let (full, saved) = run_saving(&resumed(), &checkpointing(4));
         let (_, mid) = saved
             .iter()
             .find(|(done, _)| *done == 4)
             .expect("a checkpoint at 4");
-        assert_eq!(resume_from(mid).unwrap(), full);
+        assert_eq!(resume_from(mid).unwrap(), full.unwrap());
     }
 
     #[test]
     fn resume_accepts_a_checkpoint_whose_trials_overran() {
         // A 1 ns budget: every trial overruns and is left out of the
         // tallies, so the checkpoint at 4 tallies fewer than 4 trials.
-        let s = spec(
-            "scenario resumed\nfamily cluster\ntrials 12\nseed 0xfeed\n\
-             topology\ncycles 12\nend\nfaults\nstorm 0.4\nend\nend\n",
-        );
-        let saved = std::sync::Mutex::new(Vec::new());
-        let record = |done: u64, text: String| saved.lock().unwrap().push((done, text));
-        let opts = ScenarioEngineOptions {
+        let engine = EngineConfig {
             trial_budget: Some(Duration::from_nanos(1)),
-            checkpoint_every: 4,
-            on_checkpoint: Some(&record),
-            ..ScenarioEngineOptions::default()
+            ..checkpointing(4)
         };
-        run_scenario_with(&s, 2, &opts).unwrap();
-        let saved = saved.into_inner().unwrap();
+        let (outcome, saved) = run_saving(&resumed(), &engine);
+        outcome.unwrap();
         let (_, mid) = saved
             .iter()
             .find(|(done, _)| *done == 4)
             .expect("a checkpoint at 4");
+        let (_, point) = mid.split_once(" resume ").expect("a header");
         let point: ResumePoint<ClusterTallies> =
-            checkpoint::decode(mid).expect("checkpoint decodes");
+            checkpoint::decode(&format!("resume {point}")).expect("checkpoint decodes");
         assert!(point.acc.trials < 4, "{mid}");
         let outcome = resume_from(mid).expect("the program's own checkpoint resumes");
         assert_eq!(outcome.trials, point.acc.trials + 8);

@@ -25,7 +25,7 @@
 //! stream from `(seed, trial index)`, shard results merge by sums and
 //! maxima, and the golden test pins the exact outcome at 1/2/5 threads.
 
-use nlft_engine::{EngineConfig, Tally};
+use nlft_engine::{EngineConfig, Tally, TrialCampaign};
 use nlft_machine::fault::FaultSpace;
 use nlft_net::inject::{NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
@@ -250,11 +250,22 @@ pub fn run_value_domain_campaign(
     config: &ValueDomainCampaignConfig,
     engine: &EngineConfig,
 ) -> ValueDomainCampaignResult {
+    nlft_engine::run_trials(tally_campaign(config), engine).acc
+}
+
+/// The value-domain campaign, which folds only its counters.
+///
+/// # Panics
+///
+/// Panics if [`ValueDomainCampaignConfig::check`] rejects the config.
+pub(crate) fn tally_campaign(
+    config: &ValueDomainCampaignConfig,
+) -> impl TrialCampaign<Acc = ValueDomainCampaignResult> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let clean = clean_reference(config.cycles);
     let c = config.clone();
     let root = RngStream::new(config.seed);
-    let campaign = nlft_engine::indexed_campaign(
+    nlft_engine::indexed_campaign(
         "bbw-value-domain",
         "value-trial",
         config.trials,
@@ -263,8 +274,7 @@ pub fn run_value_domain_campaign(
             run_value_trial(&c, &clean, &root, trial, result);
         },
         |into, from| into.merge(&from),
-    );
-    nlft_engine::run_trials(campaign, engine).acc
+    )
 }
 
 fn run_value_trial(

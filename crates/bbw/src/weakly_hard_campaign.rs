@@ -28,7 +28,7 @@
 //! streams, block merges by sums and strictly-greater maxima, golden
 //! pins at 1/2/5 threads.
 
-use nlft_engine::{EngineConfig, Tally};
+use nlft_engine::{EngineConfig, Tally, TrialCampaign};
 use nlft_kernel::analysis::{analyse_weakly_hard, MissModel, TemCosts};
 use nlft_kernel::contract::MkContract;
 use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpecBuilder};
@@ -170,8 +170,8 @@ pub struct WorstPattern {
 
 nlft_engine::tally! {
     /// Counters of a miss-pattern campaign. Every trial is `certified`
-    /// or `uncertified`; `violating` and `bound_reached` count further
-    /// trial properties on top.
+    /// or `uncertified`; `violating` and `bound_reached` are `extra`:
+    /// they count further trial properties on top of that ladder.
     pub struct MissPatternCounts: "miss-pattern-counts" {
         verdicts {
             /// Trials whose fault interval the analyzer certified for the
@@ -182,11 +182,11 @@ nlft_engine::tally! {
             /// Trials whose online monitor violated the contract (all of
             /// them uncertified, or `certified_violations` would be
             /// nonzero).
-            violating,
+            violating: extra,
             /// Trials whose observed worst window reached the bound
             /// exactly (the adversarial strategy makes this nonzero:
             /// tightness).
-            bound_reached,
+            bound_reached: extra,
         }
         metrics {
             /// Certified trials whose online monitor still violated —
@@ -220,16 +220,20 @@ pub struct MissPatternCampaignResult {
 impl MissPatternCampaignResult {
     fn merge(&mut self, other: MissPatternCampaignResult) {
         self.counts.merge(&other.counts);
-        // Strictly-greater replacement + blocks merged in trial order ⇒
-        // the earliest trial wins ties, so the winner is independent of
-        // the thread count.
         if let Some(w) = other.worst {
-            if self
-                .worst
-                .is_none_or(|cur| w.score.excess_distance > cur.score.excess_distance)
-            {
-                self.worst = Some(w);
-            }
+            self.keep_worse(w);
+        }
+    }
+
+    /// Keeps `w` if it costs strictly more distance than the worst so
+    /// far. Trials and blocks fold in trial order, so the earliest trial
+    /// wins ties and the winner is independent of the thread count.
+    fn keep_worse(&mut self, w: WorstPattern) {
+        if self
+            .worst
+            .is_none_or(|cur| w.score.excess_distance > cur.score.excess_distance)
+        {
+            self.worst = Some(w);
         }
     }
 }
@@ -292,21 +296,61 @@ pub fn run_miss_pattern_campaign(
     config: &MissPatternCampaignConfig,
     engine: &EngineConfig,
 ) -> MissPatternCampaignResult {
-    config.check().unwrap_or_else(|e| panic!("{e}"));
-    let c = config.clone();
-    let root = RngStream::new(config.seed);
-    let invariants = CampaignInvariants::new(config.policy);
-    let campaign = nlft_engine::indexed_campaign(
-        "bbw-miss-pattern",
-        "miss-pattern-trial",
-        config.trials,
-        MissPatternCampaignResult::default,
-        move |trial, _ctx, result: &mut MissPatternCampaignResult| {
-            run_miss_pattern_trial(&c, &invariants, &root, trial, result);
+    let campaign = miss_pattern_campaign(
+        config,
+        |result: &mut MissPatternCampaignResult, trial, t: PatternTrial| {
+            result.counts.absorb(&t);
+            result.keep_worse(WorstPattern {
+                trial,
+                fault_interval_us: t.fault_interval_us,
+                strategy: t.strategy,
+                pattern_bits: t.pattern_bits,
+                misses: t.misses,
+                score: t.score,
+            });
         },
         |into, from| into.merge(from),
     );
     nlft_engine::run_trials(campaign, engine).acc
+}
+
+/// The miss-pattern campaign as a scenario runs it: the counters alone.
+pub(crate) fn tally_campaign(
+    config: &MissPatternCampaignConfig,
+) -> impl TrialCampaign<Acc = MissPatternCounts> {
+    miss_pattern_campaign(
+        config,
+        |counts: &mut MissPatternCounts, _, t| counts.absorb(&t),
+        |into, from| into.merge(&from),
+    )
+}
+
+/// The miss-pattern campaign, folding each trial's index and
+/// observation into an `A` with `fold`.
+///
+/// # Panics
+///
+/// Panics if [`MissPatternCampaignConfig::check`] rejects the config.
+fn miss_pattern_campaign<A: Default + Send + 'static>(
+    config: &MissPatternCampaignConfig,
+    fold: impl Fn(&mut A, u64, PatternTrial),
+    merge: impl Fn(&mut A, A),
+) -> impl TrialCampaign<Acc = A> {
+    config.check().unwrap_or_else(|e| panic!("{e}"));
+    let c = config.clone();
+    let root = RngStream::new(config.seed);
+    let invariants = CampaignInvariants::new(config.policy);
+    nlft_engine::indexed_campaign(
+        "bbw-miss-pattern",
+        "miss-pattern-trial",
+        config.trials,
+        A::default,
+        move |trial, _ctx, acc: &mut A| {
+            let observed = run_miss_pattern_trial(&c, &invariants, &root, trial);
+            fold(acc, trial, observed);
+        },
+        merge,
+    )
 }
 
 /// What every trial of a campaign shares, built once per campaign.
@@ -334,13 +378,34 @@ impl CampaignInvariants {
     }
 }
 
+/// What one miss-pattern trial observed.
+struct PatternTrial {
+    /// The trial's fault inter-arrival time in µs.
+    fault_interval_us: u64,
+    /// The trial's placement strategy.
+    strategy: PlacementStrategy,
+    /// The miss pattern, bit `j` = job `j` missed.
+    pattern_bits: u64,
+    /// Misses over the whole horizon.
+    misses: u32,
+    /// Worst misses-in-window the online monitor saw.
+    observed_worst: u32,
+    /// Whether the online monitor saw the contract violated.
+    violated: bool,
+    /// Whether the analyzer certified the fault interval.
+    certified: bool,
+    /// The analyzer's worst misses-in-window for the fault interval.
+    bound_misses: u32,
+    /// What the pattern costs in distance.
+    score: BrakingScore,
+}
+
 fn run_miss_pattern_trial(
     config: &MissPatternCampaignConfig,
     inv: &CampaignInvariants,
     root: &RngStream,
     trial: u64,
-    result: &mut MissPatternCampaignResult,
-) {
+) -> PatternTrial {
     let (lo, hi) = config.fault_interval_us;
     let mut rng = root.fork_indexed("miss-pattern-trial", trial);
     let tf_us = rng.uniform_range(lo, hi);
@@ -381,43 +446,43 @@ fn run_miss_pattern_trial(
         }
     }
 
-    let c = &mut result.counts;
-    c.trials += 1;
-    c.total_misses += u64::from(misses);
-    c.worst_window_misses = c.worst_window_misses.max(u64::from(observed_worst));
-    if bound.satisfied {
-        c.certified += 1;
-        if violated {
-            c.certified_violations += 1;
-        }
-    } else {
-        c.uncertified += 1;
-        if violated {
-            c.violating += 1;
-        }
-    }
-    if observed_worst > bound.worst_misses {
-        c.bound_breaches += 1;
-    } else if observed_worst == bound.worst_misses && bound.worst_misses > 0 {
-        c.bound_reached += 1;
-    }
-
-    // The functional metric: what this pattern costs in distance.
-    let score = inv.braking.score(&pattern, config.policy, inv.clean);
-    c.total_excess_distance += score.excess_distance;
-    let candidate = WorstPattern {
-        trial,
+    PatternTrial {
         fault_interval_us: tf_us,
         strategy,
         pattern_bits,
         misses,
-        score,
-    };
-    if result
-        .worst
-        .is_none_or(|cur| candidate.score.excess_distance > cur.score.excess_distance)
-    {
-        result.worst = Some(candidate);
+        observed_worst,
+        violated,
+        certified: bound.satisfied,
+        bound_misses: bound.worst_misses,
+        // The functional metric: what this pattern costs in distance.
+        score: inv.braking.score(&pattern, config.policy, inv.clean),
+    }
+}
+
+impl MissPatternCounts {
+    /// Folds one trial's observation.
+    fn absorb(&mut self, t: &PatternTrial) {
+        self.trials += 1;
+        self.total_misses += u64::from(t.misses);
+        self.worst_window_misses = self.worst_window_misses.max(u64::from(t.observed_worst));
+        if t.certified {
+            self.certified += 1;
+            if t.violated {
+                self.certified_violations += 1;
+            }
+        } else {
+            self.uncertified += 1;
+            if t.violated {
+                self.violating += 1;
+            }
+        }
+        if t.observed_worst > t.bound_misses {
+            self.bound_breaches += 1;
+        } else if t.observed_worst == t.bound_misses && t.bound_misses > 0 {
+            self.bound_reached += 1;
+        }
+        self.total_excess_distance += t.score.excess_distance;
     }
 }
 

@@ -1,0 +1,256 @@
+//! Checkpoint and resume across the scenario families.
+//!
+//! * Every family round-trips: one zoo scenario per family, resumed
+//!   from each checkpoint it writes, reproduces its golden pin at 1 and
+//!   4 workers.
+//! * A checkpoint is bound to its scenario: resuming another scenario
+//!   from it is rejected, even one of the same family, seed and trial
+//!   count.
+//! * A seeded mutation property over real checkpoint text: one or two
+//!   tokens replaced, deleted, duplicated or swapped. `run_scenario_with`
+//!   never panics, and it returns either a typed error or an outcome
+//!   that folds every trial it runs. The checkpoints come from near the
+//!   end of each run, so an accepted mutant runs few trials.
+//!
+//! `NLFT_PROP_CASES=<n>` widens the sweep; `NLFT_PROP_SEED=<seed>` replays
+//! one reported case.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+use std::sync::Mutex;
+
+use nlft_bbw::scenario::{run_scenario, run_scenario_with, CompileError, ScenarioOutcome};
+use nlft_engine::EngineConfig;
+use nlft_reliability::scenario::{parse_scenario, ScenarioSpec};
+use nlft_testkit::prop::{CaseError, Suite};
+use nlft_testkit::prop_assert_eq;
+use nlft_testkit::rng::TkRng;
+
+/// One zoo scenario per family, in `families!` order.
+const ONE_PER_FAMILY: [&str; 8] = [
+    "net-storm-nominal",
+    "value-single-fault-coverage",
+    "full-blackout-coldstart",
+    "recovery-ladder-mix",
+    "weakly-hard-nominal-storm",
+    "core-death-mid-section",
+    "node-nlft-reference",
+    "babbling-wheel",
+];
+
+fn by_name(name: &str) -> ScenarioSpec {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../scenarios")
+        .join(format!("{name}.scn"));
+    let source = std::fs::read_to_string(&path).expect("zoo file readable");
+    parse_scenario(&source).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// Runs `spec` at `workers` workers from `resume`, if any.
+fn resume(
+    spec: &ScenarioSpec,
+    workers: usize,
+    text: Option<&str>,
+) -> Result<ScenarioOutcome, CompileError> {
+    run_scenario_with(spec, &EngineConfig::with_workers(workers), text, None)
+}
+
+/// Every checkpoint an uninterrupted two-worker run of `spec` writes
+/// at a cadence of `every` trials, with the trial count each covers.
+fn checkpoints(spec: &ScenarioSpec, every: u64) -> Vec<(u64, String)> {
+    let saved = Mutex::new(Vec::new());
+    let record = |done: u64, text: String| saved.lock().unwrap().push((done, text));
+    let engine = EngineConfig {
+        checkpoint_every: every,
+        ..EngineConfig::with_workers(2)
+    };
+    let outcome = run_scenario_with(spec, &engine, None, Some(&record)).expect("zoo runs");
+    assert_eq!(Some(outcome.digest), spec.accept.pin, "{}", spec.name);
+    saved.into_inner().unwrap()
+}
+
+#[test]
+fn every_family_resumes_from_every_checkpoint_to_its_pin() {
+    for name in ONE_PER_FAMILY {
+        let spec = by_name(name);
+        let saved = checkpoints(&spec, (spec.trials / 4).max(1));
+        assert!(saved.len() >= 2, "{name}: {} checkpoints", saved.len());
+        for (done, text) in &saved {
+            for workers in [1, 4] {
+                let outcome = resume(&spec, workers, Some(text))
+                    .unwrap_or_else(|e| panic!("{name} at {done}: {e}"));
+                assert_eq!(
+                    Some(outcome.digest),
+                    spec.accept.pin,
+                    "{name} resumed at trial {done} on {workers} workers"
+                );
+            }
+        }
+    }
+}
+
+/// Resuming `into` from a checkpoint of `from` is rejected, naming the
+/// scenario field.
+fn assert_bound(from: &str, into: &str) {
+    let (_, text) = checkpoints(&by_name(from), 4).pop().expect("a checkpoint");
+    let e = resume(&by_name(into), 1, Some(&text)).expect_err(into);
+    assert_eq!(e.scenario, into);
+    assert!(
+        e.message.contains(&format!(
+            "checkpoint scenario `{from}` is not this scenario's `{into}`"
+        )),
+        "{e}"
+    );
+}
+
+#[test]
+fn a_checkpoint_does_not_resume_another_cluster_scenario() {
+    // Both are 12-trial cluster scenarios: before checkpoints named
+    // their scenario, this folded babbling-wheel's trials into a
+    // wheel-restart-under-blackout outcome.
+    assert_bound("babbling-wheel", "wheel-restart-under-blackout");
+}
+
+#[test]
+fn a_checkpoint_does_not_resume_a_twin_of_the_same_seed_and_trials() {
+    // Same family, seed 0xd5a2005 and 300 trials; only the policy differs.
+    assert_bound("node-nlft-reference", "node-failsilent-reference");
+}
+
+/// Values a replaced token takes: the `u64` edges and past them, a
+/// negative, a non-number, and tokens that belong in other checkpoints.
+const EDGE_TOKENS: [&str; 9] = [
+    "0",
+    "1",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "x",
+    "resume",
+    "cluster-tallies",
+    "node-failsilent-reference",
+];
+
+/// A mutated checkpoint of one scenario.
+#[derive(Debug)]
+struct Mutant {
+    /// Index into the base checkpoints.
+    base: usize,
+    mutations: Vec<String>,
+    text: String,
+}
+
+/// The scenarios and, per scenario, its last two checkpoints.
+struct Bases {
+    specs: Vec<ScenarioSpec>,
+    /// `(index into specs, checkpoint text)`.
+    checkpoints: Vec<(usize, String)>,
+}
+
+fn bases() -> Bases {
+    let specs: Vec<ScenarioSpec> = ONE_PER_FAMILY.iter().map(|n| by_name(n)).collect();
+    let mut all = Vec::new();
+    for (i, spec) in specs.iter().enumerate() {
+        let saved = checkpoints(spec, 1);
+        all.extend(saved.into_iter().rev().take(2).map(|(_, text)| (i, text)));
+    }
+    Bases {
+        specs,
+        checkpoints: all,
+    }
+}
+
+fn arb_mutant(bases: &Bases, r: &mut TkRng) -> Mutant {
+    let base = r.usize_range(0, bases.checkpoints.len());
+    let mut tokens: Vec<String> = bases.checkpoints[base]
+        .1
+        .split_whitespace()
+        .map(str::to_owned)
+        .collect();
+    let mut mutations = Vec::new();
+    for _ in 0..r.usize_range(1, 3) {
+        let at = r.usize_range(0, tokens.len());
+        let mutation = match r.usize_range(0, 6) {
+            0 | 1 => {
+                let value = EDGE_TOKENS[r.usize_range(0, EDGE_TOKENS.len())].to_owned();
+                let was = std::mem::replace(&mut tokens[at], value.clone());
+                format!("token {at}: `{was}` -> `{value}`")
+            }
+            2 => {
+                // A near miss: the kind of drift a consistency check must
+                // catch, or that an accepted counter simply carries.
+                let Ok(n) = tokens[at].parse::<u64>() else {
+                    continue;
+                };
+                let value = if r.bool() {
+                    n.wrapping_add(1)
+                } else {
+                    n.wrapping_sub(1)
+                };
+                tokens[at] = value.to_string();
+                format!("token {at}: {n} -> {value}")
+            }
+            3 if tokens.len() > 1 => format!("deleted token {at} `{}`", tokens.remove(at)),
+            4 => {
+                let copy = tokens[at].clone();
+                tokens.insert(at, copy.clone());
+                format!("duplicated token {at} `{copy}`")
+            }
+            _ => {
+                let other = r.usize_range(0, tokens.len());
+                tokens.swap(at, other);
+                format!("swapped tokens {at} and {other}")
+            }
+        };
+        mutations.push(mutation);
+    }
+    Mutant {
+        base,
+        mutations,
+        text: tokens.join(" "),
+    }
+}
+
+fn check_mutant(bases: &Bases, m: &Mutant) -> Result<(), CaseError> {
+    let spec = &bases.specs[bases.checkpoints[m.base].0];
+    let run = catch_unwind(AssertUnwindSafe(|| resume(spec, 1, Some(&m.text))));
+    let Ok(result) = run else {
+        return Err(CaseError::Fail(format!(
+            "{} ({:?}): run_scenario_with panicked",
+            spec.name, m.mutations
+        )));
+    };
+    let Ok(outcome) = result else {
+        return Ok(());
+    };
+    // An accepted checkpoint is well formed: ten header tokens, then
+    // `resume <done> <tag> <trials> …`. Every trial past `done` must be
+    // folded on top of the `trials` it already counts.
+    let tokens: Vec<&str> = m.text.split_whitespace().collect();
+    let done: u64 = tokens[11].parse().expect("accepted, so decoded");
+    let counted: u64 = tokens[13].parse().expect("accepted, so decoded");
+    prop_assert_eq!(
+        outcome.trials,
+        counted + (spec.trials - done),
+        "{} ({:?}): a trial was not folded",
+        spec.name,
+        m.mutations
+    );
+    Ok(())
+}
+
+#[test]
+fn checkpoint_mutants_never_panic_and_fold_every_trial() {
+    let bases = bases();
+    // The unmutated bases resume to their scenario's full run.
+    for (i, text) in &bases.checkpoints {
+        let spec = &bases.specs[*i];
+        let plain = run_scenario(spec, 1).expect("zoo runs");
+        assert_eq!(resume(spec, 1, Some(text)).as_ref(), Ok(&plain));
+    }
+    Suite::new(0xC4EC_2005).cases(64).check(
+        "checkpoint_mutants_never_panic_and_fold_every_trial",
+        |r: &mut TkRng| arb_mutant(&bases, r),
+        |m| check_mutant(&bases, m),
+    );
+}

@@ -19,9 +19,9 @@
 //!   executor even at `--threads 1` (the digest does not change);
 //!   `--checkpoint FILE` streams resumable checkpoints to a file every
 //!   `--checkpoint-every` trials, and `--resume FILE` continues a
-//!   previously checkpointed run. Only cluster-family scenarios can be
-//!   checkpointed, so with either of those two flags `run` skips every
-//!   other family.
+//!   previously checkpointed run, of any family. A checkpoint names the
+//!   scenario it was written for, and resuming another scenario from it
+//!   is an error.
 //! * `verify` — the CI gate: every matching scenario runs at 1, 2 and
 //!   5 threads; the three outcomes must be bit-identical and match the
 //!   scenario's `pin`. Fails hard on drift or a missing pin.
@@ -43,10 +43,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use nlft_bbw::scenario::{
-    check_accept, run_scenario, run_scenario_with, ScenarioEngineOptions, ScenarioOutcome,
-};
+use nlft_bbw::scenario::{check_accept, run_scenario, run_scenario_with, ScenarioOutcome};
 use nlft_bench::cli::{unknown_flag, ArgCursor};
+use nlft_engine::EngineConfig;
 use nlft_reliability::scenario::{parse_scenario, ScenarioSpec};
 
 /// The `scenarios/` directory at the workspace root.
@@ -114,22 +113,10 @@ struct EngineFlags {
     resume: Option<PathBuf>,
 }
 
-impl EngineFlags {
-    /// Whether the run checkpoints or resumes, which only the cluster
-    /// family can.
-    fn checkpoints(&self) -> bool {
-        self.checkpoint.is_some() || self.resume.is_some()
-    }
-}
-
 fn cmd_run(zoo: &[(PathBuf, ScenarioSpec)], threads: usize, flags: &EngineFlags) -> bool {
     let mut ok = true;
     for (_, spec) in zoo {
         println!("== {} ({})", spec.name, spec.params.family());
-        if flags.checkpoints() && spec.params.family() != "cluster" {
-            println!("  skipped: checkpoint/resume flags apply to cluster-family scenarios only");
-            continue;
-        }
         let resume = match &flags.resume {
             Some(path) => match std::fs::read_to_string(path) {
                 Ok(text) => Some(text),
@@ -141,32 +128,31 @@ fn cmd_run(zoo: &[(PathBuf, ScenarioSpec)], threads: usize, flags: &EngineFlags)
             },
             None => None,
         };
-        let sink = flags.checkpoint.clone();
         let written = RefCell::new(0u64);
         let save = |done: u64, encoded: String| {
-            let path = sink.as_ref().expect("callback only wired with a sink");
+            let path = flags
+                .checkpoint
+                .as_ref()
+                .expect("callback only wired with a sink");
             if let Err(e) = std::fs::write(path, encoded) {
                 eprintln!("  checkpoint write FAILED at trial {done}: {e}");
             } else {
                 *written.borrow_mut() += 1;
             }
         };
-        let opts = ScenarioEngineOptions {
+        let engine = EngineConfig {
+            workers: threads,
             trial_budget: flags.trial_budget_ms.map(Duration::from_millis),
-            resume,
-            checkpoint_every: if flags.checkpoint.is_some() {
-                // A handful of snapshots per run unless the user pinned a cadence.
-                if flags.checkpoint_every > 0 {
-                    flags.checkpoint_every
-                } else {
-                    (spec.trials / 8).max(1)
-                }
-            } else {
-                0
+            // A handful of snapshots per run unless the user pinned a cadence.
+            checkpoint_every: match (&flags.checkpoint, flags.checkpoint_every) {
+                (None, _) => 0,
+                (Some(_), 0) => (spec.trials / 8).max(1),
+                (Some(_), every) => every,
             },
-            on_checkpoint: flags.checkpoint.is_some().then_some(&save as _),
+            ..EngineConfig::default()
         };
-        match run_scenario_with(spec, threads, &opts) {
+        let sink = flags.checkpoint.is_some().then_some(&save as _);
+        match run_scenario_with(spec, &engine, resume.as_deref(), sink) {
             Ok(outcome) => {
                 print_outcome(&outcome);
                 if let Some(path) = &flags.checkpoint {

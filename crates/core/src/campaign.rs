@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use nlft_engine::{EngineConfig, Tally};
+use nlft_engine::{EngineConfig, Tally, TrialCampaign};
 use nlft_kernel::escalation::{EscalationEvent, EscalationPolicy, NodeHealth};
 use nlft_kernel::tem::{InjectionPlan, JobFault, JobOutcome, TemConfig, TemExecutor};
 use nlft_machine::edm::{DetectionMatrix, Edm};
@@ -223,25 +223,56 @@ impl fmt::Display for CampaignResult {
 ///
 /// Panics if [`CampaignConfig::check`] rejects the config.
 pub fn run_campaign(config: &CampaignConfig, engine: &EngineConfig) -> CampaignResult {
+    let policy = config.policy;
+    let campaign = node_campaign(
+        config,
+        move |result: &mut CampaignResult, outcome| {
+            result.counts.absorb(policy, &outcome);
+            record_detection(&mut result.matrix, &outcome);
+        },
+        |into, from| into.merge(&from),
+    );
+    nlft_engine::run_trials(campaign, engine).acc
+}
+
+/// The campaign as a scenario runs it: the counters alone, with no
+/// Table 1 matrix.
+///
+/// # Panics
+///
+/// Panics if [`CampaignConfig::check`] rejects the config.
+pub fn tally_campaign(config: &CampaignConfig) -> impl TrialCampaign<Acc = CampaignCounts> {
+    let policy = config.policy;
+    node_campaign(
+        config,
+        move |counts: &mut CampaignCounts, outcome| counts.absorb(policy, &outcome),
+        |into, from| into.merge(&from),
+    )
+}
+
+/// The campaign, folding each trial's outcome into an `A` with `fold`.
+fn node_campaign<A: Default + Send + 'static>(
+    config: &CampaignConfig,
+    fold: impl Fn(&mut A, TrialOutcome),
+    merge: impl Fn(&mut A, A),
+) -> impl TrialCampaign<Acc = A> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     // Every trial forks its own stream from (seed, trial index) and the
     // engine folds block partials in block order regardless of worker
     // count, so parallelism only decides which worker runs a trial.
     let c = config.clone();
-    let campaign = nlft_engine::indexed_campaign(
+    nlft_engine::indexed_campaign(
         "core-fault-injection",
         "trial",
         config.trials,
-        CampaignResult::default,
-        move |trial, _ctx, result: &mut CampaignResult| {
+        A::default,
+        move |trial, _ctx, acc: &mut A| {
             let mut rng = RngStream::new(c.seed).fork_indexed("trial", trial);
             let workload = &c.workloads[(trial % c.workloads.len() as u64) as usize];
-            let verdict = run_trial(&c, workload, &mut rng);
-            record(result, c.policy, verdict);
+            fold(acc, run_trial(&c, workload, &mut rng));
         },
-        |into, from| into.merge(&from),
-    );
-    nlft_engine::run_trials(campaign, engine).acc
+        merge,
+    )
 }
 
 fn run_trial(config: &CampaignConfig, workload: &Workload, rng: &mut RngStream) -> TrialOutcome {
@@ -365,55 +396,49 @@ struct TrialOutcome {
     ecc_escaped: u64,
 }
 
-fn record(result: &mut CampaignResult, policy: NodePolicy, outcome: TrialOutcome) {
-    let counts = &mut result.counts;
-    counts.trials += 1;
-    counts.ecc_escaped += outcome.ecc_escaped;
-    let class = outcome.fault.map(|f| f.target.class());
-    match outcome.verdict {
-        Verdict::Benign => {
-            counts.param_benign += 1;
-            if let Some(c) = class {
-                result.matrix.record_benign(c);
+impl CampaignCounts {
+    /// Folds one trial's outcome under `policy`.
+    fn absorb(&mut self, policy: NodePolicy, outcome: &TrialOutcome) {
+        self.trials += 1;
+        self.ecc_escaped += outcome.ecc_escaped;
+        match outcome.verdict {
+            Verdict::Benign => self.param_benign += 1,
+            Verdict::Masked { .. } => {
+                self.param_detected += 1;
+                self.param_masked += 1;
             }
-        }
-        Verdict::Masked { detected_by } => {
-            counts.param_detected += 1;
-            counts.param_masked += 1;
-            if let Some(c) = class {
-                result.matrix.record_detection(c, detected_by);
+            Verdict::Omission { .. } => {
+                self.param_detected += 1;
+                self.param_omissions += 1;
             }
-        }
-        Verdict::Omission { detected_by } => {
-            counts.param_detected += 1;
-            counts.param_omissions += 1;
-            if let Some(c) = class {
-                result.matrix.record_detection(c, detected_by);
+            Verdict::Detected { .. } | Verdict::KernelError => {
+                self.param_detected += 1;
+                self.param_fail_silent += 1;
             }
+            Verdict::UndetectedWrongOutput => self.param_undetected += 1,
         }
-        Verdict::Detected { detected_by } => {
-            counts.param_detected += 1;
-            counts.param_fail_silent += 1;
-            if let Some(c) = class {
-                result.matrix.record_detection(c, detected_by);
-            }
-        }
-        Verdict::KernelError => {
-            counts.param_detected += 1;
-            counts.param_fail_silent += 1;
-        }
-        Verdict::UndetectedWrongOutput => {
-            counts.param_undetected += 1;
-            if let Some(c) = class {
-                result.matrix.record_undetected(c);
-            }
+        match NodeFailureMode::classify(policy, outcome.verdict) {
+            NodeFailureMode::Masked => self.masked += 1,
+            NodeFailureMode::Omission => self.omission += 1,
+            NodeFailureMode::FailSilent => self.fail_silent += 1,
+            NodeFailureMode::Undetected => self.undetected += 1,
         }
     }
-    match NodeFailureMode::classify(policy, outcome.verdict) {
-        NodeFailureMode::Masked => counts.masked += 1,
-        NodeFailureMode::Omission => counts.omission += 1,
-        NodeFailureMode::FailSilent => counts.fail_silent += 1,
-        NodeFailureMode::Undetected => counts.undetected += 1,
+}
+
+/// Records in `matrix` which EDM caught the trial's fault, by target
+/// class. A fault in kernel code has no class and is not recorded.
+fn record_detection(matrix: &mut DetectionMatrix, outcome: &TrialOutcome) {
+    let Some(class) = outcome.fault.map(|f| f.target.class()) else {
+        return;
+    };
+    match outcome.verdict {
+        Verdict::Benign => matrix.record_benign(class),
+        Verdict::Masked { detected_by }
+        | Verdict::Omission { detected_by }
+        | Verdict::Detected { detected_by } => matrix.record_detection(class, detected_by),
+        Verdict::KernelError => {}
+        Verdict::UndetectedWrongOutput => matrix.record_undetected(class),
     }
 }
 

@@ -21,8 +21,8 @@
 //! Results are bit-identical at any thread count (golden-pinned at
 //! 1/2/5 threads alongside the other campaign families).
 
-use nlft_engine::{EngineConfig, Tally};
-use nlft_kernel::multicore::MulticoreExecutive;
+use nlft_engine::{EngineConfig, Tally, TrialCampaign};
+use nlft_kernel::multicore::{MulticoreExecutive, MulticoreReport};
 use nlft_kernel::resources::{certify, left_rs_retry_term, ProtocolKind};
 use nlft_kernel::EscalationPolicy;
 use nlft_machine::fault::CoreDeathFault;
@@ -193,12 +193,15 @@ fn certified_retry_term_us(cores: u32) -> u64 {
         .unwrap_or(0)
 }
 
-fn run_multicore_trial(
-    config: &MulticoreCampaignConfig,
-    certified_term: u64,
-    trial: u64,
-    result: &mut MulticoreCampaignResult,
-) {
+/// What one trial observed: the sampled death and the lock-based and
+/// LEFT-RS runs under it.
+struct MulticoreTrial {
+    death: CoreDeathFault,
+    lock: MulticoreReport,
+    cas: MulticoreReport,
+}
+
+fn run_multicore_trial(config: &MulticoreCampaignConfig, trial: u64) -> MulticoreTrial {
     let mut rng = RngStream::new(config.seed).fork_indexed("multicore-trial", trial);
     let death = CoreDeathFault::sample(
         &mut rng,
@@ -206,14 +209,6 @@ fn run_multicore_trial(
         (config.horizon / 2).max(2),
         config.escalated_p,
     );
-    let c = &mut result.counts;
-    c.trials += 1;
-    if death.escalated {
-        c.escalated += 1;
-    } else {
-        c.crash += 1;
-    }
-
     let run = |kind: ProtocolKind| {
         let mut exec = MulticoreExecutive::reference(config.cores as usize, kind);
         if death.escalated {
@@ -222,34 +217,60 @@ fn run_multicore_trial(
         exec.inject(death);
         exec.run(config.horizon)
     };
+    MulticoreTrial {
+        death,
+        lock: run(ProtocolKind::LockBased),
+        cas: run(ProtocolKind::LeftRs),
+    }
+}
 
-    let lock = run(ProtocolKind::LockBased);
-    c.lock_deadlocks += lock.deadlocks;
-    c.lock_misses += lock.missed;
-    c.escalation_events += lock.escalations.len() as u64;
-    if death.escalated {
-        if lock.clean() {
-            c.lock_clean_escalated += 1;
+impl MulticoreCounts {
+    /// Folds one trial, judging its retry cost against the certified
+    /// retry term.
+    fn absorb(&mut self, t: &MulticoreTrial, certified_term: u64) {
+        let (lock, cas) = (&t.lock, &t.cas);
+        self.trials += 1;
+        if t.death.escalated {
+            self.escalated += 1;
+        } else {
+            self.crash += 1;
         }
-    } else if lock.clean() {
-        c.lock_clean_crash += 1;
-    } else {
-        c.lock_failed_crash += 1;
+        self.lock_deadlocks += lock.deadlocks;
+        self.lock_misses += lock.missed;
+        self.escalation_events += lock.escalations.len() as u64;
+        if t.death.escalated {
+            if lock.clean() {
+                self.lock_clean_escalated += 1;
+            }
+        } else if lock.clean() {
+            self.lock_clean_crash += 1;
+        } else {
+            self.lock_failed_crash += 1;
+        }
+        self.leftrs_misses += cas.missed;
+        self.leftrs_deadlocks += cas.deadlocks;
+        self.escalation_events += cas.escalations.len() as u64;
+        if cas.clean() {
+            self.leftrs_clean += 1;
+        }
+        self.leftrs_max_retries = self.leftrs_max_retries.max(u64::from(cas.max_retries));
+        if cas.max_retry_cost.as_micros() > certified_term {
+            self.retry_bound_breaches += 1;
+        }
     }
 
-    let cas = run(ProtocolKind::LeftRs);
-    c.leftrs_misses += cas.missed;
-    c.leftrs_deadlocks += cas.deadlocks;
-    c.escalation_events += cas.escalations.len() as u64;
-    if cas.clean() {
-        c.leftrs_clean += 1;
+    /// Certifies the reference node under LEFT-RS once, after the fold:
+    /// adds the tasks that fail to `uncertified_tasks` and returns how
+    /// many certify.
+    pub fn certify(&mut self, cores: u32) -> u64 {
+        let (set, map) = MulticoreExecutive::reference_workload(cores as usize);
+        let tasks = certify(&set, &map, ProtocolKind::LeftRs, cores, 1);
+        let certified = tasks.iter().filter(|c| c.response.is_some()).count() as u64;
+        self.uncertified_tasks = self
+            .uncertified_tasks
+            .saturating_add(tasks.len() as u64 - certified);
+        certified
     }
-    c.leftrs_max_retries = c.leftrs_max_retries.max(u64::from(cas.max_retries));
-    let cost = cas.max_retry_cost.as_micros();
-    if cost > certified_term {
-        c.retry_bound_breaches += 1;
-    }
-    result.leftrs_max_retry_cost_us = result.leftrs_max_retry_cost_us.max(cost);
 }
 
 /// Runs the campaign on `engine`; results are a pure function of the
@@ -262,33 +283,60 @@ pub fn run_multicore_campaign(
     config: &MulticoreCampaignConfig,
     engine: &EngineConfig,
 ) -> MulticoreCampaignResult {
-    config.check().unwrap_or_else(|e| panic!("{e}"));
-    // Every trial forks its own stream from (seed, trial index), so the
-    // engine's work distribution cannot perturb any drawn value;
-    // parallelism only decides which worker runs a trial.
-    let c = *config;
     let certified_term = certified_retry_term_us(config.cores);
-    let campaign = nlft_engine::indexed_campaign(
-        "core-multicore",
-        "multicore-trial",
-        config.trials,
-        MulticoreCampaignResult::default,
-        move |trial, _ctx, result: &mut MulticoreCampaignResult| {
-            run_multicore_trial(&c, certified_term, trial, result);
+    let campaign = multicore_campaign(
+        config,
+        move |result: &mut MulticoreCampaignResult, t| {
+            result.counts.absorb(&t, certified_term);
+            result.leftrs_max_retry_cost_us = result
+                .leftrs_max_retry_cost_us
+                .max(t.cas.max_retry_cost.as_micros());
         },
         |into, from| into.merge(&from),
     );
     let mut total = nlft_engine::run_trials(campaign, engine).acc;
-    let (set, map) = MulticoreExecutive::reference_workload(config.cores as usize);
-    for c in certify(&set, &map, ProtocolKind::LeftRs, config.cores, 1) {
-        if c.response.is_some() {
-            total.certified_tasks += 1;
-        } else {
-            total.counts.uncertified_tasks += 1;
-        }
-    }
-    total.certified_retry_term_us = certified_retry_term_us(config.cores);
+    total.certified_tasks = total.counts.certify(config.cores);
+    total.certified_retry_term_us = certified_term;
     total
+}
+
+/// The campaign as a scenario runs it: the counters alone. No trial
+/// adds to `uncertified_tasks`; call [`MulticoreCounts::certify`] once
+/// on the folded counts.
+///
+/// # Panics
+///
+/// Panics if [`MulticoreCampaignConfig::check`] rejects the config.
+pub fn tally_campaign(
+    config: &MulticoreCampaignConfig,
+) -> impl TrialCampaign<Acc = MulticoreCounts> {
+    let certified_term = certified_retry_term_us(config.cores);
+    multicore_campaign(
+        config,
+        move |counts: &mut MulticoreCounts, t| counts.absorb(&t, certified_term),
+        |into, from| into.merge(&from),
+    )
+}
+
+/// The campaign, folding each trial's observation into an `A` with
+/// `fold`. Every trial forks its own stream from (seed, trial index),
+/// so the engine's work distribution cannot perturb any drawn value;
+/// parallelism only decides which worker runs a trial.
+fn multicore_campaign<A: Default + Send + 'static>(
+    config: &MulticoreCampaignConfig,
+    fold: impl Fn(&mut A, MulticoreTrial),
+    merge: impl Fn(&mut A, A),
+) -> impl TrialCampaign<Acc = A> {
+    config.check().unwrap_or_else(|e| panic!("{e}"));
+    let c = *config;
+    nlft_engine::indexed_campaign(
+        "core-multicore",
+        "multicore-trial",
+        config.trials,
+        A::default,
+        move |trial, _ctx, acc: &mut A| fold(acc, run_multicore_trial(&c, trial)),
+        merge,
+    )
 }
 
 #[cfg(test)]

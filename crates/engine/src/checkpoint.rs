@@ -48,7 +48,8 @@ impl<'a> TokenReader<'a> {
         }
     }
 
-    fn next(&mut self) -> Result<&'a str, String> {
+    /// Consumes one token.
+    pub fn next_token(&mut self) -> Result<&'a str, String> {
         self.tokens
             .next()
             .ok_or_else(|| "checkpoint truncated".to_string())
@@ -56,7 +57,7 @@ impl<'a> TokenReader<'a> {
 
     /// Consumes one token and requires it to equal `tag`.
     pub fn expect_tag(&mut self, tag: &str) -> Result<(), String> {
-        let t = self.next()?;
+        let t = self.next_token()?;
         if t == tag {
             Ok(())
         } else {
@@ -66,19 +67,19 @@ impl<'a> TokenReader<'a> {
 
     /// Consumes one decimal `u64` token.
     pub fn next_u64(&mut self) -> Result<u64, String> {
-        let t = self.next()?;
+        let t = self.next_token()?;
         t.parse().map_err(|_| format!("bad u64 token `{t}`"))
     }
 
     /// Consumes one `usize` token.
     pub(crate) fn next_usize(&mut self) -> Result<usize, String> {
-        let t = self.next()?;
+        let t = self.next_token()?;
         t.parse().map_err(|_| format!("bad usize token `{t}`"))
     }
 
     /// Consumes one `f64` token serialised as hex bits (`0x…`).
     pub(crate) fn next_f64(&mut self) -> Result<f64, String> {
-        let t = self.next()?;
+        let t = self.next_token()?;
         let hex = t
             .strip_prefix("0x")
             .ok_or_else(|| format!("bad f64-bits token `{t}`"))?;

@@ -76,6 +76,7 @@ fn generated_tally_merges_splits_and_round_trips_its_checkpoint() {
             whole.verdicts(),
             vec![("passed", whole.passed), ("failed", whole.failed)]
         );
+        prop_assert_eq!(whole.ladder_total(), u128::from(whole.trials()));
         prop_assert_eq!(
             whole.metrics(),
             vec![("work", whole.work), ("peak", whole.peak)]

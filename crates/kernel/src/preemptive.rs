@@ -147,7 +147,10 @@ pub struct ResidentStats {
     /// Exception aborts (non-critical: task shut down; critical: copy
     /// replaced, an ECC trap while reading its state window included).
     pub exceptions: u64,
-    /// TEM copies executed (critical tasks only).
+    /// TEM copies that halted with a result (critical tasks only). A
+    /// copy killed by the execution-time monitor is counted in
+    /// `overruns` instead, and one that raised an exception, or was
+    /// trapped by ECC reading its state window, in `exceptions`.
     pub copies: u64,
     /// Jobs delivered after masking an error (critical tasks only).
     pub masked: u64,

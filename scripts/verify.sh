@@ -58,27 +58,23 @@ fi
 echo "== scenario zoo: golden pins at 1/2/5 threads =="
 cargo run --release --offline -p nlft-bench --bin scenario_run -- verify
 
-# Engine gate: zoo scenarios re-run on the threaded executor with the
-# watchdog armed must reproduce their golden pins — `run` re-checks the
-# pin via the acceptance clause — and so must a checkpoint/resume round
-# trip through the CLI flags. `wheel-restart-under-blackout` drives the
-# supervised escalation ladder through a network outage.
+# Engine gate: one zoo scenario per family re-runs on the threaded
+# executor with the watchdog armed and must reproduce its golden pin —
+# `run` re-checks the pin via the acceptance clause — and so must a
+# checkpoint/resume round trip through the CLI flags.
+# `wheel-restart-under-blackout` drives the supervised escalation ladder
+# through a network outage.
 echo "== scenario zoo: watchdog-armed executor and checkpoint/resume =="
 ckpt="$(mktemp)"
 trap 'rm -f "$ckpt"' EXIT
-for scenario in babbling-wheel wheel-restart-under-blackout; do
+for scenario in babbling-wheel wheel-restart-under-blackout net-storm-nominal \
+    value-single-fault-coverage full-blackout-coldstart recovery-ladder-mix \
+    weakly-hard-nominal-storm core-death-mid-section node-nlft-reference; do
     cargo run --release --offline -p nlft-bench --bin scenario_run -- \
         run "$scenario" --threads 4 --trial-budget-ms 10000 \
         --checkpoint "$ckpt" --checkpoint-every 4
     cargo run --release --offline -p nlft-bench --bin scenario_run -- \
         run "$scenario" --resume "$ckpt"
-done
-# The watchdog-armed executor runs every other family too: one zoo
-# scenario per non-cluster family must reproduce its pin under it.
-for scenario in net-storm-nominal value-single-fault-coverage full-blackout-coldstart \
-    recovery-ladder-mix weakly-hard-nominal-storm core-death-mid-section node-nlft-reference; do
-    cargo run --release --offline -p nlft-bench --bin scenario_run -- \
-        run "$scenario" --threads 4 --trial-budget-ms 10000
 done
 
 # Model text fuzzing: the two mutation properties once more, over a far
@@ -90,6 +86,11 @@ done
 # the parser or the evaluation of what it accepts.
 echo "== scenario zoo: mutation property, 100000 cases, overflow checks on =="
 NLFT_PROP_CASES=100000 cargo test --profile fuzz --offline -q -p nlft-bbw --test zoo_mutations
+# Checkpoint text fuzzing: mutated checkpoints of every family never
+# panic a resumed run, and one that resumes folds every trial it runs.
+echo "== checkpoints: mutation property, 20000 cases, overflow checks on =="
+NLFT_PROP_CASES=20000 cargo test --profile fuzz --offline -q -p nlft-bbw --test checkpoints \
+    checkpoint_mutants_never_panic_and_fold_every_trial
 echo "== SHARPE models: mutation property, 100000 cases, overflow checks on =="
 NLFT_PROP_CASES=100000 cargo test --profile fuzz --offline -q -p nlft-reliability --test sharpe_mutations
 
