@@ -479,6 +479,42 @@ static CLUSTER_WORKLOADS: LazyLock<ClusterWorkloads> = LazyLock::new(|| {
     }
 });
 
+/// Whether a dual-core node under `kind` rides out a core death: replays
+/// the death against the node's substrate — the reference 2-core
+/// workload with the fault placed mid-critical-section on core 0,
+/// exactly as in `nlft_core::run_multicore_campaign`. The node lives iff
+/// the surviving core's tasks stay clean — LEFT-RS ignores the dead
+/// snapshot holder, a leaked spin lock wedges the lock-based substrate.
+fn replay_core_death(kind: ProtocolKind, escalated: bool) -> bool {
+    let mut exec = MulticoreExecutive::reference(2, kind);
+    if escalated {
+        exec.supervise(0, EscalationPolicy::default());
+    }
+    exec.inject(CoreDeathFault {
+        core: 0,
+        at_tick: 100,
+        in_section: true,
+        escalated,
+    });
+    exec.run(2_000).clean()
+}
+
+/// [`replay_core_death`] for both protocols, crash and escalated, built
+/// once per process: the replay depends on nothing else.
+static CORE_DEATH_RIDE_THROUGH: LazyLock<[[bool; 2]; 2]> = LazyLock::new(|| {
+    [ProtocolKind::LockBased, ProtocolKind::LeftRs]
+        .map(|kind| [false, true].map(|escalated| replay_core_death(kind, escalated)))
+});
+
+/// [`replay_core_death`], looked up in [`CORE_DEATH_RIDE_THROUGH`].
+fn rides_through_core_death(kind: ProtocolKind, escalated: bool) -> bool {
+    let row = match kind {
+        ProtocolKind::LockBased => 0,
+        ProtocolKind::LeftRs => 1,
+    };
+    CORE_DEATH_RIDE_THROUGH[row][usize::from(escalated)]
+}
+
 /// The running cluster.
 pub struct BbwCluster {
     bus: Bus,
@@ -745,26 +781,7 @@ impl BbwCluster {
             return false;
         };
         let survived = match station.dual_core {
-            Some(kind) if !station.core_dead => {
-                // Replay the death against the node's substrate: the
-                // reference 2-core workload with the fault placed
-                // mid-critical-section on core 0, exactly as in
-                // `nlft_core::run_multicore_campaign`. The node lives iff
-                // the surviving core's tasks stay clean — LEFT-RS ignores
-                // the dead snapshot holder, a leaked spin lock wedges the
-                // lock-based substrate.
-                let mut exec = MulticoreExecutive::reference(2, kind);
-                if escalated {
-                    exec.supervise(0, EscalationPolicy::default());
-                }
-                exec.inject(CoreDeathFault {
-                    core: 0,
-                    at_tick: 100,
-                    in_section: true,
-                    escalated,
-                });
-                exec.run(2_000).clean()
-            }
+            Some(kind) if !station.core_dead => rides_through_core_death(kind, escalated),
             _ => false,
         };
         station.core_dead = true;
@@ -1321,6 +1338,20 @@ mod tests {
             .with_node(node, rates)
             .window(from, until);
         cluster.attach_net_faults(plan, RngStream::new(0xC0DE).fork("net-injector"));
+    }
+
+    #[test]
+    fn cached_core_death_replays_equal_fresh_ones() {
+        for kind in [ProtocolKind::LockBased, ProtocolKind::LeftRs] {
+            for escalated in [false, true] {
+                assert_eq!(
+                    rides_through_core_death(kind, escalated),
+                    replay_core_death(kind, escalated),
+                    "{} escalated={escalated}",
+                    kind.name()
+                );
+            }
+        }
     }
 
     #[test]

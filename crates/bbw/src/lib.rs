@@ -90,7 +90,7 @@ pub use recovery::{
 };
 pub use scenario::{
     check_accept, compile, run_compiled, run_scenario, ClusterScenarioConfig, CompileError,
-    CompiledFamily, CompiledScenario, ScenarioOutcome,
+    CompiledFamily, CompiledScenario, RunError, ScenarioOutcome,
 };
 pub use sensor::{PedalSensorArray, PedalVoterConfig, SensorFault, PEDAL_MAX};
 pub use value_campaign::{

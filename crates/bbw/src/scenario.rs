@@ -67,6 +67,33 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
+/// Why [`run_scenario_with`] returned no outcome.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The scenario does not compile onto its runner.
+    Compile(CompileError),
+    /// The resume checkpoint does not continue this scenario.
+    Resume {
+        /// The scenario's name.
+        scenario: String,
+        /// Why the checkpoint was rejected.
+        message: String,
+    },
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Compile(e) => e.fmt(f),
+            RunError::Resume { scenario, message } => {
+                write!(f, "scenario `{scenario}`: bad resume checkpoint: {message}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
 /// A scenario compiled onto its concrete runner configuration.
 #[derive(Debug, Clone)]
 pub struct CompiledScenario {
@@ -505,7 +532,7 @@ pub fn run_compiled(name: &str, compiled: &CompiledScenario) -> ScenarioOutcome 
 /// Parses nothing, compiles nothing: runs an already-parsed scenario
 /// end to end at the given thread count.
 pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutcome, CompileError> {
-    run_scenario_with(spec, &EngineConfig::with_workers(threads), None, None)
+    Ok(run_compiled(&spec.name, &compile(spec, threads)?))
 }
 
 /// [`run_scenario`] on an explicit engine configuration — workers,
@@ -516,14 +543,14 @@ pub fn run_scenario(spec: &ScenarioSpec, threads: usize) -> Result<ScenarioOutco
 /// header naming its scenario, family, seed and trial count and a CRC-32
 /// of the scenario's canonical text; a resume checkpoint whose header
 /// does not match this scenario, or one that disagrees with itself, is
-/// a [`CompileError`].
+/// a [`RunError::Resume`].
 pub fn run_scenario_with(
     spec: &ScenarioSpec,
     engine: &EngineConfig,
     resume: Option<&str>,
     on_checkpoint: Option<&dyn Fn(u64, String)>,
-) -> Result<ScenarioOutcome, CompileError> {
-    let compiled = compile(spec, engine.workers)?;
+) -> Result<ScenarioOutcome, RunError> {
+    let compiled = compile(spec, engine.workers).map_err(RunError::Compile)?;
     let run = ScenarioRun {
         name: &spec.name,
         engine: engine.clone(),
@@ -537,10 +564,11 @@ pub fn run_scenario_with(
         resume,
         sink: on_checkpoint,
     };
-    run.family(&compiled.family).map_err(|e| CompileError {
-        scenario: spec.name.clone(),
-        message: format!("bad resume checkpoint: {e}"),
-    })
+    run.family(&compiled.family)
+        .map_err(|message| RunError::Resume {
+            scenario: spec.name.clone(),
+            message,
+        })
 }
 
 /// The header that binds a checkpoint to its scenario: `field value`
@@ -1130,7 +1158,7 @@ mod tests {
     fn run_saving(
         spec: &ScenarioSpec,
         engine: &EngineConfig,
-    ) -> (Result<ScenarioOutcome, CompileError>, Vec<(u64, String)>) {
+    ) -> (Result<ScenarioOutcome, RunError>, Vec<(u64, String)>) {
         let saved = std::sync::Mutex::new(Vec::new());
         let record = |done: u64, text: String| saved.lock().unwrap().push((done, text));
         let outcome = run_scenario_with(spec, engine, None, Some(&record));
@@ -1138,7 +1166,7 @@ mod tests {
     }
 
     /// [`resumed`] run from `checkpoint`.
-    fn resume_from(checkpoint: &str) -> Result<ScenarioOutcome, CompileError> {
+    fn resume_from(checkpoint: &str) -> Result<ScenarioOutcome, RunError> {
         run_scenario_with(
             &resumed(),
             &EngineConfig::with_workers(2),
@@ -1165,8 +1193,10 @@ mod tests {
 
     fn assert_rejected(checkpoint: &str, why: &str) {
         let e = resume_from(checkpoint).expect_err(why);
-        assert!(e.message.starts_with("bad resume checkpoint: "), "{e}");
-        assert!(e.message.contains(why), "{e}");
+        let RunError::Resume { message, .. } = &e else {
+            panic!("{e}");
+        };
+        assert!(message.contains(why), "{e}");
     }
 
     #[test]

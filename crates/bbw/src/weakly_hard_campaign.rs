@@ -13,9 +13,10 @@
 //!   [`nlft_sim::weakly_hard::WeaklyHard`] monitor for the task's
 //!   (m,k) contract,
 //! * compares the worst observed window against the offline
-//!   [`analyse_weakly_hard`] bound for that trial's fault interval —
-//!   **no trial may ever beat the bound, and no certified contract may
-//!   ever be violated** (the cross-check this campaign exists for), and
+//!   [`nlft_kernel::analysis::weakly_hard_bound`] for that trial's fault
+//!   interval — **no trial may ever beat the bound, and no certified
+//!   contract may ever be violated** (the cross-check this campaign
+//!   exists for), and
 //! * scores the pattern's braking-distance degradation against the
 //!   clean twin with the braking model, so the worst pattern is reported
 //!   in metres lost, not just misses counted.
@@ -29,9 +30,11 @@
 //! pins at 1/2/5 threads.
 
 use nlft_engine::{EngineConfig, Tally, TrialCampaign};
-use nlft_kernel::analysis::{analyse_weakly_hard, MissModel, TemCosts};
+use nlft_kernel::analysis::{
+    faults_tolerated, tem_recovery_cost, weakly_hard_bound, MissModel, TemCosts,
+};
 use nlft_kernel::contract::MkContract;
-use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpecBuilder};
+use nlft_kernel::task::{Criticality, Priority, TaskId, TaskSet, TaskSpec, TaskSpecBuilder};
 use nlft_sim::rng::RngStream;
 use nlft_sim::time::SimDuration;
 
@@ -356,9 +359,10 @@ fn miss_pattern_campaign<A: Default + Send + 'static>(
 /// What every trial of a campaign shares, built once per campaign.
 struct CampaignInvariants {
     /// The brake controller under contract.
-    set: TaskSet,
-    /// TEM overheads for the fault-recovery RTA.
-    costs: TemCosts,
+    controller: TaskSpec,
+    /// Faults one controller job absorbs under TEM recovery: the
+    /// fault-recovery RTA, which no trial's fault interval changes.
+    tolerated: Option<u32>,
     /// The vehicle each pattern brakes.
     braking: BrakingModel,
     /// `braking.brake(&[], policy)`: the all-hit clean twin every score
@@ -369,9 +373,12 @@ struct CampaignInvariants {
 impl CampaignInvariants {
     fn new(policy: MissPolicy) -> Self {
         let braking = BrakingModel::nominal();
+        let set = brake_task_set();
+        let costs = TemCosts::nominal();
+        let controller = set.get(TaskId(1)).expect("brake controller").clone();
         CampaignInvariants {
-            set: brake_task_set(),
-            costs: TemCosts::nominal(),
+            tolerated: faults_tolerated(&set, &controller, |k| tem_recovery_cost(k, &costs)),
+            controller,
             braking,
             clean: braking.brake(&[], policy),
         }
@@ -412,12 +419,7 @@ fn run_miss_pattern_trial(
     let strategy = STRATEGIES[rng.uniform_range(0, STRATEGIES.len() as u64) as usize];
 
     // The offline certificate for this trial's fault interval.
-    let bound = &analyse_weakly_hard(
-        &inv.set,
-        &[(TaskId(1), config.contract)],
-        us(tf_us),
-        &inv.costs,
-    )[0];
+    let bound = weakly_hard_bound(&inv.controller, config.contract, inv.tolerated, us(tf_us));
     let model = MissModel {
         period: us(PERIOD_US),
         deadline: us(DEADLINE_US),

@@ -19,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use nlft_bbw::scenario::{run_scenario, run_scenario_with, CompileError, ScenarioOutcome};
+use nlft_bbw::scenario::{run_scenario, run_scenario_with, RunError, ScenarioOutcome};
 use nlft_engine::EngineConfig;
 use nlft_reliability::scenario::{parse_scenario, ScenarioSpec};
 use nlft_testkit::prop::{CaseError, Suite};
@@ -51,7 +51,7 @@ fn resume(
     spec: &ScenarioSpec,
     workers: usize,
     text: Option<&str>,
-) -> Result<ScenarioOutcome, CompileError> {
+) -> Result<ScenarioOutcome, RunError> {
     run_scenario_with(spec, &EngineConfig::with_workers(workers), text, None)
 }
 
@@ -94,9 +94,12 @@ fn every_family_resumes_from_every_checkpoint_to_its_pin() {
 fn assert_bound(from: &str, into: &str) {
     let (_, text) = checkpoints(&by_name(from), 4).pop().expect("a checkpoint");
     let e = resume(&by_name(into), 1, Some(&text)).expect_err(into);
-    assert_eq!(e.scenario, into);
+    let RunError::Resume { scenario, message } = &e else {
+        panic!("{e}");
+    };
+    assert_eq!(scenario, into);
     assert!(
-        e.message.contains(&format!(
+        message.contains(&format!(
             "checkpoint scenario `{from}` is not this scenario's `{into}`"
         )),
         "{e}"

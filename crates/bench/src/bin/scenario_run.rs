@@ -10,6 +10,9 @@
 //! cargo run --release --bin scenario_run -- pin [filter]
 //! ```
 //!
+//! Every command reads the `*.scn` files of the workspace's `scenarios/`
+//! directory, or of the directory `--zoo DIR` names.
+//!
 //! * `list` — names, families and trial counts, optionally filtered by
 //!   substring.
 //! * `run` — run matching scenarios, print their verdict/metric
@@ -21,7 +24,8 @@
 //!   `--checkpoint-every` trials, and `--resume FILE` continues a
 //!   previously checkpointed run, of any family. A checkpoint names the
 //!   scenario it was written for, and resuming another scenario from it
-//!   is an error.
+//!   is an error: `run` reports a scenario that does not compile as
+//!   `compile FAILED: …` and a rejected checkpoint as `resume FAILED: …`.
 //! * `verify` — the CI gate: every matching scenario runs at 1, 2 and
 //!   5 threads; the three outcomes must be bit-identical and match the
 //!   scenario's `pin`. Fails hard on drift or a missing pin.
@@ -43,7 +47,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use nlft_bbw::scenario::{check_accept, run_scenario, run_scenario_with, ScenarioOutcome};
+use nlft_bbw::scenario::{
+    check_accept, run_scenario, run_scenario_with, RunError, ScenarioOutcome,
+};
 use nlft_bench::cli::{unknown_flag, ArgCursor};
 use nlft_engine::EngineConfig;
 use nlft_reliability::scenario::{parse_scenario, ScenarioSpec};
@@ -56,10 +62,10 @@ fn zoo_dir() -> PathBuf {
         .join("scenarios")
 }
 
-/// Loads every `*.scn` file, sorted by file name for a stable order.
-fn load_zoo(filter: Option<&str>) -> Result<Vec<(PathBuf, ScenarioSpec)>, String> {
-    let dir = zoo_dir();
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+/// Loads every `*.scn` file in `dir`, sorted by file name for a stable
+/// order.
+fn load_zoo(dir: &Path, filter: Option<&str>) -> Result<Vec<(PathBuf, ScenarioSpec)>, String> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|ext| ext == "scn"))
@@ -174,7 +180,11 @@ fn cmd_run(zoo: &[(PathBuf, ScenarioSpec)], threads: usize, flags: &EngineFlags)
             }
             Err(e) => {
                 ok = false;
-                println!("  compile FAILED: {e}");
+                let stage = match e {
+                    RunError::Compile(_) => "compile",
+                    RunError::Resume { .. } => "resume",
+                };
+                println!("  {stage} FAILED: {e}");
             }
         }
     }
@@ -249,6 +259,7 @@ fn cmd_pin(zoo: &[(PathBuf, ScenarioSpec)]) -> bool {
 struct Args {
     command: String,
     filter: Option<String>,
+    zoo: PathBuf,
     threads: usize,
     flags: EngineFlags,
 }
@@ -261,11 +272,13 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
         command: it.next().unwrap_or("list").to_string(),
         filter: None,
+        zoo: zoo_dir(),
         threads: 1,
         flags: EngineFlags::default(),
     };
     while let Some(arg) = it.next() {
         match arg {
+            "--zoo" => parsed.zoo = PathBuf::from(it.value(arg)?),
             "--threads" => parsed.threads = it.positive(arg)?,
             "--trial-budget-ms" => parsed.flags.trial_budget_ms = Some(it.positive(arg)?),
             "--checkpoint" => parsed.flags.checkpoint = Some(PathBuf::from(it.value(arg)?)),
@@ -288,6 +301,7 @@ fn main() -> ExitCode {
     let Args {
         command,
         filter,
+        zoo,
         threads,
         flags,
     } = match parse_args(&argv) {
@@ -297,7 +311,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let zoo = match load_zoo(filter.as_deref()) {
+    let zoo = match load_zoo(&zoo, filter.as_deref()) {
         Ok(zoo) => zoo,
         Err(e) => {
             eprintln!("error: {e}");
@@ -341,11 +355,12 @@ mod tests {
     fn parses_a_full_run_line() {
         let args = parse(
             "run babbling --threads 4 --trial-budget-ms 250 \
-             --checkpoint ck --checkpoint-every 3 --resume ck",
+             --checkpoint ck --checkpoint-every 3 --resume ck --zoo zoo",
         )
         .expect("valid line");
         assert_eq!(args.command, "run");
         assert_eq!(args.filter.as_deref(), Some("babbling"));
+        assert_eq!(args.zoo, PathBuf::from("zoo"));
         assert_eq!(args.threads, 4);
         assert_eq!(
             args.flags,
@@ -358,6 +373,7 @@ mod tests {
         );
         let bare = parse("").expect("empty line lists");
         assert_eq!((bare.command.as_str(), bare.threads), ("list", 1));
+        assert_eq!(bare.zoo, zoo_dir());
     }
 
     #[test]
@@ -382,6 +398,7 @@ mod tests {
             "--checkpoint",
             "--checkpoint-every",
             "--resume",
+            "--zoo",
         ] {
             let e = parse(&format!("run {flag}")).unwrap_err();
             assert!(e.contains(&format!("`{flag}` needs a value")), "{e}");

@@ -35,9 +35,11 @@ use nlft_sim::rng::RngStream;
 pub const MAX_CORES: u32 = 16;
 
 /// Longest executive horizon, in ticks, a campaign may ask for. A trial
-/// steps the executive once per tick, twice over (lock-based and
-/// LEFT-RS), so the horizon bounds a trial's run time; one million ticks
-/// (one second of node time) is 250 times the zoo's 4 000.
+/// runs the executive twice (lock-based and LEFT-RS), and a run costs
+/// its events — releases, deadlines, phase ends and death strikes — not
+/// its ticks. Events grow with the horizon over the task periods, so the
+/// horizon still bounds a trial's run time; one million ticks (one
+/// second of node time) is 250 times the zoo's 4 000.
 pub const MAX_HORIZON: u64 = 1_000_000;
 
 /// Configuration of [`run_multicore_campaign`].

@@ -86,7 +86,7 @@ pub fn tem_transform(set: &TaskSet, costs: &TemCosts) -> TaskSet {
 
 /// Worst-case cost of recovering task `t` under TEM: one more execution,
 /// a context restore, and the majority vote.
-pub(crate) fn tem_recovery_cost(t: &TaskSpec, costs: &TemCosts) -> SimDuration {
+pub fn tem_recovery_cost(t: &TaskSpec, costs: &TemCosts) -> SimDuration {
     match t.criticality {
         Criticality::Critical => t.wcet + costs.context_restore + costs.vote,
         // Non-critical tasks are not recovered: they are shut down.
@@ -455,47 +455,69 @@ pub fn analyse_weakly_hard(
         .iter()
         .map(|&(id, contract)| {
             let task = set.get(id).expect("contract for unknown task");
-            match faults_tolerated(set, task, |k| tem_recovery_cost(k, costs)) {
-                None => WeaklyHardBound {
-                    id,
-                    name: task.name.clone(),
-                    contract,
-                    tolerated_faults: None,
-                    worst_misses: contract.window,
-                    worst_pattern: vec![true; contract.window as usize],
-                    satisfied: false,
-                },
-                Some(t) if t >= MAX_TOLERATED_FAULTS => WeaklyHardBound {
-                    id,
-                    name: task.name.clone(),
-                    contract,
-                    tolerated_faults: Some(t),
-                    worst_misses: 0,
-                    worst_pattern: vec![false; contract.window as usize],
-                    satisfied: true,
-                },
-                Some(t) => {
-                    let model = MissModel {
-                        period: task.period,
-                        deadline: task.deadline,
-                        fault_interval,
-                        tolerated: t,
-                    };
-                    let (worst_pattern, _) = model.worst_pattern(contract.window);
-                    let worst_misses = worst_pattern.iter().filter(|&&m| m).count() as u32;
-                    WeaklyHardBound {
-                        id,
-                        name: task.name.clone(),
-                        contract,
-                        tolerated_faults: Some(t),
-                        worst_misses,
-                        satisfied: worst_misses <= contract.max_misses,
-                        worst_pattern,
-                    }
-                }
-            }
+            let tolerated = faults_tolerated(set, task, |k| tem_recovery_cost(k, costs));
+            weakly_hard_bound(task, contract, tolerated, fault_interval)
         })
         .collect()
+}
+
+/// The weakly-hard verdict for one `contract` on `task`, whose jobs each
+/// absorb `tolerated` faults ([`faults_tolerated`]; `None` =
+/// unschedulable fault-free) arriving `fault_interval` apart — the
+/// per-contract rule of [`analyse_weakly_hard`], for a caller that
+/// bounds many fault intervals of one task set and computes `tolerated`
+/// once.
+///
+/// # Panics
+///
+/// Panics when `fault_interval` is zero.
+pub fn weakly_hard_bound(
+    task: &TaskSpec,
+    contract: MkContract,
+    tolerated: Option<u32>,
+    fault_interval: SimDuration,
+) -> WeaklyHardBound {
+    assert!(!fault_interval.is_zero(), "fault interval must be positive");
+    let id = task.id;
+    match tolerated {
+        None => WeaklyHardBound {
+            id,
+            name: task.name.clone(),
+            contract,
+            tolerated_faults: None,
+            worst_misses: contract.window,
+            worst_pattern: vec![true; contract.window as usize],
+            satisfied: false,
+        },
+        Some(t) if t >= MAX_TOLERATED_FAULTS => WeaklyHardBound {
+            id,
+            name: task.name.clone(),
+            contract,
+            tolerated_faults: Some(t),
+            worst_misses: 0,
+            worst_pattern: vec![false; contract.window as usize],
+            satisfied: true,
+        },
+        Some(t) => {
+            let model = MissModel {
+                period: task.period,
+                deadline: task.deadline,
+                fault_interval,
+                tolerated: t,
+            };
+            let (worst_pattern, _) = model.worst_pattern(contract.window);
+            let worst_misses = worst_pattern.iter().filter(|&&m| m).count() as u32;
+            WeaklyHardBound {
+                id,
+                name: task.name.clone(),
+                contract,
+                tolerated_faults: Some(t),
+                worst_misses,
+                satisfied: worst_misses <= contract.max_misses,
+                worst_pattern,
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -21,6 +21,9 @@
 //! also applies to a core silenced organically by its supervisor
 //! observing errored jobs, closing the PR 3 escalation/resource hazard.
 //!
+//! The semantics stay 1 µs ticks; [`MulticoreExecutive::run`] skips the
+//! quiet ticks between events in one step.
+//!
 //! Everything is integer tick arithmetic: runs are bit-deterministic and
 //! contain no RNG, which is what lets campaign trials fork one labelled
 //! stream per trial and stay bit-identical at any thread count.
@@ -54,7 +57,6 @@ struct Job {
     phase: Phase,
     done: u64,
     retries: u32,
-    blocked_on_dead: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -348,15 +350,16 @@ impl MulticoreExecutive {
     }
 
     /// Effective priority of resident `i`'s active job: the SRP ceiling
-    /// boosts a job for as long as it is inside its section.
-    fn effective_priority(&self, i: usize) -> (Priority, TaskId) {
+    /// boosts a job for as long as it is inside its section, and a job
+    /// only as high as the ceiling does not preempt it — the in-section
+    /// job wins the tie.
+    fn effective_priority(&self, i: usize) -> (Priority, bool, TaskId) {
         let r = &self.residents[i];
         let base = r.priority;
-        let boosted = match (r.job.as_ref().map(|j| j.phase), r.section) {
-            (Some(Phase::InSection), Some((res, _))) => base.min(self.ceiling(res)),
-            _ => base,
-        };
-        (boosted, r.id)
+        match (r.job.as_ref().map(|j| j.phase), r.section) {
+            (Some(Phase::InSection), Some((res, _))) => (base.min(self.ceiling(res)), false, r.id),
+            _ => (base, true, r.id),
+        }
     }
 
     /// Silences `core` in an orderly fashion: jobs are discarded and any
@@ -419,18 +422,118 @@ impl MulticoreExecutive {
 
     /// Runs the executive for `horizon` ticks (1 tick = 1 µs) and
     /// reports. Call once per instance.
+    ///
+    /// Steps from event to event: after each tick that changes the
+    /// schedule, the ticks up to the next event, which only count up the
+    /// running jobs' progress, are burnt in one step. The report is the
+    /// one a tick-by-tick run gives.
     pub fn run(&mut self, horizon: u64) -> MulticoreReport {
+        let mut now = 0;
+        while now < horizon {
+            self.tick(now);
+            let quiet = self.quiet_ticks(now).min(horizon - now - 1);
+            self.burn(quiet);
+            now += quiet + 1;
+        }
+        self.report(horizon)
+    }
+
+    /// The tick-by-tick run [`run`](Self::run) must reproduce.
+    #[cfg(test)]
+    fn run_ticks(&mut self, horizon: u64) -> MulticoreReport {
         for now in 0..horizon {
-            self.abort_overdue(now);
-            self.release_jobs(now);
-            self.strike_deaths(now);
-            for core in 0..self.cores.len() {
-                if !self.cores[core].down() {
-                    self.execute_core(core, now);
+            self.tick(now);
+        }
+        self.report(horizon)
+    }
+
+    /// One tick: abort overdue jobs, release, strike deaths, then
+    /// execute each core that is up.
+    fn tick(&mut self, now: u64) {
+        self.abort_overdue(now);
+        self.release_jobs(now);
+        self.strike_deaths(now);
+        for core in 0..self.cores.len() {
+            if !self.cores[core].down() {
+                self.execute_core(core, now);
+            }
+        }
+    }
+
+    /// How many ticks after `now` change nothing but the `done` counters
+    /// of the jobs the up cores run. The tick of the next release,
+    /// deadline or death strike, and the tick that ends a job's phase,
+    /// are left to [`tick`](Self::tick).
+    fn quiet_ticks(&self, now: u64) -> u64 {
+        let mut quiet = u64::MAX;
+        for r in &self.residents {
+            if self.cores[r.core].down() {
+                continue;
+            }
+            quiet = quiet.min(r.next_release - now - 1);
+            if let Some(job) = &r.job {
+                quiet = quiet.min(job.deadline_at - now - 1);
+            }
+        }
+        for &(death, fired) in &self.deaths {
+            let core = death.core as usize;
+            if fired || core >= self.cores.len() {
+                continue;
+            }
+            if death.at_tick > now {
+                quiet = quiet.min(death.at_tick - now - 1);
+            } else if !death.in_section || self.runs_in_section(core) {
+                return 0;
+            }
+        }
+        for core in 0..self.cores.len() {
+            if self.cores[core].down() {
+                continue;
+            }
+            let Some(i) = self.chosen_job(core) else {
+                continue;
+            };
+            let r = &self.residents[i];
+            let job = r.job.as_ref().expect("chosen job is active");
+            let left = match job.phase {
+                Phase::Pre => r.pre - job.done,
+                Phase::InSection => r.section.expect("in-section job has a section").1 - job.done,
+                Phase::Post => r.post - job.done,
+                Phase::Entering => {
+                    let (res, _) = r.section.expect("entering job has a section");
+                    // Spinning on a peer's lock changes nothing until
+                    // the peer's own event.
+                    if self.protocol.holder(res).is_some_and(|h| h != core) {
+                        continue;
+                    }
+                    1
+                }
+            };
+            quiet = quiet.min(left - 1);
+        }
+        quiet
+    }
+
+    /// Burns `k` quiet ticks: each up core's running job advances `k`
+    /// ticks in its phase, and a spinning job stays where it is.
+    fn burn(&mut self, k: u64) {
+        if k == 0 {
+            return;
+        }
+        for core in 0..self.cores.len() {
+            if self.cores[core].down() {
+                continue;
+            }
+            if let Some(i) = self.chosen_job(core) {
+                let job = self.residents[i]
+                    .job
+                    .as_mut()
+                    .expect("chosen job is active");
+                if job.phase != Phase::Entering {
+                    job.done += k;
                 }
             }
         }
-        self.report(horizon)
     }
 
     fn abort_overdue(&mut self, now: u64) {
@@ -447,14 +550,12 @@ impl MulticoreExecutive {
             }
             let r = &mut self.residents[i];
             r.missed += 1;
-            let mut dead_holder = job.blocked_on_dead;
-            if job.phase == Phase::Entering {
-                if let Some((res, _)) = r.section {
-                    if let Some(holder) = self.protocol.holder(res) {
-                        dead_holder |= self.cores[holder].down();
-                    }
-                }
-            }
+            // A down core never releases what it holds, so a job that
+            // spun on a dead holder is still spinning on it.
+            let dead_holder = job.phase == Phase::Entering
+                && r.section
+                    .and_then(|(res, _)| self.protocol.holder(res))
+                    .is_some_and(|holder| self.cores[holder].down());
             if dead_holder {
                 r.deadlocked += 1;
             }
@@ -486,7 +587,6 @@ impl MulticoreExecutive {
                 },
                 done: 0,
                 retries: 0,
-                blocked_on_dead: false,
             });
             r.released += 1;
             r.next_release = now + r.period;
@@ -506,18 +606,18 @@ impl MulticoreExecutive {
                 self.deaths[d].1 = true;
                 continue;
             }
-            let strike = if death.in_section {
-                self.chosen_job(core)
-                    .and_then(|i| self.residents[i].job.as_ref())
-                    .is_some_and(|j| j.phase == Phase::InSection)
-            } else {
-                true
-            };
-            if strike {
+            if !death.in_section || self.runs_in_section(core) {
                 self.deaths[d].1 = true;
                 self.fire_death(death, now);
             }
         }
+    }
+
+    /// Whether `core` would execute inside a critical section this tick.
+    fn runs_in_section(&self, core: usize) -> bool {
+        self.chosen_job(core)
+            .and_then(|i| self.residents[i].job.as_ref())
+            .is_some_and(|j| j.phase == Phase::InSection)
     }
 
     /// The resident whose job `core` would execute this tick.
@@ -561,12 +661,8 @@ impl MulticoreExecutive {
                             self.commit_section(core, &mut job, res, sec_len, post, &mut completed);
                         }
                     }
-                    SectionEntry::Blocked { holder } => {
-                        // The tick is burnt spinning on the lock.
-                        if self.cores[holder].down() {
-                            job.blocked_on_dead = true;
-                        }
-                    }
+                    // The tick is burnt spinning on the lock.
+                    SectionEntry::Blocked { .. } => {}
                 }
             }
             Phase::InSection => {
@@ -927,6 +1023,27 @@ mod tests {
     }
 
     #[test]
+    fn a_sharer_as_high_as_the_ceiling_waits_for_the_section() {
+        // One core, both tasks on R: the ceiling is t1's own priority.
+        // t2 holds R over 30..70 µs; t1's release at 50 µs must wait for
+        // the section to end, not preempt it and take the held lock
+        // again.
+        let set: TaskSet = [periodic(1, 0, 50, 20), periodic(2, 1, 200, 60)]
+            .into_iter()
+            .collect();
+        let mut map = ResourceMap::new();
+        map.declare(TaskId(1), ResourceId(1), us(10));
+        map.declare(TaskId(2), ResourceId(1), us(40));
+        let mut exec = MulticoreExecutive::new(1, &set, &map, ProtocolKind::LockBased);
+        let report = exec.run(200);
+        assert!(report.clean(), "{report:?}");
+        // t2's section ends at 70 µs; t1 runs 70..90 and t2 finishes its
+        // post segment over 90..100.
+        assert_eq!(report.per_task[0].worst_response, Some(us(40)));
+        assert_eq!(report.per_task[1].worst_response, Some(us(100)));
+    }
+
+    #[test]
     fn runs_are_bit_deterministic() {
         let run = || {
             let mut exec = MulticoreExecutive::reference(2, ProtocolKind::LeftRs);
@@ -934,6 +1051,132 @@ mod tests {
             exec.run(4000)
         };
         assert_eq!(run(), run());
+    }
+
+    /// `nlft_core`'s campaign horizon limit: the longest run a trial asks
+    /// for.
+    const MAX_HORIZON: u64 = 1_000_000;
+
+    /// A random node: its task set, resources, placement, supervision,
+    /// deaths and horizon.
+    #[derive(Debug)]
+    struct Node {
+        cores: usize,
+        protocol: ProtocolKind,
+        set: TaskSet,
+        map: ResourceMap,
+        /// Tasks pinned off their round-robin core.
+        placement: Vec<(TaskId, usize)>,
+        supervised: Vec<(usize, EscalationPolicy)>,
+        deaths: Vec<CoreDeathFault>,
+        horizon: u64,
+    }
+
+    impl Node {
+        fn draw(r: &mut nlft_testkit::rng::TkRng) -> Node {
+            // The tick oracle costs horizon × cores × tasks: the few runs
+            // at the top of the horizon range get a small node.
+            let top = r.range(0, 48) == 0;
+            let (cores, horizon) = if top {
+                (r.usize_range(1, 4), MAX_HORIZON - r.range(0, 64))
+            } else {
+                // Log-uniform over [1, 2^14).
+                let octave = r.range(0, 14);
+                (r.usize_range(1, 17), r.range(1 << octave, 2 << octave))
+            };
+            let resources = r.range(0, 3) as u32;
+            let mut map = ResourceMap::new();
+            let mut placement = Vec::new();
+            let mut set = TaskSet::new();
+            for i in 0..r.range(1, if top { 5 } else { 13 }) as u32 {
+                let id = TaskId(i);
+                let period = r.range(2, 400);
+                let deadline = r.range(1, period + 1);
+                let wcet = r.range(1, deadline + 1);
+                if resources > 0 && r.range(0, 3) > 0 {
+                    let res = ResourceId(r.range(0, u64::from(resources)) as u32);
+                    map.declare(id, res, us(r.range(1, wcet + 1)));
+                }
+                if r.bool() {
+                    placement.push((id, r.usize_range(0, cores)));
+                }
+                let task = TaskSpecBuilder::new(id, format!("t{i}"))
+                    .period(us(period))
+                    .deadline(us(deadline))
+                    .wcet(us(wcet))
+                    // Shared priorities: ties with a section's ceiling.
+                    .priority(Priority(i % 5))
+                    .criticality(Criticality::Critical)
+                    .build()
+                    .unwrap();
+                set.add(task).unwrap();
+            }
+            let mut supervised = Vec::new();
+            for core in 0..cores {
+                if r.range(0, 3) == 0 {
+                    let policy = EscalationPolicy {
+                        suspect_after: r.range(1, 4) as u32,
+                        silence_after: r.range(1, 6) as u32,
+                        ..EscalationPolicy::default()
+                    };
+                    supervised.push((core, policy));
+                }
+            }
+            let deaths = (0..r.range(0, 4))
+                .map(|_| CoreDeathFault {
+                    // One past the last core now and then: never fires.
+                    core: r.range(0, cores as u64 + 1) as u32,
+                    // Some armed past the horizon: never fire either.
+                    at_tick: r.range(0, horizon + horizon / 8 + 2),
+                    in_section: r.bool(),
+                    escalated: r.bool(),
+                })
+                .collect();
+            Node {
+                cores,
+                protocol: if r.bool() {
+                    ProtocolKind::LockBased
+                } else {
+                    ProtocolKind::LeftRs
+                },
+                set,
+                map,
+                placement,
+                supervised,
+                deaths,
+                horizon,
+            }
+        }
+
+        fn build(&self) -> MulticoreExecutive {
+            let mut exec = MulticoreExecutive::new(self.cores, &self.set, &self.map, self.protocol);
+            for &(task, core) in &self.placement {
+                exec.assign(task, core);
+            }
+            for &(core, policy) in &self.supervised {
+                exec.supervise(core, policy);
+            }
+            for &d in &self.deaths {
+                exec.inject(d);
+            }
+            exec
+        }
+    }
+
+    #[test]
+    fn event_stepped_run_equals_the_tick_loop() {
+        nlft_testkit::prop::Suite::new(0x5EED_71C5)
+            .cases(400)
+            .check(
+                "event_stepped_run_equals_the_tick_loop",
+                Node::draw,
+                |node| {
+                    let ticked = node.build().run_ticks(node.horizon);
+                    let stepped = node.build().run(node.horizon);
+                    nlft_testkit::prop_assert_eq!(stepped, ticked);
+                    Ok(())
+                },
+            );
     }
 
     #[test]

@@ -63,7 +63,10 @@ cargo run --release --offline -p nlft-bench --bin scenario_run -- verify
 # `run` re-checks the pin via the acceptance clause — and so must a
 # checkpoint/resume round trip through the CLI flags.
 # `wheel-restart-under-blackout` drives the supervised escalation ladder
-# through a network outage.
+# through a network outage. The cadence of 7 divides none of the nine
+# trial counts, so the last checkpoint leaves trials to resume; a
+# checkpoint that already counts every trial fails the gate, since its
+# resume leg would check nothing.
 echo "== scenario zoo: watchdog-armed executor and checkpoint/resume =="
 ckpt="$(mktemp)"
 trap 'rm -f "$ckpt"' EXIT
@@ -72,7 +75,18 @@ for scenario in babbling-wheel wheel-restart-under-blackout net-storm-nominal \
     weakly-hard-nominal-storm core-death-mid-section node-nlft-reference; do
     cargo run --release --offline -p nlft-bench --bin scenario_run -- \
         run "$scenario" --threads 4 --trial-budget-ms 10000 \
-        --checkpoint "$ckpt" --checkpoint-every 4
+        --checkpoint "$ckpt" --checkpoint-every 7
+    # A checkpoint reads `scenario <name> family <f> seed <s> trials <n>
+    # config <crc> resume <done> …`, with no newline at the end.
+    read -r -a tok < "$ckpt" || true
+    if [ "${tok[6]}" != trials ] || [ "${tok[10]}" != resume ]; then
+        echo "$scenario: unexpected checkpoint header: ${tok[*]:0:12}" >&2
+        exit 1
+    fi
+    if [ "${tok[11]}" = "${tok[7]}" ]; then
+        echo "$scenario: the checkpoint resumes at trial ${tok[11]} of ${tok[7]}: nothing left to resume" >&2
+        exit 1
+    fi
     cargo run --release --offline -p nlft-bench --bin scenario_run -- \
         run "$scenario" --resume "$ckpt"
 done
