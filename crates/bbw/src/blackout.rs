@@ -17,13 +17,14 @@
 //!   minority-clique reverts, and — critically — that reverted nodes
 //!   never babble (zero guardian blocks).
 
-use nlft_engine::{EngineConfig, Tally, TrialCampaign};
+use nlft_engine::{Absorb, EngineConfig, Tally, TrialCampaign};
 use nlft_net::frame::NodeId;
 use nlft_net::inject::{BlackoutSpec, NetFaultPlan};
 use nlft_net::startup::StartupMetrics;
 use nlft_sim::rng::RngStream;
 
 use crate::cluster::{check_run_cycles, BbwCluster, ClusterReport, ALL_NODES, WHEELS};
+use crate::cluster_campaign::{percentile, ratio};
 
 /// Configuration of a blackout-survival campaign.
 #[derive(Debug, Clone)]
@@ -179,45 +180,44 @@ pub struct BlackoutCampaignResult {
 impl BlackoutCampaignResult {
     /// Fraction of trials whose membership view fully recovered.
     pub fn recovery_fraction(&self) -> f64 {
-        if self.counts.trials == 0 {
-            0.0
-        } else {
-            self.counts.full_recoveries as f64 / self.counts.trials as f64
-        }
+        ratio(self.counts.full_recoveries, self.counts.trials)
     }
 
     /// Mean reset→Active integration latency in cycles.
     pub fn integration_latency_mean(&self) -> f64 {
-        if self.integration_latencies.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self
+        let sum = self
             .integration_latencies
             .iter()
             .map(|&l| u64::from(l))
             .sum();
-        sum as f64 / self.integration_latencies.len() as f64
+        ratio(sum, self.integration_latencies.len() as u64)
     }
 
     /// Percentile of the time-to-full-membership distribution (0–100).
     pub fn membership_percentile(&self, pct: u32) -> Option<u32> {
-        if self.time_to_full_membership.is_empty() {
-            return None;
-        }
-        let n = self.time_to_full_membership.len();
-        let idx = ((n - 1) * pct as usize) / 100;
-        Some(self.time_to_full_membership[idx])
+        percentile(&self.time_to_full_membership, pct)
+    }
+}
+
+impl Absorb<BlackoutTrial> for BlackoutCampaignResult {
+    fn absorb(&mut self, trial: u64, t: &BlackoutTrial) {
+        self.counts.absorb(trial, t);
+        self.time_to_cold_start.extend(t.cold_start);
+        self.integration_latencies
+            .extend(t.metrics.integration_latencies.iter().map(|&(_, l)| l));
+        self.time_to_full_membership.extend(t.membership);
+        self.unavailability_cycles.push(t.unavailable);
     }
 
-    fn merge(&mut self, other: BlackoutCampaignResult) {
-        self.counts.merge(&other.counts);
-        self.time_to_cold_start.extend(other.time_to_cold_start);
+    fn merge(&mut self, later: BlackoutCampaignResult) {
+        Tally::merge(&mut self.counts, &later.counts);
+        self.time_to_cold_start.extend(later.time_to_cold_start);
         self.time_to_full_membership
-            .extend(other.time_to_full_membership);
+            .extend(later.time_to_full_membership);
         self.unavailability_cycles
-            .extend(other.unavailability_cycles);
+            .extend(later.unavailability_cycles);
         self.integration_latencies
-            .extend(other.integration_latencies);
+            .extend(later.integration_latencies);
     }
 }
 
@@ -233,23 +233,8 @@ pub fn run_blackout_campaign(
     config: &BlackoutCampaignConfig,
     engine: &EngineConfig,
 ) -> BlackoutCampaignResult {
-    let blackout_at = config.warmup_cycles;
-    let campaign = blackout_campaign(
-        config,
-        move |result: &mut BlackoutCampaignResult, report, metrics| {
-            let (membership, unavailable) = result.counts.absorb(&report, &metrics, blackout_at);
-            if let Some(cycle) = metrics.first_cold_start_cycle {
-                result.time_to_cold_start.push(cycle - blackout_at);
-            }
-            result
-                .integration_latencies
-                .extend(metrics.integration_latencies.iter().map(|&(_, l)| l));
-            result.time_to_full_membership.extend(membership);
-            result.unavailability_cycles.push(unavailable);
-        },
-        |into, from| into.merge(from),
-    );
-    let mut result = nlft_engine::run_trials(campaign, engine).acc;
+    let mut result: BlackoutCampaignResult =
+        nlft_engine::run_trials(blackout_campaign(config), engine).acc;
     result.time_to_cold_start.sort_unstable();
     result.time_to_full_membership.sort_unstable();
     result.unavailability_cycles.sort_unstable();
@@ -257,54 +242,42 @@ pub fn run_blackout_campaign(
     result
 }
 
-/// The blackout campaign as a scenario runs it: the counters alone.
-pub(crate) fn tally_campaign(
-    config: &BlackoutCampaignConfig,
-) -> impl TrialCampaign<Acc = BlackoutCounts> {
-    let blackout_at = config.warmup_cycles;
-    blackout_campaign(
-        config,
-        move |counts: &mut BlackoutCounts, report, metrics| {
-            counts.absorb(&report, &metrics, blackout_at);
-        },
-        |into, from| into.merge(&from),
-    )
-}
-
-/// The blackout campaign, folding each trial's report and startup
-/// metrics into an `A` with `fold`.
+/// The blackout campaign, folding each trial's observation into an
+/// `A`: the counters alone for a scenario, the full result for
+/// [`run_blackout_campaign`].
 ///
 /// # Panics
 ///
 /// Panics if [`BlackoutCampaignConfig::check`] rejects the config.
-fn blackout_campaign<A: Default + Send + 'static>(
+pub(crate) fn blackout_campaign<A: Absorb<BlackoutTrial>>(
     config: &BlackoutCampaignConfig,
-    fold: impl Fn(&mut A, ClusterReport, StartupMetrics),
-    merge: impl Fn(&mut A, A),
 ) -> impl TrialCampaign<Acc = A> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
-    let root = RngStream::new(config.seed);
-    nlft_engine::indexed_campaign(
+    nlft_engine::absorbing_campaign(
         "bbw-blackout",
         "blackout-trial",
         config.trials,
-        A::default,
-        move |trial, _ctx, acc: &mut A| {
-            let (report, metrics) = run_blackout_trial(&c, &root, trial);
-            fold(acc, report, metrics);
-        },
-        merge,
+        config.seed,
+        move |_, rng| run_blackout_trial(&c, rng),
     )
 }
 
-fn run_blackout_trial(
-    config: &BlackoutCampaignConfig,
-    root: &RngStream,
-    trial: u64,
-) -> (ClusterReport, StartupMetrics) {
-    let total_cycles = config.warmup_cycles + config.recovery_cycles;
-    let mut rng = root.fork_indexed("blackout-trial", trial);
+/// What one blackout trial observed, timed from the blackout.
+pub(crate) struct BlackoutTrial {
+    report: ClusterReport,
+    metrics: StartupMetrics,
+    /// Cycles to the first winning cold-start frame, if there was one.
+    cold_start: Option<u32>,
+    /// Cycles until the membership view was whole again, if it was.
+    membership: Option<u32>,
+    /// Cycles with fewer than three wheels delivering force.
+    unavailable: u32,
+}
+
+fn run_blackout_trial(config: &BlackoutCampaignConfig, mut rng: RngStream) -> BlackoutTrial {
+    let blackout_at = config.warmup_cycles;
+    let total_cycles = blackout_at + config.recovery_cycles;
     let mut pool = config.pool().to_vec();
     let spread = (pool.len() - config.min_reset) as u64;
     let k = config.min_reset + rng.uniform_range(0, spread + 1) as usize;
@@ -318,7 +291,7 @@ fn run_blackout_trial(
     let mut cluster = BbwCluster::new();
     cluster.enable_startup();
     let plan = NetFaultPlan::quiet().with_blackout(BlackoutSpec {
-        at_cycle: config.warmup_cycles,
+        at_cycle: blackout_at,
         nodes: pool,
         down_cycles: config.down_cycles,
         stagger: config.stagger,
@@ -329,56 +302,51 @@ fn run_blackout_trial(
         .startup_metrics()
         .expect("startup enabled for blackout trials")
         .clone();
-    (report, metrics)
+
+    // From the blackout on: cycles with fewer than three wheels braking,
+    // and the first whole membership view after the first dip.
+    let mut after = report.records.iter().filter(|r| r.cycle >= blackout_at);
+    let unavailable = after
+        .clone()
+        .filter(|r| r.wheel_force.iter().flatten().count() < 3)
+        .count() as u32;
+    let membership = after
+        .find(|r| r.members < ALL_NODES.len())
+        .and_then(|_| after.find(|r| r.members >= ALL_NODES.len()))
+        .map(|r| r.cycle - blackout_at);
+    BlackoutTrial {
+        cold_start: metrics
+            .first_cold_start_cycle
+            .map(|cycle| cycle - blackout_at),
+        membership,
+        unavailable,
+        report,
+        metrics,
+    }
 }
 
-impl BlackoutCounts {
-    /// Folds one trial whose blackout struck at cycle `blackout_at`.
-    /// Returns the cycles from the blackout until the membership view
-    /// was whole again (if it was) and the braking-unavailability
-    /// cycles.
-    fn absorb(
-        &mut self,
-        report: &ClusterReport,
-        metrics: &StartupMetrics,
-        blackout_at: u32,
-    ) -> (Option<u32>, u32) {
+impl Absorb<BlackoutTrial> for BlackoutCounts {
+    fn absorb(&mut self, _: u64, t: &BlackoutTrial) {
         self.trials += 1;
-        self.cold_starts_sent += u64::from(metrics.cold_starts_sent);
-        self.big_bangs += u64::from(metrics.big_bangs);
-        self.clique_reverts += u64::from(metrics.clique_reverts);
-        self.guardian_blocks += report.guardian_blocks;
-        self.held_setpoint_cycles += u64::from(report.value.held_setpoint_cycles);
-        if metrics.first_cold_start_cycle.is_some() {
+        self.cold_starts_sent += u64::from(t.metrics.cold_starts_sent);
+        self.big_bangs += u64::from(t.metrics.big_bangs);
+        self.clique_reverts += u64::from(t.metrics.clique_reverts);
+        self.guardian_blocks += t.report.guardian_blocks;
+        self.held_setpoint_cycles += u64::from(t.report.value.held_setpoint_cycles);
+        if t.cold_start.is_some() {
             self.cold_start_trials += 1;
         }
-
-        let mut dipped = false;
-        let mut recovered_at = None;
-        let mut unavailable = 0u32;
-        for rec in &report.records {
-            if rec.cycle < blackout_at {
-                continue;
-            }
-            let forces = rec.wheel_force.iter().filter(|f| f.is_some()).count();
-            if forces < 3 {
-                unavailable += 1;
-            }
-            if rec.members < ALL_NODES.len() {
-                dipped = true;
-            } else if dipped && recovered_at.is_none() {
-                recovered_at = Some(rec.cycle);
-            }
-        }
-        let membership = recovered_at.map(|cycle| cycle - blackout_at);
-        if let Some(cycles) = membership {
+        if let Some(cycles) = t.membership {
             self.full_recoveries += 1;
             self.membership_cycles += u64::from(cycles);
         } else {
             self.incomplete += 1;
         }
-        self.unavailability_cycles += u64::from(unavailable);
-        (membership, unavailable)
+        self.unavailability_cycles += u64::from(t.unavailable);
+    }
+
+    fn merge(&mut self, later: BlackoutCounts) {
+        Tally::merge(self, &later)
     }
 }
 

@@ -7,7 +7,7 @@
 //! episode, or lost braking. With TEM doing its job, the overwhelming
 //! majority of faults must be invisible at this level.
 
-use nlft_engine::{EngineConfig, Tally, TrialCampaign};
+use nlft_engine::{Absorb, EngineConfig, Tally, TrialCampaign};
 use nlft_machine::fault::FaultSpace;
 use nlft_net::inject::{InjectionCounts, NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
@@ -62,11 +62,7 @@ nlft_engine::tally! {
 impl ClusterCampaignResult {
     /// Fraction of faults invisible at the vehicle boundary.
     pub fn masking_fraction(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.unaffected as f64 / self.trials as f64
-        }
+        ratio(self.unaffected, self.trials)
     }
 }
 
@@ -79,29 +75,30 @@ pub fn run_cluster_campaign(config: &ClusterCampaignConfig) -> ClusterCampaignRe
     assert!(config.trials > 0, "need trials");
     assert!(config.cycles > 1, "need at least two cycles");
     let c = config.clone();
-    let root = RngStream::new(config.seed);
-    let campaign = nlft_engine::indexed_campaign(
+    let campaign = nlft_engine::absorbing_campaign(
         "bbw-cluster",
         "cluster-trial",
         config.trials,
-        ClusterCampaignResult::default,
-        move |trial, _ctx, result: &mut ClusterCampaignResult| {
-            let mut rng = root.fork_indexed("cluster-trial", trial);
+        config.seed,
+        move |_, mut rng| {
             let mut cluster = BbwCluster::new();
             cluster.inject(ClusterInjection::sample(&mut rng, c.cycles, &c.space));
             let report = cluster.run(c.cycles, |_| 1200);
-            result.trials += 1;
+            let mut one = ClusterCampaignResult {
+                trials: 1,
+                ..ClusterCampaignResult::default()
+            };
             if report.service_lost {
-                result.service_lost += 1;
+                one.service_lost = 1;
             } else if report.degraded_cycles > 0 {
-                result.degraded_episode += 1;
+                one.degraded_episode = 1;
             } else if report.omissions > 0 {
-                result.omission_only += 1;
+                one.omission_only = 1;
             } else {
-                result.unaffected += 1;
+                one.unaffected = 1;
             }
+            one
         },
-        |into, from| into.merge(&from),
     );
     nlft_engine::run_trials(campaign, &EngineConfig::default()).acc
 }
@@ -231,28 +228,41 @@ impl NetStormCampaignResult {
 
     /// Percentile of the reintegration-latency distribution (0–100).
     pub fn reintegration_percentile(&self, pct: u32) -> Option<u32> {
-        if self.reintegration_latencies.is_empty() {
-            return None;
-        }
-        let n = self.reintegration_latencies.len();
-        let idx = ((n - 1) * pct as usize) / 100;
-        Some(self.reintegration_latencies[idx])
-    }
-
-    fn merge(&mut self, other: NetStormCampaignResult) {
-        self.counts.merge(&other.counts);
-        self.injected.merge(&other.injected);
-        self.reintegration_latencies
-            .extend(other.reintegration_latencies);
+        percentile(&self.reintegration_latencies, pct)
     }
 }
 
-fn ratio(num: u64, den: u64) -> f64 {
+impl Absorb<StormTrial> for NetStormCampaignResult {
+    fn absorb(&mut self, trial: u64, observed: &StormTrial) {
+        self.counts.absorb(trial, observed);
+        let (report, injected) = observed;
+        self.injected.merge(injected);
+        self.reintegration_latencies
+            .extend(&report.reintegration_latencies);
+    }
+
+    fn merge(&mut self, later: NetStormCampaignResult) {
+        Tally::merge(&mut self.counts, &later.counts);
+        self.injected.merge(&later.injected);
+        self.reintegration_latencies
+            .extend(later.reintegration_latencies);
+    }
+}
+
+/// `num / den`, or zero when `den` is.
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
     } else {
         num as f64 / den as f64
     }
+}
+
+/// The `pct`-th percentile (0–100) of the sorted `values`, or `None`
+/// when there are none.
+pub(crate) fn percentile(values: &[u32], pct: u32) -> Option<u32> {
+    let last = values.len().checked_sub(1)?;
+    Some(values[last * pct as usize / 100])
 }
 
 /// Runs the combined node + network storm campaign. Deterministic in the
@@ -268,66 +278,38 @@ pub fn run_net_storm_campaign(
     config: &NetStormCampaignConfig,
     engine: &EngineConfig,
 ) -> NetStormCampaignResult {
-    let campaign = net_storm_campaign(
-        config,
-        |result: &mut NetStormCampaignResult, report, injected| {
-            result.counts.absorb(&report, &injected);
-            result.injected.merge(&injected);
-            result
-                .reintegration_latencies
-                .extend(report.reintegration_latencies);
-        },
-        |into, from| into.merge(from),
-    );
-    let mut result = nlft_engine::run_trials(campaign, engine).acc;
+    let mut result: NetStormCampaignResult =
+        nlft_engine::run_trials(net_storm_campaign(config), engine).acc;
     result.reintegration_latencies.sort_unstable();
     result
 }
 
-/// The storm campaign as a scenario runs it: the counters alone.
-pub(crate) fn tally_campaign(
-    config: &NetStormCampaignConfig,
-) -> impl TrialCampaign<Acc = NetStormCounts> {
-    net_storm_campaign(
-        config,
-        |counts: &mut NetStormCounts, report, injected| counts.absorb(&report, &injected),
-        |into, from| into.merge(&from),
-    )
-}
+/// What one storm trial observed: the cluster report and the injection
+/// decisions by kind.
+pub(crate) type StormTrial = (ClusterReport, InjectionCounts);
 
-/// The storm campaign, folding each trial's report and injection
-/// decisions into an `A` with `fold`.
+/// The storm campaign, folding each trial's observation into an `A`:
+/// the counters alone for a scenario, the full result for
+/// [`run_net_storm_campaign`].
 ///
 /// # Panics
 ///
 /// Panics if [`NetStormCampaignConfig::check`] rejects the config.
-fn net_storm_campaign<A: Default + Send + 'static>(
+pub(crate) fn net_storm_campaign<A: Absorb<StormTrial>>(
     config: &NetStormCampaignConfig,
-    fold: impl Fn(&mut A, ClusterReport, InjectionCounts),
-    merge: impl Fn(&mut A, A),
 ) -> impl TrialCampaign<Acc = A> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
-    let root = RngStream::new(config.seed);
-    nlft_engine::indexed_campaign(
+    nlft_engine::absorbing_campaign(
         "bbw-net-storm",
         "net-storm-trial",
         config.trials,
-        A::default,
-        move |trial, _ctx, acc: &mut A| {
-            let (report, injected) = run_storm_trial(&c, &root, trial);
-            fold(acc, report, injected);
-        },
-        merge,
+        config.seed,
+        move |_, rng| run_storm_trial(&c, rng),
     )
 }
 
-fn run_storm_trial(
-    config: &NetStormCampaignConfig,
-    root: &RngStream,
-    trial: u64,
-) -> (ClusterReport, InjectionCounts) {
-    let mut rng = root.fork_indexed("net-storm-trial", trial);
+fn run_storm_trial(config: &NetStormCampaignConfig, mut rng: RngStream) -> StormTrial {
     let mut cluster = BbwCluster::new();
     let plan = NetFaultPlan::quiet()
         .with_nodes(&ALL_NODES, NetFaultRates::storm(config.intensity))
@@ -341,9 +323,8 @@ fn run_storm_trial(
     (report, cluster.net_injection_counts())
 }
 
-impl NetStormCounts {
-    /// Folds one trial's report and injection decisions.
-    fn absorb(&mut self, report: &ClusterReport, injected: &InjectionCounts) {
+impl Absorb<StormTrial> for NetStormCounts {
+    fn absorb(&mut self, _: u64, (report, injected): &StormTrial) {
         self.trials += 1;
         if report.split_membership {
             self.split_membership += 1;
@@ -362,12 +343,13 @@ impl NetStormCounts {
         self.guardian_blocks += report.guardian_blocks;
         self.masquerade_rejects += report.masquerade_rejects;
         self.masquerades_applied += report.masquerades_applied;
-        self.reintegrations += report.reintegration_latencies.len() as u64;
-        self.reintegration_cycles += report
-            .reintegration_latencies
-            .iter()
-            .map(|&l| u64::from(l))
-            .sum::<u64>();
+        let latencies = &report.reintegration_latencies;
+        self.reintegrations += latencies.len() as u64;
+        self.reintegration_cycles += latencies.iter().map(|&l| u64::from(l)).sum::<u64>();
+    }
+
+    fn merge(&mut self, later: NetStormCounts) {
+        Tally::merge(self, &later)
     }
 }
 

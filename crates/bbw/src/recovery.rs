@@ -19,7 +19,7 @@
 //! bit-identical for any thread count.
 
 use nlft_core::diagnosis::AlphaCountConfig;
-use nlft_engine::{EngineConfig, Tally, TrialCampaign};
+use nlft_engine::{EngineConfig, TrialCampaign};
 use nlft_kernel::escalation::{EscalationPolicy, NodeHealth};
 use nlft_machine::fault::{FaultTarget, IntermittentFault, StuckAtFault};
 use nlft_net::frame::NodeId;
@@ -168,40 +168,35 @@ pub fn run_recovery_cluster_campaign(
     config: &RecoveryClusterCampaignConfig,
     engine: &EngineConfig,
 ) -> RecoveryClusterOutcomes {
-    nlft_engine::run_trials(tally_campaign(config), engine).acc
+    nlft_engine::run_trials(recovery_cluster_campaign(config), engine).acc
 }
 
-/// The recovery campaign, which folds only its counters.
+/// The recovery campaign. Its result is its counters, so a scenario and
+/// [`run_recovery_cluster_campaign`] fold the same accumulator.
 ///
 /// # Panics
 ///
 /// Panics if [`RecoveryClusterCampaignConfig::check`] rejects the
 /// config.
-pub(crate) fn tally_campaign(
+pub(crate) fn recovery_cluster_campaign(
     config: &RecoveryClusterCampaignConfig,
 ) -> impl TrialCampaign<Acc = RecoveryClusterOutcomes> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
-    let root = RngStream::new(config.seed);
-    nlft_engine::indexed_campaign(
+    nlft_engine::absorbing_campaign(
         "bbw-recovery-cluster",
         "recovery-cluster-trial",
         config.trials,
-        RecoveryClusterOutcomes::default,
-        move |trial, _ctx, result: &mut RecoveryClusterOutcomes| {
-            run_recovery_trial(&c, &root, trial, result);
-        },
-        |into, from| into.merge(&from),
+        config.seed,
+        move |_, rng| run_recovery_trial(&c, rng),
     )
 }
 
+/// Runs one trial and judges it as a one-trial tally.
 fn run_recovery_trial(
     config: &RecoveryClusterCampaignConfig,
-    root: &RngStream,
-    trial: u64,
-    result: &mut RecoveryClusterOutcomes,
-) {
-    let mut rng = root.fork_indexed("recovery-cluster-trial", trial);
+    mut rng: RngStream,
+) -> RecoveryClusterOutcomes {
     let mut cluster = BbwCluster::new();
     cluster.supervise_all(AlphaCountConfig::default(), EscalationPolicy::default());
     let kind = rng.uniform_range(0, 3);
@@ -248,10 +243,13 @@ fn run_recovery_trial(
     };
     let report = cluster.run(config.cycles, |_| 1200);
     let health = cluster.node_health(victim).expect("victim is supervised");
-    result.trials += 1;
+    let mut result = RecoveryClusterOutcomes {
+        trials: 1,
+        ..RecoveryClusterOutcomes::default()
+    };
     if report.service_lost {
-        result.service_lost += 1;
-        return;
+        result.service_lost = 1;
+        return result;
     }
     let victim_retired = report.retired_nodes.contains(&victim);
     match kind {
@@ -283,6 +281,7 @@ fn run_recovery_trial(
             }
         }
     }
+    result
 }
 
 #[cfg(test)]

@@ -18,12 +18,14 @@
 //! its CRC-32 `digest`, which the zoo's `accept … pin` clauses
 //! golden-pin in CI.
 
-use nlft_core::campaign::{self, CampaignConfig};
+use nlft_core::campaign::{node_campaign, CampaignConfig, CampaignCounts};
 use nlft_core::diagnosis::AlphaCountConfig;
-use nlft_core::multicore_campaign::{self as multicore, MulticoreCampaignConfig};
+use nlft_core::multicore_campaign::{multicore_campaign, MulticoreCampaignConfig, MulticoreCounts};
 use nlft_core::policy::NodePolicy;
 use nlft_engine::checkpoint::TokenReader;
-use nlft_engine::{CampaignOptions, Checkpoint, EngineConfig, ResumePoint, Tally, TrialCampaign};
+use nlft_engine::{
+    Absorb, CampaignOptions, Checkpoint, EngineConfig, ResumePoint, Tally, TrialCampaign,
+};
 use nlft_kernel::contract::MkContract;
 use nlft_kernel::escalation::EscalationPolicy;
 use nlft_kernel::resources::ProtocolKind;
@@ -38,17 +40,19 @@ use nlft_sim::crc::crc32;
 use nlft_sim::rng::RngStream;
 
 use crate::actuator::ActuatorFault;
-use crate::blackout::{self, BlackoutCampaignConfig};
+use crate::blackout::{blackout_campaign, BlackoutCampaignConfig, BlackoutCounts};
 use crate::braking::MissPolicy;
 use crate::cluster::{
     check_run_cycles, pc_fault, BbwCluster, ClusterInjection, ClusterReport, ALL_NODES, CU_A, CU_B,
     WHEELS,
 };
-use crate::cluster_campaign::{self, NetStormCampaignConfig};
-use crate::recovery::{self, RecoveryClusterCampaignConfig};
+use crate::cluster_campaign::{net_storm_campaign, NetStormCampaignConfig, NetStormCounts};
+use crate::recovery::{recovery_cluster_campaign, RecoveryClusterCampaignConfig};
 use crate::sensor::SensorFault;
-use crate::value_campaign::{self, ValueDomainCampaignConfig};
-use crate::weakly_hard_campaign::{self as weakly_hard, MissPatternCampaignConfig};
+use crate::value_campaign::{value_domain_campaign, ValueDomainCampaignConfig};
+use crate::weakly_hard_campaign::{
+    miss_pattern_campaign, MissPatternCampaignConfig, MissPatternCounts,
+};
 
 /// Why a parsed scenario could not be compiled onto the runners.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -612,18 +616,21 @@ impl ScenarioRun<'_> {
     /// on a bad resume checkpoint.
     fn family(&self, family: &CompiledFamily) -> Result<ScenarioOutcome, String> {
         match family {
-            CompiledFamily::NetStorm(c) => self.fold(cluster_campaign::tally_campaign(c), keep),
-            CompiledFamily::ValueDomain(c) => self.fold(value_campaign::tally_campaign(c), keep),
-            CompiledFamily::Blackout(c) => self.fold(blackout::tally_campaign(c), keep),
-            CompiledFamily::Recovery(c) => self.fold(recovery::tally_campaign(c), keep),
-            CompiledFamily::WeaklyHard(c) => self.fold(weakly_hard::tally_campaign(c), keep),
+            CompiledFamily::NetStorm(c) => self.fold(net_storm_campaign::<NetStormCounts>(c), keep),
+            CompiledFamily::ValueDomain(c) => self.fold(value_domain_campaign(c), keep),
+            CompiledFamily::Blackout(c) => self.fold(blackout_campaign::<BlackoutCounts>(c), keep),
+            CompiledFamily::Recovery(c) => self.fold(recovery_cluster_campaign(c), keep),
+            CompiledFamily::WeaklyHard(c) => {
+                self.fold(miss_pattern_campaign::<MissPatternCounts>(c), keep)
+            }
             // Certification is no trial's work: it joins the counts once,
             // after the fold, so no checkpoint carries it.
-            CompiledFamily::Multicore(c) => {
-                self.fold(multicore::tally_campaign(c), |n| _ = n.certify(c.cores))
-            }
-            CompiledFamily::Node(c) => self.fold(campaign::tally_campaign(c), keep),
-            CompiledFamily::Cluster(c) => self.fold(cluster_tally_campaign(c), keep),
+            CompiledFamily::Multicore(c) => self
+                .fold(multicore_campaign::<MulticoreCounts>(c), |n| {
+                    _ = n.certify(c.cores)
+                }),
+            CompiledFamily::Node(c) => self.fold(node_campaign::<CampaignCounts>(c), keep),
+            CompiledFamily::Cluster(c) => self.fold(cluster_scenario_campaign(c), keep),
         }
     }
 
@@ -766,8 +773,12 @@ nlft_engine::tally! {
     }
 }
 
-impl ClusterTallies {
-    fn absorb(&mut self, report: &ClusterReport, injected: u64) {
+/// What one cluster-scenario trial observed: the cluster report and the
+/// network injection decisions, all kinds.
+type ClusterTrial = (ClusterReport, u64);
+
+impl Absorb<ClusterTrial> for ClusterTallies {
+    fn absorb(&mut self, _: u64, (report, injected): &ClusterTrial) {
         let undetected_value = u64::from(report.value.undetected_value_failures());
         self.trials += 1;
         if undetected_value > 0 {
@@ -805,16 +816,15 @@ impl ClusterTallies {
         self.reintegrations += report.reintegration_latencies.len() as u64;
         self.reintegration_cycles += sum(&report.reintegration_latencies);
     }
+
+    fn merge(&mut self, later: ClusterTallies) {
+        Tally::merge(self, &later)
+    }
 }
 
 /// Runs one trial of a cluster scenario: builds the cluster from the
 /// declaration, attaches every fault line, runs the pedal profile.
-fn run_cluster_trial(
-    config: &ClusterScenarioConfig,
-    root: &RngStream,
-    trial: u64,
-) -> (ClusterReport, u64) {
-    let rng = root.fork_indexed("scenario-trial", trial);
+fn run_cluster_trial(config: &ClusterScenarioConfig, rng: RngStream) -> ClusterTrial {
     let mut cluster = BbwCluster::with_rng(rng.fork("pedal-sensors"));
     let spec = &config.spec;
     for &(node, kind) in &spec.nodes {
@@ -943,29 +953,30 @@ fn run_cluster_trial(
 /// # Panics
 ///
 /// Panics if [`ClusterScenarioConfig::check`] rejects the config.
-fn cluster_tally_campaign(
+fn cluster_scenario_campaign(
     config: &ClusterScenarioConfig,
 ) -> impl TrialCampaign<Acc = ClusterTallies> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
-    let root = RngStream::new(config.seed);
-    nlft_engine::indexed_campaign(
+    nlft_engine::absorbing_campaign(
         "bbw-cluster-scenario",
         "scenario-trial",
         config.trials,
-        ClusterTallies::default,
-        move |trial, _ctx, tallies: &mut ClusterTallies| {
-            let (report, injected) = run_cluster_trial(&c, &root, trial);
-            tallies.absorb(&report, injected);
-        },
-        |into: &mut ClusterTallies, from| into.merge(&from),
+        config.seed,
+        move |_, rng| run_cluster_trial(&c, rng),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blackout::run_blackout_campaign;
     use crate::cluster_campaign::run_net_storm_campaign;
+    use crate::recovery::run_recovery_cluster_campaign;
+    use crate::value_campaign::run_value_domain_campaign;
+    use crate::weakly_hard_campaign::run_miss_pattern_campaign;
+    use nlft_core::campaign::run_campaign;
+    use nlft_core::multicore_campaign::run_multicore_campaign;
     use nlft_engine::checkpoint;
     use nlft_reliability::scenario::parse_scenario;
     use std::time::Duration;
@@ -975,26 +986,56 @@ mod tests {
     }
 
     #[test]
-    fn net_storm_scenario_matches_hand_wired_campaign() {
-        // The golden-pinned configuration from `cluster_campaign`:
-        // 10 trials, seed 0x5708, 20 cycles.
-        let spec = spec(
-            "scenario storm\nfamily net_storm\ntrials 10\nseed 0x5708\n\
-             params\ncycles 20\nend\nend\n",
-        );
-        let outcome = run_scenario(&spec, 1).unwrap();
-        let mut config = NetStormCampaignConfig::new(10, 0x5708);
-        config.cycles = 20;
-        let direct = run_net_storm_campaign(&config, &EngineConfig::default());
-        assert_eq!(
-            outcome.counter("service_lost"),
-            Some(direct.counts.service_lost)
-        );
-        assert_eq!(
-            outcome.counter("degraded_episode"),
-            Some(direct.counts.degraded_episode)
-        );
-        assert_eq!(outcome.counter("injected"), Some(direct.injected.total()));
+    fn every_scenario_counts_what_its_public_runner_counts() {
+        // One observation per trial feeds both accumulators: a scenario's
+        // counters and the public result's `counts` must agree at the
+        // same config. The net-storm row is the golden-pinned
+        // configuration from `cluster_campaign`: 10 trials, seed 0x5708,
+        // 20 cycles.
+        let engine = EngineConfig::default();
+        for (family, trials, params) in [
+            ("net_storm", 10, "params\ncycles 20\nend\n"),
+            ("value_domain", 4, ""),
+            ("blackout", 4, ""),
+            ("recovery", 4, ""),
+            ("weakly_hard", 40, ""),
+            ("multicore", 6, ""),
+            ("node", 40, ""),
+        ] {
+            let spec = spec(&format!(
+                "scenario {family}\nfamily {family}\ntrials {trials}\nseed 0x5708\n{params}end\n"
+            ));
+            let compiled = compile(&spec, 1).unwrap();
+            let direct = match &compiled.family {
+                CompiledFamily::NetStorm(c) => {
+                    ScenarioOutcome::new(family, &run_net_storm_campaign(c, &engine).counts)
+                }
+                CompiledFamily::ValueDomain(c) => {
+                    ScenarioOutcome::new(family, &run_value_domain_campaign(c, &engine))
+                }
+                CompiledFamily::Blackout(c) => {
+                    ScenarioOutcome::new(family, &run_blackout_campaign(c, &engine).counts)
+                }
+                CompiledFamily::Recovery(c) => {
+                    ScenarioOutcome::new(family, &run_recovery_cluster_campaign(c, &engine))
+                }
+                CompiledFamily::WeaklyHard(c) => {
+                    ScenarioOutcome::new(family, &run_miss_pattern_campaign(c, &engine).counts)
+                }
+                // The public runner certifies its counts, as the scenario
+                // does after its fold.
+                CompiledFamily::Multicore(c) => {
+                    ScenarioOutcome::new(family, &run_multicore_campaign(c, &engine).counts)
+                }
+                CompiledFamily::Node(c) => {
+                    ScenarioOutcome::new(family, &run_campaign(c, &engine).counts)
+                }
+                CompiledFamily::Cluster(_) => unreachable!("{family} is a campaign family"),
+            };
+            let outcome = run_compiled(family, &compiled);
+            assert_eq!(outcome.trials, trials, "{family}");
+            assert_eq!(outcome, direct, "{family}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! stream from `(seed, trial index)`, shard results merge by sums and
 //! maxima, and the golden test pins the exact outcome at 1/2/5 threads.
 
-use nlft_engine::{EngineConfig, Tally, TrialCampaign};
+use nlft_engine::{EngineConfig, TrialCampaign};
 use nlft_machine::fault::FaultSpace;
 use nlft_net::inject::{NetFaultPlan, NetFaultRates};
 use nlft_sim::rng::RngStream;
@@ -78,11 +78,8 @@ impl ValueDomainCampaignConfig {
     /// A combined sensor + actuator + command + network + node storm.
     pub fn combined_storm(trials: u64, seed: u64) -> Self {
         ValueDomainCampaignConfig {
-            trials,
-            seed,
-            cycles: 30,
             mode: ValueCampaignMode::CombinedStorm,
-            net_intensity: 0.2,
+            ..ValueDomainCampaignConfig::single_fault(trials, seed)
         }
     }
 
@@ -173,16 +170,15 @@ fn clean_reference(cycles: u32) -> Vec<Option<(u32, u32)>> {
     report.records.iter().map(force_metrics).collect()
 }
 
-/// Total force and left/right asymmetry of one cycle record, when all
-/// wheels reported. Wheels are FL/FR/RL/RR, so left = 0 + 2, right =
-/// 1 + 3.
+/// Total force and left/right asymmetry of one cycle record, when any
+/// wheel reported (a wheel that did not counts zero force). Wheels are
+/// FL/FR/RL/RR, so left = 0 + 2, right = 1 + 3.
 fn force_metrics(record: &crate::cluster::CycleRecord) -> Option<(u32, u32)> {
-    let f: Vec<u32> = record.wheel_force.iter().map(|w| w.unwrap_or(0)).collect();
-    if record.wheel_force.iter().all(|w| w.is_none()) {
+    if record.wheel_force.iter().all(Option::is_none) {
         return None;
     }
-    let left = f[0] + f[2];
-    let right = f[1] + f[3];
+    let f = record.wheel_force.map(|w| w.unwrap_or(0));
+    let (left, right) = (f[0] + f[2], f[1] + f[3]);
     Some((left + right, left.abs_diff(right)))
 }
 
@@ -250,41 +246,36 @@ pub fn run_value_domain_campaign(
     config: &ValueDomainCampaignConfig,
     engine: &EngineConfig,
 ) -> ValueDomainCampaignResult {
-    nlft_engine::run_trials(tally_campaign(config), engine).acc
+    nlft_engine::run_trials(value_domain_campaign(config), engine).acc
 }
 
-/// The value-domain campaign, which folds only its counters.
+/// The value-domain campaign. Its result is its counters, so a scenario
+/// and [`run_value_domain_campaign`] fold the same accumulator.
 ///
 /// # Panics
 ///
 /// Panics if [`ValueDomainCampaignConfig::check`] rejects the config.
-pub(crate) fn tally_campaign(
+pub(crate) fn value_domain_campaign(
     config: &ValueDomainCampaignConfig,
 ) -> impl TrialCampaign<Acc = ValueDomainCampaignResult> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let clean = clean_reference(config.cycles);
     let c = config.clone();
-    let root = RngStream::new(config.seed);
-    nlft_engine::indexed_campaign(
+    nlft_engine::absorbing_campaign(
         "bbw-value-domain",
         "value-trial",
         config.trials,
-        ValueDomainCampaignResult::default,
-        move |trial, _ctx, result: &mut ValueDomainCampaignResult| {
-            run_value_trial(&c, &clean, &root, trial, result);
-        },
-        |into, from| into.merge(&from),
+        config.seed,
+        move |_, rng| run_value_trial(&c, &clean, rng),
     )
 }
 
+/// Runs one trial and scores it as a one-trial tally.
 fn run_value_trial(
     config: &ValueDomainCampaignConfig,
     clean: &[Option<(u32, u32)>],
-    root: &RngStream,
-    trial: u64,
-    result: &mut ValueDomainCampaignResult,
-) {
-    let mut rng = root.fork_indexed("value-trial", trial);
+    mut rng: RngStream,
+) -> ValueDomainCampaignResult {
     let mut cluster = BbwCluster::with_rng(rng.fork("pedal-sensors"));
     match config.mode {
         ValueCampaignMode::SingleFault => match rng.uniform_range(0, 3) {
@@ -314,15 +305,14 @@ fn run_value_trial(
         }
     }
     let report = cluster.run(config.cycles, campaign_pedal);
-    score_trial(result, clean, &report);
+    score_trial(clean, &report)
 }
 
-fn score_trial(
-    result: &mut ValueDomainCampaignResult,
-    clean: &[Option<(u32, u32)>],
-    report: &ClusterReport,
-) {
-    result.trials += 1;
+fn score_trial(clean: &[Option<(u32, u32)>], report: &ClusterReport) -> ValueDomainCampaignResult {
+    let mut result = ValueDomainCampaignResult {
+        trials: 1,
+        ..ValueDomainCampaignResult::default()
+    };
     let v = &report.value;
     let undetected = u64::from(v.undetected_value_failures());
     result.undetected_value_failures += undetected;
@@ -362,6 +352,7 @@ fn score_trial(
     } else {
         result.masked += 1;
     }
+    result
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! streams, block merges by sums and strictly-greater maxima, golden
 //! pins at 1/2/5 threads.
 
-use nlft_engine::{EngineConfig, Tally, TrialCampaign};
+use nlft_engine::{Absorb, EngineConfig, Tally, TrialCampaign};
 use nlft_kernel::analysis::{
     faults_tolerated, tem_recovery_cost, weakly_hard_bound, MissModel, TemCosts,
 };
@@ -154,7 +154,8 @@ impl MissPatternCampaignConfig {
     }
 }
 
-/// The single worst pattern found, by excess stopping distance.
+/// One trial's miss pattern and what it costs. A campaign reports the
+/// worst one found, by excess stopping distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorstPattern {
     /// Trial that produced it (earliest wins ties).
@@ -220,14 +221,21 @@ pub struct MissPatternCampaignResult {
     pub worst: Option<WorstPattern>,
 }
 
-impl MissPatternCampaignResult {
-    fn merge(&mut self, other: MissPatternCampaignResult) {
-        self.counts.merge(&other.counts);
-        if let Some(w) = other.worst {
+impl Absorb<PatternTrial> for MissPatternCampaignResult {
+    fn absorb(&mut self, trial: u64, t: &PatternTrial) {
+        self.counts.absorb(trial, t);
+        self.keep_worse(t.pattern);
+    }
+
+    fn merge(&mut self, later: MissPatternCampaignResult) {
+        Tally::merge(&mut self.counts, &later.counts);
+        if let Some(w) = later.worst {
             self.keep_worse(w);
         }
     }
+}
 
+impl MissPatternCampaignResult {
     /// Keeps `w` if it costs strictly more distance than the worst so
     /// far. Trials and blocks fold in trial order, so the earliest trial
     /// wins ties and the winner is independent of the thread count.
@@ -299,60 +307,28 @@ pub fn run_miss_pattern_campaign(
     config: &MissPatternCampaignConfig,
     engine: &EngineConfig,
 ) -> MissPatternCampaignResult {
-    let campaign = miss_pattern_campaign(
-        config,
-        |result: &mut MissPatternCampaignResult, trial, t: PatternTrial| {
-            result.counts.absorb(&t);
-            result.keep_worse(WorstPattern {
-                trial,
-                fault_interval_us: t.fault_interval_us,
-                strategy: t.strategy,
-                pattern_bits: t.pattern_bits,
-                misses: t.misses,
-                score: t.score,
-            });
-        },
-        |into, from| into.merge(from),
-    );
-    nlft_engine::run_trials(campaign, engine).acc
+    nlft_engine::run_trials(miss_pattern_campaign(config), engine).acc
 }
 
-/// The miss-pattern campaign as a scenario runs it: the counters alone.
-pub(crate) fn tally_campaign(
-    config: &MissPatternCampaignConfig,
-) -> impl TrialCampaign<Acc = MissPatternCounts> {
-    miss_pattern_campaign(
-        config,
-        |counts: &mut MissPatternCounts, _, t| counts.absorb(&t),
-        |into, from| into.merge(&from),
-    )
-}
-
-/// The miss-pattern campaign, folding each trial's index and
-/// observation into an `A` with `fold`.
+/// The miss-pattern campaign, folding each trial's observation into an
+/// `A`: the counters alone for a scenario, the full result for
+/// [`run_miss_pattern_campaign`].
 ///
 /// # Panics
 ///
 /// Panics if [`MissPatternCampaignConfig::check`] rejects the config.
-fn miss_pattern_campaign<A: Default + Send + 'static>(
+pub(crate) fn miss_pattern_campaign<A: Absorb<PatternTrial>>(
     config: &MissPatternCampaignConfig,
-    fold: impl Fn(&mut A, u64, PatternTrial),
-    merge: impl Fn(&mut A, A),
 ) -> impl TrialCampaign<Acc = A> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = config.clone();
-    let root = RngStream::new(config.seed);
     let invariants = CampaignInvariants::new(config.policy);
-    nlft_engine::indexed_campaign(
+    nlft_engine::absorbing_campaign(
         "bbw-miss-pattern",
         "miss-pattern-trial",
         config.trials,
-        A::default,
-        move |trial, _ctx, acc: &mut A| {
-            let observed = run_miss_pattern_trial(&c, &invariants, &root, trial);
-            fold(acc, trial, observed);
-        },
-        merge,
+        config.seed,
+        move |trial, rng| run_miss_pattern_trial(&c, &invariants, trial, rng),
     )
 }
 
@@ -386,15 +362,9 @@ impl CampaignInvariants {
 }
 
 /// What one miss-pattern trial observed.
-struct PatternTrial {
-    /// The trial's fault inter-arrival time in µs.
-    fault_interval_us: u64,
-    /// The trial's placement strategy.
-    strategy: PlacementStrategy,
-    /// The miss pattern, bit `j` = job `j` missed.
-    pattern_bits: u64,
-    /// Misses over the whole horizon.
-    misses: u32,
+pub(crate) struct PatternTrial {
+    /// The trial's miss pattern and what it costs in distance.
+    pattern: WorstPattern,
     /// Worst misses-in-window the online monitor saw.
     observed_worst: u32,
     /// Whether the online monitor saw the contract violated.
@@ -403,18 +373,15 @@ struct PatternTrial {
     certified: bool,
     /// The analyzer's worst misses-in-window for the fault interval.
     bound_misses: u32,
-    /// What the pattern costs in distance.
-    score: BrakingScore,
 }
 
 fn run_miss_pattern_trial(
     config: &MissPatternCampaignConfig,
     inv: &CampaignInvariants,
-    root: &RngStream,
     trial: u64,
+    mut rng: RngStream,
 ) -> PatternTrial {
     let (lo, hi) = config.fault_interval_us;
-    let mut rng = root.fork_indexed("miss-pattern-trial", trial);
     let tf_us = rng.uniform_range(lo, hi);
     let strategy = STRATEGIES[rng.uniform_range(0, STRATEGIES.len() as u64) as usize];
 
@@ -437,36 +404,35 @@ fn run_miss_pattern_trial(
     let mut violated = false;
     let mut observed_worst = 0u32;
     let mut pattern_bits = 0u64;
-    let mut misses = 0u32;
     for (j, &miss) in pattern.iter().enumerate() {
         let v = monitor.record(miss);
         violated |= v.violated;
         observed_worst = observed_worst.max(v.misses_in_window);
-        if miss {
-            pattern_bits |= 1 << j;
-            misses += 1;
-        }
+        pattern_bits |= u64::from(miss) << j;
     }
 
     PatternTrial {
-        fault_interval_us: tf_us,
-        strategy,
-        pattern_bits,
-        misses,
+        pattern: WorstPattern {
+            trial,
+            fault_interval_us: tf_us,
+            strategy,
+            pattern_bits,
+            // The horizon is at most 64 jobs, so every miss has its bit.
+            misses: pattern_bits.count_ones(),
+            // The functional metric: what this pattern costs in distance.
+            score: inv.braking.score(&pattern, config.policy, inv.clean),
+        },
         observed_worst,
         violated,
         certified: bound.satisfied,
         bound_misses: bound.worst_misses,
-        // The functional metric: what this pattern costs in distance.
-        score: inv.braking.score(&pattern, config.policy, inv.clean),
     }
 }
 
-impl MissPatternCounts {
-    /// Folds one trial's observation.
-    fn absorb(&mut self, t: &PatternTrial) {
+impl Absorb<PatternTrial> for MissPatternCounts {
+    fn absorb(&mut self, _: u64, t: &PatternTrial) {
         self.trials += 1;
-        self.total_misses += u64::from(t.misses);
+        self.total_misses += u64::from(t.pattern.misses);
         self.worst_window_misses = self.worst_window_misses.max(u64::from(t.observed_worst));
         if t.certified {
             self.certified += 1;
@@ -484,7 +450,11 @@ impl MissPatternCounts {
         } else if t.observed_worst == t.bound_misses && t.bound_misses > 0 {
             self.bound_reached += 1;
         }
-        self.total_excess_distance += t.score.excess_distance;
+        self.total_excess_distance += t.pattern.score.excess_distance;
+    }
+
+    fn merge(&mut self, later: MissPatternCounts) {
+        Tally::merge(self, &later)
     }
 }
 

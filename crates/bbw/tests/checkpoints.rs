@@ -11,6 +11,10 @@
 //!   never panics, and it returns either a typed error or an outcome
 //!   that folds every trial it runs. The checkpoints come from near the
 //!   end of each run, so an accepted mutant runs few trials.
+//! * The same kind of mutation over encodings of the statistics
+//!   accumulators and of a Monte-Carlo result and its resume point:
+//!   decoding never panics, and whatever decodes re-encodes to a fixed
+//!   point.
 //!
 //! `NLFT_PROP_CASES=<n>` widens the sweep; `NLFT_PROP_SEED=<seed>` replays
 //! one reported case.
@@ -19,9 +23,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use nlft_bbw::montecarlo::MonteCarloResult;
 use nlft_bbw::scenario::{run_scenario, run_scenario_with, RunError, ScenarioOutcome};
-use nlft_engine::EngineConfig;
+use nlft_engine::checkpoint::{self, Checkpoint};
+use nlft_engine::{EngineConfig, ResumePoint};
 use nlft_reliability::scenario::{parse_scenario, ScenarioSpec};
+use nlft_sim::stats::{Histogram, OnlineStats, Proportion, SurvivalCurve};
 use nlft_testkit::prop::{CaseError, Suite};
 use nlft_testkit::prop_assert_eq;
 use nlft_testkit::rng::TkRng;
@@ -255,5 +262,176 @@ fn checkpoint_mutants_never_panic_and_fold_every_trial() {
         "checkpoint_mutants_never_panic_and_fold_every_trial",
         |r: &mut TkRng| arb_mutant(&bases, r),
         |m| check_mutant(&bases, m),
+    );
+}
+
+/// Tokens a mutated statistics checkpoint takes: the `u64` edges and
+/// past them, float bit patterns for zero, one, infinities and NaN, a
+/// non-number, and every statistics tag.
+const STATS_TOKENS: [&str; 18] = [
+    "0",
+    "1",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "0x0000000000000000",
+    "0x3ff0000000000000",
+    "0x7ff0000000000000",
+    "0xfff0000000000000",
+    "0x7ff8000000000000",
+    "0x",
+    "x",
+    "online",
+    "prop",
+    "hist",
+    "survival",
+    "mc",
+    "resume",
+];
+
+/// Decodes `text` as a `T`; if it decodes, its encoding must decode
+/// again to the same encoding.
+fn re_encodes_to_a_fixed_point<T: Checkpoint>(text: &str) -> Result<(), String> {
+    let Ok(value) = checkpoint::decode::<T>(text) else {
+        return Ok(());
+    };
+    let once = checkpoint::encode(&value);
+    let again = checkpoint::decode::<T>(&once)
+        .map_err(|e| format!("its encoding `{once}` does not decode: {e}"))?;
+    let twice = checkpoint::encode(&again);
+    if once == twice {
+        Ok(())
+    } else {
+        Err(format!("encoding `{once}` re-encodes as `{twice}`"))
+    }
+}
+
+/// A valid encoding of each statistics type, with its fixed-point check.
+type StatsBase = (&'static str, String, fn(&str) -> Result<(), String>);
+
+fn stats_bases() -> Vec<StatsBase> {
+    let mut online = OnlineStats::new();
+    let mut hist = Histogram::new(0.0, 10.0, 5);
+    let mut prop = Proportion::new();
+    let mut curve = SurvivalCurve::new(vec![1.0, 2.0, 4.0]);
+    for (i, x) in [0.5, 3.25, 9.5, -1.0, 12.0, 2.0].into_iter().enumerate() {
+        online.record(x);
+        hist.record(x);
+        prop.record(i % 3 == 0);
+        if x > 0.0 {
+            curve.record_failure(x);
+        } else {
+            curve.record_survivor();
+        }
+    }
+    let mc = MonteCarloResult {
+        curve: curve.clone(),
+        failures: 5,
+        failure_times: online,
+    };
+    let resume = ResumePoint {
+        trials_done: 6,
+        acc: mc.clone(),
+    };
+    vec![
+        (
+            "online",
+            online.encode(),
+            re_encodes_to_a_fixed_point::<OnlineStats>,
+        ),
+        (
+            "prop",
+            prop.encode(),
+            re_encodes_to_a_fixed_point::<Proportion>,
+        ),
+        (
+            "hist",
+            hist.encode(),
+            re_encodes_to_a_fixed_point::<Histogram>,
+        ),
+        (
+            "survival",
+            curve.encode(),
+            re_encodes_to_a_fixed_point::<SurvivalCurve>,
+        ),
+        (
+            "mc",
+            mc.encode(),
+            re_encodes_to_a_fixed_point::<MonteCarloResult>,
+        ),
+        (
+            "resume",
+            resume.encode(),
+            re_encodes_to_a_fixed_point::<ResumePoint<MonteCarloResult>>,
+        ),
+    ]
+}
+
+/// A statistics checkpoint with one or two tokens dropped, duplicated,
+/// swapped or replaced.
+#[derive(Debug)]
+struct StatsMutant {
+    base: usize,
+    mutations: Vec<String>,
+    text: String,
+}
+
+fn arb_stats_mutant(bases: &[StatsBase], r: &mut TkRng) -> StatsMutant {
+    let base = r.usize_range(0, bases.len());
+    let mut tokens: Vec<String> = bases[base]
+        .1
+        .split_whitespace()
+        .map(str::to_owned)
+        .collect();
+    let mut mutations = Vec::new();
+    for _ in 0..r.usize_range(1, 3) {
+        let at = r.usize_range(0, tokens.len());
+        let mutation = match r.usize_range(0, 4) {
+            0 if tokens.len() > 1 => format!("dropped token {at} `{}`", tokens.remove(at)),
+            1 => {
+                let copy = tokens[at].clone();
+                tokens.insert(at, copy.clone());
+                format!("duplicated token {at} `{copy}`")
+            }
+            2 => {
+                let other = r.usize_range(0, tokens.len());
+                tokens.swap(at, other);
+                format!("swapped tokens {at} and {other}")
+            }
+            _ => {
+                let value = STATS_TOKENS[r.usize_range(0, STATS_TOKENS.len())].to_owned();
+                let was = std::mem::replace(&mut tokens[at], value.clone());
+                format!("token {at}: `{was}` -> `{value}`")
+            }
+        };
+        mutations.push(mutation);
+    }
+    StatsMutant {
+        base,
+        mutations,
+        text: tokens.join(" "),
+    }
+}
+
+#[test]
+fn stats_checkpoint_mutants_never_panic_and_re_encode_to_a_fixed_point() {
+    let bases = stats_bases();
+    for (name, text, check) in &bases {
+        assert_eq!(check(text), Ok(()), "{name}");
+    }
+    Suite::new(0x57A7_2005).cases(64).check(
+        "stats_checkpoint_mutants_never_panic_and_re_encode_to_a_fixed_point",
+        |r: &mut TkRng| arb_stats_mutant(&bases, r),
+        |m| {
+            let (name, _, check) = &bases[m.base];
+            match catch_unwind(AssertUnwindSafe(|| check(&m.text))) {
+                Ok(Ok(())) => Ok(()),
+                Ok(Err(e)) => Err(CaseError::Fail(format!("{name} ({:?}): {e}", m.mutations))),
+                Err(_) => Err(CaseError::Fail(format!(
+                    "{name} ({:?}): decoding `{}` panicked",
+                    m.mutations, m.text
+                ))),
+            }
+        },
     );
 }

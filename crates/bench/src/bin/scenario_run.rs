@@ -345,6 +345,9 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nlft_testkit::prop::{CaseError, Suite};
+    use nlft_testkit::rng::TkRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn parse(line: &str) -> Result<Args, String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
@@ -417,5 +420,90 @@ mod tests {
             let e = parse(&format!("run {flag} 0")).unwrap_err();
             assert!(e.contains(&format!("`{flag}` must be at least 1")), "{e}");
         }
+    }
+
+    /// What an argument vector is built from: every flag, values at and
+    /// past the edges (`u64::MAX + 1` among them), commands, filters and
+    /// junk.
+    const ARG_POOL: [&str; 20] = [
+        "run",
+        "list",
+        "--threads",
+        "--trial-budget-ms",
+        "--checkpoint",
+        "--checkpoint-every",
+        "--resume",
+        "--zoo",
+        "0",
+        "1",
+        "7",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "1.5",
+        "babbling",
+        "wheel",
+        "--sequential",
+        "-t",
+        "",
+    ];
+
+    /// The argument `parse_args` must reject `args` for, or `None` if it
+    /// must accept them: a flag with no value, a count that does not
+    /// parse (or is zero where at least 1 is needed), an unknown flag,
+    /// or a second filter. The first argument is the command.
+    fn offender(args: &[String]) -> Option<&str> {
+        let mut filter = false;
+        let mut rest = args.iter().skip(1).map(String::as_str);
+        while let Some(arg) = rest.next() {
+            let count = match arg {
+                "--zoo" | "--checkpoint" | "--resume" => None,
+                "--threads" | "--trial-budget-ms" => Some(true),
+                "--checkpoint-every" => Some(false),
+                flag if flag.starts_with('-') => return Some(flag),
+                _ if filter => return Some(arg),
+                _ => {
+                    filter = true;
+                    continue;
+                }
+            };
+            let Some(value) = rest.next() else {
+                return Some(arg);
+            };
+            if let Some(positive) = count {
+                match value.parse::<u64>() {
+                    Ok(n) if n > 0 || !positive => {}
+                    _ => return Some(arg),
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn any_argument_vector_parses_or_quotes_its_offending_argument() {
+        Suite::new(0xA295_2005).check(
+            "any_argument_vector_parses_or_quotes_its_offending_argument",
+            |r: &mut TkRng| -> Vec<String> {
+                (0..r.usize_range(0, 9))
+                    .map(|_| ARG_POOL[r.usize_range(0, ARG_POOL.len())].to_string())
+                    .collect()
+            },
+            |args| {
+                let Ok(parsed) = catch_unwind(AssertUnwindSafe(|| parse_args(args))) else {
+                    return Err(CaseError::Fail(format!("{args:?}: parse_args panicked")));
+                };
+                match (parsed, offender(args)) {
+                    (Ok(a), None) if a.threads >= 1 && a.flags.trial_budget_ms != Some(0) => Ok(()),
+                    (Err(e), Some(arg)) if e.contains(&format!("`{arg}`")) => Ok(()),
+                    (Ok(_), expected) => Err(CaseError::Fail(format!(
+                        "{args:?}: accepted, expected a rejection quoting {expected:?}"
+                    ))),
+                    (Err(e), expected) => Err(CaseError::Fail(format!(
+                        "{args:?}: `{e}` does not quote {expected:?}"
+                    ))),
+                }
+            },
+        );
     }
 }

@@ -11,14 +11,14 @@
 
 use std::fmt;
 
-use nlft_engine::{EngineConfig, Tally, TrialCampaign};
+use nlft_engine::{Absorb, EngineConfig, Tally, TrialCampaign};
 use nlft_kernel::escalation::{EscalationEvent, EscalationPolicy, NodeHealth};
 use nlft_kernel::tem::{InjectionPlan, JobFault, JobOutcome, TemConfig, TemExecutor};
 use nlft_machine::edm::{DetectionMatrix, Edm};
 use nlft_machine::fault::{
     run_with_injection, FaultModel, FaultPersistence, FaultSpace, TransientFault,
 };
-use nlft_machine::machine::{RunExit, NUM_PORTS};
+use nlft_machine::machine::RunExit;
 use nlft_machine::workloads::Workload;
 use nlft_sim::rng::RngStream;
 use nlft_sim::stats::{OnlineStats, Proportion};
@@ -186,10 +186,28 @@ pub struct CampaignResult {
     pub matrix: DetectionMatrix,
 }
 
-impl CampaignResult {
-    fn merge(&mut self, other: &CampaignResult) {
-        self.counts.merge(&other.counts);
-        self.matrix.merge(&other.matrix);
+impl Absorb<TrialOutcome> for CampaignResult {
+    /// Also records which EDM caught the trial's fault, by target class.
+    /// A fault in kernel code has no class and is not recorded.
+    fn absorb(&mut self, trial: u64, outcome: &TrialOutcome) {
+        self.counts.absorb(trial, outcome);
+        let Some(class) = outcome.fault.map(|f| f.target.class()) else {
+            return;
+        };
+        let matrix = &mut self.matrix;
+        match outcome.verdict {
+            Verdict::Benign => matrix.record_benign(class),
+            Verdict::Masked { detected_by }
+            | Verdict::Omission { detected_by }
+            | Verdict::Detected { detected_by } => matrix.record_detection(class, detected_by),
+            Verdict::KernelError => {}
+            Verdict::UndetectedWrongOutput => matrix.record_undetected(class),
+        }
+    }
+
+    fn merge(&mut self, later: CampaignResult) {
+        Tally::merge(&mut self.counts, &later.counts);
+        self.matrix.merge(&later.matrix);
     }
 }
 
@@ -223,55 +241,32 @@ impl fmt::Display for CampaignResult {
 ///
 /// Panics if [`CampaignConfig::check`] rejects the config.
 pub fn run_campaign(config: &CampaignConfig, engine: &EngineConfig) -> CampaignResult {
-    let policy = config.policy;
-    let campaign = node_campaign(
-        config,
-        move |result: &mut CampaignResult, outcome| {
-            result.counts.absorb(policy, &outcome);
-            record_detection(&mut result.matrix, &outcome);
-        },
-        |into, from| into.merge(&from),
-    );
-    nlft_engine::run_trials(campaign, engine).acc
+    nlft_engine::run_trials(node_campaign(config), engine).acc
 }
 
-/// The campaign as a scenario runs it: the counters alone, with no
-/// Table 1 matrix.
+/// The campaign, folding each trial's outcome into an `A`: the counters
+/// alone for a scenario, with the Table 1 matrix for [`run_campaign`].
 ///
 /// # Panics
 ///
 /// Panics if [`CampaignConfig::check`] rejects the config.
-pub fn tally_campaign(config: &CampaignConfig) -> impl TrialCampaign<Acc = CampaignCounts> {
-    let policy = config.policy;
-    node_campaign(
-        config,
-        move |counts: &mut CampaignCounts, outcome| counts.absorb(policy, &outcome),
-        |into, from| into.merge(&from),
-    )
-}
-
-/// The campaign, folding each trial's outcome into an `A` with `fold`.
-fn node_campaign<A: Default + Send + 'static>(
+pub fn node_campaign<A: Absorb<TrialOutcome>>(
     config: &CampaignConfig,
-    fold: impl Fn(&mut A, TrialOutcome),
-    merge: impl Fn(&mut A, A),
 ) -> impl TrialCampaign<Acc = A> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     // Every trial forks its own stream from (seed, trial index) and the
     // engine folds block partials in block order regardless of worker
     // count, so parallelism only decides which worker runs a trial.
     let c = config.clone();
-    nlft_engine::indexed_campaign(
+    nlft_engine::absorbing_campaign(
         "core-fault-injection",
         "trial",
         config.trials,
-        A::default,
-        move |trial, _ctx, acc: &mut A| {
-            let mut rng = RngStream::new(c.seed).fork_indexed("trial", trial);
+        config.seed,
+        move |trial, mut rng| {
             let workload = &c.workloads[(trial % c.workloads.len() as u64) as usize];
-            fold(acc, run_trial(&c, workload, &mut rng));
+            run_trial(&c, workload, &mut rng)
         },
-        merge,
     )
 }
 
@@ -288,6 +283,7 @@ fn run_trial(config: &CampaignConfig, workload: &Workload, rng: &mut RngStream) 
     // Does the fault land in kernel code?
     if rng.bernoulli(config.kernel_fraction) {
         return TrialOutcome {
+            policy: config.policy,
             verdict: Verdict::KernelError,
             fault: None,
             ecc_escaped: 0,
@@ -297,7 +293,7 @@ fn run_trial(config: &CampaignConfig, workload: &Workload, rng: &mut RngStream) 
     let fault = config.space.sample(rng);
     let at_cycle = rng.uniform_range(1, clean_cycles.max(2));
 
-    match config.policy {
+    let (verdict, ecc_escaped) = match config.policy {
         NodePolicy::LightweightNlft => {
             let copy = rng.uniform_range(0, 2) as u32;
             let mut tem_config = TemConfig::with_budget(clean_cycles * 2 + 50);
@@ -332,11 +328,7 @@ fn run_trial(config: &CampaignConfig, workload: &Workload, rng: &mut RngStream) 
                 }
                 JobOutcome::Omission { detected_by } => Verdict::Omission { detected_by },
             };
-            TrialOutcome {
-                verdict,
-                fault: Some(fault),
-                ecc_escaped: machine.mem.ecc_stats().escaped,
-            }
+            (verdict, machine.mem.ecc_stats().escaped)
         }
         NodePolicy::FailSilent => {
             let mut machine = instantiate(workload, config.ecc);
@@ -347,7 +339,7 @@ fn run_trial(config: &CampaignConfig, workload: &Workload, rng: &mut RngStream) 
             let (outcome, _) = run_with_injection(&mut machine, budget, at_cycle, fault);
             let verdict = match outcome.exit {
                 RunExit::Halted => {
-                    if outputs_match(machine.outputs(), &golden) {
+                    if *machine.outputs() == golden {
                         Verdict::Benign
                     } else {
                         Verdict::UndetectedWrongOutput
@@ -360,17 +352,15 @@ fn run_trial(config: &CampaignConfig, workload: &Workload, rng: &mut RngStream) 
                     detected_by: Edm::ExecutionTimeMonitor,
                 },
             };
-            TrialOutcome {
-                verdict,
-                fault: Some(fault),
-                ecc_escaped: machine.mem.ecc_stats().escaped,
-            }
+            (verdict, machine.mem.ecc_stats().escaped)
         }
+    };
+    TrialOutcome {
+        policy: config.policy,
+        verdict,
+        fault: Some(fault),
+        ecc_escaped,
     }
-}
-
-fn outputs_match(actual: &[Option<u32>; NUM_PORTS], golden: &[Option<u32>; NUM_PORTS]) -> bool {
-    actual == golden
 }
 
 /// Builds a fresh machine for the trial, with or without ECC memory.
@@ -389,16 +379,17 @@ fn instantiate(workload: &Workload, ecc: bool) -> nlft_machine::machine::Machine
     }
 }
 
-struct TrialOutcome {
+/// What one fault-injection trial observed.
+pub struct TrialOutcome {
+    policy: NodePolicy,
     verdict: Verdict,
     fault: Option<TransientFault>,
     /// Corrupted reads served during the trial (ECC-off machines only).
     ecc_escaped: u64,
 }
 
-impl CampaignCounts {
-    /// Folds one trial's outcome under `policy`.
-    fn absorb(&mut self, policy: NodePolicy, outcome: &TrialOutcome) {
+impl Absorb<TrialOutcome> for CampaignCounts {
+    fn absorb(&mut self, _: u64, outcome: &TrialOutcome) {
         self.trials += 1;
         self.ecc_escaped += outcome.ecc_escaped;
         match outcome.verdict {
@@ -417,28 +408,16 @@ impl CampaignCounts {
             }
             Verdict::UndetectedWrongOutput => self.param_undetected += 1,
         }
-        match NodeFailureMode::classify(policy, outcome.verdict) {
+        match NodeFailureMode::classify(outcome.policy, outcome.verdict) {
             NodeFailureMode::Masked => self.masked += 1,
             NodeFailureMode::Omission => self.omission += 1,
             NodeFailureMode::FailSilent => self.fail_silent += 1,
             NodeFailureMode::Undetected => self.undetected += 1,
         }
     }
-}
 
-/// Records in `matrix` which EDM caught the trial's fault, by target
-/// class. A fault in kernel code has no class and is not recorded.
-fn record_detection(matrix: &mut DetectionMatrix, outcome: &TrialOutcome) {
-    let Some(class) = outcome.fault.map(|f| f.target.class()) else {
-        return;
-    };
-    match outcome.verdict {
-        Verdict::Benign => matrix.record_benign(class),
-        Verdict::Masked { detected_by }
-        | Verdict::Omission { detected_by }
-        | Verdict::Detected { detected_by } => matrix.record_detection(class, detected_by),
-        Verdict::KernelError => {}
-        Verdict::UndetectedWrongOutput => matrix.record_undetected(class),
+    fn merge(&mut self, later: CampaignCounts) {
+        Tally::merge(self, &later)
     }
 }
 
@@ -581,7 +560,7 @@ pub struct RecoveryCampaignResult {
 
 impl RecoveryCampaignResult {
     fn merge(&mut self, other: &RecoveryCampaignResult) {
-        self.counts.merge(&other.counts);
+        Tally::merge(&mut self.counts, &other.counts);
         self.false_retirement.merge(&other.false_retirement);
         self.detection_latency_jobs
             .merge(&other.detection_latency_jobs);

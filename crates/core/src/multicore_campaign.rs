@@ -21,7 +21,7 @@
 //! Results are bit-identical at any thread count (golden-pinned at
 //! 1/2/5 threads alongside the other campaign families).
 
-use nlft_engine::{EngineConfig, Tally, TrialCampaign};
+use nlft_engine::{Absorb, EngineConfig, Tally, TrialCampaign};
 use nlft_kernel::multicore::{MulticoreExecutive, MulticoreReport};
 use nlft_kernel::resources::{certify, left_rs_retry_term, ProtocolKind};
 use nlft_kernel::EscalationPolicy;
@@ -160,14 +160,23 @@ pub struct MulticoreCampaignResult {
     pub certified_retry_term_us: u64,
 }
 
-impl MulticoreCampaignResult {
-    fn merge(&mut self, other: &MulticoreCampaignResult) {
-        self.counts.merge(&other.counts);
+impl Absorb<MulticoreTrial> for MulticoreCampaignResult {
+    fn absorb(&mut self, trial: u64, t: &MulticoreTrial) {
+        self.counts.absorb(trial, t);
         self.leftrs_max_retry_cost_us = self
             .leftrs_max_retry_cost_us
-            .max(other.leftrs_max_retry_cost_us);
+            .max(t.cas.max_retry_cost.as_micros());
     }
 
+    fn merge(&mut self, later: MulticoreCampaignResult) {
+        Tally::merge(&mut self.counts, &later.counts);
+        self.leftrs_max_retry_cost_us = self
+            .leftrs_max_retry_cost_us
+            .max(later.leftrs_max_retry_cost_us);
+    }
+}
+
+impl MulticoreCampaignResult {
     /// `true` when every robustness claim held: all crashes broke the
     /// lock-based node, nothing broke LEFT-RS, the ladder saved the
     /// escalated lock-based runs, and the retry bound was never
@@ -195,16 +204,21 @@ fn certified_retry_term_us(cores: u32) -> u64 {
         .unwrap_or(0)
 }
 
-/// What one trial observed: the sampled death and the lock-based and
-/// LEFT-RS runs under it.
-struct MulticoreTrial {
+/// What one trial observed: the sampled death, the lock-based and
+/// LEFT-RS runs under it, and the certified retry term their retry cost
+/// is judged against.
+pub struct MulticoreTrial {
     death: CoreDeathFault,
     lock: MulticoreReport,
     cas: MulticoreReport,
+    certified_term: u64,
 }
 
-fn run_multicore_trial(config: &MulticoreCampaignConfig, trial: u64) -> MulticoreTrial {
-    let mut rng = RngStream::new(config.seed).fork_indexed("multicore-trial", trial);
+fn run_multicore_trial(
+    config: &MulticoreCampaignConfig,
+    certified_term: u64,
+    mut rng: RngStream,
+) -> MulticoreTrial {
     let death = CoreDeathFault::sample(
         &mut rng,
         config.cores,
@@ -223,13 +237,12 @@ fn run_multicore_trial(config: &MulticoreCampaignConfig, trial: u64) -> Multicor
         death,
         lock: run(ProtocolKind::LockBased),
         cas: run(ProtocolKind::LeftRs),
+        certified_term,
     }
 }
 
-impl MulticoreCounts {
-    /// Folds one trial, judging its retry cost against the certified
-    /// retry term.
-    fn absorb(&mut self, t: &MulticoreTrial, certified_term: u64) {
+impl Absorb<MulticoreTrial> for MulticoreCounts {
+    fn absorb(&mut self, _: u64, t: &MulticoreTrial) {
         let (lock, cas) = (&t.lock, &t.cas);
         self.trials += 1;
         if t.death.escalated {
@@ -256,11 +269,17 @@ impl MulticoreCounts {
             self.leftrs_clean += 1;
         }
         self.leftrs_max_retries = self.leftrs_max_retries.max(u64::from(cas.max_retries));
-        if cas.max_retry_cost.as_micros() > certified_term {
+        if cas.max_retry_cost.as_micros() > t.certified_term {
             self.retry_bound_breaches += 1;
         }
     }
 
+    fn merge(&mut self, later: MulticoreCounts) {
+        Tally::merge(self, &later)
+    }
+}
+
+impl MulticoreCounts {
     /// Certifies the reference node under LEFT-RS once, after the fold:
     /// adds the tasks that fail to `uncertified_tasks` and returns how
     /// many certify.
@@ -285,59 +304,36 @@ pub fn run_multicore_campaign(
     config: &MulticoreCampaignConfig,
     engine: &EngineConfig,
 ) -> MulticoreCampaignResult {
-    let certified_term = certified_retry_term_us(config.cores);
-    let campaign = multicore_campaign(
-        config,
-        move |result: &mut MulticoreCampaignResult, t| {
-            result.counts.absorb(&t, certified_term);
-            result.leftrs_max_retry_cost_us = result
-                .leftrs_max_retry_cost_us
-                .max(t.cas.max_retry_cost.as_micros());
-        },
-        |into, from| into.merge(&from),
-    );
-    let mut total = nlft_engine::run_trials(campaign, engine).acc;
+    let mut total: MulticoreCampaignResult =
+        nlft_engine::run_trials(multicore_campaign(config), engine).acc;
     total.certified_tasks = total.counts.certify(config.cores);
-    total.certified_retry_term_us = certified_term;
+    total.certified_retry_term_us = certified_retry_term_us(config.cores);
     total
 }
 
-/// The campaign as a scenario runs it: the counters alone. No trial
-/// adds to `uncertified_tasks`; call [`MulticoreCounts::certify`] once
-/// on the folded counts.
+/// The campaign, folding each trial's observation into an `A`: the
+/// counters alone for a scenario, the full result for
+/// [`run_multicore_campaign`]. No trial adds to `uncertified_tasks`;
+/// call [`MulticoreCounts::certify`] once on the folded counts. Every
+/// trial forks its own stream from (seed, trial index), so the engine's
+/// work distribution cannot perturb any drawn value; parallelism only
+/// decides which worker runs a trial.
 ///
 /// # Panics
 ///
 /// Panics if [`MulticoreCampaignConfig::check`] rejects the config.
-pub fn tally_campaign(
+pub fn multicore_campaign<A: Absorb<MulticoreTrial>>(
     config: &MulticoreCampaignConfig,
-) -> impl TrialCampaign<Acc = MulticoreCounts> {
-    let certified_term = certified_retry_term_us(config.cores);
-    multicore_campaign(
-        config,
-        move |counts: &mut MulticoreCounts, t| counts.absorb(&t, certified_term),
-        |into, from| into.merge(&from),
-    )
-}
-
-/// The campaign, folding each trial's observation into an `A` with
-/// `fold`. Every trial forks its own stream from (seed, trial index),
-/// so the engine's work distribution cannot perturb any drawn value;
-/// parallelism only decides which worker runs a trial.
-fn multicore_campaign<A: Default + Send + 'static>(
-    config: &MulticoreCampaignConfig,
-    fold: impl Fn(&mut A, MulticoreTrial),
-    merge: impl Fn(&mut A, A),
 ) -> impl TrialCampaign<Acc = A> {
     config.check().unwrap_or_else(|e| panic!("{e}"));
     let c = *config;
-    nlft_engine::indexed_campaign(
+    let certified_term = certified_retry_term_us(config.cores);
+    nlft_engine::absorbing_campaign(
         "core-multicore",
         "multicore-trial",
         config.trials,
-        A::default,
-        move |trial, _ctx, acc: &mut A| fold(acc, run_multicore_trial(&c, trial)),
-        merge,
+        config.seed,
+        move |_, rng| run_multicore_trial(&c, certified_term, rng),
     )
 }
 

@@ -171,10 +171,11 @@ impl Checkpoint for Histogram {
         if !(low.is_finite() && high.is_finite() && low < high) || n == 0 {
             return Err("bad histogram grid".to_string());
         }
-        let mut bins = Vec::with_capacity(n);
-        for _ in 0..n {
-            bins.push(reader.next_u64()?);
-        }
+        // The vectors grow as tokens arrive: a length read from the text
+        // must not size an allocation before its tokens are there.
+        let bins = (0..n)
+            .map(|_| reader.next_u64())
+            .collect::<Result<Vec<_>, _>>()?;
         let underflow = reader.next_u64()?;
         let overflow = reader.next_u64()?;
         let count = reader.next_u64()?;
@@ -209,10 +210,10 @@ impl Checkpoint for SurvivalCurve {
     fn decode(reader: &mut TokenReader<'_>) -> Result<Self, String> {
         reader.expect_tag("survival")?;
         let n = reader.next_usize()?;
-        let mut grid = Vec::with_capacity(n);
-        for _ in 0..n {
-            grid.push(reader.next_f64()?);
-        }
+        // Grown as tokens arrive, as for a histogram's bins.
+        let grid = (0..n)
+            .map(|_| reader.next_f64())
+            .collect::<Result<Vec<_>, _>>()?;
         // A NaN grid value must be rejected here, not panic later
         // inside SurvivalCurve::new.
         if grid.iter().any(|g| g.is_nan())
@@ -221,10 +222,9 @@ impl Checkpoint for SurvivalCurve {
         {
             return Err("bad survival grid".to_string());
         }
-        let mut survivors = Vec::with_capacity(n);
-        for _ in 0..n {
-            survivors.push(reader.next_u64()?);
-        }
+        let survivors = (0..n)
+            .map(|_| reader.next_u64())
+            .collect::<Result<Vec<_>, _>>()?;
         let replications = reader.next_u64()?;
         if survivors.iter().any(|&s| s > replications) {
             return Err("survivors exceed replications".to_string());
@@ -247,5 +247,27 @@ impl<A: Checkpoint> Checkpoint for ResumePoint<A> {
         let trials_done = reader.next_u64()?;
         let acc = A::decode(reader)?;
         Ok(ResumePoint { trials_done, acc })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_histogram_claiming_usize_max_bins_is_truncated_not_a_panic() {
+        let text = "hist 0x0000000000000000 0x3ff0000000000000 18446744073709551615";
+        assert_eq!(
+            decode::<Histogram>(text).unwrap_err(),
+            "checkpoint truncated"
+        );
+    }
+
+    #[test]
+    fn a_survival_curve_claiming_usize_max_points_is_truncated_not_a_panic() {
+        assert_eq!(
+            decode::<SurvivalCurve>("survival 18446744073709551615").unwrap_err(),
+            "checkpoint truncated"
+        );
     }
 }

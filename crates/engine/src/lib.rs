@@ -40,6 +40,10 @@
 //! * **Named counters.** A family declares its verdict and metric
 //!   counters once with [`tally!`]; the fold, the checkpoint codec and
 //!   the named iteration are generated ([`Tally`]).
+//! * **One observation per trial.** A family's trial body returns one
+//!   observation, and its counters and its public result each
+//!   [`Absorb`] it; [`absorbing_campaign`] builds the campaign for
+//!   either.
 //!
 //! The determinism argument in one line: trial randomness is addressed
 //! by `(seed, label, trial-index)` and the fold tree is fixed by
@@ -55,7 +59,7 @@ pub mod checkpoint;
 mod executor;
 mod tally;
 
-pub use adapter::{indexed_campaign, ClosureCampaign};
+pub use adapter::{absorbing_campaign, indexed_campaign, Absorb, ClosureCampaign};
 pub use campaign::{
     CampaignOptions, CampaignRun, ChaosKill, EngineConfig, EngineReport, Reproducer, ResumePoint,
     TrialCampaign, TrialCtx,

@@ -96,8 +96,14 @@ impl RngStream {
 
     /// Derives an independent child stream from an index (e.g. replica id).
     pub fn fork_indexed(&self, label: &str, index: u64) -> RngStream {
-        let mut state = hash_label(self.seed, label) ^ index.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        RngStream::new(splitmix64(&mut state))
+        self.indexed_forks(label).at(index)
+    }
+
+    /// The streams [`fork_indexed`](RngStream::fork_indexed) derives under
+    /// `label`, with the label hashed once: `indexed_forks(label).at(i)`
+    /// equals `fork_indexed(label, i)`.
+    pub fn indexed_forks(&self, label: &str) -> IndexedForks {
+        IndexedForks(hash_label(self.seed, label))
     }
 
     /// Next raw 64-bit value (one xoshiro256++ step).
@@ -201,6 +207,19 @@ impl RngStream {
             x -= w;
         }
         weights.len() - 1 // floating-point slack lands on the last bucket
+    }
+}
+
+/// The child streams of one [`RngStream`] under one fork label, by
+/// index; built by [`RngStream::indexed_forks`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexedForks(u64);
+
+impl IndexedForks {
+    /// The stream `fork_indexed(label, index)`.
+    pub fn at(&self, index: u64) -> RngStream {
+        let mut state = self.0 ^ index.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        RngStream::new(splitmix64(&mut state))
     }
 }
 

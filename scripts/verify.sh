@@ -105,6 +105,12 @@ NLFT_PROP_CASES=100000 cargo test --profile fuzz --offline -q -p nlft-bbw --test
 echo "== checkpoints: mutation property, 20000 cases, overflow checks on =="
 NLFT_PROP_CASES=20000 cargo test --profile fuzz --offline -q -p nlft-bbw --test checkpoints \
     checkpoint_mutants_never_panic_and_fold_every_trial
+# The statistics codec the same way: mutated encodings of the `sim::stats`
+# accumulators, a Monte-Carlo result and its resume point never panic a
+# decode, and whatever decodes re-encodes to a fixed point.
+echo "== checkpoints: statistics codec mutation property, 20000 cases, overflow checks on =="
+NLFT_PROP_CASES=20000 cargo test --profile fuzz --offline -q -p nlft-bbw --test checkpoints \
+    stats_checkpoint_mutants_never_panic_and_re_encode_to_a_fixed_point
 echo "== SHARPE models: mutation property, 100000 cases, overflow checks on =="
 NLFT_PROP_CASES=100000 cargo test --profile fuzz --offline -q -p nlft-reliability --test sharpe_mutations
 
