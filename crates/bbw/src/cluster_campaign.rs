@@ -70,10 +70,15 @@ impl ClusterCampaignResult {
 ///
 /// # Panics
 ///
-/// Panics if `trials` is zero or `cycles < 2`.
+/// Panics if `trials` is zero or `cycles` is below 3, too short to
+/// place the injection in.
 pub fn run_cluster_campaign(config: &ClusterCampaignConfig) -> ClusterCampaignResult {
     assert!(config.trials > 0, "need trials");
-    assert!(config.cycles > 1, "need at least two cycles");
+    assert!(
+        config.cycles >= ClusterInjection::MIN_CYCLES,
+        "need at least {} cycles",
+        ClusterInjection::MIN_CYCLES
+    );
     let c = config.clone();
     let campaign = nlft_engine::absorbing_campaign(
         "bbw-cluster",
@@ -132,14 +137,21 @@ impl NetStormCampaignConfig {
         }
     }
 
-    /// Checks that the campaign can run: trials, `2..=MAX_CYCLES`
-    /// cycles, and an intensity in `[0, 1]`.
+    /// Checks that the campaign can run: trials, `2..=MAX_CYCLES` cycles
+    /// (at least 3 with node faults on, to draw the transient's cycle in),
+    /// and an intensity in `[0, 1]`.
     pub fn check(&self) -> Result<(), String> {
         if self.trials == 0 {
             return Err("need trials".into());
         }
         if self.cycles < 2 {
             return Err("net_storm needs at least 2 cycles".into());
+        }
+        let least = ClusterInjection::MIN_CYCLES;
+        if self.with_node_faults && self.cycles < least {
+            return Err(format!(
+                "net_storm with node faults needs cycles of at least {least}"
+            ));
         }
         check_run_cycles("net_storm", u64::from(self.cycles))?;
         if !(0.0..=1.0).contains(&self.intensity) {

@@ -252,35 +252,15 @@ fn run_recovery_trial(
         return result;
     }
     let victim_retired = report.retired_nodes.contains(&victim);
-    match kind {
-        0 => {
-            if report.escalations.is_empty() && report.restarts == 0 {
-                result.masked_transient += 1;
-            } else if victim_retired {
-                result.false_retirement += 1;
-            } else if health == NodeHealth::Healthy {
-                result.recovered += 1;
-            } else {
-                result.unresolved += 1;
-            }
-        }
-        1 => {
-            if victim_retired {
-                result.false_retirement += 1;
-            } else if health == NodeHealth::Healthy {
-                result.recovered += 1;
-            } else {
-                result.unresolved += 1;
-            }
-        }
-        _ => {
-            if victim_retired {
-                result.retired += 1;
-            } else {
-                result.missed_permanent += 1;
-            }
-        }
-    }
+    let verdict = match kind {
+        0 if report.escalations.is_empty() && report.restarts == 0 => &mut result.masked_transient,
+        0 | 1 if victim_retired => &mut result.false_retirement,
+        0 | 1 if health == NodeHealth::Healthy => &mut result.recovered,
+        0 | 1 => &mut result.unresolved,
+        _ if victim_retired => &mut result.retired,
+        _ => &mut result.missed_permanent,
+    };
+    *verdict += 1;
     result
 }
 

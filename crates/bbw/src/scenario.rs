@@ -1138,6 +1138,55 @@ mod tests {
     }
 
     #[test]
+    fn every_cluster_family_folds_every_trial_at_its_shortest_run() {
+        // Each cluster-building family at the fewest cycles its `check`
+        // accepts, with every fault switch on. A trial that panics is left
+        // out of the fold, so a fault draw that does not fit the run shows
+        // up as a missing trial.
+        let cases = [
+            (
+                "net_storm",
+                "params\ncycles {n}\nintensity 1\nnode_faults on\nend\n",
+            ),
+            (
+                "value_domain",
+                "params\ncycles {n}\nmode combined_storm\nnet_intensity 1\nend\n",
+            ),
+            (
+                "blackout",
+                "params\nwarmup {n}\nrecovery 1\ndown 1\nstagger 2\nmin_reset 6\n\
+                 include_cus on\nend\n",
+            ),
+            ("recovery", "params\ncycles {n}\nend\n"),
+            (
+                "cluster",
+                "topology\ncycles {n}\nnode wheel_fl dual_core_left_rs\nstartup on\n\
+                 supervise on\nend\n\
+                 faults\nstorm 0.5\nrates cu_b babble 0.1\ndynamic 0.05 0.05\n\
+                 blackout 1 1 1 wheel_rr cu_a\ntransient wheel_rl 1 0 20\n\
+                 stuck_at wheel_fr 20\nintermittent cu_a 0.5 6\n\
+                 core_death wheel_fl 1 escalated\nsensor 0 drift 3 onset 1\n\
+                 actuator 2 runaway 50 onset 1\nsilence cu_b 3\nend\n\
+                 contracts\nwheel fl 2 8\nend\n",
+            ),
+        ];
+        for (family, params) in cases {
+            let at = |n: u32| {
+                let params = params.replace("{n}", &n.to_string());
+                spec(&format!(
+                    "scenario short\nfamily {family}\ntrials 6\nseed 0x5407\n{params}end\n"
+                ))
+            };
+            let shortest = (0..=64)
+                .map(at)
+                .find(|s| compile(s, 1).is_ok())
+                .unwrap_or_else(|| panic!("{family}: no run of up to 64 cycles compiles"));
+            let outcome = run_scenario(&shortest, 1).unwrap();
+            assert_eq!(outcome.trials, shortest.trials, "{family}: {shortest:?}");
+        }
+    }
+
+    #[test]
     fn cluster_scenario_exercises_every_fault_line() {
         let s = spec(
             "scenario all-lines\nfamily cluster\ntrials 2\nseed 0xabc\n\

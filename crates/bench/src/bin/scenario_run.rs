@@ -449,9 +449,10 @@ mod tests {
     ];
 
     /// The argument `parse_args` must reject `args` for, or `None` if it
-    /// must accept them: a flag with no value, a count that does not
-    /// parse (or is zero where at least 1 is needed), an unknown flag,
-    /// or a second filter. The first argument is the command.
+    /// must accept them: a flag with no value (or a `--` flag where its
+    /// value belongs), a count that does not parse (or is zero where at
+    /// least 1 is needed), an unknown flag, or a second filter. The first
+    /// argument is the command.
     fn offender(args: &[String]) -> Option<&str> {
         let mut filter = false;
         let mut rest = args.iter().skip(1).map(String::as_str);
@@ -467,7 +468,7 @@ mod tests {
                     continue;
                 }
             };
-            let Some(value) = rest.next() else {
+            let Some(value) = rest.next().filter(|v| !v.starts_with("--")) else {
                 return Some(arg);
             };
             if let Some(positive) = count {

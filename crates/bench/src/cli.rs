@@ -25,12 +25,16 @@ impl<'a> ArgCursor<'a> {
     ///
     /// # Errors
     ///
-    /// When the arguments end right after `flag`.
+    /// When the arguments end right after `flag`, or the next one is
+    /// itself a flag (`--…`). A lone `-` prefix, as in `-1`, is a value.
     pub fn value(&mut self, flag: &str) -> Result<&'a str, String> {
-        self.it
-            .next()
-            .map(String::as_str)
-            .ok_or_else(|| format!("`{flag}` needs a value"))
+        match self.it.next().map(String::as_str) {
+            Some(next) if next.starts_with("--") => {
+                Err(format!("`{flag}` needs a value, got the flag `{next}`"))
+            }
+            Some(value) => Ok(value),
+            None => Err(format!("`{flag}` needs a value")),
+        }
     }
 
     /// The value following `flag`, parsed as a non-negative integer.
@@ -99,6 +103,17 @@ mod tests {
         assert_eq!(
             cur.number::<u64>("--trials"),
             Err("`--trials` needs a value".into())
+        );
+    }
+
+    #[test]
+    fn a_flag_is_not_a_value() {
+        let a = args("--checkpoint --threads 2");
+        let mut cur = ArgCursor::new(&a);
+        cur.next();
+        assert_eq!(
+            cur.value("--checkpoint"),
+            Err("`--checkpoint` needs a value, got the flag `--threads`".into())
         );
     }
 

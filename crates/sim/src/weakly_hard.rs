@@ -122,6 +122,7 @@ impl WeaklyHard {
 
     /// Records one outcome (`miss = true` for a miss) in O(1) and
     /// returns the verdict for the updated window.
+    #[inline]
     pub fn record(&mut self, miss: bool) -> WindowVerdict {
         let slot = (self.observed % u64::from(self.window)) as u32;
         let (word, bit) = (slot / 64, slot % 64);
