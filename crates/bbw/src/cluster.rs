@@ -311,10 +311,55 @@ struct IntermittentRuntime {
     rng: RngStream,
 }
 
+/// The last TEM job a station ran: what it was asked and what it
+/// delivered, so that a repeat of a job that changed nothing costs a
+/// compare instead of its copies.
+struct LastJob {
+    /// Whether the job may stand in for a repeat: it ran with no fault,
+    /// its memory held no injected flip, and no word of memory changed
+    /// value or fault state while it ran.
+    reusable: bool,
+    config: TemConfig,
+    inputs: Vec<u32>,
+    /// The memory's change counter before (and, when reusable, after) it.
+    generation: u64,
+    outcome: JobOutcome,
+    /// The delivered output ports; empty on an omission.
+    outputs: Vec<u32>,
+}
+
+impl LastJob {
+    fn new(config: TemConfig) -> Self {
+        LastJob {
+            reusable: false,
+            config,
+            inputs: Vec::new(),
+            generation: 0,
+            outcome: JobOutcome::DeliveredClean,
+            outputs: Vec::new(),
+        }
+    }
+
+    /// Whether a fault-free job with `config` and `inputs`, on memory at
+    /// change count `generation`, repeats this one.
+    fn repeated_by(&self, config: TemConfig, inputs: &[u32], generation: u64) -> bool {
+        self.reusable
+            && self.generation == generation
+            && self.config == config
+            && self.inputs == inputs
+    }
+}
+
 struct StationRuntime {
     workload: Workload,
     machine: Machine,
     tem_config: TemConfig,
+    /// The last job run on `machine`; see [`StationRuntime::run_job`].
+    last: LastJob,
+    /// The repeats skipped so far; `None` runs every job, repeats
+    /// included, as the differential test's reference.
+    #[cfg(test)]
+    skipped: Option<u32>,
     /// Task cycles of a clean run, for placing recurring injections.
     clean_cycles: u64,
     /// Remaining cycles of enforced silence (fail-silent restart window).
@@ -340,10 +385,14 @@ struct StationRuntime {
 impl StationRuntime {
     fn new(workload: Workload, clean_cycles: u64) -> Self {
         let machine = workload.instantiate();
+        let tem_config = TemConfig::with_budget(clean_cycles * 2 + 50);
         StationRuntime {
             workload,
             machine,
-            tem_config: TemConfig::with_budget(clean_cycles * 2 + 50),
+            tem_config,
+            last: LastJob::new(tem_config),
+            #[cfg(test)]
+            skipped: Some(0),
             clean_cycles,
             silent_for: 0,
             supervisor: None,
@@ -375,6 +424,8 @@ impl StationRuntime {
     /// (a stuck-at survives because it lives in the silicon).
     fn reboot(&mut self) {
         self.machine = self.workload.instantiate();
+        // The fresh memory's change count says nothing about the old one.
+        self.last.reusable = false;
     }
 
     /// The startup protocol admitted this node into the majority clique:
@@ -439,7 +490,20 @@ impl StationRuntime {
 
     /// Runs this cycle's job under TEM: its outputs (`None` for an
     /// omission) and the supervisor's ladder steps.
-    fn run_job(&mut self, inputs: &[u32], at: u32) -> (Option<Vec<u32>>, Vec<EscalationEvent>) {
+    ///
+    /// A fault-free job that repeats the last one, which itself ran
+    /// fault-free and changed no word of memory, is not run again: its
+    /// recorded outcome and ports stand in for it. That is exact because
+    /// * a TEM job is a pure function of the machine's memory (its words
+    ///   and their fault state), its inputs, its `TemConfig` and its
+    ///   fault, and the change counter vouches for the memory;
+    /// * TEM resets the CPU and clears the output ports before every
+    ///   copy, and binds the same input ports, so nothing else carries
+    ///   over from one job to the next;
+    /// * only this method and [`StationRuntime::reboot`] (which drops the
+    ///   record) touch the station's machine;
+    /// * the decode cache is bit-invisible, so not filling it is too.
+    fn run_job(&mut self, inputs: &[u32], at: u32) -> (Option<&[u32]>, Vec<EscalationEvent>) {
         let fault = self.job_fault(at);
         let mut config = self.tem_config;
         if self.supervisor.as_ref().is_some_and(|s| s.tem_triples()) {
@@ -447,25 +511,49 @@ impl StationRuntime {
             // majority vote on every job).
             config.min_results = 3;
         }
-        let tem = TemExecutor::new(config);
-        let report = tem.run_job_with_fault(&mut self.machine, &self.workload, inputs, fault);
+        let generation = self.machine.mem.generation();
+        let repeat = fault.is_none() && self.last.repeated_by(config, inputs, generation);
+        #[cfg(test)]
+        let repeat = match self.skipped.as_mut() {
+            Some(n) if repeat => {
+                *n += 1;
+                true
+            }
+            _ => false,
+        };
+        if !repeat {
+            let tem = TemExecutor::new(config);
+            let report = tem.run_job_with_fault(&mut self.machine, &self.workload, inputs, fault);
+            let mem = &self.machine.mem;
+            let last = &mut self.last;
+            last.reusable =
+                fault.is_none() && mem.faulty_words() == 0 && mem.generation() == generation;
+            last.config = config;
+            last.generation = generation;
+            last.inputs.clear();
+            last.inputs.extend_from_slice(inputs);
+            last.outcome = report.outcome;
+            last.outputs.clear();
+            if report.outcome.delivered() {
+                let outputs = report.outputs.expect("delivered");
+                let ports = &self.workload.output_ports;
+                last.outputs
+                    .extend(ports.iter().map(|&p| outputs[p].unwrap_or(0)));
+            }
+        }
         let errored = matches!(
-            report.outcome,
+            self.last.outcome,
             JobOutcome::DeliveredMasked { .. } | JobOutcome::Omission { .. }
         );
         let events = self
             .supervisor
             .as_mut()
             .map_or_else(Vec::new, |sup| sup.observe_job(errored));
-        let ports = &self.workload.output_ports;
-        let outputs = match report.outcome {
-            JobOutcome::DeliveredClean | JobOutcome::DeliveredMasked { .. } => {
-                let outputs = report.outputs.expect("delivered");
-                Some(ports.iter().map(|&p| outputs[p].unwrap_or(0)).collect())
-            }
-            JobOutcome::Omission { .. } => None,
-        };
-        (outputs, events)
+        let last = &self.last;
+        (
+            last.outcome.delivered().then_some(&last.outputs[..]),
+            events,
+        )
     }
 }
 
@@ -1358,7 +1446,9 @@ impl Default for BbwCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nlft_machine::mem::EccStats;
     use nlft_net::inject::{BlackoutSpec, NetFaultRates};
+    use nlft_testkit::rng::TkRng;
 
     fn constant_pedal(_: u32) -> u32 {
         1000
@@ -1609,6 +1699,316 @@ mod tests {
             0xF3AB_2196,
             "cluster sweep digest moved"
         );
+    }
+
+    /// How the differential test's pedal moves: `levels` in turn, each
+    /// held for `hold` cycles.
+    #[derive(Debug)]
+    struct Pedal {
+        levels: [u32; 3],
+        hold: u32,
+    }
+
+    impl Pedal {
+        fn at(&self, cycle: u32) -> u32 {
+            self.levels[(cycle / self.hold) as usize % 3]
+        }
+    }
+
+    /// The network faults of a differential case.
+    #[derive(Debug)]
+    enum NetCase {
+        Quiet,
+        /// A storm over every node at this intensity, quiet in phase two.
+        Storm(f64),
+        /// The startup protocol and a blackout: its start, the victims'
+        /// index in `BLACKOUT_VICTIMS`, its length and stagger.
+        Blackout(u32, usize, u32, u32),
+    }
+
+    const BLACKOUT_VICTIMS: [&[NodeId]; 3] = [
+        &[CU_A, WHEELS[2]],
+        &[CU_A, CU_B, WHEELS[0], WHEELS[1]],
+        &[WHEELS[1], WHEELS[3]],
+    ];
+
+    /// One random cluster of the repeat-skip differential: faults,
+    /// supervision and storms through the sweep's entry points, run for
+    /// `cycles.0`, then (after an optional enforced silence) `cycles.1`.
+    #[derive(Debug)]
+    struct SkipCase {
+        seed: u64,
+        pedal: Pedal,
+        cycles: (u32, u32),
+        supervise: Option<usize>,
+        injections: u32,
+        memory_faults: bool,
+        /// A double-bit flip ECC cannot correct: its cycle, node and
+        /// word address (in the code or at the state window).
+        double_flip: Option<(u32, usize, u32)>,
+        stuck_at: Option<usize>,
+        intermittent: Option<(usize, f64)>,
+        core_death: Option<(u32, usize, Option<ProtocolKind>, bool)>,
+        value_faults: bool,
+        net: NetCase,
+        silence: Option<(usize, u32)>,
+    }
+
+    /// What the differential compares: every report's and the startup
+    /// metrics' `Debug` text, then each station's memory words and ECC
+    /// counters.
+    type SkipRun = (String, Vec<(Vec<u32>, EccStats)>);
+
+    impl SkipCase {
+        fn draw(r: &mut TkRng) -> Self {
+            let node = |r: &mut TkRng| r.usize_range(0, 6);
+            let some = |r: &mut TkRng| r.range(0, 3) == 0;
+            let level = |r: &mut TkRng| match r.range(0, 8) {
+                0 => 100_000,
+                _ => r.range(0, 4096) as u32,
+            };
+            let cycles = (r.range(3, 40) as u32, r.range(0, 20) as u32);
+            SkipCase {
+                seed: r.next_u64(),
+                pedal: Pedal {
+                    levels: [level(r), level(r), level(r)],
+                    hold: [1, 2, 5, 12, 1000][r.usize_range(0, 5)],
+                },
+                cycles,
+                supervise: some(r).then(|| r.usize_range(0, 7)),
+                injections: r.range(0, 3) as u32,
+                memory_faults: r.bool(),
+                double_flip: some(r).then(|| {
+                    let word = r.range(0, 48) as u32 * 4;
+                    let addr = if r.bool() {
+                        word
+                    } else {
+                        workloads::DATA_BASE + word
+                    };
+                    (r.range(1, cycles.0 as u64 - 1) as u32, node(r), addr)
+                }),
+                stuck_at: (r.range(0, 8) == 0).then(|| node(r)),
+                intermittent: some(r).then(|| (node(r), [0.2, 0.9][r.usize_range(0, 2)])),
+                core_death: some(r).then(|| {
+                    let protocol = [
+                        None,
+                        Some(ProtocolKind::LockBased),
+                        Some(ProtocolKind::LeftRs),
+                    ][r.usize_range(0, 3)];
+                    (r.range(0, 30) as u32, node(r), protocol, r.bool())
+                }),
+                value_faults: some(r),
+                net: match r.range(0, 4) {
+                    0 => NetCase::Storm(r.f64_range(0.05, 0.6)),
+                    1 => NetCase::Blackout(
+                        r.range(2, 12) as u32,
+                        r.usize_range(0, 3),
+                        r.range(1, 4) as u32,
+                        r.range(0, 3) as u32,
+                    ),
+                    _ => NetCase::Quiet,
+                },
+                silence: some(r).then(|| (node(r), r.range(1, 8) as u32)),
+            }
+        }
+
+        /// Builds and runs the case, skipping repeated jobs or not.
+        fn run(&self, skip: bool) -> SkipRun {
+            let root = RngStream::new(self.seed);
+            let mut rng = root.fork("faults");
+            let mut cluster = BbwCluster::with_rng(root.fork("pedal-sensors"));
+            for station in &mut cluster.stations {
+                station.skipped = skip.then_some(0);
+            }
+            match self.supervise {
+                Some(6) => {
+                    cluster.supervise_all(AlphaCountConfig::default(), EscalationPolicy::default())
+                }
+                Some(n) => cluster.supervise(
+                    ALL_NODES[n],
+                    AlphaCountConfig::default(),
+                    EscalationPolicy::default(),
+                ),
+                None => {}
+            }
+            let space = if self.memory_faults {
+                FaultSpace::seu(workloads::MEM_BYTES)
+            } else {
+                FaultSpace::cpu_only()
+            };
+            for _ in 0..self.injections {
+                cluster.inject(ClusterInjection::sample(&mut rng, self.cycles.0, &space));
+            }
+            if let Some((cycle, n, addr)) = self.double_flip {
+                cluster.inject(ClusterInjection {
+                    cycle,
+                    node: ALL_NODES[n],
+                    copy: 0,
+                    at_cycle: 1,
+                    fault: TransientFault {
+                        target: FaultTarget::MemoryWord(addr),
+                        mask: 0b101,
+                    },
+                });
+            }
+            if let Some(n) = self.stuck_at {
+                cluster.attach_stuck_at(
+                    ALL_NODES[n],
+                    StuckAtFault {
+                        target: FaultTarget::Pc,
+                        bit: 1 << 20,
+                        stuck_high: true,
+                    },
+                );
+            }
+            if let Some((n, recurrence)) = self.intermittent {
+                let fault = IntermittentFault {
+                    fault: pc_fault(),
+                    recurrence,
+                    burst_jobs: 6,
+                };
+                cluster.attach_intermittent(ALL_NODES[n], fault, rng.fork("intermittent"));
+            }
+            if let Some((at, n, protocol, escalated)) = self.core_death {
+                if let Some(kind) = protocol {
+                    cluster.enable_dual_core(ALL_NODES[n], kind);
+                }
+                cluster.attach_core_death(at, ALL_NODES[n], escalated);
+            }
+            if self.value_faults {
+                let k = rng.uniform_range(0, 4) as usize;
+                cluster.attach_sensor_fault(k % 3, SensorFault::Drift { per_cycle: 80 }, 2);
+                cluster.attach_actuator_fault(k, ActuatorFault::Offset(150), 3);
+                let word = rng.uniform_range(0, 6) as usize;
+                cluster.corrupt_command_at_wheel(4, k, word, 1 << rng.uniform_range(0, 32));
+                cluster.replay_command_at_wheel(6, (k + 1) % 4);
+            }
+            match self.net {
+                NetCase::Quiet => {}
+                NetCase::Storm(intensity) => {
+                    let plan = NetFaultPlan::quiet()
+                        .with_nodes(&ALL_NODES, NetFaultRates::storm(intensity))
+                        .with_dynamic(0.1 * intensity, 0.1 * intensity);
+                    cluster.attach_net_faults(plan, rng.fork("net-injector"));
+                }
+                NetCase::Blackout(at_cycle, victims, down_cycles, stagger) => {
+                    cluster.enable_startup();
+                    let plan = NetFaultPlan::quiet().with_blackout(BlackoutSpec {
+                        at_cycle,
+                        nodes: BLACKOUT_VICTIMS[victims].to_vec(),
+                        down_cycles,
+                        stagger,
+                    });
+                    cluster.attach_net_faults(plan, rng.fork("net-injector"));
+                }
+            }
+            let pedal = |c| self.pedal.at(c);
+            let mut text = format!("{:?}\n", cluster.run(self.cycles.0, pedal));
+            if let NetCase::Storm(_) = self.net {
+                cluster.set_net_fault_plan(NetFaultPlan::quiet());
+            }
+            if let Some((n, cycles)) = self.silence {
+                cluster.silence_node(ALL_NODES[n], cycles);
+            }
+            text += &format!("{:?}\n", cluster.run(self.cycles.1, pedal));
+            text += &format!("{:?}", cluster.startup_metrics());
+            let memories = cluster
+                .stations
+                .iter()
+                .map(|s| {
+                    let mem = &s.machine.mem;
+                    let words = mem.peek_words(0, (mem.size_bytes() / 4) as usize);
+                    (words.expect("whole memory").to_vec(), mem.ecc_stats())
+                })
+                .collect();
+            (text, memories)
+        }
+    }
+
+    /// Skipping a repeated clean job is invisible: seeded random clusters
+    /// run with and without the skip give the same reports, and every
+    /// station ends with the same memory words and ECC counters.
+    #[test]
+    fn skipping_repeated_jobs_changes_no_report_or_memory() {
+        nlft_testkit::prop::Suite::new(0x5EED_5C1B)
+            .cases(200)
+            .check(
+                "skipping_repeated_jobs_changes_no_report_or_memory",
+                SkipCase::draw,
+                |case| {
+                    let (text, memories) = case.run(true);
+                    let (reference, reference_memories) = case.run(false);
+                    nlft_testkit::prop_assert!(
+                        text == reference,
+                        "reports differ:\n{text}\n{reference}"
+                    );
+                    for (i, (a, b)) in memories.iter().zip(&reference_memories).enumerate() {
+                        nlft_testkit::prop_assert!(
+                            a == b,
+                            "station {i}: memory or ECC counters differ"
+                        );
+                    }
+                    Ok(())
+                },
+            );
+    }
+
+    /// Steady braking repeats most jobs, and a pedal that moves every
+    /// cycle repeats none of the wheels' jobs: the skip is taken where it
+    /// should be, and only there.
+    #[test]
+    fn steady_braking_skips_repeated_jobs() {
+        let skipped = |pedal: fn(u32) -> u32| {
+            let mut cluster = BbwCluster::new();
+            cluster.run(30, pedal);
+            cluster.stations.map(|s| s.skipped.expect("skipping on"))
+        };
+        let steady = skipped(constant_pedal);
+        assert!(steady.iter().all(|&n| n > 0), "{steady:?}");
+        let moving = skipped(|c| 500 + 7 * c);
+        assert_eq!(moving, [0; 6], "no job of a moving pedal repeats");
+    }
+
+    /// A job on changed memory is no repeat, even on the same inputs:
+    /// the change counter, not the station's call pattern, vouches that
+    /// memory is as the last job left it.
+    #[test]
+    fn a_memory_change_between_jobs_is_no_repeat() {
+        let w = &*CLUSTER_WORKLOADS;
+        let mut station = StationRuntime::new(w.pid.clone(), w.pid_cycles);
+        let first = station.run_job(&[1000, 1000], 0).0.map(<[u32]>::to_vec);
+        let again = station.run_job(&[1000, 1000], 1).0.map(<[u32]>::to_vec);
+        assert_eq!(station.skipped, Some(1), "the clean repeat is skipped");
+        assert_eq!(first, again);
+        // Change the PID's state window behind the station's back.
+        let integral = station.machine.mem.peek(workloads::DATA_BASE).unwrap();
+        station
+            .machine
+            .mem
+            .store(workloads::DATA_BASE, integral + 500)
+            .unwrap();
+        let changed = station.run_job(&[1000, 1000], 2).0.map(<[u32]>::to_vec);
+        assert_eq!(station.skipped, Some(1), "changed memory reruns the job");
+        assert_ne!(changed, again);
+    }
+
+    /// A job under another `TemConfig` is no repeat, even on the same
+    /// inputs and unchanged memory: here the second config asks for
+    /// three results but allows two copies, so the job omits.
+    #[test]
+    fn a_changed_tem_config_is_no_repeat() {
+        let w = &*CLUSTER_WORKLOADS;
+        let mut station = StationRuntime::new(w.dist.clone(), w.dist_cycles);
+        let (first, _) = station.run_job(&[1000], 0);
+        assert!(first.is_some());
+        let (again, _) = station.run_job(&[1000], 1);
+        assert!(again.is_some());
+        assert_eq!(station.skipped, Some(1), "the clean repeat is skipped");
+        station.tem_config.min_results = 3;
+        station.tem_config.max_executions = 2;
+        let (tripled, _) = station.run_job(&[1000], 2);
+        assert_eq!(tripled, None, "two copies give no third result");
+        assert_eq!(station.skipped, Some(1));
     }
 
     #[test]

@@ -205,9 +205,17 @@ impl ScenarioOutcome {
 pub(crate) type AcceptFailure = String;
 
 /// Checks a scenario's acceptance clause against its outcome. Returns
-/// the list of violated assertions (empty = accepted).
+/// the list of violated assertions (empty = accepted). An outcome that
+/// folded fewer trials than the spec asks for (a trial that panics is
+/// dropped from the fold) always fails, whatever the clause says.
 pub fn check_accept(spec: &ScenarioSpec, outcome: &ScenarioOutcome) -> Vec<AcceptFailure> {
     let mut failures = Vec::new();
+    if outcome.trials != spec.trials {
+        failures.push(format!(
+            "trials: folded {} of {}",
+            outcome.trials, spec.trials
+        ));
+    }
     if let Some(pin) = spec.accept.pin {
         if pin != outcome.digest {
             failures.push(format!(
@@ -1088,6 +1096,18 @@ mod tests {
         let failures = check_accept(&pinned, &outcome);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("does not match pin"), "{failures:?}");
+    }
+
+    #[test]
+    fn an_outcome_short_of_trials_fails_its_accept_clause() {
+        let s = spec("scenario a\nfamily recovery\ntrials 6\nseed 0x11\nend\n");
+        let mut outcome = run_scenario(&s, 1).unwrap();
+        assert!(check_accept(&s, &outcome).is_empty());
+        // Two trials panicked and were dropped from the fold.
+        outcome.trials = 4;
+        assert_eq!(check_accept(&s, &outcome), ["trials: folded 4 of 6"]);
+        outcome.trials = 0;
+        assert_eq!(check_accept(&s, &outcome), ["trials: folded 0 of 6"]);
     }
 
     #[test]

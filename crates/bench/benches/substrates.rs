@@ -241,8 +241,21 @@ fn bench_net() {
         });
     }
     {
+        // A steady pedal: after the first cycles most node jobs repeat
+        // the last one and are skipped (the hit path).
         let mut cluster = BbwCluster::new();
         b.bench("bbw_cluster_cycle", || black_box(cluster.run(1, |_| 1000)));
+    }
+    {
+        // A pedal that moves every cycle: no node job repeats, so every
+        // job runs its TEM copies (the miss path).
+        let mut cluster = BbwCluster::new();
+        let mut cycle = 0u32;
+        b.bench("bbw_cluster_cycle_ramp", || {
+            cycle += 1;
+            let pedal = 500 + 7 * (cycle % 400);
+            black_box(cluster.run(1, |_| pedal))
+        });
     }
     b.finish();
 }

@@ -19,6 +19,11 @@
 //! the fault-free load path — the overwhelmingly common case — tests one
 //! bit and never touches the sparse flip map, keeping the interpreter's
 //! fetch/load hot loop free of hashing.
+//!
+//! A change counter, [`EccMemory::generation`], moves whenever a word's
+//! value or fault state changes, so a caller can tell "nothing changed
+//! since" with one compare instead of a copy of memory. Rewriting a word
+//! with the value it already holds does not move it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -104,6 +109,8 @@ pub struct EccMemory {
     dirty: Vec<u64>,
     ecc_enabled: bool,
     stats: EccStats,
+    /// See [`EccMemory::generation`].
+    generation: u64,
 }
 
 impl EccMemory {
@@ -122,6 +129,7 @@ impl EccMemory {
             dirty: vec![0; words.div_ceil(64)],
             ecc_enabled: true,
             stats: EccStats::default(),
+            generation: 0,
         }
     }
 
@@ -141,6 +149,28 @@ impl EccMemory {
     /// ECC correction/detection counters.
     pub fn ecc_stats(&self) -> EccStats {
         self.stats
+    }
+
+    /// The change counter: it moves whenever a store or
+    /// [`EccMemory::store_words`] writes a different value, an injected
+    /// flip is added, scrubbed or cleared, or memory is reset. Equal
+    /// readings therefore mean equal words and equal fault state in
+    /// between. A store of the value a clean word already holds leaves it
+    /// where it was.
+    ///
+    /// ```
+    /// use nlft_machine::mem::EccMemory;
+    ///
+    /// let mut mem = EccMemory::new(64);
+    /// let before = mem.generation();
+    /// mem.store(8, 0)?; // the word already holds 0
+    /// assert_eq!(mem.generation(), before);
+    /// mem.store(8, 1)?;
+    /// assert_ne!(mem.generation(), before);
+    /// # Ok::<(), nlft_machine::mem::MemError>(())
+    /// ```
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     #[inline]
@@ -228,6 +258,7 @@ impl EccMemory {
             // SEC: corrected in place (scrubbing).
             self.flips.remove(&(idx as u32));
             self.clear_dirty(idx);
+            self.generation += 1;
             self.stats.corrected += 1;
             Ok(self.words[idx])
         } else {
@@ -245,10 +276,13 @@ impl EccMemory {
     /// [`MemError::Misaligned`] or [`MemError::Bus`] as for [`EccMemory::load`].
     pub fn store(&mut self, addr: u32, value: u32) -> Result<(), MemError> {
         let idx = self.word_index(addr)?;
-        self.words[idx] = value;
+        let word = &mut self.words[idx];
+        self.generation += u64::from(*word != value);
+        *word = value;
         if self.is_dirty(idx) {
             self.flips.remove(&(idx as u32));
             self.clear_dirty(idx);
+            self.generation += 1;
         }
         Ok(())
     }
@@ -288,8 +322,13 @@ impl EccMemory {
     /// range is invalid; nothing is written then.
     pub fn store_words(&mut self, base: u32, words: &[u32]) -> Result<(), MemError> {
         let range = self.word_range(base, words.len())?;
-        self.words[range.clone()].copy_from_slice(words);
+        let target = &mut self.words[range.clone()];
+        if target != words {
+            target.copy_from_slice(words);
+            self.generation += 1;
+        }
         if !self.range_is_clean(range.clone()) {
+            self.generation += 1;
             for idx in range {
                 if self.is_dirty(idx) {
                     self.flips.remove(&(idx as u32));
@@ -336,6 +375,7 @@ impl EccMemory {
     pub fn inject_flip(&mut self, addr: u32, mask: u32) -> bool {
         match self.word_index(addr) {
             Ok(idx) => {
+                self.generation += 1;
                 let e = self.flips.entry(idx as u32).or_insert(0);
                 *e ^= mask;
                 if *e == 0 {
@@ -359,6 +399,7 @@ impl EccMemory {
     pub fn clear_faults(&mut self) {
         self.flips.clear();
         self.dirty.fill(0);
+        self.generation += 1;
     }
 
     /// Zeroes all of memory and clears fault state (hard reset).
@@ -366,6 +407,7 @@ impl EccMemory {
         self.words.fill(0);
         self.flips.clear();
         self.dirty.fill(0);
+        self.generation += 1;
     }
 }
 

@@ -534,6 +534,7 @@ enum MemOp {
     StoreWords(u32, Vec<u32>),
     LoadWords(u32, usize),
     PeekWords(u32, usize),
+    Reset,
 }
 
 /// A byte address near the memory: mostly word-aligned and in range,
@@ -583,6 +584,10 @@ fn apply_mem_op(m: &mut EccMemory, op: &MemOp, by_range: bool) -> Result<Vec<u32
         MemOp::Inject(addr, mask) => Ok(vec![u32::from(m.inject_flip(*addr, *mask))]),
         MemOp::ClearFaults => {
             m.clear_faults();
+            Ok(vec![])
+        }
+        MemOp::Reset => {
+            m.reset();
             Ok(vec![])
         }
         MemOp::Load(addr) => m.load(*addr).map(|w| vec![w]),
@@ -648,6 +653,143 @@ fn range_ops_match_per_word_ops() {
                     "step {step}"
                 );
                 prop_assert_eq!(ranged.ecc_stats(), per_word.ecc_stats(), "step {step}");
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Words in the memory the change-counter property runs on: two
+/// dirty-bitset words, the second one partly used.
+const COUNTER_WORDS: u32 = 70;
+
+/// A step of the change-counter property. Values come from a small
+/// alphabet and ranges stay short, so stores often write the value a word
+/// already holds.
+fn arb_counted_op(r: &mut TkRng) -> MemOp {
+    let addr = |r: &mut TkRng| r.range(0, u64::from(COUNTER_WORDS) + 2) as u32 * 4;
+    let value = |r: &mut TkRng| r.range(0, 3) as u32;
+    match r.usize_range(0, 12) {
+        0..=3 => MemOp::Store(addr(r), value(r)),
+        4 | 5 => {
+            let len = r.usize_range(0, 6);
+            MemOp::StoreWords(addr(r), (0..len).map(|_| value(r)).collect())
+        }
+        6 | 7 => MemOp::Load(addr(r)),
+        8 | 9 => {
+            let mut mask = 1 << r.range(0, 32);
+            if r.bool() {
+                mask |= 1 << r.range(0, 32);
+            }
+            MemOp::Inject(addr(r), mask)
+        }
+        10 => MemOp::ClearFaults,
+        _ => MemOp::Reset,
+    }
+}
+
+/// The words and injected flips an [`EccMemory`] should hold, kept by
+/// hand: what the change counter vouches for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ShadowMemory {
+    words: Vec<u32>,
+    flips: std::collections::BTreeMap<usize, u32>,
+}
+
+impl ShadowMemory {
+    /// Applies `op` as the memory documents it, given whether the real
+    /// operation succeeded (address validity is not this property's
+    /// subject).
+    fn apply(&mut self, op: &MemOp, ecc: bool, succeeded: bool) {
+        let idx = |addr: u32| (addr / 4) as usize;
+        match op {
+            _ if !succeeded => {}
+            MemOp::Store(addr, value) => {
+                self.words[idx(*addr)] = *value;
+                self.flips.remove(&idx(*addr));
+            }
+            MemOp::StoreWords(base, words) => {
+                for (i, &w) in words.iter().enumerate() {
+                    self.words[idx(*base) + i] = w;
+                    self.flips.remove(&(idx(*base) + i));
+                }
+            }
+            MemOp::Load(addr) => {
+                let i = idx(*addr);
+                if ecc && self.flips.get(&i).is_some_and(|m| m.count_ones() == 1) {
+                    self.flips.remove(&i);
+                }
+            }
+            MemOp::Inject(addr, mask) => {
+                let i = idx(*addr);
+                let m = self.flips.entry(i).or_insert(0);
+                *m ^= mask;
+                if *m == 0 {
+                    self.flips.remove(&i);
+                }
+            }
+            MemOp::ClearFaults => self.flips.clear(),
+            MemOp::Reset => {
+                self.words.fill(0);
+                self.flips.clear();
+            }
+            MemOp::LoadWords(..) | MemOp::PeekWords(..) => {}
+        }
+    }
+}
+
+/// [`EccMemory::generation`] vouches for the memory: over random
+/// sequences of stores, range stores, loads, flips, fault clears and
+/// resets, with ECC on and off, a step that leaves the counter where it
+/// was leaves words and flips unchanged too, and a store or range store
+/// moves the counter exactly when it changes a word or clears a flip.
+#[test]
+fn generation_vouches_for_words_and_flips() {
+    SUITE.check(
+        "generation_vouches_for_words_and_flips",
+        {
+            let mut ops = gens::vec(arb_counted_op, 1..60);
+            move |r: &mut TkRng| (r.bool(), ops(r))
+        },
+        |(ecc, ops)| {
+            let mut m = if *ecc {
+                EccMemory::new(COUNTER_WORDS * 4)
+            } else {
+                EccMemory::new_without_ecc(COUNTER_WORDS * 4)
+            };
+            let mut shadow = ShadowMemory {
+                words: vec![0; COUNTER_WORDS as usize],
+                flips: Default::default(),
+            };
+            for (step, op) in ops.iter().enumerate() {
+                let (before, generation) = (shadow.clone(), m.generation());
+                let succeeded = match apply_mem_op(&mut m, op, true) {
+                    Ok(read) => !matches!(op, MemOp::Inject(..)) || read == [1],
+                    Err(MemError::EccUncorrectable { .. }) => true,
+                    Err(_) => false,
+                };
+                shadow.apply(op, *ecc, succeeded);
+                prop_assert_eq!(
+                    m.peek_words(0, COUNTER_WORDS as usize).unwrap(),
+                    &shadow.words[..],
+                    "step {step}: {op:?}: words differ from the shadow"
+                );
+                prop_assert_eq!(m.faulty_words(), shadow.flips.len(), "step {step}: {op:?}");
+                let moved = m.generation() != generation;
+                if !moved {
+                    prop_assert_eq!(
+                        &shadow,
+                        &before,
+                        "step {step}: {op:?} changed memory unseen"
+                    );
+                }
+                if matches!(op, MemOp::Store(..) | MemOp::StoreWords(..)) {
+                    prop_assert_eq!(
+                        moved,
+                        shadow != before,
+                        "step {step}: {op:?}: the counter must move exactly on a change"
+                    );
+                }
             }
             Ok(())
         },

@@ -114,6 +114,16 @@ NLFT_PROP_CASES=20000 cargo test --profile fuzz --offline -q -p nlft-bbw --test 
 echo "== SHARPE models: mutation property, 100000 cases, overflow checks on =="
 NLFT_PROP_CASES=100000 cargo test --profile fuzz --offline -q -p nlft-reliability --test sharpe_mutations
 
+# The repeated-job skip at scale, overflow checks on: the memory change
+# counter never stands still while words or flips change, and random
+# clusters run with and without the skip give identical reports, memory
+# and ECC counters.
+echo "== change counter and repeated-job skip: 20000 cases, overflow checks on =="
+NLFT_PROP_CASES=20000 cargo test --profile fuzz --offline -q -p nlft-machine --test properties \
+    generation_vouches_for_words_and_flips
+NLFT_PROP_CASES=20000 cargo test --profile fuzz --offline -q -p nlft-bbw --lib \
+    skipping_repeated_jobs_changes_no_report_or_memory
+
 # The kernel properties at scale, overflow checks on: delivered TEM
 # results are always golden, TEM reports are deterministic, and the
 # one-core executive never beats the response-time analysis.
