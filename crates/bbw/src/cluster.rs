@@ -2042,11 +2042,7 @@ mod tests {
                 &[1000, 900][..],
             ),
         ] {
-            assert_eq!(cached.name, fresh.name);
-            assert_eq!(cached.image, fresh.image, "{}", fresh.name);
-            assert_eq!(cached.map, fresh.map, "{}", fresh.name);
-            assert_eq!(cached.input_ports, fresh.input_ports, "{}", fresh.name);
-            assert_eq!(cached.output_ports, fresh.output_ports, "{}", fresh.name);
+            assert_eq!(*cached, fresh);
             assert_eq!(cycles, fresh.golden_run(inputs).1, "{}", fresh.name);
         }
     }

@@ -2,9 +2,10 @@
 //! can write panics the pipeline, and whatever compiles runs every trial
 //! it asks for.
 //!
-//! Each case takes one zoo file and mutates it once: a token replaced by
-//! an edge value, a token deleted or duplicated, a line deleted, or a
-//! line spliced in from another zoo file. Then:
+//! Each case takes one zoo file and mutates it once, or in half the cases
+//! twice: a token replaced by an edge value, a token deleted or
+//! duplicated, a line deleted, or a line spliced in from another zoo
+//! file. Then:
 //!
 //! * `parse_scenario` returns (a typed error or a spec) without panicking;
 //! * a parsed spec round-trips through `format_scenario`;
@@ -88,26 +89,30 @@ fn token_at(r: &mut TkRng, lines: &[Vec<String>], first: usize) -> (usize, usize
     positions[r.usize_range(0, positions.len())]
 }
 
-fn arb_mutant(zoo: &[(String, Vec<Vec<String>>)], r: &mut TkRng) -> Mutant {
-    let (file, original) = &zoo[r.usize_range(0, zoo.len())];
-    let mut lines = original.clone();
-    // Half the cases replace a value: that is the mutation that reaches
-    // compile and run with an extreme number, where runner panics hide.
-    let mutation = match r.usize_range(0, 8) {
+/// Applies one random mutation to `lines` and describes it.
+fn mutate(
+    zoo: &[(String, Vec<Vec<String>>)],
+    lines: &mut Vec<Vec<String>>,
+    r: &mut TkRng,
+) -> String {
+    // Half the mutations replace a value: that is the mutation that
+    // reaches compile and run with an extreme number, where runner panics
+    // hide.
+    match r.usize_range(0, 8) {
         0..=3 => {
             // Values, not keywords: a replaced keyword is only a parse error.
-            let (l, t) = token_at(r, &lines, 1);
+            let (l, t) = token_at(r, lines, 1);
             let value = EDGE_VALUES[r.usize_range(0, EDGE_VALUES.len())];
             let was = std::mem::replace(&mut lines[l][t], value.to_owned());
             format!("line {}: `{was}` -> `{value}`", l + 1)
         }
         4 => {
-            let (l, t) = token_at(r, &lines, 0);
+            let (l, t) = token_at(r, lines, 0);
             let was = lines[l].remove(t);
             format!("line {}: deleted `{was}`", l + 1)
         }
         5 => {
-            let (l, t) = token_at(r, &lines, 0);
+            let (l, t) = token_at(r, lines, 0);
             let copy = lines[l][t].clone();
             lines[l].insert(t, copy.clone());
             format!("line {}: duplicated `{copy}`", l + 1)
@@ -129,7 +134,17 @@ fn arb_mutant(zoo: &[(String, Vec<Vec<String>>)], r: &mut TkRng) -> Mutant {
             lines.insert(at, line);
             mutation
         }
-    };
+    }
+}
+
+fn arb_mutant(zoo: &[(String, Vec<Vec<String>>)], r: &mut TkRng) -> Mutant {
+    let (file, original) = &zoo[r.usize_range(0, zoo.len())];
+    let mut lines = original.clone();
+    let mut mutation = mutate(zoo, &mut lines, r);
+    // Single mutations have run dry: half the cases apply a second one.
+    if r.bool() {
+        mutation = format!("{mutation}; then {}", mutate(zoo, &mut lines, r));
+    }
     let source = lines
         .iter()
         .map(|toks| toks.join(" ") + "\n")

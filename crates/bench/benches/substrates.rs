@@ -13,7 +13,9 @@ use nlft_kernel::preemptive::{PreemptiveExecutive, ResidentTask};
 use nlft_kernel::resources::{certify, ProtocolKind};
 use nlft_kernel::task::{Priority, TaskId};
 use nlft_kernel::tem::{InjectionPlan, TemConfig, TemExecutor};
-use nlft_machine::fault::{FaultTarget, TransientFault};
+use nlft_machine::fault::{run_with_stuck_at, FaultTarget, StuckAtFault, TransientFault};
+use nlft_machine::isa::Reg;
+use nlft_machine::machine::RunExit;
 use nlft_machine::workloads;
 use nlft_net::bus::{Bus, BusConfig};
 use nlft_net::frame::NodeId;
@@ -120,6 +122,23 @@ fn bench_machine() {
         m.set_input(0, 1000);
         black_box(m.run(100_000))
     });
+    // A stuck-at job runs one `step` per instruction with the fault
+    // asserted before each. PID's r7 only holds small non-negative
+    // constants, so a stuck-low top bit there keeps the run golden.
+    let stuck = StuckAtFault {
+        target: FaultTarget::Register(Reg::R7),
+        bit: 1 << 31,
+        stuck_high: false,
+    };
+    let stuck_run = || {
+        let mut m = pid.instantiate();
+        m.set_input(0, 1000);
+        m.set_input(1, 900);
+        run_with_stuck_at(&mut m, 100_000, stuck)
+    };
+    let out = stuck_run();
+    assert_eq!(out.exit, RunExit::Halted, "the stuck bit must stay benign");
+    b.bench_throughput("pid_stuck_at", out.cycles_used, || black_box(stuck_run()));
     b.finish();
 }
 

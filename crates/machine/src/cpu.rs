@@ -70,6 +70,13 @@ pub struct CpuState {
     pub path_sig: u64,
 }
 
+/// The path signature `sig` after a taken control transfer from `from_pc`
+/// to `to_pc` — the one step [`CpuState::path_sig`] is folded with.
+pub(crate) fn fold_branch(sig: u64, from_pc: u32, to_pc: u32) -> u64 {
+    let x = (u64::from(from_pc) << 32) | u64::from(to_pc);
+    sig.rotate_left(7).wrapping_mul(0x100_0000_01b3) ^ x
+}
+
 impl CpuState {
     /// Creates a reset CPU with the given entry point and initial stack top.
     pub fn new(entry: u32, stack_top: u32) -> Self {
@@ -81,12 +88,6 @@ impl CpuState {
             cycles: 0,
             path_sig: 0,
         }
-    }
-
-    /// Folds a taken control transfer into the path signature.
-    pub(crate) fn record_branch(&mut self, from_pc: u32, to_pc: u32) {
-        let x = (u64::from(from_pc) << 32) | u64::from(to_pc);
-        self.path_sig = self.path_sig.rotate_left(7).wrapping_mul(0x100_0000_01b3) ^ x;
     }
 
     /// Reads a general-purpose register.
@@ -209,12 +210,12 @@ mod tests {
     #[test]
     fn path_signature_travels_with_the_context() {
         let mut cpu = CpuState::new(0, 0x100);
-        cpu.record_branch(0x10, 0x40);
+        cpu.path_sig = fold_branch(cpu.path_sig, 0x10, 0x40);
         let ctx = cpu.capture();
         let sig = cpu.path_sig;
         assert_ne!(sig, 0);
         // Another task's branches pollute the live signature…
-        cpu.record_branch(0x50, 0x80);
+        cpu.path_sig = fold_branch(cpu.path_sig, 0x50, 0x80);
         assert_ne!(cpu.path_sig, sig);
         // …but restoring the context brings the task's own history back.
         cpu.restore(&ctx);

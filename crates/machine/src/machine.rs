@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use crate::cpu::{CpuState, StatusFlags};
+use crate::cpu::{fold_branch, CpuState, StatusFlags};
 use crate::isa::Instr;
 use crate::mem::{EccMemory, MemError, WORD_BYTES};
 use crate::mmu::{Access, MemoryMap, MmuViolation};
@@ -155,14 +155,18 @@ pub struct Machine {
 
 /// One slot of the decoded-instruction cache.
 ///
-/// A filled slot at word index `i` vouches for two facts: address `4 * i`
+/// A filled slot at word index `i` vouches for three facts: address `4 * i`
 /// passed the MMU Execute check under the current map (the cache is
 /// emptied on every map change, and the check is a pure function of map,
-/// address and access), and `instr` is the decoding of `word`.
+/// address and access), `instr` is the decoding of `word`, and `cycles` is
+/// `instr`'s cost.
 #[derive(Debug, Clone, Copy, Default)]
 struct DecodeEntry {
     /// The instruction word this slot decoded.
     word: u32,
+    /// [`Instr::cycles`] of `instr`, stored when the slot is filled so a
+    /// hit charges its cost without a second match on the opcode.
+    cycles: u8,
     /// Its decoding; `None` marks an empty slot.
     instr: Option<Instr>,
 }
@@ -307,49 +311,77 @@ impl Machine {
         Ok(self.mem.load(addr)?)
     }
 
-    /// Fetches and decodes the instruction at `pc`, consulting the decode
-    /// cache.
+    fn store_checked(&mut self, addr: u32, value: u32) -> Result<(), Exception> {
+        self.map.check(addr, Access::Write)?;
+        self.mem.store(addr, value)?;
+        Ok(())
+    }
+
+    /// The fetch hit: the decoding and cost of the instruction at `pc`
+    /// straight from its slot, or `None` when [`Machine::fetch_decode`]
+    /// must fetch it.
     ///
-    /// The memory load is *never* skipped: ECC semantics (correction
+    /// A hit needs a filled slot, an aligned `pc`, and a memory word in
+    /// range, clean (no injected fault) and equal to the slot's tag. A load
+    /// of such a word has no side effect — no ECC counter moves, nothing is
+    /// scrubbed, the generation stays — and returns the tag, so skipping it
+    /// is exact. The filled slot still vouches for the Execute check, as
+    /// the cache is emptied on every map change. Everything else — a dirty
+    /// word, a miss, a misaligned or out-of-range `pc`, a replaced smaller
+    /// memory — takes the full fetch.
+    #[inline(always)]
+    fn fetch_hit(&self, pc: u32) -> Option<(Instr, u8)> {
+        let idx = (pc / WORD_BYTES) as usize;
+        match self.decode_cache.get(idx) {
+            Some(&DecodeEntry {
+                word,
+                cycles,
+                instr: Some(instr),
+            }) if pc.is_multiple_of(WORD_BYTES) && self.mem.clean_word(idx) == Some(word) => {
+                Some((instr, cycles))
+            }
+            _ => None,
+        }
+    }
+
+    /// Fetches and decodes the instruction at `pc` when
+    /// [`Machine::fetch_hit`] cannot, consulting the decode cache.
+    ///
+    /// The memory load is *never* skipped here: ECC semantics (correction
     /// counters, scrubbing, uncorrectable exceptions, silent escapes) fire
     /// exactly as they would uncached, and the word the load returned is
-    /// the one decoded. A hit skips the MMU scan and the decoder; the range
-    /// is still checked, as `mem` may have been replaced by a smaller one.
-    #[inline]
-    fn fetch_decode(&mut self, pc: u32) -> Result<Instr, Exception> {
+    /// the one decoded. A filled slot skips the MMU scan, and the decoder
+    /// when the word equals its tag; the range is still checked, as `mem`
+    /// may have been replaced by a smaller one.
+    #[inline(never)]
+    fn fetch_decode(&mut self, pc: u32) -> Result<(Instr, u8), Exception> {
         let idx = (pc / WORD_BYTES) as usize;
         if pc.is_multiple_of(WORD_BYTES) {
             if let Some(&DecodeEntry {
                 word: tag,
+                cycles,
                 instr: Some(instr),
             }) = self.decode_cache.get(idx)
             {
                 if let Some(loaded) = self.mem.load_word(idx) {
                     let word = loaded?;
                     if word == tag {
-                        return Ok(instr);
+                        return Ok((instr, cycles));
                     }
                     return self.decode_and_fill(pc, word);
                 }
             }
         }
-        self.fetch_decode_slow(pc)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn fetch_decode_slow(&mut self, pc: u32) -> Result<Instr, Exception> {
         let word = self.load_checked(pc, Access::Execute)?;
         self.decode_and_fill(pc, word)
     }
 
     /// Decodes `word`, fetched from `pc` under the current map, and caches
-    /// the decoding.
-    #[cold]
-    #[inline(never)]
-    fn decode_and_fill(&mut self, pc: u32, word: u32) -> Result<Instr, Exception> {
+    /// the decoding with its cost.
+    fn decode_and_fill(&mut self, pc: u32, word: u32) -> Result<(Instr, u8), Exception> {
         let instr =
             Instr::decode(word).map_err(|e| Exception::IllegalOpcode { pc, word: e.word })?;
+        let cycles = instr.cycles() as u8;
         if self.decode_cache_enabled {
             // The fetch succeeded, so `pc` is aligned and inside memory.
             let idx = (pc / WORD_BYTES) as usize;
@@ -362,20 +394,30 @@ impl Machine {
             }
             self.decode_cache[idx] = DecodeEntry {
                 word,
+                cycles,
                 instr: Some(instr),
             };
             self.filled = (self.filled.0.min(idx), self.filled.1.max(idx + 1));
         }
-        Ok(instr)
+        Ok((instr, cycles))
     }
 
-    fn store_checked(&mut self, addr: u32, value: u32) -> Result<(), Exception> {
-        self.map.check(addr, Access::Write)?;
-        self.mem.store(addr, value)?;
-        Ok(())
+    /// Appends one executed instruction to the trace ring.
+    #[cold]
+    #[inline(never)]
+    fn record_trace(&mut self, entry: TraceEntry) {
+        if let Some(trace) = &mut self.trace {
+            if trace.len() == self.trace_capacity {
+                trace.pop_front();
+            }
+            trace.push_back(entry);
+        }
     }
 
     /// Executes one instruction.
+    ///
+    /// This is [`Machine::run`]'s body stopped after one instruction, with
+    /// no cycle budget.
     ///
     /// # Errors
     ///
@@ -384,176 +426,210 @@ impl Machine {
     /// can inspect it.
     #[inline]
     pub fn step(&mut self) -> Result<Step, Exception> {
-        if self.halted {
-            return Ok(Step::Halted);
+        match self.execute::<true>(u64::MAX).exit {
+            RunExit::BudgetExhausted => Ok(Step::Running),
+            RunExit::Halted => Ok(Step::Halted),
+            RunExit::Exception(e) => Err(e),
         }
-        let pc = self.cpu.pc;
-        let instr = self.fetch_decode(pc)?;
-        self.cpu.cycles += instr.cycles();
-        if let Some(trace) = &mut self.trace {
-            if trace.len() == self.trace_capacity {
-                trace.pop_front();
-            }
-            trace.push_back(TraceEntry {
-                pc,
-                instr,
-                cycles: self.cpu.cycles,
-            });
-        }
-        let mut next_pc = pc.wrapping_add(WORD_BYTES);
-
-        macro_rules! alu {
-            ($rd:expr, $val:expr) => {{
-                let v = $val;
-                self.cpu.set_reg($rd, v);
-                self.cpu.flags = StatusFlags::from_result(v);
-            }};
-        }
-
-        match instr {
-            Instr::Nop => {}
-            Instr::Halt => {
-                self.halted = true;
-                return Ok(Step::Halted);
-            }
-            Instr::Ldi(rd, v) => alu!(rd, v as i32 as u32),
-            Instr::Lui(rd, v) => alu!(rd, u32::from(v) << 16),
-            Instr::Ld(rd, rs1, off) => {
-                let addr = self.cpu.reg(rs1).wrapping_add(off as i32 as u32);
-                let v = self.load_checked(addr, Access::Read)?;
-                alu!(rd, v);
-            }
-            Instr::St(rd, rs1, off) => {
-                let addr = self.cpu.reg(rs1).wrapping_add(off as i32 as u32);
-                self.store_checked(addr, self.cpu.reg(rd))?;
-            }
-            Instr::Mov(rd, rs1) => alu!(rd, self.cpu.reg(rs1)),
-            Instr::Add(rd, a, b) => alu!(rd, self.cpu.reg(a).wrapping_add(self.cpu.reg(b))),
-            Instr::Sub(rd, a, b) => alu!(rd, self.cpu.reg(a).wrapping_sub(self.cpu.reg(b))),
-            Instr::Mul(rd, a, b) => alu!(rd, self.cpu.reg(a).wrapping_mul(self.cpu.reg(b))),
-            Instr::Div(rd, a, b) => {
-                let divisor = self.cpu.reg(b) as i32;
-                if divisor == 0 {
-                    return Err(Exception::DivideByZero { pc });
-                }
-                let dividend = self.cpu.reg(a) as i32;
-                alu!(rd, dividend.wrapping_div(divisor) as u32);
-            }
-            Instr::And(rd, a, b) => alu!(rd, self.cpu.reg(a) & self.cpu.reg(b)),
-            Instr::Or(rd, a, b) => alu!(rd, self.cpu.reg(a) | self.cpu.reg(b)),
-            Instr::Xor(rd, a, b) => alu!(rd, self.cpu.reg(a) ^ self.cpu.reg(b)),
-            Instr::Shl(rd, a, b) => alu!(rd, self.cpu.reg(a) << (self.cpu.reg(b) & 31)),
-            Instr::Shr(rd, a, b) => alu!(rd, self.cpu.reg(a) >> (self.cpu.reg(b) & 31)),
-            Instr::Addi(rd, rs1, v) => {
-                alu!(rd, self.cpu.reg(rs1).wrapping_add(v as i32 as u32))
-            }
-            Instr::Cmp(a, b) => {
-                let (x, y) = (self.cpu.reg(a) as i32, self.cpu.reg(b) as i32);
-                self.cpu.flags = StatusFlags {
-                    zero: x == y,
-                    negative: x < y,
-                };
-            }
-            Instr::Jmp(t) => {
-                next_pc = u32::from(t);
-                self.cpu.record_branch(pc, next_pc);
-            }
-            Instr::Jz(t) => {
-                if self.cpu.flags.zero {
-                    next_pc = u32::from(t);
-                    self.cpu.record_branch(pc, next_pc);
-                }
-            }
-            Instr::Jnz(t) => {
-                if !self.cpu.flags.zero {
-                    next_pc = u32::from(t);
-                    self.cpu.record_branch(pc, next_pc);
-                }
-            }
-            Instr::Jn(t) => {
-                if self.cpu.flags.negative {
-                    next_pc = u32::from(t);
-                    self.cpu.record_branch(pc, next_pc);
-                }
-            }
-            Instr::Jge(t) => {
-                if !self.cpu.flags.negative {
-                    next_pc = u32::from(t);
-                    self.cpu.record_branch(pc, next_pc);
-                }
-            }
-            Instr::Call(t) => {
-                let sp = self.cpu.sp.wrapping_sub(WORD_BYTES);
-                self.store_checked(sp, next_pc)?;
-                self.cpu.sp = sp;
-                next_pc = u32::from(t);
-                self.cpu.record_branch(pc, next_pc);
-            }
-            Instr::Ret => {
-                let v = self.load_checked(self.cpu.sp, Access::Read)?;
-                self.cpu.sp = self.cpu.sp.wrapping_add(WORD_BYTES);
-                next_pc = v;
-                self.cpu.record_branch(pc, next_pc);
-            }
-            Instr::Push(rd) => {
-                let sp = self.cpu.sp.wrapping_sub(WORD_BYTES);
-                self.store_checked(sp, self.cpu.reg(rd))?;
-                self.cpu.sp = sp;
-            }
-            Instr::Pop(rd) => {
-                let v = self.load_checked(self.cpu.sp, Access::Read)?;
-                self.cpu.sp = self.cpu.sp.wrapping_add(WORD_BYTES);
-                self.cpu.set_reg(rd, v);
-            }
-            Instr::In(rd, port) => {
-                let p = port as usize;
-                if p >= NUM_PORTS {
-                    return Err(Exception::PortFault { port });
-                }
-                self.cpu.set_reg(rd, self.inputs[p]);
-            }
-            Instr::Out(rd, port) => {
-                let p = port as usize;
-                if p >= NUM_PORTS {
-                    return Err(Exception::PortFault { port });
-                }
-                self.outputs[p] = Some(self.cpu.reg(rd));
-            }
-        }
-        self.cpu.pc = next_pc;
-        Ok(Step::Running)
     }
 
     /// Runs until `HALT`, an exception, or `cycle_budget` cycles elapse.
     ///
     /// The budget models the execution-time monitor of Table 1: a task that
     /// overruns (e.g. a control-flow error trapped it in a loop) is stopped
-    /// and the overrun reported, rather than starving other tasks.
+    /// and the overrun reported, rather than starving other tasks. The
+    /// budget is checked before each instruction, so the last one may
+    /// overshoot it by its own cost.
     pub fn run(&mut self, cycle_budget: u64) -> RunOutcome {
+        self.execute::<false>(cycle_budget)
+    }
+
+    /// The interpreter: the one body behind [`Machine::run`] and, with
+    /// `ONE`, [`Machine::step`], which stops after one instruction and
+    /// reports that as [`RunExit::BudgetExhausted`].
+    ///
+    /// `pc`, the cycles charged, `flags` and `path_sig` live in locals and
+    /// are written back at the one exit, so the CPU state at every return is
+    /// what one instruction at a time leaves: a `HALT` has charged its
+    /// cycles and leaves `pc` on itself; an execute fault has charged its
+    /// cycles and leaves `pc` on the faulting instruction, with flags,
+    /// `sp` and the path signature untouched by it; a fetch fault charges
+    /// nothing.
+    #[inline(always)]
+    fn execute<const ONE: bool>(&mut self, cycle_budget: u64) -> RunOutcome {
+        // The budget is checked before every instruction, so a zero budget
+        // stops a halted machine too.
+        if cycle_budget == 0 || self.halted {
+            let exit = if cycle_budget == 0 {
+                RunExit::BudgetExhausted
+            } else {
+                RunExit::Halted
+            };
+            return RunOutcome {
+                exit,
+                cycles_used: 0,
+            };
+        }
         let start = self.cpu.cycles;
-        loop {
-            let used = self.cpu.cycles - start;
-            if used >= cycle_budget {
-                return RunOutcome {
-                    exit: RunExit::BudgetExhausted,
-                    cycles_used: used,
+        let mut pc = self.cpu.pc;
+        // Cycles charged so far; `start + used` is the cycle counter.
+        let mut used = 0u64;
+        let mut flags = self.cpu.flags;
+        let mut path_sig = self.cpu.path_sig;
+
+        let exit = 'run: loop {
+            macro_rules! raise {
+                ($e:expr) => {
+                    break 'run RunExit::Exception($e.into())
                 };
             }
-            match self.step() {
-                Ok(Step::Running) => {}
-                Ok(Step::Halted) => {
-                    return RunOutcome {
-                        exit: RunExit::Halted,
-                        cycles_used: self.cpu.cycles - start,
+            macro_rules! tri {
+                ($r:expr) => {
+                    match $r {
+                        Ok(v) => v,
+                        Err(e) => raise!(e),
+                    }
+                };
+            }
+            macro_rules! alu {
+                ($rd:expr, $val:expr) => {{
+                    let v = $val;
+                    self.cpu.set_reg($rd, v);
+                    flags = StatusFlags::from_result(v);
+                }};
+            }
+
+            let (instr, cost) = match self.fetch_hit(pc) {
+                Some(hit) => hit,
+                None => tri!(self.fetch_decode(pc)),
+            };
+            used += u64::from(cost);
+            if self.trace.is_some() {
+                let cycles = start + used;
+                self.record_trace(TraceEntry { pc, instr, cycles });
+            }
+            let mut next_pc = pc.wrapping_add(WORD_BYTES);
+            macro_rules! jump {
+                ($target:expr) => {{
+                    next_pc = $target;
+                    path_sig = fold_branch(path_sig, pc, next_pc);
+                }};
+            }
+
+            match instr {
+                Instr::Nop => {}
+                Instr::Halt => {
+                    self.halted = true;
+                    break 'run RunExit::Halted;
+                }
+                Instr::Ldi(rd, v) => alu!(rd, v as i32 as u32),
+                Instr::Lui(rd, v) => alu!(rd, u32::from(v) << 16),
+                Instr::Ld(rd, rs1, off) => {
+                    let addr = self.cpu.reg(rs1).wrapping_add(off as i32 as u32);
+                    let v = tri!(self.load_checked(addr, Access::Read));
+                    alu!(rd, v);
+                }
+                Instr::St(rd, rs1, off) => {
+                    let addr = self.cpu.reg(rs1).wrapping_add(off as i32 as u32);
+                    tri!(self.store_checked(addr, self.cpu.reg(rd)));
+                }
+                Instr::Mov(rd, rs1) => alu!(rd, self.cpu.reg(rs1)),
+                Instr::Add(rd, a, b) => alu!(rd, self.cpu.reg(a).wrapping_add(self.cpu.reg(b))),
+                Instr::Sub(rd, a, b) => alu!(rd, self.cpu.reg(a).wrapping_sub(self.cpu.reg(b))),
+                Instr::Mul(rd, a, b) => alu!(rd, self.cpu.reg(a).wrapping_mul(self.cpu.reg(b))),
+                Instr::Div(rd, a, b) => {
+                    let divisor = self.cpu.reg(b) as i32;
+                    if divisor == 0 {
+                        raise!(Exception::DivideByZero { pc });
+                    }
+                    let dividend = self.cpu.reg(a) as i32;
+                    alu!(rd, dividend.wrapping_div(divisor) as u32);
+                }
+                Instr::And(rd, a, b) => alu!(rd, self.cpu.reg(a) & self.cpu.reg(b)),
+                Instr::Or(rd, a, b) => alu!(rd, self.cpu.reg(a) | self.cpu.reg(b)),
+                Instr::Xor(rd, a, b) => alu!(rd, self.cpu.reg(a) ^ self.cpu.reg(b)),
+                Instr::Shl(rd, a, b) => alu!(rd, self.cpu.reg(a) << (self.cpu.reg(b) & 31)),
+                Instr::Shr(rd, a, b) => alu!(rd, self.cpu.reg(a) >> (self.cpu.reg(b) & 31)),
+                Instr::Addi(rd, rs1, v) => {
+                    alu!(rd, self.cpu.reg(rs1).wrapping_add(v as i32 as u32))
+                }
+                Instr::Cmp(a, b) => {
+                    let (x, y) = (self.cpu.reg(a) as i32, self.cpu.reg(b) as i32);
+                    flags = StatusFlags {
+                        zero: x == y,
+                        negative: x < y,
                     };
                 }
-                Err(e) => {
-                    return RunOutcome {
-                        exit: RunExit::Exception(e),
-                        cycles_used: self.cpu.cycles - start,
-                    };
+                Instr::Jmp(t) => jump!(u32::from(t)),
+                Instr::Jz(t) => {
+                    if flags.zero {
+                        jump!(u32::from(t));
+                    }
+                }
+                Instr::Jnz(t) => {
+                    if !flags.zero {
+                        jump!(u32::from(t));
+                    }
+                }
+                Instr::Jn(t) => {
+                    if flags.negative {
+                        jump!(u32::from(t));
+                    }
+                }
+                Instr::Jge(t) => {
+                    if !flags.negative {
+                        jump!(u32::from(t));
+                    }
+                }
+                Instr::Call(t) => {
+                    let sp = self.cpu.sp.wrapping_sub(WORD_BYTES);
+                    tri!(self.store_checked(sp, next_pc));
+                    self.cpu.sp = sp;
+                    jump!(u32::from(t));
+                }
+                Instr::Ret => {
+                    let v = tri!(self.load_checked(self.cpu.sp, Access::Read));
+                    self.cpu.sp = self.cpu.sp.wrapping_add(WORD_BYTES);
+                    jump!(v);
+                }
+                Instr::Push(rd) => {
+                    let sp = self.cpu.sp.wrapping_sub(WORD_BYTES);
+                    tri!(self.store_checked(sp, self.cpu.reg(rd)));
+                    self.cpu.sp = sp;
+                }
+                Instr::Pop(rd) => {
+                    let v = tri!(self.load_checked(self.cpu.sp, Access::Read));
+                    self.cpu.sp = self.cpu.sp.wrapping_add(WORD_BYTES);
+                    self.cpu.set_reg(rd, v);
+                }
+                Instr::In(rd, port) => {
+                    let p = port as usize;
+                    if p >= NUM_PORTS {
+                        raise!(Exception::PortFault { port });
+                    }
+                    self.cpu.set_reg(rd, self.inputs[p]);
+                }
+                Instr::Out(rd, port) => {
+                    let p = port as usize;
+                    if p >= NUM_PORTS {
+                        raise!(Exception::PortFault { port });
+                    }
+                    self.outputs[p] = Some(self.cpu.reg(rd));
                 }
             }
+            pc = next_pc;
+            if ONE || used >= cycle_budget {
+                break 'run RunExit::BudgetExhausted;
+            }
+        };
+
+        self.cpu.pc = pc;
+        self.cpu.cycles = start + used;
+        self.cpu.flags = flags;
+        self.cpu.path_sig = path_sig;
+        RunOutcome {
+            exit,
+            cycles_used: used,
         }
     }
 }

@@ -241,6 +241,17 @@ impl EccMemory {
         })
     }
 
+    /// The word at word index `idx` when it is in range and carries no
+    /// injected fault: exactly the words whose [`EccMemory::load`] returns
+    /// the stored value with no side effect (no ECC counter moves, nothing
+    /// is scrubbed, [`EccMemory::generation`] stays), so a caller may use
+    /// this read in place of that load. `None` otherwise.
+    #[inline]
+    pub(crate) fn clean_word(&self, idx: usize) -> Option<u32> {
+        let word = *self.words.get(idx)?;
+        (!self.is_dirty(idx)).then_some(word)
+    }
+
     /// Slow path for a load whose word carries an injected fault.
     #[cold]
     fn load_faulty(&mut self, idx: usize) -> Result<u32, MemError> {

@@ -14,6 +14,8 @@
 //! confines any of them: code (RX) in `[0, 0x400)`, task data (RW) in
 //! `[0x400, 0x800)`, stack (RW) in `[0x800, 0x1000)`.
 
+use std::sync::LazyLock;
+
 use crate::asm::{assemble, Image};
 use crate::machine::{Machine, RunExit, NUM_PORTS};
 use crate::mmu::{MemoryMap, Perms, Region};
@@ -28,7 +30,7 @@ pub const STACK_TOP: u32 = 0x1000;
 pub const DEFAULT_BUDGET: u64 = 50_000;
 
 /// A ready-to-run task program with its confinement map and port wiring.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Short identifier, e.g. `"pid"`.
     pub name: &'static str,
@@ -306,15 +308,21 @@ pub(crate) fn abs_controller() -> Workload {
 }
 
 /// All standard workloads, in campaign order.
+///
+/// Each is assembled once per process and cloned from then on: a
+/// workload is a pure function of its source text.
 pub fn standard_workloads() -> Vec<Workload> {
-    vec![
-        sum_series(),
-        pid_controller(),
-        brake_distribution(),
-        checksum_block(),
-        stacked_average(),
-        abs_controller(),
-    ]
+    static STANDARD: LazyLock<[Workload; 6]> = LazyLock::new(|| {
+        [
+            sum_series(),
+            pid_controller(),
+            brake_distribution(),
+            checksum_block(),
+            stacked_average(),
+            abs_controller(),
+        ]
+    });
+    STANDARD.to_vec()
 }
 
 #[cfg(test)]
@@ -433,6 +441,19 @@ mod tests {
                 w.name
             );
         }
+    }
+
+    #[test]
+    fn cached_workloads_equal_freshly_built_ones() {
+        let fresh = [
+            sum_series(),
+            pid_controller(),
+            brake_distribution(),
+            checksum_block(),
+            stacked_average(),
+            abs_controller(),
+        ];
+        assert_eq!(standard_workloads(), fresh);
     }
 
     #[test]

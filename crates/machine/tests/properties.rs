@@ -1,9 +1,11 @@
 //! Property-based tests for the TM32 machine.
 
 use nlft_machine::asm::{assemble, disassemble};
-use nlft_machine::fault::{run_with_injection, FaultSpace};
+use nlft_machine::fault::{
+    run_with_injection, run_with_stuck_at, FaultSpace, FaultTarget, StuckAtFault, TransientFault,
+};
 use nlft_machine::isa::{Instr, Reg};
-use nlft_machine::machine::{Machine, RunExit};
+use nlft_machine::machine::{Machine, RunExit, RunOutcome, Step};
 use nlft_machine::mem::{EccMemory, MemError};
 use nlft_machine::mmu::{MemoryMap, Perms, Region};
 use nlft_machine::workloads;
@@ -339,7 +341,7 @@ const CODE_WORDS: u64 = 40;
 /// rewrite the code that is running.
 fn arb_code_instr(r: &mut TkRng) -> Instr {
     let code_addr = |r: &mut TkRng| (r.range(0, CODE_WORDS) * 4) as u16;
-    match r.usize_range(0, 16) {
+    match r.usize_range(0, 19) {
         0 => Instr::Ldi(arb_reg(r), arb_i16(r)),
         1 => Instr::Addi(arb_reg(r), arb_reg(r), r.range(0, 8) as i16 - 4),
         2 => Instr::Add(arb_reg(r), arb_reg(r), arb_reg(r)),
@@ -354,6 +356,9 @@ fn arb_code_instr(r: &mut TkRng) -> Instr {
         12 => Instr::Call(code_addr(r)),
         13 => Instr::Ret,
         14 => Instr::Push(arb_reg(r)),
+        15 => Instr::Pop(arb_reg(r)),
+        16 => Instr::Mul(arb_reg(r), arb_reg(r), arb_reg(r)),
+        17 => Instr::Div(arb_reg(r), arb_reg(r), arb_reg(r)),
         _ => Instr::Halt,
     }
 }
@@ -480,6 +485,168 @@ fn decode_cache_is_bit_invisible_across_maps_stores_and_memory_swaps() {
                 }
                 apply_cache_event(&mut cached, event);
                 apply_cache_event(&mut uncached, event);
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The parent of the one-loop interpreter's `Machine::run`: one
+/// `Machine::step` at a time, the budget checked before each. It is the
+/// reference `run_matches_the_stepwise_reference` holds `run` to.
+fn run_stepwise(m: &mut Machine, cycle_budget: u64) -> RunOutcome {
+    let start = m.cpu.cycles;
+    loop {
+        let used = m.cpu.cycles - start;
+        if used >= cycle_budget {
+            return RunOutcome {
+                exit: RunExit::BudgetExhausted,
+                cycles_used: used,
+            };
+        }
+        let exit = match m.step() {
+            Ok(Step::Running) => continue,
+            Ok(Step::Halted) => RunExit::Halted,
+            Err(e) => RunExit::Exception(e),
+        };
+        return RunOutcome {
+            exit,
+            cycles_used: m.cpu.cycles - start,
+        };
+    }
+}
+
+/// What happens to both machines of the stepwise differential, in order.
+#[derive(Debug, Clone)]
+enum Act {
+    /// `run` (or the reference loop) with this cycle budget.
+    Run(u64),
+    /// `run_with_stuck_at` with this fault and cycle budget.
+    StuckAt(StuckAtFault, u64),
+    /// A single-event upset: a register, PC, SP or status flip, or one or
+    /// two flipped bits of a code or data word.
+    Upset(TransientFault),
+}
+
+fn arb_target(r: &mut TkRng) -> FaultTarget {
+    match r.usize_range(0, 6) {
+        0 => FaultTarget::Pc,
+        1 => FaultTarget::Sp,
+        2 => FaultTarget::Status,
+        3 => FaultTarget::MemoryWord((r.range(0, CODE_WORDS) * 4) as u32),
+        4 => FaultTarget::MemoryWord(0x400 + (r.range(0, 16) * 4) as u32),
+        _ => FaultTarget::Register(arb_reg(r)),
+    }
+}
+
+fn arb_act(r: &mut TkRng) -> Act {
+    // Mostly short budgets, so many end inside a MUL, DIV or CALL.
+    let budget = |r: &mut TkRng| {
+        if r.range(0, 4) == 0 {
+            r.range(0, 400)
+        } else {
+            r.range(1, 24)
+        }
+    };
+    match r.usize_range(0, 8) {
+        0..=3 => Act::Run(budget(r)),
+        4 => Act::StuckAt(
+            StuckAtFault {
+                target: arb_target(r),
+                bit: 1 << r.range(0, 32),
+                stuck_high: r.bool(),
+            },
+            budget(r),
+        ),
+        _ => {
+            let mut mask = 1 << r.range(0, 32);
+            if r.bool() {
+                mask |= 1 << r.range(0, 32);
+            }
+            Act::Upset(TransientFault {
+                target: arb_target(r),
+                mask,
+            })
+        }
+    }
+}
+
+/// The one-loop interpreter matches the stepwise reference: random
+/// self-modifying programs (loads, stores, stack ops, calls, returns,
+/// multi-cycle MUL and DIV) run in quanta under plans of single and
+/// double bit flips into code, data and registers and of stuck-at runs,
+/// with ECC, the decode cache and the trace each on or off, against the
+/// reference on an uncached machine. After every quantum both have the
+/// same outcome, CPU state (cycles and path signature included), outputs,
+/// ECC counters, change counter and memory, and the same trace when it
+/// is on.
+#[test]
+fn run_matches_the_stepwise_reference() {
+    SUITE.check(
+        "run_matches_the_stepwise_reference",
+        {
+            let mut code = gens::vec(|r| arb_code_instr(r).encode(), 4..CODE_WORDS as usize);
+            let mut plan = gens::vec(arb_act, 1..24);
+            move |r: &mut TkRng| {
+                let switches = [r.bool(), r.bool(), r.bool()];
+                (code(r), plan(r), r.usize_range(0, 4), switches)
+            }
+        },
+        |(code, plan, map, [ecc, cached, traced])| {
+            let fresh = |cached: bool| {
+                let mut m = if *ecc {
+                    Machine::new(4096, cache_map(*map))
+                } else {
+                    Machine::new_without_ecc(4096, cache_map(*map))
+                };
+                m.set_decode_cache_enabled(cached);
+                if *traced {
+                    m.enable_trace(64);
+                }
+                m.load_program(0, code).unwrap();
+                m.reset(0, 4096);
+                m
+            };
+            let (mut subject, mut reference) = (fresh(*cached), fresh(false));
+            for (step, act) in plan.iter().enumerate() {
+                let (a, b) = match *act {
+                    Act::Run(budget) => (subject.run(budget), run_stepwise(&mut reference, budget)),
+                    Act::StuckAt(fault, budget) => (
+                        run_with_stuck_at(&mut subject, budget, fault),
+                        run_with_stuck_at(&mut reference, budget, fault),
+                    ),
+                    Act::Upset(fault) => {
+                        fault.apply(&mut subject);
+                        fault.apply(&mut reference);
+                        continue;
+                    }
+                };
+                prop_assert_eq!(&a, &b, "step {step}: {act:?}: outcome differs");
+                prop_assert_eq!(&subject.cpu, &reference.cpu, "step {step}: CPU state");
+                prop_assert_eq!(subject.outputs(), reference.outputs(), "step {step}");
+                prop_assert_eq!(
+                    subject.mem.ecc_stats(),
+                    reference.mem.ecc_stats(),
+                    "step {step}"
+                );
+                prop_assert_eq!(
+                    subject.mem.generation(),
+                    reference.mem.generation(),
+                    "step {step}: change counter"
+                );
+                prop_assert_eq!(
+                    subject.mem.peek_words(0, 1024).unwrap(),
+                    reference.mem.peek_words(0, 1024).unwrap(),
+                    "step {step}: memory differs"
+                );
+                prop_assert!(
+                    subject.trace().eq(reference.trace()),
+                    "step {step}: traces differ"
+                );
+                if a.exit != RunExit::BudgetExhausted && step % 2 == 0 {
+                    subject.reset(0, 4096);
+                    reference.reset(0, 4096);
+                }
             }
             Ok(())
         },

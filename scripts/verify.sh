@@ -124,6 +124,14 @@ NLFT_PROP_CASES=20000 cargo test --profile fuzz --offline -q -p nlft-machine --t
 NLFT_PROP_CASES=20000 cargo test --profile fuzz --offline -q -p nlft-bbw --lib \
     skipping_repeated_jobs_changes_no_report_or_memory
 
+# The one-loop interpreter at scale, overflow checks on: `run` matches a
+# loop of `step` on an uncached machine under random self-modifying
+# programs, bit flips, stuck-at runs and short budgets, with ECC, the
+# decode cache and the trace each on or off.
+echo "== interpreter against the stepwise reference: 20000 cases, overflow checks on =="
+NLFT_PROP_CASES=20000 cargo test --profile fuzz --offline -q -p nlft-machine --test properties \
+    run_matches_the_stepwise_reference
+
 # The kernel properties at scale, overflow checks on: delivered TEM
 # results are always golden, TEM reports are deterministic, and the
 # one-core executive never beats the response-time analysis.
