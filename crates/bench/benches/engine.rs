@@ -3,16 +3,15 @@
 //! executor, thread spawn included), scheduling under skewed and
 //! periodic per-trial costs, per-block coordination on many small
 //! blocks, and the streaming block-merge fold that keeps memory
-//! O(workers); full mode re-runs the skewed campaign and writes its
+//! O(workers); full mode re-runs the skewed campaign and prints its
 //! scheduling telemetry (pending-block high-water mark, claim and fold
-//! waits) to `ENGINE.json` under `<target>/testkit/`.
+//! waits) on one line.
 
 use std::hint::black_box;
 
 use nlft_engine::{indexed_campaign, run_trials, ClosureCampaign, EngineConfig, EngineReport};
 use nlft_sim::stats::Histogram;
-use nlft_testkit::bench::{artifact_path, Bench};
-use nlft_testkit::json::Json;
+use nlft_testkit::bench::Bench;
 
 const EMPTY_TRIALS: u64 = 10_000;
 const SKEWED_TRIALS: u64 = 2_048;
@@ -143,25 +142,18 @@ fn block_partials() -> Vec<Histogram> {
         .collect()
 }
 
-fn telemetry(report: &EngineReport) -> Json {
-    Json::obj(vec![
-        ("trials", Json::UInt(report.trials)),
-        ("completed", Json::UInt(report.completed)),
-        ("blocks", Json::UInt(report.blocks)),
-        ("workers", Json::UInt(report.workers as u64)),
-        (
-            "max_pending_blocks",
-            Json::UInt(report.max_pending_blocks as u64),
-        ),
-        (
-            "claim_wait_ns",
-            Json::UInt(report.claim_wait.as_nanos() as u64),
-        ),
-        (
-            "fold_wait_ns",
-            Json::UInt(report.fold_wait.as_nanos() as u64),
-        ),
-    ])
+fn telemetry(report: &EngineReport) -> String {
+    format!(
+        "trials {} completed {} blocks {} workers {} max_pending_blocks {} \
+         claim_wait_ns {} fold_wait_ns {}",
+        report.trials,
+        report.completed,
+        report.blocks,
+        report.workers,
+        report.max_pending_blocks,
+        report.claim_wait.as_nanos(),
+        report.fold_wait.as_nanos(),
+    )
 }
 
 fn main() {
@@ -219,14 +211,7 @@ fn main() {
 
     if b.is_full() {
         let run = run_trials(skewed_campaign(), &skew_cfg);
-        let path = artifact_path("ENGINE.json");
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(&path, telemetry(&run.report).to_string()) {
-            Ok(()) => println!("engine telemetry written to {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
+        println!("engine telemetry: {}", telemetry(&run.report));
     }
     b.finish();
 }

@@ -1,7 +1,7 @@
 //! # nlft-bench — experiment harnesses for every table and figure
 //!
 //! Each paper artifact has a generator function here returning plain data,
-//! consumed by both the Criterion benches (`benches/`) and the printable
+//! consumed by both the bench binaries (`benches/`) and the printable
 //! harness binary (`src/bin/paper_figures.rs`). Keeping generation in a
 //! library makes every number in EXPERIMENTS.md reproducible from one
 //! entry point.
@@ -22,7 +22,6 @@
 
 pub mod cli;
 pub mod report;
-pub mod trajectory;
 
 /// Figure 12: BBW system reliability over one year, four configurations.
 pub mod fig12 {
@@ -81,6 +80,55 @@ pub mod fig12 {
                 }
             })
             .collect()
+    }
+
+    #[cfg(test)]
+    mod tests {
+        /// Appends a label and a NUL, then the raw bits of `numbers`.
+        fn put(bytes: &mut Vec<u8>, label: &str, numbers: impl IntoIterator<Item = f64>) {
+            bytes.extend_from_slice(label.as_bytes());
+            bytes.push(0);
+            for x in numbers {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+
+        fn flat(points: &[(f64, f64)]) -> impl Iterator<Item = f64> + '_ {
+            points.iter().flat_map(|&(a, b)| [a, b])
+        }
+
+        /// The analytic figures, bit for bit: one CRC-32 per figure over
+        /// its labels and the raw bits of every number it reports. Any
+        /// change to the analytic pipeline or to `BbwParams::paper()`,
+        /// down to one ulp, moves a digest. Fig. 14 reaches coverages and
+        /// transient rates that Fig. 12 never evaluates.
+        #[test]
+        fn figure_digests_are_pinned() {
+            let mut fig12 = Vec::new();
+            for c in super::generate() {
+                put(&mut fig12, &c.label, flat(&c.points).chain([c.mttf_years]));
+            }
+            let mut fig13 = Vec::new();
+            for c in crate::fig13::generate() {
+                put(&mut fig13, &c.label, flat(&c.points));
+            }
+            let mut fig14 = Vec::new();
+            for s in crate::fig14::generate() {
+                put(
+                    &mut fig14,
+                    &s.policy,
+                    [s.coverage].into_iter().chain(flat(&s.points)),
+                );
+            }
+            for (figure, bytes, pinned) in [
+                ("Figure 12", fig12, 0x2099_0701),
+                ("Figure 13", fig13, 0x60c3_8322),
+                ("Figure 14", fig14, 0x2c06_4c92),
+            ] {
+                let digest = nlft_sim::crc::crc32(&bytes);
+                assert_eq!(digest, pinned, "{figure} moved: digest {digest:#010x}");
+            }
+        }
     }
 }
 

@@ -2,14 +2,15 @@
 //!
 //! The criterion replacement: each benchmark is warmed up, the iteration
 //! count per sample is calibrated so one sample takes a few milliseconds,
-//! then `samples` batches are timed and summarised as min / mean / median
-//! / p95 per-iteration nanoseconds. `finish()` prints an aligned table and
-//! writes a `BENCH_<group>.json` report next to the target directory.
+//! then `samples` batches are timed and summarised as min / median / p95
+//! per-iteration nanoseconds, printed one line per benchmark. Compare two
+//! builds on `min`: noise on a shared host only ever adds time.
 //!
-//! `cargo bench` passes `--bench` to the binary; without that flag (as
-//! under `cargo test`, which also executes bench binaries) the runner
-//! drops into *smoke mode* — every closure runs exactly once so the bench
-//! stays compiled-and-correct without burning CI time.
+//! `cargo bench` passes `--bench` to the binary; without that flag the
+//! runner drops into *smoke mode* — every closure runs exactly once, so
+//! the bench's own asserts run without burning CI time. Plain `cargo test`
+//! does not run bench targets; `cargo test --benches` runs every one of
+//! them in smoke mode.
 //!
 //! ```no_run
 //! use nlft_testkit::bench::Bench;
@@ -20,10 +21,7 @@
 //! ```
 
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-use crate::json::Json;
 
 /// Target duration of one timed sample batch.
 const TARGET_SAMPLE: Duration = Duration::from_millis(4);
@@ -45,8 +43,6 @@ pub(crate) struct Record {
     pub iters_per_sample: u64,
     /// Fastest per-iteration time (ns).
     pub min_ns: f64,
-    /// Mean per-iteration time (ns).
-    pub mean_ns: f64,
     /// Median per-iteration time (ns).
     pub median_ns: f64,
     /// 95th-percentile per-iteration time (ns).
@@ -56,27 +52,24 @@ pub(crate) struct Record {
 }
 
 impl Record {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("name".to_string(), Json::from(self.name.clone())),
-            ("samples".to_string(), Json::from(self.samples)),
-            (
-                "iters_per_sample".to_string(),
-                Json::from(self.iters_per_sample),
-            ),
-            ("min_ns".to_string(), Json::from(self.min_ns)),
-            ("mean_ns".to_string(), Json::from(self.mean_ns)),
-            ("median_ns".to_string(), Json::from(self.median_ns)),
-            ("p95_ns".to_string(), Json::from(self.p95_ns)),
-        ];
-        if let Some(e) = self.elements {
-            fields.push(("elements".to_string(), Json::from(e)));
-        }
-        Json::Obj(fields)
+    /// The printed summary line of this benchmark in `group`.
+    fn line(&self, group: &str) -> String {
+        format!(
+            "bench {group}/{}: min {} median {} p95 {} ({} samples x {} iters){}",
+            self.name,
+            fmt_ns(self.min_ns),
+            fmt_ns(self.median_ns),
+            fmt_ns(self.p95_ns),
+            self.samples,
+            self.iters_per_sample,
+            self.elements
+                .map(|e| format!(", {:.1} ns/elem", self.median_ns / e as f64))
+                .unwrap_or_default(),
+        )
     }
 }
 
-/// A benchmark group: the unit of reporting (one table, one JSON file).
+/// A benchmark group: the unit of reporting.
 #[derive(Debug)]
 pub struct Bench {
     group: String,
@@ -215,7 +208,6 @@ impl Bench {
             samples: n,
             iters_per_sample,
             min_ns: per_iter_ns[0],
-            mean_ns: per_iter_ns.iter().sum::<f64>() / n as f64,
             median_ns: if n % 2 == 1 {
                 per_iter_ns[n / 2]
             } else {
@@ -224,64 +216,16 @@ impl Bench {
             p95_ns: per_iter_ns[((n as f64 * 0.95).ceil() as usize).clamp(1, n) - 1],
             elements,
         };
-        println!(
-            "bench {}/{}: median {} p95 {} ({} samples x {} iters){}",
-            self.group,
-            record.name,
-            fmt_ns(record.median_ns),
-            fmt_ns(record.p95_ns),
-            record.samples,
-            record.iters_per_sample,
-            record
-                .elements
-                .map(|e| format!(", {:.1} ns/elem", record.median_ns / e as f64))
-                .unwrap_or_default(),
-        );
+        println!("{}", record.line(&self.group));
         self.records.push(record);
     }
 
-    /// Prints the summary table and, in full mode, writes
-    /// `BENCH_<group>.json` under `<target>/testkit/`.
+    /// Closes the group; in full mode prints how many benchmarks ran.
     pub fn finish(self) {
-        if !self.full {
-            return;
-        }
-        println!("\ngroup {}: {} benchmarks", self.group, self.records.len());
-        let report = Json::obj([
-            ("group", Json::from(self.group.clone())),
-            (
-                "benchmarks",
-                Json::Arr(self.records.iter().map(Record::to_json).collect()),
-            ),
-        ]);
-        let path = artifact_path(&format!("BENCH_{}.json", self.group));
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(&path, report.to_string()) {
-            Ok(()) => println!("report written to {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
+        if self.full {
+            println!("\ngroup {}: {} benchmarks", self.group, self.records.len());
         }
     }
-}
-
-/// Where a named artifact lands: `NLFT_BENCH_OUT` if set, otherwise
-/// `<target>/testkit/` next to the running executable, falling back to
-/// `./target/testkit/`. Benches use it for their `BENCH_<group>.json`
-/// reports; campaigns and experiments can drop their own JSON next to
-/// them through the same resolution rules.
-pub fn artifact_path(file_name: &str) -> PathBuf {
-    if let Ok(dir) = std::env::var("NLFT_BENCH_OUT") {
-        return PathBuf::from(dir).join(file_name);
-    }
-    if let Ok(exe) = std::env::current_exe() {
-        for dir in exe.ancestors() {
-            if dir.file_name().is_some_and(|n| n == "target") {
-                return dir.join("testkit").join(file_name);
-            }
-        }
-    }
-    PathBuf::from("target").join("testkit").join(file_name)
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -317,7 +261,6 @@ mod tests {
         assert_eq!(r.min_ns, 1.0);
         assert_eq!(r.median_ns, 3.0);
         assert_eq!(r.p95_ns, 5.0);
-        assert!((r.mean_ns - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -345,15 +288,13 @@ mod tests {
     }
 
     #[test]
-    fn json_report_shape() {
+    fn report_line_leads_with_min() {
         let mut b = full_bench("unit");
         b.push_record("x", vec![1.0, 2.0, 3.0], 7, Some(10));
-        let j = b.records[0].to_json().to_string();
-        assert!(
-            j.starts_with(r#"{"name":"x","samples":3,"iters_per_sample":7,"min_ns":1.0"#),
-            "{j}"
+        assert_eq!(
+            b.records[0].line("unit"),
+            "bench unit/x: min 1.0 ns median 2.0 ns p95 3.0 ns (3 samples x 7 iters), 0.2 ns/elem"
         );
-        assert!(j.contains(r#""elements":10"#));
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! A minimal JSON value type, writer and parser.
+//! A minimal JSON value type and writer.
 //!
 //! Replaces the `serde`/`serde_json` pair for the workspace's report
 //! artifacts. Objects preserve insertion order, so a hand-written
 //! `to_json` emits fields exactly in declaration order — the same layout a
 //! `#[derive(Serialize)]` produced, which keeps downstream consumers of
-//! the `BENCH_*.json` and figure artifacts working unchanged. The parser
-//! ([`Json::parse`]) reads those artifacts back — the bench-regression
-//! tool compares a fresh run against the committed baseline with it.
+//! `paper_figures --json` working unchanged.
 //!
 //! ```
 //! use nlft_testkit::json::Json;
@@ -63,67 +61,6 @@ impl Json {
         Json::Arr(vec![Json::Num(a), Json::Num(b)])
     }
 
-    /// Parses a JSON document (the inverse of [`Json::write`]).
-    ///
-    /// Integers without a fraction or exponent parse as [`Json::UInt`]
-    /// when non-negative and [`Json::Int`] when negative; anything else
-    /// numeric parses as [`Json::Num`]. Trailing non-whitespace after the
-    /// document is an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonParseError`] carrying the byte offset and a
-    /// description of what went wrong.
-    pub fn parse(input: &str) -> Result<Json, JsonParseError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing characters after document"));
-        }
-        Ok(value)
-    }
-
-    /// Looks up a field of an object; `None` for missing fields and
-    /// non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value as `f64` ([`Json::Int`], [`Json::UInt`] and
-    /// [`Json::Num`]); `None` otherwise.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::UInt(u) => Some(*u as f64),
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The string value; `None` for non-strings.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array elements; `None` for non-arrays.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Serialises to a compact string (no whitespace).
     pub fn write(&self, out: &mut String) {
         match self {
@@ -156,272 +93,6 @@ impl Json {
                 out.push('}');
             }
         }
-    }
-}
-
-/// Why a JSON document failed to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonParseError {
-    /// Byte offset where the parser stopped.
-    pub offset: usize,
-    /// What the parser expected or found.
-    pub message: String,
-}
-
-impl fmt::Display for JsonParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "json parse error at byte {}: {}",
-            self.offset, self.message
-        )
-    }
-}
-
-impl std::error::Error for JsonParseError {}
-
-/// Nesting depth beyond which the parser bails out rather than risking a
-/// stack overflow on adversarial input.
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, message: &str) -> JsonParseError {
-        JsonParseError {
-            offset: self.pos,
-            message: message.to_string(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), JsonParseError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected '{word}'")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.error("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.error("unexpected character")),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            fields.push((key, self.value(depth + 1)?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            out.push(self.unicode_escape()?);
-                            continue;
-                        }
-                        _ => return Err(self.error("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(c) if c < 0x20 => return Err(self.error("control character in string")),
-                Some(_) => {
-                    // Copy the full UTF-8 sequence starting here.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self
-                        .peek()
-                        .is_some_and(|b| b & 0xC0 == 0x80 && self.pos - start < 4)
-                    {
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.error("invalid utf-8 in string"))?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-
-    fn unicode_escape(&mut self) -> Result<char, JsonParseError> {
-        let unit = self.hex4()?;
-        // Surrogate pairs: a high surrogate must be followed by \u + low.
-        let code = if (0xD800..0xDC00).contains(&unit) {
-            if self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'u') {
-                self.pos += 2;
-                let low = self.hex4()?;
-                if !(0xDC00..0xE000).contains(&low) {
-                    return Err(self.error("invalid low surrogate"));
-                }
-                0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
-            } else {
-                return Err(self.error("unpaired high surrogate"));
-            }
-        } else if (0xDC00..0xE000).contains(&unit) {
-            return Err(self.error("unpaired low surrogate"));
-        } else {
-            unit
-        };
-        char::from_u32(code).ok_or_else(|| self.error("invalid unicode escape"))
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonParseError> {
-        let end = self.pos + 4;
-        let hex = self
-            .bytes
-            .get(self.pos..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
-            .ok_or_else(|| self.error("truncated \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.error("bad \\u escape"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, JsonParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digit_start = self.pos;
-        if self.digits()? > 1 && self.bytes[digit_start] == b'0' {
-            return Err(self.error("leading zero"));
-        }
-        let mut fractional = false;
-        if self.peek() == Some(b'.') {
-            fractional = true;
-            self.pos += 1;
-            self.digits()?;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            fractional = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            self.digits()?;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii span");
-        if !fractional {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Json::UInt(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.error("invalid number"))
-    }
-
-    /// Consumes at least one digit; returns how many.
-    fn digits(&mut self) -> Result<usize, JsonParseError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.error("expected digit"));
-        }
-        Ok(self.pos - start)
     }
 }
 
@@ -563,10 +234,6 @@ mod tests {
             Json::arr([Json::obj([("ci", Json::pair(0.1, 0.2))])]),
         )]);
         assert_eq!(j.to_string(), r#"{"rows":[{"ci":[0.1,0.2]}]}"#);
-    }
-
-    #[test]
-    fn parse_round_trips_writer_output() {
         let j = Json::obj([
             ("group", Json::from("substrates")),
             (
@@ -581,77 +248,10 @@ mod tests {
                 ])]),
             ),
         ]);
-        assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
-    }
-
-    #[test]
-    fn parse_accepts_whitespace_and_escapes() {
-        let j = Json::parse(" { \"a\\n\\\"b\" : [ 1 , -2.5e3 , \"\\u0041\\ud83d\\ude00\" ] } ")
-            .unwrap();
-        let arr = j.get("a\n\"b").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0], Json::UInt(1));
-        assert_eq!(arr[1], Json::Num(-2500.0));
-        assert_eq!(arr[2].as_str().unwrap(), "A😀");
-    }
-
-    #[test]
-    fn parse_number_typing() {
-        assert_eq!(Json::parse("7").unwrap(), Json::UInt(7));
-        assert_eq!(Json::parse("-7").unwrap(), Json::Int(-7));
-        assert_eq!(Json::parse("7.0").unwrap(), Json::Num(7.0));
         assert_eq!(
-            Json::parse(&u64::MAX.to_string()).unwrap(),
-            Json::UInt(u64::MAX)
+            j.to_string(),
+            r#"{"group":"substrates","benchmarks":[{"name":"pid_single_run","samples":30,"median_ns":1044.5,"neg":-3,"flag":true,"none":null}]}"#
         );
-        // Too big for u64 and i64: falls back to float.
-        assert!(matches!(
-            Json::parse("99999999999999999999999").unwrap(),
-            Json::Num(_)
-        ));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\"}",
-            "{\"a\":}",
-            "01",
-            "1.",
-            "tru",
-            "\"abc",
-            "\"\\q\"",
-            "1 2",
-            "[1]]",
-            "nul",
-            "\"\\ud800\"",
-        ] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
-        }
-    }
-
-    #[test]
-    fn parse_depth_is_bounded() {
-        let deep = "[".repeat(500) + &"]".repeat(500);
-        let err = Json::parse(&deep).unwrap_err();
-        assert!(err.message.contains("deep"), "{err}");
-    }
-
-    #[test]
-    fn accessors_navigate_reports() {
-        let j = Json::parse(r#"{"benchmarks":[{"name":"x","median_ns":12.5}]}"#).unwrap();
-        let b = &j.get("benchmarks").unwrap().as_arr().unwrap()[0];
-        assert_eq!(b.get("name").unwrap().as_str(), Some("x"));
-        assert_eq!(b.get("median_ns").unwrap().as_f64(), Some(12.5));
-        assert_eq!(j.get("missing"), None);
-        assert_eq!(Json::Null.get("x"), None);
-        assert_eq!(Json::Int(-2).as_f64(), Some(-2.0));
-        assert_eq!(Json::UInt(2).as_f64(), Some(2.0));
-        assert_eq!(Json::Null.as_f64(), None);
-        assert_eq!(Json::Null.as_str(), None);
-        assert_eq!(Json::Null.as_arr(), None);
     }
 
     #[test]

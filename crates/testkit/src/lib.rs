@@ -10,11 +10,10 @@
 //!   master seed; every property and case derives its stream from it, so a
 //!   failure report always carries the exact seed that reproduces it.
 //! * [`mod@bench`] — a wall-clock benchmark runner (warmup, calibrated batch
-//!   sizes, median/p95 over timed samples) with machine-readable JSON
-//!   reports, driven by the `harness = false` bench binaries in
-//!   `crates/bench/benches/`.
-//! * [`json`] — a minimal JSON value type and writer used by the bench
-//!   reports and the figure-regeneration artifacts.
+//!   sizes, min/median/p95 over timed samples), driven by the
+//!   `harness = false` bench binaries in `crates/bench/benches/`.
+//! * [`json`] — a minimal JSON value type and writer used by the
+//!   figure-regeneration artifacts (`paper_figures --json`).
 //! * [`rng`] — the xoshiro256++ generator behind the property harness.
 //!   Deliberately independent of `nlft-sim`'s `RngStream` so the test
 //!   substrate cannot perturb (or be perturbed by) the simulation streams
@@ -35,7 +34,8 @@
 //! ```
 //!
 //! `NLFT_PROP_CASES=<n>` overrides the per-suite case count (e.g. crank it
-//! up for a soak run).
+//! up for a soak run). A value of either variable that is not a decimal or
+//! `0x` hex number panics rather than falling back to the default.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -70,6 +70,22 @@ fn parse_u64(text: &str) -> Option<u64> {
     }
 }
 
+/// The value of the environment override `var`: `None` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when the value is not a
+/// number: a mistyped sweep must fail, not quietly run the default cases.
+fn env_override(var: &str) -> Option<u64> {
+    let value = std::env::var_os(var)?;
+    Some(parse_override(var, &value.to_string_lossy()))
+}
+
+fn parse_override(var: &str, value: &str) -> u64 {
+    parse_u64(value)
+        .unwrap_or_else(|| panic!("{var}={value:?} is not a number (decimal or 0x-prefixed hex)"))
+}
+
 /// A property-test suite: a master seed and a case count.
 ///
 /// Declare one `const` per test file so every property in the file draws
@@ -106,31 +122,26 @@ impl Suite {
     ///
     /// * `NLFT_PROP_SEED=<dec|0xhex>` — run a single case with exactly this
     ///   case seed (for reproducing a reported failure);
-    /// * `NLFT_PROP_CASES=<n>` — run `n` cases instead of the suite count.
+    /// * `NLFT_PROP_CASES=<dec|0xhex>` — run that many cases instead of the
+    ///   suite count.
     ///
     /// # Panics
     ///
-    /// Panics with a reproduction banner when the property fails, and when
+    /// Panics with a reproduction banner when the property fails, when
     /// every case in the run was rejected by `prop_assume!` (a property
-    /// that never executes is a test bug, not a pass).
+    /// that never executes is a test bug, not a pass), and when either
+    /// variable is set to something that is not a number.
     pub fn check<T, G, P>(&self, name: &str, mut gen: G, mut prop: P)
     where
         T: Debug,
         G: FnMut(&mut TkRng) -> T,
         P: FnMut(&T) -> CaseResult,
     {
-        if let Some(seed) = std::env::var("NLFT_PROP_SEED")
-            .ok()
-            .as_deref()
-            .and_then(parse_u64)
-        {
+        if let Some(seed) = env_override("NLFT_PROP_SEED") {
             run_case(name, seed, 0, 1, &mut gen, &mut prop);
             return;
         }
-        let cases = std::env::var("NLFT_PROP_CASES")
-            .ok()
-            .as_deref()
-            .and_then(parse_u64)
+        let cases = env_override("NLFT_PROP_CASES")
             .map(|n| n.clamp(1, u64::from(u32::MAX)) as u32)
             .unwrap_or(self.cases);
         let prop_seed = hash_label(self.seed, name);
@@ -427,6 +438,18 @@ mod tests {
             seen.into_inner()
         };
         assert_ne!(collect("alpha"), collect("beta"));
+    }
+
+    #[test]
+    fn overrides_parse_or_panic_naming_the_variable() {
+        assert_eq!(parse_override("NLFT_PROP_CASES", "20000"), 20_000);
+        assert_eq!(parse_override("NLFT_PROP_SEED", " 0xBEEF "), 0xBEEF);
+        for (var, value) in [("NLFT_PROP_CASES", "20_000"), ("NLFT_PROP_SEED", "0xZZ")] {
+            let panic = std::panic::catch_unwind(|| parse_override(var, value))
+                .expect_err("a malformed override must panic");
+            let message = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(message.contains(&format!("{var}=\"{value}\"")), "{message}");
+        }
     }
 
     #[test]
